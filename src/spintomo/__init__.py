@@ -95,12 +95,14 @@ from .su2 import (
     wigner_6j,
     wigner_D,
     wigner_d_matrix,
+    wigner_d_stack,
     wigner_small_d,
 )
 from .symbols import (
     EulerAngles,
     QuantizerPair,
     SpinFrame,
+    SpinTransform,
     Tomogram,
     dequantizer_U,
     dequantizer_series,

@@ -181,16 +181,18 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
     """Matrix carrying input tomogram samples to output tomogram samples.
 
     Pi[x, x'] = Tr[U(x) L(D(x'))] w(x'), so that Pi @ w_in evaluated on the
-    grid labels equals the tomogram of the channel output.
+    grid labels equals the tomogram of the channel output.  Synthesis, the
+    channel and analysis compose as one product through operator space:
+    rows vec(U(x)^T), the superoperator, columns vec(D(x')).
     """
     j = HalfInt.of(j)
     if channel.dim != j.twice + 1:
         raise ValueError("channel dimension does not match 2j+1")
     pair = QuantizerPair.spin(j, grid)
-    mapped = np.zeros_like(pair.ds)
-    for v in channel.ops:
-        mapped += np.einsum("ab,xbc,dc->xad", v, pair.ds, v.conj())
-    pi = np.einsum("xij,yji->xy", pair.us, mapped)
+    n_labels = len(pair.labels)
+    analysis = pair.us.transpose(0, 2, 1).reshape(n_labels, -1)
+    synthesis = pair.ds.reshape(n_labels, -1).T
+    pi = analysis @ (kraus_to_superoperator(channel).mat @ synthesis)
     if np.max(np.abs(pi.imag)) > 1e-10:
         raise ValueError("propagator came out non-real; invalid channel?")
     return pi.real * pair.weights[None, :]

@@ -40,6 +40,11 @@ def matrix_to_obj(m, dims=None) -> dict:
     return obj
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite numbers (found NaN or infinity)")
+
+
 def matrix_from_obj(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("matrix object must be a dict with a 'dim' field")
@@ -48,6 +53,7 @@ def matrix_from_obj(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     im = np.asarray(obj.get("im", np.zeros(n * n)), dtype=float)
     if re.size != n * n or im.size != n * n:
         raise ValueError(f"matrix entry lists must have length dim^2 = {n * n}")
+    _require_finite(np.stack([re, im]), "matrix entries")
     mat = (re + 1j * im).reshape(n, n)
     dims = tuple(int(d) for d in obj["dims"]) if "dims" in obj else None
     if dims is not None and int(np.prod(dims)) != n:
@@ -107,8 +113,11 @@ def tomogram_from_obj(obj) -> Tomogram:
     if kind not in ("spin", "unitary"):
         raise ValueError("tomogram kind must be 'spin' or 'unitary'")
     values = np.asarray(obj["values"], dtype=float)
+    _require_finite(values, "tomogram values")
     if "values_im" in obj:
-        values = values + 1j * np.asarray(obj["values_im"], dtype=float)
+        imag = np.asarray(obj["values_im"], dtype=float)
+        _require_finite(imag, "tomogram values")
+        values = values + 1j * imag
     if kind == "spin":
         j = HalfInt(int(obj["j_twice"]))
         outcomes = [HalfInt(int(m)) for m in obj["outcomes"]]

@@ -78,13 +78,16 @@ def make_grid(j, oversample: float = 1.5) -> QuadratureGrid:
     two_j = j.twice
     n_beta = max(1, math.ceil(oversample * (two_j + 1)))
     n_gamma = max(1, math.ceil(oversample * (2 * two_j + 1)))
+    return _product_grid(n_beta, n_gamma)
+
+
+def _product_grid(n_beta: int, n_gamma: int) -> QuadratureGrid:
+    """Gauss-Legendre in cos(beta) times the uniform gamma rule, with its exactness degree."""
     x, w = np.polynomial.legendre.leggauss(n_beta)
-    beta = np.arccos(x)
-    degree = min((2 * n_beta - 1) // 2, (n_gamma - 1) // 2)
     return QuadratureGrid(
-        beta_nodes=beta,
+        beta_nodes=np.arccos(x),
         beta_weights=w,
         gamma_nodes=2.0 * np.pi * np.arange(n_gamma) / n_gamma,
         alpha_factor=2.0 * np.pi,
-        exactness_degree=degree,
+        exactness_degree=min((2 * n_beta - 1) // 2, (n_gamma - 1) // 2),
     )

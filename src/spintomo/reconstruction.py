@@ -1,8 +1,9 @@
 """Inverse maps: from tomograms back to operators.
 
-Spin tomograms on a quadrature grid invert through the tensor-operator
-expansion; unitary-frame tomograms invert through a constrained least-squares
-solve; symbol tables convert between quantizer pairs via intertwining kernels.
+Spin tomograms on a quadrature grid invert through the covariant synthesis of
+``SpinTransform``; unitary-frame tomograms invert through a constrained
+least-squares solve; symbol tables convert between quantizer pairs via
+intertwining kernels.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import warnings
 import numpy as np
 
 from .errors import InformationallyIncompleteError
-from .halfint import HalfInt, spin_range
-from .linalg import DensityMatrix, hermiticity_residual
-from .quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
-from .su2 import clebsch_gordan, irreducible_tensor, tensor_index_pairs, wigner_small_d
-from .symbols import QuantizerPair, Tomogram, _joint_frame
+from .halfint import HalfInt
+from .linalg import DensityMatrix
+from .quadrature import QuadratureGrid, _product_grid, make_grid
+from .symbols import QuantizerPair, SpinTransform, Tomogram, _joint_frame, frame_angles
 
 __all__ = [
     "make_grid",
@@ -36,68 +36,37 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
     """
     if t.kind != "spin" or not t.frames:
         raise ValueError("grid inference needs a spin tomogram with frames")
-    betas = [fr.angles.beta for fr in t.frames]
+    betas = frame_angles(t.frames)[0]
     n_gamma = 1
     while n_gamma < len(betas) and abs(betas[n_gamma] - betas[0]) < 1e-12:
         n_gamma += 1
     if len(betas) % n_gamma != 0:
         raise ValueError("tomogram frames do not form a regular grid")
-    n_beta = len(betas) // n_gamma
-    x, w = np.polynomial.legendre.leggauss(n_beta)
-    grid = QuadratureGrid(
-        beta_nodes=np.arccos(x),
-        beta_weights=w,
-        gamma_nodes=2.0 * np.pi * np.arange(n_gamma) / n_gamma,
-        alpha_factor=2.0 * np.pi,
-        exactness_degree=min((2 * n_beta - 1) // 2, (n_gamma - 1) // 2),
-    )
+    grid = _product_grid(len(betas) // n_gamma, n_gamma)
     if not _frames_match_grid(t.frames, t.j, grid):
         raise ValueError("tomogram frames do not coincide with any standard grid")
     return grid
 
 
 def _frames_match_grid(frames, j: HalfInt, grid: QuadratureGrid) -> bool:
-    betas, gammas = grid.node_angles()
-    if len(frames) != grid.n_nodes:
+    if len(frames) != grid.n_nodes or any(fr.j != j for fr in frames):
         return False
-    for fr, b, g in zip(frames, betas, gammas):
-        if fr.j != j:
-            return False
-        if abs(fr.angles.beta - b) > 1e-12 or abs(fr.angles.gamma - g) > 1e-12:
-            return False
-    return True
+    deviation = np.abs(np.stack(frame_angles(frames)) - np.stack(grid.node_angles()))
+    return bool(np.all(deviation <= 1e-12))
 
 
 def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
     """Rebuild the operator from its spin tomogram on the grid frames.
 
-    A = sum_{L,M,m} (-1)^(j-m+M) (2L+1)/(8 pi^2) <j m; j -m|L 0>
-        (integral of w(m, .) D^L_{0,-M}) T_LM,
-    with the group integral evaluated by the grid quadrature.
+    A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x, the quadrature of the quantizer
+    family over the grid nodes (see ``SpinTransform.synthesize``).
     """
     j = HalfInt.of(j)
     if t.kind != "spin":
         raise ValueError("reconstruct_operator expects a spin tomogram")
     if not _frames_match_grid(t.frames, j, grid):
         raise ValueError("tomogram frames do not coincide with the grid nodes")
-    n = j.twice + 1
-    node_w = grid.node_weights() * grid.alpha_factor
-    gammas = grid.node_angles()[1]
-    ms = spin_range(j)
-    table = t.table  # (n, n_nodes), complex
-    out = np.zeros((n, n), dtype=complex)
-    for L, M in tensor_index_pairs(j):
-        small = np.array([wigner_small_d(L, 0, -M, float(b)) for b in grid.beta_nodes])
-        dfun = np.repeat(small, grid.n_gamma) * np.exp(1j * float(M) * gammas)
-        coeff = 0.0 + 0.0j
-        for im, m in enumerate(ms):
-            cg = clebsch_gordan(j, m, j, -m, L, 0)
-            if cg == 0.0:
-                continue
-            phase = (-1.0) ** ((j.twice - m.twice) // 2 + M.twice // 2)
-            coeff += phase * cg * np.sum(node_w * table[im] * dfun)
-        out += (L.twice + 1) / GROUP_VOLUME * coeff * irreducible_tensor(j, L, M)
-    return out
+    return SpinTransform.on_grid(j, grid).synthesize(t.table)
 
 
 def _hermitian_basis(d: int) -> list[np.ndarray]:
@@ -215,7 +184,3 @@ def duality_residual(pair: QuantizerPair, probes=None) -> float:
         worst = max(worst, float(np.max(np.abs(rebuilt - p))))
     return worst
 
-
-def hermitian_defect(m) -> float:
-    """Convenience re-export used by CLI reporting."""
-    return hermiticity_residual(m)

@@ -1,10 +1,18 @@
 """Star-product machinery for spin symbols.
 
 The composition of two symbols is the double quadrature of the product
-against the three-point kernel K(x2, x1, x) = Tr[D(x2) D(x1) U(x)].  The
-trace form of the kernel is the reference; the closed form expands the same
-trace through coupling coefficients and 6j symbols and exists as a
-cross-check of the special-function stack.
+against the three-point kernel K(x2, x1, x) = Tr[D(x2) D(x1) U(x)].  Because
+the kernel factors through operator space, ``star_compose`` evaluates it as
+analyze(synthesize(f_A) @ synthesize(f_B)) with the grid's ``SpinTransform``:
+two syntheses, one (2j+1)-dimensional matrix product and one analysis, with
+no kernel or quantizer stack formed.  ``symbol_trace`` is the trace of the
+synthesized operator.
+
+The kernel itself is kept for reference.  The trace form is the definition;
+the closed form expands the same trace through coupling coefficients and 6j
+symbols and exists as a cross-check of the special-function stack;
+``StarKernel`` materializes the table for small spins so tests can check the
+factored composition against the explicit double sum.
 
 Closed-form phases follow the Condon-Shortley coupling order used throughout
 this package: expanding D and U in irreducible tensors and applying the
@@ -28,7 +36,7 @@ import numpy as np
 from .halfint import HalfInt, spin_range
 from .quadrature import QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_small_d
-from .symbols import EulerAngles, QuantizerPair, Tomogram, dequantizer_U, quantizer_D
+from .symbols import EulerAngles, QuantizerPair, SpinTransform, Tomogram, dequantizer_U, quantizer_D
 
 STAR_OVERSAMPLE = 2.0
 
@@ -160,9 +168,8 @@ def _require_grid_tomogram(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> Non
 def star_compose(fa: Tomogram, fb: Tomogram, j=None, grid: QuadratureGrid | None = None) -> Tomogram:
     """Symbol of the operator product, f_A * f_B, on the same grid.
 
-    Evaluates the double quadrature sum against K = Tr[D D U], contracted in
-    the factored order sum_x2 w f_A D(x2), sum_x1 w f_B D(x1), then traced
-    against U(x) at every output label.
+    Evaluates the double quadrature sum against K = Tr[D D U] in the factored
+    order: synthesize both operators, multiply, analyze the product.
     """
     j = HalfInt.of(j) if j is not None else fa.j
     if j is None:
@@ -171,16 +178,13 @@ def star_compose(fa: Tomogram, fb: Tomogram, j=None, grid: QuadratureGrid | None
         raise ValueError("a quadrature grid is required")
     _require_grid_tomogram(fa, j, grid)
     _require_grid_tomogram(fb, j, grid)
-    pair = QuantizerPair.spin(j, grid)
-    a1 = pair.synthesize(fa.table.reshape(-1))
-    b1 = pair.synthesize(fb.table.reshape(-1))
-    out = np.einsum("xij,ji->x", pair.us, a1 @ b1)
-    n = j.twice + 1
+    transform = SpinTransform.on_grid(j, grid)
+    product = transform.synthesize(fa.table) @ transform.synthesize(fb.table)
     return Tomogram(
         kind="spin",
         outcomes=spin_range(j),
         frames=list(fa.frames),
-        table=out.reshape(n, grid.n_nodes),
+        table=transform.analyze(product),
         j=j,
     )
 
@@ -191,8 +195,7 @@ def symbol_trace(t: Tomogram, j=None, grid: QuadratureGrid | None = None) -> com
     if grid is None:
         raise ValueError("a quadrature grid is required")
     _require_grid_tomogram(t, j, grid)
-    pair = QuantizerPair.spin(j, grid)
-    return pair.trace_pairing(t.table.reshape(-1))
+    return complex(np.trace(SpinTransform.on_grid(j, grid).synthesize(t.table)))
 
 
 def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:

@@ -13,8 +13,10 @@ Conventions
   symbols are the standard Racah single-sum evaluations.
 * Matrix bases are ordered m = j, j-1, ..., -j (row index i maps to m = j - i).
 
-Factorial ratios are evaluated through a shared log-factorial table so that
-alternating sums stay well scaled up to j of a few tens.
+d-matrices come from one eigendecomposition of J2 (unitary to rounding at
+any j).  The scalar ``wigner_small_d`` and the coupling coefficients evaluate
+factorial ratios through a shared log-factorial table, so their alternating
+sums stay well scaled up to j of a few tens.
 """
 
 from __future__ import annotations
@@ -89,24 +91,45 @@ def wigner_small_d(j, m1, m2, beta: float) -> float:
     return total
 
 
-@lru_cache(maxsize=4096)
-def _small_d_matrix(jt: int, beta: float) -> np.ndarray:
-    j = HalfInt(jt)
-    ms = spin_range(j)
-    n = jt + 1
-    d = np.empty((n, n))
-    for i1, ma in enumerate(ms):
-        for i2, mb in enumerate(ms):
-            d[i1, i2] = wigner_small_d(j, ma, mb, beta)
-    d.setflags(write=False)
-    return d
+def _magnetic_numbers(j: HalfInt) -> np.ndarray:
+    """m = j, j-1, ..., -j as floats, in basis order."""
+    return (j.twice - 2.0 * np.arange(j.twice + 1)) / 2.0
+
+
+def wigner_d_stack(j, betas) -> np.ndarray:
+    """d-matrices for every beta at once, shape (len(betas), 2j+1, 2j+1).
+
+    d(beta) = V exp(-i beta Lambda) V^dag from one eigendecomposition
+    J2 = V Lambda V^dag, which stays unitary to rounding at any j (exact
+    diagonalization; Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015).
+    The product does not depend on the phases of the eigenvectors.
+    """
+    j = HalfInt.of(j)
+    _check_spin(j)
+    ms = _magnetic_numbers(j)
+    jp = np.diag(np.sqrt(float(j) * (float(j) + 1.0) - ms[1:] * (ms[1:] + 1.0)), k=1)
+    _, vecs = np.linalg.eigh((jp - jp.T) / 2j)
+    # eigh sorts the eigenvalues ascending; they are exactly -j..j
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), ms[::-1]))
+    return ((vecs * phases[:, None, :]) @ vecs.conj().T).real
+
+
+def rotation_stack(j, betas, gammas) -> np.ndarray:
+    """Matrices d(beta_x) diag(exp(-i gamma_x m)) for paired angle arrays.
+
+    This is R(0, beta, gamma); alpha only multiplies rows by phases, which
+    drop out of every spin symbol.  Repeated beta values share one d-matrix.
+    """
+    j = HalfInt.of(j)
+    betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
+    unique, index = np.unique(betas, return_inverse=True)
+    phases = np.exp(-1j * np.multiply.outer(gammas, _magnetic_numbers(j)))
+    return wigner_d_stack(j, unique)[index] * phases[:, None, :]
 
 
 def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full (2j+1)-dimensional d-matrix, rows/columns ordered m = j..-j."""
-    j = HalfInt.of(j)
-    _check_spin(j)
-    return _small_d_matrix(j.twice, float(beta)).copy()
+    return wigner_d_stack(j, [float(beta)])[0]
 
 
 def wigner_D(j, m1, m2, alpha: float, beta: float, gamma: float) -> complex:
@@ -118,11 +141,8 @@ def wigner_D(j, m1, m2, alpha: float, beta: float, gamma: float) -> complex:
 
 def rotation_matrix(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Matrix of R(alpha, beta, gamma) in the spin-j representation."""
-    j = HalfInt.of(j)
-    _check_spin(j)
-    d = _small_d_matrix(j.twice, float(beta))
-    m = np.array([float(mm) for mm in spin_range(j)])
-    return np.exp(-1j * alpha * m)[:, None] * d * np.exp(-1j * gamma * m)[None, :]
+    phases = np.exp(-1j * alpha * _magnetic_numbers(HalfInt.of(j)))
+    return phases[:, None] * rotation_stack(j, [beta], [gamma])[0]
 
 
 def _triangle_ok(at: int, bt: int, ct: int) -> bool:

@@ -6,19 +6,30 @@ diagonal of u^dag rho u.  For density operators both are genuine probability
 tables, one distribution per frame.
 
 The dual operator families (dequantizer ``U`` and quantizer ``D``) invert the
-symbol map: A = sum_x w(x) f_A(x) D(x) over a quadrature grid.
+symbol map: A = sum_x w(x) f_A(x) D(x) over a quadrature grid.  Both families
+are rotation covariant, U(m, g) = R(g)^dag |j m><j m| R(g) and
+D(m, g) = R(g)^dag D(m, e) R(g), so ``SpinTransform`` runs the spin symbol map
+and its inverse on a stack of rotation matrices without forming either family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .halfint import HalfInt, spin_range
 from .linalg import DensityMatrix, kron_all, partial_trace, unitarity_residual
 from .quadrature import GROUP_VOLUME, QuadratureGrid
-from .su2 import clebsch_gordan, irreducible_tensor, rotation_matrix, tensor_index_pairs, wigner_small_d
+from .su2 import (
+    clebsch_gordan,
+    irreducible_tensor,
+    rotation_matrix,
+    rotation_stack,
+    tensor_index_pairs,
+    wigner_small_d,
+)
 
 REALITY_TOL = 1e-10
 CLAMP_TOL = 1e-12
@@ -52,6 +63,87 @@ def grid_frames(j, grid: QuadratureGrid) -> list[SpinFrame]:
     j = HalfInt.of(j)
     betas, gammas = grid.node_angles()
     return [SpinFrame(j, EulerAngles(0.0, float(b), float(g))) for b, g in zip(betas, gammas)]
+
+
+def frame_angles(frames: list[SpinFrame]) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, gamma) arrays of a frame list, in frame order."""
+    angles = np.array([(fr.angles.beta, fr.angles.gamma) for fr in frames], dtype=float)
+    return angles[:, 0], angles[:, 1]
+
+
+@lru_cache(maxsize=64)
+def _identity_quantizer(jt: int) -> np.ndarray:
+    """Q[m', m], the diagonal of the quantizer D(m, e) at the identity rotation.
+
+    Q[m', m] = sum_L (2L+1)/(8 pi^2) (-1)^(2j-m-m') <j m; j -m|L 0><j m'; j -m'|L 0>,
+    the tensor series of ``quantizer_D`` at omega = e, where only M = 0 survives.
+    """
+    j = HalfInt(jt)
+    ms = spin_range(j)
+    ls = [HalfInt(lt) for lt in range(0, 2 * jt + 1, 2)]
+    cg = np.array([[clebsch_gordan(j, m, j, -m, L, 0) for m in ms] for L in ls])
+    sign = np.array([(-1.0) ** ((jt - m.twice) // 2) for m in ms])
+    scale = np.array([(L.twice + 1) / GROUP_VOLUME for L in ls])
+    q = np.outer(sign, sign) * ((cg * scale[:, None]).T @ cg)
+    q.setflags(write=False)
+    return q
+
+
+class SpinTransform:
+    """The spin symbol map and its inverse on a stack of rotations.
+
+    With R[x] = d(beta_x) diag(exp(-i gamma_x m)):
+
+    * ``analyze(A)`` is the spin symbol w[m, x] = (R_x A R_x^dag)_{mm};
+    * ``synthesize(w)`` is the quadrature A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x
+      of the quantizer family, by the covariance D(m, g) = R(g)^dag D(m, e) R(g).
+
+    Each is one matrix product over the (frames * (2j+1), 2j+1) stack, so the
+    memory cost is O((2j+1)^2 * frames); no per-label operator is formed.
+    ``weights`` are the quadrature weights W_x, needed only to synthesize.
+    """
+
+    def __init__(self, j, betas, gammas, weights=None):
+        self.j = HalfInt.of(j)
+        self.rotations = rotation_stack(self.j, betas, gammas)
+        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        # row (x, m) of the stack is R_x[m, :]; the conjugate is kept because
+        # both products below need it and conjugating per call costs as much
+        n = self.j.twice + 1
+        self._rows = self.rotations.reshape(-1, n)
+        self._rows_conj = self._rows.conj()
+
+    @classmethod
+    def on_grid(cls, j, grid: QuadratureGrid) -> "SpinTransform":
+        """Transform at the grid nodes, in grid node order; memoized on the grid."""
+        j = HalfInt.of(j)
+        key = ("transform", j.twice)
+        if key not in grid._memo:
+            grid._memo[key] = cls(j, *grid.node_angles(), grid.group_weights())
+        return grid._memo[key]
+
+    def analyze(self, a) -> np.ndarray:
+        """Symbol table w[m, x] of the operator ``a``, shape (2j+1, frames)."""
+        w = np.einsum("ij,ij->i", self._rows @ a, self._rows_conj)
+        return w.reshape(-1, self.j.twice + 1).T
+
+    def synthesize(self, w) -> np.ndarray:
+        """Operator with symbol table ``w`` of shape (2j+1, frames)."""
+        if self.weights is None:
+            raise ValueError("synthesis needs quadrature weights")
+        c = (_identity_quantizer(self.j.twice) @ w) * self.weights
+        return self._rows_conj.T @ (self._rows * c.T.reshape(-1, 1))
+
+    def operator_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dequantizers U(m, x) and quantizers D(m, x), each (2j+1) * frames
+        matrices ordered m-major, built from the rotations by covariance."""
+        r = self.rotations
+        rc = self._rows_conj.reshape(r.shape)
+        f, n, _ = r.shape
+        us = rc.transpose(1, 0, 2)[:, :, :, None] * r.transpose(1, 0, 2)[:, :, None, :]
+        q = _identity_quantizer(self.j.twice)
+        ds = (rc.transpose(0, 2, 1)[:, None] * q.T[None, :, None, :]) @ r[:, None]
+        return us.reshape(n * f, n, n), ds.transpose(1, 0, 2, 3).reshape(n * f, n, n)
 
 
 @dataclass
@@ -184,13 +276,9 @@ def spin_tomogram(a, frames: list[SpinFrame]) -> Tomogram:
     n = j.twice + 1
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
-    table = np.empty((n, len(frames)), dtype=complex)
-    for col, fr in enumerate(frames):
-        if fr.j != j:
-            raise ValueError("all frames must share the same spin j")
-        ang = fr.angles
-        r = rotation_matrix(j, ang.alpha, ang.beta, ang.gamma)
-        table[:, col] = np.einsum("ma,ab,mb->m", r, mat, r.conj())
+    if any(fr.j != j for fr in frames):
+        raise ValueError("all frames must share the same spin j")
+    table = SpinTransform(j, *frame_angles(frames)).analyze(mat)
     t = Tomogram(
         kind="spin",
         outcomes=spin_range(j),
@@ -303,53 +391,23 @@ class QuantizerPair:
     def spin(cls, j, grid: QuadratureGrid) -> "QuantizerPair":
         """Spin-j pair on a rotation-group grid; labels are (m, node) pairs.
 
-        The dequantizers are rotated projectors; the quantizers come from the
-        tensor-operator series, so the duality identity also cross-validates
-        the two constructions.
+        Both families are materialized from the grid's rotation stack by
+        covariance (``SpinTransform.operator_stacks``), (2j+1)^3 * nodes
+        entries each; the transform itself never needs them.
         """
         j = HalfInt.of(j)
         memo_key = ("pair", j.twice)
         cached = grid._memo.get(memo_key)
         if cached is not None:
             return cached
-        n = j.twice + 1
-        betas, gammas = grid.node_angles()
-        node_w = grid.node_weights() * grid.alpha_factor
-        ms = spin_range(j)
-        n_nodes = grid.n_nodes
-
-        pairs_lm = tensor_index_pairs(j)
-        tensors = np.stack([irreducible_tensor(j, L, M) for L, M in pairs_lm])
-        # d^L_{0,-M}(beta) e^{i M gamma} per node and (L, M)
-        dlm = np.empty((n_nodes, len(pairs_lm)), dtype=complex)
-        for idx, (L, M) in enumerate(pairs_lm):
-            small = np.array([wigner_small_d(L, 0, -M, float(b)) for b in grid.beta_nodes])
-            small = np.repeat(small, grid.n_gamma)
-            dlm[:, idx] = small * np.exp(1j * float(M) * gammas)
-
-        rotations = np.stack(
-            [rotation_matrix(j, 0.0, float(b), float(g)) for b, g in zip(betas, gammas)]
+        us, ds = SpinTransform.on_grid(j, grid).operator_stacks()
+        pair = cls(
+            labels=[(m, node) for m in spin_range(j) for node in range(grid.n_nodes)],
+            us=us,
+            ds=ds,
+            weights=np.tile(grid.group_weights(), j.twice + 1),
+            dim=j.twice + 1,
         )
-        us = np.empty((n * n_nodes, n, n), dtype=complex)
-        ds = np.empty((n * n_nodes, n, n), dtype=complex)
-        labels, weights = [], np.empty(n * n_nodes)
-        t_flat = tensors.reshape(len(pairs_lm), n * n)
-        d_weight = np.array([(L.twice + 1) / GROUP_VOLUME for L, _ in pairs_lm])
-        for im, m in enumerate(ms):
-            cg_ph = np.array(
-                [
-                    (-1.0) ** ((j.twice - m.twice) // 2 + M.twice // 2)
-                    * clebsch_gordan(j, m, j, -m, L, 0)
-                    for L, M in pairs_lm
-                ]
-            )
-            block = slice(im * n_nodes, (im + 1) * n_nodes)
-            rows = rotations[:, im, :]
-            us[block] = rows.conj()[:, :, None] * rows[:, None, :]
-            ds[block] = ((dlm * (cg_ph * d_weight)[None, :]) @ t_flat).reshape(n_nodes, n, n)
-            weights[block] = node_w
-            labels.extend((m, node) for node in range(n_nodes))
-        pair = cls(labels=labels, us=us, ds=ds, weights=weights, dim=n)
         grid._memo[memo_key] = pair
         return pair
 
@@ -387,8 +445,3 @@ class QuantizerPair:
         if values.shape != (len(self.labels),):
             raise ValueError("symbol table length mismatch")
         return np.einsum("x,xij->ij", values * self.weights, self.ds)
-
-    def trace_pairing(self, values: np.ndarray) -> complex:
-        """sum_x weights[x] f(x) Tr[D(x)]; recovers Tr[A] from a symbol."""
-        traces = np.einsum("xii->x", self.ds)
-        return complex(np.sum(np.asarray(values) * self.weights * traces))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintomo.channels import (
     KrausChannel,
@@ -27,6 +29,20 @@ ALL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
 def random_axis(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+class TestKrausValidation:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        op=st.integers(min_value=0, max_value=3),
+        entry=st.integers(min_value=0, max_value=3),
+    )
+    def test_non_finite_kraus_operator_rejected(self, bad, op, entry):
+        ops = [v.copy() for v in depolarizing(0.2).ops]
+        ops[op].reshape(-1)[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            KrausChannel(ops)
 
 
 class TestApplyKraus:

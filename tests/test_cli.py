@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintomo import io
 from spintomo.cli import main
@@ -60,6 +63,24 @@ class TestTomogramCommand:
         rc = main(["tomogram", "--state", str(bad), "--n-frames", "5", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        part=st.sampled_from(["re", "im"]),
+        entry=st.integers(min_value=0, max_value=3),
+        spin_grid=st.booleans(),
+    )
+    def test_non_finite_state_exits_2(self, bad, part, entry, spin_grid):
+        obj = io.density_to_obj(random_density(2, 2, seed=1))
+        obj[part][entry] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            state, out = Path(tmp) / "state.json", Path(tmp) / "never.json"
+            state.write_text(io.dumps(obj))
+            frames = ["--j", "0.5"] if spin_grid else ["--n-frames", "5"]
+            rc = main(["tomogram", "--state", str(state), *frames, "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
 
     def test_spin_grid_tomogram_csv(self, workdir):
         tmp, paths = workdir

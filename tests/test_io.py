@@ -35,6 +35,14 @@ class TestMatrixSchema:
         with pytest.raises(ValueError):
             io.matrix_from_obj({"dim": 4, "re": [0.0] * 16, "im": [0.0] * 16, "dims": [3, 2]})
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, part, bad):
+        obj = io.matrix_to_obj(np.eye(2) / 2)
+        obj[part][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            io.matrix_from_obj(obj)
+
     def test_density_invariants_checked_on_load(self):
         bad = io.matrix_to_obj(np.diag([0.7, 0.7]))
         with pytest.raises(ValueError):
@@ -86,6 +94,16 @@ class TestTomogramSchema:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             io.tomogram_from_obj({"kind": "weyl", "values": [[1.0]]})
+
+    @pytest.mark.parametrize("key", ["values", "values_im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, key, bad, rng):
+        grid = make_grid(0.5)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        obj = io.tomogram_to_obj(spin_tomogram(a, grid_frames(0.5, grid)))
+        obj[key][1][3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            io.tomogram_from_obj(obj)
 
 
 class TestChannelSchema:

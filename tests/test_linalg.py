@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from spintomo.linalg import (
@@ -93,6 +95,21 @@ class TestDensityMatrix:
     def test_dims_product_checked(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, dims=(2, 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        n=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_non_finite_entries_rejected(self, bad, n, data):
+        # NaN compares False everywhere, so only an explicit check refuses it
+        mat = np.eye(n, dtype=complex) / n
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b = data.draw(st.integers(min_value=0, max_value=n - 1))
+        mat[a, b] += data.draw(st.sampled_from([1.0, 1j])) * bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(mat)
 
     def test_random_density_rank_one_is_pure(self):
         rho = random_density(4, 1, seed=0)

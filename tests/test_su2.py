@@ -14,6 +14,7 @@ from spintomo.su2 import (
     wigner_6j,
     wigner_D,
     wigner_d_matrix,
+    wigner_d_stack,
     wigner_small_d,
 )
 
@@ -77,6 +78,24 @@ class TestSmallD:
     def test_unitarity_property(self, beta, jt):
         d = wigner_d_matrix(HalfInt(jt), beta)
         assert np.max(np.abs(d @ d.T - np.eye(jt + 1))) < 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+        jt=st.integers(min_value=0, max_value=80),
+    )
+    def test_unitarity_up_to_high_spin(self, beta, jt):
+        d = wigner_d_matrix(HalfInt(jt), beta)
+        assert np.max(np.abs(d @ d.T - np.eye(jt + 1))) <= 1e-13
+
+    @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
+    def test_stack_matches_scalar_oracle(self, j, rng):
+        betas = rng.uniform(-np.pi, np.pi, size=6)
+        ms = spin_range(j)
+        stack = wigner_d_stack(j, betas)
+        for d, beta in zip(stack, betas):
+            oracle = np.array([[wigner_small_d(j, m1, m2, beta) for m2 in ms] for m1 in ms])
+            assert np.max(np.abs(d - oracle)) < 1e-13
 
 
 class TestWignerD:
