@@ -298,8 +298,9 @@ def main(argv=None) -> int:
     except InformationallyIncompleteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
-        # json.JSONDecodeError is a ValueError, so malformed inputs land here
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # json.JSONDecodeError is a ValueError, so malformed inputs land here;
+        # a MemoryError is a size flag too large for this machine
         print(f"error: {exc}", file=sys.stderr)
         return 2
     io.write_text_atomic(args.out, text)

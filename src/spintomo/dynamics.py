@@ -20,7 +20,7 @@ from .errors import ZeroProbabilityError
 from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, hermiticity_residual
 from .quadrature import QuadratureGrid
 from .star import star_compose
-from .symbols import Tomogram, _joint_frame, unitary_tomogram
+from .symbols import Tomogram, frame_stack, unitary_tomogram
 
 
 def evolve_state(rho: DensityMatrix, h, t: float) -> DensityMatrix:
@@ -48,7 +48,7 @@ def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
         )
     h = as_matrix(h)
     u_t = expm_hermitian_times(h, t)
-    shifted = [u_t.conj().T @ _joint_frame(fr) for fr in t0.frames]
+    shifted = u_t.conj().T @ frame_stack(t0.frames, t0.source_state.dim)
     at_zero = unitary_tomogram(t0.source_state, shifted)
     return Tomogram(
         kind="unitary",

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, haar_unitaries, kron_all
+from .linalg import DensityMatrix, frame_diagonals, haar_unitaries
+from .symbols import frame_stack
 
 NEG_TOL = 1e-10
 
@@ -127,8 +128,7 @@ class EntropyReport:
 
 def frame_probabilities(rho: DensityMatrix, frames: np.ndarray) -> np.ndarray:
     """diag(u^dag rho u) for a stack of frames, clipped of roundoff negatives."""
-    probs = np.einsum("kam,ab,kbm->km", frames.conj(), rho.mat, frames).real
-    return np.clip(probs, 0.0, None)
+    return np.clip(frame_diagonals(rho.mat, frames).real, 0.0, None)
 
 
 def _frame_entropies(rho: DensityMatrix, frames: np.ndarray, q: float | None) -> np.ndarray:
@@ -194,11 +194,7 @@ class StrongSubadditivityResult(NamedTuple):
 
 
 def _joint_probabilities(rho: DensityMatrix, u) -> np.ndarray:
-    mat = kron_all([np.asarray(f, dtype=complex) for f in u]) if isinstance(u, tuple) else np.asarray(u, dtype=complex)
-    if mat.shape != (rho.dim, rho.dim):
-        raise ValueError("frame dimension mismatch")
-    w = np.einsum("am,ab,bm->m", mat.conj(), rho.mat, mat).real
-    return np.clip(w, 0.0, None).reshape(rho.dims)
+    return frame_probabilities(rho, frame_stack([u], rho.dim))[0].reshape(rho.dims)
 
 
 def subadditivity_check(rho12: DensityMatrix, u, tol: float = 1e-10) -> SubadditivityResult:

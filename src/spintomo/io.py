@@ -184,21 +184,13 @@ def csv_text(header: list[str], rows) -> str:
 def simplex_sample_csv(sample) -> str:
     """One row per sampled point: flattened group parameters, then probabilities."""
     header = []
-    first = sample.params[0]
-    for f_idx, factor in enumerate(first):
-        d = factor.shape[0]
+    for f_idx, factor in enumerate(sample.params):
+        d = factor.shape[-1]
         for r in range(d):
             for c in range(d):
                 header.append(f"u{f_idx}_{r}{c}_re")
                 header.append(f"u{f_idx}_{r}{c}_im")
     header.extend(f"p_{k}" for k in range(sample.points.shape[1]))
-    rows = []
-    for element, point in zip(sample.params, sample.points):
-        row: list[float] = []
-        for factor in element:
-            for val in factor.reshape(-1):
-                row.append(float(val.real))
-                row.append(float(val.imag))
-        row.extend(float(p) for p in point)
-        rows.append(row)
-    return csv_text(header, rows)
+    n = sample.points.shape[0]
+    columns = [np.stack([f.real, f.imag], axis=-1).reshape(n, -1) for f in sample.params]
+    return csv_text(header, np.hstack(columns + [sample.points]).tolist())

@@ -37,8 +37,31 @@ def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
 
 
 def unitarity_residual(u) -> float:
+    """max |u^dag u - 1| over the entries, and over every frame of an (F, n, n) stack."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
+
+
+def frame_diagonals(a, frames) -> np.ndarray:
+    """diag(u^dag a u) for every frame u of an (F, n, n) stack, shape (F, n), complex."""
+    return np.einsum("fam,ab,fbm->fm", frames.conj(), a, frames)
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthogonal basis of the d x d Hermitian matrices, shape (d^2, d, d).
+
+    Order: the d diagonal units |k><k|, then for each pair a < b (row-major)
+    |a><b| + |b><a| followed by -i|a><b| + i|b><a|.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    k = np.arange(d)
+    basis[k, k, k] = 1.0
+    a, b = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(a.size)
+    basis[sym, a, b] = basis[sym, b, a] = 1.0
+    basis[sym + 1, a, b] = -1.0j
+    basis[sym + 1, b, a] = 1.0j
+    return basis
 
 
 def eig_hermitian(m, tol: float = HERMITICITY_TOL):
@@ -60,11 +83,6 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def svd(m):
-    """Thin wrapper kept for the module contract; returns (u, s, vh)."""
-    return np.linalg.svd(np.asarray(m, dtype=complex))
 
 
 def _haar_from_rng(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,9 +114,17 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
 
 
 def kron_all(mats) -> np.ndarray:
+    """Kronecker product over the last two axes, broadcast over leading (frame) axes.
+
+    Each entry is one product a[i, j] * b[k, l], as in ``np.kron``, so the
+    values match it bit for bit.
+    """
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
-        out = np.kron(out, m)
+        m = np.asarray(m)
+        prod = out[..., :, None, :, None] * m[..., None, :, None, :]
+        rows, cols = out.shape[-2] * m.shape[-2], out.shape[-1] * m.shape[-1]
+        out = prod.reshape(prod.shape[:-4] + (rows, cols))
     return out
 
 

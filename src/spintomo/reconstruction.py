@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid, make_grid
-from .symbols import QuantizerPair, SpinTransform, Tomogram, _joint_frame, frame_angles
+from .symbols import QuantizerPair, SpinTransform, Tomogram, frame_angles, frame_stack
 
 __all__ = [
     "make_grid",
@@ -69,24 +69,6 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
     return SpinTransform.on_grid(j, grid).synthesize(t.table)
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    basis = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    for a in range(d):
-        for b in range(a + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[a, b] = e[b, a] = 1.0
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[a, b] = -1.0j
-            e[b, a] = 1.0j
-            basis.append(e)
-    return basis
-
-
 def reconstruct_from_unitary_frame(t: Tomogram, frames=None) -> DensityMatrix:
     """Least-squares state estimate from a unitary-frame tomogram.
 
@@ -97,33 +79,24 @@ def reconstruct_from_unitary_frame(t: Tomogram, frames=None) -> DensityMatrix:
     """
     if t.kind != "unitary":
         raise ValueError("expected a unitary-frame tomogram")
-    frames = list(frames) if frames is not None else list(t.frames)
-    if len(frames) != t.n_frames:
+    d = t.n_outcomes
+    us = frame_stack(t.frames if frames is None else frames, d)
+    if len(us) != t.n_frames:
         raise ValueError("frame list length does not match the tomogram")
-    us = [_joint_frame(fr) for fr in frames]
-    d = us[0].shape[0]
-    basis = _hermitian_basis(d)
+    basis = hermitian_basis(d)
     n_par = len(basis)
 
-    rows = []
-    rhs = []
-    for col, u in enumerate(us):
-        probs = t.table[:, col].real
-        rotated = [np.einsum("am,ab,bm->m", u.conj(), bk, u).real for bk in basis]
-        for m in range(d):
-            rows.append([r[m] for r in rotated])
-            rhs.append(probs[m])
+    # row (frame, m), column k: diag(u^dag B_k u)[m] = <conj(u[:, m]) u[:, m]^T, B_k>
+    outer = us.conj()[:, :, None, :] * us[:, None, :, :]
+    rows = outer.transpose(0, 3, 1, 2).reshape(-1, d * d) @ basis.reshape(n_par, -1).T
     # unit-trace constraint as an extra (well-scaled) equation
-    rows.append([np.trace(bk).real for bk in basis])
-    rhs.append(1.0)
-    a = np.asarray(rows)
-    b = np.asarray(rhs)
+    a = np.vstack([rows.real, np.trace(basis, axis1=1, axis2=2).real])
+    b = np.append(t.table.real.T.reshape(-1), 1.0)
 
-    rank = int(np.linalg.matrix_rank(a))
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < n_par:
-        raise InformationallyIncompleteError(rank=rank, needed=n_par)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    rho = sum(c * bk for c, bk in zip(x, basis))
+        raise InformationallyIncompleteError(rank=int(rank), needed=n_par)
+    rho = np.tensordot(x, basis, axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
 
@@ -140,13 +113,9 @@ def reconstruct_from_unitary_frame(t: Tomogram, frames=None) -> DensityMatrix:
 
 def reconstruction_residual(t: Tomogram, rho: DensityMatrix, frames=None) -> float:
     """Max abs mismatch between the tomogram and the state's forward symbol."""
-    frames = list(frames) if frames is not None else list(t.frames)
-    worst = 0.0
-    for col, fr in enumerate(frames):
-        u = _joint_frame(fr)
-        pred = np.einsum("am,ab,bm->m", u.conj(), rho.mat, u).real
-        worst = max(worst, float(np.max(np.abs(pred - t.table[:, col].real))))
-    return worst
+    us = frame_stack(t.frames if frames is None else frames, rho.dim)
+    pred = frame_diagonals(rho.mat, us).real
+    return float(np.max(np.abs(pred.T - t.table.real)))
 
 
 def intertwine(values, pair_from: QuantizerPair, pair_to: QuantizerPair) -> np.ndarray:

@@ -17,7 +17,9 @@ from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
     expm_hermitian_times,
+    frame_diagonals,
     haar_unitaries,
+    hermitian_basis,
     kron_all,
     partial_transpose,
 )
@@ -65,7 +67,7 @@ class SimplexSample:
     """Sampled simplex points with the group elements that produced them."""
 
     points: np.ndarray  # (n, N) rows summing to 1
-    params: list  # per point: tuple of factor unitaries
+    params: tuple  # per factor: (n, d_k, d_k) stack of the sampled factor unitaries
     seed: int
     group: GroupSpec
 
@@ -78,19 +80,15 @@ class SimplexSample:
 
 def _draw_elements(
     g: GroupSpec, dims: tuple[int, ...], count: int, rng: np.random.Generator
-) -> list[tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, ...]:
+    """Per-factor (count, d_k, d_k) stacks: Haar draws on the active factors
+    (drawn in factor order), the identity on the others."""
     factors, active = g.resolve(dims)
-    draws_per_factor = {
-        a: haar_unitaries(factors[a], count, rng) for a in active
-    }
-    elements = []
-    for i in range(count):
-        element = tuple(
-            draws_per_factor[k][i] if k in active else np.eye(factors[k], dtype=complex)
-            for k in range(len(factors))
-        )
-        elements.append(element)
-    return elements
+    draws = {a: haar_unitaries(factors[a], count, rng) for a in active}
+    return tuple(
+        draws[k] if k in draws else np.broadcast_to(np.eye(d, dtype=complex), (count, d, d))
+        for k, d in enumerate(factors)
+    )
 
 
 def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> SimplexSample:
@@ -99,41 +97,18 @@ def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> Simplex
         raise ValueError("sample size must be positive")
     rng = np.random.default_rng(seed)
     elements = _draw_elements(g, rho.dims, n, rng)
-    points = np.empty((n, rho.dim))
-    for i, element in enumerate(elements):
-        u = kron_all(element) if len(element) > 1 else element[0]
-        points[i] = np.einsum("am,ab,bm->m", u.conj(), rho.mat, u).real
+    points = frame_diagonals(rho.mat, kron_all(elements)).real
     sample = SimplexSample(points=points, params=elements, seed=seed, group=g)
     sample.validate()
     return sample
 
 
-def _lie_basis(factors: tuple[int, ...], active: tuple[int, ...]) -> list[np.ndarray]:
-    """Hermitian generators of the subgroup, embedded into the joint space."""
-    basis = []
-    for a in active:
-        d = factors[a]
-        gens = []
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, k] = 1.0
-            gens.append(e)
-        for r in range(d):
-            for c in range(r + 1, d):
-                e = np.zeros((d, d), dtype=complex)
-                e[r, c] = e[c, r] = 1.0
-                gens.append(e)
-                e = np.zeros((d, d), dtype=complex)
-                e[r, c] = -1.0j
-                e[c, r] = 1.0j
-                gens.append(e)
-        for gmat in gens:
-            embedded = [
-                gmat if k == a else np.eye(factors[k], dtype=complex)
-                for k in range(len(factors))
-            ]
-            basis.append(kron_all(embedded) if len(embedded) > 1 else embedded[0])
-    return basis
+def _lie_basis(factors: tuple[int, ...], active: tuple[int, ...]) -> np.ndarray:
+    """Hermitian generators of the subgroup, embedded into the joint space, (K, N, N)."""
+    return np.concatenate([
+        kron_all([hermitian_basis(d) if k == a else np.eye(d) for k, d in enumerate(factors)])
+        for a in active
+    ])
 
 
 @dataclass
@@ -161,34 +136,25 @@ def image_dimension_report(
     rel_tol * sigma_max, maximized over base points (rank can drop on
     measure-zero sets).
     """
+    if base_points < 1:
+        raise ValueError("at least one base point is required")
     factors, active = g.resolve(rho.dims)
     basis = _lie_basis(factors, active)
+    e_plus = np.stack([expm_hermitian_times(gen, -step) for gen in basis])  # exp(+i step G)
+    e_minus = np.stack([expm_hermitian_times(gen, step) for gen in basis])
     rng = np.random.default_rng(seed)
-    elements = _draw_elements(g, rho.dims, base_points, rng)
-    best_rank = -1
-    best_sv = None
-    for element in elements:
-        u0 = kron_all(element) if len(element) > 1 else element[0]
+    jac = []
+    for u0 in kron_all(_draw_elements(g, rho.dims, base_points, rng)):
         sigma = u0.conj().T @ rho.mat @ u0
-        cols = []
-        for gen in basis:
-            e_plus = expm_hermitian_times(gen, -step)  # exp(+i step G)
-            e_minus = expm_hermitian_times(gen, step)
-            forward = np.einsum("am,ab,bm->m", e_plus.conj(), sigma, e_plus).real
-            backward = np.einsum("am,ab,bm->m", e_minus.conj(), sigma, e_minus).real
-            cols.append((forward - backward) / (2.0 * step))
-        jac = np.column_stack(cols)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[0] <= 0.0:
-            rank = 0
-        else:
-            rank = int(np.sum(sv > rel_tol * sv[0]))
-        if rank > best_rank:
-            best_rank = rank
-            best_sv = sv
+        forward = frame_diagonals(sigma, e_plus).real
+        backward = frame_diagonals(sigma, e_minus).real
+        jac.append(((forward - backward) / (2.0 * step)).T)
+    sv = np.linalg.svd(np.stack(jac), compute_uv=False)
+    ranks = np.where(sv[:, 0] > 0.0, np.sum(sv > rel_tol * sv[:, :1], axis=1), 0)
+    best = int(np.argmax(ranks))
     return DimensionReport(
-        rank=best_rank,
-        singular_values=best_sv,
+        rank=int(ranks[best]),
+        singular_values=sv[best],
         rel_tol=rel_tol,
         step=step,
         base_points=base_points,
@@ -263,25 +229,13 @@ def peres_scan(rho12: DensityMatrix, n: int, seed: int) -> PeresScan:
         raise ValueError("the scan needs a declared bipartition")
     rho_tb = partial_transpose(rho12, subsystem=len(rho12.dims) - 1)
     eigs, vecs = np.linalg.eigh(rho_tb)
-    frames = list(haar_unitaries(rho12.dim, n, np.random.default_rng(seed)))
-    frames.append(vecs)
-
-    def scan_value(u):
-        return float(
-            np.sum(np.abs(np.einsum("am,ab,bm->m", u.conj(), rho_tb, u).real)) - 1.0
-        )
-
-    best_val = -np.inf
-    best_u = None
-    for u in frames:
-        val = scan_value(u)
-        if val > best_val:
-            best_val = val
-            best_u = u
+    frames = np.concatenate([haar_unitaries(rho12.dim, n, np.random.default_rng(seed)), vecs[None]])
+    values = np.sum(np.abs(frame_diagonals(rho_tb, frames).real), axis=1) - 1.0
+    best = int(np.argmax(values))
     return PeresScan(
-        max_violation=best_val,
-        witness=best_u if best_val > 1e-8 else None,
+        max_violation=float(values[best]),
+        witness=frames[best] if values[best] > 1e-8 else None,
         min_eigenvalue=float(eigs[0]),
         trace_norm_minus_one=float(np.sum(np.abs(eigs)) - 1.0),
-        eigenbasis_value=scan_value(vecs),
+        eigenbasis_value=float(values[-1]),
     )

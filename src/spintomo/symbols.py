@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .halfint import HalfInt, spin_range
-from .linalg import DensityMatrix, kron_all, partial_trace, unitarity_residual
+from .linalg import DensityMatrix, frame_diagonals, kron_all, partial_trace, unitarity_residual
 from .quadrature import GROUP_VOLUME, QuadratureGrid
 from .su2 import (
     clebsch_gordan,
@@ -292,10 +292,28 @@ def spin_tomogram(a, frames: list[SpinFrame]) -> Tomogram:
     return t
 
 
-def _joint_frame(frame) -> np.ndarray:
-    if isinstance(frame, tuple):
-        return kron_all([np.asarray(f, dtype=complex) for f in frame])
-    return np.asarray(frame, dtype=complex)
+def frame_stack(frames, n: int) -> np.ndarray:
+    """Unitary frames as one validated (F, n, n) complex stack.
+
+    ``frames`` is an (F, n, n) array, a sequence of n x n matrices, or a
+    sequence of tuples of per-factor unitaries, whose Kronecker products are
+    the frames.  An empty set, a frame that is not n x n and a frame whose
+    unitarity residual exceeds 1e-8 are refused.
+    """
+    if not isinstance(frames, np.ndarray):
+        frames = list(frames)
+        if frames and all(isinstance(fr, tuple) for fr in frames):
+            frames = kron_all([np.stack(factor) for factor in zip(*frames, strict=True)])
+        elif any(isinstance(fr, tuple) for fr in frames):
+            raise ValueError("frames must be all matrices or all tuples of per-factor unitaries")
+    if len(frames) == 0:
+        raise ValueError("at least one frame is required")
+    stack = np.asarray(frames, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (n, n):
+        raise ValueError(f"frame shape {stack.shape[1:]} does not match state dimension {n}")
+    if not unitarity_residual(stack) <= 1e-8:
+        raise ValueError("frame is not unitary within 1e-8")
+    return stack
 
 
 def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
@@ -308,17 +326,8 @@ def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
     if not isinstance(rho, DensityMatrix):
         raise ValueError("unitary_tomogram expects a DensityMatrix")
     frames = list(frames)
-    if not frames:
-        raise ValueError("at least one frame is required")
     n = rho.dim
-    table = np.empty((n, len(frames)), dtype=complex)
-    for col, fr in enumerate(frames):
-        u = _joint_frame(fr)
-        if u.shape != (n, n):
-            raise ValueError(f"frame shape {u.shape} does not match state dimension {n}")
-        if unitarity_residual(u) > 1e-8:
-            raise ValueError("frame is not unitary within 1e-8")
-        table[:, col] = np.einsum("am,ab,bm->m", u.conj(), rho.mat, u)
+    table = frame_diagonals(rho.mat, frame_stack(frames, n)).T
     outcomes = [tuple(int(i) for i in np.unravel_index(k, rho.dims)) for k in range(n)]
     t = Tomogram(
         kind="unitary",

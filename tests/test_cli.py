@@ -127,6 +127,30 @@ class TestReconstructCommand:
         assert rc == 3
         assert not (tmp / "x.json").exists()
 
+    def test_empty_frame_list_exits_2(self, workdir, capsys):
+        tmp, _ = workdir
+        t_path = tmp / "empty.json"
+        t_path.write_text(json.dumps({"kind": "unitary", "dims": [2], "outcomes": [[0], [1]],
+                                      "frames": [], "values": [[], []]}))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert "at least one frame" in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
+    def test_non_unitary_frame_exits_2(self, workdir, capsys):
+        tmp, _ = workdir
+        rho = random_density(2, 2, seed=9)
+        frames = [np.eye(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+                  np.array([[1, 1j], [1j, 1]]) / np.sqrt(2), np.array([[0, 1], [1, 0]])]
+        obj = io.tomogram_to_obj(unitary_tomogram(rho, frames))
+        obj["frames"][0] = {"unitary": io.matrix_to_obj(2.0 * np.eye(2))}
+        t_path = tmp / "scaled.json"
+        t_path.write_text(io.dumps(obj))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert "not unitary" in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
 
 class TestStarCommand:
     def test_squares_a_state_symbol(self, workdir):
@@ -205,6 +229,15 @@ class TestEntropyCommand:
         assert len(report["per_frame"]) == 50
         assert min(report["per_frame"]) >= report["min_value"] - 1e-9
         assert report["monte_carlo"]["n"] == 50
+
+    def test_unallocatable_sample_count_exits_2(self, workdir, capsys):
+        # 10**15 frames need petabytes: the allocation fails before anything is stored
+        tmp, paths = workdir
+        rc = main(["entropy", "--state", str(paths["qubit"]), "--samples", str(10**15),
+                   "--out", str(tmp / "e.json")])
+        assert rc == 2
+        assert "allocate" in capsys.readouterr().err
+        assert not (tmp / "e.json").exists()
 
 
 class TestPeresCommand:

@@ -206,6 +206,11 @@ class TestSubadditivity:
         with pytest.raises(ValueError):
             subadditivity_check(random_density(4, 4, seed=18), np.eye(4))
 
+    @pytest.mark.parametrize("u", [2.0 * np.eye(4), (np.eye(2), np.diag([1.0, 0.5]))])
+    def test_refuses_non_unitary_frame(self, u):
+        with pytest.raises(ValueError, match="not unitary"):
+            subadditivity_check(random_density(4, 4, seed=18, dims=(2, 2)), u)
+
 
 class TestStrongSubadditivity:
     def test_three_fold_product_state(self):
@@ -232,3 +237,7 @@ class TestStrongSubadditivity:
     def test_needs_tripartition(self):
         with pytest.raises(ValueError):
             strong_subadditivity_check(random_density(8, 8, seed=22), np.eye(8))
+
+    def test_refuses_non_unitary_frame(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            strong_subadditivity_check(random_density(8, 8, seed=22, dims=(2, 2, 2)), 1.1 * np.eye(8))

@@ -8,12 +8,15 @@ from spintomo.linalg import (
     DensityMatrix,
     eig_hermitian,
     expm_hermitian_times,
+    frame_diagonals,
     haar_unitaries,
     haar_unitary,
+    hermitian_basis,
+    kron_all,
     partial_trace,
     partial_transpose,
     random_density,
-    svd,
+    unitarity_residual,
 )
 from spintomo.states import SIGMA_Z, bell_state, product_state, werner_state
 
@@ -198,12 +201,45 @@ class TestPartialTranspose:
             partial_transpose(random_density(4, 4, seed=4), subsystem=0)
 
 
-class TestInvariants:
-    def test_svd_reconstruction(self, rng):
-        m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        u, s, vh = svd(m)
-        assert np.max(np.abs((u * s) @ vh - m)) < 1e-10
+class TestFrameStacks:
+    def test_frame_diagonals_equal_per_frame_loop(self, rng):
+        a = random_density(8, 8, seed=5).mat
+        frames = haar_unitaries(8, 200, rng)
+        loop = np.array([np.einsum("am,ab,bm->m", u.conj(), a, u) for u in frames])
+        assert np.array_equal(frame_diagonals(a, frames), loop)
 
+    def test_kron_all_stacks_equal_np_kron(self, rng):
+        a, b, c = (haar_unitaries(2, 50, rng) for _ in range(3))
+        joint = kron_all([a, b, c])
+        assert joint.shape == (50, 8, 8)
+        for i in range(50):
+            assert np.array_equal(joint[i], np.kron(np.kron(a[i], b[i]), c[i]))
+
+    def test_kron_all_broadcasts_a_plain_matrix(self, rng):
+        a = haar_unitaries(2, 10, rng)
+        joint = kron_all([np.eye(3), a])
+        assert np.array_equal(joint, np.stack([np.kron(np.eye(3, dtype=complex), x) for x in a]))
+
+    def test_unitarity_residual_takes_stacks(self, rng):
+        frames = haar_unitaries(4, 20, rng)
+        assert unitarity_residual(frames) < 1e-13
+        frames[7] *= 1.01
+        assert unitarity_residual(frames) == pytest.approx(1.01**2 - 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_hermitian_basis_is_orthogonal_and_ordered(self, d):
+        basis = hermitian_basis(d)
+        assert basis.shape == (d * d, d, d)
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        gram = np.einsum("iab,jba->ij", basis, basis).real
+        assert np.array_equal(gram, np.diag([1.0] * d + [2.0] * (d * d - d)))
+        assert np.array_equal(basis[:d], np.stack([np.diag(e) for e in np.eye(d)]))
+        if d > 1:
+            assert basis[d, 0, 1] == basis[d, 1, 0] == 1.0
+            assert basis[d + 1, 0, 1] == -1.0j and basis[d + 1, 1, 0] == 1.0j
+
+
+class TestInvariants:
     def test_kron_partial_trace_adjointness(self, rng):
         # Tr[(A (x) B) rho] = Tr[A Tr_2((1 (x) B) rho)]
         a = random_hermitian(2, rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spintomo.errors import DegeneratePointError
-from spintomo.linalg import DensityMatrix, random_density
+from spintomo.linalg import DensityMatrix, haar_unitaries, random_density
 from spintomo.simplex import (
     GroupSpec,
     eigenvalue_bounds_check,
@@ -56,6 +56,16 @@ class TestImageSample:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             image_sample(random_density(3, 3, seed=7), PRODUCT_22, 10, seed=8)
+
+    def test_params_are_per_factor_stacks(self):
+        rho = random_density(4, 4, seed=9, dims=(2, 2))
+        sample = image_sample(rho, U2_X_1, 30, seed=10)
+        u, ident = sample.params
+        assert np.array_equal(u, haar_unitaries(2, 30, np.random.default_rng(10)))
+        assert np.array_equal(ident, np.broadcast_to(np.eye(2), (30, 2, 2)))
+        for point, a, b in zip(sample.points, u, ident):
+            joint = np.kron(a, b)
+            assert np.array_equal(point, np.einsum("am,ab,bm->m", joint.conj(), rho.mat, joint).real)
 
 
 class TestImageDimension:

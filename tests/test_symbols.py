@@ -18,6 +18,7 @@ from spintomo.symbols import (
     Tomogram,
     dequantizer_series,
     dequantizer_U,
+    frame_stack,
     grid_frames,
     quantizer_D,
     spin_tomogram,
@@ -176,6 +177,36 @@ class TestUnitaryTomogram:
         rho = maximally_mixed((2, 2))
         t = unitary_tomogram(rho, [np.eye(4, dtype=complex)])
         assert t.outcomes == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+class TestFrameStack:
+    def test_accepts_arrays_matrix_lists_and_product_tuples(self):
+        a, b = haar_unitaries(2, 5, 1), haar_unitaries(2, 5, 2)
+        joint = np.stack([np.kron(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(frame_stack(joint, 4), joint)
+        assert np.array_equal(frame_stack(list(joint), 4), joint)
+        assert np.array_equal(frame_stack(list(zip(a, b)), 4), joint)
+
+    @pytest.mark.parametrize("frames", [[], np.zeros((0, 2, 2))])
+    def test_refuses_empty(self, frames):
+        with pytest.raises(ValueError, match="at least one frame"):
+            frame_stack(frames, 2)
+
+    @pytest.mark.parametrize("frames", [[np.eye(3)], [(np.eye(2), np.eye(2))], np.eye(2)])
+    def test_refuses_wrong_shape(self, frames):
+        with pytest.raises(ValueError, match="frame shape"):
+            frame_stack(frames, 2)
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, 1.0 + 2e-8]), np.full((2, 2), np.nan)])
+    def test_refuses_non_unitary(self, bad):
+        with pytest.raises(ValueError, match="not unitary within 1e-8"):
+            frame_stack([np.eye(2), bad], 2)
+
+    def test_refuses_mixed_and_ragged_product_frames(self):
+        with pytest.raises(ValueError, match="all matrices or all tuples"):
+            frame_stack([np.eye(4), (np.eye(2), np.eye(2))], 4)
+        with pytest.raises(ValueError):
+            frame_stack([(np.eye(2), np.eye(2)), (np.eye(4),)], 4)
 
 
 class TestMarginal:
