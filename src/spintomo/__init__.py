@@ -79,7 +79,6 @@ from .simplex import (
     peres_scan,
 )
 from .star import (
-    StarKernel,
     kernel_closed_form,
     kernel_trace_form,
     star_compose,
@@ -102,6 +101,7 @@ from .symbols import (
     EulerAngles,
     QuantizerPair,
     SpinFrame,
+    SpinFrames,
     SpinTransform,
     Tomogram,
     dequantizer_U,

@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import InvalidChannelError
 from .halfint import HalfInt
-from .linalg import DensityMatrix, as_matrix
+from .linalg import DensityMatrix, as_matrix, hermitian_basis
 from .quadrature import QuadratureGrid
 from .states import PAULIS
-from .symbols import QuantizerPair
+from .symbols import SpinTransform, _identity_quantizer
 
 COMPLETENESS_TOL = 1e-10
 
@@ -182,17 +182,25 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
 
     Pi[x, x'] = Tr[U(x) L(D(x'))] w(x'), so that Pi @ w_in evaluated on the
     grid labels equals the tomogram of the channel output.  Synthesis, the
-    channel and analysis compose as one product through operator space:
-    rows vec(U(x)^T), the superoperator, columns vec(D(x')).
+    channel and analysis compose through the coordinates of an orthonormal
+    Hermitian basis H_k, where all three are real:
+
+        Pi = A^T L (Q^T A) W,  A[k, x] = Tr[U(x) H_k],  L[k, l] = Tr[H_k L(H_l)],
+
+    with A the grid transform's symbols of the basis and Q^T A the basis
+    coefficients of the quantizers, Tr[H_k D(x)].
     """
     j = HalfInt.of(j)
-    if channel.dim != j.twice + 1:
+    n = j.twice + 1
+    if channel.dim != n:
         raise ValueError("channel dimension does not match 2j+1")
-    pair = QuantizerPair.spin(j, grid)
-    n_labels = len(pair.labels)
-    analysis = pair.us.transpose(0, 2, 1).reshape(n_labels, -1)
-    synthesis = pair.ds.reshape(n_labels, -1).T
-    pi = analysis @ (kraus_to_superoperator(channel).mat @ synthesis)
-    if np.max(np.abs(pi.imag)) > 1e-10:
+    basis = hermitian_basis(n)
+    basis[n:] /= np.sqrt(2.0)
+    vecs = basis.reshape(n * n, -1)
+    coupling = vecs.conj() @ kraus_to_superoperator(channel).mat @ vecs.T
+    if np.max(np.abs(coupling.imag)) > 1e-10:
         raise ValueError("propagator came out non-real; invalid channel?")
-    return pi.real * pair.weights[None, :]
+    # symbols of Hermitian operators are real; the imaginary parts are roundoff
+    analysis = SpinTransform.on_grid(j, grid).analyze(basis).real
+    synthesis = _identity_quantizer(j.twice).T @ analysis * grid.group_weights()
+    return analysis.reshape(n * n, -1).T @ (coupling.real @ synthesis.reshape(n * n, -1))

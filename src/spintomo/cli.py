@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: tomogram, reconstruct, star, channel, simplex-image, entropy,
-peres, evolve.  Inputs are validated before any computation runs; outputs are
-written atomically, so failed runs never leave partial files.  Exit codes:
-0 success, 2 validation error, 3 numerical failure.
+peres, evolve.  Inputs are validated before any computation runs; handlers
+return CSV text or a JSON object, which ``main`` serializes (refusing NaN and
+infinities) and writes atomically, so failed runs never leave partial files.
+Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _load_frames(path: str):
     return [io.frame_from_obj(f) for f in obj]
 
 
-def _cmd_tomogram(args) -> str:
+def _cmd_tomogram(args) -> str | dict:
     rho = _load_state(args.state)
     if args.j is not None:
         j = HalfInt.of(args.j)
@@ -138,38 +139,36 @@ def _cmd_tomogram(args) -> str:
         t = unitary_tomogram(rho, frames)
     if args.format == "csv":
         return _tomogram_csv(t)
-    return io.dumps(io.tomogram_to_obj(t))
+    return io.tomogram_to_obj(t)
 
 
 def _tomogram_csv(t) -> str:
     if t.kind == "spin":
         header = ["alpha", "beta", "gamma"] + [f"w_m{m.twice}" for m in t.outcomes]
-        rows = []
-        for col, fr in enumerate(t.frames):
-            a = fr.angles
-            rows.append([a.alpha, a.beta, a.gamma] + list(t.table[:, col].real))
+        fr = t.frames
+        rows = np.column_stack([fr.alphas, fr.betas, fr.gammas, t.table.real.T]).tolist()
     else:
         header = ["frame_index"] + ["w_" + "".join(str(i) for i in o) for o in t.outcomes]
         rows = [[col] + list(t.table[:, col].real) for col in range(t.n_frames)]
     return io.csv_text(header, rows)
 
 
-def _cmd_reconstruct(args) -> str:
+def _cmd_reconstruct(args) -> str | dict:
     t = io.tomogram_from_obj(io.read_json(args.tomogram))
     if t.kind == "spin":
         grid = infer_grid(t)
         op = reconstruct_operator(t, t.j, grid)
-        check = spin_tomogram(op, t.frames)
+        check = spin_tomogram(op, grid_frames(t.j, grid))
         err = float(np.max(np.abs(check.table - t.table)))
         print(f"round-trip max abs error: {io.fmt_float(err)}")
-        return io.dumps(io.matrix_to_obj(op))
+        return io.matrix_to_obj(op)
     rho = reconstruct_from_unitary_frame(t)
     err = reconstruction_residual(t, rho)
     print(f"round-trip max abs error: {io.fmt_float(err)}")
-    return io.dumps(io.density_to_obj(rho))
+    return io.density_to_obj(rho)
 
 
-def _cmd_star(args) -> str:
+def _cmd_star(args) -> str | dict:
     if len(args.tomogram) != 2:
         raise ValueError("star needs exactly two --tomogram files")
     fa = io.tomogram_from_obj(io.read_json(args.tomogram[0]))
@@ -180,10 +179,10 @@ def _cmd_star(args) -> str:
         raise ValueError("symbols have different spins")
     grid = infer_grid(fa)
     out = star_compose(fa, fb, fa.j, grid)
-    return io.dumps(io.tomogram_to_obj(out))
+    return io.tomogram_to_obj(out)
 
 
-def _cmd_channel(args) -> str:
+def _cmd_channel(args) -> str | dict:
     ps = [args.p] if args.p is not None else [k / 20.0 for k in range(21)]
     for p in ps:
         if not 0.0 <= p <= 1.0:
@@ -195,12 +194,10 @@ def _cmd_channel(args) -> str:
         rows.append([p, w_plus, w_minus])
     if args.format == "csv":
         return io.csv_text(["p", "w_plus", "w_minus"], rows)
-    return io.dumps(
-        {"kind": args.kind, "rows": [[float(x) for x in row] for row in rows]}
-    )
+    return {"kind": args.kind, "rows": [[float(x) for x in row] for row in rows]}
 
 
-def _cmd_simplex(args) -> str:
+def _cmd_simplex(args) -> str | dict:
     rho = _load_state(args.state, args.dims)
     factors = _parse_int_list(args.factors) if args.factors else rho.dims
     active = _parse_int_list(args.active) if args.active else None
@@ -215,39 +212,35 @@ def _cmd_simplex(args) -> str:
     print(f"image dimension: {report.rank} (rel_tol {report.rel_tol:g})")
     if args.format == "csv":
         return io.simplex_sample_csv(sample)
-    return io.dumps(
-        {
-            "dimension": report.rank,
-            "rel_tol": report.rel_tol,
-            "singular_values": [float(s) for s in report.singular_values],
-            "points": [[float(x) for x in row] for row in sample.points],
-        }
-    )
+    return {
+        "dimension": report.rank,
+        "rel_tol": report.rel_tol,
+        "singular_values": [float(s) for s in report.singular_values],
+        "points": [[float(x) for x in row] for row in sample.points],
+    }
 
 
-def _cmd_entropy(args) -> str:
+def _cmd_entropy(args) -> str | dict:
     rho = _load_state(args.state)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     report = min_entropy_over_group(rho, args.samples, args.seed, q=args.q)
     mc = report.monte_carlo
-    return io.dumps(
-        {
-            "q": args.q if args.q is not None else 1.0,
-            "min_value": report.min_value,
-            "argmin_frame": io.matrix_to_obj(report.argmin_frame),
-            "per_frame": [float(x) for x in report.per_frame],
-            "monte_carlo": {
-                "mean": mc.mean,
-                "stderr": mc.stderr,
-                "n": mc.n,
-                "seed": mc.seed,
-            },
-        }
-    )
+    return {
+        "q": args.q if args.q is not None else 1.0,
+        "min_value": report.min_value,
+        "argmin_frame": io.matrix_to_obj(report.argmin_frame),
+        "per_frame": [float(x) for x in report.per_frame],
+        "monte_carlo": {
+            "mean": mc.mean,
+            "stderr": mc.stderr,
+            "n": mc.n,
+            "seed": mc.seed,
+        },
+    }
 
 
-def _cmd_peres(args) -> str:
+def _cmd_peres(args) -> str | dict:
     rho = _load_state(args.state, args.dims)
     if len(rho.dims) < 2:
         raise ValueError("peres needs a multipartite state (give dims in the file or --dims)")
@@ -262,10 +255,10 @@ def _cmd_peres(args) -> str:
     }
     if result.witness is not None:
         obj["witness"] = io.matrix_to_obj(result.witness)
-    return io.dumps(obj)
+    return obj
 
 
-def _cmd_evolve(args) -> str:
+def _cmd_evolve(args) -> str | dict:
     rho = _load_state(args.state)
     h, _ = io.matrix_from_obj(io.read_json(args.hamiltonian))
     evolved = evolve_state(rho, h, args.t)
@@ -274,7 +267,7 @@ def _cmd_evolve(args) -> str:
         frames = _load_frames(args.frames)
         t0 = unitary_tomogram(rho, frames)
         obj["tomogram"] = io.tomogram_to_obj(evolve_tomogram(t0, h, args.t))
-    return io.dumps(obj)
+    return obj
 
 
 _HANDLERS = {
@@ -294,7 +287,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        text = handler(args)
+        out = handler(args)
+        # the one JSON writer: JSON has no NaN or infinity, so they are refused
+        text = out if isinstance(out, str) else io.dumps(out, allow_nan=False)
     except InformationallyIncompleteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

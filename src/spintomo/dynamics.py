@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbabilityError
-from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, hermiticity_residual
+from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, frame_diagonals, hermiticity_residual
 from .quadrature import QuadratureGrid
 from .star import star_compose
-from .symbols import Tomogram, frame_stack, unitary_tomogram
+from .symbols import Tomogram, frame_stack
 
 
 def evolve_state(rho: DensityMatrix, h, t: float) -> DensityMatrix:
@@ -49,15 +49,16 @@ def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
     h = as_matrix(h)
     u_t = expm_hermitian_times(h, t)
     shifted = u_t.conj().T @ frame_stack(t0.frames, t0.source_state.dim)
-    at_zero = unitary_tomogram(t0.source_state, shifted)
-    return Tomogram(
+    evolved = Tomogram(
         kind="unitary",
         outcomes=list(t0.outcomes),
         frames=list(t0.frames),
-        table=at_zero.table,
+        table=frame_diagonals(t0.source_state.mat, shifted).T,
         dims=t0.dims,
         source_state=evolve_state(t0.source_state, h, t),
     )
+    evolved.check_normalized()
+    return evolved
 
 
 def measure_update(rho: DensityMatrix, effect) -> tuple[DensityMatrix, float]:

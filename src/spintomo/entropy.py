@@ -41,6 +41,12 @@ def _xlogx(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_order(q: float, what: str) -> None:
+    # NaN fails every comparison, so test for the admissible range
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"{what} order q must be finite and positive, got {q}")
+
+
 def symbol_entropy(w) -> float:
     """Shannon entropy -sum w ln w of one frame's distribution."""
     return float(-np.sum(_xlogx(_clean_probs(w)))) + 0.0
@@ -48,8 +54,7 @@ def symbol_entropy(w) -> float:
 
 def renyi_entropy(w, q: float) -> float:
     """(1/(1-q)) ln sum w^q; dispatches to Shannon at q = 1."""
-    if q <= 0.0:
-        raise ValueError("Renyi order q must be positive")
+    _check_order(q, "Renyi")
     w = _clean_probs(w)
     if q == 1.0:
         return float(-np.sum(_xlogx(w)))
@@ -58,8 +63,7 @@ def renyi_entropy(w, q: float) -> float:
 
 def tsallis_entropy(w, q: float) -> float:
     """(sum w^q - 1)/(1-q), the concave companion of the Renyi entropy."""
-    if q <= 0.0:
-        raise ValueError("Tsallis order q must be positive")
+    _check_order(q, "Tsallis")
     w = _clean_probs(w)
     if q == 1.0:
         return float(-np.sum(_xlogx(w)))
@@ -77,8 +81,7 @@ def q_log(x: float, q: float) -> float:
 
 def relative_q_entropy(w1, w2, q: float) -> float:
     """-sum w1 ln_q(w2/w1); +inf when w1 has support where w2 vanishes."""
-    if q <= 0.0:
-        raise ValueError("order q must be positive")
+    _check_order(q, "relative entropy")
     w1 = _clean_probs(w1, "w1")
     w2 = _clean_probs(w2, "w2")
     if w1.shape != w2.shape:
@@ -100,8 +103,7 @@ def von_neumann(rho: DensityMatrix) -> float:
 
 def quantum_renyi(rho: DensityMatrix, q: float) -> float:
     """(1/(1-q)) ln Tr rho^q; q = 1 gives the von Neumann entropy."""
-    if q <= 0.0:
-        raise ValueError("Renyi order q must be positive")
+    _check_order(q, "Renyi")
     eigs = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
     if q == 1.0:
         return float(-np.sum(_xlogx(eigs)))

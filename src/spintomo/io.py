@@ -18,7 +18,7 @@ import numpy as np
 from .channels import CHANNEL_KINDS, KrausChannel, build_channel
 from .halfint import HalfInt
 from .linalg import DensityMatrix
-from .symbols import EulerAngles, SpinFrame, Tomogram
+from .symbols import EulerAngles, SpinFrame, SpinFrames, Tomogram
 
 
 def fmt_float(x: float) -> str:
@@ -121,7 +121,7 @@ def tomogram_from_obj(obj) -> Tomogram:
     if kind == "spin":
         j = HalfInt(int(obj["j_twice"]))
         outcomes = [HalfInt(int(m)) for m in obj["outcomes"]]
-        frames = [frame_from_obj(f, j) for f in obj["frames"]]
+        frames = SpinFrames.of(frame_from_obj(f, j) for f in obj["frames"])
         return Tomogram(kind="spin", outcomes=outcomes, frames=frames, table=values, j=j)
     dims = tuple(int(d) for d in obj["dims"])
     outcomes = [tuple(int(i) for i in o) for o in obj["outcomes"]]
@@ -147,8 +147,10 @@ def channel_to_obj(channel: KrausChannel) -> dict:
     return {"kind": "kraus", "ops": [matrix_to_obj(v) for v in channel.ops]}
 
 
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def dumps(obj, allow_nan: bool = True) -> str:
+    """Deterministic JSON text; ``allow_nan=False`` refuses NaN and infinities
+    (ValueError), which JSON has no form for."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
 
 
 def read_json(path: str):

@@ -16,7 +16,7 @@ from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid, make_grid
-from .symbols import QuantizerPair, SpinTransform, Tomogram, frame_angles, frame_stack
+from .symbols import QuantizerPair, SpinFrames, SpinTransform, Tomogram, frame_stack
 
 __all__ = [
     "make_grid",
@@ -36,7 +36,7 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
     """
     if t.kind != "spin" or not t.frames:
         raise ValueError("grid inference needs a spin tomogram with frames")
-    betas = frame_angles(t.frames)[0]
+    betas = SpinFrames.of(t.frames).betas
     n_gamma = 1
     while n_gamma < len(betas) and abs(betas[n_gamma] - betas[0]) < 1e-12:
         n_gamma += 1
@@ -49,9 +49,12 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
 
 
 def _frames_match_grid(frames, j: HalfInt, grid: QuadratureGrid) -> bool:
-    if len(frames) != grid.n_nodes or any(fr.j != j for fr in frames):
+    frames = SpinFrames.of(frames)
+    if len(frames) != grid.n_nodes or frames.j != j:
         return False
-    deviation = np.abs(np.stack(frame_angles(frames)) - np.stack(grid.node_angles()))
+    if frames.grid is grid:
+        return True
+    deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
     return bool(np.all(deviation <= 1e-12))
 
 

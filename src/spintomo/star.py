@@ -10,9 +10,7 @@ synthesized operator.
 
 The kernel itself is kept for reference.  The trace form is the definition;
 the closed form expands the same trace through coupling coefficients and 6j
-symbols and exists as a cross-check of the special-function stack;
-``StarKernel`` materializes the table for small spins so tests can check the
-factored composition against the explicit double sum.
+symbols and exists as a cross-check of the special-function stack.
 
 Closed-form phases follow the Condon-Shortley coupling order used throughout
 this package: expanding D and U in irreducible tensors and applying the
@@ -36,7 +34,7 @@ import numpy as np
 from .halfint import HalfInt, spin_range
 from .quadrature import QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_small_d
-from .symbols import EulerAngles, QuantizerPair, SpinTransform, Tomogram, dequantizer_U, quantizer_D
+from .symbols import EulerAngles, SpinTransform, Tomogram, dequantizer_U, quantizer_D
 
 STAR_OVERSAMPLE = 2.0
 
@@ -125,37 +123,6 @@ def kernel_closed_form(j, x2, x1, x) -> complex:
     return complex(prefactor * total)
 
 
-class StarKernel:
-    """Materialized kernel table K[x2][x1][x] over the labels of a spin pair.
-
-    Tables grow as (labels)^3, so materialization is limited to small spins
-    and modest grids; :func:`kernel_trace_form` covers everything else lazily.
-    """
-
-    MAX_ELEMENTS = 20_000_000
-
-    def __init__(self, j: HalfInt, grid: QuadratureGrid, values: np.ndarray, labels):
-        self.j = j
-        self.grid = grid
-        self.values = values
-        self.labels = labels
-
-    @classmethod
-    def build(cls, j, grid: QuadratureGrid) -> "StarKernel":
-        j = HalfInt.of(j)
-        if j.twice > 3:
-            raise ValueError("kernel tables are materialized only for j <= 3/2")
-        pair = QuantizerPair.spin(j, grid)
-        n = len(pair.labels)
-        if n**3 > cls.MAX_ELEMENTS:
-            raise ValueError(
-                f"kernel table of {n}^3 entries exceeds the materialization cap"
-            )
-        dd = np.einsum("aij,bjk->abik", pair.ds, pair.ds)
-        values = np.einsum("abik,cki->abc", dd, pair.us)
-        return cls(j, grid, values, list(pair.labels))
-
-
 def _require_grid_tomogram(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> None:
     from .reconstruction import _frames_match_grid
 
@@ -183,7 +150,7 @@ def star_compose(fa: Tomogram, fb: Tomogram, j=None, grid: QuadratureGrid | None
     return Tomogram(
         kind="spin",
         outcomes=spin_range(j),
-        frames=list(fa.frames),
+        frames=fa.frames,
         table=transform.analyze(product),
         j=j,
     )

@@ -9,11 +9,13 @@ The dual operator families (dequantizer ``U`` and quantizer ``D``) invert the
 symbol map: A = sum_x w(x) f_A(x) D(x) over a quadrature grid.  Both families
 are rotation covariant, U(m, g) = R(g)^dag |j m><j m| R(g) and
 D(m, g) = R(g)^dag D(m, e) R(g), so ``SpinTransform`` runs the spin symbol map
-and its inverse on a stack of rotation matrices without forming either family.
+and its inverse from the d-matrices at the distinct beta nodes and a gamma
+phase table, without forming either family or a rotation per frame.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,6 +30,7 @@ from .su2 import (
     rotation_matrix,
     rotation_stack,
     tensor_index_pairs,
+    wigner_d_stack,
     wigner_small_d,
 )
 
@@ -58,17 +61,55 @@ class SpinFrame:
     angles: EulerAngles
 
 
-def grid_frames(j, grid: QuadratureGrid) -> list[SpinFrame]:
+class SpinFrames(Sequence):
+    """Spin-j frames held as Euler-angle arrays, in frame order.
+
+    Indexing and iteration yield ``SpinFrame`` objects on demand.  ``grid`` is
+    the quadrature grid whose nodes the frames are (set by ``grid_frames``);
+    ``spin_tomogram`` then uses the grid's memoized ``SpinTransform``.
+    """
+
+    def __init__(self, j, betas, gammas, alphas=None, grid: QuadratureGrid | None = None):
+        self.j = HalfInt.of(j)
+        self.betas = np.asarray(betas, dtype=float)
+        self.gammas = np.asarray(gammas, dtype=float)
+        self.alphas = np.zeros_like(self.betas) if alphas is None else np.asarray(alphas, dtype=float)
+        if not self.betas.ndim == 1 or not self.betas.shape == self.gammas.shape == self.alphas.shape:
+            raise ValueError("frame angle arrays must be 1-d and of equal length")
+        if not np.all(np.isfinite([self.alphas, self.betas, self.gammas])):
+            raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
+        self.grid = grid
+
+    @classmethod
+    def of(cls, frames) -> "SpinFrames":
+        """``frames`` itself, or a nonempty sequence of same-j ``SpinFrame``s as arrays."""
+        if isinstance(frames, cls):
+            return frames
+        frames = list(frames)
+        if not frames:
+            raise ValueError("at least one frame is required")
+        if not all(isinstance(fr, SpinFrame) for fr in frames):
+            raise ValueError("spin frames must be SpinFrame objects")
+        j = frames[0].j
+        if any(fr.j != j for fr in frames):
+            raise ValueError("all frames must share the same spin j")
+        angles = np.array([(fr.angles.alpha, fr.angles.beta, fr.angles.gamma) for fr in frames], dtype=float)
+        return cls(j, angles[:, 1], angles[:, 2], angles[:, 0])
+
+    def __len__(self) -> int:
+        return self.betas.size
+
+    def __getitem__(self, i: int) -> SpinFrame:
+        return SpinFrame(self.j, EulerAngles(float(self.alphas[i]), float(self.betas[i]), float(self.gammas[i])))
+
+    def __iter__(self):
+        for a, b, g in zip(self.alphas.tolist(), self.betas.tolist(), self.gammas.tolist()):
+            yield SpinFrame(self.j, EulerAngles(a, b, g))
+
+
+def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     """Spin frames at the grid nodes (alpha = 0), in grid node order."""
-    j = HalfInt.of(j)
-    betas, gammas = grid.node_angles()
-    return [SpinFrame(j, EulerAngles(0.0, float(b), float(g))) for b, g in zip(betas, gammas)]
-
-
-def frame_angles(frames: list[SpinFrame]) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, gamma) arrays of a frame list, in frame order."""
-    angles = np.array([(fr.angles.beta, fr.angles.gamma) for fr in frames], dtype=float)
-    return angles[:, 0], angles[:, 1]
+    return SpinFrames(j, *grid.node_angles(), grid=grid)
 
 
 @lru_cache(maxsize=64)
@@ -89,29 +130,57 @@ def _identity_quantizer(jt: int) -> np.ndarray:
     return q
 
 
+def _product_factors(betas: np.ndarray, gammas: np.ndarray):
+    """(beta nodes, gamma nodes) if the frames are their beta-major product, else None."""
+    rest = np.flatnonzero(betas[1:] != betas[0])
+    n_gamma = int(rest[0]) + 1 if rest.size else betas.size
+    if betas.size % n_gamma:
+        return None
+    b, g = betas.reshape(-1, n_gamma), gammas.reshape(-1, n_gamma)
+    if np.all(b == b[:, :1]) and np.all(g == g[:1]):
+        return b[:, 0], g[0]
+    return None
+
+
 class SpinTransform:
-    """The spin symbol map and its inverse on a stack of rotations.
+    """The spin symbol map and its inverse, factored through the beta nodes.
 
-    With R[x] = d(beta_x) diag(exp(-i gamma_x m)):
+    With R_x = d(beta_x) diag(exp(-i gamma_x m)) and k = b - a, the symbol is
 
-    * ``analyze(A)`` is the spin symbol w[m, x] = (R_x A R_x^dag)_{mm};
-    * ``synthesize(w)`` is the quadrature A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x
-      of the quantizer family, by the covariance D(m, g) = R(g)^dag D(m, e) R(g).
+        w[m, x] = (R_x A R_x^dag)_{mm} = sum_k exp(-i gamma_x k) C[beta_x, m, k],
+        C[beta, m, k] = sum_{b - a = k} d_ma(beta) d_mb(beta) A_ab,
 
-    Each is one matrix product over the (frames * (2j+1), 2j+1) stack, so the
-    memory cost is O((2j+1)^2 * frames); no per-label operator is formed.
-    ``weights`` are the quadrature weights W_x, needed only to synthesize.
+    so ``analyze(A)`` sums A along its diagonals against the real table
+    d_ma d_mb at the distinct beta values, then applies the gamma phases
+    exp(-i gamma k).  ``synthesize(w)`` is the quadrature
+    A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x of the quantizer family (the
+    covariance D(m, g) = R(g)^dag D(m, e) R(g)), the same two steps reversed.
+    On beta-major product frames (every grid) the phase step is one matrix
+    product with the (4j+1, n_gamma) phase table (Kostelec & Rockmore, "FFTs on
+    the rotation group", J. Fourier Anal. Appl. 14, 2008); any other frame list
+    gets one phase row per frame.  ``weights`` are the quadrature weights W_x,
+    needed only to synthesize.
     """
 
     def __init__(self, j, betas, gammas, weights=None):
         self.j = HalfInt.of(j)
-        self.rotations = rotation_stack(self.j, betas, gammas)
+        self.betas = np.asarray(betas, dtype=float).reshape(-1)
+        self.gammas = np.asarray(gammas, dtype=float).reshape(-1)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        # row (x, m) of the stack is R_x[m, :]; the conjugate is kept because
-        # both products below need it and conjugating per call costs as much
         n = self.j.twice + 1
-        self._rows = self.rotations.reshape(-1, n)
-        self._rows_conj = self._rows.conj()
+        factors = _product_factors(self.betas, self.gammas) if self.betas.size else None
+        if factors is None:
+            beta_nodes, self._beta_index = np.unique(self.betas, return_inverse=True)
+            gamma_nodes = self.gammas
+        else:
+            (beta_nodes, gamma_nodes), self._beta_index = factors, None
+        d = wigner_d_stack(self.j, beta_nodes)
+        # row (beta, m), column (a, b): d_ma(beta) d_mb(beta)
+        self._table = (d[:, :, :, None] * d[:, :, None, :]).reshape(-1, n * n)
+        a, b = np.divmod(np.arange(n * n), n)
+        self._diagonal = b - a + n - 1  # column (a, b) -> diagonal index k + 2j
+        # phases[k, y] = exp(-i gamma_y k) over the gamma nodes (or the frames)
+        self._phases = np.exp(-1j * np.multiply.outer(np.arange(1 - n, n), gamma_nodes))
 
     @classmethod
     def on_grid(cls, j, grid: QuadratureGrid) -> "SpinTransform":
@@ -123,22 +192,43 @@ class SpinTransform:
         return grid._memo[key]
 
     def analyze(self, a) -> np.ndarray:
-        """Symbol table w[m, x] of the operator ``a``, shape (2j+1, frames)."""
-        w = np.einsum("ij,ij->i", self._rows @ a, self._rows_conj)
-        return w.reshape(-1, self.j.twice + 1).T
+        """Symbol table w[m, x] of the operator ``a``, shape (2j+1, frames).
+
+        A stack of operators (..., 2j+1, 2j+1) gives a stack of tables.
+        """
+        a = np.asarray(a, dtype=complex)
+        n = self.j.twice + 1
+        lead = a.shape[:-2]
+        placed = np.zeros(lead + (n * n, 2 * n - 1), dtype=complex)
+        placed[..., np.arange(n * n), self._diagonal] = a.reshape(lead + (n * n,))
+        # real table times the (re, im) pairs of the diagonal sums: one real product
+        sums = (self._table @ placed.view(float)).view(complex)
+        sums = sums.reshape(lead + (-1, n, 2 * n - 1))
+        if self._beta_index is None:
+            w = sums @ self._phases
+            return np.moveaxis(w, -3, -2).reshape(lead + (n, -1))
+        return np.einsum("...xmk,kx->...mx", sums[..., self._beta_index, :, :], self._phases)
 
     def synthesize(self, w) -> np.ndarray:
         """Operator with symbol table ``w`` of shape (2j+1, frames)."""
         if self.weights is None:
             raise ValueError("synthesis needs quadrature weights")
+        n = self.j.twice + 1
         c = (_identity_quantizer(self.j.twice) @ w) * self.weights
-        return self._rows_conj.T @ (self._rows * c.T.reshape(-1, 1))
+        if self._beta_index is None:
+            c = c.reshape(n, -1, self._phases.shape[1]).transpose(1, 0, 2)
+            sums = c @ self._phases.conj().T
+        else:
+            sums = np.zeros((self._table.shape[0] // n, n, 2 * n - 1), dtype=complex)
+            np.add.at(sums, self._beta_index, np.einsum("mx,kx->xmk", c, self._phases.conj()))
+        sums = sums.reshape(-1, 2 * n - 1)
+        return np.einsum("rc,rc->c", self._table, sums[:, self._diagonal]).reshape(n, n)
 
     def operator_stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """Dequantizers U(m, x) and quantizers D(m, x), each (2j+1) * frames
-        matrices ordered m-major, built from the rotations by covariance."""
-        r = self.rotations
-        rc = self._rows_conj.reshape(r.shape)
+        matrices ordered m-major, built from a rotation stack by covariance."""
+        r = rotation_stack(self.j, self.betas, self.gammas)
+        rc = r.conj()
         f, n, _ = r.shape
         us = rc.transpose(1, 0, 2)[:, :, :, None] * r.transpose(1, 0, 2)[:, :, None, :]
         q = _identity_quantizer(self.j.twice)
@@ -150,8 +240,9 @@ class SpinTransform:
 class Tomogram:
     """Symbol table over outcomes x frames.
 
-    ``kind`` is "spin" (rotation frames, outcomes are magnetic numbers) or
-    "unitary" (unitary-matrix frames, outcomes are basis index tuples).  The
+    ``kind`` is "spin" (rotation frames, outcomes are magnetic numbers;
+    ``spin_tomogram`` keeps them as ``SpinFrames``) or "unitary"
+    (unitary-matrix frames, outcomes are basis index tuples).  The
     table is stored complex so symbols of arbitrary observables are
     representable; ``values`` exposes the probability view and raises if the
     data is not a clean probability table, while ``observable_values`` returns
@@ -160,7 +251,7 @@ class Tomogram:
 
     kind: str
     outcomes: list
-    frames: list
+    frames: Sequence
     table: np.ndarray
     j: HalfInt | None = None
     dims: tuple[int, ...] | None = None
@@ -262,29 +353,29 @@ def _series_coefficients(j: HalfInt, m: HalfInt, omega: EulerAngles):
         yield (L, M), (-1.0) ** exponent * cg * d
 
 
-def spin_tomogram(a, frames: list[SpinFrame]) -> Tomogram:
+def spin_tomogram(a, frames) -> Tomogram:
     """Spin symbol w(m, frame) = Tr[A U(m, frame)] for every m and frame.
 
+    ``frames`` is a ``SpinFrames`` set or a sequence of same-j ``SpinFrame``s.
     ``a`` may be a plain matrix (observable) or a DensityMatrix, in which case
     per-frame normalization is verified.
     """
     is_state = isinstance(a, DensityMatrix)
     mat = a.mat if is_state else np.asarray(a, dtype=complex)
-    if not frames:
-        raise ValueError("at least one frame is required")
-    j = frames[0].j
-    n = j.twice + 1
+    frames = SpinFrames.of(frames)
+    n = frames.j.twice + 1
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
-    if any(fr.j != j for fr in frames):
-        raise ValueError("all frames must share the same spin j")
-    table = SpinTransform(j, *frame_angles(frames)).analyze(mat)
+    if frames.grid is not None:
+        transform = SpinTransform.on_grid(frames.j, frames.grid)
+    else:
+        transform = SpinTransform(frames.j, frames.betas, frames.gammas)
     t = Tomogram(
         kind="spin",
-        outcomes=spin_range(j),
-        frames=list(frames),
-        table=table,
-        j=j,
+        outcomes=spin_range(frames.j),
+        frames=frames,
+        table=transform.analyze(mat),
+        j=frames.j,
         source_state=a if is_state else None,
     )
     if is_state:
@@ -400,8 +491,8 @@ class QuantizerPair:
     def spin(cls, j, grid: QuadratureGrid) -> "QuantizerPair":
         """Spin-j pair on a rotation-group grid; labels are (m, node) pairs.
 
-        Both families are materialized from the grid's rotation stack by
-        covariance (``SpinTransform.operator_stacks``), (2j+1)^3 * nodes
+        Both families are materialized from a rotation stack at the grid nodes
+        by covariance (``SpinTransform.operator_stacks``), (2j+1)^3 * nodes
         entries each; the transform itself never needs them.
         """
         j = HalfInt.of(j)

@@ -152,6 +152,24 @@ class TestReconstructCommand:
         assert not (tmp / "x.json").exists()
 
 
+class TestSpinTomogramCsv:
+    @pytest.mark.parametrize("j", ["0.5", "3"])
+    def test_angle_columns_are_the_grid_nodes(self, workdir, j):
+        from spintomo.quadrature import make_grid
+
+        tmp, _ = workdir
+        n = int(2 * float(j)) + 1
+        state = tmp / "spin.json"
+        state.write_text(io.dumps(io.density_to_obj(random_density(n, n, seed=4))))
+        out = tmp / "w.csv"
+        assert main(["tomogram", "--state", str(state), "--j", j, "--format", "csv", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "alpha,beta,gamma," + ",".join(f"w_m{m}" for m in range(n - 1, -n, -2))
+        nodes = zip(*make_grid(float(j)).node_angles())
+        want = [",".join(io.fmt_float(x) for x in (0.0, b, g)) for b, g in nodes]
+        assert [",".join(r.split(",")[:3]) for r in rows[1:]] == want
+
+
 class TestStarCommand:
     def test_squares_a_state_symbol(self, workdir):
         tmp, paths = workdir
@@ -237,6 +255,15 @@ class TestEntropyCommand:
                    "--out", str(tmp / "e.json")])
         assert rc == 2
         assert "allocate" in capsys.readouterr().err
+        assert not (tmp / "e.json").exists()
+
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_non_finite_order_exits_2(self, workdir, capsys, q):
+        tmp, paths = workdir
+        rc = main(["entropy", "--state", str(paths["qubit"]), "--samples", "10", "--q", q,
+                   "--out", str(tmp / "e.json")])
+        assert rc == 2
+        assert "finite and positive" in capsys.readouterr().err
         assert not (tmp / "e.json").exists()
 
 

@@ -89,6 +89,23 @@ class TestEvolveTomogram:
         with pytest.raises(ValueError):
             evolve_tomogram(t0, np.zeros((2, 2)), 1.0)
 
+    def test_frames_validated_once(self, monkeypatch):
+        import spintomo.dynamics as dynamics
+        import spintomo.symbols as symbols
+
+        calls = []
+        stack = symbols.frame_stack
+
+        def counting_stack(frames, n):
+            calls.append(n)
+            return stack(frames, n)
+
+        t0 = unitary_tomogram(random_density(3, 3, seed=2), list(haar_unitaries(3, 5, 3)))
+        monkeypatch.setattr(dynamics, "frame_stack", counting_stack)
+        monkeypatch.setattr(symbols, "frame_stack", counting_stack)
+        evolve_tomogram(t0, np.diag([1.0, 0.0, -1.0]), 0.4)
+        assert calls == [3]
+
 
 class TestMeasureUpdate:
     def test_projecting_onto_own_state(self):

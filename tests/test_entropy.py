@@ -120,6 +120,21 @@ class TestQuantumEntropies:
         assert quantum_renyi(DIAG_4321, 1.0) == pytest.approx(H_4321, abs=1e-12)
 
 
+class TestOrderValidation:
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_orders_outside_zero_to_infinity_refused(self, q):
+        w = np.array([0.5, 0.5])
+        for call in (
+            lambda: renyi_entropy(w, q),
+            lambda: tsallis_entropy(w, q),
+            lambda: relative_q_entropy(w, w, q),
+            lambda: quantum_renyi(DIAG_4321, q),
+            lambda: min_entropy_over_group(DIAG_4321, 4, 0, q=q),
+        ):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
+
+
 class TestMinOverGroup:
     def test_maximally_mixed_is_flat(self):
         report = min_entropy_over_group(maximally_mixed((3,)), 200, seed=1)

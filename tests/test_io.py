@@ -54,6 +54,12 @@ class TestMatrixSchema:
         assert back.dims == (2, 2)
         assert np.max(np.abs(back.mat - rho.mat)) == 0.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_strict_dumps_refuses_non_finite(self, bad):
+        assert "NaN" in io.dumps({"x": float("nan")})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            io.dumps({"x": [1.0, bad]}, allow_nan=False)
+
 
 class TestTomogramSchema:
     def test_spin_round_trip(self, rng):
@@ -90,6 +96,14 @@ class TestTomogramSchema:
         assert "values_im" in obj
         back = io.tomogram_from_obj(obj)
         assert np.max(np.abs(back.table - t.table)) == 0.0
+
+    @pytest.mark.parametrize("angle", ["alpha", "beta", "gamma"])
+    def test_non_finite_frame_angles_rejected(self, angle):
+        grid = make_grid(0.5)
+        obj = io.tomogram_to_obj(spin_tomogram(np.eye(2) / 2, grid_frames(0.5, grid)))
+        obj["frames"][2][angle] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            io.tomogram_from_obj(obj)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from spintomo.halfint import HalfInt
 from spintomo.linalg import random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.star import (
-    StarKernel,
     kernel_closed_form,
     kernel_trace_form,
     star_compose,
@@ -16,6 +15,35 @@ from spintomo.star import (
 )
 from spintomo.states import pure_state
 from spintomo.symbols import QuantizerPair, grid_frames, spin_tomogram
+
+
+class StarKernel:
+    """Materialized kernel table K[x2][x1][x] over the labels of a spin pair.
+
+    An oracle for the factored composition: tables grow as (labels)^3, so it
+    is built only for j <= 3/2 and modest grids.
+    """
+
+    MAX_ELEMENTS = 20_000_000
+
+    def __init__(self, j: HalfInt, grid, values: np.ndarray, labels):
+        self.j = j
+        self.grid = grid
+        self.values = values
+        self.labels = labels
+
+    @classmethod
+    def build(cls, j, grid) -> "StarKernel":
+        j = HalfInt.of(j)
+        if j.twice > 3:
+            raise ValueError("kernel tables are materialized only for j <= 3/2")
+        pair = QuantizerPair.spin(j, grid)
+        n = len(pair.labels)
+        if n**3 > cls.MAX_ELEMENTS:
+            raise ValueError(f"kernel table of {n}^3 entries exceeds the materialization cap")
+        dd = np.einsum("aij,bjk->abik", pair.ds, pair.ds)
+        values = np.einsum("abik,cki->abc", dd, pair.us)
+        return cls(j, grid, values, list(pair.labels))
 
 
 def random_point(j, rng):

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian
-from spintomo.channels import KrausChannel, apply_kraus, channel_propagator
+from spintomo import io
+from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
 from spintomo.quadrature import make_grid
+from spintomo.reconstruction import reconstruct_operator
 from spintomo.star import star_compose, star_grid, symbol_trace
+from spintomo.su2 import rotation_matrix
 from spintomo.symbols import (
     EulerAngles,
+    QuantizerPair,
+    SpinFrame,
+    SpinFrames,
     SpinTransform,
+    _identity_quantizer,
     dequantizer_U,
     grid_frames,
     quantizer_D,
@@ -89,3 +98,170 @@ class TestCallersOnTheTransform:
         w_in = spin_tomogram(rho, frames).table.reshape(-1).real
         w_out = spin_tomogram(apply_kraus(channel, rho), frames).table.reshape(-1).real
         assert np.max(np.abs(pi @ w_in - w_out)) < 1e-10
+
+
+def oracle_analyze(j, betas, gammas, a):
+    """w[m, x] = (R_x A R_x^dag)_{mm} with one rotation matrix per frame."""
+    cols = [np.diag(r @ a @ r.conj().T) for r in (rotation_matrix(j, 0.0, b, g) for b, g in zip(betas, gammas))]
+    return np.array(cols).T
+
+
+def oracle_synthesize(j, betas, gammas, weights, w):
+    """sum_x W_x R_x^dag diag(Q w[:, x]) R_x with one rotation matrix per frame."""
+    c = _identity_quantizer(HalfInt.of(j).twice) @ w
+    out = 0.0
+    for x, (b, g) in enumerate(zip(betas, gammas)):
+        r = rotation_matrix(j, 0.0, b, g)
+        out = out + weights[x] * (r.conj().T * c[:, x]) @ r
+    return out
+
+
+def random_kraus_channel(n, seed):
+    return KrausChannel(list(haar_unitaries(2 * n, 1, seed)[0][:, :n].reshape(2, n, n)))
+
+
+class TestBetaFactoredTransform:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        jt=st.integers(min_value=0, max_value=12),
+        n_frames=st.integers(min_value=1, max_value=8),
+        shared_betas=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_frame_lists_match_per_frame_oracle(self, jt, n_frames, shared_betas, seed):
+        # shared_betas draws from two beta values, so frames share d-matrices
+        # without forming a beta-major product
+        rng = np.random.default_rng(seed)
+        j = HalfInt(jt)
+        n = jt + 1
+        betas = rng.uniform(0, np.pi, 2 if shared_betas else n_frames)
+        betas = rng.choice(betas, n_frames) if shared_betas else betas
+        gammas = rng.uniform(0, 2 * np.pi, n_frames)
+        weights = rng.uniform(0.1, 1.0, n_frames)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = rng.standard_normal((n, n_frames)) + 1j * rng.standard_normal((n, n_frames))
+        transform = SpinTransform(j, betas, gammas, weights)
+        assert np.max(np.abs(transform.analyze(a) - oracle_analyze(j, betas, gammas, a))) < 1e-12
+        want = oracle_synthesize(j, betas, gammas, weights, w)
+        assert np.max(np.abs(transform.synthesize(w) - want)) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        jt=st.integers(min_value=0, max_value=40),
+        oversample=st.sampled_from([1.0, 1.5, 2.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_grids_match_per_frame_oracle(self, jt, oversample, seed):
+        # the oracle sums over a few frames, so synthesis is checked on a
+        # symbol table that vanishes elsewhere (the map is linear)
+        rng = np.random.default_rng(seed)
+        j = HalfInt(jt)
+        n = jt + 1
+        grid = make_grid(j, oversample=oversample)
+        transform = SpinTransform.on_grid(j, grid)
+        picked = rng.choice(grid.n_nodes, min(5, grid.n_nodes), replace=False)
+        betas, gammas = (angles[picked] for angles in grid.node_angles())
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = transform.analyze(a)[:, picked]
+        assert np.max(np.abs(got - oracle_analyze(j, betas, gammas, a))) < 1e-12
+        w = np.zeros((n, grid.n_nodes), dtype=complex)
+        w[:, picked] = rng.standard_normal((n, picked.size)) + 1j * rng.standard_normal((n, picked.size))
+        weights = grid.group_weights()[picked]
+        want = oracle_synthesize(j, betas, gammas, weights, w[:, picked])
+        assert np.max(np.abs(transform.synthesize(w) - want)) < 1e-12
+
+    def test_analyze_takes_operator_stacks(self, rng):
+        transform = SpinTransform.on_grid(1.5, make_grid(1.5))
+        stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        tables = transform.analyze(stack)
+        assert tables.shape == (2, 3, 4, make_grid(1.5).n_nodes)
+        assert np.max(np.abs(tables[1, 2] - transform.analyze(stack[1, 2]))) < 1e-14
+
+    def test_product_and_listed_frames_agree(self, rng):
+        # the same grid nodes, once in beta-major order and once shuffled
+        grid = make_grid(2)
+        betas, gammas = grid.node_angles()
+        order = rng.permutation(grid.n_nodes)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        product = SpinTransform(2, betas, gammas).analyze(a)
+        listed = SpinTransform(2, betas[order], gammas[order]).analyze(a)
+        assert np.max(np.abs(product[:, order] - listed)) < 1e-13
+
+
+class TestRealPropagator:
+    @pytest.mark.parametrize("grid_of", [make_grid, star_grid], ids=["make_grid", "star_grid"])
+    @pytest.mark.parametrize("jt", range(7))
+    def test_equals_complex_stack_product(self, jt, grid_of):
+        j = HalfInt(jt)
+        grid = grid_of(j)
+        channel = random_kraus_channel(jt + 1, 40 + jt)
+        pair = QuantizerPair.spin(j, grid)
+        labels = len(pair.labels)
+        analysis = pair.us.transpose(0, 2, 1).reshape(labels, -1)
+        synthesis = pair.ds.reshape(labels, -1).T
+        old = (analysis @ kraus_to_superoperator(channel).mat @ synthesis).real * pair.weights
+        pi = channel_propagator(channel, j, grid)
+        assert pi.dtype == np.float64
+        assert np.max(np.abs(pi - old)) < 1e-13
+
+
+class TestGridBackedFrames:
+    def test_one_transform_per_grid(self, monkeypatch):
+        built = []
+        init = SpinTransform.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpinTransform, "__init__", counting_init)
+        j, grid = HalfInt(3), make_grid(1.5)
+        w = spin_tomogram(random_density(4, 4, seed=3), grid_frames(j, grid))
+        reconstruct_operator(w, j, grid)
+        squared = star_compose(w, w, j, grid)
+        symbol_trace(squared, j, grid)
+        channel_propagator(random_kraus_channel(4, 5), j, grid)
+        assert len(built) == 1
+        assert squared.frames is w.frames
+
+    def test_grid_frames_are_arrays(self):
+        grid = make_grid(1)
+        frames = grid_frames(1, grid)
+        betas, gammas = grid.node_angles()
+        assert isinstance(frames, SpinFrames) and frames.grid is grid
+        assert len(frames) == grid.n_nodes
+        assert frames[3] == SpinFrame(HalfInt(2), EulerAngles(0.0, betas[3], gammas[3]))
+        assert list(frames)[-1] == frames[-1]
+
+    def test_frame_lists_become_frame_sets(self, rng):
+        grid = make_grid(1)
+        frames = grid_frames(1, grid)
+        a = random_hermitian(3, rng)
+        from_list = spin_tomogram(a, list(frames))
+        assert isinstance(from_list.frames, SpinFrames)
+        assert np.max(np.abs(from_list.table - spin_tomogram(a, frames).table)) < 1e-14
+        assert np.array_equal(from_list.frames.betas, frames.betas)
+
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            ([], "at least one frame"),
+            ([SpinFrame(HalfInt(2), EulerAngles(0, 1, 2)), SpinFrame(HalfInt(1), EulerAngles(0, 1, 2))],
+             "same spin j"),
+            ([np.eye(3)], "SpinFrame objects"),
+        ],
+    )
+    def test_bad_frame_lists_refused(self, frames, message):
+        with pytest.raises(ValueError, match=message):
+            SpinFrames.of(frames)
+
+    @pytest.mark.parametrize("j", [0.5, 3, 8])
+    def test_serialized_frames_keep_their_bytes(self, j):
+        # angle text as written from one SpinFrame object per grid node
+        grid = make_grid(j)
+        j = HalfInt.of(j)
+        t = spin_tomogram(np.eye(j.twice + 1) / (j.twice + 1), grid_frames(j, grid))
+        nodes = [SpinFrame(j, EulerAngles(0.0, float(b), float(g))) for b, g in zip(*grid.node_angles())]
+        obj = io.tomogram_to_obj(t)
+        assert io.dumps(obj["frames"]) == io.dumps([io._frame_to_obj(fr) for fr in nodes])
+        assert io.dumps(io.tomogram_to_obj(io.tomogram_from_obj(obj))) == io.dumps(obj)
