@@ -4,8 +4,9 @@ Hermitian eigendecomposition, Hermitian matrix exponentials, Haar-random
 unitaries, random density matrices, partial trace/transpose.  Everything is
 64-bit IEEE and sized for desk-scale problems (dimension below ~100).
 
-Randomness uses numpy's PCG64 generator; a fixed seed reproduces the sample
-stream bit for bit on any platform.
+Randomness uses numpy's PCG64 generator; a fixed seed reproduces the Gaussian
+stream bit for bit on any platform.  Haar unitaries orthonormalise that stream
+by Gram-Schmidt in elementwise numpy arithmetic, with no LAPACK call.
 """
 
 from __future__ import annotations
@@ -88,13 +89,23 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
 def _haar_from_rng(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
     z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    # Gram-Schmidt on the columns gives the Q whose R has a positive diagonal,
+    # the phase-fixed QR of the Ginibre draw.  Batch innermost: q[k] is column
+    # k of every draw, shape (n, count).  Projecting twice keeps the columns
+    # orthogonal to working precision.
+    q = np.ascontiguousarray(z.transpose(2, 1, 0))
+    for k in range(n):
+        v, done = q[k], q[:k]
+        for _ in range(2 if k else 0):
+            # coefficients <q_j, v> over the columns j < k, then v -= sum_j q_j <q_j, v>
+            coeffs = np.einsum("jib,ib->jb", done, v.conj()).conj()
+            v -= np.einsum("jib,jb->ib", done, coeffs)
+        v /= np.linalg.norm(v, axis=0)
+    return np.ascontiguousarray(q.transpose(2, 1, 0))
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
-    """One Haar-distributed n x n unitary (QR of a Ginibre matrix with phase fix)."""
+    """One Haar-distributed n x n unitary (phase-fixed QR of a Ginibre matrix)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(seed)

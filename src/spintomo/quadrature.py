@@ -73,11 +73,14 @@ def make_grid(j, oversample: float = 1.5) -> QuadratureGrid:
     j = HalfInt.of(j)
     if j.twice < 0:
         raise ValueError("spin j must be nonnegative")
-    if oversample <= 0:
-        raise ValueError("oversample must be positive")
+    if not math.isfinite(oversample) or oversample <= 0:
+        raise ValueError(f"oversample must be finite and positive, got {oversample}")
     two_j = j.twice
-    n_beta = max(1, math.ceil(oversample * (two_j + 1)))
-    n_gamma = max(1, math.ceil(oversample * (2 * two_j + 1)))
+    counts = (oversample * (two_j + 1), oversample * (2 * two_j + 1))
+    # an infinite count, or one past the largest array index, is no grid
+    if not all(c < np.iinfo(np.intp).max for c in counts):
+        raise ValueError(f"oversample {oversample} gives a node count beyond any array at j = {j}")
+    n_beta, n_gamma = (max(1, math.ceil(c)) for c in counts)
     return _product_grid(n_beta, n_gamma)
 
 

@@ -86,20 +86,13 @@ def reconstruct_from_unitary_frame(t: Tomogram, frames=None) -> DensityMatrix:
     us = frame_stack(t.frames if frames is None else frames, d)
     if len(us) != t.n_frames:
         raise ValueError("frame list length does not match the tomogram")
-    basis = hermitian_basis(d)
-    n_par = len(basis)
-
-    # row (frame, m), column k: diag(u^dag B_k u)[m] = <conj(u[:, m]) u[:, m]^T, B_k>
-    outer = us.conj()[:, :, None, :] * us[:, None, :, :]
-    rows = outer.transpose(0, 3, 1, 2).reshape(-1, d * d) @ basis.reshape(n_par, -1).T
-    # unit-trace constraint as an extra (well-scaled) equation
-    a = np.vstack([rows.real, np.trace(basis, axis1=1, axis2=2).real])
+    a = _design_matrix(us)
     b = np.append(t.table.real.T.reshape(-1), 1.0)
 
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < n_par:
-        raise InformationallyIncompleteError(rank=int(rank), needed=n_par)
-    rho = np.tensordot(x, basis, axes=1)
+    if rank < d * d:
+        raise InformationallyIncompleteError(rank=int(rank), needed=d * d)
+    rho = np.tensordot(x, hermitian_basis(d), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
 
@@ -112,6 +105,27 @@ def reconstruct_from_unitary_frame(t: Tomogram, frames=None) -> DensityMatrix:
         )
     dims = t.dims if t.dims is not None else (d,)
     return DensityMatrix(rho, dims, psd_slack=max(1e-10, 2.0 * abs(min_eig)))
+
+
+def _design_matrix(us: np.ndarray) -> np.ndarray:
+    """Real least-squares matrix of an (F, d, d) frame stack, shape (F*d + 1, d^2).
+
+    Row (frame, m), column k: diag(u^dag B_k u)[m] for the ``hermitian_basis``
+    element B_k.  With c = u[:, m] that is |c_a|^2 for the diagonal units, then
+    2 Re and 2 Im of conj(c_a) c_b for each pair a < b.  The last row is the
+    unit-trace constraint as an extra (well-scaled) equation.  The matrix is
+    built column-major, the layout LAPACK's least-squares solver reads.
+    """
+    d = us.shape[-1]
+    c = us.transpose(1, 0, 2).reshape(d, -1)  # c[a, (frame, m)] = u[a, m]
+    lo, hi = np.triu_indices(d, 1)
+    pairs = c[lo].conj() * c[hi]
+    at = np.empty((d * d, c.shape[1] + 1))
+    at[:d, :-1] = c.real**2 + c.imag**2
+    at[d::2, :-1] = 2.0 * pairs.real
+    at[d + 1 :: 2, :-1] = 2.0 * pairs.imag
+    at[:d, -1], at[d:, -1] = 1.0, 0.0
+    return at.T
 
 
 def reconstruction_residual(t: Tomogram, rho: DensityMatrix, frames=None) -> float:

@@ -5,8 +5,9 @@ against the three-point kernel K(x2, x1, x) = Tr[D(x2) D(x1) U(x)].  Because
 the kernel factors through operator space, ``star_compose`` evaluates it as
 analyze(synthesize(f_A) @ synthesize(f_B)) with the grid's ``SpinTransform``:
 two syntheses, one (2j+1)-dimensional matrix product and one analysis, with
-no kernel or quantizer stack formed.  ``symbol_trace`` is the trace of the
-synthesized operator.
+no kernel or quantizer stack formed.  ``symbol_trace`` needs no synthesis:
+Tr D(m, x) = sum_m' Q[m', m] is the same at every node, so the trace is the
+weighted sum of the symbol table against the column sums of Q.
 
 The kernel itself is kept for reference.  The trace form is the definition;
 the closed form expands the same trace through coupling coefficients and 6j
@@ -34,7 +35,14 @@ import numpy as np
 from .halfint import HalfInt, spin_range
 from .quadrature import QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_small_d
-from .symbols import EulerAngles, SpinTransform, Tomogram, dequantizer_U, quantizer_D
+from .symbols import (
+    EulerAngles,
+    SpinTransform,
+    Tomogram,
+    _identity_quantizer,
+    dequantizer_U,
+    quantizer_D,
+)
 
 STAR_OVERSAMPLE = 2.0
 
@@ -162,7 +170,8 @@ def symbol_trace(t: Tomogram, j=None, grid: QuadratureGrid | None = None) -> com
     if grid is None:
         raise ValueError("a quadrature grid is required")
     _require_grid_tomogram(t, j, grid)
-    return complex(np.trace(SpinTransform.on_grid(j, grid).synthesize(t.table)))
+    # Tr D(m, x) = Tr[R_x^dag diag(Q[:, m]) R_x] = sum_m' Q[m', m] at every node
+    return complex(grid.group_weights() @ (_identity_quantizer(j.twice).sum(axis=0) @ t.table))
 
 
 def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:

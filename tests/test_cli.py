@@ -82,6 +82,16 @@ class TestTomogramCommand:
             assert rc == 2
             assert not out.exists()
 
+    @pytest.mark.parametrize("oversample", ["inf", "1e308", "nan"])
+    def test_oversample_without_a_finite_grid_exits_2(self, workdir, capsys, oversample):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--j", "0.5",
+                   "--oversample", oversample, "--out", str(out)])
+        assert rc == 2
+        assert "oversample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spin_grid_tomogram_csv(self, workdir):
         tmp, paths = workdir
         out = tmp / "t.csv"

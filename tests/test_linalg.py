@@ -85,6 +85,35 @@ class TestHaar:
         with pytest.raises(ValueError):
             haar_unitary(0, seed=1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("count", [1, 5, 1000])
+    def test_equals_phase_fixed_qr_of_the_same_draw(self, n, count):
+        # oracle: the QR factor of the Ginibre draw whose R has a positive diagonal
+        rng = np.random.default_rng(n * 1000 + count)
+        z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+        z /= np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        oracle = q * (d / np.abs(d))[:, None, :]
+        us = haar_unitaries(n, count, n * 1000 + count)
+        assert np.max(np.abs(us - oracle)) <= 1e-12
+        assert unitarity_residual(us) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_empty_batch(self, n):
+        assert haar_unitaries(n, 0, 1).shape == (0, n, n)
+
+    def test_output_is_c_contiguous(self):
+        assert haar_unitaries(4, 100, 1).flags.c_contiguous
+        assert haar_unitary(4, seed=1).flags.c_contiguous
+
+    def test_second_moment(self):
+        # E|u_11|^4 = 2 / (n (n + 1)) for Haar measure
+        n = 4
+        samples = np.abs(haar_unitaries(n, 100_000, 8)[:, 0, 0]) ** 4
+        stderr = samples.std(ddof=1) / np.sqrt(samples.size)
+        assert abs(samples.mean() - 2.0 / (n * (n + 1))) < 3.0 * stderr
+
 
 class TestDensityMatrix:
     def test_invariants_enforced(self):

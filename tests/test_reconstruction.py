@@ -4,9 +4,10 @@ import pytest
 from conftest import random_hermitian
 from spintomo.errors import InformationallyIncompleteError
 from spintomo.halfint import HalfInt, spin_range
-from spintomo.linalg import expm_hermitian_times, haar_unitaries, random_density
+from spintomo.linalg import expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.reconstruction import (
+    _design_matrix,
     duality_residual,
     infer_grid,
     intertwine,
@@ -70,6 +71,12 @@ class TestGrid:
     def test_invalid_oversample(self):
         with pytest.raises(ValueError):
             make_grid(1, oversample=0.0)
+
+    @pytest.mark.parametrize("oversample", [np.inf, -np.inf, np.nan, 1e308, 1e300])
+    def test_oversample_without_a_finite_grid_refused(self, oversample):
+        # 1e308 * (2j + 1) overflows to infinity; 1e300 nodes exceed any array index
+        with pytest.raises(ValueError, match="oversample"):
+            make_grid(0.5, oversample=oversample)
 
 
 class TestReconstructOperator:
@@ -177,6 +184,28 @@ class TestUnitaryFrameReconstruction:
         with pytest.raises(InformationallyIncompleteError) as err:
             reconstruct_from_unitary_frame(t)
         assert (err.value.rank, err.value.needed) == (2, 4)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_too_few_haar_frames_incomplete(self, d):
+        # each generic frame adds d - 1 independent rows to the shared trace row
+        rho = random_density(d, d, seed=5)
+        for n_frames in range(1, d + 1):
+            t = unitary_tomogram(rho, list(haar_unitaries(d, n_frames, 6)))
+            with pytest.raises(InformationallyIncompleteError) as err:
+                reconstruct_from_unitary_frame(t)
+            assert (err.value.rank, err.value.needed) == (n_frames * (d - 1) + 1, d * d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_design_matrix_equals_basis_product(self, d):
+        # oracle: column outer products conj(u[:, m]) u[:, m]^T against the basis
+        us = haar_unitaries(d, 200, d)
+        basis = hermitian_basis(d)
+        outer = us.conj()[:, :, None, :] * us[:, None, :, :]
+        rows = outer.transpose(0, 3, 1, 2).reshape(-1, d * d) @ basis.reshape(d * d, -1).T
+        oracle = np.vstack([rows.real, np.trace(basis, axis1=1, axis2=2).real])
+        design = _design_matrix(us)
+        assert design.shape == oracle.shape
+        assert np.max(np.abs(design - oracle)) <= 1e-15
 
     def test_qutrit_with_haar_frames(self):
         rho = random_density(3, 3, seed=23)

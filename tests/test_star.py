@@ -14,7 +14,7 @@ from spintomo.star import (
     trace_power,
 )
 from spintomo.states import pure_state
-from spintomo.symbols import QuantizerPair, grid_frames, spin_tomogram
+from spintomo.symbols import QuantizerPair, SpinTransform, grid_frames, spin_tomogram
 
 
 class StarKernel:
@@ -205,8 +205,25 @@ class TestTracePower:
         assert trace_power(f, 2, grid) == pytest.approx(0.30, abs=1e-7)
         assert trace_power(f, 4, grid) == pytest.approx(0.0354, abs=1e-7)
 
+    def test_non_real_trace_refused(self):
+        grid = star_grid(0.5)
+        f = spin_tomogram(0.5j * np.eye(2), grid_frames(0.5, grid))
+        with pytest.raises(ValueError, match="non-real"):
+            trace_power(f, 1, grid)
+
     def test_power_must_be_positive(self):
         grid = star_grid(0.5)
         f = spin_tomogram(random_density(2, 2, seed=32), grid_frames(0.5, grid))
         with pytest.raises(ValueError):
             trace_power(f, 0, grid)
+
+
+class TestSymbolTrace:
+    @pytest.mark.parametrize("jt", range(17))
+    def test_equals_trace_of_synthesized_operator(self, jt, rng):
+        j = HalfInt(jt)
+        a = rng.standard_normal((jt + 1, jt + 1)) + 1j * rng.standard_normal((jt + 1, jt + 1))
+        for grid in (make_grid(j), star_grid(j)):
+            f = spin_tomogram(a, grid_frames(j, grid))
+            synthesized = np.trace(SpinTransform.on_grid(j, grid).synthesize(f.table))
+            assert abs(symbol_trace(f, j, grid) - synthesized) <= 1e-13
