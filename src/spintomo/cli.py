@@ -295,8 +295,8 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, KeyError, OSError, MemoryError) as exc:
         # json.JSONDecodeError is a ValueError, so malformed inputs land here;
-        # a MemoryError is a size flag too large for this machine
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError is a size flag too large for this machine (its text may be empty)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     io.write_text_atomic(args.out, text)
     return 0

@@ -2,8 +2,8 @@
 
 Spin tomograms on a quadrature grid invert through the covariant synthesis of
 ``SpinTransform``; unitary-frame tomograms invert through a constrained
-least-squares solve; symbol tables convert between quantizer pairs via
-intertwining kernels.
+least-squares solve; a symbol table moves between quantizer pairs by one
+pair's synthesis followed by the other's symbol map.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid, make_grid
-from .symbols import QuantizerPair, SpinFrames, SpinTransform, Tomogram, frame_stack
+from .symbols import QuantizerPair, SpinFrames, SpinTransform, Tomogram, _product_factors, frame_stack
 
 __all__ = [
     "make_grid",
@@ -30,19 +30,17 @@ __all__ = [
 def infer_grid(t: Tomogram) -> QuadratureGrid:
     """Rebuild the quadrature grid a spin tomogram's frames were drawn from.
 
-    Grid frames are beta-major with gamma cycling fastest, so the gamma count
-    is the run length of the leading beta value; the Gauss-Legendre nodes are
-    then reproduced from the beta count alone.
+    Grid frames are the beta-major product of their beta and gamma nodes, so
+    the node counts fix the grid; the Gauss-Legendre nodes are then reproduced
+    from the beta count alone.
     """
     if t.kind != "spin" or not t.frames:
         raise ValueError("grid inference needs a spin tomogram with frames")
-    betas = SpinFrames.of(t.frames).betas
-    n_gamma = 1
-    while n_gamma < len(betas) and abs(betas[n_gamma] - betas[0]) < 1e-12:
-        n_gamma += 1
-    if len(betas) % n_gamma != 0:
+    frames = SpinFrames.of(t.frames)
+    factors = _product_factors(frames.betas, frames.gammas)
+    if factors is None:
         raise ValueError("tomogram frames do not form a regular grid")
-    grid = _product_grid(len(betas) // n_gamma, n_gamma)
+    grid = _product_grid(*(nodes.size for nodes in factors))
     if not _frames_match_grid(t.frames, t.j, grid):
         raise ValueError("tomogram frames do not coincide with any standard grid")
     return grid
@@ -72,7 +70,7 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
     return SpinTransform.on_grid(j, grid).synthesize(t.table)
 
 
-def reconstruct_from_unitary_frame(t: Tomogram, frames=None) -> DensityMatrix:
+def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     """Least-squares state estimate from a unitary-frame tomogram.
 
     Solves for a Hermitian matrix under the unit-trace constraint; at least
@@ -83,10 +81,7 @@ def reconstruct_from_unitary_frame(t: Tomogram, frames=None) -> DensityMatrix:
     if t.kind != "unitary":
         raise ValueError("expected a unitary-frame tomogram")
     d = t.n_outcomes
-    us = frame_stack(t.frames if frames is None else frames, d)
-    if len(us) != t.n_frames:
-        raise ValueError("frame list length does not match the tomogram")
-    a = _design_matrix(us)
+    a = _design_matrix(frame_stack(t.frames, d))
     b = np.append(t.table.real.T.reshape(-1), 1.0)
 
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
@@ -128,10 +123,9 @@ def _design_matrix(us: np.ndarray) -> np.ndarray:
     return at.T
 
 
-def reconstruction_residual(t: Tomogram, rho: DensityMatrix, frames=None) -> float:
+def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
     """Max abs mismatch between the tomogram and the state's forward symbol."""
-    us = frame_stack(t.frames if frames is None else frames, rho.dim)
-    pred = frame_diagonals(rho.mat, us).real
+    pred = frame_diagonals(rho.mat, frame_stack(t.frames, rho.dim)).real
     return float(np.max(np.abs(pred.T - t.table.real)))
 
 
@@ -139,15 +133,15 @@ def intertwine(values, pair_from: QuantizerPair, pair_to: QuantizerPair) -> np.n
     """Convert a symbol table between quantizer pairs.
 
     phi(y) = sum_x weights[x] f(x) Tr[D_from(x) U_to(y)], the discrete form of
-    the invertible transform linking two symbol families on one space.
+    the invertible transform linking two symbol families on one space: the
+    source pair's synthesis, then the target pair's symbol map.
     """
     if pair_from.dim != pair_to.dim:
         raise ValueError("quantizer pairs act on different dimensions")
     values = np.asarray(values)
     if values.shape != (len(pair_from.labels),):
         raise ValueError("symbol table length does not match the source pair")
-    synthesized = pair_from.synthesize(values)
-    return np.einsum("yij,ji->y", pair_to.us, synthesized)
+    return pair_to.symbol_of(pair_from.synthesize(values))
 
 
 def duality_residual(pair: QuantizerPair, probes=None) -> float:
@@ -156,17 +150,8 @@ def duality_residual(pair: QuantizerPair, probes=None) -> float:
     max over probes of ||sum_x w_x Tr[P U(x)] D(x) - P||_inf; probes default
     to all matrix units, which span the operator space.
     """
-    d = pair.dim
     if probes is None:
-        probes = []
-        for a in range(d):
-            for b in range(d):
-                p = np.zeros((d, d), dtype=complex)
-                p[a, b] = 1.0
-                probes.append(p)
-    worst = 0.0
-    for p in probes:
-        rebuilt = pair.synthesize(pair.symbol_of(p))
-        worst = max(worst, float(np.max(np.abs(rebuilt - p))))
-    return worst
+        probes = np.eye(pair.dim * pair.dim, dtype=complex).reshape(-1, pair.dim, pair.dim)
+    defects = (np.max(np.abs(pair.synthesize(pair.symbol_of(p)) - p)) for p in probes)
+    return float(max(defects, default=0.0))
 

@@ -28,7 +28,6 @@ from .su2 import (
     clebsch_gordan,
     irreducible_tensor,
     rotation_matrix,
-    rotation_stack,
     tensor_index_pairs,
     wigner_d_stack,
     wigner_small_d,
@@ -112,20 +111,30 @@ def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     return SpinFrames(j, *grid.node_angles(), grid=grid)
 
 
+def _coupled_m0_block(jt: int) -> np.ndarray:
+    """(J_1 + J_2)^2 of two spin-j copies on its M = 0 block, basis |m, -m>, m = j .. -j.
+
+    Tridiagonal: 2j(j+1) - 2m^2 on the diagonal, j(j+1) - m(m+1) between m and m+1.
+    Eigenvalues L(L+1), L = 0 .. 2j; eigenvectors <j m; j -m|L 0> over m, up to sign.
+    """
+    ms = jt / 2 - np.arange(jt + 1)
+    jj = jt / 2 * (jt / 2 + 1)
+    off = jj - ms[1:] * (ms[1:] + 1)
+    return np.diag(2 * jj - 2 * ms**2) + np.diag(off, 1) + np.diag(off, -1)
+
+
 @lru_cache(maxsize=64)
 def _identity_quantizer(jt: int) -> np.ndarray:
     """Q[m', m], the diagonal of the quantizer D(m, e) at the identity rotation.
 
     Q[m', m] = sum_L (2L+1)/(8 pi^2) (-1)^(2j-m-m') <j m; j -m|L 0><j m'; j -m'|L 0>,
     the tensor series of ``quantizer_D`` at omega = e, where only M = 0 survives.
+    The coefficients are the eigenvectors of ``_coupled_m0_block`` (one ``eigh``,
+    L ascending), whose signs cancel in Q = S V diag((2L+1)/(8 pi^2)) V^T S.
     """
-    j = HalfInt(jt)
-    ms = spin_range(j)
-    ls = [HalfInt(lt) for lt in range(0, 2 * jt + 1, 2)]
-    cg = np.array([[clebsch_gordan(j, m, j, -m, L, 0) for m in ms] for L in ls])
-    sign = np.array([(-1.0) ** ((jt - m.twice) // 2) for m in ms])
-    scale = np.array([(L.twice + 1) / GROUP_VOLUME for L in ls])
-    q = np.outer(sign, sign) * ((cg * scale[:, None]).T @ cg)
+    _, v = np.linalg.eigh(_coupled_m0_block(jt))
+    v *= (-1.0) ** np.arange(jt + 1)[:, None]
+    q = (v * ((2 * np.arange(jt + 1) + 1) / GROUP_VOLUME)) @ v.T
     q.setflags(write=False)
     return q
 
@@ -223,17 +232,6 @@ class SpinTransform:
             np.add.at(sums, self._beta_index, np.einsum("mx,kx->xmk", c, self._phases.conj()))
         sums = sums.reshape(-1, 2 * n - 1)
         return np.einsum("rc,rc->c", self._table, sums[:, self._diagonal]).reshape(n, n)
-
-    def operator_stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dequantizers U(m, x) and quantizers D(m, x), each (2j+1) * frames
-        matrices ordered m-major, built from a rotation stack by covariance."""
-        r = rotation_stack(self.j, self.betas, self.gammas)
-        rc = r.conj()
-        f, n, _ = r.shape
-        us = rc.transpose(1, 0, 2)[:, :, :, None] * r.transpose(1, 0, 2)[:, :, None, :]
-        q = _identity_quantizer(self.j.twice)
-        ds = (rc.transpose(0, 2, 1)[:, None] * q.T[None, :, None, :]) @ r[:, None]
-        return us.reshape(n * f, n, n), ds.transpose(1, 0, 2, 3).reshape(n * f, n, n)
 
 
 @dataclass
@@ -474,74 +472,50 @@ def tomogram_marginal(t: Tomogram, keep) -> Tomogram:
 
 @dataclass
 class QuantizerPair:
-    """Dual families U(x), D(x) on a discrete label set with quadrature weights.
+    """Dequantizer U(x) and quantizer D(x) on a label set, held as two maps.
 
-    The defining identity is A = sum_x weights[x] * Tr[A U(x)] * D(x) for every
-    operator A on the carrier space; ``duality_residual`` in the
-    reconstruction module measures how well a pair satisfies it.
+    The defining identity A = synthesize(symbol_of(A)) holds for every operator A
+    on the carrier space (``duality_residual`` measures it).  A spin pair runs
+    both maps on its grid's ``SpinTransform``, never forming U or D; the matrix-unit
+    pair (``transform`` None) works by transposes.
     """
 
     labels: list
-    us: np.ndarray
-    ds: np.ndarray
     weights: np.ndarray
     dim: int
+    transform: SpinTransform | None = None
 
     @classmethod
     def spin(cls, j, grid: QuadratureGrid) -> "QuantizerPair":
-        """Spin-j pair on a rotation-group grid; labels are (m, node) pairs.
-
-        Both families are materialized from a rotation stack at the grid nodes
-        by covariance (``SpinTransform.operator_stacks``), (2j+1)^3 * nodes
-        entries each; the transform itself never needs them.
-        """
+        """Spin-j pair on a rotation-group grid; labels are (m, node) pairs, m-major."""
         j = HalfInt.of(j)
-        memo_key = ("pair", j.twice)
-        cached = grid._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        us, ds = SpinTransform.on_grid(j, grid).operator_stacks()
-        pair = cls(
+        return cls(
             labels=[(m, node) for m in spin_range(j) for node in range(grid.n_nodes)],
-            us=us,
-            ds=ds,
             weights=np.tile(grid.group_weights(), j.twice + 1),
             dim=j.twice + 1,
+            transform=SpinTransform.on_grid(j, grid),
         )
-        grid._memo[memo_key] = pair
-        return pair
 
     @classmethod
     def matrix_units(cls, dim: int) -> "QuantizerPair":
-        """Matrix-element symbol family: U(a,b) = |a><b|, D(a,b) = |b><a|."""
+        """Matrix-element symbol family: U(a,b) = |a><b|, D(a,b) = |b><a|; f_A(a,b) = A[b, a]."""
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        labels, us, ds = [], [], []
-        for a in range(dim):
-            for b in range(dim):
-                u = np.zeros((dim, dim), dtype=complex)
-                u[a, b] = 1.0
-                us.append(u)
-                ds.append(u.conj().T.copy())
-                labels.append((a, b))
-        return cls(
-            labels=labels,
-            us=np.stack(us),
-            ds=np.stack(ds),
-            weights=np.ones(dim * dim),
-            dim=dim,
-        )
+        labels = [(a, b) for a in range(dim) for b in range(dim)]
+        return cls(labels=labels, weights=np.ones(dim * dim), dim=dim)
 
     def symbol_of(self, a) -> np.ndarray:
         """f_A(x) = Tr[A U(x)] over all labels."""
         mat = a.mat if isinstance(a, DensityMatrix) else np.asarray(a, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError("operator dimension mismatch")
-        return np.einsum("xij,ji->x", self.us, mat)
+        return mat.T.flatten() if self.transform is None else self.transform.analyze(mat).reshape(-1)
 
     def synthesize(self, values: np.ndarray) -> np.ndarray:
         """sum_x weights[x] f(x) D(x) - the inverse map applied to a symbol table."""
         values = np.asarray(values)
         if values.shape != (len(self.labels),):
             raise ValueError("symbol table length mismatch")
-        return np.einsum("x,xij->ij", values * self.weights, self.ds)
+        if self.transform is None:
+            return values.reshape(self.dim, self.dim).T.astype(complex)
+        return self.transform.synthesize(values.reshape(self.dim, -1))

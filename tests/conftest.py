@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from spintomo.halfint import HalfInt
+from spintomo.su2 import rotation_stack
+from spintomo.symbols import _identity_quantizer
+
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -10,3 +14,16 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def operator_stacks(j, betas, gammas) -> tuple[np.ndarray, np.ndarray]:
+    """Dequantizers U(m, x) and quantizers D(m, x), each (2j+1) * frames
+    matrices ordered m-major, built from a rotation stack by covariance."""
+    j = HalfInt.of(j)
+    r = rotation_stack(j, betas, gammas)
+    rc = r.conj()
+    f, n, _ = r.shape
+    us = rc.transpose(1, 0, 2)[:, :, :, None] * r.transpose(1, 0, 2)[:, :, None, :]
+    q = _identity_quantizer(j.twice)
+    ds = (rc.transpose(0, 2, 1)[:, None] * q.T[None, :, None, :]) @ r[:, None]
+    return us.reshape(n * f, n, n), ds.transpose(1, 0, 2, 3).reshape(n * f, n, n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintomo import io
+from spintomo import cli, io
 from spintomo.cli import main
 from spintomo.linalg import DensityMatrix, random_density
 from spintomo.states import bell_state, maximally_mixed, werner_state
@@ -265,6 +265,18 @@ class TestEntropyCommand:
                    "--out", str(tmp / "e.json")])
         assert rc == 2
         assert "allocate" in capsys.readouterr().err
+        assert not (tmp / "e.json").exists()
+
+    def test_textless_memory_error_names_its_type(self, workdir, capsys, monkeypatch):
+        # numpy can raise MemoryError() with no text (e.g. inside leggauss)
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._HANDLERS, "entropy", out_of_memory)
+        tmp, paths = workdir
+        rc = main(["entropy", "--state", str(paths["qubit"]), "--out", str(tmp / "e.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "error: MemoryError"
         assert not (tmp / "e.json").exists()
 
     @pytest.mark.parametrize("q", ["nan", "inf"])

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian
+from spintomo import io
 from spintomo.errors import InformationallyIncompleteError
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
@@ -17,7 +20,15 @@ from spintomo.reconstruction import (
 )
 from spintomo.states import SIGMA_X, SIGMA_Y, maximally_mixed
 from spintomo.su2 import wigner_small_d
-from spintomo.symbols import QuantizerPair, Tomogram, grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import (
+    QuantizerPair,
+    SpinFrames,
+    SpinTransform,
+    Tomogram,
+    grid_frames,
+    spin_tomogram,
+    unitary_tomogram,
+)
 
 
 def grid_integral_of_d_pair(grid, l1, m1, l2, m2):
@@ -145,6 +156,20 @@ class TestReconstructOperator:
             assert inferred.n_beta == grid.n_beta
             assert inferred.n_gamma == grid.n_gamma
 
+    def test_infer_grid_from_file_and_refusals(self, rng):
+        grid = make_grid(1.5)
+        t = spin_tomogram(random_hermitian(4, rng), grid_frames(1.5, grid))
+        inferred = infer_grid(io.tomogram_from_obj(json.loads(io.dumps(io.tomogram_to_obj(t)))))
+        assert (inferred.n_beta, inferred.n_gamma) == (grid.n_beta, grid.n_gamma)
+        order = rng.permutation(grid.n_nodes)
+        shuffled = spin_tomogram(random_hermitian(4, rng), [t.frames[i] for i in order])
+        with pytest.raises(ValueError, match="regular grid"):
+            infer_grid(shuffled)
+        betas, gammas = grid.node_angles()
+        shifted = spin_tomogram(random_hermitian(4, rng), SpinFrames(1.5, betas, gammas + 0.1))
+        with pytest.raises(ValueError, match="standard grid"):
+            infer_grid(shifted)
+
 
 class TestScalarAndCrossGrid:
     def test_scalar_spin_round_trip(self):
@@ -257,3 +282,66 @@ class TestDuality:
     def test_under_resolved_grid_aliased(self):
         res = duality_residual(QuantizerPair.spin(2, make_grid(2, oversample=0.5)))
         assert res > 1e-4
+
+
+class TestPairMaps:
+    def test_pair_holds_no_operator_stack(self):
+        grid = make_grid(1)
+        pair = QuantizerPair.spin(1, grid)
+        assert not hasattr(pair, "us") and not hasattr(pair, "ds")
+        assert not any(key[0] == "pair" for key in grid._memo)
+        assert QuantizerPair.matrix_units(3).transform is None
+
+    def test_spin_pair_runs_on_the_grid_transform(self, rng):
+        grid = make_grid(1.5)
+        pair = QuantizerPair.spin(1.5, grid)
+        transform = SpinTransform.on_grid(1.5, grid)
+        assert pair.transform is transform
+        a = random_hermitian(4, rng)
+        table = transform.analyze(a)
+        # labels are (m, node), m-major
+        assert np.array_equal(pair.symbol_of(a), table.reshape(-1))
+        assert pair.labels[grid.n_nodes] == (HalfInt(1), 0)
+        assert np.array_equal(pair.synthesize(table.reshape(-1)), transform.synthesize(table))
+
+    def test_matrix_units_by_transposes(self, rng):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        pair = QuantizerPair.matrix_units(3)
+        f = pair.symbol_of(a)
+        assert np.array_equal(f, a.T.reshape(-1))
+        back = pair.synthesize(f)
+        assert np.array_equal(back, a) and back.dtype == complex
+        back[0, 0] = 7.0
+        assert f[0] == a[0, 0]  # the operator does not alias the symbol table
+
+    def test_refusals(self):
+        pair = QuantizerPair.spin(1, make_grid(1))
+        with pytest.raises(ValueError, match="dimension"):
+            pair.symbol_of(np.eye(2))
+        with pytest.raises(ValueError, match="length"):
+            pair.synthesize(np.ones(len(pair.labels) - 1))
+        with pytest.raises(ValueError, match="length"):
+            QuantizerPair.matrix_units(2).synthesize(np.ones(3))
+        with pytest.raises(ValueError, match="source pair"):
+            intertwine(np.ones(3), QuantizerPair.matrix_units(2), QuantizerPair.matrix_units(2))
+        with pytest.raises(ValueError, match="at least 1"):
+            QuantizerPair.matrix_units(0)
+
+
+class TestPairAtJ8:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return QuantizerPair.spin(8, make_grid(8))
+
+    def test_duality(self, pair):
+        assert duality_residual(pair) <= 1e-12
+
+    def test_round_trip_through_matrix_units(self, pair):
+        rho = random_density(17, 17, seed=8)
+        units = QuantizerPair.matrix_units(17)
+        f = pair.symbol_of(rho)
+        phi = intertwine(f, pair, units)
+        # label (a, b) of the matrix-unit symbol carries rho[b, a]
+        for idx, (a, b) in enumerate(units.labels):
+            assert abs(phi[idx] - rho.mat[b, a]) <= 1e-12
+        assert np.max(np.abs(intertwine(phi, units, pair) - f)) <= 1e-12

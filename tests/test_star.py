@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import operator_stacks, random_hermitian
 from spintomo.halfint import HalfInt
 from spintomo.linalg import random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
@@ -41,8 +41,9 @@ class StarKernel:
         n = len(pair.labels)
         if n**3 > cls.MAX_ELEMENTS:
             raise ValueError(f"kernel table of {n}^3 entries exceeds the materialization cap")
-        dd = np.einsum("aij,bjk->abik", pair.ds, pair.ds)
-        values = np.einsum("abik,cki->abc", dd, pair.us)
+        us, ds = operator_stacks(j, *grid.node_angles())
+        dd = np.einsum("aij,bjk->abik", ds, ds)
+        values = np.einsum("abik,cki->abc", dd, us)
         return cls(j, grid, values, list(pair.labels))
 
 

@@ -3,21 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import operator_stacks, random_hermitian
 from spintomo import io
 from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
-from spintomo.quadrature import make_grid
+from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.reconstruction import reconstruct_operator
 from spintomo.star import star_compose, star_grid, symbol_trace
-from spintomo.su2 import rotation_matrix
+from spintomo.su2 import clebsch_gordan, rotation_matrix
 from spintomo.symbols import (
     EulerAngles,
     QuantizerPair,
     SpinFrame,
     SpinFrames,
     SpinTransform,
+    _coupled_m0_block,
     _identity_quantizer,
     dequantizer_U,
     grid_frames,
@@ -68,8 +69,7 @@ class TestCovariantQuantizer:
             EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             for _ in range(4)
         ]
-        transform = SpinTransform(j, [e.beta for e in angles], [e.gamma for e in angles])
-        us, ds = transform.operator_stacks()
+        us, ds = operator_stacks(j, [e.beta for e in angles], [e.gamma for e in angles])
         ms = spin_range(j)
         for i, m in enumerate(ms):
             for x, omega in enumerate(angles):
@@ -197,8 +197,9 @@ class TestRealPropagator:
         channel = random_kraus_channel(jt + 1, 40 + jt)
         pair = QuantizerPair.spin(j, grid)
         labels = len(pair.labels)
-        analysis = pair.us.transpose(0, 2, 1).reshape(labels, -1)
-        synthesis = pair.ds.reshape(labels, -1).T
+        us, ds = operator_stacks(j, *grid.node_angles())
+        analysis = us.transpose(0, 2, 1).reshape(labels, -1)
+        synthesis = ds.reshape(labels, -1).T
         old = (analysis @ kraus_to_superoperator(channel).mat @ synthesis).real * pair.weights
         pi = channel_propagator(channel, j, grid)
         assert pi.dtype == np.float64
@@ -265,3 +266,32 @@ class TestGridBackedFrames:
         obj = io.tomogram_to_obj(t)
         assert io.dumps(obj["frames"]) == io.dumps([io._frame_to_obj(fr) for fr in nodes])
         assert io.dumps(io.tomogram_to_obj(io.tomogram_from_obj(obj))) == io.dumps(obj)
+
+
+def cg_identity_quantizer(jt):
+    """Q[m', m] from the Clebsch-Gordan tensor series (the pre-eigh construction)."""
+    j = HalfInt(jt)
+    ms = spin_range(j)
+    ls = [HalfInt(lt) for lt in range(0, 2 * jt + 1, 2)]
+    cg = np.array([[clebsch_gordan(j, m, j, -m, L, 0) for m in ms] for L in ls])
+    sign = np.array([(-1.0) ** ((jt - m.twice) // 2) for m in ms])
+    scale = np.array([(L.twice + 1) / GROUP_VOLUME for L in ls])
+    return np.outer(sign, sign) * ((cg * scale[:, None]).T @ cg)
+
+
+class TestIdentityQuantizer:
+    @pytest.mark.parametrize("jt", range(17))
+    def test_equals_clebsch_gordan_series(self, jt):
+        assert np.max(np.abs(_identity_quantizer(jt) - cg_identity_quantizer(jt))) <= 1e-14
+
+    @pytest.mark.parametrize("jt", [0, 1, 2, 7, 16, 31, 60, 81, 120])
+    def test_block_eigenvalues_are_l_l_plus_1(self, jt):
+        block = _coupled_m0_block(jt)
+        assert np.array_equal(block, block.T)
+        ls = np.arange(jt + 1)
+        # relative to the largest eigenvalue 2j(2j+1)
+        assert np.max(np.abs(np.linalg.eigvalsh(block) - ls * (ls + 1))) <= 1e-14 * max(jt * (jt + 1), 1)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            _identity_quantizer(4)[0, 0] = 1.0
