@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="frame entropies, group minimum, Haar average")
     p.add_argument("--state", required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--q", type=float, help="Renyi order (default: Shannon)")
+    p.add_argument("--q", type=float, default=1.0, help="Renyi order (default: 1, Shannon)")
     _add_common(p)
 
     p = sub.add_parser("peres", help="partial-transpose tomographic scan")
@@ -227,7 +227,7 @@ def _cmd_entropy(args) -> str | dict:
     report = min_entropy_over_group(rho, args.samples, args.seed, q=args.q)
     mc = report.monte_carlo
     return {
-        "q": args.q if args.q is not None else 1.0,
+        "q": args.q,
         "min_value": report.min_value,
         "argmin_frame": io.matrix_to_obj(report.argmin_frame),
         "per_frame": [float(x) for x in report.per_frame],
@@ -288,8 +288,8 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         out = handler(args)
-        # the one JSON writer: JSON has no NaN or infinity, so they are refused
-        text = out if isinstance(out, str) else io.dumps(out, allow_nan=False)
+        # JSON has no NaN or infinity, so io.dumps refuses them (exit 2)
+        text = out if isinstance(out, str) else io.dumps(out)
     except InformationallyIncompleteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -108,7 +108,7 @@ class PovmReport:
     min_effect_eigenvalue: float
 
 
-def povm_validate(p: Povm, tol: float = 1e-10) -> PovmReport:
+def povm_validate(p: Povm) -> PovmReport:
     """Completeness and positivity verdict with residuals."""
     d = p.effects[0].shape[0]
     total = sum(p.effects)
@@ -117,7 +117,7 @@ def povm_validate(p: Povm, tol: float = 1e-10) -> PovmReport:
         float(np.min(np.linalg.eigvalsh(0.5 * (e + e.conj().T)))) for e in p.effects
     )
     herm = max(hermiticity_residual(e) for e in p.effects)
-    ok = completeness <= tol and min_eig >= -tol and herm <= tol
+    ok = completeness <= 1e-10 and min_eig >= -1e-10 and herm <= 1e-10
     return PovmReport(ok=ok, completeness_residual=completeness, min_effect_eigenvalue=min_eig)
 
 

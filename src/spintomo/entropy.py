@@ -4,7 +4,9 @@ For each frame u the tomogram row w(., u) is an ordinary probability
 distribution, so Shannon, Renyi, Tsallis, and relative q-entropies apply
 frame by frame.  The von Neumann and quantum Renyi entropies are the minima
 of those frame entropies over the unitary group, attained at the eigenbasis
-of the state; group averages give the integral entropies.
+of the state: the same functional applied to the spectrum.  Every Shannon
+and Renyi value here is one kernel, ``_renyi``, over a frame row or over the
+cleaned spectrum ``_spectrum``; group averages give the integral entropies.
 """
 
 from __future__ import annotations
@@ -33,12 +35,20 @@ def _clean_probs(w, name: str = "w") -> np.ndarray:
     return w
 
 
-def _xlogx(w: np.ndarray) -> np.ndarray:
-    # 0 log 0 := 0
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    out[pos] = w[pos] * np.log(w[pos])
-    return out
+def _renyi(p: np.ndarray, q: float) -> np.ndarray:
+    """Renyi entropy (1/(1-q)) ln sum p^q along the last axis; Shannon at q = 1.
+
+    ``p`` holds nonnegative entries; 0 log 0 := 0, and 0^q = 0 for q > 0.
+    """
+    if q == 1.0:
+        return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1) + 0.0
+    return np.log(np.sum(p**q, axis=-1)) / (1.0 - q) + 0.0
+
+
+def _spectrum(eigs) -> np.ndarray:
+    """Eigenvalues as a distribution: those below n eps lambda_max are roundoff, set to 0."""
+    eigs = np.asarray(eigs, dtype=float)
+    return np.where(eigs > eigs.size * np.finfo(float).eps * np.max(eigs), eigs, 0.0)
 
 
 def _check_order(q: float, what: str) -> None:
@@ -49,16 +59,13 @@ def _check_order(q: float, what: str) -> None:
 
 def symbol_entropy(w) -> float:
     """Shannon entropy -sum w ln w of one frame's distribution."""
-    return float(-np.sum(_xlogx(_clean_probs(w)))) + 0.0
+    return float(_renyi(_clean_probs(w), 1.0))
 
 
 def renyi_entropy(w, q: float) -> float:
-    """(1/(1-q)) ln sum w^q; dispatches to Shannon at q = 1."""
+    """(1/(1-q)) ln sum w^q; Shannon at q = 1."""
     _check_order(q, "Renyi")
-    w = _clean_probs(w)
-    if q == 1.0:
-        return float(-np.sum(_xlogx(w)))
-    return float(np.log(np.sum(w[w > 0.0] ** q)) / (1.0 - q))
+    return float(_renyi(_clean_probs(w), q))
 
 
 def tsallis_entropy(w, q: float) -> float:
@@ -66,17 +73,8 @@ def tsallis_entropy(w, q: float) -> float:
     _check_order(q, "Tsallis")
     w = _clean_probs(w)
     if q == 1.0:
-        return float(-np.sum(_xlogx(w)))
+        return float(_renyi(w, 1.0))
     return float((np.sum(w[w > 0.0] ** q) - 1.0) / (1.0 - q))
-
-
-def q_log(x: float, q: float) -> float:
-    """Deformed logarithm ln_q x = (x^(1-q) - 1)/(1-q), ln_1 = ln."""
-    if x <= 0.0:
-        raise ValueError("q_log needs a positive argument")
-    if q == 1.0:
-        return math.log(x)
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
 
 
 def relative_q_entropy(w1, w2, q: float) -> float:
@@ -97,17 +95,13 @@ def relative_q_entropy(w1, w2, q: float) -> float:
 
 def von_neumann(rho: DensityMatrix) -> float:
     """-Tr rho ln rho from the eigenvalues."""
-    eigs = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
-    return float(-np.sum(_xlogx(eigs))) + 0.0
+    return quantum_renyi(rho, 1.0)
 
 
 def quantum_renyi(rho: DensityMatrix, q: float) -> float:
     """(1/(1-q)) ln Tr rho^q; q = 1 gives the von Neumann entropy."""
     _check_order(q, "Renyi")
-    eigs = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
-    if q == 1.0:
-        return float(-np.sum(_xlogx(eigs)))
-    return float(np.log(np.sum(eigs[eigs > 0.0] ** q)) / (1.0 - q))
+    return float(_renyi(_spectrum(np.linalg.eigvalsh(rho.mat)), q))
 
 
 @dataclass
@@ -133,33 +127,22 @@ def frame_probabilities(rho: DensityMatrix, frames: np.ndarray) -> np.ndarray:
     return np.clip(frame_diagonals(rho.mat, frames).real, 0.0, None)
 
 
-def _frame_entropies(rho: DensityMatrix, frames: np.ndarray, q: float | None) -> np.ndarray:
-    probs = frame_probabilities(rho, frames)
-    if q is None or q == 1.0:
-        return -np.sum(_xlogx(probs), axis=1)
-    safe = np.where(probs > 0.0, probs, 1.0)
-    return np.log(np.sum(safe**q * (probs > 0.0), axis=1)) / (1.0 - q)
-
-
 def min_entropy_over_group(
-    rho: DensityMatrix, n_verify: int, seed: int, q: float | None = None
+    rho: DensityMatrix, n_verify: int, seed: int, q: float = 1.0
 ) -> EntropyReport:
-    """Exact group minimum of the frame entropy, with Monte Carlo verification.
+    """Exact group minimum of the order-q frame entropy, with Monte Carlo verification.
 
     The minimizer is the eigenvector frame of rho (no search involved); the
     report carries n_verify Haar frame entropies so callers can confirm the
     bound H_u >= S, and their mean doubles as the integral entropy estimate.
     """
+    _check_order(q, "Renyi")
     eigs, vecs = np.linalg.eigh(rho.mat)
-    if q is None or q == 1.0:
-        min_value = float(-np.sum(_xlogx(np.clip(eigs, 0.0, None))))
-    else:
-        min_value = quantum_renyi(rho, q)
     per_frame = np.array([])
     monte = None
     if n_verify > 0:
-        frames = haar_unitaries(rho.dim, n_verify, np.random.default_rng(seed))
-        per_frame = _frame_entropies(rho, frames, q)
+        frames = haar_unitaries(rho.dim, n_verify, seed)
+        per_frame = _renyi(frame_probabilities(rho, frames), q)
         stderr = (
             float(np.std(per_frame, ddof=1) / math.sqrt(n_verify)) if n_verify > 1 else 0.0
         )
@@ -167,7 +150,10 @@ def min_entropy_over_group(
             mean=float(np.mean(per_frame)), stderr=stderr, n=n_verify, seed=seed
         )
     return EntropyReport(
-        per_frame=per_frame, min_value=min_value, argmin_frame=vecs, monte_carlo=monte
+        per_frame=per_frame,
+        min_value=float(_renyi(_spectrum(eigs), q)),
+        argmin_frame=vecs,
+        monte_carlo=monte,
     )
 
 
@@ -175,9 +161,8 @@ def integral_entropy(rho: DensityMatrix, n: int, seed: int) -> tuple[float, floa
     """Monte Carlo estimate of the Haar average of the frame entropy."""
     if n < 2:
         raise ValueError("at least two samples are needed for a standard error")
-    frames = haar_unitaries(rho.dim, n, np.random.default_rng(seed))
-    values = _frame_entropies(rho, frames, None)
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
+    mc = min_entropy_over_group(rho, n, seed).monte_carlo
+    return mc.mean, mc.stderr
 
 
 class SubadditivityResult(NamedTuple):
@@ -199,7 +184,7 @@ def _joint_probabilities(rho: DensityMatrix, u) -> np.ndarray:
     return frame_probabilities(rho, frame_stack([u], rho.dim))[0].reshape(rho.dims)
 
 
-def subadditivity_check(rho12: DensityMatrix, u, tol: float = 1e-10) -> SubadditivityResult:
+def subadditivity_check(rho12: DensityMatrix, u) -> SubadditivityResult:
     """Classical H(12) <= H(1) + H(2) for the joint frame distribution.
 
     Marginals are summed directly from the joint table, which matches the
@@ -208,16 +193,12 @@ def subadditivity_check(rho12: DensityMatrix, u, tol: float = 1e-10) -> Subaddit
     if len(rho12.dims) != 2:
         raise ValueError("subadditivity check needs a declared bipartition")
     w = _joint_probabilities(rho12, u)
-    h12 = float(-np.sum(_xlogx(w)))
-    h1 = float(-np.sum(_xlogx(w.sum(axis=1))))
-    h2 = float(-np.sum(_xlogx(w.sum(axis=0))))
+    h12, h1, h2 = (float(_renyi(p.ravel(), 1.0)) for p in (w, w.sum(axis=1), w.sum(axis=0)))
     slack = h1 + h2 - h12
-    return SubadditivityResult(h12, h1, h2, slack >= -tol, slack)
+    return SubadditivityResult(h12, h1, h2, slack >= -1e-10, slack)
 
 
-def strong_subadditivity_check(
-    rho123: DensityMatrix, u, tol: float = 1e-10
-) -> StrongSubadditivityResult:
+def strong_subadditivity_check(rho123: DensityMatrix, u) -> StrongSubadditivityResult:
     """Classical H(123) + H(2) <= H(12) + H(23) for the joint distribution.
 
     This is the symbol-side inequality only; it neither implies nor is
@@ -226,11 +207,9 @@ def strong_subadditivity_check(
     if len(rho123.dims) != 3:
         raise ValueError("strong subadditivity check needs a declared tripartition")
     w = _joint_probabilities(rho123, u)
-    h123 = float(-np.sum(_xlogx(w)))
-    h2 = float(-np.sum(_xlogx(w.sum(axis=(0, 2)))))
-    h12 = float(-np.sum(_xlogx(w.sum(axis=2))))
-    h23 = float(-np.sum(_xlogx(w.sum(axis=0))))
+    marginals = (w, w.sum(axis=(0, 2)), w.sum(axis=2), w.sum(axis=0))
+    h123, h2, h12, h23 = (float(_renyi(p.ravel(), 1.0)) for p in marginals)
     lhs = h123 + h2
     rhs = h12 + h23
     slack = rhs - lhs
-    return StrongSubadditivityResult(lhs, rhs, slack >= -tol, slack)
+    return StrongSubadditivityResult(lhs, rhs, slack >= -1e-10, slack)

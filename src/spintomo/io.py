@@ -147,10 +147,10 @@ def channel_to_obj(channel: KrausChannel) -> dict:
     return {"kind": "kraus", "ops": [matrix_to_obj(v) for v in channel.ops]}
 
 
-def dumps(obj, allow_nan: bool = True) -> str:
-    """Deterministic JSON text; ``allow_nan=False`` refuses NaN and infinities
-    (ValueError), which JSON has no form for."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n"
+def dumps(obj) -> str:
+    """Deterministic JSON text; NaN and infinities, which JSON has no form for,
+    are refused (ValueError)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def read_json(path: str):

@@ -33,10 +33,6 @@ def hermiticity_residual(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_residual(m) <= tol
-
-
 def unitarity_residual(u) -> float:
     """max |u^dag u - 1| over the entries, and over every frame of an (F, n, n) stack."""
     u = np.asarray(u)
@@ -65,13 +61,13 @@ def hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def eig_hermitian(m, tol: float = HERMITICITY_TOL):
+def eig_hermitian(m):
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
     Returns (w, v) with m = v @ diag(w) @ v^dagger.
     """
     m = as_matrix(m)
-    if hermiticity_residual(m) > tol:
+    if hermiticity_residual(m) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
@@ -86,7 +82,11 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _haar_from_rng(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
+    """Batch of Haar unitaries, shape (count, n, n)."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    rng = np.random.default_rng(rng_or_seed)
     z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
     z /= np.sqrt(2.0)
     # Gram-Schmidt on the columns gives the Q whose R has a positive diagonal,
@@ -106,22 +106,7 @@ def _haar_from_rng(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
     """One Haar-distributed n x n unitary (phase-fixed QR of a Ginibre matrix)."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    rng = np.random.default_rng(seed)
-    return _haar_from_rng(n, 1, rng)[0]
-
-
-def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
-    """Batch of Haar unitaries, shape (count, n, n)."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    rng = (
-        rng_or_seed
-        if isinstance(rng_or_seed, np.random.Generator)
-        else np.random.default_rng(rng_or_seed)
-    )
-    return _haar_from_rng(n, count, rng)
+    return haar_unitaries(n, 1, seed)[0]
 
 
 def kron_all(mats) -> np.ndarray:
@@ -172,10 +157,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
-
-    def reshaped(self, dims) -> "DensityMatrix":
-        """Same matrix with a different declared tensor factorization."""
-        return DensityMatrix(self.mat.copy(), tuple(dims), psd_slack=self.psd_slack)
 
 
 def random_density(n: int, rank: int, seed: int, dims=None) -> DensityMatrix:

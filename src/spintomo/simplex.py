@@ -71,10 +71,10 @@ class SimplexSample:
     seed: int
     group: GroupSpec
 
-    def validate(self, tol: float = SIMPLEX_TOL) -> None:
-        if np.min(self.points) < -tol:
+    def validate(self) -> None:
+        if np.min(self.points) < -SIMPLEX_TOL:
             raise ValueError("sample contains a negative probability")
-        if np.max(np.abs(self.points.sum(axis=1) - 1.0)) > tol:
+        if np.max(np.abs(self.points.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
             raise ValueError("sample rows do not sum to 1")
 
 
@@ -116,7 +116,6 @@ class DimensionReport:
     rank: int
     singular_values: np.ndarray
     rel_tol: float
-    step: float
     base_points: int
 
 
@@ -124,15 +123,14 @@ def image_dimension_report(
     rho: DensityMatrix,
     g: GroupSpec,
     base_points: int = 5,
-    step: float = 1e-5,
     rel_tol: float = 1e-8,
     seed: int = 0,
 ) -> DimensionReport:
     """Numerical rank of the map u -> diag(u^dag rho u) restricted to the subgroup.
 
     At each random base point the Jacobian columns are central finite
-    differences along one-parameter curves u0 exp(i s G_k) for a Lie-algebra
-    basis {G_k}; the rank is the count of singular values above
+    differences (step 1e-5) along one-parameter curves u0 exp(i s G_k) for a
+    Lie-algebra basis {G_k}; the rank is the count of singular values above
     rel_tol * sigma_max, maximized over base points (rank can drop on
     measure-zero sets).
     """
@@ -140,6 +138,7 @@ def image_dimension_report(
         raise ValueError("at least one base point is required")
     factors, active = g.resolve(rho.dims)
     basis = _lie_basis(factors, active)
+    step = 1e-5
     e_plus = np.stack([expm_hermitian_times(gen, -step) for gen in basis])  # exp(+i step G)
     e_minus = np.stack([expm_hermitian_times(gen, step) for gen in basis])
     rng = np.random.default_rng(seed)
@@ -156,7 +155,6 @@ def image_dimension_report(
         rank=int(ranks[best]),
         singular_values=sv[best],
         rel_tol=rel_tol,
-        step=step,
         base_points=base_points,
     )
 
@@ -198,12 +196,12 @@ def entangled_ray_check(point, c0: complex, c1: complex) -> float:
     return float(max(abs(w[0] / a0 - w[3] / a1), abs(w[2] - w[1])))
 
 
-def eigenvalue_bounds_check(sample: SimplexSample, rho: DensityMatrix, tol: float = 1e-10) -> bool:
+def eigenvalue_bounds_check(sample: SimplexSample, rho: DensityMatrix) -> bool:
     """True iff every sampled coordinate lies in [lambda_min, lambda_max]."""
     eigs = np.linalg.eigvalsh(rho.mat)
     lo, hi = float(eigs[0]), float(eigs[-1])
     return bool(
-        np.all(sample.points >= lo - tol) and np.all(sample.points <= hi + tol)
+        np.all(sample.points >= lo - SIMPLEX_TOL) and np.all(sample.points <= hi + SIMPLEX_TOL)
     )
 
 

@@ -47,9 +47,9 @@ from .symbols import (
 STAR_OVERSAMPLE = 2.0
 
 
-def star_grid(j, oversample: float = STAR_OVERSAMPLE) -> QuadratureGrid:
+def star_grid(j) -> QuadratureGrid:
     """Default composition grid; oversampled to absorb product degree growth."""
-    return make_grid(j, oversample=oversample)
+    return make_grid(j, oversample=STAR_OVERSAMPLE)
 
 
 def _point(x):

@@ -12,12 +12,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def basis_ket(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
 def pure_state(vec, dims=None) -> DensityMatrix:
     """|psi><psi| from an (unnormalized) state vector."""
     v = np.asarray(vec, dtype=complex).ravel()

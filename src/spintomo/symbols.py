@@ -22,7 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 from .halfint import HalfInt, spin_range
-from .linalg import DensityMatrix, frame_diagonals, kron_all, partial_trace, unitarity_residual
+from .linalg import (
+    DensityMatrix,
+    _resolve_keep,
+    frame_diagonals,
+    kron_all,
+    partial_trace,
+    unitarity_residual,
+)
 from .quadrature import GROUP_VOLUME, QuadratureGrid
 from .su2 import (
     clebsch_gordan,
@@ -292,9 +299,9 @@ class Tomogram:
         sums = self.table.sum(axis=0)
         return float(np.max(np.abs(sums - 1.0)))
 
-    def check_normalized(self, tol: float = 1e-10) -> None:
+    def check_normalized(self) -> None:
         res = self.normalization_residual()
-        if res > tol:
+        if res > 1e-10:
             raise ValueError(f"tomogram not normalized per frame (residual {res:.3e})")
 
 
@@ -433,21 +440,18 @@ def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
 def tomogram_marginal(t: Tomogram, keep) -> Tomogram:
     """Sum out the outcomes of discarded subsystems.
 
-    Requires the tomogram to have been computed with product (tuple) frames;
-    the marginal then equals the tomogram of the partially traced state on
-    the kept factors.
+    Requires the tomogram to have been computed with product (tuple) frames
+    whose factors are d x d for the declared dims d; the marginal then equals
+    the tomogram of the partially traced state on the kept factors.
     """
     if t.kind != "unitary" or t.dims is None:
         raise ValueError("marginals are defined for unitary tomograms with declared dims")
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = tuple(sorted(set(int(k) for k in keep)))
+    keep = _resolve_keep(t.dims, keep)
     n_sub = len(t.dims)
-    if not keep or any(k < 0 or k >= n_sub for k in keep):
-        raise ValueError(f"keep={keep} invalid for dims {t.dims}")
+    shapes = [(d, d) for d in t.dims]
     for fr in t.frames:
-        if not (isinstance(fr, tuple) and len(fr) == n_sub):
-            raise ValueError("marginal requires product-form (tuple) frames")
+        if not (isinstance(fr, tuple) and [np.shape(f) for f in fr] == shapes):
+            raise ValueError(f"marginal requires product (tuple) frames with factor dims {t.dims}")
     block = t.table.reshape(t.dims + (t.n_frames,))
     drop_axes = tuple(k for k in range(n_sub) if k not in keep)
     reduced = block.sum(axis=drop_axes)

@@ -76,7 +76,7 @@ class TestTomogramCommand:
         obj[part][entry] = bad
         with tempfile.TemporaryDirectory() as tmp:
             state, out = Path(tmp) / "state.json", Path(tmp) / "never.json"
-            state.write_text(io.dumps(obj))
+            state.write_text(json.dumps(obj))
             frames = ["--j", "0.5"] if spin_grid else ["--n-frames", "5"]
             rc = main(["tomogram", "--state", str(state), *frames, "--out", str(out)])
             assert rc == 2

@@ -16,7 +16,7 @@ from spintomo.entropy import (
     tsallis_entropy,
     von_neumann,
 )
-from spintomo.linalg import DensityMatrix, haar_unitary, partial_trace, random_density
+from spintomo.linalg import DensityMatrix, haar_unitaries, haar_unitary, partial_trace, random_density
 from spintomo.states import bell_state, ghz_state, maximally_mixed, product_state, pure_state
 
 DIAG_4321 = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
@@ -256,3 +256,42 @@ class TestStrongSubadditivity:
     def test_refuses_non_unitary_frame(self):
         with pytest.raises(ValueError, match="not unitary"):
             strong_subadditivity_check(random_density(8, 8, seed=22, dims=(2, 2, 2)), 1.1 * np.eye(8))
+
+
+class TestSpectralRenyi:
+    """Eigenvalue roundoff must not count as support: x^q lifts 1e-17 to 0.02 at q = 0.1."""
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 2.0, 5.0])
+    def test_pure_state_has_zero_entropy(self, q):
+        rho = pure_state([1.0, 1.0j, 0.3, -0.2])
+        assert abs(quantum_renyi(rho, q)) <= 1e-12
+        assert abs(min_entropy_over_group(rho, 0, seed=0, q=q).min_value) <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 2.0])
+    def test_rank_two_state_matches_its_spectrum(self, q):
+        p = np.array([0.7, 0.3] + [0.0] * 6)
+        u = haar_unitary(8, 3)
+        rho = DensityMatrix(u @ np.diag(p) @ u.conj().T)
+        exact = np.log(0.7**q + 0.3**q) / (1.0 - q)
+        assert abs(quantum_renyi(rho, q) - exact) <= 1e-12
+        assert abs(min_entropy_over_group(rho, 0, seed=0, q=q).min_value - exact) <= 1e-12
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_per_frame_values_are_the_row_entropies(self, q):
+        rho = random_density(4, 2, seed=31)
+        report = min_entropy_over_group(rho, 20, seed=32, q=q)
+        probs = frame_probabilities(rho, haar_unitaries(4, 20, 32))
+        rows = [renyi_entropy(row / row.sum(), q) for row in probs]
+        assert np.max(np.abs(report.per_frame - rows)) < 1e-14
+
+    def test_integral_entropy_is_the_monte_carlo_part(self):
+        rho = random_density(3, 2, seed=33)
+        mc = min_entropy_over_group(rho, 50, seed=34).monte_carlo
+        assert integral_entropy(rho, 50, seed=34) == (mc.mean, mc.stderr)
+
+    def test_entropies_are_never_negative_zero(self):
+        for value in (renyi_entropy([1.0, 0.0], 1.0), renyi_entropy([1.0, 0.0], 3.0),
+                      quantum_renyi(pure_state([1.0, 0.0]), 5.0)):
+            assert value == 0.0 and np.copysign(1.0, value) == 1.0

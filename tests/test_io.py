@@ -56,9 +56,8 @@ class TestMatrixSchema:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_strict_dumps_refuses_non_finite(self, bad):
-        assert "NaN" in io.dumps({"x": float("nan")})
         with pytest.raises(ValueError, match="JSON compliant"):
-            io.dumps({"x": [1.0, bad]}, allow_nan=False)
+            io.dumps({"x": [1.0, bad]})
 
 
 class TestTomogramSchema:

@@ -103,6 +103,15 @@ class TestHaar:
     def test_empty_batch(self, n):
         assert haar_unitaries(n, 0, 1).shape == (0, n, n)
 
+    def test_single_draw_is_a_batch_of_one(self):
+        assert np.array_equal(haar_unitary(3, seed=21), haar_unitaries(3, 1, 21)[0])
+
+    def test_generator_or_seed(self):
+        rng = np.random.default_rng(22)
+        assert np.array_equal(haar_unitaries(3, 4, rng), haar_unitaries(3, 4, 22))
+        # the caller's generator is advanced, not copied
+        assert not np.array_equal(haar_unitaries(3, 4, rng), haar_unitaries(3, 4, 22))
+
     def test_output_is_c_contiguous(self):
         assert haar_unitaries(4, 100, 1).flags.c_contiguous
         assert haar_unitary(4, seed=1).flags.c_contiguous

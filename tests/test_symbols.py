@@ -280,6 +280,21 @@ class TestMarginal:
         with pytest.raises(ValueError):
             tomogram_marginal(t, keep=0)
 
+    def test_refuses_factors_that_do_not_match_dims(self):
+        # (1x1, 4x4) factors kron to a valid 4x4 frame, but not to a (2, 2) product
+        rho = random_density(4, 2, seed=16, dims=(2, 2))
+        frames = [(np.eye(1, dtype=complex), u) for u in haar_unitaries(4, 3, 17)]
+        t = unitary_tomogram(rho, frames)
+        with pytest.raises(ValueError, match="factor dims"):
+            tomogram_marginal(t, keep=0)
+
+    @pytest.mark.parametrize("keep", [(), 2, (0, -1)])
+    def test_refuses_bad_keep(self, keep):
+        rho = random_density(4, 2, seed=18, dims=(2, 2))
+        frames = [(haar_unitaries(2, 1, 19)[0], haar_unitaries(2, 1, 20)[0])]
+        with pytest.raises(ValueError):
+            tomogram_marginal(unitary_tomogram(rho, frames), keep=keep)
+
 
 class TestTomogramType:
     def test_shape_validation(self):
