@@ -104,6 +104,7 @@ from .symbols import (
     SpinFrames,
     SpinTransform,
     Tomogram,
+    UnitaryFrames,
     dequantizer_U,
     dequantizer_series,
     grid_frames,

@@ -133,7 +133,7 @@ def _cmd_tomogram(args) -> str | dict:
         elif args.n_frames:
             if args.n_frames < 1:
                 raise ValueError("--n-frames must be positive")
-            frames = list(haar_unitaries(rho.dim, args.n_frames, np.random.default_rng(args.seed)))
+            frames = haar_unitaries(rho.dim, args.n_frames, np.random.default_rng(args.seed))
         else:
             raise ValueError("tomogram needs --frames, --n-frames, or --j")
         t = unitary_tomogram(rho, frames)

@@ -20,7 +20,7 @@ from .errors import ZeroProbabilityError
 from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, frame_diagonals, hermiticity_residual
 from .quadrature import QuadratureGrid
 from .star import star_compose
-from .symbols import Tomogram, frame_stack
+from .symbols import Tomogram
 
 
 def evolve_state(rho: DensityMatrix, h, t: float) -> DensityMatrix:
@@ -48,11 +48,11 @@ def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
         )
     h = as_matrix(h)
     u_t = expm_hermitian_times(h, t)
-    shifted = u_t.conj().T @ frame_stack(t0.frames, t0.source_state.dim)
+    shifted = u_t.conj().T @ t0.frames.stack
     evolved = Tomogram(
         kind="unitary",
         outcomes=list(t0.outcomes),
-        frames=list(t0.frames),
+        frames=t0.frames,
         table=frame_diagonals(t0.source_state.mat, shifted).T,
         dims=t0.dims,
         source_state=evolve_state(t0.source_state, h, t),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DensityMatrix, frame_diagonals, haar_unitaries
-from .symbols import frame_stack
+from .symbols import UnitaryFrames
 
 NEG_TOL = 1e-10
 
@@ -42,7 +42,9 @@ def _renyi(p: np.ndarray, q: float) -> np.ndarray:
     """
     if q == 1.0:
         return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1) + 0.0
-    return np.log(np.sum(p**q, axis=-1)) / (1.0 - q) + 0.0
+    # scaled by the largest entry, so that no p^q underflows at large orders
+    top = np.max(p, axis=-1, keepdims=True)
+    return (np.log(np.sum((p / top) ** q, axis=-1)) + q * np.log(top[..., 0])) / (1.0 - q) + 0.0
 
 
 def _spectrum(eigs) -> np.ndarray:
@@ -181,7 +183,7 @@ class StrongSubadditivityResult(NamedTuple):
 
 
 def _joint_probabilities(rho: DensityMatrix, u) -> np.ndarray:
-    return frame_probabilities(rho, frame_stack([u], rho.dim))[0].reshape(rho.dims)
+    return frame_probabilities(rho, UnitaryFrames.of([u], rho.dim).stack)[0].reshape(rho.dims)
 
 
 def subadditivity_check(rho12: DensityMatrix, u) -> SubadditivityResult:

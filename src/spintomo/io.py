@@ -18,7 +18,7 @@ import numpy as np
 from .channels import CHANNEL_KINDS, KrausChannel, build_channel
 from .halfint import HalfInt
 from .linalg import DensityMatrix
-from .symbols import EulerAngles, SpinFrame, SpinFrames, Tomogram
+from .symbols import EulerAngles, SpinFrame, Tomogram
 
 
 def fmt_float(x: float) -> str:
@@ -121,14 +121,12 @@ def tomogram_from_obj(obj) -> Tomogram:
     if kind == "spin":
         j = HalfInt(int(obj["j_twice"]))
         outcomes = [HalfInt(int(m)) for m in obj["outcomes"]]
-        frames = SpinFrames.of(frame_from_obj(f, j) for f in obj["frames"])
+        frames = [frame_from_obj(f, j) for f in obj["frames"]]
         return Tomogram(kind="spin", outcomes=outcomes, frames=frames, table=values, j=j)
     dims = tuple(int(d) for d in obj["dims"])
     outcomes = [tuple(int(i) for i in o) for o in obj["outcomes"]]
     frames = [frame_from_obj(f, None) for f in obj["frames"]]
-    return Tomogram(
-        kind="unitary", outcomes=outcomes, frames=frames, table=values, dims=dims
-    )
+    return Tomogram(kind="unitary", outcomes=outcomes, frames=frames, table=values, dims=dims)
 
 
 def channel_from_obj(obj) -> KrausChannel:

@@ -16,7 +16,7 @@ from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid, make_grid
-from .symbols import QuantizerPair, SpinFrames, SpinTransform, Tomogram, _product_factors, frame_stack
+from .symbols import QuantizerPair, SpinTransform, Tomogram, UnitaryFrames, _product_factors
 
 __all__ = [
     "make_grid",
@@ -36,8 +36,7 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
     """
     if t.kind != "spin" or not t.frames:
         raise ValueError("grid inference needs a spin tomogram with frames")
-    frames = SpinFrames.of(t.frames)
-    factors = _product_factors(frames.betas, frames.gammas)
+    factors = _product_factors(t.frames.betas, t.frames.gammas)
     if factors is None:
         raise ValueError("tomogram frames do not form a regular grid")
     grid = _product_grid(*(nodes.size for nodes in factors))
@@ -47,7 +46,6 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
 
 
 def _frames_match_grid(frames, j: HalfInt, grid: QuadratureGrid) -> bool:
-    frames = SpinFrames.of(frames)
     if len(frames) != grid.n_nodes or frames.j != j:
         return False
     if frames.grid is grid:
@@ -81,7 +79,7 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     if t.kind != "unitary":
         raise ValueError("expected a unitary-frame tomogram")
     d = t.n_outcomes
-    a = _design_matrix(frame_stack(t.frames, d))
+    a = _design_matrix(t.frames.stack)
     b = np.append(t.table.real.T.reshape(-1), 1.0)
 
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
@@ -125,7 +123,7 @@ def _design_matrix(us: np.ndarray) -> np.ndarray:
 
 def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
     """Max abs mismatch between the tomogram and the state's forward symbol."""
-    pred = frame_diagonals(rho.mat, frame_stack(t.frames, rho.dim)).real
+    pred = frame_diagonals(rho.mat, UnitaryFrames.of(t.frames, rho.dim).stack).real
     return float(np.max(np.abs(pred.T - t.table.real)))
 
 

@@ -59,7 +59,9 @@ def wigner_small_d(j, m1, m2, beta: float) -> float:
     """Rotation matrix element d^j_{m1 m2}(beta) about the y axis.
 
     Evaluated by the explicit alternating sum over log-factorials; the result
-    is real for all admissible (j, m1, m2).
+    is real for all admissible (j, m1, m2).  It cancels digits as j grows: the
+    d-matrix unitarity defect, worst over beta, is 3e-13 at j = 10, 4e-10 at
+    j = 20 and 4e-7 at j = 30 (``wigner_d_stack`` has no such limit).
     """
     j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
     _check_jm_pair(j, m1)
@@ -195,7 +197,9 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
 
     Selection-rule failures (M != m1+m2, triangle violations) return 0;
-    malformed spins raise.
+    malformed spins raise.  The alternating sum cancels digits as spins grow:
+    the orthogonality defect of the M = 0 block <j m; j -m|L 0> is 6.5e-12 at
+    j = 20, 9.6e-11 at 25, 9.8e-10 at 30 and 1.3e-7 at 40 (trusted: 2j <= 40).
     """
     j1, m1 = HalfInt.of(j1), HalfInt.of(m1)
     j2, m2 = HalfInt.of(j2), HalfInt.of(m2)
@@ -223,7 +227,7 @@ def _w3j(j1t: int, j2t: int, j3t: int, m1t: int, m2t: int, m3t: int) -> float:
 
 
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
-    """3j symbol; selection-rule violations yield 0 rather than an error."""
+    """3j symbol, a rescaled ``clebsch_gordan`` (1e-11 to spin 20); selection-rule violations yield 0."""
     js = [HalfInt.of(x) for x in (j1, j2, j3)]
     ms = [HalfInt.of(x) for x in (m1, m2, m3)]
     for jj in js:
@@ -267,7 +271,10 @@ def _w6j(j1t: int, j2t: int, j3t: int, j4t: int, j5t: int, j6t: int) -> float:
 
 
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
-    """6j symbol {j1 j2 j3; j4 j5 j6}; triangle violations yield 0."""
+    """6j symbol {j1 j2 j3; j4 j5 j6}; triangle violations yield 0.
+
+    Digits cancel as spins grow: the orthogonality defect over x, y of
+    sqrt((2x+1)(2y+1)) {j j x; j j y} is 1.3e-12 at j = 20, 2.3e-9 at j = 40."""
     js = [HalfInt.of(x) for x in (j1, j2, j3, j4, j5, j6)]
     for jj in js:
         _check_spin(jj)

@@ -32,6 +32,7 @@ from .linalg import (
 )
 from .quadrature import GROUP_VOLUME, QuadratureGrid
 from .su2 import (
+    _check_jm_pair,
     clebsch_gordan,
     irreducible_tensor,
     rotation_matrix,
@@ -49,14 +50,6 @@ class EulerAngles:
     alpha: float
     beta: float
     gamma: float
-
-    def normalized(self) -> "EulerAngles":
-        """Reduce alpha, gamma mod 2pi and require beta in [0, pi]."""
-        two_pi = 2.0 * np.pi
-        beta = float(self.beta)
-        if not 0.0 <= beta <= np.pi + 1e-12:
-            raise ValueError(f"beta must lie in [0, pi], got {beta}")
-        return EulerAngles(float(self.alpha) % two_pi, min(beta, np.pi), float(self.gamma) % two_pi)
 
 
 @dataclass(frozen=True)
@@ -91,15 +84,15 @@ class SpinFrames(Sequence):
         """``frames`` itself, or a nonempty sequence of same-j ``SpinFrame``s as arrays."""
         if isinstance(frames, cls):
             return frames
-        frames = list(frames)
-        if not frames:
+        items = [*frames]
+        if not items:
             raise ValueError("at least one frame is required")
-        if not all(isinstance(fr, SpinFrame) for fr in frames):
+        if not all(isinstance(fr, SpinFrame) for fr in items):
             raise ValueError("spin frames must be SpinFrame objects")
-        j = frames[0].j
-        if any(fr.j != j for fr in frames):
+        j = items[0].j
+        if any(fr.j != j for fr in items):
             raise ValueError("all frames must share the same spin j")
-        angles = np.array([(fr.angles.alpha, fr.angles.beta, fr.angles.gamma) for fr in frames], dtype=float)
+        angles = np.array([(fr.angles.alpha, fr.angles.beta, fr.angles.gamma) for fr in items], dtype=float)
         return cls(j, angles[:, 1], angles[:, 2], angles[:, 0])
 
     def __len__(self) -> int:
@@ -116,6 +109,48 @@ class SpinFrames(Sequence):
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     """Spin frames at the grid nodes (alpha = 0), in grid node order."""
     return SpinFrames(j, *grid.node_angles(), grid=grid)
+
+
+class UnitaryFrames(Sequence):
+    """Unitary frames as one validated (F, n, n) complex ``stack``, in frame order.
+
+    Tuple frames also keep ``factors``, their per-factor (F, d_k, d_k) stacks
+    (None for matrix frames).  Indexing yields each frame as it was given: a
+    matrix, or a tuple of factor matrices.
+    """
+
+    def __init__(self, stack, factors=None):
+        self.stack, self.factors = np.asarray(stack, dtype=complex), factors
+        if not unitarity_residual(self.stack) <= 1e-8:
+            raise ValueError("frame is not unitary within 1e-8")
+
+    @classmethod
+    def of(cls, frames, n: int) -> "UnitaryFrames":
+        """``frames`` itself if n x n, else an (F, n, n) array, n x n matrices or
+        tuples of per-factor unitaries as one set.  An empty set, a frame not
+        n x n and a unitarity residual above 1e-8 (or NaN) are refused."""
+        if isinstance(frames, cls) and frames.stack.shape[1:] == (n, n):
+            return frames
+        items, factors = frames, None
+        if not isinstance(items, np.ndarray):
+            items = list(items)
+            if items and all(isinstance(fr, tuple) for fr in items):
+                factors = [np.stack(factor) for factor in zip(*items, strict=True)]
+                items = kron_all(factors)
+            elif any(isinstance(fr, tuple) for fr in items):
+                raise ValueError("frames must be all matrices or all tuples of per-factor unitaries")
+        if len(items) == 0:
+            raise ValueError("at least one frame is required")
+        stack = np.asarray(items, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1:] != (n, n):
+            raise ValueError(f"frame shape {stack.shape[1:]} does not match state dimension {n}")
+        return cls(stack, factors)
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def __getitem__(self, i: int):
+        return self.stack[i] if self.factors is None else tuple(f[i] for f in self.factors)
 
 
 def _coupled_m0_block(jt: int) -> np.ndarray:
@@ -174,8 +209,8 @@ class SpinTransform:
     On beta-major product frames (every grid) the phase step is one matrix
     product with the (4j+1, n_gamma) phase table (Kostelec & Rockmore, "FFTs on
     the rotation group", J. Fourier Anal. Appl. 14, 2008); any other frame list
-    gets one phase row per frame.  ``weights`` are the quadrature weights W_x,
-    needed only to synthesize.
+    gets one phase row per frame and is only analyzed.  ``weights`` are the
+    quadrature weights W_x, needed only to synthesize.
     """
 
     def __init__(self, j, betas, gammas, weights=None):
@@ -227,17 +262,12 @@ class SpinTransform:
 
     def synthesize(self, w) -> np.ndarray:
         """Operator with symbol table ``w`` of shape (2j+1, frames)."""
-        if self.weights is None:
-            raise ValueError("synthesis needs quadrature weights")
+        if self.weights is None or self._beta_index is not None:
+            raise ValueError("synthesis needs quadrature weights on beta-major product frames")
         n = self.j.twice + 1
         c = (_identity_quantizer(self.j.twice) @ w) * self.weights
-        if self._beta_index is None:
-            c = c.reshape(n, -1, self._phases.shape[1]).transpose(1, 0, 2)
-            sums = c @ self._phases.conj().T
-        else:
-            sums = np.zeros((self._table.shape[0] // n, n, 2 * n - 1), dtype=complex)
-            np.add.at(sums, self._beta_index, np.einsum("mx,kx->xmk", c, self._phases.conj()))
-        sums = sums.reshape(-1, 2 * n - 1)
+        c = c.reshape(n, -1, self._phases.shape[1]).transpose(1, 0, 2)
+        sums = (c @ self._phases.conj().T).reshape(-1, 2 * n - 1)
         return np.einsum("rc,rc->c", self._table, sums[:, self._diagonal]).reshape(n, n)
 
 
@@ -245,9 +275,9 @@ class SpinTransform:
 class Tomogram:
     """Symbol table over outcomes x frames.
 
-    ``kind`` is "spin" (rotation frames, outcomes are magnetic numbers;
-    ``spin_tomogram`` keeps them as ``SpinFrames``) or "unitary"
-    (unitary-matrix frames, outcomes are basis index tuples).  The
+    ``kind`` is "spin" (rotation frames as ``SpinFrames``, outcomes are
+    magnetic numbers) or "unitary" (``UnitaryFrames``, outcomes are basis index
+    tuples); frames are converted, and checked, once on construction.  The
     table is stored complex so symbols of arbitrary observables are
     representable; ``values`` exposes the probability view and raises if the
     data is not a clean probability table, while ``observable_values`` returns
@@ -256,13 +286,17 @@ class Tomogram:
 
     kind: str
     outcomes: list
-    frames: Sequence
+    frames: SpinFrames | UnitaryFrames
     table: np.ndarray
     j: HalfInt | None = None
     dims: tuple[int, ...] | None = None
     source_state: DensityMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.kind == "spin":
+            self.frames = SpinFrames.of(self.frames)
+        else:
+            self.frames = UnitaryFrames.of(self.frames, len(self.outcomes))
         self.table = np.asarray(self.table, dtype=complex)
         if self.table.shape != (len(self.outcomes), len(self.frames)):
             raise ValueError(
@@ -308,7 +342,7 @@ class Tomogram:
 def dequantizer_U(j, m, omega: EulerAngles) -> np.ndarray:
     """Rotated projector R(g)^dag |j m><j m| R(g); rank one, unit trace."""
     j, m = HalfInt.of(j), HalfInt.of(m)
-    _check_m(j, m)
+    _check_jm_pair(j, m)
     r = rotation_matrix(j, omega.alpha, omega.beta, omega.gamma)
     k = (j.twice - m.twice) // 2
     row = r[k, :]
@@ -322,7 +356,7 @@ def dequantizer_series(j, m, omega: EulerAngles) -> np.ndarray:
     cross-check of the rotated-projector construction.
     """
     j, m = HalfInt.of(j), HalfInt.of(m)
-    _check_m(j, m)
+    _check_jm_pair(j, m)
     n = j.twice + 1
     out = np.zeros((n, n), dtype=complex)
     for (L, M), coeff in _series_coefficients(j, m, omega):
@@ -333,17 +367,12 @@ def dequantizer_series(j, m, omega: EulerAngles) -> np.ndarray:
 def quantizer_D(j, m, omega: EulerAngles) -> np.ndarray:
     """Dual operator with weights (2L+1)/(8 pi^2) on the same series."""
     j, m = HalfInt.of(j), HalfInt.of(m)
-    _check_m(j, m)
+    _check_jm_pair(j, m)
     n = j.twice + 1
     out = np.zeros((n, n), dtype=complex)
     for (L, M), coeff in _series_coefficients(j, m, omega):
         out += coeff * (L.twice + 1) / GROUP_VOLUME * irreducible_tensor(j, L, M)
     return out
-
-
-def _check_m(j: HalfInt, m: HalfInt) -> None:
-    if (j.twice - m.twice) % 2 != 0 or abs(m.twice) > j.twice:
-        raise ValueError(f"m={m} invalid for j={j}")
 
 
 def _series_coefficients(j: HalfInt, m: HalfInt, omega: EulerAngles):
@@ -388,43 +417,18 @@ def spin_tomogram(a, frames) -> Tomogram:
     return t
 
 
-def frame_stack(frames, n: int) -> np.ndarray:
-    """Unitary frames as one validated (F, n, n) complex stack.
-
-    ``frames`` is an (F, n, n) array, a sequence of n x n matrices, or a
-    sequence of tuples of per-factor unitaries, whose Kronecker products are
-    the frames.  An empty set, a frame that is not n x n and a frame whose
-    unitarity residual exceeds 1e-8 are refused.
-    """
-    if not isinstance(frames, np.ndarray):
-        frames = list(frames)
-        if frames and all(isinstance(fr, tuple) for fr in frames):
-            frames = kron_all([np.stack(factor) for factor in zip(*frames, strict=True)])
-        elif any(isinstance(fr, tuple) for fr in frames):
-            raise ValueError("frames must be all matrices or all tuples of per-factor unitaries")
-    if len(frames) == 0:
-        raise ValueError("at least one frame is required")
-    stack = np.asarray(frames, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1:] != (n, n):
-        raise ValueError(f"frame shape {stack.shape[1:]} does not match state dimension {n}")
-    if not unitarity_residual(stack) <= 1e-8:
-        raise ValueError("frame is not unitary within 1e-8")
-    return stack
-
-
 def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
     """Unitary symbol w(mvec, u) = <mvec| u^dag rho u |mvec|>.
 
-    Frames may be unitary matrices or tuples of per-factor unitaries (their
-    Kronecker product is used); tuple frames keep enough structure for
-    marginals over subsystems.
+    ``frames`` is any input of ``UnitaryFrames.of``, checked once here and kept
+    as that set; tuple frames (Kronecker products of per-factor unitaries) keep
+    their ``factors``, which marginals over subsystems need.
     """
     if not isinstance(rho, DensityMatrix):
         raise ValueError("unitary_tomogram expects a DensityMatrix")
-    frames = list(frames)
-    n = rho.dim
-    table = frame_diagonals(rho.mat, frame_stack(frames, n)).T
-    outcomes = [tuple(int(i) for i in np.unravel_index(k, rho.dims)) for k in range(n)]
+    frames = UnitaryFrames.of(frames, rho.dim)
+    table = frame_diagonals(rho.mat, frames.stack).T
+    outcomes = [tuple(int(i) for i in np.unravel_index(k, rho.dims)) for k in range(rho.dim)]
     t = Tomogram(
         kind="unitary",
         outcomes=outcomes,
@@ -442,27 +446,22 @@ def tomogram_marginal(t: Tomogram, keep) -> Tomogram:
 
     Requires the tomogram to have been computed with product (tuple) frames
     whose factors are d x d for the declared dims d; the marginal then equals
-    the tomogram of the partially traced state on the kept factors.
+    the tomogram of the partially traced state on the kept factors, over the
+    kept ``factors`` (matrix frames when one subsystem is kept).
     """
     if t.kind != "unitary" or t.dims is None:
         raise ValueError("marginals are defined for unitary tomograms with declared dims")
     keep = _resolve_keep(t.dims, keep)
-    n_sub = len(t.dims)
-    shapes = [(d, d) for d in t.dims]
-    for fr in t.frames:
-        if not (isinstance(fr, tuple) and [np.shape(f) for f in fr] == shapes):
-            raise ValueError(f"marginal requires product (tuple) frames with factor dims {t.dims}")
-    block = t.table.reshape(t.dims + (t.n_frames,))
-    drop_axes = tuple(k for k in range(n_sub) if k not in keep)
-    reduced = block.sum(axis=drop_axes)
+    factors = t.frames.factors
+    if factors is None or [f.shape[1:] for f in factors] != [(d, d) for d in t.dims]:
+        raise ValueError(f"marginal requires product (tuple) frames with factor dims {t.dims}")
+    drop_axes = tuple(k for k in range(len(t.dims)) if k not in keep)
+    reduced = t.table.reshape(t.dims + (-1,)).sum(axis=drop_axes).reshape(-1, t.n_frames)
     kept_dims = tuple(t.dims[k] for k in keep)
     n_keep = int(np.prod(kept_dims))
-    reduced = reduced.reshape(n_keep, t.n_frames)
     outcomes = [tuple(int(i) for i in np.unravel_index(k, kept_dims)) for k in range(n_keep)]
-    if len(keep) == 1:
-        new_frames = [fr[keep[0]] for fr in t.frames]
-    else:
-        new_frames = [tuple(fr[k] for k in keep) for fr in t.frames]
+    kept = [factors[k] for k in keep]
+    new_frames = UnitaryFrames(kept[0]) if len(keep) == 1 else UnitaryFrames(kron_all(kept), kept)
     source = partial_trace(t.source_state, keep) if t.source_state is not None else None
     return Tomogram(
         kind="unitary",

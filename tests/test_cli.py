@@ -289,6 +289,18 @@ class TestEntropyCommand:
         assert not (tmp / "e.json").exists()
 
 
+    @pytest.mark.parametrize("q", ["600", "1000", "1e6"])
+    def test_large_order_exits_0(self, tmp_path, q):
+        # every frame row of the maximally mixed state is uniform, so every entropy is ln 4
+        state, out = tmp_path / "mixed4.json", tmp_path / "e.json"
+        state.write_text(io.dumps(io.density_to_obj(maximally_mixed((4,)))))
+        rc = main(["entropy", "--state", str(state), "--samples", "10", "--q", q, "--out", str(out)])
+        assert rc == 0
+        report = json.load(out.open())
+        assert report["min_value"] == pytest.approx(np.log(4.0), abs=1e-12)
+        assert np.max(np.abs(np.array(report["per_frame"]) - np.log(4.0))) < 1e-12
+
+
 class TestPeresCommand:
     def test_entangled_werner(self, workdir):
         tmp, paths = workdir

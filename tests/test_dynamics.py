@@ -13,6 +13,7 @@ from spintomo.dynamics import (
 )
 from spintomo.errors import ZeroProbabilityError
 from spintomo.linalg import haar_unitaries, random_density
+from spintomo.reconstruction import reconstruct_from_unitary_frame, reconstruction_residual
 from spintomo.star import star_grid
 from spintomo.states import SIGMA_Z, plus_state, pure_state
 from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
@@ -90,21 +91,22 @@ class TestEvolveTomogram:
             evolve_tomogram(t0, np.zeros((2, 2)), 1.0)
 
     def test_frames_validated_once(self, monkeypatch):
-        import spintomo.dynamics as dynamics
         import spintomo.symbols as symbols
 
         calls = []
-        stack = symbols.frame_stack
+        residual = symbols.unitarity_residual
 
-        def counting_stack(frames, n):
-            calls.append(n)
-            return stack(frames, n)
+        def counting_residual(u):
+            calls.append(np.shape(u))
+            return residual(u)
 
+        monkeypatch.setattr(symbols, "unitarity_residual", counting_residual)
         t0 = unitary_tomogram(random_density(3, 3, seed=2), list(haar_unitaries(3, 5, 3)))
-        monkeypatch.setattr(dynamics, "frame_stack", counting_stack)
-        monkeypatch.setattr(symbols, "frame_stack", counting_stack)
-        evolve_tomogram(t0, np.diag([1.0, 0.0, -1.0]), 0.4)
-        assert calls == [3]
+        rho = reconstruct_from_unitary_frame(t0)
+        reconstruction_residual(t0, rho)
+        evolved = evolve_tomogram(t0, np.diag([1.0, 0.0, -1.0]), 0.4)
+        assert calls == [(5, 3, 3)]
+        assert evolved.frames is t0.frames
 
 
 class TestMeasureUpdate:

@@ -277,6 +277,20 @@ class TestSpectralRenyi:
         assert abs(min_entropy_over_group(rho, 0, seed=0, q=q).min_value - exact) <= 1e-12
 
 
+class TestLargeOrders:
+    """sum p^q underflows to 0 from q of a few hundred unless p is scaled first."""
+
+    @pytest.mark.parametrize("q", [600.0, 1000.0, 1e6])
+    def test_uniform_distribution_keeps_ln_n(self, q):
+        assert quantum_renyi(maximally_mixed((4,)), q) == pytest.approx(np.log(4.0), abs=1e-12)
+        assert renyi_entropy(np.full(4, 0.25), q) == pytest.approx(np.log(4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("q", [600.0, 1000.0, 1e6])
+    def test_approaches_min_entropy(self, q):
+        # ln sum p^q -> q ln p_max, so H_q -> q/(q-1) (-ln p_max) = H_inf q/(q-1)
+        assert quantum_renyi(DIAG_4321, q) == pytest.approx(q / (q - 1.0) * -np.log(0.4), abs=1e-12)
+
+
 class TestOneKernel:
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
     def test_per_frame_values_are_the_row_entropies(self, q):

@@ -87,6 +87,12 @@ class TestTomogramSchema:
         assert isinstance(back.frames[0], tuple)
         assert len(back.frames[0]) == 2
 
+    def test_non_unitary_frame_refused_on_load(self):
+        obj = io.tomogram_to_obj(unitary_tomogram(random_density(2, 2, seed=2), list(haar_unitaries(2, 3, 3))))
+        obj["frames"][1]["unitary"]["re"][0] += 1e-6
+        with pytest.raises(ValueError, match="not unitary within 1e-8"):
+            io.tomogram_from_obj(obj)
+
     def test_complex_symbol_round_trip(self, rng):
         grid = make_grid(0.5)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

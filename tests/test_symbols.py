@@ -15,10 +15,11 @@ from spintomo.symbols import (
     EulerAngles,
     QuantizerPair,
     SpinFrame,
+    SpinFrames,
     Tomogram,
+    UnitaryFrames,
     dequantizer_series,
     dequantizer_U,
-    frame_stack,
     grid_frames,
     quantizer_D,
     spin_tomogram,
@@ -29,17 +30,6 @@ from spintomo.symbols import (
 
 def random_angles(rng) -> EulerAngles:
     return EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-
-
-class TestEulerAngles:
-    def test_normalization_wraps_alpha_gamma(self):
-        ang = EulerAngles(2 * np.pi + 0.25, 1.0, -0.5).normalized()
-        assert ang.alpha == pytest.approx(0.25, abs=1e-12)
-        assert ang.gamma == pytest.approx(2 * np.pi - 0.5, abs=1e-12)
-
-    def test_beta_range_enforced(self):
-        with pytest.raises(ValueError):
-            EulerAngles(0.0, 3.5, 0.0).normalized()
 
 
 class TestDequantizer:
@@ -183,30 +173,53 @@ class TestFrameStack:
     def test_accepts_arrays_matrix_lists_and_product_tuples(self):
         a, b = haar_unitaries(2, 5, 1), haar_unitaries(2, 5, 2)
         joint = np.stack([np.kron(x, y) for x, y in zip(a, b)])
-        assert np.array_equal(frame_stack(joint, 4), joint)
-        assert np.array_equal(frame_stack(list(joint), 4), joint)
-        assert np.array_equal(frame_stack(list(zip(a, b)), 4), joint)
+        assert np.array_equal(UnitaryFrames.of(joint, 4).stack, joint)
+        assert np.array_equal(UnitaryFrames.of(list(joint), 4).stack, joint)
+        assert np.array_equal(UnitaryFrames.of(list(zip(a, b)), 4).stack, joint)
 
     @pytest.mark.parametrize("frames", [[], np.zeros((0, 2, 2))])
     def test_refuses_empty(self, frames):
         with pytest.raises(ValueError, match="at least one frame"):
-            frame_stack(frames, 2)
+            UnitaryFrames.of(frames, 2)
 
     @pytest.mark.parametrize("frames", [[np.eye(3)], [(np.eye(2), np.eye(2))], np.eye(2)])
     def test_refuses_wrong_shape(self, frames):
         with pytest.raises(ValueError, match="frame shape"):
-            frame_stack(frames, 2)
+            UnitaryFrames.of(frames, 2)
 
     @pytest.mark.parametrize("bad", [np.diag([1.0, 1.0 + 2e-8]), np.full((2, 2), np.nan)])
     def test_refuses_non_unitary(self, bad):
         with pytest.raises(ValueError, match="not unitary within 1e-8"):
-            frame_stack([np.eye(2), bad], 2)
+            UnitaryFrames.of([np.eye(2), bad], 2)
 
     def test_refuses_mixed_and_ragged_product_frames(self):
         with pytest.raises(ValueError, match="all matrices or all tuples"):
-            frame_stack([np.eye(4), (np.eye(2), np.eye(2))], 4)
+            UnitaryFrames.of([np.eye(4), (np.eye(2), np.eye(2))], 4)
         with pytest.raises(ValueError):
-            frame_stack([(np.eye(2), np.eye(2)), (np.eye(4),)], 4)
+            UnitaryFrames.of([(np.eye(2), np.eye(2)), (np.eye(4),)], 4)
+
+
+class TestUnitaryFrames:
+    def test_frames_index_in_the_form_given(self):
+        a, b = haar_unitaries(2, 3, 1), haar_unitaries(3, 3, 2)
+        product = UnitaryFrames.of(list(zip(a, b)), 6)
+        assert [f.shape for f in product.factors] == [(3, 2, 2), (3, 3, 3)]
+        assert isinstance(product[1], tuple) and np.array_equal(product[1][1], b[1])
+        assert all(np.array_equal(fr[0], x) and np.array_equal(fr[1], y) for fr, x, y in zip(product, a, b))
+        matrices = UnitaryFrames.of(a, 2)
+        assert matrices.factors is None and np.array_equal(matrices[2], a[2])
+        assert UnitaryFrames.of(matrices, 2) is matrices
+        with pytest.raises(ValueError, match="frame shape"):
+            UnitaryFrames.of(matrices, 3)
+
+    def test_both_tomogram_kinds_hold_array_sets(self):
+        rho = random_density(2, 2, seed=4)
+        assert isinstance(unitary_tomogram(rho, list(haar_unitaries(2, 3, 5))).frames, UnitaryFrames)
+        assert isinstance(spin_tomogram(rho, list(grid_frames(0.5, make_grid(0.5)))).frames, SpinFrames)
+
+    def test_tomogram_refuses_non_unitary_frame(self):
+        with pytest.raises(ValueError, match="not unitary within 1e-8"):
+            Tomogram(kind="unitary", outcomes=[(0,), (1,)], frames=[2.0 * np.eye(2)], table=np.ones((2, 1)))
 
 
 class TestMarginal:
@@ -222,6 +235,16 @@ class TestMarginal:
         marg = tomogram_marginal(t, keep=0)
         direct = unitary_tomogram(r1, [f[0] for f in frames])
         assert np.max(np.abs(marg.values - direct.values)) < 1e-10
+
+    def test_marginal_frames_slice_kept_factors(self):
+        rho = random_density(12, 3, seed=7, dims=(2, 3, 2))
+        frames = list(zip(haar_unitaries(2, 4, 1), haar_unitaries(3, 4, 2), haar_unitaries(2, 4, 3)))
+        t = unitary_tomogram(rho, frames)
+        pair = tomogram_marginal(t, keep=(0, 2)).frames
+        assert pair.factors[0] is t.frames.factors[0] and pair.factors[1] is t.frames.factors[2]
+        assert isinstance(pair[0], tuple) and pair.stack.shape == (4, 4, 4)
+        single = tomogram_marginal(t, keep=1).frames
+        assert single.factors is None and np.array_equal(single.stack, t.frames.factors[1])
 
     def test_bell_state_marginal_uniform(self):
         frames = [

@@ -20,6 +20,7 @@ from spintomo.symbols import (
     SpinTransform,
     _coupled_m0_block,
     _identity_quantizer,
+    _product_factors,
     dequantizer_U,
     grid_frames,
     quantizer_D,
@@ -140,10 +141,16 @@ class TestBetaFactoredTransform:
         weights = rng.uniform(0.1, 1.0, n_frames)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         w = rng.standard_normal((n, n_frames)) + 1j * rng.standard_normal((n, n_frames))
-        transform = SpinTransform(j, betas, gammas, weights)
+        transform = SpinTransform(j, betas, gammas)
         assert np.max(np.abs(transform.analyze(a) - oracle_analyze(j, betas, gammas, a))) < 1e-12
-        want = oracle_synthesize(j, betas, gammas, weights, w)
-        assert np.max(np.abs(transform.synthesize(w) - want)) < 1e-12
+        # synthesis is a quadrature, so it is refused off a product of nodes
+        weighted = SpinTransform(j, betas, gammas, weights)
+        if _product_factors(betas, gammas) is None:
+            with pytest.raises(ValueError, match="product frames"):
+                weighted.synthesize(w)
+        else:
+            want = oracle_synthesize(j, betas, gammas, weights, w)
+            assert np.max(np.abs(weighted.synthesize(w) - want)) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
