@@ -50,10 +50,8 @@ def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
     u_t = expm_hermitian_times(h, t)
     shifted = u_t.conj().T @ t0.frames.stack
     evolved = Tomogram(
-        kind="unitary",
-        outcomes=list(t0.outcomes),
-        frames=t0.frames,
-        table=frame_diagonals(t0.source_state.mat, shifted).T,
+        t0.frames,
+        frame_diagonals(t0.source_state.mat, shifted).T,
         dims=t0.dims,
         source_state=evolve_state(t0.source_state, h, t),
     )

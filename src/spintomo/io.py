@@ -2,7 +2,8 @@
 
 Matrix schema: {"dim": n, "dims": [n1, ...], "re": [...], "im": [...]} with
 row-major flat entry lists.  Tomogram schema carries either "j_twice" with
-Euler-angle frames or "dims" with unitary/product frames.  All writers are
+Euler-angle frames or "dims" with unitary/product frames, and "outcomes" that
+must be the labels these imply.  All writers are
 deterministic: fixed key order, repr-based floats, 17 significant digits in
 CSV.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from .channels import CHANNEL_KINDS, KrausChannel, build_channel
 from .halfint import HalfInt
 from .linalg import DensityMatrix
-from .symbols import EulerAngles, SpinFrame, Tomogram
+from .symbols import SpinFrames, Tomogram
 
 
 def fmt_float(x: float) -> str:
@@ -70,22 +71,10 @@ def density_from_obj(obj, dims=None) -> DensityMatrix:
     return DensityMatrix(mat, dims or file_dims or (mat.shape[0],))
 
 
-def _frame_to_obj(frame) -> dict:
-    if isinstance(frame, SpinFrame):
-        a = frame.angles
-        return {"alpha": a.alpha, "beta": a.beta, "gamma": a.gamma}
-    if isinstance(frame, tuple):
-        return {"factors": [matrix_to_obj(f) for f in frame]}
-    return {"unitary": matrix_to_obj(frame)}
-
-
-def frame_from_obj(obj, j: HalfInt | None = None):
-    if "beta" in obj:
-        if j is None:
-            raise ValueError("angle frames require j_twice in the tomogram object")
-        return SpinFrame(
-            j, EulerAngles(float(obj.get("alpha", 0.0)), float(obj["beta"]), float(obj["gamma"]))
-        )
+def frame_from_obj(obj):
+    """A unitary frame: a ``"unitary"`` matrix, or a tuple of product-frame ``"factors"``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a frame entry must be a JSON object, got {type(obj).__name__}")
     if "factors" in obj:
         return tuple(matrix_from_obj(f)[0] for f in obj["factors"])
     if "unitary" in obj:
@@ -93,22 +82,43 @@ def frame_from_obj(obj, j: HalfInt | None = None):
     raise ValueError(f"unrecognized frame object: {sorted(obj)}")
 
 
+def _frames_to_obj(frames) -> list[dict]:
+    if isinstance(frames, SpinFrames):
+        angles = zip(frames.alphas.tolist(), frames.betas.tolist(), frames.gammas.tolist())
+        return [{"alpha": a, "beta": b, "gamma": g} for a, b, g in angles]
+    if frames.factors is None:
+        return [{"unitary": matrix_to_obj(u)} for u in frames.stack]
+    return [{"factors": [matrix_to_obj(f) for f in fs]} for fs in zip(*frames.factors)]
+
+
+def _spin_frames_from_obj(j: HalfInt, objs: list) -> SpinFrames:
+    """Spin frames from angle objects, read as alpha, beta and gamma columns."""
+    if not all(isinstance(f, dict) and "beta" in f and "gamma" in f for f in objs):
+        raise ValueError("spin frame entries must be JSON objects with 'beta' and 'gamma' angles")
+    rows = [(f.get("alpha", 0.0), f["beta"], f["gamma"]) for f in objs]
+    alphas, betas, gammas = np.array(rows, dtype=float).reshape(-1, 3).T
+    return SpinFrames(j, betas, gammas, alphas)
+
+
+def _outcome_labels(t: Tomogram) -> list:
+    """Outcomes as written: twice-m for spin, index lists for unitary."""
+    return [m.twice for m in t.outcomes] if t.kind == "spin" else [list(o) for o in t.outcomes]
+
+
 def tomogram_to_obj(t: Tomogram) -> dict:
-    obj: dict = {"kind": t.kind}
-    if t.kind == "spin":
-        obj["j_twice"] = t.j.twice
-        obj["outcomes"] = [m.twice for m in t.outcomes]
-    else:
-        obj["dims"] = list(t.dims)
-        obj["outcomes"] = [list(o) for o in t.outcomes]
-    obj["frames"] = [_frame_to_obj(f) for f in t.frames]
-    obj["values"] = [[float(v) for v in row] for row in t.table.real]
+    labels = {"j_twice": t.j.twice} if t.kind == "spin" else {"dims": list(t.dims)}
+    obj = {"kind": t.kind, **labels, "outcomes": _outcome_labels(t), "frames": _frames_to_obj(t.frames)}
+    obj["values"] = t.table.real.tolist()
     if np.max(np.abs(t.table.imag)) > 1e-12:
-        obj["values_im"] = [[float(v) for v in row] for row in t.table.imag]
+        obj["values_im"] = t.table.imag.tolist()
     return obj
 
 
 def tomogram_from_obj(obj) -> Tomogram:
+    """Tomogram from its JSON object; the ``outcomes`` must be the labels that
+    ``j_twice`` (spin) or ``dims`` (unitary) imply."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a tomogram must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind not in ("spin", "unitary"):
         raise ValueError("tomogram kind must be 'spin' or 'unitary'")
@@ -118,15 +128,17 @@ def tomogram_from_obj(obj) -> Tomogram:
         imag = np.asarray(obj["values_im"], dtype=float)
         _require_finite(imag, "tomogram values")
         values = values + 1j * imag
+    frames = obj["frames"]
+    if not isinstance(frames, list):
+        raise ValueError(f"tomogram frames must be a JSON list of frame objects, got {type(frames).__name__}")
     if kind == "spin":
-        j = HalfInt(int(obj["j_twice"]))
-        outcomes = [HalfInt(int(m)) for m in obj["outcomes"]]
-        frames = [frame_from_obj(f, j) for f in obj["frames"]]
-        return Tomogram(kind="spin", outcomes=outcomes, frames=frames, table=values, j=j)
-    dims = tuple(int(d) for d in obj["dims"])
-    outcomes = [tuple(int(i) for i in o) for o in obj["outcomes"]]
-    frames = [frame_from_obj(f, None) for f in obj["frames"]]
-    return Tomogram(kind="unitary", outcomes=outcomes, frames=frames, table=values, dims=dims)
+        t = Tomogram(_spin_frames_from_obj(HalfInt(int(obj["j_twice"])), frames), values)
+    else:
+        t = Tomogram([frame_from_obj(f) for f in frames], values, dims=[int(d) for d in obj["dims"]])
+    if obj.get("outcomes") != _outcome_labels(t):
+        source = "j_twice" if kind == "spin" else "dims"
+        raise ValueError(f"tomogram outcomes do not match the labels that its {source} implies")
+    return t
 
 
 def channel_from_obj(obj) -> KrausChannel:

@@ -16,7 +16,7 @@ from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid, make_grid
-from .symbols import QuantizerPair, SpinTransform, Tomogram, UnitaryFrames, _product_factors
+from .symbols import QuantizerPair, SpinTransform, Tomogram, UnitaryFrames, _frames_match_grid, _product_factors
 
 __all__ = [
     "make_grid",
@@ -28,30 +28,24 @@ __all__ = [
 
 
 def infer_grid(t: Tomogram) -> QuadratureGrid:
-    """Rebuild the quadrature grid a spin tomogram's frames were drawn from.
+    """The quadrature grid a spin tomogram's frames were drawn from.
 
     Grid frames are the beta-major product of their beta and gamma nodes, so
     the node counts fix the grid; the Gauss-Legendre nodes are then reproduced
-    from the beta count alone.
+    from the beta count alone.  The grid is stored on ``t.frames.grid``, so
+    later checks against it are identity checks.
     """
-    if t.kind != "spin" or not t.frames:
-        raise ValueError("grid inference needs a spin tomogram with frames")
-    factors = _product_factors(t.frames.betas, t.frames.gammas)
-    if factors is None:
-        raise ValueError("tomogram frames do not form a regular grid")
-    grid = _product_grid(*(nodes.size for nodes in factors))
-    if not _frames_match_grid(t.frames, t.j, grid):
-        raise ValueError("tomogram frames do not coincide with any standard grid")
-    return grid
-
-
-def _frames_match_grid(frames, j: HalfInt, grid: QuadratureGrid) -> bool:
-    if len(frames) != grid.n_nodes or frames.j != j:
-        return False
-    if frames.grid is grid:
-        return True
-    deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
-    return bool(np.all(deviation <= 1e-12))
+    if t.kind != "spin":
+        raise ValueError("grid inference needs a spin tomogram")
+    if t.frames.grid is None:
+        factors = _product_factors(t.frames.betas, t.frames.gammas)
+        if factors is None:
+            raise ValueError("tomogram frames do not form a regular grid")
+        grid = _product_grid(*(nodes.size for nodes in factors))
+        if not _frames_match_grid(t.frames, t.j, grid):
+            raise ValueError("tomogram frames do not coincide with any standard grid")
+        t.frames.grid = grid
+    return t.frames.grid
 
 
 def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
@@ -96,8 +90,7 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
             "input tomogram may be inconsistent",
             stacklevel=2,
         )
-    dims = t.dims if t.dims is not None else (d,)
-    return DensityMatrix(rho, dims, psd_slack=max(1e-10, 2.0 * abs(min_eig)))
+    return DensityMatrix(rho, t.dims, psd_slack=max(1e-10, 2.0 * abs(min_eig)))
 
 
 def _design_matrix(us: np.ndarray) -> np.ndarray:

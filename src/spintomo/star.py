@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .halfint import HalfInt, spin_range
+from .halfint import HalfInt
 from .quadrature import QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_small_d
 from .symbols import (
     EulerAngles,
     SpinTransform,
     Tomogram,
+    _frames_match_grid,
     _identity_quantizer,
     dequantizer_U,
     quantizer_D,
@@ -132,43 +133,29 @@ def kernel_closed_form(j, x2, x1, x) -> complex:
 
 
 def _require_grid_tomogram(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> None:
-    from .reconstruction import _frames_match_grid
-
     if t.kind != "spin":
         raise ValueError("star composition expects spin tomograms")
     if not _frames_match_grid(t.frames, j, grid):
         raise ValueError("tomogram frames do not coincide with the grid nodes")
 
 
-def star_compose(fa: Tomogram, fb: Tomogram, j=None, grid: QuadratureGrid | None = None) -> Tomogram:
+def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogram:
     """Symbol of the operator product, f_A * f_B, on the same grid.
 
     Evaluates the double quadrature sum against K = Tr[D D U] in the factored
     order: synthesize both operators, multiply, analyze the product.
     """
-    j = HalfInt.of(j) if j is not None else fa.j
-    if j is None:
-        raise ValueError("spin j is required")
-    if grid is None:
-        raise ValueError("a quadrature grid is required")
+    j = HalfInt.of(j)
     _require_grid_tomogram(fa, j, grid)
     _require_grid_tomogram(fb, j, grid)
     transform = SpinTransform.on_grid(j, grid)
     product = transform.synthesize(fa.table) @ transform.synthesize(fb.table)
-    return Tomogram(
-        kind="spin",
-        outcomes=spin_range(j),
-        frames=fa.frames,
-        table=transform.analyze(product),
-        j=j,
-    )
+    return Tomogram(fa.frames, transform.analyze(product))
 
 
-def symbol_trace(t: Tomogram, j=None, grid: QuadratureGrid | None = None) -> complex:
+def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     """Trace functional sum_x w_x f(x) Tr[D(x)] applied to a spin symbol."""
-    j = HalfInt.of(j) if j is not None else t.j
-    if grid is None:
-        raise ValueError("a quadrature grid is required")
+    j = HalfInt.of(j)
     _require_grid_tomogram(t, j, grid)
     # Tr D(m, x) = Tr[R_x^dag diag(Q[:, m]) R_x] = sum_m' Q[m', m] at every node
     return complex(grid.group_weights() @ (_identity_quantizer(j.twice).sum(axis=0) @ t.table))

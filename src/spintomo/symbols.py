@@ -15,6 +15,7 @@ phase table, without forming either family or a rotation per frame.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -101,14 +102,20 @@ class SpinFrames(Sequence):
     def __getitem__(self, i: int) -> SpinFrame:
         return SpinFrame(self.j, EulerAngles(float(self.alphas[i]), float(self.betas[i]), float(self.gammas[i])))
 
-    def __iter__(self):
-        for a, b, g in zip(self.alphas.tolist(), self.betas.tolist(), self.gammas.tolist()):
-            yield SpinFrame(self.j, EulerAngles(a, b, g))
-
 
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     """Spin frames at the grid nodes (alpha = 0), in grid node order."""
     return SpinFrames(j, *grid.node_angles(), grid=grid)
+
+
+def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> bool:
+    """Whether ``frames`` are spin-j frames at the grid nodes, in node order (to 1e-12)."""
+    if len(frames) != grid.n_nodes or frames.j != j:
+        return False
+    if frames.grid is grid:
+        return True
+    deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
+    return bool(np.all(deviation <= 1e-12))
 
 
 class UnitaryFrames(Sequence):
@@ -273,40 +280,64 @@ class SpinTransform:
 
 @dataclass
 class Tomogram:
-    """Symbol table over outcomes x frames.
+    """Symbol table over outcomes x frames; its labels are read off the frames.
 
-    ``kind`` is "spin" (rotation frames as ``SpinFrames``, outcomes are
-    magnetic numbers) or "unitary" (``UnitaryFrames``, outcomes are basis index
-    tuples); frames are converted, and checked, once on construction.  The
-    table is stored complex so symbols of arbitrary observables are
-    representable; ``values`` exposes the probability view and raises if the
-    data is not a clean probability table, while ``observable_values`` returns
-    the raw complex table.
+    ``SpinFrames`` make a "spin" tomogram over the magnetic numbers of j;
+    ``UnitaryFrames`` a "unitary" one over the index tuples of ``dims``, which
+    default to the frame size and must multiply to it.  A raw frame sequence is
+    converted, and checked, once on construction.  The table is stored complex
+    so symbols of arbitrary observables are representable; ``values`` exposes
+    the probability view and raises if the data is not a clean probability
+    table, while ``observable_values`` returns the raw complex table.
     """
 
-    kind: str
-    outcomes: list
     frames: SpinFrames | UnitaryFrames
     table: np.ndarray
-    j: HalfInt | None = None
     dims: tuple[int, ...] | None = None
     source_state: DensityMatrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind == "spin":
-            self.frames = SpinFrames.of(self.frames)
-        else:
-            self.frames = UnitaryFrames.of(self.frames, len(self.outcomes))
         self.table = np.asarray(self.table, dtype=complex)
-        if self.table.shape != (len(self.outcomes), len(self.frames)):
+        if self.table.ndim != 2:
+            raise ValueError(f"tomogram table must be 2-d (outcomes x frames), got shape {self.table.shape}")
+        if not isinstance(self.frames, (SpinFrames, UnitaryFrames)):
+            items = list(self.frames)
+            if items and isinstance(items[0], SpinFrame):
+                self.frames = SpinFrames.of(items)
+            else:
+                self.frames = UnitaryFrames.of(items, self.table.shape[0])
+        if not len(self.frames):
+            raise ValueError("at least one frame is required")
+        if isinstance(self.frames, SpinFrames):
+            if self.dims is not None:
+                raise ValueError("dims apply to unitary tomograms only")
+            n = self.frames.j.twice + 1
+        else:
+            n = self.frames.stack.shape[1]
+            self.dims = (n,) if self.dims is None else tuple(int(d) for d in self.dims)
+            if math.prod(self.dims) != n:
+                raise ValueError(f"dims {self.dims} do not multiply to the frame size {n}")
+        if self.table.shape != (n, len(self.frames)):
             raise ValueError(
-                f"table shape {self.table.shape} does not match "
-                f"{len(self.outcomes)} outcomes x {len(self.frames)} frames"
+                f"table shape {self.table.shape} does not match {n} outcomes x {len(self.frames)} frames"
             )
 
     @property
+    def kind(self) -> str:
+        return "spin" if isinstance(self.frames, SpinFrames) else "unitary"
+
+    @property
+    def j(self) -> HalfInt | None:
+        return self.frames.j if self.kind == "spin" else None
+
+    @property
+    def outcomes(self) -> list:
+        """Magnetic numbers j .. -j, or the index tuples of ``dims`` in row-major order."""
+        return spin_range(self.frames.j) if self.kind == "spin" else list(np.ndindex(*self.dims))
+
+    @property
     def n_outcomes(self) -> int:
-        return len(self.outcomes)
+        return self.table.shape[0]
 
     @property
     def n_frames(self) -> int:
@@ -404,14 +435,7 @@ def spin_tomogram(a, frames) -> Tomogram:
         transform = SpinTransform.on_grid(frames.j, frames.grid)
     else:
         transform = SpinTransform(frames.j, frames.betas, frames.gammas)
-    t = Tomogram(
-        kind="spin",
-        outcomes=spin_range(frames.j),
-        frames=frames,
-        table=transform.analyze(mat),
-        j=frames.j,
-        source_state=a if is_state else None,
-    )
+    t = Tomogram(frames, transform.analyze(mat), source_state=a if is_state else None)
     if is_state:
         t.check_normalized()
     return t
@@ -427,16 +451,7 @@ def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
     if not isinstance(rho, DensityMatrix):
         raise ValueError("unitary_tomogram expects a DensityMatrix")
     frames = UnitaryFrames.of(frames, rho.dim)
-    table = frame_diagonals(rho.mat, frames.stack).T
-    outcomes = [tuple(int(i) for i in np.unravel_index(k, rho.dims)) for k in range(rho.dim)]
-    t = Tomogram(
-        kind="unitary",
-        outcomes=outcomes,
-        frames=frames,
-        table=table,
-        dims=rho.dims,
-        source_state=rho,
-    )
+    t = Tomogram(frames, frame_diagonals(rho.mat, frames.stack).T, dims=rho.dims, source_state=rho)
     t.check_normalized()
     return t
 
@@ -449,28 +464,18 @@ def tomogram_marginal(t: Tomogram, keep) -> Tomogram:
     the tomogram of the partially traced state on the kept factors, over the
     kept ``factors`` (matrix frames when one subsystem is kept).
     """
-    if t.kind != "unitary" or t.dims is None:
-        raise ValueError("marginals are defined for unitary tomograms with declared dims")
+    if t.kind != "unitary":
+        raise ValueError("marginals are defined for unitary tomograms")
     keep = _resolve_keep(t.dims, keep)
     factors = t.frames.factors
     if factors is None or [f.shape[1:] for f in factors] != [(d, d) for d in t.dims]:
         raise ValueError(f"marginal requires product (tuple) frames with factor dims {t.dims}")
     drop_axes = tuple(k for k in range(len(t.dims)) if k not in keep)
     reduced = t.table.reshape(t.dims + (-1,)).sum(axis=drop_axes).reshape(-1, t.n_frames)
-    kept_dims = tuple(t.dims[k] for k in keep)
-    n_keep = int(np.prod(kept_dims))
-    outcomes = [tuple(int(i) for i in np.unravel_index(k, kept_dims)) for k in range(n_keep)]
     kept = [factors[k] for k in keep]
     new_frames = UnitaryFrames(kept[0]) if len(keep) == 1 else UnitaryFrames(kron_all(kept), kept)
     source = partial_trace(t.source_state, keep) if t.source_state is not None else None
-    return Tomogram(
-        kind="unitary",
-        outcomes=outcomes,
-        frames=new_frames,
-        table=reduced,
-        dims=kept_dims,
-        source_state=source,
-    )
+    return Tomogram(new_frames, reduced, dims=tuple(t.dims[k] for k in keep), source_state=source)
 
 
 @dataclass

@@ -162,6 +162,51 @@ class TestReconstructCommand:
         assert not (tmp / "x.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "tomogram must be a JSON object"),
+            ({"kind": "unitary", "dims": [2], "outcomes": [[0], [1]], "frames": 5, "values": [[1.0], [0.0]]},
+             "frames must be a JSON list"),
+            ({"kind": "unitary", "dims": [2], "outcomes": [[0], [1]], "frames": [5], "values": [[1.0], [0.0]]},
+             "frame entry must be a JSON object"),
+            ({"kind": "spin", "j_twice": 1, "outcomes": [1, -1], "frames": [5], "values": [[1.0], [0.0]]},
+             "frame entries must be JSON objects"),
+        ],
+    )
+    def test_non_object_json_exits_2(self, workdir, capsys, doc, message):
+        tmp, _ = workdir
+        t_path = tmp / "odd.json"
+        t_path.write_text(json.dumps(doc))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
+    def test_edited_spin_outcomes_exit_2(self, tmp_path, capsys):
+        shipped = Path(__file__).resolve().parent.parent / "data" / "qubit_state.json"
+        t_out = tmp_path / "t.json"
+        assert main(["tomogram", "--state", str(shipped), "--j", "0.5", "--out", str(t_out)]) == 0
+        obj = json.load(t_out.open())
+        obj["outcomes"] = [7, 7]
+        t_out.write_text(io.dumps(obj))
+        rc = main(["reconstruct", "--tomogram", str(t_out), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "outcomes do not match the labels that its j_twice implies" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_dims_not_matching_the_frames_exit_2(self, workdir, capsys):
+        tmp, _ = workdir
+        obj = io.tomogram_to_obj(unitary_tomogram(random_density(2, 2, seed=9), [np.eye(2)]))
+        obj["dims"], obj["outcomes"] = [3], [[0], [1], [2]]
+        t_path = tmp / "dims.json"
+        t_path.write_text(io.dumps(obj))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert "do not multiply to the frame size 2" in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
+
 class TestSpinTomogramCsv:
     @pytest.mark.parametrize("j", ["0.5", "3"])
     def test_angle_columns_are_the_grid_nodes(self, workdir, j):
@@ -335,6 +380,18 @@ class TestEvolveCommand:
         t = io.tomogram_from_obj(report["tomogram"])
         direct = unitary_tomogram(evolved, t.frames)
         assert np.max(np.abs(t.table - direct.table)) < 1e-10
+
+
+    def test_non_object_frame_entry_exits_2(self, workdir, capsys):
+        tmp, paths = workdir
+        frames_path = tmp / "frames.json"
+        frames_path.write_text("[5]")
+        out = tmp / "ev.json"
+        rc = main(["evolve", "--state", str(paths["qubit"]), "--hamiltonian", str(paths["h"]),
+                   "--t", "0.7", "--frames", str(frames_path), "--out", str(out)])
+        assert rc == 2
+        assert "frame entry must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -64,7 +64,9 @@ class TestTomogramSchema:
     def test_spin_round_trip(self, rng):
         grid = make_grid(1)
         t = spin_tomogram(random_density(3, 3, seed=1), grid_frames(1, grid))
-        back = io.tomogram_from_obj(io.tomogram_to_obj(t))
+        obj = io.tomogram_to_obj(t)
+        back = io.tomogram_from_obj(obj)
+        assert io.tomogram_to_obj(back) == obj
         assert back.kind == "spin"
         assert back.j == HalfInt(2)
         # sub-1e-12 imaginary rounding noise is dropped on write
@@ -74,7 +76,9 @@ class TestTomogramSchema:
     def test_unitary_round_trip(self):
         rho = random_density(2, 2, seed=2)
         t = unitary_tomogram(rho, list(haar_unitaries(2, 3, 3)))
-        back = io.tomogram_from_obj(io.tomogram_to_obj(t))
+        obj = io.tomogram_to_obj(t)
+        back = io.tomogram_from_obj(obj)
+        assert io.tomogram_to_obj(back) == obj
         assert back.kind == "unitary"
         assert back.dims == (2,)
         assert np.max(np.abs(back.table - t.table)) < 1e-12
@@ -83,7 +87,9 @@ class TestTomogramSchema:
         rho = random_density(4, 2, seed=4, dims=(2, 2))
         frames = [(haar_unitaries(2, 1, 5)[0], haar_unitaries(2, 1, 6)[0])]
         t = unitary_tomogram(rho, frames)
-        back = io.tomogram_from_obj(io.tomogram_to_obj(t))
+        obj = io.tomogram_to_obj(t)
+        back = io.tomogram_from_obj(obj)
+        assert io.tomogram_to_obj(back) == obj
         assert isinstance(back.frames[0], tuple)
         assert len(back.frames[0]) == 2
 
@@ -100,6 +106,7 @@ class TestTomogramSchema:
         obj = io.tomogram_to_obj(t)
         assert "values_im" in obj
         back = io.tomogram_from_obj(obj)
+        assert io.tomogram_to_obj(back) == obj
         assert np.max(np.abs(back.table - t.table)) == 0.0
 
     @pytest.mark.parametrize("angle", ["alpha", "beta", "gamma"])
@@ -108,6 +115,25 @@ class TestTomogramSchema:
         obj = io.tomogram_to_obj(spin_tomogram(np.eye(2) / 2, grid_frames(0.5, grid)))
         obj["frames"][2][angle] = float("nan")
         with pytest.raises(ValueError, match="finite"):
+            io.tomogram_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "kind, outcomes",
+        [("spin", [7, 7]), ("spin", [-1, 1]), ("spin", None), ("unitary", [[0], [0]]), ("unitary", [[0, 0], [0, 1]])],
+    )
+    def test_outcomes_must_match_their_labels(self, kind, outcomes):
+        rho = random_density(2, 2, seed=2)
+        t = spin_tomogram(rho, grid_frames(0.5, make_grid(0.5))) if kind == "spin" else unitary_tomogram(rho, [np.eye(2)])
+        obj = io.tomogram_to_obj(t)
+        obj["outcomes"] = outcomes
+        with pytest.raises(ValueError, match="outcomes do not match the labels that its (j_twice|dims) implies"):
+            io.tomogram_from_obj(obj)
+
+    @pytest.mark.parametrize("dims", [[3], [2, 2], [1, 1]])
+    def test_dims_must_multiply_to_the_frame_size(self, dims):
+        obj = io.tomogram_to_obj(unitary_tomogram(random_density(2, 2, seed=2), [np.eye(2)]))
+        obj["dims"] = dims
+        with pytest.raises(ValueError, match="do not multiply to the frame size 2"):
             io.tomogram_from_obj(obj)
 
     def test_bad_kind_rejected(self):

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_hermitian
 from spintomo import io
 from spintomo.errors import InformationallyIncompleteError
-from spintomo.halfint import HalfInt, spin_range
+from spintomo.halfint import HalfInt
 from spintomo.linalg import expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.reconstruction import (
@@ -114,7 +114,7 @@ class TestReconstructOperator:
                 [np.sin(f.angles.beta / 2) ** 2 for f in frames],
             ]
         )
-        t = Tomogram(kind="spin", outcomes=spin_range(0.5), frames=frames, table=table, j=HalfInt(1))
+        t = Tomogram(frames=frames, table=table)
         rebuilt = reconstruct_operator(t, 0.5, grid)
         assert np.max(np.abs(rebuilt - np.diag([1.0, 0.0]))) < 1e-10
 
@@ -123,13 +123,7 @@ class TestReconstructOperator:
         frames = grid_frames(1.5, grid)
         a, b = random_hermitian(4, rng), random_hermitian(4, rng)
         ta, tb = spin_tomogram(a, frames), spin_tomogram(b, frames)
-        mixed = Tomogram(
-            kind="spin",
-            outcomes=ta.outcomes,
-            frames=frames,
-            table=0.3 * ta.table + 1.7 * tb.table,
-            j=ta.j,
-        )
+        mixed = Tomogram(frames=frames, table=0.3 * ta.table + 1.7 * tb.table)
         lhs = reconstruct_operator(mixed, 1.5, grid)
         rhs = 0.3 * reconstruct_operator(ta, 1.5, grid) + 1.7 * reconstruct_operator(tb, 1.5, grid)
         assert np.max(np.abs(lhs - rhs)) < 1e-10

@@ -219,7 +219,7 @@ class TestUnitaryFrames:
 
     def test_tomogram_refuses_non_unitary_frame(self):
         with pytest.raises(ValueError, match="not unitary within 1e-8"):
-            Tomogram(kind="unitary", outcomes=[(0,), (1,)], frames=[2.0 * np.eye(2)], table=np.ones((2, 1)))
+            Tomogram(frames=[2.0 * np.eye(2)], table=np.ones((2, 1)))
 
 
 class TestMarginal:
@@ -322,25 +322,39 @@ class TestMarginal:
 class TestTomogramType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            Tomogram(kind="spin", outcomes=[HalfInt(1)], frames=[], table=np.ones((1, 2)))
+            Tomogram(frames=[], table=np.ones((1, 2)))
 
     def test_negative_clamp_and_error(self):
         frames = [SpinFrame(HalfInt(1), EulerAngles(0, 0, 0))]
-        t = Tomogram(
-            kind="spin",
-            outcomes=spin_range(0.5),
-            frames=frames,
-            table=np.array([[1.0 + 5e-13], [-5e-13]]),
-            j=HalfInt(1),
-        )
+        t = Tomogram(frames=frames, table=np.array([[1.0 + 5e-13], [-5e-13]]))
         vals = t.values
         assert vals[1, 0] == 0.0
-        t_bad = Tomogram(
-            kind="spin",
-            outcomes=spin_range(0.5),
-            frames=frames,
-            table=np.array([[1.001], [-1e-3]]),
-            j=HalfInt(1),
-        )
+        t_bad = Tomogram(frames=frames, table=np.array([[1.001], [-1e-3]]))
         with pytest.raises(ValueError):
             _ = t_bad.values
+
+    def test_labels_come_from_the_frames(self):
+        grid = make_grid(0.5)
+        spin = Tomogram(frames=grid_frames(0.5, grid), table=np.full((2, grid.n_nodes), 0.5))
+        assert (spin.kind, spin.j, spin.outcomes, spin.dims) == ("spin", HalfInt(1), spin_range(0.5), None)
+        unitary = Tomogram(frames=[np.eye(4)], table=np.full((4, 1), 0.25))
+        assert (unitary.kind, unitary.j, unitary.dims, unitary.n_outcomes) == ("unitary", None, (4,), 4)
+        assert unitary.outcomes == [(0,), (1,), (2,), (3,)]
+        product = Tomogram(frames=[np.eye(4)], table=np.full((4, 1), 0.25), dims=[2, 2])
+        assert product.dims == (2, 2) and product.outcomes == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        with pytest.raises(AttributeError):
+            spin.j = HalfInt(3)
+
+    @pytest.mark.parametrize(
+        "frames, table, dims, message",
+        [
+            (grid_frames(0.5, make_grid(0.5)), np.full((8, 15), 0.125), None, "does not match 2 outcomes"),
+            ([np.eye(2)], np.full((2, 1), 0.5), (3,), "do not multiply to the frame size 2"),
+            ([np.eye(2)], np.full((2, 1), 0.5), (2, 2), "do not multiply to the frame size 2"),
+            (grid_frames(0.5, make_grid(0.5)), np.full((2, 15), 0.5), (2,), "unitary tomograms only"),
+            ([np.eye(2)], np.full(2, 0.5), None, "must be 2-d"),
+        ],
+    )
+    def test_labels_cannot_disagree_with_the_frames(self, frames, table, dims, message):
+        with pytest.raises(ValueError, match=message):
+            Tomogram(frames=frames, table=table, dims=dims)

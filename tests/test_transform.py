@@ -271,7 +271,8 @@ class TestGridBackedFrames:
         t = spin_tomogram(np.eye(j.twice + 1) / (j.twice + 1), grid_frames(j, grid))
         nodes = [SpinFrame(j, EulerAngles(0.0, float(b), float(g))) for b, g in zip(*grid.node_angles())]
         obj = io.tomogram_to_obj(t)
-        assert io.dumps(obj["frames"]) == io.dumps([io._frame_to_obj(fr) for fr in nodes])
+        per_node = [{"alpha": fr.angles.alpha, "beta": fr.angles.beta, "gamma": fr.angles.gamma} for fr in nodes]
+        assert io.dumps(obj["frames"]) == io.dumps(per_node)
         assert io.dumps(io.tomogram_to_obj(io.tomogram_from_obj(obj))) == io.dumps(obj)
 
 
