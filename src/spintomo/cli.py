@@ -21,7 +21,7 @@ from .entropy import min_entropy_over_group
 from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import haar_unitaries
-from .quadrature import make_grid
+from .quadrature import DEFAULT_OVERSAMPLE, make_grid
 from .reconstruction import (
     infer_grid,
     reconstruct_from_unitary_frame,
@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", help="JSON file with a list of frame objects")
     p.add_argument("--n-frames", type=int, help="number of Haar-random frames")
     p.add_argument("--j", type=float, help="use spin grid frames for this j")
-    p.add_argument("--oversample", type=float, default=1.5)
+    p.add_argument("--oversample", type=float, default=DEFAULT_OVERSAMPLE,
+                   help="spin grid size relative to the smallest exact rule "
+                        "(default %(default)s; below 1 aliases)")
     _add_common(p)
 
     p = sub.add_parser("reconstruct", help="rebuild an operator or state from a tomogram")

@@ -41,6 +41,20 @@ def matrix_to_obj(m, dims=None) -> dict:
     return obj
 
 
+def _field(obj: dict, key: str, of: type = int, listed: bool = False):
+    """``obj[key]`` checked to hold a JSON ``of`` (integer or object), or a list
+    of them when ``listed``; any other JSON type is a ValueError naming the field."""
+    value = obj[key]
+    items = value if listed else [value]
+    if (listed and not isinstance(value, list)) or not all(
+        isinstance(v, of) and not isinstance(v, bool) for v in items
+    ):
+        kind = {int: "integer", dict: "object"}[of]
+        want = f"a JSON list of {kind}s" if listed else f"a JSON {kind}"
+        raise ValueError(f"field '{key}' must be {want}, got {type(value).__name__} {value!r:.40}")
+    return value
+
+
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite numbers (found NaN or infinity)")
@@ -49,14 +63,14 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 def matrix_from_obj(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("matrix object must be a dict with a 'dim' field")
-    n = int(obj["dim"])
+    n = _field(obj, "dim")
     re = np.asarray(obj.get("re", []), dtype=float)
     im = np.asarray(obj.get("im", np.zeros(n * n)), dtype=float)
     if re.size != n * n or im.size != n * n:
         raise ValueError(f"matrix entry lists must have length dim^2 = {n * n}")
     _require_finite(np.stack([re, im]), "matrix entries")
     mat = (re + 1j * im).reshape(n, n)
-    dims = tuple(int(d) for d in obj["dims"]) if "dims" in obj else None
+    dims = tuple(_field(obj, "dims", listed=True)) if "dims" in obj else None
     if dims is not None and int(np.prod(dims)) != n:
         raise ValueError(f"dims {dims} do not multiply to dim {n}")
     return mat, dims
@@ -76,7 +90,7 @@ def frame_from_obj(obj):
     if not isinstance(obj, dict):
         raise ValueError(f"a frame entry must be a JSON object, got {type(obj).__name__}")
     if "factors" in obj:
-        return tuple(matrix_from_obj(f)[0] for f in obj["factors"])
+        return tuple(matrix_from_obj(f)[0] for f in _field(obj, "factors", dict, listed=True))
     if "unitary" in obj:
         return matrix_from_obj(obj["unitary"])[0]
     raise ValueError(f"unrecognized frame object: {sorted(obj)}")
@@ -132,9 +146,9 @@ def tomogram_from_obj(obj) -> Tomogram:
     if not isinstance(frames, list):
         raise ValueError(f"tomogram frames must be a JSON list of frame objects, got {type(frames).__name__}")
     if kind == "spin":
-        t = Tomogram(_spin_frames_from_obj(HalfInt(int(obj["j_twice"])), frames), values)
+        t = Tomogram(_spin_frames_from_obj(HalfInt(_field(obj, "j_twice")), frames), values)
     else:
-        t = Tomogram([frame_from_obj(f) for f in frames], values, dims=[int(d) for d in obj["dims"]])
+        t = Tomogram([frame_from_obj(f) for f in frames], values, dims=_field(obj, "dims", listed=True))
     if obj.get("outcomes") != _outcome_labels(t):
         source = "j_twice" if kind == "spin" else "dims"
         raise ValueError(f"tomogram outcomes do not match the labels that its {source} implies")

@@ -17,6 +17,9 @@ from .halfint import HalfInt
 
 GROUP_VOLUME = 8.0 * np.pi**2
 
+# the smallest product rule that integrates every spin-j synthesis integrand exactly
+DEFAULT_OVERSAMPLE = 1.0
+
 
 @dataclass
 class QuadratureGrid:
@@ -62,13 +65,15 @@ class QuadratureGrid:
         return self.node_weights() * self.alpha_factor
 
 
-def make_grid(j, oversample: float = 1.5) -> QuadratureGrid:
+def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
     """Grid sized to integrate spin-j symbol products exactly.
 
     N_beta = ceil(oversample*(2j+1)) Gauss-Legendre nodes in cos(beta) and
-    N_gamma = ceil(oversample*(4j+1)) uniform gamma nodes.  Values of
-    ``oversample`` below 1 are permitted but deliberately under-resolve the
-    integrands (useful for aliasing demonstrations).
+    N_gamma = ceil(oversample*(4j+1)) uniform gamma nodes.  The default,
+    oversample 1, is the smallest exact rule: it is exact to degree 2j, which
+    is what the analysis and synthesis integrands of spin j need, so the
+    round trip holds to rounding.  Larger values give finer grids; values
+    below 1 are permitted but alias (useful for aliasing demonstrations).
     """
     j = HalfInt.of(j)
     if j.twice < 0:

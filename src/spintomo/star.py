@@ -45,12 +45,15 @@ from .symbols import (
     quantizer_D,
 )
 
-STAR_OVERSAMPLE = 2.0
-
 
 def star_grid(j) -> QuadratureGrid:
-    """Default composition grid; oversampled to absorb product degree growth."""
-    return make_grid(j, oversample=STAR_OVERSAMPLE)
+    """Default composition grid: the default ``make_grid(j)``.
+
+    ``star_compose`` synthesizes, multiplies and analyzes, so the product is
+    a spin-j operator again and the grid that resolves one symbol resolves
+    the composition.
+    """
+    return make_grid(j)
 
 
 def _point(x):

@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spintomo.halfint import HalfInt
 from spintomo.su2 import rotation_stack
 from spintomo.symbols import _identity_quantizer
+
+# CI sets HYPOTHESIS_PROFILE=ci: fixed example sequences, and a failure
+# prints the blob that replays it locally (@reproduce_failure)
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from spintomo import cli, io
 from spintomo.cli import main
 from spintomo.linalg import DensityMatrix, random_density
+from spintomo.quadrature import make_grid
 from spintomo.states import bell_state, maximally_mixed, werner_state
-from spintomo.symbols import unitary_tomogram
+from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
 
 
 @pytest.fixture
@@ -206,6 +207,28 @@ class TestReconstructCommand:
         assert "do not multiply to the frame size 2" in capsys.readouterr().err
         assert not (tmp / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "kind, key, value, field",
+        [
+            ("unitary", "dims", 2, "'dims' must be a JSON list of integers"),
+            ("spin", "j_twice", [1], "'j_twice' must be a JSON integer"),
+            ("unitary", "frames", [{"factors": 5}], "'factors' must be a JSON list of objects"),
+        ],
+        ids=["dims", "j_twice", "factors"],
+    )
+    def test_wrong_field_types_exit_2(self, workdir, capsys, kind, key, value, field):
+        tmp, _ = workdir
+        rho = random_density(2, 2, seed=9)
+        frames = grid_frames(0.5, make_grid(0.5)) if kind == "spin" else [np.eye(2)]
+        obj = io.tomogram_to_obj(spin_tomogram(rho, frames) if kind == "spin" else unitary_tomogram(rho, frames))
+        obj[key] = value
+        t_path = tmp / "typed.json"
+        t_path.write_text(io.dumps(obj))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
 
 class TestSpinTomogramCsv:
     @pytest.mark.parametrize("j", ["0.5", "3"])
@@ -240,6 +263,29 @@ class TestStarCommand:
 
         direct = spin_tomogram(rho @ rho, composed.frames)
         assert np.max(np.abs(composed.table - direct.table)) < 1e-10
+
+
+class TestFilesAtOtherGrids:
+    @pytest.mark.parametrize("oversample", ["1.5", "2"])
+    def test_reconstruct_and_star_load_finer_grids(self, tmp_path, capsys, oversample):
+        rho = random_density(4, 4, seed=6)
+        state, t_out = tmp_path / "spin.json", tmp_path / "t.json"
+        state.write_text(io.dumps(io.density_to_obj(rho)))
+        assert main(["tomogram", "--state", str(state), "--j", "1.5", "--oversample", oversample,
+                     "--out", str(t_out)]) == 0
+        written = io.tomogram_from_obj(json.load(t_out.open()))
+        assert written.n_frames == make_grid(1.5, oversample=float(oversample)).n_nodes
+        capsys.readouterr()
+        r_out, s_out = tmp_path / "r.json", tmp_path / "s.json"
+        assert main(["reconstruct", "--tomogram", str(t_out), "--out", str(r_out)]) == 0
+        assert float(capsys.readouterr().out.strip().rsplit(" ", 1)[-1]) <= 1e-12
+        m, _ = io.matrix_from_obj(json.load(r_out.open()))
+        assert np.max(np.abs(m - rho.mat)) <= 1e-12
+        assert main(["star", "--tomogram", str(t_out), "--tomogram", str(t_out), "--out", str(s_out)]) == 0
+        composed = io.tomogram_from_obj(json.load(s_out.open()))
+        assert np.array_equal(composed.frames.betas, written.frames.betas)
+        direct = spin_tomogram(rho.mat @ rho.mat, composed.frames)
+        assert np.max(np.abs(composed.table - direct.table)) <= 1e-12
 
 
 class TestChannelCommand:
@@ -333,6 +379,22 @@ class TestEntropyCommand:
         assert "finite and positive" in capsys.readouterr().err
         assert not (tmp / "e.json").exists()
 
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [("dim", [2], "'dim' must be a JSON integer"), ("dims", 2, "'dims' must be a JSON list of integers")],
+        ids=["dim", "dims"],
+    )
+    def test_wrong_state_field_types_exit_2(self, workdir, capsys, key, value, field):
+        tmp, paths = workdir
+        obj = json.load(paths["qubit"].open())
+        obj[key] = value
+        state = tmp / "typed.json"
+        state.write_text(json.dumps(obj))
+        rc = main(["entropy", "--state", str(state), "--samples", "10", "--out", str(tmp / "e.json")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp / "e.json").exists()
 
     @pytest.mark.parametrize("q", ["600", "1000", "1e6"])
     def test_large_order_exits_0(self, tmp_path, q):

@@ -180,7 +180,7 @@ class TestStarCompose:
 
     def test_grid_mismatch_rejected(self, rng):
         grid = star_grid(1)
-        other = make_grid(1, oversample=1.0)
+        other = make_grid(1, oversample=1.5)
         fa = spin_tomogram(random_hermitian(3, rng), grid_frames(1, grid))
         fb = spin_tomogram(random_hermitian(3, rng), grid_frames(1, other))
         with pytest.raises(ValueError):

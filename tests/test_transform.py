@@ -8,9 +8,9 @@ from spintomo import io
 from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
-from spintomo.quadrature import GROUP_VOLUME, make_grid
+from spintomo.quadrature import GROUP_VOLUME, _product_grid, make_grid
 from spintomo.reconstruction import reconstruct_operator
-from spintomo.star import star_compose, star_grid, symbol_trace
+from spintomo.star import star_compose, star_grid, symbol_trace, trace_power
 from spintomo.su2 import clebsch_gordan, rotation_matrix
 from spintomo.symbols import (
     EulerAngles,
@@ -99,6 +99,57 @@ class TestCallersOnTheTransform:
         w_in = spin_tomogram(rho, frames).table.reshape(-1).real
         w_out = spin_tomogram(apply_kraus(channel, rho), frames).table.reshape(-1).real
         assert np.max(np.abs(pi @ w_in - w_out)) < 1e-10
+
+
+class TestMinimalGrid:
+    """The default grid is the smallest product rule on which spin-j symbols are exact."""
+
+    def test_node_counts_and_degree(self):
+        for jt in range(121):
+            grid = make_grid(HalfInt(jt))
+            assert (grid.n_beta, grid.n_gamma, grid.exactness_degree) == (jt + 1, 2 * jt + 1, jt)
+
+    @settings(max_examples=25, deadline=None)
+    @given(jt=st.integers(min_value=0, max_value=40), seed=st.integers(min_value=0, max_value=2**31))
+    def test_round_trip_is_exact(self, jt, seed):
+        # against the operator norm: at 2j = 40 the worst entry error seen was
+        # 2.1e-14 of the norm but 9.9e-14 of max|A| (it sits on the k = 0 diagonal)
+        j = HalfInt(jt)
+        transform = SpinTransform.on_grid(j, make_grid(j))
+        a = random_operator(jt + 1, np.random.default_rng(seed))
+        err = np.max(np.abs(transform.synthesize(transform.analyze(a)) - a))
+        assert err <= 1e-13 * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("jt", [1, 2, 3, 6, 16, 40])
+    def test_one_node_fewer_aliases(self, jt, rng):
+        j = HalfInt(jt)
+        a = random_operator(jt + 1, rng)
+        for grid in (_product_grid(jt + 1, 2 * jt), _product_grid(jt, 2 * jt + 1)):
+            transform = SpinTransform.on_grid(j, grid)
+            assert np.max(np.abs(transform.synthesize(transform.analyze(a)) - a)) > 0.05 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("jt", range(17))
+    def test_star_products_on_star_grid(self, jt, rng):
+        j, n = HalfInt(jt), jt + 1
+        grid = star_grid(j)
+        frames = grid_frames(j, grid)
+        a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+        composed = star_compose(spin_tomogram(a, frames), spin_tomogram(b, frames), j, grid)
+        assert np.max(np.abs(composed.table - spin_tomogram(a @ b, frames).table)) <= 1e-12
+        rho = random_density(n, n, seed=jt)
+        cube = trace_power(spin_tomogram(rho, frames), 3, grid)
+        assert abs(cube - np.trace(rho.mat @ rho.mat @ rho.mat).real) <= 1e-12
+
+    @pytest.mark.parametrize("jt", range(7))
+    def test_channel_propagator_on_default_grid(self, jt):
+        j, n = HalfInt(jt), jt + 1
+        grid = make_grid(j)
+        frames = grid_frames(j, grid)
+        channel = random_kraus_channel(n, 60 + jt)
+        rho = random_density(n, n, seed=jt)
+        w_in = spin_tomogram(rho, frames).table.reshape(-1).real
+        w_out = spin_tomogram(apply_kraus(channel, rho), frames).table.reshape(-1).real
+        assert np.max(np.abs(channel_propagator(channel, j, grid) @ w_in - w_out)) <= 1e-12
 
 
 def oracle_analyze(j, betas, gammas, a):
