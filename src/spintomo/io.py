@@ -41,18 +41,28 @@ def matrix_to_obj(m, dims=None) -> dict:
     return obj
 
 
-def _field(obj: dict, key: str, of: type = int, listed: bool = False):
-    """``obj[key]`` checked to hold a JSON ``of`` (integer or object), or a list
-    of them when ``listed``; any other JSON type is a ValueError naming the field."""
+_KINDS = {int: ("integer", {int}), float: ("number", {int, float}), dict: ("object", {dict})}
+
+
+def _field(obj: dict, key: str, of: type = int, listed: int = 0):
+    """``obj[key]`` checked to hold a JSON ``of`` (integer, number or object),
+    or lists of them nested ``listed`` deep; any other JSON type is a
+    ValueError naming the field, and so is an integer beyond the double range.
+    Numbers come back as a float, lists of them as a float array."""
     value = obj[key]
-    items = value if listed else [value]
-    if (listed and not isinstance(value, list)) or not all(
-        isinstance(v, of) and not isinstance(v, bool) for v in items
-    ):
-        kind = {int: "integer", dict: "object"}[of]
-        want = f"a JSON list of {kind}s" if listed else f"a JSON {kind}"
+    kind, types = _KINDS[of]
+    items, depth = [value], 0
+    while depth < listed and all(type(v) is list for v in items):
+        items, depth = [x for v in items for x in v], depth + 1
+    if depth < listed or not set(map(type, items)) <= types:
+        want = f"a JSON list of {'lists of ' * (listed - 1)}{kind}s" if listed else f"a JSON {kind}"
         raise ValueError(f"field '{key}' must be {want}, got {type(value).__name__} {value!r:.40}")
-    return value
+    if of is not float:
+        return value
+    try:
+        return np.asarray(value, dtype=float) if listed else float(value)
+    except OverflowError:
+        raise ValueError(f"field '{key}' holds an integer beyond the double range") from None
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -64,13 +74,13 @@ def matrix_from_obj(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("matrix object must be a dict with a 'dim' field")
     n = _field(obj, "dim")
-    re = np.asarray(obj.get("re", []), dtype=float)
-    im = np.asarray(obj.get("im", np.zeros(n * n)), dtype=float)
+    re = _field(obj, "re", float, listed=1) if "re" in obj else np.zeros(0)
+    im = _field(obj, "im", float, listed=1) if "im" in obj else np.zeros(n * n)
     if re.size != n * n or im.size != n * n:
         raise ValueError(f"matrix entry lists must have length dim^2 = {n * n}")
     _require_finite(np.stack([re, im]), "matrix entries")
     mat = (re + 1j * im).reshape(n, n)
-    dims = tuple(_field(obj, "dims", listed=True)) if "dims" in obj else None
+    dims = tuple(_field(obj, "dims", listed=1)) if "dims" in obj else None
     if dims is not None and int(np.prod(dims)) != n:
         raise ValueError(f"dims {dims} do not multiply to dim {n}")
     return mat, dims
@@ -90,7 +100,7 @@ def frame_from_obj(obj):
     if not isinstance(obj, dict):
         raise ValueError(f"a frame entry must be a JSON object, got {type(obj).__name__}")
     if "factors" in obj:
-        return tuple(matrix_from_obj(f)[0] for f in _field(obj, "factors", dict, listed=True))
+        return tuple(matrix_from_obj(f)[0] for f in _field(obj, "factors", dict, listed=1))
     if "unitary" in obj:
         return matrix_from_obj(obj["unitary"])[0]
     raise ValueError(f"unrecognized frame object: {sorted(obj)}")
@@ -109,7 +119,8 @@ def _spin_frames_from_obj(j: HalfInt, objs: list) -> SpinFrames:
     """Spin frames from angle objects, read as alpha, beta and gamma columns."""
     if not all(isinstance(f, dict) and "beta" in f and "gamma" in f for f in objs):
         raise ValueError("spin frame entries must be JSON objects with 'beta' and 'gamma' angles")
-    rows = [(f.get("alpha", 0.0), f["beta"], f["gamma"]) for f in objs]
+    angles = ("alpha", "beta", "gamma")
+    rows = [[_field(f, a, float) if a in f else 0.0 for a in angles] for f in objs]
     alphas, betas, gammas = np.array(rows, dtype=float).reshape(-1, 3).T
     return SpinFrames(j, betas, gammas, alphas)
 
@@ -136,10 +147,10 @@ def tomogram_from_obj(obj) -> Tomogram:
     kind = obj.get("kind")
     if kind not in ("spin", "unitary"):
         raise ValueError("tomogram kind must be 'spin' or 'unitary'")
-    values = np.asarray(obj["values"], dtype=float)
+    values = _field(obj, "values", float, listed=2)
     _require_finite(values, "tomogram values")
     if "values_im" in obj:
-        imag = np.asarray(obj["values_im"], dtype=float)
+        imag = _field(obj, "values_im", float, listed=2)
         _require_finite(imag, "tomogram values")
         values = values + 1j * imag
     frames = obj["frames"]
@@ -148,7 +159,7 @@ def tomogram_from_obj(obj) -> Tomogram:
     if kind == "spin":
         t = Tomogram(_spin_frames_from_obj(HalfInt(_field(obj, "j_twice")), frames), values)
     else:
-        t = Tomogram([frame_from_obj(f) for f in frames], values, dims=_field(obj, "dims", listed=True))
+        t = Tomogram([frame_from_obj(f) for f in frames], values, dims=_field(obj, "dims", listed=1))
     if obj.get("outcomes") != _outcome_labels(t):
         source = "j_twice" if kind == "spin" else "dims"
         raise ValueError(f"tomogram outcomes do not match the labels that its {source} implies")

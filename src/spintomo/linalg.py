@@ -7,6 +7,12 @@ unitaries, random density matrices, partial trace/transpose.  Everything is
 Randomness uses numpy's PCG64 generator; a fixed seed reproduces the Gaussian
 stream bit for bit on any platform.  Haar unitaries orthonormalise that stream
 by Gram-Schmidt in elementwise numpy arithmetic, with no LAPACK call.
+
+The two frame kernels, ``haar_unitaries`` and ``frame_diagonals``, walk a
+frame stack in fixed blocks of ``_BLOCK`` frames, so their working arrays stay
+in cache and their scratch memory does not grow with the number of frames.
+Blocking leaves every Haar draw bit-identical to the unblocked sampler, and
+``frame_diagonals`` does one BLAS GEMM per block.
 """
 
 from __future__ import annotations
@@ -17,6 +23,19 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 PSD_SLACK = 1e-10
+_BLOCK = 512  # frames per block of the frame kernels
+
+
+def _blocks(count: int) -> list[slice]:
+    """Consecutive slices of range(count) of ``_BLOCK`` frames each.
+
+    The remainder joins the last slice, so no slice is shorter than
+    ``_BLOCK`` unless ``count`` is.  A one-frame block would change the
+    summation path of the sampler's ``einsum`` and ``norm``, and with it the
+    last bits of that draw.
+    """
+    stops = [*range(_BLOCK, count - _BLOCK + 1, _BLOCK), count]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
 def as_matrix(m) -> np.ndarray:
@@ -40,8 +59,20 @@ def unitarity_residual(u) -> float:
 
 
 def frame_diagonals(a, frames) -> np.ndarray:
-    """diag(u^dag a u) for every frame u of an (F, n, n) stack, shape (F, n), complex."""
-    return np.einsum("fam,ab,fbm->fm", frames.conj(), a, frames)
+    """diag(u^dag a u) for every frame u of an (F, n, n) stack, shape (F, n), complex.
+
+    ``a`` is any n x n matrix, Hermitian or not.  Per block of frames, one
+    GEMM gives w[b, f, m] = sum_a a[a, b] conj(u_f[a, m]) for all the block's
+    columns at once, and diag(u_f^dag a u_f)[m] = sum_b u_f[b, m] w[b, f, m].
+    """
+    count, n = frames.shape[0], frames.shape[-1]
+    at = np.asarray(a, dtype=complex).T
+    out = np.empty((count, n), dtype=complex)
+    for block in _blocks(count):
+        u = frames[block]
+        w = at @ u.conj().transpose(1, 0, 2).reshape(n, -1)
+        out[block] = np.einsum("fam,afm->fm", u, w.reshape(n, -1, n))
+    return out
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -83,25 +114,36 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
 
 
 def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
-    """Batch of Haar unitaries, shape (count, n, n)."""
+    """Batch of Haar unitaries, shape (count, n, n), C-contiguous.
+
+    The Ginibre draw z = (x + i y) / sqrt(2) takes x and then y from the
+    generator, each of shape (count, n, n).  Gram-Schmidt then runs block by
+    block of draws, with the same arithmetic per draw as the unblocked
+    sampler, so every unitary is bit-identical to it.
+    """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(rng_or_seed)
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-    z /= np.sqrt(2.0)
-    # Gram-Schmidt on the columns gives the Q whose R has a positive diagonal,
-    # the phase-fixed QR of the Ginibre draw.  Batch innermost: q[k] is column
-    # k of every draw, shape (n, count).  Projecting twice keeps the columns
-    # orthogonal to working precision.
-    q = np.ascontiguousarray(z.transpose(2, 1, 0))
-    for k in range(n):
-        v, done = q[k], q[:k]
-        for _ in range(2 if k else 0):
-            # coefficients <q_j, v> over the columns j < k, then v -= sum_j q_j <q_j, v>
-            coeffs = np.einsum("jib,ib->jb", done, v.conj()).conj()
-            v -= np.einsum("jib,jb->ib", done, coeffs)
-        v /= np.linalg.norm(v, axis=0)
-    return np.ascontiguousarray(q.transpose(2, 1, 0))
+    x = rng.standard_normal((count, n, n))
+    y = rng.standard_normal((count, n, n))
+    out = np.empty((count, n, n), dtype=complex)
+    for block in _blocks(count):
+        # Gram-Schmidt on the columns gives the Q whose R has a positive
+        # diagonal, the phase-fixed QR of the Ginibre draw.  Batch innermost:
+        # q[k] is column k of every draw in the block, shape (n, block).
+        # Projecting twice keeps the columns orthogonal to working precision.
+        q = np.empty((n, n, block.stop - block.start), dtype=complex)
+        q.real, q.imag = x[block].T, y[block].T
+        q /= np.sqrt(2.0)
+        for k in range(n):
+            v, done = q[k], q[:k]
+            for _ in range(2 if k else 0):
+                # coefficients <q_j, v> over the columns j < k, then v -= sum_j q_j <q_j, v>
+                coeffs = np.einsum("jib,ib->jb", done, v.conj()).conj()
+                v -= np.einsum("jib,jb->ib", done, coeffs)
+            v /= np.linalg.norm(v, axis=0)
+        out[block] = q.T
+    return out
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:

@@ -20,6 +20,17 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
+def frame_diagonals_oracle(a, frames) -> np.ndarray:
+    """diag(u^dag a u) for every frame of an (F, n, n) stack, in extended precision."""
+    a, u = np.asarray(a, dtype=np.clongdouble), np.asarray(frames, dtype=np.clongdouble)
+    return np.sum(u.conj() * (a @ u), axis=-2)
+
+
+def frame_diagonals_bound(a) -> float:
+    """Error allowed to frame_diagonals in double precision: 2 n eps max|a|."""
+    return 2 * a.shape[-1] * np.finfo(float).eps * float(np.max(np.abs(a)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -213,8 +213,10 @@ class TestReconstructCommand:
             ("unitary", "dims", 2, "'dims' must be a JSON list of integers"),
             ("spin", "j_twice", [1], "'j_twice' must be a JSON integer"),
             ("unitary", "frames", [{"factors": 5}], "'factors' must be a JSON list of objects"),
+            ("spin", "values", {}, "'values' must be a JSON list of lists of numbers"),
+            ("unitary", "values_im", {}, "'values_im' must be a JSON list of lists of numbers"),
         ],
-        ids=["dims", "j_twice", "factors"],
+        ids=["dims", "j_twice", "factors", "values", "values_im"],
     )
     def test_wrong_field_types_exit_2(self, workdir, capsys, kind, key, value, field):
         tmp, _ = workdir
@@ -227,6 +229,17 @@ class TestReconstructCommand:
         rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
         assert rc == 2
         assert field in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
+    def test_object_valued_frame_angle_exits_2(self, workdir, capsys):
+        tmp, _ = workdir
+        obj = io.tomogram_to_obj(spin_tomogram(random_density(2, 2, seed=9), grid_frames(0.5, make_grid(0.5))))
+        obj["frames"][1]["beta"] = {}
+        t_path = tmp / "typed.json"
+        t_path.write_text(io.dumps(obj))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert "'beta' must be a JSON number" in capsys.readouterr().err
         assert not (tmp / "x.json").exists()
 
 
@@ -382,8 +395,13 @@ class TestEntropyCommand:
 
     @pytest.mark.parametrize(
         "key, value, field",
-        [("dim", [2], "'dim' must be a JSON integer"), ("dims", 2, "'dims' must be a JSON list of integers")],
-        ids=["dim", "dims"],
+        [
+            ("dim", [2], "'dim' must be a JSON integer"),
+            ("dims", 2, "'dims' must be a JSON list of integers"),
+            ("re", {}, "'re' must be a JSON list of numbers"),
+            ("im", {}, "'im' must be a JSON list of numbers"),
+        ],
+        ids=["dim", "dims", "re", "im"],
     )
     def test_wrong_state_field_types_exit_2(self, workdir, capsys, key, value, field):
         tmp, paths = workdir

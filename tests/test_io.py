@@ -43,6 +43,13 @@ class TestMatrixSchema:
         with pytest.raises(ValueError, match="finite"):
             io.matrix_from_obj(obj)
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_integer_beyond_double_range_rejected(self, part):
+        obj = io.matrix_to_obj(np.eye(2) / 2)
+        obj[part][1] = 10**400
+        with pytest.raises(ValueError, match=f"'{part}' holds an integer beyond the double range"):
+            io.matrix_from_obj(obj)
+
     def test_density_invariants_checked_on_load(self):
         bad = io.matrix_to_obj(np.diag([0.7, 0.7]))
         with pytest.raises(ValueError):
@@ -115,6 +122,14 @@ class TestTomogramSchema:
         obj = io.tomogram_to_obj(spin_tomogram(np.eye(2) / 2, grid_frames(0.5, grid)))
         obj["frames"][2][angle] = float("nan")
         with pytest.raises(ValueError, match="finite"):
+            io.tomogram_from_obj(obj)
+
+    @pytest.mark.parametrize("angle", ["alpha", "beta", "gamma"])
+    def test_frame_angle_beyond_double_range_rejected(self, angle):
+        grid = make_grid(0.5)
+        obj = io.tomogram_to_obj(spin_tomogram(np.eye(2) / 2, grid_frames(0.5, grid)))
+        obj["frames"][2][angle] = 10**400
+        with pytest.raises(ValueError, match=f"'{angle}' holds an integer beyond the double range"):
             io.tomogram_from_obj(obj)
 
     @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import frame_diagonals_bound, frame_diagonals_oracle, random_hermitian
 from spintomo.linalg import (
     DensityMatrix,
     eig_hermitian,
@@ -244,7 +246,9 @@ class TestFrameStacks:
         a = random_density(8, 8, seed=5).mat
         frames = haar_unitaries(8, 200, rng)
         loop = np.array([np.einsum("am,ab,bm->m", u.conj(), a, u) for u in frames])
-        assert np.array_equal(frame_diagonals(a, frames), loop)
+        got = frame_diagonals(a, frames)
+        assert np.max(np.abs(got - frame_diagonals_oracle(a, frames))) <= frame_diagonals_bound(a)
+        assert np.max(np.abs(got - loop)) <= 1e-15
 
     def test_kron_all_stacks_equal_np_kron(self, rng):
         a, b, c = (haar_unitaries(2, 50, rng) for _ in range(3))
@@ -275,6 +279,65 @@ class TestFrameStacks:
         if d > 1:
             assert basis[d, 0, 1] == basis[d, 1, 0] == 1.0
             assert basis[d + 1, 0, 1] == -1.0j and basis[d + 1, 1, 0] == 1.0j
+
+
+def unblocked_haar_unitaries(n, count, seed):
+    """The sampler before blocking: the whole batch in one (n, n, count) array."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    z /= np.sqrt(2.0)
+    q = np.ascontiguousarray(z.transpose(2, 1, 0))
+    for k in range(n):
+        v, done = q[k], q[:k]
+        for _ in range(2 if k else 0):
+            coeffs = np.einsum("jib,ib->jb", done, v.conj()).conj()
+            v -= np.einsum("jib,jb->ib", done, coeffs)
+        v /= np.linalg.norm(v, axis=0)
+    return np.ascontiguousarray(q.transpose(2, 1, 0))
+
+
+class TestBlockedFrameKernels:
+    # the kernels work in blocks of 512 frames; the counts straddle one and two blocks
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+    def test_haar_is_bit_identical_to_the_unblocked_sampler(self, n, count):
+        seed = 1000 * n + count
+        assert np.array_equal(haar_unitaries(n, count, seed), unblocked_haar_unitaries(n, count, seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize(
+        "case", ["non_hermitian", "real", "non_contiguous", "broadcast", "empty", "partial_block"]
+    )
+    def test_frame_diagonals_match_extended_precision(self, n, case, rng):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        frames = haar_unitaries(n, 40, rng)
+        if case == "real":
+            a = a.real
+        elif case == "non_contiguous":
+            frames = haar_unitaries(n, 1200, rng)[::2].swapaxes(1, 2)
+        elif case == "broadcast":
+            frames = np.broadcast_to(frames[0], (700, n, n))
+        elif case == "empty":
+            frames = frames[:0]
+        elif case == "partial_block":
+            frames = haar_unitaries(n, 1100, rng)
+        got = frame_diagonals(a, frames)
+        assert got.shape == (len(frames), n) and got.dtype == complex
+        err = np.max(np.abs(got - frame_diagonals_oracle(a, frames)), initial=0.0)
+        assert err <= frame_diagonals_bound(a)
+
+    def test_frame_diagonals_scratch_does_not_grow_with_frames(self):
+        frames = haar_unitaries(8, 20_000, 3)
+        a = random_density(8, 8, seed=4).mat
+        tracemalloc.start()
+        try:
+            out = frame_diagonals(a, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the frame stack alone is 20 MB; the scratch is a few blocks of 512 frames
+        assert peak <= out.nbytes + 4 * 2**20
 
 
 class TestInvariants:

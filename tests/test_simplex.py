@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import frame_diagonals_bound, frame_diagonals_oracle
+from spintomo import simplex
 from spintomo.errors import DegeneratePointError
-from spintomo.linalg import DensityMatrix, haar_unitaries, random_density
+from spintomo.linalg import DensityMatrix, haar_unitaries, partial_transpose, random_density
 from spintomo.simplex import (
     GroupSpec,
     eigenvalue_bounds_check,
@@ -65,7 +67,10 @@ class TestImageSample:
         assert np.array_equal(ident, np.broadcast_to(np.eye(2), (30, 2, 2)))
         for point, a, b in zip(sample.points, u, ident):
             joint = np.kron(a, b)
-            assert np.array_equal(point, np.einsum("am,ab,bm->m", joint.conj(), rho.mat, joint).real)
+            loop = np.einsum("am,ab,bm->m", joint.conj(), rho.mat, joint).real
+            oracle = frame_diagonals_oracle(rho.mat, joint[None])[0].real
+            assert np.max(np.abs(point - oracle)) <= frame_diagonals_bound(rho.mat)
+            assert np.max(np.abs(point - loop)) <= 1e-15
 
 
 class TestImageDimension:
@@ -193,6 +198,21 @@ class TestPeresScan:
     def test_needs_bipartition(self):
         with pytest.raises(ValueError):
             peres_scan(random_density(4, 4, seed=31), 10, seed=32)
+
+    def test_no_haar_frames_scans_the_eigenbasis_alone(self):
+        result = peres_scan(werner_state(1.0), 0, seed=35)
+        vecs = np.linalg.eigh(partial_transpose(werner_state(1.0), 1))[1]
+        assert result.max_violation == result.eigenbasis_value
+        assert np.array_equal(result.witness, vecs)
+
+    def test_a_haar_frame_wins_a_tie_with_the_eigenbasis(self, monkeypatch):
+        # -vecs gives bit-identical diagonals to vecs but is a different frame
+        rho = werner_state(1.0)
+        vecs = np.linalg.eigh(partial_transpose(rho, 1))[1]
+        monkeypatch.setattr(simplex, "haar_unitaries", lambda n, count, rng: -vecs[None])
+        result = peres_scan(rho, 1, seed=36)
+        assert result.max_violation == result.eigenbasis_value
+        assert np.array_equal(result.witness, -vecs)
 
     def test_qubit_qutrit_pure_state(self):
         # a random pure 2x3 state is entangled with probability one
