@@ -167,14 +167,16 @@ def tomogram_from_obj(obj) -> Tomogram:
 
 
 def channel_from_obj(obj) -> KrausChannel:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a channel must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "kraus":
-        ops = [matrix_from_obj(o)[0] for o in obj.get("ops", [])]
-        return KrausChannel(ops)
+        ops = _field(obj, "ops", dict, listed=1) if "ops" in obj else []
+        return KrausChannel([matrix_from_obj(o)[0] for o in ops])
     if kind in CHANNEL_KINDS:
         if "p" not in obj:
             raise ValueError(f"channel kind {kind!r} requires a 'p' field")
-        return build_channel(kind, float(obj["p"]))
+        return build_channel(kind, _field(obj, "p", float))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

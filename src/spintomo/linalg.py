@@ -106,6 +106,8 @@ def eig_hermitian(m):
 
 def expm_hermitian_times(h, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, via eigendecomposition."""
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time t must be a finite number, got {t}")
     h = as_matrix(h)
     if hermiticity_residual(h) > HERMITICITY_TOL:
         raise ValueError("generator is not Hermitian within tolerance")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 from spintomo.halfint import HalfInt
+from spintomo.linalg import expm_hermitian_times, frame_diagonals, kron_all
+from spintomo.simplex import _draw_elements, _lie_basis
 from spintomo.su2 import rotation_stack
 from spintomo.symbols import _identity_quantizer
 
@@ -29,6 +31,28 @@ def frame_diagonals_oracle(a, frames) -> np.ndarray:
 def frame_diagonals_bound(a) -> float:
     """Error allowed to frame_diagonals in double precision: 2 n eps max|a|."""
     return 2 * a.shape[-1] * np.finfo(float).eps * float(np.max(np.abs(a)))
+
+
+def finite_difference_dimension(rho, g, base_points=5, rel_tol=1e-8, seed=0):
+    """(rank, singular values) of the simplex-image Jacobian by central finite
+    differences (step 1e-5) along u0 exp(i s G_k), with the base points,
+    Lie basis and rank rule of simplex.image_dimension_report."""
+    factors, active = g.resolve(rho.dims)
+    basis = _lie_basis(factors, active)
+    step = 1e-5
+    e_plus = np.stack([expm_hermitian_times(gen, -step) for gen in basis])  # exp(+i step G)
+    e_minus = np.stack([expm_hermitian_times(gen, step) for gen in basis])
+    rng = np.random.default_rng(seed)
+    jac = []
+    for u0 in kron_all(_draw_elements(g, rho.dims, base_points, rng)):
+        sigma = u0.conj().T @ rho.mat @ u0
+        forward = frame_diagonals(sigma, e_plus).real
+        backward = frame_diagonals(sigma, e_minus).real
+        jac.append(((forward - backward) / (2.0 * step)).T)
+    sv = np.linalg.svd(np.stack(jac), compute_uv=False)
+    ranks = np.where(sv[:, 0] > 0.0, np.sum(sv > rel_tol * sv[:, :1], axis=1), 0)
+    best = int(np.argmax(ranks))
+    return int(ranks[best]), sv[best]
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,19 @@ class TestEvolveCommand:
                    "--t", "0.7", "--frames", str(frames_path), "--out", str(out)])
         assert rc == 2
         assert "frame entry must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_time_exits_2(self, workdir, capsys, t):
+        tmp, paths = workdir
+        out = tmp / "ev.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evolve", "--state", str(paths["qubit"]), "--hamiltonian", str(paths["h"]),
+                       "--t", t, "--out", str(out)])
+        assert rc == 2
+        assert f"evolution time t must be a finite number, got {t}" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
 

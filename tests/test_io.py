@@ -188,6 +188,21 @@ class TestChannelSchema:
         with pytest.raises(ValueError):
             io.channel_from_obj({"kind": "dephasing", "p": 0.1})
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "phase_damping", "p": {}}, "field 'p' must be a JSON number, got dict"),
+            ({"kind": "phase_damping", "p": "0.5"}, "field 'p' must be a JSON number, got str"),
+            ({"kind": "phase_damping", "p": True}, "field 'p' must be a JSON number, got bool"),
+            ({"kind": "kraus", "ops": 5}, "field 'ops' must be a JSON list of objects, got int"),
+            ([{"kind": "phase_damping", "p": 0.25}], "a channel must be a JSON object, got list"),
+        ],
+        ids=["p-object", "p-string", "p-bool", "ops-number", "not-an-object"],
+    )
+    def test_malformed_fields_refused(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            io.channel_from_obj(obj)
+
 
 class TestFormatting:
     def test_seventeen_significant_digits(self):

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from conftest import frame_diagonals_bound, frame_diagonals_oracle
+from conftest import finite_difference_dimension, frame_diagonals_bound, frame_diagonals_oracle
 from spintomo import simplex
 from spintomo.errors import DegeneratePointError
 from spintomo.linalg import DensityMatrix, haar_unitaries, partial_transpose, random_density
@@ -29,6 +31,36 @@ PRODUCT_22 = GroupSpec("product", (2, 2))
 U2_X_1 = GroupSpec("product", (2, 2), active=(0,))
 
 LADDER_STATE = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), (2, 2))
+
+
+def _groups(dims):
+    """The full group and the product group on every nonempty set of active factors."""
+    subsets = [a for k in range(1, len(dims) + 1) for a in combinations(range(len(dims)), k)]
+    return [("full", FULL)] + [
+        ("product" + "".join(map(str, a)), GroupSpec("product", dims, active=a)) for a in subsets
+    ]
+
+
+ORACLE_CASES = [
+    pytest.param(dims, group, id="x".join(map(str, dims)) + "-" + name)
+    for dims in [(3,), (2, 2), (2, 4), (2, 2, 2)]
+    for name, group in _groups(dims)
+]
+
+ACCEPTANCE_CASES = [
+    pytest.param(random_density(4, 4, seed=9), FULL, id="generic-full"),
+    pytest.param(LADDER_STATE, FULL, id="ladder-full"),
+    pytest.param(
+        product_state(pure_state([1.0, 0.7j]), pure_state([0.4, 1.0])), PRODUCT_22, id="factorized"
+    ),
+    pytest.param(entangled_ray_state(1 / np.sqrt(2), 1 / np.sqrt(2)), PRODUCT_22, id="ray"),
+    *[pytest.param(werner_state(q), U2_X_1, id=f"werner{q}") for q in (0.2, 0.5, 1.0)],
+    pytest.param(
+        random_density(8, 8, seed=37, dims=(2, 2, 2)),
+        GroupSpec("product", (2, 2, 2)),
+        id="generic-2x2x2-product",
+    ),
+]
 
 
 class TestImageSample:
@@ -106,6 +138,25 @@ class TestImageDimension:
         report = image_dimension_report(LADDER_STATE, FULL)
         assert report.singular_values.size >= report.rank
         assert report.rel_tol == 1e-8
+
+
+class TestClosedFormJacobian:
+    @pytest.mark.parametrize("dims, group", ORACLE_CASES)
+    def test_matches_finite_difference_oracle(self, dims, group):
+        n = int(np.prod(dims))
+        for rank in range(1, n + 1):
+            rho = random_density(n, rank, seed=40 + rank, dims=dims)
+            report = image_dimension_report(rho, group, seed=rank)
+            want_rank, want_sv = finite_difference_dimension(rho, group, seed=rank)
+            assert report.rank == want_rank
+            assert np.max(np.abs(report.singular_values - want_sv)) <= 1e-9 * want_sv[0]
+
+    @pytest.mark.parametrize("rho, group", ACCEPTANCE_CASES)
+    def test_null_singular_values_at_rounding_level(self, rho, group):
+        report = image_dimension_report(rho, group)
+        null = report.singular_values[report.rank:]
+        assert null.size > 0  # the coordinates sum to 1, so one direction is always null
+        assert np.max(null) <= 1e-14 * report.singular_values[0]
 
 
 class TestFactorizedSurface:

@@ -35,7 +35,11 @@ def random_operator(n, rng):
 
 
 class TestTransformPair:
-    @pytest.mark.parametrize("grid_of", [make_grid, star_grid], ids=["make_grid", "star_grid"])
+    @pytest.mark.parametrize(
+        "grid_of",
+        [make_grid, lambda j: make_grid(j, oversample=1.5)],
+        ids=["make_grid", "oversampled"],
+    )
     @pytest.mark.parametrize("j", SPINS)
     def test_synthesize_inverts_analyze(self, j, grid_of, rng):
         transform = SpinTransform.on_grid(j, grid_of(j))
@@ -247,7 +251,11 @@ class TestBetaFactoredTransform:
 
 
 class TestRealPropagator:
-    @pytest.mark.parametrize("grid_of", [make_grid, star_grid], ids=["make_grid", "star_grid"])
+    @pytest.mark.parametrize(
+        "grid_of",
+        [make_grid, lambda j: make_grid(j, oversample=1.5)],
+        ids=["make_grid", "oversampled"],
+    )
     @pytest.mark.parametrize("jt", range(7))
     def test_equals_complex_stack_product(self, jt, grid_of):
         j = HalfInt(jt)
