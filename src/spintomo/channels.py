@@ -142,6 +142,8 @@ def channel_initial_state(kind: str) -> DensityMatrix:
 
 def channel_frame(theta: float, n) -> np.ndarray:
     """u = cos(theta/2) - i (sigma . n) sin(theta/2) for a unit 3-vector n."""
+    if not np.isfinite(theta):
+        raise ValueError(f"rotation angle theta must be a finite number, got {theta}")
     n = np.asarray(n, dtype=float)
     if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
         raise ValueError("n must be a unit 3-vector")
@@ -156,6 +158,8 @@ def channel_tomogram_closed_form(kind: str, p: float, theta: float, n) -> tuple[
     w_plus + w_minus = 1 holds exactly by construction.
     """
     p = _check_p(p)
+    if not np.isfinite(theta):
+        raise ValueError(f"rotation angle theta must be a finite number, got {theta}")
     n = np.asarray(n, dtype=float)
     if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
         raise ValueError("n must be a unit 3-vector")

@@ -27,6 +27,8 @@ def _clean_probs(w, name: str = "w") -> np.ndarray:
     w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
         raise ValueError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} has non-finite (NaN or infinite) entries")
     if np.min(w) < -NEG_TOL:
         raise ValueError(f"{name} has negative entries beyond tolerance")
     w = np.clip(w, 0.0, None)

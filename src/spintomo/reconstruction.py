@@ -16,7 +16,7 @@ from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid, make_grid
-from .symbols import QuantizerPair, SpinTransform, Tomogram, UnitaryFrames, _frames_match_grid, _product_factors
+from .symbols import QuantizerPair, Tomogram, UnitaryFrames, _frames_match_grid, _grid_transform
 
 __all__ = [
     "make_grid",
@@ -25,6 +25,18 @@ __all__ = [
     "intertwine",
     "duality_residual",
 ]
+
+
+def _product_factors(betas: np.ndarray, gammas: np.ndarray):
+    """(beta nodes, gamma nodes) if the frames are their beta-major product, else None."""
+    rest = np.flatnonzero(betas[1:] != betas[0])
+    n_gamma = int(rest[0]) + 1 if rest.size else betas.size
+    if betas.size % n_gamma:
+        return None
+    b, g = betas.reshape(-1, n_gamma), gammas.reshape(-1, n_gamma)
+    if np.all(b == b[:, :1]) and np.all(g == g[:1]):
+        return b[:, 0], g[0]
+    return None
 
 
 def infer_grid(t: Tomogram) -> QuadratureGrid:
@@ -54,12 +66,7 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
     A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x, the quadrature of the quantizer
     family over the grid nodes (see ``SpinTransform.synthesize``).
     """
-    j = HalfInt.of(j)
-    if t.kind != "spin":
-        raise ValueError("reconstruct_operator expects a spin tomogram")
-    if not _frames_match_grid(t.frames, j, grid):
-        raise ValueError("tomogram frames do not coincide with the grid nodes")
-    return SpinTransform.on_grid(j, grid).synthesize(t.table)
+    return _grid_transform(t, HalfInt.of(j), grid).synthesize(t.table)
 
 
 def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
@@ -115,7 +122,9 @@ def _design_matrix(us: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
-    """Max abs mismatch between the tomogram and the state's forward symbol."""
+    """Max abs mismatch between a unitary-frame tomogram and the state's forward symbol."""
+    if t.kind != "unitary":
+        raise ValueError("expected a unitary-frame tomogram")
     pred = frame_diagonals(rho.mat, UnitaryFrames.of(t.frames, rho.dim).stack).real
     return float(np.max(np.abs(pred.T - t.table.real)))
 

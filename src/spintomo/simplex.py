@@ -131,8 +131,10 @@ def image_dimension_report(
     derivative at s = 0 is diag(i [sigma, G_k]) = -2 Im diag(sigma G_k) with
     sigma = u0^dag rho u0.  The Jacobians at all random base points come from
     one batched product; the rank is the count of singular values above
-    rel_tol * sigma_max, maximized over base points.
+    rel_tol * sigma_max, maximized over base points; rel_tol lies in (0, 1).
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     factors, active = g.resolve(rho.dims)
     u0 = kron_all(_draw_elements(g, rho.dims, _BASE_POINTS, np.random.default_rng(seed)))
     sigma = u0.conj().swapaxes(-1, -2) @ rho.mat @ u0

@@ -37,9 +37,8 @@ from .quadrature import QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_small_d
 from .symbols import (
     EulerAngles,
-    SpinTransform,
     Tomogram,
-    _frames_match_grid,
+    _grid_transform,
     _identity_quantizer,
     dequantizer_U,
     quantizer_D,
@@ -135,13 +134,6 @@ def kernel_closed_form(j, x2, x1, x) -> complex:
     return complex(prefactor * total)
 
 
-def _require_grid_tomogram(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> None:
-    if t.kind != "spin":
-        raise ValueError("star composition expects spin tomograms")
-    if not _frames_match_grid(t.frames, j, grid):
-        raise ValueError("tomogram frames do not coincide with the grid nodes")
-
-
 def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogram:
     """Symbol of the operator product, f_A * f_B, on the same grid.
 
@@ -149,9 +141,8 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
     order: synthesize both operators, multiply, analyze the product.
     """
     j = HalfInt.of(j)
-    _require_grid_tomogram(fa, j, grid)
-    _require_grid_tomogram(fb, j, grid)
-    transform = SpinTransform.on_grid(j, grid)
+    transform = _grid_transform(fa, j, grid)
+    _grid_transform(fb, j, grid)
     product = transform.synthesize(fa.table) @ transform.synthesize(fb.table)
     return Tomogram(fa.frames, transform.analyze(product))
 
@@ -159,9 +150,9 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
 def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     """Trace functional sum_x w_x f(x) Tr[D(x)] applied to a spin symbol."""
     j = HalfInt.of(j)
-    _require_grid_tomogram(t, j, grid)
+    weights = _grid_transform(t, j, grid).weights
     # Tr D(m, x) = Tr[R_x^dag diag(Q[:, m]) R_x] = sum_m' Q[m', m] at every node
-    return complex(grid.group_weights() @ (_identity_quantizer(j.twice).sum(axis=0) @ t.table))
+    return complex(weights @ (_identity_quantizer(j.twice).sum(axis=0) @ t.table))
 
 
 def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:

@@ -8,9 +8,10 @@ tables, one distribution per frame.
 The dual operator families (dequantizer ``U`` and quantizer ``D``) invert the
 symbol map: A = sum_x w(x) f_A(x) D(x) over a quadrature grid.  Both families
 are rotation covariant, U(m, g) = R(g)^dag |j m><j m| R(g) and
-D(m, g) = R(g)^dag D(m, e) R(g), so ``SpinTransform`` runs the spin symbol map
-and its inverse from the d-matrices at the distinct beta nodes and a gamma
-phase table, without forming either family or a rotation per frame.
+D(m, g) = R(g)^dag D(m, e) R(g), so a grid's ``SpinTransform`` runs the spin
+symbol map and its inverse from the d-matrices at its beta nodes and a gamma
+phase table, without forming either family or a rotation per node; frames off
+a grid are the unitary frames R(g)^dag of ``frame_diagonals``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .su2 import (
     clebsch_gordan,
     irreducible_tensor,
     rotation_matrix,
+    rotation_stack,
     tensor_index_pairs,
     wigner_d_stack,
     wigner_small_d,
@@ -65,8 +67,9 @@ class SpinFrames(Sequence):
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
     Indexing and iteration yield ``SpinFrame`` objects on demand.  ``grid`` is
-    the quadrature grid whose nodes the frames are (set by ``grid_frames``);
-    ``spin_tomogram`` then uses the grid's memoized ``SpinTransform``.
+    the quadrature grid whose nodes the frames are (set by ``grid_frames`` and
+    ``infer_grid``); ``spin_tomogram`` then uses the grid's memoized
+    ``SpinTransform``, and runs frames with no grid through ``frame_diagonals``.
     """
 
     def __init__(self, j, betas, gammas, alphas=None, grid: QuadratureGrid | None = None):
@@ -188,20 +191,8 @@ def _identity_quantizer(jt: int) -> np.ndarray:
     return q
 
 
-def _product_factors(betas: np.ndarray, gammas: np.ndarray):
-    """(beta nodes, gamma nodes) if the frames are their beta-major product, else None."""
-    rest = np.flatnonzero(betas[1:] != betas[0])
-    n_gamma = int(rest[0]) + 1 if rest.size else betas.size
-    if betas.size % n_gamma:
-        return None
-    b, g = betas.reshape(-1, n_gamma), gammas.reshape(-1, n_gamma)
-    if np.all(b == b[:, :1]) and np.all(g == g[:1]):
-        return b[:, 0], g[0]
-    return None
-
-
 class SpinTransform:
-    """The spin symbol map and its inverse, factored through the beta nodes.
+    """The spin symbol map and its inverse on a quadrature grid, factored through its beta nodes.
 
     With R_x = d(beta_x) diag(exp(-i gamma_x m)) and k = b - a, the symbol is
 
@@ -209,48 +200,38 @@ class SpinTransform:
         C[beta, m, k] = sum_{b - a = k} d_ma(beta) d_mb(beta) A_ab,
 
     so ``analyze(A)`` sums A along its diagonals against the real table
-    d_ma d_mb at the distinct beta values, then applies the gamma phases
-    exp(-i gamma k).  ``synthesize(w)`` is the quadrature
-    A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x of the quantizer family (the
-    covariance D(m, g) = R(g)^dag D(m, e) R(g)), the same two steps reversed.
-    On beta-major product frames (every grid) the phase step is one matrix
-    product with the (4j+1, n_gamma) phase table (Kostelec & Rockmore, "FFTs on
-    the rotation group", J. Fourier Anal. Appl. 14, 2008); any other frame list
-    gets one phase row per frame and is only analyzed.  ``weights`` are the
-    quadrature weights W_x, needed only to synthesize.
+    d_ma d_mb at the grid's beta nodes, then applies the (4j+1, n_gamma) table
+    of gamma phases exp(-i gamma k) in one matrix product (Kostelec & Rockmore,
+    "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).
+    ``synthesize(w)`` is the quadrature A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x
+    of the quantizer family (the covariance D(m, g) = R(g)^dag D(m, e) R(g))
+    with the grid's weights W_x, the same two steps reversed.  Tables run over
+    the grid nodes in node order; ``on_grid`` memoizes one transform per grid.
     """
 
-    def __init__(self, j, betas, gammas, weights=None):
+    def __init__(self, j, grid: QuadratureGrid):
         self.j = HalfInt.of(j)
-        self.betas = np.asarray(betas, dtype=float).reshape(-1)
-        self.gammas = np.asarray(gammas, dtype=float).reshape(-1)
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        self.weights = grid.group_weights()
         n = self.j.twice + 1
-        factors = _product_factors(self.betas, self.gammas) if self.betas.size else None
-        if factors is None:
-            beta_nodes, self._beta_index = np.unique(self.betas, return_inverse=True)
-            gamma_nodes = self.gammas
-        else:
-            (beta_nodes, gamma_nodes), self._beta_index = factors, None
-        d = wigner_d_stack(self.j, beta_nodes)
+        d = wigner_d_stack(self.j, grid.beta_nodes)
         # row (beta, m), column (a, b): d_ma(beta) d_mb(beta)
         self._table = (d[:, :, :, None] * d[:, :, None, :]).reshape(-1, n * n)
         a, b = np.divmod(np.arange(n * n), n)
         self._diagonal = b - a + n - 1  # column (a, b) -> diagonal index k + 2j
-        # phases[k, y] = exp(-i gamma_y k) over the gamma nodes (or the frames)
-        self._phases = np.exp(-1j * np.multiply.outer(np.arange(1 - n, n), gamma_nodes))
+        # phases[k, y] = exp(-i gamma_y k) over the gamma nodes
+        self._phases = np.exp(-1j * np.multiply.outer(np.arange(1 - n, n), grid.gamma_nodes))
 
     @classmethod
     def on_grid(cls, j, grid: QuadratureGrid) -> "SpinTransform":
-        """Transform at the grid nodes, in grid node order; memoized on the grid."""
+        """The grid's transform, built once and memoized on the grid."""
         j = HalfInt.of(j)
         key = ("transform", j.twice)
         if key not in grid._memo:
-            grid._memo[key] = cls(j, *grid.node_angles(), grid.group_weights())
+            grid._memo[key] = cls(j, grid)
         return grid._memo[key]
 
     def analyze(self, a) -> np.ndarray:
-        """Symbol table w[m, x] of the operator ``a``, shape (2j+1, frames).
+        """Symbol table w[m, x] of the operator ``a``, shape (2j+1, nodes).
 
         A stack of operators (..., 2j+1, 2j+1) gives a stack of tables.
         """
@@ -261,21 +242,25 @@ class SpinTransform:
         placed[..., np.arange(n * n), self._diagonal] = a.reshape(lead + (n * n,))
         # real table times the (re, im) pairs of the diagonal sums: one real product
         sums = (self._table @ placed.view(float)).view(complex)
-        sums = sums.reshape(lead + (-1, n, 2 * n - 1))
-        if self._beta_index is None:
-            w = sums @ self._phases
-            return np.moveaxis(w, -3, -2).reshape(lead + (n, -1))
-        return np.einsum("...xmk,kx->...mx", sums[..., self._beta_index, :, :], self._phases)
+        w = sums.reshape(lead + (-1, n, 2 * n - 1)) @ self._phases
+        return np.moveaxis(w, -3, -2).reshape(lead + (n, -1))
 
     def synthesize(self, w) -> np.ndarray:
-        """Operator with symbol table ``w`` of shape (2j+1, frames)."""
-        if self.weights is None or self._beta_index is not None:
-            raise ValueError("synthesis needs quadrature weights on beta-major product frames")
+        """Operator with symbol table ``w`` of shape (2j+1, nodes)."""
         n = self.j.twice + 1
         c = (_identity_quantizer(self.j.twice) @ w) * self.weights
         c = c.reshape(n, -1, self._phases.shape[1]).transpose(1, 0, 2)
         sums = (c @ self._phases.conj().T).reshape(-1, 2 * n - 1)
         return np.einsum("rc,rc->c", self._table, sums[:, self._diagonal]).reshape(n, n)
+
+
+def _grid_transform(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> SpinTransform:
+    """The grid's ``SpinTransform``, once ``t`` is checked to be a spin-j tomogram at its nodes."""
+    if t.kind != "spin":
+        raise ValueError("expected a spin tomogram")
+    if not _frames_match_grid(t.frames, j, grid):
+        raise ValueError("tomogram frames do not coincide with the grid nodes")
+    return SpinTransform.on_grid(j, grid)
 
 
 @dataclass
@@ -422,6 +407,8 @@ def spin_tomogram(a, frames) -> Tomogram:
     """Spin symbol w(m, frame) = Tr[A U(m, frame)] for every m and frame.
 
     ``frames`` is a ``SpinFrames`` set or a sequence of same-j ``SpinFrame``s.
+    Grid frames run on the grid's ``SpinTransform``; other frames are unitary
+    frames u = R(g)^dag, run on ``frame_diagonals`` like every unitary tomogram.
     ``a`` may be a plain matrix (observable) or a DensityMatrix, in which case
     per-frame normalization is verified.
     """
@@ -432,10 +419,11 @@ def spin_tomogram(a, frames) -> Tomogram:
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
     if frames.grid is not None:
-        transform = SpinTransform.on_grid(frames.j, frames.grid)
+        table = SpinTransform.on_grid(frames.j, frames.grid).analyze(mat)
     else:
-        transform = SpinTransform(frames.j, frames.betas, frames.gammas)
-    t = Tomogram(frames, transform.analyze(mat), source_state=a if is_state else None)
+        rotations = rotation_stack(frames.j, frames.betas, frames.gammas)
+        table = frame_diagonals(mat, rotations.conj().swapaxes(-1, -2)).T
+    t = Tomogram(frames, table, source_state=a if is_state else None)
     if is_state:
         t.check_normalized()
     return t

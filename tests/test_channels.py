@@ -179,6 +179,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             channel_tomogram_closed_form("depolarizing", 0.2, 0.5, (1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_refused(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            channel_frame(theta, (0.0, 0.0, 1.0))
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError, match="finite"):
+                channel_tomogram_closed_form(kind, 0.2, theta, (0.0, 0.0, 1.0))
+
 
 class TestPropagator:
     def test_identity_channel_acts_as_identity(self, rng):

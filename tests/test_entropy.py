@@ -135,6 +135,26 @@ class TestOrderValidation:
                 call()
 
 
+class TestNonFiniteDistributions:
+    # NaN fails every comparison, so the sign and sum checks alone let it through
+    def test_symbol_entropy_refuses_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            symbol_entropy([0.5, np.nan, 0.5])
+
+    def test_renyi_entropy_refuses_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            renyi_entropy([np.nan, 1.0], 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tsallis_entropy_refuses_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            tsallis_entropy([bad, 1.0], 2.0)
+
+    def test_relative_q_entropy_refuses_nan(self):
+        with pytest.raises(ValueError, match="w2 has non-finite"):
+            relative_q_entropy([0.5, 0.5], [np.nan, 1.0], 1.0)
+
+
 class TestMinOverGroup:
     def test_maximally_mixed_is_flat(self):
         report = min_entropy_over_group(maximally_mixed((3,)), 200, seed=1)

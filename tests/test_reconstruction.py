@@ -197,6 +197,12 @@ class TestUnitaryFrameReconstruction:
         assert np.max(np.abs(est.mat - rho.mat)) < 1e-9
         assert reconstruction_residual(t, est) < 1e-9
 
+    def test_residual_refuses_spin_tomogram(self):
+        rho = random_density(2, 2, seed=21)
+        t = spin_tomogram(rho, grid_frames(0.5, make_grid(0.5)))
+        with pytest.raises(ValueError, match="unitary-frame tomogram"):
+            reconstruction_residual(t, rho)
+
     def test_single_frame_incomplete(self):
         rho = random_density(2, 2, seed=22)
         t = unitary_tomogram(rho, [np.eye(2, dtype=complex)])

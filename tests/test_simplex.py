@@ -134,6 +134,11 @@ class TestImageDimension:
         for factor in (0.1, 10.0):
             assert image_dimension(rho, FULL, rel_tol=1e-8 * factor) == base
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
+    def test_rel_tol_outside_zero_one_refused(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            image_dimension_report(LADDER_STATE, FULL, rel_tol=rel_tol)
+
     def test_report_exposes_spectrum(self):
         report = image_dimension_report(LADDER_STATE, FULL)
         assert report.singular_values.size >= report.rank

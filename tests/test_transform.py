@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from spintomo.symbols import (
     SpinTransform,
     _coupled_m0_block,
     _identity_quantizer,
-    _product_factors,
     dequantizer_U,
     grid_frames,
     quantizer_D,
@@ -52,15 +53,11 @@ class TestTransformPair:
     def test_analyze_equals_trace_against_dequantizers(self, j, rng):
         betas, gammas = rng.uniform(0, np.pi, 5), rng.uniform(0, 2 * np.pi, 5)
         a = random_operator(HalfInt.of(j).twice + 1, rng)
-        w = SpinTransform(j, betas, gammas).analyze(a)
+        w = spin_tomogram(a, SpinFrames(j, betas, gammas)).table
         for x, (b, g) in enumerate(zip(betas, gammas)):
             for i, m in enumerate(spin_range(j)):
                 want = np.trace(a @ dequantizer_U(j, m, EulerAngles(0.0, b, g)))
                 assert abs(w[i, x] - want) < 1e-12
-
-    def test_synthesis_needs_weights(self):
-        with pytest.raises(ValueError):
-            SpinTransform(1, [0.3], [0.1]).synthesize(np.ones((3, 1)))
 
     def test_grid_transform_memoized(self):
         grid = make_grid(1.5)
@@ -193,19 +190,9 @@ class TestBetaFactoredTransform:
         betas = rng.uniform(0, np.pi, 2 if shared_betas else n_frames)
         betas = rng.choice(betas, n_frames) if shared_betas else betas
         gammas = rng.uniform(0, 2 * np.pi, n_frames)
-        weights = rng.uniform(0.1, 1.0, n_frames)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w = rng.standard_normal((n, n_frames)) + 1j * rng.standard_normal((n, n_frames))
-        transform = SpinTransform(j, betas, gammas)
-        assert np.max(np.abs(transform.analyze(a) - oracle_analyze(j, betas, gammas, a))) < 1e-12
-        # synthesis is a quadrature, so it is refused off a product of nodes
-        weighted = SpinTransform(j, betas, gammas, weights)
-        if _product_factors(betas, gammas) is None:
-            with pytest.raises(ValueError, match="product frames"):
-                weighted.synthesize(w)
-        else:
-            want = oracle_synthesize(j, betas, gammas, weights, w)
-            assert np.max(np.abs(weighted.synthesize(w) - want)) < 1e-12
+        w = spin_tomogram(a, SpinFrames(j, betas, gammas)).table
+        assert np.max(np.abs(w - oracle_analyze(j, betas, gammas, a))) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -245,9 +232,37 @@ class TestBetaFactoredTransform:
         betas, gammas = grid.node_angles()
         order = rng.permutation(grid.n_nodes)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        product = SpinTransform(2, betas, gammas).analyze(a)
-        listed = SpinTransform(2, betas[order], gammas[order]).analyze(a)
+        product = spin_tomogram(a, grid_frames(2, grid)).table
+        listed = spin_tomogram(a, SpinFrames(2, betas[order], gammas[order])).table
         assert np.max(np.abs(product[:, order] - listed)) < 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(jt=st.integers(min_value=0, max_value=40), seed=st.integers(min_value=0, max_value=2**31))
+    def test_shuffled_grid_nodes_match_grid_path(self, jt, seed):
+        # shuffled nodes carry no grid, so they run on frame_diagonals
+        rng = np.random.default_rng(seed)
+        j, grid = HalfInt(jt), make_grid(HalfInt(jt))
+        betas, gammas = grid.node_angles()
+        order = rng.permutation(grid.n_nodes)
+        a = random_operator(jt + 1, rng)
+        a /= np.linalg.norm(a, 2)
+        on_grid = spin_tomogram(a, grid_frames(j, grid)).table
+        listed = spin_tomogram(a, SpinFrames(j, betas[order], gammas[order])).table
+        assert np.max(np.abs(on_grid[:, order] - listed)) <= 1e-13
+
+    def test_off_grid_tomogram_memory(self):
+        # one (2j+1)^2 rotation per frame: about 19 MB traced; a d_ma d_mb table
+        # per distinct beta, F n^3 doubles, would take 58 MB
+        rng = np.random.default_rng(0)
+        frames = SpinFrames(8, rng.uniform(0, np.pi, 1000), rng.uniform(0, 2 * np.pi, 1000))
+        rho = random_density(17, 17, seed=1)
+        tracemalloc.start()
+        try:
+            spin_tomogram(rho, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestRealPropagator:
