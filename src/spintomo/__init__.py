@@ -100,7 +100,6 @@ from .su2 import (
 from .symbols import (
     EulerAngles,
     QuantizerPair,
-    SpinFrame,
     SpinFrames,
     SpinTransform,
     Tomogram,

@@ -140,13 +140,19 @@ def channel_initial_state(kind: str) -> DensityMatrix:
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def channel_frame(theta: float, n) -> np.ndarray:
-    """u = cos(theta/2) - i (sigma . n) sin(theta/2) for a unit 3-vector n."""
+def _check_rotation(theta: float, n) -> np.ndarray:
+    """The axis ``n`` as an array, once theta is finite and n a unit 3-vector (NaN refused)."""
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle theta must be a finite number, got {theta}")
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
+    if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-10:
         raise ValueError("n must be a unit 3-vector")
+    return n
+
+
+def channel_frame(theta: float, n) -> np.ndarray:
+    """u = cos(theta/2) - i (sigma . n) sin(theta/2) for a unit 3-vector n."""
+    n = _check_rotation(theta, n)
     sigma_n = sum(ni * si for ni, si in zip(n, PAULIS))
     return np.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2.0) * sigma_n
 
@@ -158,11 +164,7 @@ def channel_tomogram_closed_form(kind: str, p: float, theta: float, n) -> tuple[
     w_plus + w_minus = 1 holds exactly by construction.
     """
     p = _check_p(p)
-    if not np.isfinite(theta):
-        raise ValueError(f"rotation angle theta must be a finite number, got {theta}")
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
-        raise ValueError("n must be a unit 3-vector")
+    n = _check_rotation(theta, n)
     c2 = np.cos(theta / 2.0) ** 2
     s2 = np.sin(theta / 2.0) ** 2
     n1, n2, n3 = n

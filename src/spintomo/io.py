@@ -148,11 +148,9 @@ def tomogram_from_obj(obj) -> Tomogram:
     if kind not in ("spin", "unitary"):
         raise ValueError("tomogram kind must be 'spin' or 'unitary'")
     values = _field(obj, "values", float, listed=2)
-    _require_finite(values, "tomogram values")
     if "values_im" in obj:
-        imag = _field(obj, "values_im", float, listed=2)
-        _require_finite(imag, "tomogram values")
-        values = values + 1j * imag
+        values = values.astype(complex)
+        values.imag = _field(obj, "values_im", float, listed=2)
     frames = obj["frames"]
     if not isinstance(frames, list):
         raise ValueError(f"tomogram frames must be a JSON list of frame objects, got {type(frames).__name__}")

@@ -188,8 +188,8 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(self.mat).real - 1.0) > 1e-12 or abs(np.trace(self.mat).imag) > 1e-12:
             raise ValueError("density matrix trace differs from 1 beyond 1e-12")
-        if np.min(np.linalg.eigvalsh(self.mat)) < -self.psd_slack:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        if not np.min(np.linalg.eigvalsh(self.mat)) >= -self.psd_slack:
+            raise ValueError(f"density matrix has a negative eigenvalue beyond the slack {self.psd_slack}")
 
     @property
     def dim(self) -> int:

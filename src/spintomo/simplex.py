@@ -149,6 +149,16 @@ def image_dimension(rho: DensityMatrix, g: GroupSpec, **kwargs) -> int:
     return image_dimension_report(rho, g, **kwargs).rank
 
 
+def _two_qubit_point(point) -> np.ndarray:
+    """``point`` as a float array, once it is 4 finite outcome probabilities."""
+    w = np.asarray(point, dtype=float)
+    if w.shape != (4,):
+        raise ValueError("expected a 4-outcome simplex point")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("simplex point entries must be finite numbers (found NaN or infinity)")
+    return w
+
+
 def factorized_surface_residual(point) -> float:
     """Defect of the two-qubit factorized-surface relation.
 
@@ -156,9 +166,7 @@ def factorized_surface_residual(point) -> float:
     factorized state satisfies w10 = w00/(w01 + w00) - w00; returns the
     absolute deviation.
     """
-    w = np.asarray(point, dtype=float)
-    if w.shape != (4,):
-        raise ValueError("expected a 4-outcome simplex point")
+    w = _two_qubit_point(point)
     denom = w[0] + w[1]
     if denom <= 0.0:
         raise DegeneratePointError("w(00) + w(01) vanishes; relation undefined")
@@ -171,11 +179,9 @@ def entangled_ray_check(point, c0: complex, c1: complex) -> float:
     Checks w00/|c0|^2 = w11/|c1|^2 and (the equal-moduli reduction of the
     cross identity) w10 = w01.
     """
-    w = np.asarray(point, dtype=float)
-    if w.shape != (4,):
-        raise ValueError("expected a 4-outcome simplex point")
+    w = _two_qubit_point(point)
     a0, a1 = abs(c0) ** 2, abs(c1) ** 2
-    if abs(a0 + a1 - 1.0) > 1e-10:
+    if not abs(a0 + a1 - 1.0) <= 1e-10:
         raise ValueError("coefficients must satisfy |c0|^2 + |c1|^2 = 1")
     if a0 < 1e-12 or a1 < 1e-12:
         raise DegeneratePointError("a vanishing coefficient degenerates the ray identities")

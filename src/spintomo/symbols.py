@@ -12,6 +12,10 @@ D(m, g) = R(g)^dag D(m, e) R(g), so a grid's ``SpinTransform`` runs the spin
 symbol map and its inverse from the d-matrices at its beta nodes and a gamma
 phase table, without forming either family or a rotation per node; frames off
 a grid are the unitary frames R(g)^dag of ``frame_diagonals``.
+
+A set of spin frames is one ``SpinFrames`` object of Euler-angle arrays, from
+file to kernel; ``EulerAngles`` is the single rotation that the reference
+operators ``dequantizer_U``, ``dequantizer_series`` and ``quantizer_D`` take.
 """
 
 from __future__ import annotations
@@ -55,21 +59,13 @@ class EulerAngles:
     gamma: float
 
 
-@dataclass(frozen=True)
-class SpinFrame:
-    """A rotation frame for spin-j tomography; alpha does not affect values."""
-
-    j: HalfInt
-    angles: EulerAngles
-
-
-class SpinFrames(Sequence):
+class SpinFrames:
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
-    Indexing and iteration yield ``SpinFrame`` objects on demand.  ``grid`` is
-    the quadrature grid whose nodes the frames are (set by ``grid_frames`` and
-    ``infer_grid``); ``spin_tomogram`` then uses the grid's memoized
-    ``SpinTransform``, and runs frames with no grid through ``frame_diagonals``.
+    ``grid`` is the quadrature grid whose nodes the frames are (set by
+    ``grid_frames`` and ``infer_grid``); ``spin_tomogram`` then uses the grid's
+    memoized ``SpinTransform``, and runs frames with no grid through
+    ``frame_diagonals``.
     """
 
     def __init__(self, j, betas, gammas, alphas=None, grid: QuadratureGrid | None = None):
@@ -83,27 +79,8 @@ class SpinFrames(Sequence):
             raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
         self.grid = grid
 
-    @classmethod
-    def of(cls, frames) -> "SpinFrames":
-        """``frames`` itself, or a nonempty sequence of same-j ``SpinFrame``s as arrays."""
-        if isinstance(frames, cls):
-            return frames
-        items = [*frames]
-        if not items:
-            raise ValueError("at least one frame is required")
-        if not all(isinstance(fr, SpinFrame) for fr in items):
-            raise ValueError("spin frames must be SpinFrame objects")
-        j = items[0].j
-        if any(fr.j != j for fr in items):
-            raise ValueError("all frames must share the same spin j")
-        angles = np.array([(fr.angles.alpha, fr.angles.beta, fr.angles.gamma) for fr in items], dtype=float)
-        return cls(j, angles[:, 1], angles[:, 2], angles[:, 0])
-
     def __len__(self) -> int:
         return self.betas.size
-
-    def __getitem__(self, i: int) -> SpinFrame:
-        return SpinFrame(self.j, EulerAngles(float(self.alphas[i]), float(self.betas[i]), float(self.gammas[i])))
 
 
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
@@ -269,11 +246,12 @@ class Tomogram:
 
     ``SpinFrames`` make a "spin" tomogram over the magnetic numbers of j;
     ``UnitaryFrames`` a "unitary" one over the index tuples of ``dims``, which
-    default to the frame size and must multiply to it.  A raw frame sequence is
-    converted, and checked, once on construction.  The table is stored complex
-    so symbols of arbitrary observables are representable; ``values`` exposes
-    the probability view and raises if the data is not a clean probability
-    table, while ``observable_values`` returns the raw complex table.
+    default to the frame size and must multiply to it.  Any other ``frames``
+    are read as unitary frames by ``UnitaryFrames.of``, once on construction.
+    The table must be finite; it is stored complex so symbols of arbitrary
+    observables are representable.  ``values`` exposes the probability view
+    and raises if the data is not a clean probability table, while
+    ``observable_values`` returns the raw complex table.
     """
 
     frames: SpinFrames | UnitaryFrames
@@ -285,12 +263,10 @@ class Tomogram:
         self.table = np.asarray(self.table, dtype=complex)
         if self.table.ndim != 2:
             raise ValueError(f"tomogram table must be 2-d (outcomes x frames), got shape {self.table.shape}")
+        if not np.all(np.isfinite(self.table)):
+            raise ValueError("tomogram table entries must be finite numbers (found NaN or infinity)")
         if not isinstance(self.frames, (SpinFrames, UnitaryFrames)):
-            items = list(self.frames)
-            if items and isinstance(items[0], SpinFrame):
-                self.frames = SpinFrames.of(items)
-            else:
-                self.frames = UnitaryFrames.of(items, self.table.shape[0])
+            self.frames = UnitaryFrames.of(self.frames, self.table.shape[0])
         if not len(self.frames):
             raise ValueError("at least one frame is required")
         if isinstance(self.frames, SpinFrames):
@@ -406,15 +382,18 @@ def _series_coefficients(j: HalfInt, m: HalfInt, omega: EulerAngles):
 def spin_tomogram(a, frames) -> Tomogram:
     """Spin symbol w(m, frame) = Tr[A U(m, frame)] for every m and frame.
 
-    ``frames`` is a ``SpinFrames`` set or a sequence of same-j ``SpinFrame``s.
-    Grid frames run on the grid's ``SpinTransform``; other frames are unitary
-    frames u = R(g)^dag, run on ``frame_diagonals`` like every unitary tomogram.
-    ``a`` may be a plain matrix (observable) or a DensityMatrix, in which case
-    per-frame normalization is verified.
+    ``frames`` is a ``SpinFrames`` set.  Grid frames run on the grid's
+    ``SpinTransform``; other frames are unitary frames u = R(g)^dag, run on
+    ``frame_diagonals`` like every unitary tomogram.  ``a`` may be a plain
+    finite matrix (observable) or a DensityMatrix, in which case per-frame
+    normalization is verified.
     """
     is_state = isinstance(a, DensityMatrix)
     mat = a.mat if is_state else np.asarray(a, dtype=complex)
-    frames = SpinFrames.of(frames)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("operator entries must be finite numbers (found NaN or infinity)")
+    if not isinstance(frames, SpinFrames):
+        raise ValueError(f"spin frames must be a SpinFrames set of angle arrays, got {type(frames).__name__}")
     n = frames.j.twice + 1
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")

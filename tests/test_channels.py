@@ -179,6 +179,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             channel_tomogram_closed_form("depolarizing", 0.2, 0.5, (1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("axis", [(float("nan"), 0.0, 0.0), (0.0, float("inf"), 0.0)])
+    def test_non_finite_axis_refused(self, axis):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            channel_frame(0.3, axis)
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError, match="unit 3-vector"):
+                channel_tomogram_closed_form(kind, 0.2, 0.3, axis)
+
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_theta_refused(self, theta):
         with pytest.raises(ValueError, match="finite"):

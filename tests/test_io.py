@@ -78,7 +78,7 @@ class TestTomogramSchema:
         assert back.j == HalfInt(2)
         # sub-1e-12 imaginary rounding noise is dropped on write
         assert np.max(np.abs(back.table - t.table)) < 1e-12
-        assert [f.angles.beta for f in back.frames] == [f.angles.beta for f in t.frames]
+        assert back.frames.betas.tolist() == t.frames.betas.tolist()
 
     def test_unitary_round_trip(self):
         rho = random_density(2, 2, seed=2)

@@ -135,6 +135,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    def test_nan_slack_refused(self):
+        with pytest.raises(ValueError, match="slack nan"):
+            DensityMatrix(np.diag([1.5, -0.5]), psd_slack=float("nan"))
+        with pytest.raises(ValueError, match="slack nan"):
+            DensityMatrix(np.eye(2) / 2, psd_slack=float("nan"))
+
     def test_dims_product_checked(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, dims=(2, 3))

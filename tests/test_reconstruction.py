@@ -7,7 +7,7 @@ from conftest import random_hermitian
 from spintomo import io
 from spintomo.errors import InformationallyIncompleteError
 from spintomo.halfint import HalfInt
-from spintomo.linalg import expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
+from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.reconstruction import (
     _design_matrix,
@@ -110,8 +110,8 @@ class TestReconstructOperator:
         frames = grid_frames(0.5, grid)
         table = np.array(
             [
-                [np.cos(f.angles.beta / 2) ** 2 for f in frames],
-                [np.sin(f.angles.beta / 2) ** 2 for f in frames],
+                np.cos(frames.betas / 2) ** 2,
+                np.sin(frames.betas / 2) ** 2,
             ]
         )
         t = Tomogram(frames=frames, table=table)
@@ -156,10 +156,10 @@ class TestReconstructOperator:
         inferred = infer_grid(io.tomogram_from_obj(json.loads(io.dumps(io.tomogram_to_obj(t)))))
         assert (inferred.n_beta, inferred.n_gamma) == (grid.n_beta, grid.n_gamma)
         order = rng.permutation(grid.n_nodes)
-        shuffled = spin_tomogram(random_hermitian(4, rng), [t.frames[i] for i in order])
+        betas, gammas = grid.node_angles()
+        shuffled = spin_tomogram(random_hermitian(4, rng), SpinFrames(1.5, betas[order], gammas[order]))
         with pytest.raises(ValueError, match="regular grid"):
             infer_grid(shuffled)
-        betas, gammas = grid.node_angles()
         shifted = spin_tomogram(random_hermitian(4, rng), SpinFrames(1.5, betas, gammas + 0.1))
         with pytest.raises(ValueError, match="standard grid"):
             infer_grid(shifted)
@@ -231,6 +231,28 @@ class TestUnitaryFrameReconstruction:
         design = _design_matrix(us)
         assert design.shape == oracle.shape
         assert np.max(np.abs(design - oracle)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_minimal_haar_frame_sets_are_accurate(self, d):
+        # d+1 frames are the fewest that determine a state; the design matrix is
+        # then at its worst conditioned (cond(A^T A) up to ~2e10 at d = 8), so the
+        # solve must not square it
+        worst = 0.0
+        for seed in range(50):
+            rho = random_density(d, d, seed=seed)
+            est = reconstruct_from_unitary_frame(unitary_tomogram(rho, haar_unitaries(d, d + 1, 1000 + seed)))
+            worst = max(worst, np.max(np.abs(est.mat - rho.mat)))
+        assert worst <= 1e-11
+
+    def test_inconsistent_tomogram_warns(self):
+        # the table of a Hermitian, unit-trace but indefinite matrix: no state has it
+        frames = haar_unitaries(2, 6, 7)
+        indefinite = np.diag([1.2, -0.2])
+        t = Tomogram(frames, np.einsum("fam,ab,fbm->mf", frames.conj(), indefinite, frames))
+        with pytest.warns(UserWarning, match="negative eigenvalue -2.000e-01"):
+            est = reconstruct_from_unitary_frame(t)
+        assert isinstance(est, DensityMatrix)
+        assert np.max(np.abs(est.mat - indefinite)) < 1e-12
 
     def test_qutrit_with_haar_frames(self):
         rho = random_density(3, 3, seed=23)

@@ -182,6 +182,11 @@ class TestFactorizedSurface:
         with pytest.raises(DegeneratePointError):
             factorized_surface_residual([0.0, 0.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            factorized_surface_residual([0.25, 0.25, bad, 0.25])
+
 
 class TestEntangledRay:
     def test_balanced_ray_identities(self):
@@ -193,6 +198,19 @@ class TestEntangledRay:
     def test_zero_coefficient_degenerate(self):
         with pytest.raises(DegeneratePointError):
             entangled_ray_check([0.25, 0.25, 0.25, 0.25], 1.0, 0.0)
+
+    @pytest.mark.parametrize("c0", [float("nan"), complex(float("nan"), 0.0), float("inf")])
+    def test_non_finite_coefficient_refused(self, c0):
+        with pytest.raises(ValueError, match="coefficients"):
+            entangled_ray_check([0.25, 0.25, 0.25, 0.25], c0, 1.0)
+        with pytest.raises(ValueError, match="coefficients"):
+            entangled_ray_state(c0, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_point_refused(self, bad):
+        c = 1 / np.sqrt(2)
+        with pytest.raises(ValueError, match="finite"):
+            entangled_ray_check([bad, 0.25, 0.25, 0.25], c, c)
 
     def test_full_group_breaks_identities(self):
         c = 1 / np.sqrt(2)

@@ -14,7 +14,6 @@ from spintomo.states import bell_state, maximally_mixed, product_state, pure_sta
 from spintomo.symbols import (
     EulerAngles,
     QuantizerPair,
-    SpinFrame,
     SpinFrames,
     Tomogram,
     UnitaryFrames,
@@ -30,6 +29,12 @@ from spintomo.symbols import (
 
 def random_angles(rng) -> EulerAngles:
     return EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+
+
+def random_frames(j, count: int, rng) -> SpinFrames:
+    """``count`` spin-j frames at ``random_angles`` draws, in draw order."""
+    angles = [random_angles(rng) for _ in range(count)]
+    return SpinFrames(j, [g.beta for g in angles], [g.gamma for g in angles], [g.alpha for g in angles])
 
 
 class TestDequantizer:
@@ -80,14 +85,14 @@ class TestQuantizer:
 
 class TestSpinTomogram:
     def test_identity_operator_gives_unit(self, rng):
-        frames = [SpinFrame(HalfInt.of(1.5), random_angles(rng)) for _ in range(6)]
+        frames = random_frames(1.5, 6, rng)
         t = spin_tomogram(np.eye(4, dtype=complex), frames)
         assert np.max(np.abs(t.table - 1.0)) < 1e-12
 
     def test_spin_up_qubit_cosine_law(self, rng):
         rho = pure_state([1.0, 0.0])
         betas = rng.uniform(0, np.pi, size=20)
-        frames = [SpinFrame(HalfInt(1), EulerAngles(0.3, b, 1.7)) for b in betas]
+        frames = SpinFrames(HalfInt(1), betas, np.full(20, 1.7), np.full(20, 0.3))
         t = spin_tomogram(rho, frames)
         # oracle: <m|R rho R+|m> with R from the exponential product
         j3 = np.diag([0.5, -0.5]).astype(complex)
@@ -103,15 +108,13 @@ class TestSpinTomogram:
             assert t.values[0, col] == pytest.approx(np.cos(b / 2) ** 2, abs=1e-12)
 
     def test_maximally_mixed_uniform(self, rng):
-        t = spin_tomogram(maximally_mixed((3,)), [SpinFrame(HalfInt(2), random_angles(rng))])
+        t = spin_tomogram(maximally_mixed((3,)), random_frames(HalfInt(2), 1, rng))
         assert np.max(np.abs(t.values - 1.0 / 3.0)) < 1e-14
 
     def test_alpha_independence(self, rng):
         a = random_hermitian(4, rng)
-        base = EulerAngles(0.0, 1.1, 2.3)
-        shifted = EulerAngles(4.5, 1.1, 2.3)
-        t1 = spin_tomogram(a, [SpinFrame(HalfInt(3), base)])
-        t2 = spin_tomogram(a, [SpinFrame(HalfInt(3), shifted)])
+        t1 = spin_tomogram(a, SpinFrames(HalfInt(3), [1.1], [2.3], [0.0]))
+        t2 = spin_tomogram(a, SpinFrames(HalfInt(3), [1.1], [2.3], [4.5]))
         assert np.max(np.abs(t1.table - t2.table)) < 1e-12
 
     def test_hermitian_input_real_values(self, rng):
@@ -126,14 +129,21 @@ class TestSpinTomogram:
 
     def test_non_hermitian_exposed_via_observable_values(self, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        t = spin_tomogram(a, [SpinFrame(HalfInt(1), random_angles(rng))])
+        t = spin_tomogram(a, random_frames(HalfInt(1), 1, rng))
         with pytest.raises(ValueError):
             _ = t.values
         assert t.observable_values.shape == (2, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            spin_tomogram(np.eye(3), [SpinFrame(HalfInt(1), EulerAngles(0, 0, 0))])
+            spin_tomogram(np.eye(3), SpinFrames(HalfInt(1), [0.0], [0.0]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_operator_refused(self, bad, rng):
+        a = np.array([[bad, 0.0], [0.0, 1.0]])
+        for frames in (grid_frames(0.5, make_grid(0.5)), random_frames(0.5, 3, rng)):
+            with pytest.raises(ValueError, match="finite"):
+                spin_tomogram(a, frames)
 
 
 class TestUnitaryTomogram:
@@ -215,7 +225,7 @@ class TestUnitaryFrames:
     def test_both_tomogram_kinds_hold_array_sets(self):
         rho = random_density(2, 2, seed=4)
         assert isinstance(unitary_tomogram(rho, list(haar_unitaries(2, 3, 5))).frames, UnitaryFrames)
-        assert isinstance(spin_tomogram(rho, list(grid_frames(0.5, make_grid(0.5)))).frames, SpinFrames)
+        assert isinstance(spin_tomogram(rho, grid_frames(0.5, make_grid(0.5))).frames, SpinFrames)
 
     def test_tomogram_refuses_non_unitary_frame(self):
         with pytest.raises(ValueError, match="not unitary within 1e-8"):
@@ -325,13 +335,23 @@ class TestTomogramType:
             Tomogram(frames=[], table=np.ones((1, 2)))
 
     def test_negative_clamp_and_error(self):
-        frames = [SpinFrame(HalfInt(1), EulerAngles(0, 0, 0))]
+        frames = SpinFrames(HalfInt(1), [0.0], [0.0])
         t = Tomogram(frames=frames, table=np.array([[1.0 + 5e-13], [-5e-13]]))
         vals = t.values
         assert vals[1, 0] == 0.0
         t_bad = Tomogram(frames=frames, table=np.array([[1.001], [-1e-3]]))
         with pytest.raises(ValueError):
             _ = t_bad.values
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.5, float("nan"))])
+    def test_non_finite_table_refused(self, bad):
+        grid = make_grid(0.5)
+        table = np.full((2, grid.n_nodes), 0.5, dtype=complex)
+        table[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Tomogram(frames=grid_frames(0.5, grid), table=table)
+        with pytest.raises(ValueError, match="finite"):
+            Tomogram(frames=[np.eye(2)], table=table[:, 3:4])
 
     def test_labels_come_from_the_frames(self):
         grid = make_grid(0.5)

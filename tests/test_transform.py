@@ -17,7 +17,6 @@ from spintomo.su2 import clebsch_gordan, rotation_matrix
 from spintomo.symbols import (
     EulerAngles,
     QuantizerPair,
-    SpinFrame,
     SpinFrames,
     SpinTransform,
     _coupled_m0_block,
@@ -312,40 +311,22 @@ class TestGridBackedFrames:
         betas, gammas = grid.node_angles()
         assert isinstance(frames, SpinFrames) and frames.grid is grid
         assert len(frames) == grid.n_nodes
-        assert frames[3] == SpinFrame(HalfInt(2), EulerAngles(0.0, betas[3], gammas[3]))
-        assert list(frames)[-1] == frames[-1]
+        assert np.array_equal(frames.betas, betas) and np.array_equal(frames.gammas, gammas)
+        assert np.array_equal(frames.alphas, np.zeros(grid.n_nodes))
 
-    def test_frame_lists_become_frame_sets(self, rng):
-        grid = make_grid(1)
-        frames = grid_frames(1, grid)
-        a = random_hermitian(3, rng)
-        from_list = spin_tomogram(a, list(frames))
-        assert isinstance(from_list.frames, SpinFrames)
-        assert np.max(np.abs(from_list.table - spin_tomogram(a, frames).table)) < 1e-14
-        assert np.array_equal(from_list.frames.betas, frames.betas)
-
-    @pytest.mark.parametrize(
-        "frames, message",
-        [
-            ([], "at least one frame"),
-            ([SpinFrame(HalfInt(2), EulerAngles(0, 1, 2)), SpinFrame(HalfInt(1), EulerAngles(0, 1, 2))],
-             "same spin j"),
-            ([np.eye(3)], "SpinFrame objects"),
-        ],
-    )
-    def test_bad_frame_lists_refused(self, frames, message):
-        with pytest.raises(ValueError, match=message):
-            SpinFrames.of(frames)
+    @pytest.mark.parametrize("frames", [[], [(0.0, 1.0, 2.0)], [np.eye(3)], (1.0, 2.0)])
+    def test_only_frame_sets_are_spin_frames(self, frames):
+        with pytest.raises(ValueError, match="SpinFrames set"):
+            spin_tomogram(np.eye(3) / 3, frames)
 
     @pytest.mark.parametrize("j", [0.5, 3, 8])
     def test_serialized_frames_keep_their_bytes(self, j):
-        # angle text as written from one SpinFrame object per grid node
+        # angle text as written from one Python float per grid node and angle
         grid = make_grid(j)
         j = HalfInt.of(j)
         t = spin_tomogram(np.eye(j.twice + 1) / (j.twice + 1), grid_frames(j, grid))
-        nodes = [SpinFrame(j, EulerAngles(0.0, float(b), float(g))) for b, g in zip(*grid.node_angles())]
         obj = io.tomogram_to_obj(t)
-        per_node = [{"alpha": fr.angles.alpha, "beta": fr.angles.beta, "gamma": fr.angles.gamma} for fr in nodes]
+        per_node = [{"alpha": 0.0, "beta": float(b), "gamma": float(g)} for b, g in zip(*grid.node_angles())]
         assert io.dumps(obj["frames"]) == io.dumps(per_node)
         assert io.dumps(io.tomogram_to_obj(io.tomogram_from_obj(obj))) == io.dumps(obj)
 
