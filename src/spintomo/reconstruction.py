@@ -15,13 +15,14 @@ import numpy as np
 from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
-from .quadrature import QuadratureGrid, _product_grid, make_grid
+from .quadrature import QuadratureGrid, _product_grid
 from .symbols import QuantizerPair, Tomogram, UnitaryFrames, _frames_match_grid, _grid_transform
 
 __all__ = [
-    "make_grid",
+    "infer_grid",
     "reconstruct_operator",
     "reconstruct_from_unitary_frame",
+    "reconstruction_residual",
     "intertwine",
     "duality_residual",
 ]
@@ -144,14 +145,13 @@ def intertwine(values, pair_from: QuantizerPair, pair_to: QuantizerPair) -> np.n
     return pair_to.symbol_of(pair_from.synthesize(values))
 
 
-def duality_residual(pair: QuantizerPair, probes=None) -> float:
+def duality_residual(pair: QuantizerPair) -> float:
     """Worst-case reconstruction defect of a quantizer pair.
 
-    max over probes of ||sum_x w_x Tr[P U(x)] D(x) - P||_inf; probes default
-    to all matrix units, which span the operator space.
+    max over the matrix units P, which span the operator space, of
+    ||sum_x w_x Tr[P U(x)] D(x) - P||_inf.
     """
-    if probes is None:
-        probes = np.eye(pair.dim * pair.dim, dtype=complex).reshape(-1, pair.dim, pair.dim)
+    probes = np.eye(pair.dim * pair.dim, dtype=complex).reshape(-1, pair.dim, pair.dim)
     defects = (np.max(np.abs(pair.synthesize(pair.symbol_of(p)) - p)) for p in probes)
     return float(max(defects, default=0.0))
 

@@ -62,14 +62,16 @@ class EulerAngles:
 class SpinFrames:
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
-    ``grid`` is the quadrature grid whose nodes the frames are (set by
-    ``grid_frames`` and ``infer_grid``); ``spin_tomogram`` then uses the grid's
-    memoized ``SpinTransform``, and runs frames with no grid through
-    ``frame_diagonals``.
+    ``grid`` is the quadrature grid whose nodes the frames are, None until
+    ``grid_frames`` or a passing ``infer_grid`` sets it; ``spin_tomogram`` then
+    uses the grid's memoized ``SpinTransform``, and runs frames with no grid
+    through ``frame_diagonals``.
     """
 
-    def __init__(self, j, betas, gammas, alphas=None, grid: QuadratureGrid | None = None):
+    def __init__(self, j, betas, gammas, alphas=None):
         self.j = HalfInt.of(j)
+        if self.j.twice < 0:
+            raise ValueError("spin j must be nonnegative")
         self.betas = np.asarray(betas, dtype=float)
         self.gammas = np.asarray(gammas, dtype=float)
         self.alphas = np.zeros_like(self.betas) if alphas is None else np.asarray(alphas, dtype=float)
@@ -77,7 +79,7 @@ class SpinFrames:
             raise ValueError("frame angle arrays must be 1-d and of equal length")
         if not np.all(np.isfinite([self.alphas, self.betas, self.gammas])):
             raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
-        self.grid = grid
+        self.grid: QuadratureGrid | None = None
 
     def __len__(self) -> int:
         return self.betas.size
@@ -85,7 +87,9 @@ class SpinFrames:
 
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     """Spin frames at the grid nodes (alpha = 0), in grid node order."""
-    return SpinFrames(j, *grid.node_angles(), grid=grid)
+    frames = SpinFrames(j, *grid.node_angles())
+    frames.grid = grid
+    return frames
 
 
 def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> bool:
@@ -171,19 +175,19 @@ def _identity_quantizer(jt: int) -> np.ndarray:
 class SpinTransform:
     """The spin symbol map and its inverse on a quadrature grid, factored through its beta nodes.
 
-    With R_x = d(beta_x) diag(exp(-i gamma_x m)) and k = b - a, the symbol is
+    With R_x = d(beta_x) diag(exp(-i gamma_x m)), the symbol at node x = (beta, y) is
 
-        w[m, x] = (R_x A R_x^dag)_{mm} = sum_k exp(-i gamma_x k) C[beta_x, m, k],
-        C[beta, m, k] = sum_{b - a = k} d_ma(beta) d_mb(beta) A_ab,
+        w[m, x] = (R_x A R_x^dag)_{mm} = sum_{a,b} d_ma(beta) d_mb(beta) A_ab P[(a, b), y],
+        P[(a, b), y] = exp(-i gamma_y (b - a)),
 
-    so ``analyze(A)`` sums A along its diagonals against the real table
-    d_ma d_mb at the grid's beta nodes, then applies the (4j+1, n_gamma) table
-    of gamma phases exp(-i gamma k) in one matrix product (Kostelec & Rockmore,
+    so ``analyze(A)`` is one real matrix product of the table d_ma d_mb at the
+    grid's beta nodes with the phased entries A_ab P (Kostelec & Rockmore,
     "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).
     ``synthesize(w)`` is the quadrature A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x
     of the quantizer family (the covariance D(m, g) = R(g)^dag D(m, e) R(g))
-    with the grid's weights W_x, the same two steps reversed.  Tables run over
-    the grid nodes in node order; ``on_grid`` memoizes one transform per grid.
+    with the grid's weights W_x: the transposed table, then a sum over y
+    against conj(P).  Tables run over the grid nodes in node order; ``on_grid``
+    memoizes one transform per grid.
     """
 
     def __init__(self, j, grid: QuadratureGrid):
@@ -193,10 +197,10 @@ class SpinTransform:
         d = wigner_d_stack(self.j, grid.beta_nodes)
         # row (beta, m), column (a, b): d_ma(beta) d_mb(beta)
         self._table = (d[:, :, :, None] * d[:, :, None, :]).reshape(-1, n * n)
+        # P[(a, b), y], gathered from its 4j+1 distinct rows rather than n^2 n_gamma exp calls
         a, b = np.divmod(np.arange(n * n), n)
-        self._diagonal = b - a + n - 1  # column (a, b) -> diagonal index k + 2j
-        # phases[k, y] = exp(-i gamma_y k) over the gamma nodes
-        self._phases = np.exp(-1j * np.multiply.outer(np.arange(1 - n, n), grid.gamma_nodes))
+        distinct = np.exp(-1j * np.multiply.outer(np.arange(1 - n, n), grid.gamma_nodes))
+        self._phases = distinct[b - a + n - 1]
 
     @classmethod
     def on_grid(cls, j, grid: QuadratureGrid) -> "SpinTransform":
@@ -213,22 +217,21 @@ class SpinTransform:
         A stack of operators (..., 2j+1, 2j+1) gives a stack of tables.
         """
         a = np.asarray(a, dtype=complex)
-        n = self.j.twice + 1
+        n, n_gamma = self.j.twice + 1, self._phases.shape[1]
         lead = a.shape[:-2]
-        placed = np.zeros(lead + (n * n, 2 * n - 1), dtype=complex)
-        placed[..., np.arange(n * n), self._diagonal] = a.reshape(lead + (n * n,))
-        # real table times the (re, im) pairs of the diagonal sums: one real product
-        sums = (self._table @ placed.view(float)).view(complex)
-        w = sums.reshape(lead + (-1, n, 2 * n - 1)) @ self._phases
+        phased = a.reshape(lead + (n * n, 1)) * self._phases
+        # real table times the (re, im) pairs of the phased entries: one real product
+        w = (self._table @ phased.view(float)).view(complex).reshape(lead + (-1, n, n_gamma))
         return np.moveaxis(w, -3, -2).reshape(lead + (n, -1))
 
     def synthesize(self, w) -> np.ndarray:
         """Operator with symbol table ``w`` of shape (2j+1, nodes)."""
-        n = self.j.twice + 1
+        n, n_gamma = self.j.twice + 1, self._phases.shape[1]
         c = (_identity_quantizer(self.j.twice) @ w) * self.weights
-        c = c.reshape(n, -1, self._phases.shape[1]).transpose(1, 0, 2)
-        sums = (c @ self._phases.conj().T).reshape(-1, 2 * n - 1)
-        return np.einsum("rc,rc->c", self._table, sums[:, self._diagonal]).reshape(n, n)
+        # rows (beta, m), complex so that the (re, im) view below exists
+        c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1), dtype=complex).reshape(-1, n_gamma)
+        s = (self._table.T @ c.view(float)).view(complex)
+        return np.einsum("ry,ry->r", s, self._phases.conj()).reshape(n, n)
 
 
 def _grid_transform(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> SpinTransform:

@@ -197,6 +197,17 @@ class TestReconstructCommand:
         assert "outcomes do not match the labels that its j_twice implies" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_negative_spin_exits_2(self, workdir, capsys):
+        tmp, _ = workdir
+        obj = io.tomogram_to_obj(spin_tomogram(random_density(2, 2, seed=9), grid_frames(0.5, make_grid(0.5))))
+        obj["j_twice"] = -3
+        t_path = tmp / "negative.json"
+        t_path.write_text(io.dumps(obj))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert "spin j must be nonnegative" in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
     def test_dims_not_matching_the_frames_exit_2(self, workdir, capsys):
         tmp, _ = workdir
         obj = io.tomogram_to_obj(unitary_tomogram(random_density(2, 2, seed=9), [np.eye(2)]))

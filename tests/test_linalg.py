@@ -141,6 +141,18 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="slack nan"):
             DensityMatrix(np.eye(2) / 2, psd_slack=float("nan"))
 
+    @pytest.mark.parametrize("slack", [float("inf"), -1e-3, float("nan")])
+    def test_slack_outside_its_range_refused(self, slack):
+        with pytest.raises(ValueError, match="psd_slack"):
+            DensityMatrix(np.diag([1.5, -0.5]), psd_slack=slack)
+        with pytest.raises(ValueError, match="psd_slack"):
+            DensityMatrix(np.eye(2) / 2, psd_slack=slack)
+
+    def test_zero_and_least_squares_slacks_accept_states(self):
+        assert DensityMatrix(np.eye(2) / 2, psd_slack=0.0).dim == 2
+        # reconstruct_from_unitary_frame's slack, max(1e-10, 2 |lambda_min|)
+        assert DensityMatrix(np.diag([1.0 + 1e-9, -1e-9]), psd_slack=2e-9).dim == 2
+
     def test_dims_product_checked(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, dims=(2, 3))

@@ -196,7 +196,7 @@ class TestBetaFactoredTransform:
     @settings(max_examples=25, deadline=None)
     @given(
         jt=st.integers(min_value=0, max_value=40),
-        oversample=st.sampled_from([1.0, 1.5, 2.0]),
+        oversample=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_grids_match_per_frame_oracle(self, jt, oversample, seed):
@@ -263,6 +263,19 @@ class TestBetaFactoredTransform:
             tracemalloc.stop()
         assert peak < 30e6
 
+    def test_synthesis_memory_at_j20(self, rng):
+        # beside the 23 MB table: (n^2, n_gamma) sums, about 7 MB traced; a
+        # (n_beta n, n^2) gather of the diagonal sums would take 50 MB
+        transform = SpinTransform(20, make_grid(20))
+        w = transform.analyze(random_operator(41, rng))
+        tracemalloc.start()
+        try:
+            transform.synthesize(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
+
 
 class TestRealPropagator:
     @pytest.mark.parametrize(
@@ -313,6 +326,19 @@ class TestGridBackedFrames:
         assert len(frames) == grid.n_nodes
         assert np.array_equal(frames.betas, betas) and np.array_equal(frames.gammas, gammas)
         assert np.array_equal(frames.alphas, np.zeros(grid.n_nodes))
+
+    def test_frames_take_their_grid_from_its_nodes(self, rng):
+        # shuffled nodes handed a grid would run on its transform in node order
+        grid = make_grid(1.5)
+        betas, gammas = grid.node_angles()
+        order = rng.permutation(grid.n_nodes)
+        with pytest.raises(TypeError, match="grid"):
+            SpinFrames(1.5, betas[order], gammas[order], grid=grid)
+        assert SpinFrames(1.5, betas, gammas).grid is None
+
+    def test_negative_spin_refused(self):
+        with pytest.raises(ValueError, match="spin j must be nonnegative"):
+            SpinFrames(-1, [0.1], [0.2])
 
     @pytest.mark.parametrize("frames", [[], [(0.0, 1.0, 2.0)], [np.eye(3)], (1.0, 2.0)])
     def test_only_frame_sets_are_spin_frames(self, frames):
