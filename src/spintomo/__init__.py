@@ -105,7 +105,6 @@ from .symbols import (
     Tomogram,
     UnitaryFrames,
     dequantizer_U,
-    dequantizer_series,
     grid_frames,
     quantizer_D,
     spin_tomogram,

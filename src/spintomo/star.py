@@ -9,9 +9,13 @@ no kernel or quantizer stack formed.  ``symbol_trace`` needs no synthesis:
 Tr D(m, x) = sum_m' Q[m', m] is the same at every node, so the trace is the
 weighted sum of the symbol table against the column sums of Q.
 
-The kernel itself is kept for reference.  The trace form is the definition;
-the closed form expands the same trace through coupling coefficients and 6j
-symbols and exists as a cross-check of the special-function stack.
+The kernel itself is kept for reference, in two independent forms.  The trace
+form is the definition, evaluated on the covariant quantizers and dequantizers
+(one rotation matrix each, and the identity quantizer from one ``eigh``).  The
+closed form expands the same trace through the Clebsch-Gordan, 3j and 6j
+alternating sums, with the d-matrix rows D^L_{0,-M} built once per point and
+L, so agreement of the two checks the coupling coefficients and their phase
+conventions against the operators the transforms use.
 
 Closed-form phases follow the Condon-Shortley coupling order used throughout
 this package: expanding D and U in irreducible tensors and applying the
@@ -34,7 +38,7 @@ import numpy as np
 
 from .halfint import HalfInt
 from .quadrature import QuadratureGrid, make_grid
-from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_small_d
+from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_d_matrix
 from .symbols import (
     EulerAngles,
     Tomogram,
@@ -72,6 +76,11 @@ def kernel_trace_form(j, x2, x1, x) -> complex:
     return complex(np.trace(d2 @ d1 @ u))
 
 
+def _d_rows(two_j: int, beta: float, gamma: float) -> list[np.ndarray]:
+    """D^L_{0,-M}(0, beta, gamma) = d^L_{0,-M}(beta) e^{i M gamma} for L = 0..2j, indexed [L][L + M]."""
+    return [wigner_d_matrix(L, beta)[L] * np.exp(1j * gamma * np.arange(-L, L + 1)) for L in range(two_j + 1)]
+
+
 def kernel_closed_form(j, x2, x1, x) -> complex:
     """Coupling-coefficient expansion of the star kernel (cross-check form)."""
     j = HalfInt.of(j)
@@ -79,6 +88,7 @@ def kernel_closed_form(j, x2, x1, x) -> complex:
     m1, b1, g1 = _point(x1)
     m, b, g = _point(x)
     two_j = j.twice
+    rows, rows1, rows2 = _d_rows(two_j, b, g), _d_rows(two_j, b1, g1), _d_rows(two_j, b2, g2)
     pref_exp = (two_j - m.twice - m1.twice - m2.twice) // 2
     prefactor = (-1.0) ** pref_exp
     total = 0.0 + 0.0j
@@ -122,12 +132,9 @@ def kernel_closed_form(j, x2, x1, x) -> complex:
                         if three == 0.0:
                             continue
                         dfun = (
-                            wigner_small_d(L, 0, HalfInt(-Mt), b)
-                            * np.exp(1j * (Mt / 2.0) * g)
-                            * wigner_small_d(L1, 0, HalfInt(-M1t), b1)
-                            * np.exp(1j * (M1t / 2.0) * g1)
-                            * wigner_small_d(L2, 0, HalfInt(-M2t), b2)
-                            * np.exp(1j * (M2t / 2.0) * g2)
+                            rows[Lt // 2][(Lt + Mt) // 2]
+                            * rows1[L1t // 2][(L1t + M1t) // 2]
+                            * rows2[L2t // 2][(L2t + M2t) // 2]
                         )
                         acc += three * dfun
                 total += scale * acc

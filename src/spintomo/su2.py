@@ -14,9 +14,10 @@ Conventions
 * Matrix bases are ordered m = j, j-1, ..., -j (row index i maps to m = j - i).
 
 d-matrices come from one eigendecomposition of J2 (unitary to rounding at
-any j).  The scalar ``wigner_small_d`` and the coupling coefficients evaluate
-factorial ratios through a shared log-factorial table, so their alternating
-sums stay well scaled up to j of a few tens.
+any j); the scalar ``wigner_small_d`` is an entry of that matrix.  The
+coupling coefficients evaluate factorial ratios through a shared
+log-factorial table, so their alternating sums stay well scaled up to j of a
+few tens.
 """
 
 from __future__ import annotations
@@ -55,44 +56,6 @@ def _check_jm_pair(j: HalfInt, m: HalfInt) -> None:
         raise ValueError(f"|m|={abs(m)} exceeds j={j}")
 
 
-def wigner_small_d(j, m1, m2, beta: float) -> float:
-    """Rotation matrix element d^j_{m1 m2}(beta) about the y axis.
-
-    Evaluated by the explicit alternating sum over log-factorials; the result
-    is real for all admissible (j, m1, m2).  It cancels digits as j grows: the
-    d-matrix unitarity defect, worst over beta, is 3e-13 at j = 10, 4e-10 at
-    j = 20 and 4e-7 at j = 30 (``wigner_d_stack`` has no such limit).
-    """
-    j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
-    _check_jm_pair(j, m1)
-    _check_jm_pair(j, m2)
-    jt, m1t, m2t = j.twice, m1.twice, m2.twice
-
-    lf = _logfact(jt + 1)
-    pref = 0.5 * (
-        lf[(jt + m2t) // 2]
-        + lf[(jt - m2t) // 2]
-        + lf[(jt + m1t) // 2]
-        + lf[(jt - m1t) // 2]
-    )
-    c = math.cos(beta / 2.0)
-    ms = -math.sin(beta / 2.0)
-    s_min = max(0, (m2t - m1t) // 2)
-    s_max = min((jt - m1t) // 2, (jt + m2t) // 2)
-    total = 0.0
-    for s in range(s_min, s_max + 1):
-        k_cos = jt + (m2t - m1t) // 2 - 2 * s
-        k_sin = (m1t - m2t) // 2 + 2 * s
-        logden = (
-            lf[s]
-            + lf[(jt - m1t) // 2 - s]
-            + lf[(jt + m2t) // 2 - s]
-            + lf[(m1t - m2t) // 2 + s]
-        )
-        total += (-1) ** s * math.exp(pref - logden) * c**k_cos * ms**k_sin
-    return total
-
-
 def _magnetic_numbers(j: HalfInt) -> np.ndarray:
     """m = j, j-1, ..., -j as floats, in basis order."""
     return (j.twice - 2.0 * np.arange(j.twice + 1)) / 2.0
@@ -101,10 +64,11 @@ def _magnetic_numbers(j: HalfInt) -> np.ndarray:
 def wigner_d_stack(j, betas) -> np.ndarray:
     """d-matrices for every beta at once, shape (len(betas), 2j+1, 2j+1).
 
-    d(beta) = V exp(-i beta Lambda) V^dag from one eigendecomposition
+    d(beta) = I + V expm1(-i beta Lambda) V^dag from one eigendecomposition
     J2 = V Lambda V^dag, which stays unitary to rounding at any j (exact
     diagonalization; Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015).
-    The product does not depend on the phases of the eigenvectors.
+    The product does not depend on the phases of the eigenvectors, and
+    d(0) is exactly the identity.
     """
     j = HalfInt.of(j)
     _check_spin(j)
@@ -112,8 +76,8 @@ def wigner_d_stack(j, betas) -> np.ndarray:
     jp = np.diag(np.sqrt(float(j) * (float(j) + 1.0) - ms[1:] * (ms[1:] + 1.0)), k=1)
     _, vecs = np.linalg.eigh((jp - jp.T) / 2j)
     # eigh sorts the eigenvalues ascending; they are exactly -j..j
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(betas, dtype=float), ms[::-1]))
-    return ((vecs * phases[:, None, :]) @ vecs.conj().T).real
+    phases = np.expm1(-1j * np.multiply.outer(np.asarray(betas, dtype=float), ms[::-1]))
+    return ((vecs * phases[:, None, :]) @ vecs.conj().T).real + np.eye(j.twice + 1)
 
 
 def rotation_stack(j, betas, gammas) -> np.ndarray:
@@ -132,6 +96,14 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
 def wigner_d_matrix(j, beta: float) -> np.ndarray:
     """Full (2j+1)-dimensional d-matrix, rows/columns ordered m = j..-j."""
     return wigner_d_stack(j, [float(beta)])[0]
+
+
+def wigner_small_d(j, m1, m2, beta: float) -> float:
+    """Rotation matrix element d^j_{m1 m2}(beta) about the y axis, an entry of ``wigner_d_matrix``."""
+    j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
+    _check_jm_pair(j, m1)
+    _check_jm_pair(j, m2)
+    return float(wigner_d_matrix(j, beta)[(j.twice - m1.twice) // 2, (j.twice - m2.twice) // 2])
 
 
 def wigner_D(j, m1, m2, alpha: float, beta: float, gamma: float) -> complex:

@@ -15,7 +15,8 @@ a grid are the unitary frames R(g)^dag of ``frame_diagonals``.
 
 A set of spin frames is one ``SpinFrames`` object of Euler-angle arrays, from
 file to kernel; ``EulerAngles`` is the single rotation that the reference
-operators ``dequantizer_U``, ``dequantizer_series`` and ``quantizer_D`` take.
+operators ``dequantizer_U`` and ``quantizer_D`` take, each one rotation
+matrix applied by covariance to its operator at the identity.
 """
 
 from __future__ import annotations
@@ -37,16 +38,7 @@ from .linalg import (
     unitarity_residual,
 )
 from .quadrature import GROUP_VOLUME, QuadratureGrid
-from .su2 import (
-    _check_jm_pair,
-    clebsch_gordan,
-    irreducible_tensor,
-    rotation_matrix,
-    rotation_stack,
-    tensor_index_pairs,
-    wigner_d_stack,
-    wigner_small_d,
-)
+from .su2 import _check_jm_pair, rotation_matrix, rotation_stack, wigner_d_stack
 
 REALITY_TOL = 1e-10
 CLAMP_TOL = 1e-12
@@ -161,7 +153,7 @@ def _identity_quantizer(jt: int) -> np.ndarray:
     """Q[m', m], the diagonal of the quantizer D(m, e) at the identity rotation.
 
     Q[m', m] = sum_L (2L+1)/(8 pi^2) (-1)^(2j-m-m') <j m; j -m|L 0><j m'; j -m'|L 0>,
-    the tensor series of ``quantizer_D`` at omega = e, where only M = 0 survives.
+    the tensor series of the quantizer at omega = e, where only M = 0 survives.
     The coefficients are the eigenvectors of ``_coupled_m0_block`` (one ``eigh``,
     L ascending), whose signs cancel in Q = S V diag((2L+1)/(8 pi^2)) V^T S.
     """
@@ -218,6 +210,8 @@ class SpinTransform:
         """
         a = np.asarray(a, dtype=complex)
         n, n_gamma = self.j.twice + 1, self._phases.shape[1]
+        if a.shape[-2:] != (n, n):
+            raise ValueError(f"operator shape {a.shape} is not (..., {n}, {n}) for spin j={self.j}")
         lead = a.shape[:-2]
         phased = a.reshape(lead + (n * n, 1)) * self._phases
         # real table times the (re, im) pairs of the phased entries: one real product
@@ -227,6 +221,8 @@ class SpinTransform:
     def synthesize(self, w) -> np.ndarray:
         """Operator with symbol table ``w`` of shape (2j+1, nodes)."""
         n, n_gamma = self.j.twice + 1, self._phases.shape[1]
+        if np.shape(w) != (n, self.weights.size):
+            raise ValueError(f"symbol table shape {np.shape(w)} is not ({n}, {self.weights.size}) outcomes x nodes")
         c = (_identity_quantizer(self.j.twice) @ w) * self.weights
         # rows (beta, m), complex so that the (re, im) view below exists
         c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1), dtype=complex).reshape(-1, n_gamma)
@@ -344,42 +340,13 @@ def dequantizer_U(j, m, omega: EulerAngles) -> np.ndarray:
     return np.outer(row.conj(), row)
 
 
-def dequantizer_series(j, m, omega: EulerAngles) -> np.ndarray:
-    """Equivalent tensor-operator series for the dequantizer.
-
-    sum_{L,M} (-1)^(j-m+M) <j m; j -m|L 0> D^L_{0,-M}(omega) T_LM; used as a
-    cross-check of the rotated-projector construction.
-    """
-    j, m = HalfInt.of(j), HalfInt.of(m)
-    _check_jm_pair(j, m)
-    n = j.twice + 1
-    out = np.zeros((n, n), dtype=complex)
-    for (L, M), coeff in _series_coefficients(j, m, omega):
-        out += coeff * irreducible_tensor(j, L, M)
-    return out
-
-
 def quantizer_D(j, m, omega: EulerAngles) -> np.ndarray:
-    """Dual operator with weights (2L+1)/(8 pi^2) on the same series."""
+    """Quantizer R(g)^dag diag(Q[:, m]) R(g), the covariant image of D(m, e)."""
     j, m = HalfInt.of(j), HalfInt.of(m)
     _check_jm_pair(j, m)
-    n = j.twice + 1
-    out = np.zeros((n, n), dtype=complex)
-    for (L, M), coeff in _series_coefficients(j, m, omega):
-        out += coeff * (L.twice + 1) / GROUP_VOLUME * irreducible_tensor(j, L, M)
-    return out
-
-
-def _series_coefficients(j: HalfInt, m: HalfInt, omega: EulerAngles):
-    """(L, M) -> (-1)^(j-m+M) <j m; j -m|L 0> D^L_{0,-M}(omega) for all labels."""
-    for L, M in tensor_index_pairs(j):
-        cg = clebsch_gordan(j, m, j, -m, L, 0)
-        if cg == 0.0:
-            continue
-        # D^L_{0,-M} has no alpha dependence (first index zero)
-        d = wigner_small_d(L, 0, -M, omega.beta) * np.exp(1j * float(M) * omega.gamma)
-        exponent = (j.twice - m.twice) // 2 + M.twice // 2
-        yield (L, M), (-1.0) ** exponent * cg * d
+    r = rotation_matrix(j, omega.alpha, omega.beta, omega.gamma)
+    k = (j.twice - m.twice) // 2
+    return r.conj().T @ (_identity_quantizer(j.twice)[:, k, None] * r)
 
 
 def spin_tomogram(a, frames) -> Tomogram:

@@ -7,7 +7,8 @@ from hypothesis import settings
 from spintomo.halfint import HalfInt
 from spintomo.linalg import expm_hermitian_times, frame_diagonals, kron_all
 from spintomo.simplex import _draw_elements, _lie_basis
-from spintomo.su2 import rotation_stack
+from spintomo.quadrature import GROUP_VOLUME
+from spintomo.su2 import clebsch_gordan, irreducible_tensor, rotation_stack, tensor_index_pairs, wigner_small_d
 from spintomo.symbols import _identity_quantizer
 
 # CI sets HYPOTHESIS_PROFILE=ci: fixed example sequences, and a failure
@@ -71,3 +72,27 @@ def operator_stacks(j, betas, gammas) -> tuple[np.ndarray, np.ndarray]:
     q = _identity_quantizer(j.twice)
     ds = (rc.transpose(0, 2, 1)[:, None] * q.T[None, :, None, :]) @ r[:, None]
     return us.reshape(n * f, n, n), ds.transpose(1, 0, 2, 3).reshape(n * f, n, n)
+
+
+def _tensor_series(j, m, omega, weight) -> np.ndarray:
+    """sum_{L,M} weight(L) (-1)^(j-m+M) <j m; j -m|L 0> D^L_{0,-M}(omega) T_LM."""
+    j, m = HalfInt.of(j), HalfInt.of(m)
+    n = j.twice + 1
+    out = np.zeros((n, n), dtype=complex)
+    for L, M in tensor_index_pairs(j):
+        cg = clebsch_gordan(j, m, j, -m, L, 0)
+        # D^L_{0,-M} has no alpha dependence (first index zero)
+        d = wigner_small_d(L, 0, -M, omega.beta) * np.exp(1j * float(M) * omega.gamma)
+        sign = (-1.0) ** ((j.twice - m.twice) // 2 + M.twice // 2)
+        out += weight(L) * sign * cg * d * irreducible_tensor(j, L, M)
+    return out
+
+
+def dequantizer_series(j, m, omega) -> np.ndarray:
+    """The dequantizer U(m, omega) as its irreducible-tensor series (oracle)."""
+    return _tensor_series(j, m, omega, lambda L: 1.0)
+
+
+def quantizer_series(j, m, omega) -> np.ndarray:
+    """The quantizer D(m, omega): the same series with weights (2L+1)/(8 pi^2) (oracle)."""
+    return _tensor_series(j, m, omega, lambda L: (L.twice + 1) / GROUP_VOLUME)

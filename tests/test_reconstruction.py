@@ -19,7 +19,7 @@ from spintomo.reconstruction import (
     reconstruction_residual,
 )
 from spintomo.states import SIGMA_X, SIGMA_Y, maximally_mixed
-from spintomo.su2 import wigner_small_d
+from spintomo.su2 import wigner_d_stack
 from spintomo.symbols import (
     QuantizerPair,
     SpinFrames,
@@ -35,12 +35,9 @@ def grid_integral_of_d_pair(grid, l1, m1, l2, m2):
     """Quadrature of conj(D^l1_{0,m1}) D^l2_{0,m2} over the group (oracle)."""
     betas, gammas = grid.node_angles()
     w = grid.node_weights() * grid.alpha_factor
-    f1 = np.array(
-        [wigner_small_d(l1, 0, m1, b) * np.exp(-1j * float(HalfInt.of(m1)) * g) for b, g in zip(betas, gammas)]
-    )
-    f2 = np.array(
-        [wigner_small_d(l2, 0, m2, b) * np.exp(-1j * float(HalfInt.of(m2)) * g) for b, g in zip(betas, gammas)]
-    )
+    # d^l_{0,m} sits in row l (m' = 0) and column l - m of the d-matrix
+    f1 = wigner_d_stack(l1, betas)[:, l1, l1 - m1] * np.exp(-1j * m1 * gammas)
+    f2 = wigner_d_stack(l2, betas)[:, l2, l2 - m2] * np.exp(-1j * m2 * gammas)
     return np.sum(w * f1.conj() * f2)
 
 

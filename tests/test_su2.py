@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,25 @@ def angular_momentum_ops(j):
     j2 = (jp - jm) / 2j
     j3 = np.diag(ms).astype(complex)
     return j2, j3
+
+
+def alternating_sum_d(j, m1, m2, beta: float) -> float:
+    """d^j_{m1 m2}(beta) by the explicit alternating sum over factorials (scalar oracle).
+
+    It cancels digits as j grows (unitarity defect 3e-13 at j = 10, 4e-10 at
+    j = 20), so it checks the stack at small j only.
+    """
+    jt, m1t, m2t = HalfInt.of(j).twice, HalfInt.of(m1).twice, HalfInt.of(m2).twice
+    lf = [math.lgamma(k + 1.0) for k in range(jt + 2)]
+    pref = 0.5 * (lf[(jt + m2t) // 2] + lf[(jt - m2t) // 2] + lf[(jt + m1t) // 2] + lf[(jt - m1t) // 2])
+    c, ms = math.cos(beta / 2.0), -math.sin(beta / 2.0)
+    total = 0.0
+    for s in range(max(0, (m2t - m1t) // 2), min((jt - m1t) // 2, (jt + m2t) // 2) + 1):
+        k_cos = jt + (m2t - m1t) // 2 - 2 * s
+        k_sin = (m1t - m2t) // 2 + 2 * s
+        logden = lf[s] + lf[(jt - m1t) // 2 - s] + lf[(jt + m2t) // 2 - s] + lf[(m1t - m2t) // 2 + s]
+        total += (-1) ** s * math.exp(pref - logden) * c**k_cos * ms**k_sin
+    return total
 
 
 class TestSmallD:
@@ -82,11 +103,22 @@ class TestSmallD:
     @settings(max_examples=40, deadline=None)
     @given(
         beta=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-        jt=st.integers(min_value=0, max_value=80),
+        jt=st.integers(min_value=0, max_value=120),
     )
     def test_unitarity_up_to_high_spin(self, beta, jt):
         d = wigner_d_matrix(HalfInt(jt), beta)
         assert np.max(np.abs(d @ d.T - np.eye(jt + 1))) <= 1e-13
+
+    def test_zero_angle_is_exact_identity(self):
+        for jt in range(121):
+            assert np.array_equal(wigner_d_stack(HalfInt(jt), [0.0])[0], np.eye(jt + 1))
+
+    @pytest.mark.parametrize("jt", [0, 1, 4, 17, 40, 120])
+    def test_scalar_is_matrix_entry(self, jt, rng):
+        j, beta = HalfInt(jt), float(rng.uniform(-np.pi, np.pi))
+        d, ms = wigner_d_matrix(j, beta), spin_range(j)
+        for i, k in zip(rng.integers(0, jt + 1, 25), rng.integers(0, jt + 1, 25)):
+            assert wigner_small_d(j, ms[i], ms[k], beta) == d[i, k]
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
     def test_stack_matches_scalar_oracle(self, j, rng):
@@ -94,7 +126,7 @@ class TestSmallD:
         ms = spin_range(j)
         stack = wigner_d_stack(j, betas)
         for d, beta in zip(stack, betas):
-            oracle = np.array([[wigner_small_d(j, m1, m2, beta) for m2 in ms] for m1 in ms])
+            oracle = np.array([[alternating_sum_d(j, m1, m2, beta) for m2 in ms] for m1 in ms])
             assert np.max(np.abs(d - oracle)) < 1e-13
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import dequantizer_series, random_hermitian
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import (
     expm_hermitian_times,
@@ -17,7 +17,6 @@ from spintomo.symbols import (
     SpinFrames,
     Tomogram,
     UnitaryFrames,
-    dequantizer_series,
     dequantizer_U,
     grid_frames,
     quantizer_D,

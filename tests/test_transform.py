@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import operator_stacks, random_hermitian
+from conftest import operator_stacks, quantizer_series, random_hermitian
 from spintomo import io
 from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
 from spintomo.halfint import HalfInt, spin_range
@@ -75,8 +75,25 @@ class TestCovariantQuantizer:
         for i, m in enumerate(ms):
             for x, omega in enumerate(angles):
                 label = i * len(angles) + x
-                assert np.max(np.abs(ds[label] - quantizer_D(j, m, omega))) < 1e-13
+                series = quantizer_series(j, m, omega)
+                assert np.max(np.abs(ds[label] - series)) < 1e-13
+                assert np.max(np.abs(quantizer_D(j, m, omega) - series)) < 1e-13
                 assert np.max(np.abs(us[label] - dequantizer_U(j, m, omega))) < 1e-13
+
+    @pytest.mark.parametrize("jt", [1, 6, 17, 40])
+    def test_unit_table_synthesizes_to_quantizer(self, jt, rng):
+        # synthesize(e_{m,x}) = W_x D(m, x): the transform against the covariant
+        # quantizer at large j, where the tensor series is no oracle
+        j = HalfInt(jt)
+        grid = make_grid(j)
+        transform = SpinTransform.on_grid(j, grid)
+        betas, gammas = grid.node_angles()
+        for k, x in zip(rng.integers(0, jt + 1, 3), rng.integers(0, grid.n_nodes, 3)):
+            unit = np.zeros((jt + 1, grid.n_nodes))
+            unit[k, x] = 1.0
+            want = quantizer_D(j, spin_range(j)[k], EulerAngles(0.0, betas[x], gammas[x]))
+            got = transform.synthesize(unit) / transform.weights[x]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestCallersOnTheTransform:
@@ -224,6 +241,15 @@ class TestBetaFactoredTransform:
         tables = transform.analyze(stack)
         assert tables.shape == (2, 3, 4, make_grid(1.5).n_nodes)
         assert np.max(np.abs(tables[1, 2] - transform.analyze(stack[1, 2]))) < 1e-14
+
+    def test_misshapen_operands_refused(self):
+        transform = SpinTransform.on_grid(1, make_grid(1))
+        for operand in (np.zeros((9, 1)), np.zeros((1, 9)), np.zeros(3)):
+            with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
+                transform.analyze(operand)
+        for table in (np.zeros((3, 1)), np.zeros((1, 15)), np.zeros(45)):
+            with pytest.raises(ValueError, match=r"\(3, 15\)"):
+                transform.synthesize(table)
 
     def test_product_and_listed_frames_agree(self, rng):
         # the same grid nodes, once in beta-major order and once shuffled
