@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import InvalidChannelError
 from .halfint import HalfInt
-from .linalg import DensityMatrix, as_matrix, hermitian_basis
+from .linalg import DensityMatrix, as_matrix
 from .quadrature import QuadratureGrid
 from .states import PAULIS
-from .symbols import SpinTransform, _identity_quantizer
+from .symbols import SpinTransform
 
 COMPLETENESS_TOL = 1e-10
 
@@ -194,19 +194,17 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
         Pi = A^T L (Q^T A) W,  A[k, x] = Tr[U(x) H_k],  L[k, l] = Tr[H_k L(H_l)],
 
     with A the grid transform's symbols of the basis and Q^T A the basis
-    coefficients of the quantizers, Tr[H_k D(x)].
+    coefficients of the quantizers, Tr[H_k D(x)].  H, A and (Q^T A) W depend
+    on the grid only and come cached with its transform
+    (``SpinTransform.basis_maps``); each call forms L and the product.
     """
     j = HalfInt.of(j)
     n = j.twice + 1
     if channel.dim != n:
         raise ValueError("channel dimension does not match 2j+1")
-    basis = hermitian_basis(n)
-    basis[n:] /= np.sqrt(2.0)
+    basis, analysis, synthesis = SpinTransform.on_grid(j, grid).basis_maps()
     vecs = basis.reshape(n * n, -1)
     coupling = vecs.conj() @ kraus_to_superoperator(channel).mat @ vecs.T
     if np.max(np.abs(coupling.imag)) > 1e-10:
         raise ValueError("propagator came out non-real; invalid channel?")
-    # symbols of Hermitian operators are real; the imaginary parts are roundoff
-    analysis = SpinTransform.on_grid(j, grid).analyze(basis).real
-    synthesis = _identity_quantizer(j.twice).T @ analysis * grid.group_weights()
-    return analysis.reshape(n * n, -1).T @ (coupling.real @ synthesis.reshape(n * n, -1))
+    return analysis.T @ (coupling.real @ synthesis)

@@ -122,6 +122,10 @@ def _load_frames(path: str):
 
 
 def _cmd_tomogram(args) -> str | dict:
+    sources = {"--frames": args.frames, "--n-frames": args.n_frames, "--j": args.j}
+    given = [flag for flag, value in sources.items() if value is not None]
+    if len(given) > 1:
+        raise ValueError(f"tomogram takes one of --frames, --n-frames and --j, got {' and '.join(given)}")
     rho = _load_state(args.state)
     if args.j is not None:
         j = HalfInt.of(args.j)
@@ -130,9 +134,9 @@ def _cmd_tomogram(args) -> str | dict:
         grid = make_grid(j, oversample=args.oversample)
         t = spin_tomogram(rho, grid_frames(j, grid))
     else:
-        if args.frames:
+        if args.frames is not None:
             frames = _load_frames(args.frames)
-        elif args.n_frames:
+        elif args.n_frames is not None:
             if args.n_frames < 1:
                 raise ValueError("--n-frames must be positive")
             frames = haar_unitaries(rho.dim, args.n_frames, np.random.default_rng(args.seed))

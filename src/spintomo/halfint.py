@@ -7,6 +7,7 @@ floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -24,12 +25,14 @@ class HalfInt:
 
     @staticmethod
     def of(value) -> "HalfInt":
-        """Coerce an int, an exact multiple of 1/2, or a HalfInt."""
+        """Coerce an int, an exact multiple of 1/2, or a HalfInt; NaN and infinities are refused."""
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, Integral):
             return HalfInt(2 * int(value))
         if isinstance(value, Real):
+            if not math.isfinite(value):
+                raise ValueError(f"{value!r} is not a finite number")
             doubled = 2.0 * float(value)
             if doubled != round(doubled):
                 raise ValueError(f"{value!r} is not an integer or half-integer")

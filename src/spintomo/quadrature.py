@@ -9,7 +9,8 @@ analytically (the weight functions carry no alpha dependence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class QuadratureGrid:
     gamma_nodes: np.ndarray
     alpha_factor: float
     exactness_degree: int
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_beta(self) -> int:
@@ -91,11 +91,20 @@ def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
 
 def _product_grid(n_beta: int, n_gamma: int) -> QuadratureGrid:
     """Gauss-Legendre in cos(beta) times the uniform gamma rule, with its exactness degree."""
-    x, w = np.polynomial.legendre.leggauss(n_beta)
+    x, w = _legendre_rule(n_beta)
     return QuadratureGrid(
         beta_nodes=np.arccos(x),
-        beta_weights=w,
+        beta_weights=w.copy(),
         gamma_nodes=2.0 * np.pi * np.arange(n_gamma) / n_gamma,
         alpha_factor=2.0 * np.pi,
         exactness_degree=min((2 * n_beta - 1) // 2, (n_gamma - 1) // 2),
     )
+
+
+@lru_cache(maxsize=128)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights in x = cos(beta), read-only (each grid copies them)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w

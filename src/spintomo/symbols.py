@@ -22,6 +22,7 @@ matrix applied by covariance to its operator at the identity.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,6 +34,7 @@ from .linalg import (
     DensityMatrix,
     _resolve_keep,
     frame_diagonals,
+    hermitian_basis,
     kron_all,
     partial_trace,
     unitarity_residual,
@@ -56,7 +58,7 @@ class SpinFrames:
 
     ``grid`` is the quadrature grid whose nodes the frames are, None until
     ``grid_frames`` or a passing ``infer_grid`` sets it; ``spin_tomogram`` then
-    uses the grid's memoized ``SpinTransform``, and runs frames with no grid
+    uses the grid's cached ``SpinTransform``, and runs frames with no grid
     through ``frame_diagonals``.
     """
 
@@ -179,7 +181,8 @@ class SpinTransform:
     of the quantizer family (the covariance D(m, g) = R(g)^dag D(m, e) R(g))
     with the grid's weights W_x: the transposed table, then a sum over y
     against conj(P).  Tables run over the grid nodes in node order; ``on_grid``
-    memoizes one transform per grid.
+    shares one transform among all grids with the same numbers.  Its arrays
+    are read-only.
     """
 
     def __init__(self, j, grid: QuadratureGrid):
@@ -193,15 +196,56 @@ class SpinTransform:
         a, b = np.divmod(np.arange(n * n), n)
         distinct = np.exp(-1j * np.multiply.outer(np.arange(1 - n, n), grid.gamma_nodes))
         self._phases = distinct[b - a + n - 1]
+        for array in (self.weights, self._table, self._phases):
+            array.setflags(write=False)
+        self._basis_maps = None
 
     @classmethod
     def on_grid(cls, j, grid: QuadratureGrid) -> "SpinTransform":
-        """The grid's transform, built once and memoized on the grid."""
+        """The spin-j transform of the grid's numbers, from the process-wide cache.
+
+        The cache is keyed on 2j and the grid's beta nodes and weights, gamma
+        nodes and alpha factor, so grids built alike share one transform and a
+        grid whose nodes were changed in place gets a new one.
+        """
         j = HalfInt.of(j)
-        key = ("transform", j.twice)
-        if key not in grid._memo:
-            grid._memo[key] = cls(j, grid)
-        return grid._memo[key]
+        numbers = (grid.beta_nodes, grid.beta_weights, grid.gamma_nodes)
+        key = (j.twice, *(np.asarray(a, dtype=float).tobytes() for a in numbers), float(grid.alpha_factor))
+        transform = _TRANSFORMS.get(key)
+        if transform is None:
+            transform = cls(j, grid)
+            _TRANSFORMS.add(key, transform)
+        else:
+            _TRANSFORMS.move_to_end(key)
+        return transform
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the transform's arrays, basis maps included once built."""
+        arrays = (self.weights, self._table, self._phases) + (self._basis_maps or ())
+        return sum(array.nbytes for array in arrays)
+
+    def basis_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both maps in the coordinates of an orthonormal Hermitian basis H_k, where they are real.
+
+        Returns the basis H, shape (n^2, n, n); A[k, (m, x)] = Tr[U(m, x) H_k],
+        the symbols of the basis; and S[k, (m, x)] = (Q^T A)[k, (m, x)] W_x,
+        the weighted basis coefficients Tr[H_k D(m, x)] W_x of the quantizers.
+        A and S are (n^2, n * nodes).  All three are read-only, built on first use.
+        """
+        if self._basis_maps is None:
+            n = self.j.twice + 1
+            basis = hermitian_basis(n)
+            basis[n:] /= np.sqrt(2.0)
+            # symbols of Hermitian operators are real; the imaginary parts are roundoff
+            analysis = self.analyze(basis).real
+            synthesis = _identity_quantizer(self.j.twice).T @ analysis * self.weights
+            maps = (np.ascontiguousarray(m.reshape(n * n, -1)) for m in (analysis, synthesis))
+            self._basis_maps = (basis, *maps)
+            for array in self._basis_maps:
+                array.setflags(write=False)
+            _TRANSFORMS.recount()
+        return self._basis_maps
 
     def analyze(self, a) -> np.ndarray:
         """Symbol table w[m, x] of the operator ``a``, shape (2j+1, nodes).
@@ -228,6 +272,41 @@ class SpinTransform:
         c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1), dtype=complex).reshape(-1, n_gamma)
         s = (self._table.T @ c.view(float)).view(complex)
         return np.einsum("ry,ry->r", s, self._phases.conj()).reshape(n, n)
+
+
+class _TransformCache(OrderedDict):
+    """Spin transforms by grid contents, least recently used first.
+
+    ``nbytes`` counts the arrays of the cached transforms.  Past
+    ``_CACHE_BUDGET`` the oldest are dropped, but never the most recently
+    used one, so one large transform is still built once per session.
+    """
+
+    nbytes = 0
+
+    def add(self, key: tuple, transform: SpinTransform) -> None:
+        self[key] = transform
+        self.nbytes += transform.nbytes
+        self._trim()
+
+    def recount(self) -> None:
+        """Count the arrays again, after a transform built its basis maps."""
+        self.nbytes = sum(t.nbytes for t in self.values())
+        self._trim()
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+    def _trim(self) -> None:
+        while self.nbytes > _CACHE_BUDGET and len(self) > 1:
+            self.nbytes -= self.popitem(last=False)[1].nbytes
+
+
+# Bytes of transforms the cache keeps beside the most recently used one (64 MiB:
+# a 2j = 16 transform is 0.8 MB, a 2j = 40 table 23 MB, a 2j = 80 table 344 MB).
+_CACHE_BUDGET = 64 * 2**20
+_TRANSFORMS = _TransformCache()
 
 
 def _grid_transform(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> SpinTransform:

@@ -94,6 +94,32 @@ class TestTomogramCommand:
         assert "oversample" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("j", ["inf", "nan"])
+    def test_non_finite_spin_exits_2(self, workdir, capsys, j):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--j", j, "--out", str(out)])
+        assert rc == 2
+        assert f"{j} is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_frames_exits_2(self, workdir, capsys):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--n-frames", "0", "--out", str(out)])
+        assert rc == 2
+        assert "--n-frames must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_frame_sources_exit_2(self, workdir, capsys):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--j", "0.5", "--n-frames", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "one of --frames, --n-frames and --j" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spin_grid_tomogram_csv(self, workdir):
         tmp, paths = workdir
         out = tmp / "t.csv"

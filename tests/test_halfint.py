@@ -17,6 +17,12 @@ def test_rejects_non_half_integers():
         HalfInt.of("1/2")
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_rejects_non_finite_reals(value):
+    with pytest.raises(ValueError, match=f"{value!r} is not a finite number"):
+        HalfInt.of(value)
+
+
 def test_arithmetic_is_exact():
     j = HalfInt.of(1.5)
     m = HalfInt.of(-0.5)

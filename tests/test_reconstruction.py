@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from spintomo import io
+from spintomo import io, symbols
 from spintomo.errors import InformationallyIncompleteError
 from spintomo.halfint import HalfInt
 from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
@@ -308,7 +308,7 @@ class TestPairMaps:
         grid = make_grid(1)
         pair = QuantizerPair.spin(1, grid)
         assert not hasattr(pair, "us") and not hasattr(pair, "ds")
-        assert not any(key[0] == "pair" for key in grid._memo)
+        assert all(isinstance(t, SpinTransform) for t in symbols._TRANSFORMS.values())
         assert QuantizerPair.matrix_units(3).transform is None
 
     def test_spin_pair_runs_on_the_grid_transform(self, rng):

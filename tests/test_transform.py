@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import operator_stacks, quantizer_series, random_hermitian
-from spintomo import io
+from spintomo import io, symbols
 from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
-from spintomo.quadrature import GROUP_VOLUME, _product_grid, make_grid
+from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, _legendre_rule, _product_grid, make_grid
 from spintomo.reconstruction import reconstruct_operator
 from spintomo.star import star_compose, star_grid, symbol_trace, trace_power
 from spintomo.su2 import clebsch_gordan, rotation_matrix
@@ -325,8 +325,88 @@ class TestRealPropagator:
         assert np.max(np.abs(pi - old)) < 1e-13
 
 
+@pytest.fixture
+def empty_cache():
+    """The process-wide transform cache, emptied before and after the test."""
+    symbols._TRANSFORMS.clear()
+    yield symbols._TRANSFORMS
+    symbols._TRANSFORMS.clear()
+
+
+def hollow_init(self, j, grid):
+    """A transform's arrays at their real shapes, one stored element each (sizes, no values)."""
+    self.j = HalfInt.of(j)
+    n = self.j.twice + 1
+    self.weights = grid.group_weights()
+    self._table = np.broadcast_to(0.0, (grid.n_beta * n, n * n))
+    self._phases = np.broadcast_to(0j, (n * n, grid.n_gamma))
+    self._basis_maps = None
+
+
+class TestTransformCache:
+    def test_cache_shares_one_transform_among_equal_grids(self, empty_cache):
+        first = SpinTransform.on_grid(3, make_grid(3))
+        assert SpinTransform.on_grid(3, make_grid(3)) is first
+        assert SpinTransform.on_grid(3, make_grid(3, 1.5)) is not first
+        assert SpinTransform.on_grid(2.5, make_grid(3)) is not first
+        assert len(empty_cache) == 3
+        assert empty_cache.nbytes == sum(t.nbytes for t in empty_cache.values())
+
+    def test_cache_follows_nodes_changed_in_place(self, rng):
+        # the transform follows the grid's numbers, not the grid object
+        j = HalfInt.of(3)
+        grid = make_grid(j)
+        a = random_operator(7, rng)
+        spin_tomogram(a, grid_frames(j, grid))
+        grid.beta_nodes[:] = grid.beta_nodes[::-1]
+        got = spin_tomogram(a, grid_frames(j, grid)).table
+        off_grid = spin_tomogram(a, SpinFrames(j, *grid.node_angles())).table
+        assert np.max(np.abs(got - off_grid)) <= 1e-12
+        fresh = QuadratureGrid(grid.beta_nodes.copy(), grid.beta_weights.copy(), grid.gamma_nodes.copy(),
+                               grid.alpha_factor, grid.exactness_degree)
+        assert np.array_equal(got, SpinTransform.on_grid(j, fresh).analyze(a))
+
+    def test_cache_stays_within_budget_over_a_sweep(self, empty_cache, monkeypatch):
+        # up to 110 MB of table per transform at 2j = 60, counted and not allocated
+        monkeypatch.setattr(SpinTransform, "__init__", hollow_init)
+        for jt in range(1, 61):
+            latest = SpinTransform.on_grid(HalfInt(jt), make_grid(HalfInt(jt)))
+            assert empty_cache.nbytes == sum(t.nbytes for t in empty_cache.values())
+            assert empty_cache.nbytes <= symbols._CACHE_BUDGET + latest.nbytes
+            assert next(reversed(empty_cache.values())) is latest
+        assert latest.nbytes > symbols._CACHE_BUDGET and list(empty_cache.values()) == [latest]
+
+    def test_cache_keeps_the_latest_transform_past_the_budget(self, empty_cache, monkeypatch):
+        monkeypatch.setattr(symbols, "_CACHE_BUDGET", 0)
+        grid = make_grid(2)
+        transform = SpinTransform.on_grid(2, grid)
+        assert SpinTransform.on_grid(2, grid) is transform
+        other = SpinTransform.on_grid(1, make_grid(1))
+        assert list(empty_cache.values()) == [other]
+        assert empty_cache.nbytes == other.nbytes
+
+    def test_cache_counts_basis_maps(self, empty_cache):
+        grid = make_grid(1.5)
+        transform = SpinTransform.on_grid(1.5, grid)
+        before = empty_cache.nbytes
+        channel_propagator(random_kraus_channel(4, 5), 1.5, grid)
+        maps = transform.basis_maps()
+        assert empty_cache.nbytes == before + sum(m.nbytes for m in maps) == transform.nbytes
+
+    def test_cached_arrays_are_read_only(self):
+        grid = make_grid(1)
+        transform = SpinTransform.on_grid(1, grid)
+        for array in (transform._table, transform._phases, transform.weights, *transform.basis_maps()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        for array in _legendre_rule(grid.n_beta):
+            assert not array.flags.writeable
+        # each grid keeps writable copies of the shared rule
+        assert grid.beta_nodes.flags.writeable and grid.beta_weights.flags.writeable
+
+
 class TestGridBackedFrames:
-    def test_one_transform_per_grid(self, monkeypatch):
+    def test_one_transform_per_grid(self, monkeypatch, empty_cache):
         built = []
         init = SpinTransform.__init__
 
