@@ -16,7 +16,7 @@ from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid
-from .symbols import QuantizerPair, Tomogram, UnitaryFrames, _frames_match_grid, _grid_transform
+from .symbols import QuantizerPair, Tomogram, UnitaryFrames, _frames_match_grid, _grid_key, _grid_transform
 
 __all__ = [
     "infer_grid",
@@ -45,8 +45,8 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
 
     Grid frames are the beta-major product of their beta and gamma nodes, so
     the node counts fix the grid; the Gauss-Legendre nodes are then reproduced
-    from the beta count alone.  The grid is stored on ``t.frames.grid``, so
-    later checks against it are identity checks.
+    from the beta count alone.  The grid is stored on ``t.frames.grid`` with
+    the key of its numbers, so later checks against it compare keys, not angles.
     """
     if t.kind != "spin":
         raise ValueError("grid inference needs a spin tomogram")
@@ -55,9 +55,10 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
         if factors is None:
             raise ValueError("tomogram frames do not form a regular grid")
         grid = _product_grid(*(nodes.size for nodes in factors))
-        if not _frames_match_grid(t.frames, t.j, grid):
+        key = _grid_key(t.j, grid)
+        if not _frames_match_grid(t.frames, t.j, grid, key):
             raise ValueError("tomogram frames do not coincide with any standard grid")
-        t.frames.grid = grid
+        t.frames.grid, t.frames._grid_key = grid, key
     return t.frames.grid
 
 

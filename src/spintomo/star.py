@@ -4,10 +4,11 @@ The composition of two symbols is the double quadrature of the product
 against the three-point kernel K(x2, x1, x) = Tr[D(x2) D(x1) U(x)].  Because
 the kernel factors through operator space, ``star_compose`` evaluates it as
 analyze(synthesize(f_A) @ synthesize(f_B)) with the grid's ``SpinTransform``:
-two syntheses, one (2j+1)-dimensional matrix product and one analysis, with
-no kernel or quantizer stack formed.  ``symbol_trace`` needs no synthesis:
-Tr D(m, x) = sum_m' Q[m', m] is the same at every node, so the trace is the
-weighted sum of the symbol table against the column sums of Q.
+two syntheses (one for a square), one (2j+1)-dimensional matrix product and
+one analysis, with no kernel or quantizer stack formed.  ``symbol_trace``
+needs no synthesis: Tr D(m, x) = sum_m' Q[m', m] is the same at every node,
+so the trace is the weighted sum of the symbol table against the column sums
+of Q.
 
 The kernel itself is kept for reference, in two independent forms.  The trace
 form is the definition, evaluated on the covariant quantizers and dequantizers
@@ -145,13 +146,16 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
     """Symbol of the operator product, f_A * f_B, on the same grid.
 
     Evaluates the double quadrature sum against K = Tr[D D U] in the factored
-    order: synthesize both operators, multiply, analyze the product.
+    order: synthesize both operators (once when ``fb`` is ``fa``), multiply,
+    analyze the product.
     """
     j = HalfInt.of(j)
     transform = _grid_transform(fa, j, grid)
-    _grid_transform(fb, j, grid)
-    product = transform.synthesize(fa.table) @ transform.synthesize(fb.table)
-    return Tomogram(fa.frames, transform.analyze(product))
+    if fb is not fa:
+        _grid_transform(fb, j, grid)
+    a = transform.synthesize(fa.table)
+    b = a if fb is fa else transform.synthesize(fb.table)
+    return Tomogram(fa.frames, transform.analyze(a @ b))
 
 
 def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
@@ -163,13 +167,21 @@ def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
 
 
 def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:
-    """Tr[rho^n] from the spin symbol of rho by iterated star composition."""
+    """Tr[rho^n] from the spin symbol of rho by iterated star composition.
+
+    The n - 1 compositions f * t share one synthesis of t.
+    """
     if n < 1:
         raise ValueError("power must be a positive integer")
     j = t.j
+    transform = _grid_transform(t, j, grid)
     current = t
-    for _ in range(n - 1):
-        current = star_compose(current, t, j, grid)
+    if n > 1:
+        rho = power = transform.synthesize(t.table)
+        for step in range(n - 1):
+            if step:
+                power = transform.synthesize(current.table)
+            current = Tomogram(t.frames, transform.analyze(power @ rho))
     value = symbol_trace(current, j, grid)
     if abs(value.imag) > 1e-8:
         raise ValueError(f"trace came out non-real ({value}); non-Hermitian input?")

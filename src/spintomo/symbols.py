@@ -57,9 +57,11 @@ class SpinFrames:
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
     ``grid`` is the quadrature grid whose nodes the frames are, None until
-    ``grid_frames`` or a passing ``infer_grid`` sets it; ``spin_tomogram`` then
-    uses the grid's cached ``SpinTransform``, and runs frames with no grid
-    through ``frame_diagonals``.
+    ``grid_frames`` or a passing ``infer_grid`` sets it, together with the key
+    of the grid's numbers at that time.  While the grid still has those
+    numbers, ``spin_tomogram`` uses its cached ``SpinTransform``; frames with
+    no grid, or whose grid has since changed, run through ``frame_diagonals``
+    at their own angles.
     """
 
     def __init__(self, j, betas, gammas, alphas=None):
@@ -74,24 +76,35 @@ class SpinFrames:
         if not np.all(np.isfinite([self.alphas, self.betas, self.gammas])):
             raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
         self.grid: QuadratureGrid | None = None
+        self._grid_key: tuple | None = None
 
     def __len__(self) -> int:
         return self.betas.size
 
 
+def _grid_key(j: HalfInt, grid: QuadratureGrid) -> tuple:
+    """2j and the grid's numbers (beta nodes and weights, gamma nodes, alpha factor) as one hashable key."""
+    numbers = (grid.beta_nodes, grid.beta_weights, grid.gamma_nodes)
+    return (j.twice, *(np.asarray(a, dtype=float).tobytes() for a in numbers), float(grid.alpha_factor))
+
+
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     """Spin frames at the grid nodes (alpha = 0), in grid node order."""
     frames = SpinFrames(j, *grid.node_angles())
-    frames.grid = grid
+    frames.grid, frames._grid_key = grid, _grid_key(frames.j, grid)
     return frames
 
 
-def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> bool:
-    """Whether ``frames`` are spin-j frames at the grid nodes, in node order (to 1e-12)."""
+def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid, key: tuple) -> bool:
+    """Whether ``frames`` are spin-j frames at the grid nodes, in node order (to 1e-12).
+
+    ``key`` is ``_grid_key(j, grid)``.  Frames recorded with that key were made
+    at nodes with these very numbers and pass without an angle comparison.
+    """
+    if frames._grid_key == key:
+        return True
     if len(frames) != grid.n_nodes or frames.j != j:
         return False
-    if frames.grid is grid:
-        return True
     deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
     return bool(np.all(deviation <= 1e-12))
 
@@ -166,23 +179,45 @@ def _identity_quantizer(jt: int) -> np.ndarray:
     return q
 
 
+@lru_cache(maxsize=128)
+def _entry_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the entries A_ab and A_ba of an n x n operator, over the
+    pairs a <= b ordered by k = b - a (the n diagonal pairs first), read-only."""
+    a = np.concatenate([np.arange(n - k) for k in range(n)])
+    b = a + np.repeat(np.arange(n), np.arange(n, 0, -1))
+    pairs = (a * n + b, b * n + a)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 class SpinTransform:
     """The spin symbol map and its inverse on a quadrature grid, factored through its beta nodes.
 
     With R_x = d(beta_x) diag(exp(-i gamma_x m)), the symbol at node x = (beta, y) is
 
-        w[m, x] = (R_x A R_x^dag)_{mm} = sum_{a,b} d_ma(beta) d_mb(beta) A_ab P[(a, b), y],
-        P[(a, b), y] = exp(-i gamma_y (b - a)),
+        w[m, x] = (R_x A R_x^dag)_{mm}
+                = sum_{a <= b} d_ma(beta) d_mb(beta) (sym_ab cos(gamma_y k) - i anti_ab sin(gamma_y k)),
 
-    so ``analyze(A)`` is one real matrix product of the table d_ma d_mb at the
-    grid's beta nodes with the phased entries A_ab P (Kostelec & Rockmore,
-    "FFTs on the rotation group", J. Fourier Anal. Appl. 14, 2008).
+    k = b - a, sym_ab = A_ab + A_ba (A_aa on the diagonal), anti_ab = A_ab - A_ba:
+    the conjugate-pair entries enter through one symmetric weight.  So the
+    transform keeps the real table d_ma d_mb at the grid's beta nodes over the
+    n(n+1)/2 pairs a <= b, and the real (pairs, n_gamma) tables cos(gamma_y k)
+    and sin(gamma_y k) (Kostelec & Rockmore, "FFTs on the rotation group",
+    J. Fourier Anal. Appl. 14, 2008).  ``analyze(A)`` is one real matrix
+    product of the table with Re sym cos + Im anti sin, and with
+    Im sym cos - Re anti sin beside it as more columns only when that is not
+    identically zero.  It is zero for a Hermitian A (sym real, anti
+    imaginary), which costs n_gamma columns and gets an exactly real table.
+
     ``synthesize(w)`` is the quadrature A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x
     of the quantizer family (the covariance D(m, g) = R(g)^dag D(m, e) R(g))
-    with the grid's weights W_x: the transposed table, then a sum over y
-    against conj(P).  Tables run over the grid nodes in node order; ``on_grid``
-    shares one transform among all grids with the same numbers.  Its arrays
-    are read-only.
+    with the grid's weights W_x: the transposed table takes the weighted Q w
+    to sums s[(a, b), y], and A_ab = U + iV, A_ba = U - iV with
+    U = sum_y s cos and V = sum_y s sin, so a real table gives an exactly
+    Hermitian operator.  Tables run over the grid nodes in node order;
+    ``on_grid`` shares one transform among all grids with the same numbers.
+    Its arrays are read-only.
     """
 
     def __init__(self, j, grid: QuadratureGrid):
@@ -190,13 +225,18 @@ class SpinTransform:
         self.weights = grid.group_weights()
         n = self.j.twice + 1
         d = wigner_d_stack(self.j, grid.beta_nodes)
-        # row (beta, m), column (a, b): d_ma(beta) d_mb(beta)
-        self._table = (d[:, :, :, None] * d[:, :, None, :]).reshape(-1, n * n)
-        # P[(a, b), y], gathered from its 4j+1 distinct rows rather than n^2 n_gamma exp calls
-        a, b = np.divmod(np.arange(n * n), n)
-        distinct = np.exp(-1j * np.multiply.outer(np.arange(1 - n, n), grid.gamma_nodes))
-        self._phases = distinct[b - a + n - 1]
-        for array in (self.weights, self._table, self._phases):
+        # row (beta, m), column (a, b) with a <= b in the order of _entry_pairs:
+        # d_ma(beta) d_mb(beta), one block of n - k columns per k = b - a
+        table = np.empty(d.shape[:2] + (n * (n + 1) // 2,))
+        start = 0
+        for k in range(n):
+            np.multiply(d[:, :, : n - k], d[:, :, k:], out=table[:, :, start : start + n - k])
+            start += n - k
+        self._table = table.reshape(-1, table.shape[-1])
+        # row (a, b): the row of k = b - a, repeated for its n - k pairs
+        angles = np.multiply.outer(np.arange(n), grid.gamma_nodes)
+        self._cos, self._sin = (np.repeat(f(angles), np.arange(n, 0, -1), axis=0) for f in (np.cos, np.sin))
+        for array in (self.weights, self._table, self._cos, self._sin):
             array.setflags(write=False)
         self._basis_maps = None
 
@@ -209,20 +249,12 @@ class SpinTransform:
         grid whose nodes were changed in place gets a new one.
         """
         j = HalfInt.of(j)
-        numbers = (grid.beta_nodes, grid.beta_weights, grid.gamma_nodes)
-        key = (j.twice, *(np.asarray(a, dtype=float).tobytes() for a in numbers), float(grid.alpha_factor))
-        transform = _TRANSFORMS.get(key)
-        if transform is None:
-            transform = cls(j, grid)
-            _TRANSFORMS.add(key, transform)
-        else:
-            _TRANSFORMS.move_to_end(key)
-        return transform
+        return _cached_transform(_grid_key(j, grid), j, grid)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the transform's arrays, basis maps included once built."""
-        arrays = (self.weights, self._table, self._phases) + (self._basis_maps or ())
+        arrays = (self.weights, self._table, self._cos, self._sin) + (self._basis_maps or ())
         return sum(array.nbytes for array in arrays)
 
     def basis_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +269,7 @@ class SpinTransform:
             n = self.j.twice + 1
             basis = hermitian_basis(n)
             basis[n:] /= np.sqrt(2.0)
-            # symbols of Hermitian operators are real; the imaginary parts are roundoff
+            # symbols of Hermitian operators are real
             analysis = self.analyze(basis).real
             synthesis = _identity_quantizer(self.j.twice).T @ analysis * self.weights
             maps = (np.ascontiguousarray(m.reshape(n * n, -1)) for m in (analysis, synthesis))
@@ -253,25 +285,45 @@ class SpinTransform:
         A stack of operators (..., 2j+1, 2j+1) gives a stack of tables.
         """
         a = np.asarray(a, dtype=complex)
-        n, n_gamma = self.j.twice + 1, self._phases.shape[1]
+        n, n_gamma = self.j.twice + 1, self._cos.shape[1]
         if a.shape[-2:] != (n, n):
             raise ValueError(f"operator shape {a.shape} is not (..., {n}, {n}) for spin j={self.j}")
         lead = a.shape[:-2]
-        phased = a.reshape(lead + (n * n, 1)) * self._phases
-        # real table times the (re, im) pairs of the phased entries: one real product
-        w = (self._table @ phased.view(float)).view(complex).reshape(lead + (-1, n, n_gamma))
-        return np.moveaxis(w, -3, -2).reshape(lead + (n, -1))
+        upper, lower = _entry_pairs(n)
+        flat = a.reshape(lead + (n * n,))
+        above, below = flat.take(upper, axis=-1), flat.take(lower, axis=-1)
+        sym, anti = above + below, above - below
+        sym[..., :n] *= 0.5
+        if sym.imag.any() or anti.real.any():
+            # (re, im) pairs of the complex right-hand side as columns of one real product
+            rhs = sym[..., None] * self._cos - (1j * anti)[..., None] * self._sin
+            w = (self._table @ rhs.view(float)).view(complex)
+        else:
+            w = self._table @ (sym.real[..., None] * self._cos + anti.imag[..., None] * self._sin)
+        w = w.reshape(lead + (-1, n, n_gamma)).swapaxes(-3, -2)
+        return w.astype(complex, order="C").reshape(lead + (n, -1))
 
     def synthesize(self, w) -> np.ndarray:
         """Operator with symbol table ``w`` of shape (2j+1, nodes)."""
-        n, n_gamma = self.j.twice + 1, self._phases.shape[1]
+        n, n_gamma = self.j.twice + 1, self._cos.shape[1]
         if np.shape(w) != (n, self.weights.size):
             raise ValueError(f"symbol table shape {np.shape(w)} is not ({n}, {self.weights.size}) outcomes x nodes")
-        c = (_identity_quantizer(self.j.twice) @ w) * self.weights
-        # rows (beta, m), complex so that the (re, im) view below exists
-        c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1), dtype=complex).reshape(-1, n_gamma)
-        s = (self._table.T @ c.view(float)).view(complex)
-        return np.einsum("ry,ry->r", s, self._phases.conj()).reshape(n, n)
+        w = np.asarray(w)
+        is_complex = w.dtype.kind == "c" and w.imag.any()
+        c = (_identity_quantizer(self.j.twice) @ (w if is_complex else w.real)) * self.weights
+        # rows (beta, m); a complex table enters as (re, im) pairs of columns
+        c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1)).reshape(-1, n_gamma)
+        s = (self._table.T @ (c.view(float) if is_complex else c)).reshape(len(self._cos), n_gamma, -1)
+        # U = sum_y s cos and V = sum_y s sin, one row product per pair
+        u, v = ((trig[:, None] @ s).reshape(len(s), -1) for trig in (self._cos, self._sin))
+        if is_complex:
+            u, v = u.view(complex), v.view(complex)
+        u, iv = u[:, 0], 1j * v[:, 0]
+        upper, lower = _entry_pairs(n)
+        out = np.empty(n * n, dtype=complex)
+        out[lower] = u - iv
+        out[upper] = u + iv
+        return out.reshape(n, n)
 
 
 class _TransformCache(OrderedDict):
@@ -304,18 +356,30 @@ class _TransformCache(OrderedDict):
 
 
 # Bytes of transforms the cache keeps beside the most recently used one (64 MiB:
-# a 2j = 16 transform is 0.8 MB, a 2j = 40 table 23 MB, a 2j = 80 table 344 MB).
+# a 2j = 16 transform is 0.44 MB, a 2j = 40 table 12 MB, a 2j = 80 table 174 MB).
 _CACHE_BUDGET = 64 * 2**20
 _TRANSFORMS = _TransformCache()
+
+
+def _cached_transform(key: tuple, j: HalfInt, grid: QuadratureGrid) -> SpinTransform:
+    """The transform cached under ``key`` (``_grid_key(j, grid)``), built from ``grid`` on a miss."""
+    transform = _TRANSFORMS.get(key)
+    if transform is None:
+        transform = SpinTransform(j, grid)
+        _TRANSFORMS.add(key, transform)
+    else:
+        _TRANSFORMS.move_to_end(key)
+    return transform
 
 
 def _grid_transform(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> SpinTransform:
     """The grid's ``SpinTransform``, once ``t`` is checked to be a spin-j tomogram at its nodes."""
     if t.kind != "spin":
         raise ValueError("expected a spin tomogram")
-    if not _frames_match_grid(t.frames, j, grid):
+    key = _grid_key(j, grid)
+    if not _frames_match_grid(t.frames, j, grid, key):
         raise ValueError("tomogram frames do not coincide with the grid nodes")
-    return SpinTransform.on_grid(j, grid)
+    return _cached_transform(key, j, grid)
 
 
 @dataclass
@@ -432,8 +496,9 @@ def spin_tomogram(a, frames) -> Tomogram:
     """Spin symbol w(m, frame) = Tr[A U(m, frame)] for every m and frame.
 
     ``frames`` is a ``SpinFrames`` set.  Grid frames run on the grid's
-    ``SpinTransform``; other frames are unitary frames u = R(g)^dag, run on
-    ``frame_diagonals`` like every unitary tomogram.  ``a`` may be a plain
+    ``SpinTransform`` while the grid keeps the numbers they were made at;
+    other frames are unitary frames u = R(g)^dag, run on ``frame_diagonals``
+    like every unitary tomogram.  ``a`` may be a plain
     finite matrix (observable) or a DensityMatrix, in which case per-frame
     normalization is verified.
     """
@@ -446,8 +511,9 @@ def spin_tomogram(a, frames) -> Tomogram:
     n = frames.j.twice + 1
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
-    if frames.grid is not None:
-        table = SpinTransform.on_grid(frames.j, frames.grid).analyze(mat)
+    key = frames._grid_key
+    if key is not None and key == _grid_key(frames.j, frames.grid):
+        table = _cached_transform(key, frames.j, frames.grid).analyze(mat)
     else:
         rotations = rotation_stack(frames.j, frames.betas, frames.gammas)
         table = frame_diagonals(mat, rotations.conj().swapaxes(-1, -2)).T

@@ -8,7 +8,14 @@ from spintomo.halfint import HalfInt
 from spintomo.linalg import expm_hermitian_times, frame_diagonals, kron_all
 from spintomo.simplex import _draw_elements, _lie_basis
 from spintomo.quadrature import GROUP_VOLUME
-from spintomo.su2 import clebsch_gordan, irreducible_tensor, rotation_stack, tensor_index_pairs, wigner_small_d
+from spintomo.su2 import (
+    clebsch_gordan,
+    irreducible_tensor,
+    rotation_stack,
+    tensor_index_pairs,
+    wigner_d_stack,
+    wigner_small_d,
+)
 from spintomo.symbols import _identity_quantizer
 
 # CI sets HYPOTHESIS_PROFILE=ci: fixed example sequences, and a failure
@@ -96,3 +103,35 @@ def dequantizer_series(j, m, omega) -> np.ndarray:
 def quantizer_series(j, m, omega) -> np.ndarray:
     """The quantizer D(m, omega): the same series with weights (2L+1)/(8 pi^2) (oracle)."""
     return _tensor_series(j, m, omega, lambda L: (L.twice + 1) / GROUP_VOLUME)
+
+
+def _full_table(j, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The spin transform over all (2j+1)^2 entries A_ab: the (n_beta n, n^2) real
+    table d_ma d_mb and the (n^2, n_gamma) phases exp(-i gamma_y (b - a))."""
+    n = HalfInt.of(j).twice + 1
+    d = wigner_d_stack(HalfInt.of(j), grid.beta_nodes)
+    table = (d[:, :, :, None] * d[:, :, None, :]).reshape(-1, n * n)
+    a, b = np.divmod(np.arange(n * n), n)
+    return table, np.exp(-1j * np.multiply.outer(b - a, grid.gamma_nodes))
+
+
+def full_table_analyze(j, grid, a) -> np.ndarray:
+    """Spin symbol tables of an operator or a stack on the grid, from the full table (oracle)."""
+    table, phases = _full_table(j, grid)
+    n, n_gamma = HalfInt.of(j).twice + 1, grid.n_gamma
+    a = np.asarray(a, dtype=complex)
+    lead = a.shape[:-2]
+    phased = a.reshape(lead + (n * n, 1)) * phases
+    w = (table @ phased.view(float)).view(complex).reshape(lead + (-1, n, n_gamma))
+    return np.moveaxis(w, -3, -2).reshape(lead + (n, -1))
+
+
+def full_table_synthesize(j, grid, w) -> np.ndarray:
+    """Operator with spin symbol table w on the grid, from the full table (oracle)."""
+    table, phases = _full_table(j, grid)
+    jt = HalfInt.of(j).twice
+    n, n_gamma = jt + 1, grid.n_gamma
+    c = (_identity_quantizer(jt) @ w) * grid.group_weights()
+    c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1), dtype=complex).reshape(-1, n_gamma)
+    s = (table.T @ c.view(float)).view(complex)
+    return np.einsum("ry,ry->r", s, phases.conj()).reshape(n, n)

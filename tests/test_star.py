@@ -14,7 +14,7 @@ from spintomo.star import (
     trace_power,
 )
 from spintomo.states import pure_state
-from spintomo.symbols import QuantizerPair, SpinTransform, grid_frames, spin_tomogram
+from spintomo.symbols import QuantizerPair, SpinTransform, grid_frames, spin_tomogram, unitary_tomogram
 
 
 class StarKernel:
@@ -211,6 +211,12 @@ class TestTracePower:
         f = spin_tomogram(0.5j * np.eye(2), grid_frames(0.5, grid))
         with pytest.raises(ValueError, match="non-real"):
             trace_power(f, 1, grid)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unitary_tomogram_refused(self, n):
+        f = unitary_tomogram(random_density(2, 2, seed=33), [np.eye(2)])
+        with pytest.raises(ValueError, match="expected a spin tomogram"):
+            trace_power(f, n, star_grid(0.5))
 
     def test_power_must_be_positive(self):
         grid = star_grid(0.5)

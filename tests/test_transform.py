@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import operator_stacks, quantizer_series, random_hermitian
+from conftest import (
+    full_table_analyze,
+    full_table_synthesize,
+    operator_stacks,
+    quantizer_series,
+    random_hermitian,
+)
 from spintomo import io, symbols
 from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
 from spintomo.halfint import HalfInt, spin_range
@@ -19,6 +25,7 @@ from spintomo.symbols import (
     QuantizerPair,
     SpinFrames,
     SpinTransform,
+    Tomogram,
     _coupled_m0_block,
     _identity_quantizer,
     dequantizer_U,
@@ -289,9 +296,19 @@ class TestBetaFactoredTransform:
             tracemalloc.stop()
         assert peak < 30e6
 
+    def test_build_memory_at_j20(self):
+        # the 12 MB table is filled in place: no gathered d-stack copies of its size
+        tracemalloc.start()
+        try:
+            transform = SpinTransform(20, make_grid(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * transform.nbytes
+
     def test_synthesis_memory_at_j20(self, rng):
-        # beside the 23 MB table: (n^2, n_gamma) sums, about 7 MB traced; a
-        # (n_beta n, n^2) gather of the diagonal sums would take 50 MB
+        # beside the 12 MB table: (n(n+1)/2, n_gamma) sums, about 2 MB traced;
+        # a (n_beta n, n^2) gather of the diagonal sums would take 50 MB
         transform = SpinTransform(20, make_grid(20))
         w = transform.analyze(random_operator(41, rng))
         tracemalloc.start()
@@ -301,6 +318,92 @@ class TestBetaFactoredTransform:
         finally:
             tracemalloc.stop()
         assert peak < 15e6
+
+
+def operator_of_kind(kind, n, rng):
+    """A random operator, or a (2, 3, n, n) stack of them, of the given symmetry."""
+    g = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+    if kind == "stack":
+        return g
+    g = g[0, 0]
+    return {"hermitian": g + g.conj().T, "anti-hermitian": g - g.conj().T, "general": g}[kind]
+
+
+class TestHalfTable:
+    """The transform over the pairs a <= b against the full-table transform."""
+
+    def test_table_has_one_column_per_pair(self):
+        transform = SpinTransform(8, make_grid(8))
+        assert transform._table.shape == (17 * 17, 17 * 18 // 2)
+        assert transform._cos.shape == transform._sin.shape == (17 * 18 // 2, 33)
+        # no (n^2, n_gamma) array is kept
+        arrays = [array for array in vars(transform).values() if isinstance(array, np.ndarray)]
+        assert not any(array.shape == (17 * 17, 33) for array in arrays)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        jt=st.integers(min_value=0, max_value=40),
+        kind=st.sampled_from(["hermitian", "anti-hermitian", "general", "stack"]),
+        oversample=st.sampled_from([1.0, 1.5]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_analyze_matches_full_table(self, jt, kind, oversample, seed):
+        j, grid = HalfInt(jt), make_grid(HalfInt(jt), oversample)
+        a = operator_of_kind(kind, jt + 1, np.random.default_rng(seed))
+        got = SpinTransform.on_grid(j, grid).analyze(a)
+        bound = 1e-14 * max(1.0, np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
+        assert np.max(np.abs(got - full_table_analyze(j, grid, a))) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        jt=st.integers(min_value=0, max_value=40),
+        kind=st.sampled_from(["real", "real as complex", "complex"]),
+        oversample=st.sampled_from([1.0, 1.5]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_synthesize_matches_full_table(self, jt, kind, oversample, seed):
+        # real tables are symbols of Hermitian operators, complex ones of general operators
+        j, grid = HalfInt(jt), make_grid(HalfInt(jt), oversample)
+        transform = SpinTransform.on_grid(j, grid)
+        a = operator_of_kind("general" if kind == "complex" else "hermitian", jt + 1, np.random.default_rng(seed))
+        w = full_table_analyze(j, grid, a)
+        w = w if kind == "complex" else w.real if kind == "real" else w.real.astype(complex)
+        bound = 1e-14 * max(1.0, np.linalg.norm(a, 2))
+        assert np.max(np.abs(transform.synthesize(w) - full_table_synthesize(j, grid, w))) <= bound
+
+    @pytest.mark.parametrize("jt", [0, 1, 2, 5, 16, 40])
+    def test_hermitian_tables_are_exactly_real(self, jt, rng):
+        transform = SpinTransform.on_grid(HalfInt(jt), make_grid(HalfInt(jt)))
+        h = random_hermitian(jt + 1, rng)
+        assert np.all(transform.analyze(h).imag == 0)
+        stack = np.stack([h, random_hermitian(jt + 1, rng)])
+        assert np.all(transform.analyze(stack).imag == 0)
+        rho = random_density(jt + 1, jt + 1, seed=jt)
+        assert np.all(spin_tomogram(rho, grid_frames(HalfInt(jt), make_grid(HalfInt(jt)))).table.imag == 0)
+
+    @pytest.mark.parametrize("jt", [0, 1, 2, 5, 16, 40])
+    def test_real_tables_give_exactly_hermitian_operators(self, jt, rng):
+        grid = make_grid(HalfInt(jt))
+        transform = SpinTransform.on_grid(HalfInt(jt), grid)
+        w = rng.standard_normal((jt + 1, grid.n_nodes))
+        op = transform.synthesize(w)
+        assert np.array_equal(op, op.conj().T)
+        assert np.array_equal(transform.synthesize(w.astype(complex)), op)
+
+    @pytest.mark.parametrize("jt", [1, 3, 6, 16])
+    def test_shared_synthesis_is_bit_identical(self, jt):
+        j = HalfInt(jt)
+        grid = star_grid(j)
+        transform = SpinTransform.on_grid(j, grid)
+        t = spin_tomogram(random_density(jt + 1, jt + 1, seed=jt), grid_frames(j, grid))
+        square = transform.analyze(transform.synthesize(t.table) @ transform.synthesize(t.table))
+        assert np.array_equal(star_compose(t, t, j, grid).table, square)
+        current = t
+        for power in range(1, 5):
+            want = symbol_trace(current, j, grid).real
+            assert trace_power(t, power, grid) == want
+            product = transform.synthesize(current.table) @ transform.synthesize(t.table)
+            current = Tomogram(t.frames, transform.analyze(product))
 
 
 class TestRealPropagator:
@@ -338,8 +441,9 @@ def hollow_init(self, j, grid):
     self.j = HalfInt.of(j)
     n = self.j.twice + 1
     self.weights = grid.group_weights()
-    self._table = np.broadcast_to(0.0, (grid.n_beta * n, n * n))
-    self._phases = np.broadcast_to(0j, (n * n, grid.n_gamma))
+    pairs = n * (n + 1) // 2
+    self._table = np.broadcast_to(0.0, (grid.n_beta * n, pairs))
+    self._cos = self._sin = np.broadcast_to(0.0, (pairs, grid.n_gamma))
     self._basis_maps = None
 
 
@@ -367,9 +471,10 @@ class TestTransformCache:
         assert np.array_equal(got, SpinTransform.on_grid(j, fresh).analyze(a))
 
     def test_cache_stays_within_budget_over_a_sweep(self, empty_cache, monkeypatch):
-        # up to 110 MB of table per transform at 2j = 60, counted and not allocated
+        # up to 77 MB per transform at 2j = 64, counted and not allocated; the
+        # first one past the 64 MiB budget is at 2j = 62
         monkeypatch.setattr(SpinTransform, "__init__", hollow_init)
-        for jt in range(1, 61):
+        for jt in range(1, 65):
             latest = SpinTransform.on_grid(HalfInt(jt), make_grid(HalfInt(jt)))
             assert empty_cache.nbytes == sum(t.nbytes for t in empty_cache.values())
             assert empty_cache.nbytes <= symbols._CACHE_BUDGET + latest.nbytes
@@ -396,7 +501,7 @@ class TestTransformCache:
     def test_cached_arrays_are_read_only(self):
         grid = make_grid(1)
         transform = SpinTransform.on_grid(1, grid)
-        for array in (transform._table, transform._phases, transform.weights, *transform.basis_maps()):
+        for array in (transform._table, transform._cos, transform._sin, transform.weights, *transform.basis_maps()):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
         for array in _legendre_rule(grid.n_beta):
@@ -423,6 +528,23 @@ class TestGridBackedFrames:
         channel_propagator(random_kraus_channel(4, 5), j, grid)
         assert len(built) == 1
         assert squared.frames is w.frames
+
+    def test_frames_left_behind_by_a_changed_grid(self):
+        # frames keep the angles they were made at; the grid's new nodes are not theirs
+        grid = make_grid(1.5)
+        frames = grid_frames(1.5, grid)
+        grid.beta_nodes[:] = grid.beta_nodes[::-1]
+        a = np.diag(np.arange(4.0))
+        t = spin_tomogram(a, frames)
+        at_own_angles = spin_tomogram(a, SpinFrames(1.5, frames.betas, frames.gammas)).table
+        assert np.max(np.abs(t.table - at_own_angles)) <= 1e-12
+        with pytest.raises(ValueError, match="do not coincide"):
+            reconstruct_operator(t, 1.5, grid)
+        with pytest.raises(ValueError, match="do not coincide"):
+            star_compose(t, t, 1.5, grid)
+        # the nodes put back, the frames are the grid's frames again
+        grid.beta_nodes[:] = grid.beta_nodes[::-1]
+        assert np.max(np.abs(reconstruct_operator(t, 1.5, grid) - a)) <= 1e-12
 
     def test_grid_frames_are_arrays(self):
         grid = make_grid(1)
