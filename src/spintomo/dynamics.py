@@ -19,8 +19,7 @@ import numpy as np
 from .errors import ZeroProbabilityError
 from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, frame_diagonals, hermiticity_residual
 from .quadrature import QuadratureGrid
-from .star import star_compose
-from .symbols import Tomogram
+from .symbols import Tomogram, _grid_transform
 
 
 def evolve_state(rho: DensityMatrix, h, t: float) -> DensityMatrix:
@@ -79,9 +78,10 @@ def measure_update(rho: DensityMatrix, effect) -> tuple[DensityMatrix, float]:
 
 
 def measurement_star_map(w: Tomogram, w_effect: Tomogram, j, grid: QuadratureGrid) -> Tomogram:
-    """Symbol-side measurement update w_P * w * w_P (unnormalized)."""
-    inner = star_compose(w_effect, w, j, grid)
-    return star_compose(inner, w_effect, j, grid)
+    """Symbol-side measurement update w_P * w * w_P (unnormalized): one synthesis each of P and rho."""
+    transform = _grid_transform(w_effect, j, grid)
+    p, rho = transform.synthesize(w_effect.table), _grid_transform(w, j, grid).synthesize(w.table)
+    return Tomogram(w_effect.frames, transform.analyze(p @ rho @ p))
 
 
 @dataclass

@@ -9,7 +9,7 @@ analytically (the weight functions carry no alpha dependence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -22,13 +22,17 @@ GROUP_VOLUME = 8.0 * np.pi**2
 DEFAULT_OVERSAMPLE = 1.0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product rule on (beta, gamma) with the alpha factor applied analytically.
 
     ``beta_nodes``/``beta_weights`` are Gauss-Legendre in x = cos(beta);
     ``gamma_nodes`` are uniform on [0, 2pi) with equal weights.  The total
     weight including ``alpha_factor`` equals the group volume 8 pi^2.
+
+    A grid is a value: construction copies the three arrays into read-only
+    float arrays and sets ``key``, its numbers (the arrays' bytes and the
+    alpha factor) as one tuple, under which grids alike share a transform.
     """
 
     beta_nodes: np.ndarray
@@ -36,6 +40,19 @@ class QuadratureGrid:
     gamma_nodes: np.ndarray
     alpha_factor: float
     exactness_degree: int
+    key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        names = ("beta_nodes", "beta_weights", "gamma_nodes")
+        arrays = [np.array(getattr(self, name), dtype=float) for name in names]
+        if arrays[0].shape != arrays[1].shape or any(a.ndim != 1 for a in arrays):
+            raise ValueError("grid beta nodes and weights must be 1-d and of equal length, gamma nodes 1-d")
+        if not np.all(np.isfinite(np.concatenate(arrays))) or not math.isfinite(self.alpha_factor):
+            raise ValueError("grid nodes and weights must be finite numbers (found NaN or infinity)")
+        for name, array in zip(names, arrays):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "key", (*(a.tobytes() for a in arrays), float(self.alpha_factor)))
 
     @property
     def n_beta(self) -> int:
@@ -89,22 +106,14 @@ def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
     return _product_grid(n_beta, n_gamma)
 
 
+@lru_cache(maxsize=128)
 def _product_grid(n_beta: int, n_gamma: int) -> QuadratureGrid:
-    """Gauss-Legendre in cos(beta) times the uniform gamma rule, with its exactness degree."""
-    x, w = _legendre_rule(n_beta)
+    """Gauss-Legendre in cos(beta) times the uniform gamma rule, with its exactness degree, kept per node count."""
+    x, w = np.polynomial.legendre.leggauss(n_beta)
     return QuadratureGrid(
         beta_nodes=np.arccos(x),
-        beta_weights=w.copy(),
+        beta_weights=w,
         gamma_nodes=2.0 * np.pi * np.arange(n_gamma) / n_gamma,
         alpha_factor=2.0 * np.pi,
         exactness_degree=min((2 * n_beta - 1) // 2, (n_gamma - 1) // 2),
     )
-
-
-@lru_cache(maxsize=128)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights in x = cos(beta), read-only (each grid copies them)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w

@@ -13,10 +13,9 @@ import warnings
 import numpy as np
 
 from .errors import InformationallyIncompleteError
-from .halfint import HalfInt
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid, _product_grid
-from .symbols import QuantizerPair, Tomogram, UnitaryFrames, _frames_match_grid, _grid_key, _grid_transform
+from .symbols import QuantizerPair, Tomogram, UnitaryFrames, _frames_match_grid, _grid_transform
 
 __all__ = [
     "infer_grid",
@@ -45,21 +44,19 @@ def infer_grid(t: Tomogram) -> QuadratureGrid:
 
     Grid frames are the beta-major product of their beta and gamma nodes, so
     the node counts fix the grid; the Gauss-Legendre nodes are then reproduced
-    from the beta count alone.  The grid is stored on ``t.frames.grid`` with
-    the key of its numbers, so later checks against it compare keys, not angles.
+    from the beta count alone, in the one grid object kept for those counts.
     """
     if t.kind != "spin":
         raise ValueError("grid inference needs a spin tomogram")
-    if t.frames.grid is None:
-        factors = _product_factors(t.frames.betas, t.frames.gammas)
-        if factors is None:
-            raise ValueError("tomogram frames do not form a regular grid")
-        grid = _product_grid(*(nodes.size for nodes in factors))
-        key = _grid_key(t.j, grid)
-        if not _frames_match_grid(t.frames, t.j, grid, key):
-            raise ValueError("tomogram frames do not coincide with any standard grid")
-        t.frames.grid, t.frames._grid_key = grid, key
-    return t.frames.grid
+    if t.frames.grid is not None:
+        return t.frames.grid
+    factors = _product_factors(t.frames.betas, t.frames.gammas)
+    if factors is None:
+        raise ValueError("tomogram frames do not form a regular grid")
+    grid = _product_grid(*(nodes.size for nodes in factors))
+    if not _frames_match_grid(t.frames, t.j, grid):
+        raise ValueError("tomogram frames do not coincide with any standard grid")
+    return grid
 
 
 def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
@@ -68,7 +65,7 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
     A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x, the quadrature of the quantizer
     family over the grid nodes (see ``SpinTransform.synthesize``).
     """
-    return _grid_transform(t, HalfInt.of(j), grid).synthesize(t.table)
+    return _grid_transform(t, j, grid).synthesize(t.table)
 
 
 def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:

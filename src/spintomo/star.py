@@ -149,7 +149,6 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
     order: synthesize both operators (once when ``fb`` is ``fa``), multiply,
     analyze the product.
     """
-    j = HalfInt.of(j)
     transform = _grid_transform(fa, j, grid)
     if fb is not fa:
         _grid_transform(fb, j, grid)
@@ -160,10 +159,9 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
 
 def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     """Trace functional sum_x w_x f(x) Tr[D(x)] applied to a spin symbol."""
-    j = HalfInt.of(j)
-    weights = _grid_transform(t, j, grid).weights
+    transform = _grid_transform(t, j, grid)
     # Tr D(m, x) = Tr[R_x^dag diag(Q[:, m]) R_x] = sum_m' Q[m', m] at every node
-    return complex(weights @ (_identity_quantizer(j.twice).sum(axis=0) @ t.table))
+    return complex(transform.weights @ (_identity_quantizer(transform.j.twice).sum(axis=0) @ t.table))
 
 
 def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:
@@ -171,7 +169,7 @@ def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:
 
     The n - 1 compositions f * t share one synthesis of t.
     """
-    if n < 1:
+    if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("power must be a positive integer")
     j = t.j
     transform = _grid_transform(t, j, grid)

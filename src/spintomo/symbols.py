@@ -56,12 +56,10 @@ class EulerAngles:
 class SpinFrames:
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
-    ``grid`` is the quadrature grid whose nodes the frames are, None until
-    ``grid_frames`` or a passing ``infer_grid`` sets it, together with the key
-    of the grid's numbers at that time.  While the grid still has those
-    numbers, ``spin_tomogram`` uses its cached ``SpinTransform``; frames with
-    no grid, or whose grid has since changed, run through ``frame_diagonals``
-    at their own angles.
+    ``grid`` is the quadrature grid whose nodes the frames are, set only by
+    ``grid_frames`` (whose angle arrays are read-only) and None otherwise.
+    ``spin_tomogram`` runs grid frames on the grid's cached ``SpinTransform``
+    and all others through ``frame_diagonals`` at their own angles.
     """
 
     def __init__(self, j, betas, gammas, alphas=None):
@@ -75,36 +73,34 @@ class SpinFrames:
             raise ValueError("frame angle arrays must be 1-d and of equal length")
         if not np.all(np.isfinite([self.alphas, self.betas, self.gammas])):
             raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
-        self.grid: QuadratureGrid | None = None
-        self._grid_key: tuple | None = None
+        self._grid: QuadratureGrid | None = None
 
     def __len__(self) -> int:
         return self.betas.size
 
-
-def _grid_key(j: HalfInt, grid: QuadratureGrid) -> tuple:
-    """2j and the grid's numbers (beta nodes and weights, gamma nodes, alpha factor) as one hashable key."""
-    numbers = (grid.beta_nodes, grid.beta_weights, grid.gamma_nodes)
-    return (j.twice, *(np.asarray(a, dtype=float).tobytes() for a in numbers), float(grid.alpha_factor))
+    @property
+    def grid(self) -> QuadratureGrid | None:
+        return self._grid
 
 
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     """Spin frames at the grid nodes (alpha = 0), in grid node order."""
     frames = SpinFrames(j, *grid.node_angles())
-    frames.grid, frames._grid_key = grid, _grid_key(frames.j, grid)
+    frames._grid = grid
+    for angles in (frames.alphas, frames.betas, frames.gammas):
+        angles.setflags(write=False)
     return frames
 
 
-def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid, key: tuple) -> bool:
+def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> bool:
     """Whether ``frames`` are spin-j frames at the grid nodes, in node order (to 1e-12).
 
-    ``key`` is ``_grid_key(j, grid)``.  Frames recorded with that key were made
-    at nodes with these very numbers and pass without an angle comparison.
+    Frames made at a grid with these very numbers pass without an angle comparison.
     """
-    if frames._grid_key == key:
-        return True
     if len(frames) != grid.n_nodes or frames.j != j:
         return False
+    if frames.grid is not None and frames.grid.key == grid.key:
+        return True
     deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
     return bool(np.all(deviation <= 1e-12))
 
@@ -244,12 +240,14 @@ class SpinTransform:
     def on_grid(cls, j, grid: QuadratureGrid) -> "SpinTransform":
         """The spin-j transform of the grid's numbers, from the process-wide cache.
 
-        The cache is keyed on 2j and the grid's beta nodes and weights, gamma
-        nodes and alpha factor, so grids built alike share one transform and a
-        grid whose nodes were changed in place gets a new one.
+        The cache is keyed on 2j and ``grid.key``, so grids built alike share
+        one transform.
         """
-        j = HalfInt.of(j)
-        return _cached_transform(_grid_key(j, grid), j, grid)
+        key = (HalfInt.of(j).twice, grid.key)
+        if key not in _TRANSFORMS:
+            _TRANSFORMS.add(key, cls(j, grid))
+        _TRANSFORMS.move_to_end(key)
+        return _TRANSFORMS[key]
 
     @property
     def nbytes(self) -> int:
@@ -269,11 +267,18 @@ class SpinTransform:
             n = self.j.twice + 1
             basis = hermitian_basis(n)
             basis[n:] /= np.sqrt(2.0)
-            # symbols of Hermitian operators are real
-            analysis = self.analyze(basis).real
+            # each H_k has one entry pair a <= b, its first nonzero v = (H_k)_ab, so its
+            # symbol is one table column times that pair's row of analyze, 2 Re v cos +
+            # 2 Im v sin (halved on the diagonal): real, as H_k is Hermitian
+            flat = basis.reshape(n * n, -1)
+            entry = np.argmax(flat != 0, axis=1)
+            v = flat[np.arange(n * n), entry] * np.where(entry % (n + 1), 2.0, 1.0)
+            pair = np.argmax(_entry_pairs(n)[0] == entry[:, None], axis=1)
+            rows = v.real[:, None] * self._cos[pair] + v.imag[:, None] * self._sin[pair]
+            columns = self._table.reshape(-1, n, len(self._cos))[:, :, pair].T.copy()
+            analysis = (columns[..., None] * rows[:, None, None]).reshape(n * n, n, -1)
             synthesis = _identity_quantizer(self.j.twice).T @ analysis * self.weights
-            maps = (np.ascontiguousarray(m.reshape(n * n, -1)) for m in (analysis, synthesis))
-            self._basis_maps = (basis, *maps)
+            self._basis_maps = (basis, *(m.reshape(n * n, -1) for m in (analysis, synthesis)))
             for array in self._basis_maps:
                 array.setflags(write=False)
             _TRANSFORMS.recount()
@@ -327,7 +332,7 @@ class SpinTransform:
 
 
 class _TransformCache(OrderedDict):
-    """Spin transforms by grid contents, least recently used first.
+    """Spin transforms by 2j and grid key, least recently used first.
 
     ``nbytes`` counts the arrays of the cached transforms.  Past
     ``_CACHE_BUDGET`` the oldest are dropped, but never the most recently
@@ -361,25 +366,13 @@ _CACHE_BUDGET = 64 * 2**20
 _TRANSFORMS = _TransformCache()
 
 
-def _cached_transform(key: tuple, j: HalfInt, grid: QuadratureGrid) -> SpinTransform:
-    """The transform cached under ``key`` (``_grid_key(j, grid)``), built from ``grid`` on a miss."""
-    transform = _TRANSFORMS.get(key)
-    if transform is None:
-        transform = SpinTransform(j, grid)
-        _TRANSFORMS.add(key, transform)
-    else:
-        _TRANSFORMS.move_to_end(key)
-    return transform
-
-
-def _grid_transform(t: Tomogram, j: HalfInt, grid: QuadratureGrid) -> SpinTransform:
-    """The grid's ``SpinTransform``, once ``t`` is checked to be a spin-j tomogram at its nodes."""
+def _grid_transform(t: Tomogram, j, grid: QuadratureGrid) -> SpinTransform:
+    """The grid's spin-j ``SpinTransform``, once ``t`` is checked to be a spin-j tomogram at its nodes."""
     if t.kind != "spin":
         raise ValueError("expected a spin tomogram")
-    key = _grid_key(j, grid)
-    if not _frames_match_grid(t.frames, j, grid, key):
+    if not _frames_match_grid(t.frames, HalfInt.of(j), grid):
         raise ValueError("tomogram frames do not coincide with the grid nodes")
-    return _cached_transform(key, j, grid)
+    return SpinTransform.on_grid(j, grid)
 
 
 @dataclass
@@ -496,8 +489,7 @@ def spin_tomogram(a, frames) -> Tomogram:
     """Spin symbol w(m, frame) = Tr[A U(m, frame)] for every m and frame.
 
     ``frames`` is a ``SpinFrames`` set.  Grid frames run on the grid's
-    ``SpinTransform`` while the grid keeps the numbers they were made at;
-    other frames are unitary frames u = R(g)^dag, run on ``frame_diagonals``
+    ``SpinTransform``; other frames are unitary frames u = R(g)^dag, run on ``frame_diagonals``
     like every unitary tomogram.  ``a`` may be a plain
     finite matrix (observable) or a DensityMatrix, in which case per-frame
     normalization is verified.
@@ -511,9 +503,8 @@ def spin_tomogram(a, frames) -> Tomogram:
     n = frames.j.twice + 1
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
-    key = frames._grid_key
-    if key is not None and key == _grid_key(frames.j, frames.grid):
-        table = _cached_transform(key, frames.j, frames.grid).analyze(mat)
+    if frames.grid is not None:
+        table = SpinTransform.on_grid(frames.j, frames.grid).analyze(mat)
     else:
         rotations = rotation_stack(frames.j, frames.betas, frames.gammas)
         table = frame_diagonals(mat, rotations.conj().swapaxes(-1, -2)).T

@@ -14,7 +14,8 @@ from spintomo.dynamics import (
 from spintomo.errors import ZeroProbabilityError
 from spintomo.linalg import haar_unitaries, random_density
 from spintomo.reconstruction import reconstruct_from_unitary_frame, reconstruction_residual
-from spintomo.star import star_grid
+from spintomo.halfint import HalfInt
+from spintomo.star import star_compose, star_grid
 from spintomo.states import SIGMA_Z, plus_state, pure_state
 from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
 
@@ -157,13 +158,25 @@ class TestMeasurementStarMap:
         # the unnormalized weight is the outcome probability 1/2
         assert out.table.real.sum(axis=0)[0] == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("jt", range(7))
+    def test_equals_two_star_products(self, jt, rng):
+        # oracle: w_P * w * w_P as two star compositions (four syntheses, two analyses)
+        j = HalfInt(jt)
+        grid = star_grid(j)
+        frames = grid_frames(j, grid)
+        w = spin_tomogram(random_density(jt + 1, jt + 1, seed=jt), frames)
+        effect = random_hermitian(jt + 1, rng)
+        wp = spin_tomogram(effect @ effect, frames)
+        oracle = star_compose(star_compose(wp, w, j, grid), wp, j, grid)
+        out = measurement_star_map(w, wp, j, grid)
+        assert out.frames is wp.frames
+        assert np.max(np.abs(out.table - oracle.table)) <= 1e-13
+
     def test_grouping_independence(self, rng):
         grid = star_grid(1)
         frames = grid_frames(1, grid)
         w = spin_tomogram(random_density(3, 3, seed=12), frames)
         wp = spin_tomogram(np.diag([1.0, 1.0, 0.0]).astype(complex), frames)
-        from spintomo.star import star_compose
-
         left = star_compose(star_compose(wp, w, 1, grid), wp, 1, grid)
         right = star_compose(wp, star_compose(w, wp, 1, grid), 1, grid)
         assert np.max(np.abs(left.table - right.table)) < 1e-7

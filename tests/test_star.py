@@ -224,13 +224,20 @@ class TestTracePower:
         with pytest.raises(ValueError):
             trace_power(f, 0, grid)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+    def test_power_must_be_an_integer(self, n):
+        grid = star_grid(0.5)
+        f = spin_tomogram(random_density(2, 2, seed=32), grid_frames(0.5, grid))
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            trace_power(f, n, grid)
+
 
 class TestSymbolTrace:
     @pytest.mark.parametrize("jt", range(17))
     def test_equals_trace_of_synthesized_operator(self, jt, rng):
         j = HalfInt(jt)
         a = rng.standard_normal((jt + 1, jt + 1)) + 1j * rng.standard_normal((jt + 1, jt + 1))
-        for grid in (make_grid(j), star_grid(j)):
+        for grid in (make_grid(j), make_grid(j, oversample=1.5)):
             f = spin_tomogram(a, grid_frames(j, grid))
             synthesized = np.trace(SpinTransform.on_grid(j, grid).synthesize(f.table))
             assert abs(symbol_trace(f, j, grid) - synthesized) <= 1e-13

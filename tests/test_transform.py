@@ -16,7 +16,7 @@ from spintomo import io, symbols
 from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
-from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, _legendre_rule, _product_grid, make_grid
+from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid, make_grid
 from spintomo.reconstruction import reconstruct_operator
 from spintomo.star import star_compose, star_grid, symbol_trace, trace_power
 from spintomo.su2 import clebsch_gordan, rotation_matrix
@@ -427,6 +427,17 @@ class TestRealPropagator:
         assert pi.dtype == np.float64
         assert np.max(np.abs(pi - old)) < 1e-13
 
+    @pytest.mark.parametrize("jt", range(17))
+    def test_basis_maps_equal_the_analysis_of_the_basis(self, jt):
+        # oracle: the table product of analyze over the whole basis stack
+        n = jt + 1
+        transform = SpinTransform(HalfInt(jt), make_grid(HalfInt(jt)))
+        basis, analysis, synthesis = transform.basis_maps()
+        oracle = transform.analyze(basis)
+        assert np.max(np.abs(analysis - oracle.reshape(n * n, -1))) <= 1e-15
+        weighted = _identity_quantizer(jt).T @ oracle.real * transform.weights
+        assert np.max(np.abs(synthesis - weighted.reshape(n * n, -1))) <= 1e-15
+
 
 @pytest.fixture
 def empty_cache():
@@ -456,19 +467,23 @@ class TestTransformCache:
         assert len(empty_cache) == 3
         assert empty_cache.nbytes == sum(t.nbytes for t in empty_cache.values())
 
-    def test_cache_follows_nodes_changed_in_place(self, rng):
-        # the transform follows the grid's numbers, not the grid object
+    def test_cache_follows_grid_numbers(self, rng):
+        # a grid's nodes cannot change in place; a grid rebuilt from copies of
+        # its numbers is another object with the same key and transform
         j = HalfInt.of(3)
         grid = make_grid(j)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.beta_nodes[:] = grid.beta_nodes[::-1]
+        numbers = [grid.beta_nodes.copy(), grid.beta_weights.copy(), grid.gamma_nodes.copy()]
+        fresh = QuadratureGrid(*numbers, grid.alpha_factor, grid.exactness_degree)
+        numbers[0][:] = numbers[0][::-1]
+        assert fresh is not grid and fresh.key == grid.key
+        assert SpinTransform.on_grid(j, fresh) is SpinTransform.on_grid(j, grid)
         a = random_operator(7, rng)
-        spin_tomogram(a, grid_frames(j, grid))
-        grid.beta_nodes[:] = grid.beta_nodes[::-1]
-        got = spin_tomogram(a, grid_frames(j, grid)).table
+        got = spin_tomogram(a, grid_frames(j, fresh)).table
+        assert np.array_equal(got, spin_tomogram(a, grid_frames(j, grid)).table)
         off_grid = spin_tomogram(a, SpinFrames(j, *grid.node_angles())).table
         assert np.max(np.abs(got - off_grid)) <= 1e-12
-        fresh = QuadratureGrid(grid.beta_nodes.copy(), grid.beta_weights.copy(), grid.gamma_nodes.copy(),
-                               grid.alpha_factor, grid.exactness_degree)
-        assert np.array_equal(got, SpinTransform.on_grid(j, fresh).analyze(a))
 
     def test_cache_stays_within_budget_over_a_sweep(self, empty_cache, monkeypatch):
         # up to 77 MB per transform at 2j = 64, counted and not allocated; the
@@ -504,10 +519,9 @@ class TestTransformCache:
         for array in (transform._table, transform._cos, transform._sin, transform.weights, *transform.basis_maps()):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-        for array in _legendre_rule(grid.n_beta):
+        # and so are the grid's own numbers
+        for array in (grid.beta_nodes, grid.beta_weights, grid.gamma_nodes):
             assert not array.flags.writeable
-        # each grid keeps writable copies of the shared rule
-        assert grid.beta_nodes.flags.writeable and grid.beta_weights.flags.writeable
 
 
 class TestGridBackedFrames:
@@ -529,22 +543,23 @@ class TestGridBackedFrames:
         assert len(built) == 1
         assert squared.frames is w.frames
 
-    def test_frames_left_behind_by_a_changed_grid(self):
-        # frames keep the angles they were made at; the grid's new nodes are not theirs
+    @pytest.mark.parametrize("name", ["beta_nodes", "beta_weights", "gamma_nodes", "alpha_factor", "key"])
+    def test_grid_fields_cannot_be_assigned(self, name):
+        # frames made at a grid stay at its nodes
+        grid, other = make_grid(1.5), getattr(make_grid(1.5, 2.0), name)
+        with pytest.raises(AttributeError):
+            setattr(grid, name, other)
+
+    def test_frame_grid_cannot_be_assigned(self):
         grid = make_grid(1.5)
-        frames = grid_frames(1.5, grid)
-        grid.beta_nodes[:] = grid.beta_nodes[::-1]
-        a = np.diag(np.arange(4.0))
-        t = spin_tomogram(a, frames)
-        at_own_angles = spin_tomogram(a, SpinFrames(1.5, frames.betas, frames.gammas)).table
-        assert np.max(np.abs(t.table - at_own_angles)) <= 1e-12
-        with pytest.raises(ValueError, match="do not coincide"):
-            reconstruct_operator(t, 1.5, grid)
-        with pytest.raises(ValueError, match="do not coincide"):
-            star_compose(t, t, 1.5, grid)
-        # the nodes put back, the frames are the grid's frames again
-        grid.beta_nodes[:] = grid.beta_nodes[::-1]
-        assert np.max(np.abs(reconstruct_operator(t, 1.5, grid) - a)) <= 1e-12
+        frames, off_grid = grid_frames(1.5, grid), SpinFrames(1.5, *grid.node_angles())
+        for target in (frames, off_grid):
+            with pytest.raises(AttributeError):
+                target.grid = make_grid(1.5, 2.0)
+        assert frames.grid is grid and off_grid.grid is None
+        for angles in (frames.alphas, frames.betas, frames.gammas):
+            with pytest.raises(ValueError, match="read-only"):
+                angles[:] = angles[::-1]
 
     def test_grid_frames_are_arrays(self):
         grid = make_grid(1)
