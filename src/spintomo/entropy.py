@@ -82,14 +82,18 @@ def tsallis_entropy(w, q: float) -> float:
 
 
 def relative_q_entropy(w1, w2, q: float) -> float:
-    """-sum w1 ln_q(w2/w1); +inf when w1 has support where w2 vanishes."""
+    """-sum w1 ln_q(w2/w1).
+
+    Where w2 vanishes on the support of w1 this is +inf for q >= 1; for q < 1,
+    ln_q(0) = -1/(1-q) is finite and so is the entropy.
+    """
     _check_order(q, "relative entropy")
     w1 = _clean_probs(w1, "w1")
     w2 = _clean_probs(w2, "w2")
     if w1.shape != w2.shape:
         raise ValueError("distributions must have equal length")
     support = w1 > 0.0
-    if np.any(w2[support] == 0.0):
+    if q >= 1.0 and np.any(w2[support] == 0.0):
         return math.inf
     ratios = w2[support] / w1[support]
     if q == 1.0:

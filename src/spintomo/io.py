@@ -74,6 +74,8 @@ def matrix_from_obj(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("matrix object must be a dict with a 'dim' field")
     n = _field(obj, "dim")
+    if n < 1:
+        raise ValueError(f"field 'dim' must be at least 1, got {n}")
     re = _field(obj, "re", float, listed=1) if "re" in obj else np.zeros(0)
     im = _field(obj, "im", float, listed=1) if "im" in obj else np.zeros(n * n)
     if re.size != n * n or im.size != n * n:

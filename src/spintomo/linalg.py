@@ -168,6 +168,14 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
+def _subsystem_dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of ints, each at least 1."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dims {dims} must each be at least 1")
+    return dims
+
+
 @dataclass
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with subsystem dims."""
@@ -181,7 +189,7 @@ class DensityMatrix:
         n = self.mat.shape[0]
         if not self.dims:
             self.dims = (n,)
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _subsystem_dims(self.dims)
         if int(np.prod(self.dims)) != n:
             raise ValueError(f"dims {self.dims} do not multiply to dimension {n}")
         if hermiticity_residual(self.mat) > 1e-12:

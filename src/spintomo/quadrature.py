@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,45 +23,38 @@ GROUP_VOLUME = 8.0 * np.pi**2
 DEFAULT_OVERSAMPLE = 1.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadratureGrid:
     """Product rule on (beta, gamma) with the alpha factor applied analytically.
 
-    ``beta_nodes``/``beta_weights`` are Gauss-Legendre in x = cos(beta);
-    ``gamma_nodes`` are uniform on [0, 2pi) with equal weights.  The total
+    A grid is its two node counts: ``n_beta`` Gauss-Legendre nodes in
+    x = cos(beta) (``beta_nodes``, ``beta_weights``) and ``n_gamma`` uniform
+    nodes on [0, 2pi) with equal weights (``gamma_nodes``), computed from the
+    counts as read-only arrays.  Grids with equal counts are equal.  The total
     weight including ``alpha_factor`` equals the group volume 8 pi^2.
-
-    A grid is a value: construction copies the three arrays into read-only
-    float arrays and sets ``key``, its numbers (the arrays' bytes and the
-    alpha factor) as one tuple, under which grids alike share a transform.
     """
 
-    beta_nodes: np.ndarray
-    beta_weights: np.ndarray
-    gamma_nodes: np.ndarray
-    alpha_factor: float
-    exactness_degree: int
-    key: tuple = field(init=False, repr=False)
+    n_beta: int
+    n_gamma: int
+    beta_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    beta_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    alpha_factor: ClassVar[float] = 2.0 * np.pi
 
     def __post_init__(self):
-        names = ("beta_nodes", "beta_weights", "gamma_nodes")
-        arrays = [np.array(getattr(self, name), dtype=float) for name in names]
-        if arrays[0].shape != arrays[1].shape or any(a.ndim != 1 for a in arrays):
-            raise ValueError("grid beta nodes and weights must be 1-d and of equal length, gamma nodes 1-d")
-        if not np.all(np.isfinite(np.concatenate(arrays))) or not math.isfinite(self.alpha_factor):
-            raise ValueError("grid nodes and weights must be finite numbers (found NaN or infinity)")
-        for name, array in zip(names, arrays):
+        for count in (self.n_beta, self.n_gamma):
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"grid node counts must be positive integers, got {count!r}")
+        x, w = np.polynomial.legendre.leggauss(self.n_beta)
+        gamma = 2.0 * np.pi * np.arange(self.n_gamma) / self.n_gamma
+        for name, array in (("beta_nodes", np.arccos(x)), ("beta_weights", w), ("gamma_nodes", gamma)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "key", (*(a.tobytes() for a in arrays), float(self.alpha_factor)))
 
     @property
-    def n_beta(self) -> int:
-        return self.beta_nodes.size
-
-    @property
-    def n_gamma(self) -> int:
-        return self.gamma_nodes.size
+    def exactness_degree(self) -> int:
+        return min((2 * self.n_beta - 1) // 2, (self.n_gamma - 1) // 2)
 
     @property
     def n_nodes(self) -> int:
@@ -106,14 +100,5 @@ def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
     return _product_grid(n_beta, n_gamma)
 
 
-@lru_cache(maxsize=128)
-def _product_grid(n_beta: int, n_gamma: int) -> QuadratureGrid:
-    """Gauss-Legendre in cos(beta) times the uniform gamma rule, with its exactness degree, kept per node count."""
-    x, w = np.polynomial.legendre.leggauss(n_beta)
-    return QuadratureGrid(
-        beta_nodes=np.arccos(x),
-        beta_weights=w,
-        gamma_nodes=2.0 * np.pi * np.arange(n_gamma) / n_gamma,
-        alpha_factor=2.0 * np.pi,
-        exactness_degree=min((2 * n_beta - 1) // 2, (n_gamma - 1) // 2),
-    )
+# one grid object per pair of node counts
+_product_grid = lru_cache(maxsize=128)(QuadratureGrid)

@@ -6,9 +6,9 @@ the kernel factors through operator space, ``star_compose`` evaluates it as
 analyze(synthesize(f_A) @ synthesize(f_B)) with the grid's ``SpinTransform``:
 two syntheses (one for a square), one (2j+1)-dimensional matrix product and
 one analysis, with no kernel or quantizer stack formed.  ``symbol_trace``
-needs no synthesis: Tr D(m, x) = sum_m' Q[m', m] is the same at every node,
-so the trace is the weighted sum of the symbol table against the column sums
-of Q.
+needs no synthesis: Tr D(m, x) = sum_m' Q[m', m] = 1/(8 pi^2) for every m and
+node, so the trace is the weighted sum of the symbol table's column sums over
+the group volume.
 
 The kernel itself is kept for reference, in two independent forms.  The trace
 form is the definition, evaluated on the covariant quantizers and dequantizers
@@ -38,13 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 from .halfint import HalfInt
-from .quadrature import QuadratureGrid, make_grid
+from .quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_d_matrix
 from .symbols import (
     EulerAngles,
     Tomogram,
     _grid_transform,
-    _identity_quantizer,
     dequantizer_U,
     quantizer_D,
 )
@@ -160,27 +159,18 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
 def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     """Trace functional sum_x w_x f(x) Tr[D(x)] applied to a spin symbol."""
     transform = _grid_transform(t, j, grid)
-    # Tr D(m, x) = Tr[R_x^dag diag(Q[:, m]) R_x] = sum_m' Q[m', m] at every node
-    return complex(transform.weights @ (_identity_quantizer(transform.j.twice).sum(axis=0) @ t.table))
+    # Tr D(m, x) = sum_m' Q[m', m] = 1/(8 pi^2): of the couplings L, only L = 0 has a trace
+    return complex(transform.weights @ t.table.sum(axis=0) / GROUP_VOLUME)
 
 
 def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:
-    """Tr[rho^n] from the spin symbol of rho by iterated star composition.
-
-    The n - 1 compositions f * t share one synthesis of t.
-    """
+    """Tr[rho^n] from the spin symbol of rho by n - 1 star compositions f * t."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("power must be a positive integer")
-    j = t.j
-    transform = _grid_transform(t, j, grid)
     current = t
-    if n > 1:
-        rho = power = transform.synthesize(t.table)
-        for step in range(n - 1):
-            if step:
-                power = transform.synthesize(current.table)
-            current = Tomogram(t.frames, transform.analyze(power @ rho))
-    value = symbol_trace(current, j, grid)
+    for _ in range(n - 1):
+        current = star_compose(current, t, t.j, grid)
+    value = symbol_trace(current, t.j, grid)
     if abs(value.imag) > 1e-8:
         raise ValueError(f"trace came out non-real ({value}); non-Hermitian input?")
     return float(value.real)

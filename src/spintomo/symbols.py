@@ -33,6 +33,7 @@ from .halfint import HalfInt, spin_range
 from .linalg import (
     DensityMatrix,
     _resolve_keep,
+    _subsystem_dims,
     frame_diagonals,
     hermitian_basis,
     kron_all,
@@ -95,11 +96,11 @@ def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
 def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> bool:
     """Whether ``frames`` are spin-j frames at the grid nodes, in node order (to 1e-12).
 
-    Frames made at a grid with these very numbers pass without an angle comparison.
+    Frames made at an equal grid pass without an angle comparison.
     """
     if len(frames) != grid.n_nodes or frames.j != j:
         return False
-    if frames.grid is not None and frames.grid.key == grid.key:
+    if frames.grid == grid:
         return True
     deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
     return bool(np.all(deviation <= 1e-12))
@@ -212,7 +213,7 @@ class SpinTransform:
     to sums s[(a, b), y], and A_ab = U + iV, A_ba = U - iV with
     U = sum_y s cos and V = sum_y s sin, so a real table gives an exactly
     Hermitian operator.  Tables run over the grid nodes in node order;
-    ``on_grid`` shares one transform among all grids with the same numbers.
+    ``on_grid`` shares one transform among equal grids.
     Its arrays are read-only.
     """
 
@@ -238,12 +239,12 @@ class SpinTransform:
 
     @classmethod
     def on_grid(cls, j, grid: QuadratureGrid) -> "SpinTransform":
-        """The spin-j transform of the grid's numbers, from the process-wide cache.
+        """The spin-j transform of the grid, from the process-wide cache.
 
-        The cache is keyed on 2j and ``grid.key``, so grids built alike share
-        one transform.
+        The cache is keyed on 2j and the grid's node counts, so equal grids
+        share one transform.
         """
-        key = (HalfInt.of(j).twice, grid.key)
+        key = (HalfInt.of(j).twice, grid.n_beta, grid.n_gamma)
         if key not in _TRANSFORMS:
             _TRANSFORMS.add(key, cls(j, grid))
         _TRANSFORMS.move_to_end(key)
@@ -332,7 +333,7 @@ class SpinTransform:
 
 
 class _TransformCache(OrderedDict):
-    """Spin transforms by 2j and grid key, least recently used first.
+    """Spin transforms by 2j and grid node counts, least recently used first.
 
     ``nbytes`` counts the arrays of the cached transforms.  Past
     ``_CACHE_BUDGET`` the oldest are dropped, but never the most recently
@@ -410,7 +411,7 @@ class Tomogram:
             n = self.frames.j.twice + 1
         else:
             n = self.frames.stack.shape[1]
-            self.dims = (n,) if self.dims is None else tuple(int(d) for d in self.dims)
+            self.dims = (n,) if self.dims is None else _subsystem_dims(self.dims)
             if math.prod(self.dims) != n:
                 raise ValueError(f"dims {self.dims} do not multiply to the frame size {n}")
         if self.table.shape != (n, len(self.frames)):

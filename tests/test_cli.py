@@ -481,6 +481,27 @@ class TestPeresCommand:
                    "--out", str(tmp / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "args, state, message",
+        [
+            (["peres", "--dims=-2,-2"], {}, "dims (-2, -2) must each be at least 1"),
+            (["peres"], {"dims": [-2, -2]}, "dims (-2, -2) must each be at least 1"),
+            (["tomogram", "--n-frames", "3"], {"dims": [-2, -2]}, "dims (-2, -2) must each be at least 1"),
+            (["tomogram", "--n-frames", "3"], {"dim": -1, "re": [1.0], "im": [0.0]},
+             "field 'dim' must be at least 1, got -1"),
+        ],
+        ids=["peres-flag", "peres-file", "tomogram-dims", "tomogram-dim"],
+    )
+    def test_dimensions_below_1_exit_2(self, workdir, capsys, args, state, message):
+        # these once reached numpy's reshape and exited with its message
+        tmp, _ = workdir
+        state_path = tmp / "state.json"
+        state_path.write_text(io.dumps({**io.density_to_obj(bell_state()), **state}))
+        rc = main([*args, "--state", str(state_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
 
 class TestEvolveCommand:
     def test_state_and_tomogram(self, workdir):

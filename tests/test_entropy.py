@@ -104,6 +104,15 @@ class TestRelativeQEntropy:
     def test_support_mismatch_is_infinite(self):
         assert relative_q_entropy([0.5, 0.5, 0.0], [0.5, 0.0, 0.5], 1.0) == np.inf
 
+    def test_support_mismatch_is_finite_only_below_order_1(self):
+        # ln_q(0) = -1/(1-q) for q < 1: the vanishing entry adds 0.5 / (1 - q)
+        assert relative_q_entropy([0.5, 0.5, 0.0], [0.5, 0.0, 0.5], 0.5) == 1.0
+        assert relative_q_entropy([0.5, 0.5, 0.0], [0.5, 0.0, 0.5], 2.0) == np.inf
+
+    def test_support_mismatch_below_order_1_is_continuous(self):
+        near = relative_q_entropy([0.5, 0.5, 0.0], [0.5, 1e-300, 0.5], 0.5)
+        assert near == relative_q_entropy([0.5, 0.5, 0.0], [0.5, 0.0, 0.5], 0.5)
+
 
 class TestQuantumEntropies:
     def test_pure_state(self):

@@ -35,6 +35,11 @@ class TestMatrixSchema:
         with pytest.raises(ValueError):
             io.matrix_from_obj({"dim": 4, "re": [0.0] * 16, "im": [0.0] * 16, "dims": [3, 2]})
 
+    @pytest.mark.parametrize("dim", [-1, 0])
+    def test_dim_below_1_refused(self, dim):
+        with pytest.raises(ValueError, match=f"field 'dim' must be at least 1, got {dim}"):
+            io.matrix_from_obj({"dim": dim, "re": [1.0], "im": [0.0]})
+
     @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entries_rejected(self, part, bad):

@@ -157,6 +157,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, dims=(2, 3))
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4)])
+    def test_dims_below_1_refused(self, dims):
+        # (-2, -2) multiplies to 4 and once passed, to fail later inside numpy
+        with pytest.raises(ValueError, match=r"dims \(.*\) must each be at least 1"):
+            DensityMatrix(np.eye(4) / 4, dims=dims)
+
     @settings(max_examples=40, deadline=None)
     @given(
         bad=st.sampled_from([np.nan, np.inf, -np.inf]),

@@ -86,32 +86,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="oversample"):
             make_grid(0.5, oversample=oversample)
 
-    def test_grid_arrays_must_be_1d(self):
-        grid = make_grid(0.5)
-        with pytest.raises(ValueError, match="1-d"):
-            QuadratureGrid(grid.beta_nodes[:, None], grid.beta_weights[:, None], grid.gamma_nodes,
-                           grid.alpha_factor, grid.exactness_degree)
-
-    def test_grid_beta_nodes_and_weights_must_match(self):
-        # 2 weights on 1 beta node once gave a tomogram that synthesis refused
-        grid, finer = make_grid(0.5), make_grid(0.5, oversample=2.0)
-        with pytest.raises(ValueError, match="equal length"):
-            QuadratureGrid(grid.beta_nodes, finer.beta_weights, grid.gamma_nodes,
-                           grid.alpha_factor, grid.exactness_degree)
-
-    @pytest.mark.parametrize("field", ["beta_nodes", "beta_weights", "gamma_nodes", "alpha_factor"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_grid_numbers_must_be_finite(self, field, bad):
-        # a NaN beta weight once gave an all-NaN reconstruction without an error
-        grid = make_grid(0.5)
-        numbers = {name: np.copy(getattr(grid, name)) for name in ("beta_nodes", "beta_weights", "gamma_nodes")}
-        numbers["alpha_factor"] = grid.alpha_factor
-        if field == "alpha_factor":
-            numbers[field] = bad
-        else:
-            numbers[field][0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureGrid(**numbers, exactness_degree=grid.exactness_degree)
+    @pytest.mark.parametrize("count", [0, -1, 2.5, np.nan])
+    def test_grid_counts_must_be_positive_integers(self, count):
+        # a grid is its two node counts; its nodes and weights follow from them
+        for counts in ((count, 3), (3, count)):
+            with pytest.raises(ValueError, match="positive integers"):
+                QuadratureGrid(*counts)
 
 
 class TestReconstructOperator:

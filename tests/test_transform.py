@@ -467,17 +467,18 @@ class TestTransformCache:
         assert len(empty_cache) == 3
         assert empty_cache.nbytes == sum(t.nbytes for t in empty_cache.values())
 
-    def test_cache_follows_grid_numbers(self, rng):
-        # a grid's nodes cannot change in place; a grid rebuilt from copies of
-        # its numbers is another object with the same key and transform
+    def test_equal_counts_give_equal_grids_and_one_transform(self, rng):
+        # a grid's nodes cannot change in place; a grid built apart from the
+        # same two counts is another object, equal to it, with the same transform
         j = HalfInt.of(3)
         grid = make_grid(j)
         with pytest.raises(ValueError, match="read-only"):
             grid.beta_nodes[:] = grid.beta_nodes[::-1]
-        numbers = [grid.beta_nodes.copy(), grid.beta_weights.copy(), grid.gamma_nodes.copy()]
-        fresh = QuadratureGrid(*numbers, grid.alpha_factor, grid.exactness_degree)
-        numbers[0][:] = numbers[0][::-1]
-        assert fresh is not grid and fresh.key == grid.key
+        fresh = QuadratureGrid(grid.n_beta, grid.n_gamma)
+        assert fresh is not grid and fresh == grid and hash(fresh) == hash(grid)
+        assert fresh != make_grid(j, 1.5)
+        for name in ("beta_nodes", "beta_weights", "gamma_nodes"):
+            assert np.array_equal(getattr(fresh, name), getattr(grid, name))
         assert SpinTransform.on_grid(j, fresh) is SpinTransform.on_grid(j, grid)
         a = random_operator(7, rng)
         got = spin_tomogram(a, grid_frames(j, fresh)).table
@@ -543,7 +544,9 @@ class TestGridBackedFrames:
         assert len(built) == 1
         assert squared.frames is w.frames
 
-    @pytest.mark.parametrize("name", ["beta_nodes", "beta_weights", "gamma_nodes", "alpha_factor", "key"])
+    @pytest.mark.parametrize(
+        "name", ["beta_nodes", "beta_weights", "gamma_nodes", "alpha_factor", "n_beta", "n_gamma"]
+    )
     def test_grid_fields_cannot_be_assigned(self, name):
         # frames made at a grid stay at its nodes
         grid, other = make_grid(1.5), getattr(make_grid(1.5, 2.0), name)
@@ -627,3 +630,8 @@ class TestIdentityQuantizer:
     def test_read_only(self):
         with pytest.raises(ValueError):
             _identity_quantizer(4)[0, 0] = 1.0
+
+    def test_columns_sum_to_the_inverse_group_volume(self):
+        # Tr D(m, e) = sum_m' Q[m', m] = 1/(8 pi^2), which symbol_trace relies on
+        for jt in range(121):
+            assert np.max(np.abs(_identity_quantizer(jt).sum(axis=0) * GROUP_VOLUME - 1.0)) <= 1e-12
