@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidChannelError
 from .halfint import HalfInt
-from .linalg import DensityMatrix, as_matrix
+from .linalg import DensityMatrix, _check_bytes, as_matrix, kron_all
 from .quadrature import QuadratureGrid
 from .states import PAULIS
 from .symbols import SpinTransform
@@ -70,9 +70,13 @@ def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def kraus_to_superoperator(channel: KrausChannel) -> SuperoperatorMatrix:
-    """Matrix form sum_s V_s (x) V_s^*; acts on row-major vec(rho)."""
-    mat = sum(np.kron(v, v.conj()) for v in channel.ops)
-    return SuperoperatorMatrix(mat)
+    """Matrix form sum_s V_s (x) V_s^*; acts on row-major vec(rho).
+
+    One ``kron_all`` over the Kraus stack, summed in Kraus order, so every
+    entry is bit for bit that of the sum of ``np.kron`` terms.
+    """
+    ops = np.array(channel.ops)
+    return SuperoperatorMatrix(kron_all([ops, ops.conj()]).sum(axis=0))
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -197,14 +201,19 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
     coefficients of the quantizers, Tr[H_k D(x)].  H, A and (Q^T A) W depend
     on the grid only and come cached with its transform
     (``SpinTransform.basis_maps``); each call forms L and the product.
+
+    Pi has (n * nodes)^2 float entries, so one above the byte budget of
+    ``linalg._BYTE_BUDGET`` (1 GiB; 2j = 16 takes 0.73 GB on the default grid)
+    is refused before anything is built.
     """
     j = HalfInt.of(j)
     n = j.twice + 1
     if channel.dim != n:
         raise ValueError("channel dimension does not match 2j+1")
+    _check_bytes(8.0 * (n * grid.n_nodes) ** 2, "the dense propagator at j = {} on {}", j, grid)
     basis, analysis, synthesis = SpinTransform.on_grid(j, grid).basis_maps()
     vecs = basis.reshape(n * n, -1)
     coupling = vecs.conj() @ kraus_to_superoperator(channel).mat @ vecs.T
-    if np.max(np.abs(coupling.imag)) > 1e-10:
+    if np.abs(coupling.imag).max() > 1e-10:
         raise ValueError("propagator came out non-real; invalid channel?")
     return analysis.T @ (coupling.real @ synthesis)

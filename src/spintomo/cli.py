@@ -5,6 +5,12 @@ peres, evolve.  Inputs are validated before any computation runs; handlers
 return CSV text or a JSON object, which ``main`` serializes (refusing NaN and
 infinities) and writes atomically, so failed runs never leave partial files.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
+
+Size flags (``--samples``, ``--n-frames``, ``--j`` with ``--oversample``) are
+checked before any work: the bytes of their main arrays and of the output text
+are estimated and refused (exit 2) above the 1 GiB budget of
+``linalg._BYTE_BUDGET``.  numpy overcommits memory, so without the estimate a
+size far beyond the machine would not raise a ``MemoryError`` but be killed.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from .dynamics import evolve_state, evolve_tomogram
 from .entropy import min_entropy_over_group
 from .errors import InformationallyIncompleteError
 from .halfint import HalfInt
-from .linalg import haar_unitaries
-from .quadrature import DEFAULT_OVERSAMPLE, make_grid
+from .linalg import _check_bytes, haar_unitaries
+from .quadrature import DEFAULT_OVERSAMPLE, make_grid, node_counts
 from .reconstruction import (
     infer_grid,
     reconstruct_from_unitary_frame,
@@ -121,6 +127,37 @@ def _load_frames(path: str):
     return [io.frame_from_obj(f) for f in obj]
 
 
+# Bytes an output number takes while the text is built.  JSON: a Python float and
+# its list slot, its share of the enclosing lists and dicts, and its indented text,
+# held both in the encoder's pieces and in the joined string (unitary-frame
+# tomograms measured 220 to 310 B a number).  CSV rows cost less.
+_NUMBER_BYTES = {"json": 320, "csv": 100}
+
+
+def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fmt: str = "json") -> None:
+    """Refuse ``count`` Haar frames of size d above the byte budget.
+
+    Per frame: ``matrices`` complex d x d arrays at the peak (2: the Ginibre draw
+    and the unitary; 4 where the unitarity check or a product-group stack adds
+    temporaries), the frame's complex diagonal, and ``numbers`` output numbers.
+    """
+    per_frame = 16 * d * d * matrices + 16 * d + _NUMBER_BYTES[fmt] * numbers
+    _check_bytes(count * per_frame, "{} {} at dimension {}", flag, count, d)
+
+
+def _check_spin_grid(j: HalfInt, oversample: float, fmt: str) -> None:
+    """Refuse a ``tomogram --j`` grid above the byte budget: the Gauss-Legendre
+    companion matrix of N_beta nodes, the spin transform's table and cos/sin
+    tables, and per node the complex symbols and the output's outcomes and angles
+    (a JSON frame object counts as three more numbers)."""
+    n = j.twice + 1
+    n_beta, n_gamma = node_counts(j, oversample)
+    pairs, nodes = n * (n + 1) // 2, n_beta * n_gamma
+    nbytes = 8 * (n_beta * n_beta + n_beta * n * pairs + 2 * pairs * n_gamma)
+    nbytes += nodes * (16 * n + _NUMBER_BYTES[fmt] * (n + (6 if fmt == "json" else 3)))
+    _check_bytes(nbytes, "--j {} --oversample {:g} ({} x {} nodes)", j, oversample, n_beta, n_gamma)
+
+
 def _cmd_tomogram(args) -> str | dict:
     sources = {"--frames": args.frames, "--n-frames": args.n_frames, "--j": args.j}
     given = [flag for flag, value in sources.items() if value is not None]
@@ -131,6 +168,7 @@ def _cmd_tomogram(args) -> str | dict:
         j = HalfInt.of(args.j)
         if rho.dim != j.twice + 1:
             raise ValueError(f"state dimension {rho.dim} does not match 2j+1")
+        _check_spin_grid(j, args.oversample, args.format)
         grid = make_grid(j, oversample=args.oversample)
         t = spin_tomogram(rho, grid_frames(j, grid))
     else:
@@ -139,6 +177,9 @@ def _cmd_tomogram(args) -> str | dict:
         elif args.n_frames is not None:
             if args.n_frames < 1:
                 raise ValueError("--n-frames must be positive")
+            # a JSON frame is written as its matrix (re, im) with its d symbols
+            numbers = 2 * rho.dim**2 + rho.dim if args.format == "json" else rho.dim + 1
+            _check_frames("--n-frames", args.n_frames, rho.dim, 4, numbers, args.format)
             frames = haar_unitaries(rho.dim, args.n_frames, np.random.default_rng(args.seed))
         else:
             raise ValueError("tomogram needs --frames, --n-frames, or --j")
@@ -213,6 +254,9 @@ def _cmd_simplex(args) -> str | dict:
         group = GroupSpec("product", factors, active=active)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
+    # a CSV row holds the factor unitaries (re, im) and the point
+    numbers = rho.dim + (2 * rho.dim**2 if args.format == "csv" else 0)
+    _check_frames("--samples", args.samples, rho.dim, 4, numbers, args.format)
     sample = image_sample(rho, group, args.samples, args.seed)
     report = image_dimension_report(rho, group, seed=args.seed)
     print(f"image dimension: {report.rank} (rel_tol {report.rel_tol:g})")
@@ -230,6 +274,7 @@ def _cmd_entropy(args) -> str | dict:
     rho = _load_state(args.state)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
+    _check_frames("--samples", args.samples, rho.dim, 2, 1)
     report = min_entropy_over_group(rho, args.samples, args.seed, q=args.q)
     mc = report.monte_carlo
     return {
@@ -252,6 +297,7 @@ def _cmd_peres(args) -> str | dict:
         raise ValueError("peres needs a multipartite state (give dims in the file or --dims)")
     if args.samples < 1:
         raise ValueError("--samples must be positive")
+    _check_frames("--samples", args.samples, rho.dim, 2, 0)
     result = peres_scan(rho, args.samples, args.seed)
     obj = {
         "max_violation": result.max_violation,

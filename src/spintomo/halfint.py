@@ -19,7 +19,7 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, Integral):
+        if not isinstance(self.twice, (int, Integral)):  # int first: no ABC lookup
             raise ValueError(f"twice-value must be an integer, got {self.twice!r}")
         object.__setattr__(self, "twice", int(self.twice))
 

@@ -17,6 +17,7 @@ Blocking leaves every Haar draw bit-identical to the unblocked sampler, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,23 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 PSD_SLACK = 1e-10
 _BLOCK = 512  # frames per block of the frame kernels
+# Bytes that one dense result, or the main arrays of one CLI run, may take (1 GiB).
+# A dense channel propagator is 0.73 GB at 2j = 16 on the default grid and 3.9 GB
+# at oversample 1.5, and numpy overcommits, so an oversized request is refused from
+# its estimate before any allocation rather than left to the kernel's OOM killer.
+_BYTE_BUDGET = 2**30
+
+
+def _check_bytes(nbytes: float, what: str, *args) -> None:
+    """Refuse ``what.format(*args)`` when its estimated ``nbytes`` exceed ``_BYTE_BUDGET`` (NaN refused).
+
+    The message is formatted only on refusal.
+    """
+    if not nbytes <= _BYTE_BUDGET:
+        raise ValueError(
+            f"{what.format(*args)} would allocate about {nbytes / 1e9:.3g} GB, "
+            f"above the budget of {_BYTE_BUDGET / 1e9:.3g} GB"
+        )
 
 
 def _blocks(count: int) -> list[slice]:
@@ -42,14 +60,14 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite (NaN or infinite) entries")
     return a
 
 
 def hermiticity_residual(m) -> float:
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def unitarity_residual(u) -> float:
@@ -170,8 +188,8 @@ def kron_all(mats) -> np.ndarray:
 
 def _subsystem_dims(dims) -> tuple[int, ...]:
     """Subsystem dimensions as a tuple of ints, each at least 1."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if min(dims, default=1) < 1:
         raise ValueError(f"dims {dims} must each be at least 1")
     return dims
 
@@ -190,15 +208,16 @@ class DensityMatrix:
         if not self.dims:
             self.dims = (n,)
         self.dims = _subsystem_dims(self.dims)
-        if int(np.prod(self.dims)) != n:
+        if math.prod(self.dims) != n:
             raise ValueError(f"dims {self.dims} do not multiply to dimension {n}")
         if hermiticity_residual(self.mat) > 1e-12:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(self.mat).real - 1.0) > 1e-12 or abs(np.trace(self.mat).imag) > 1e-12:
+        trace = self.mat.trace()
+        if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
             raise ValueError("density matrix trace differs from 1 beyond 1e-12")
-        if not 0.0 <= self.psd_slack < np.inf:
+        if not 0.0 <= self.psd_slack < math.inf:
             raise ValueError(f"psd_slack must be finite and nonnegative, got slack {self.psd_slack}")
-        if not np.min(np.linalg.eigvalsh(self.mat)) >= -self.psd_slack:
+        if not np.linalg.eigvalsh(self.mat).min() >= -self.psd_slack:
             raise ValueError(f"density matrix has a negative eigenvalue beyond the slack {self.psd_slack}")
 
     @property

@@ -21,6 +21,7 @@ GROUP_VOLUME = 8.0 * np.pi**2
 
 # the smallest product rule that integrates every spin-j synthesis integrand exactly
 DEFAULT_OVERSAMPLE = 1.0
+_INDEX_MAX = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,11 @@ def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
     round trip holds to rounding.  Larger values give finer grids; values
     below 1 are permitted but alias (useful for aliasing demonstrations).
     """
+    return _product_grid(*node_counts(j, oversample))
+
+
+def node_counts(j, oversample: float = DEFAULT_OVERSAMPLE) -> tuple[int, int]:
+    """(N_beta, N_gamma) of ``make_grid(j, oversample)``, with its refusals, building no grid."""
     j = HalfInt.of(j)
     if j.twice < 0:
         raise ValueError("spin j must be nonnegative")
@@ -94,10 +100,9 @@ def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
     two_j = j.twice
     counts = (oversample * (two_j + 1), oversample * (2 * two_j + 1))
     # an infinite count, or one past the largest array index, is no grid
-    if not all(c < np.iinfo(np.intp).max for c in counts):
+    if not (counts[0] < _INDEX_MAX and counts[1] < _INDEX_MAX):
         raise ValueError(f"oversample {oversample} gives a node count beyond any array at j = {j}")
-    n_beta, n_gamma = (max(1, math.ceil(c)) for c in counts)
-    return _product_grid(n_beta, n_gamma)
+    return max(1, math.ceil(counts[0])), max(1, math.ceil(counts[1]))
 
 
 # one grid object per pair of node counts

@@ -54,6 +54,13 @@ class EulerAngles:
     gamma: float
 
 
+def _spin(j) -> HalfInt:
+    j = HalfInt.of(j)
+    if j.twice < 0:
+        raise ValueError("spin j must be nonnegative")
+    return j
+
+
 class SpinFrames:
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
@@ -64,9 +71,7 @@ class SpinFrames:
     """
 
     def __init__(self, j, betas, gammas, alphas=None):
-        self.j = HalfInt.of(j)
-        if self.j.twice < 0:
-            raise ValueError("spin j must be nonnegative")
+        self.j = _spin(j)
         self.betas = np.asarray(betas, dtype=float)
         self.gammas = np.asarray(gammas, dtype=float)
         self.alphas = np.zeros_like(self.betas) if alphas is None else np.asarray(alphas, dtype=float)
@@ -85,12 +90,27 @@ class SpinFrames:
 
 
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
-    """Spin frames at the grid nodes (alpha = 0), in grid node order."""
-    frames = SpinFrames(j, *grid.node_angles())
+    """Spin frames at the grid nodes (alpha = 0), in grid node order.
+
+    The angle arrays are read-only and made once per grid value (kept for the
+    32 most recently used), so equal grids share them; the frames carry the
+    caller's ``grid``.
+    """
+    frames = SpinFrames.__new__(SpinFrames)
+    frames.j = _spin(j)
+    frames.alphas, frames.betas, frames.gammas = _node_frame_angles(grid)
     frames._grid = grid
-    for angles in (frames.alphas, frames.betas, frames.gammas):
-        angles.setflags(write=False)
     return frames
+
+
+@lru_cache(maxsize=32)
+def _node_frame_angles(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (alphas, betas, gammas) of the grid nodes, alpha = 0, in node order."""
+    betas, gammas = grid.node_angles()
+    angles = (np.zeros_like(betas), betas, gammas)
+    for array in angles:
+        array.setflags(write=False)
+    return angles
 
 
 def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> bool:
@@ -100,7 +120,7 @@ def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> 
     """
     if len(frames) != grid.n_nodes or frames.j != j:
         return False
-    if frames.grid == grid:
+    if frames.grid is grid or frames.grid == grid:
         return True
     deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
     return bool(np.all(deviation <= 1e-12))
@@ -300,7 +320,7 @@ class SpinTransform:
         above, below = flat.take(upper, axis=-1), flat.take(lower, axis=-1)
         sym, anti = above + below, above - below
         sym[..., :n] *= 0.5
-        if sym.imag.any() or anti.real.any():
+        if np.count_nonzero(sym.imag) or np.count_nonzero(anti.real):
             # (re, im) pairs of the complex right-hand side as columns of one real product
             rhs = sym[..., None] * self._cos - (1j * anti)[..., None] * self._sin
             w = (self._table @ rhs.view(float)).view(complex)
@@ -312,10 +332,10 @@ class SpinTransform:
     def synthesize(self, w) -> np.ndarray:
         """Operator with symbol table ``w`` of shape (2j+1, nodes)."""
         n, n_gamma = self.j.twice + 1, self._cos.shape[1]
-        if np.shape(w) != (n, self.weights.size):
-            raise ValueError(f"symbol table shape {np.shape(w)} is not ({n}, {self.weights.size}) outcomes x nodes")
         w = np.asarray(w)
-        is_complex = w.dtype.kind == "c" and w.imag.any()
+        if w.shape != (n, self.weights.size):
+            raise ValueError(f"symbol table shape {w.shape} is not ({n}, {self.weights.size}) outcomes x nodes")
+        is_complex = w.dtype.kind == "c" and np.count_nonzero(w.imag) > 0
         c = (_identity_quantizer(self.j.twice) @ (w if is_complex else w.real)) * self.weights
         # rows (beta, m); a complex table enters as (re, im) pairs of columns
         c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1)).reshape(-1, n_gamma)
@@ -399,7 +419,7 @@ class Tomogram:
         self.table = np.asarray(self.table, dtype=complex)
         if self.table.ndim != 2:
             raise ValueError(f"tomogram table must be 2-d (outcomes x frames), got shape {self.table.shape}")
-        if not np.all(np.isfinite(self.table)):
+        if not np.isfinite(self.table).all():
             raise ValueError("tomogram table entries must be finite numbers (found NaN or infinity)")
         if not isinstance(self.frames, (SpinFrames, UnitaryFrames)):
             self.frames = UnitaryFrames.of(self.frames, self.table.shape[0])
@@ -459,7 +479,7 @@ class Tomogram:
     def normalization_residual(self) -> float:
         """Max over frames of |sum_m w(m, frame) - 1|."""
         sums = self.table.sum(axis=0)
-        return float(np.max(np.abs(sums - 1.0)))
+        return float(np.abs(sums - 1.0).max())
 
     def check_normalized(self) -> None:
         res = self.normalization_residual()
@@ -497,7 +517,7 @@ def spin_tomogram(a, frames) -> Tomogram:
     """
     is_state = isinstance(a, DensityMatrix)
     mat = a.mat if is_state else np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("operator entries must be finite numbers (found NaN or infinity)")
     if not isinstance(frames, SpinFrames):
         raise ValueError(f"spin frames must be a SpinFrames set of angle arrays, got {type(frames).__name__}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from spintomo.errors import InvalidChannelError
 from spintomo.linalg import DensityMatrix, haar_unitary, random_density
 from spintomo.quadrature import make_grid
 from spintomo.states import PAULIS
-from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinTransform, grid_frames, spin_tomogram, unitary_tomogram
 
 ALL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
 
@@ -96,6 +98,21 @@ class TestSuperoperator:
         s = kraus_to_superoperator(ch)
         rho = random_density(2, 2, seed=5)
         assert abs(np.trace(s.apply(rho.mat)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_equals_sum_of_kron_terms(self, k, n):
+        # one Kronecker product over the Kraus stack, summed in Kraus order
+        isometry = haar_unitary(k * n, 40 + 10 * k + n)[:, :n]
+        ch = KrausChannel(list(isometry.reshape(k, n, n)))
+        want = sum(np.kron(v, v.conj()) for v in ch.ops)
+        assert np.array_equal(kraus_to_superoperator(ch).mat, want)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_standard_channels_equal_sum_of_kron_terms(self, kind):
+        # these Kraus sets have exact zeros, and 3 or 4 operators
+        ch = build_channel(kind, 0.35)
+        assert np.array_equal(kraus_to_superoperator(ch).mat, sum(np.kron(v, v.conj()) for v in ch.ops))
 
 
 class TestBuilders:
@@ -237,6 +254,29 @@ class TestPropagator:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             channel_propagator(depolarizing(0.1), 1, make_grid(1))
+
+    def test_refused_above_the_byte_budget_without_allocating(self):
+        # (17 * 26 * 50)^2 * 8 B = 3.9 GB at 2j = 16, oversample 1.5
+        grid = make_grid(8, oversample=1.5)
+        ch = KrausChannel([np.eye(17, dtype=complex)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^the dense propagator at j = 8 on .* would allocate about 3.91 GB, "
+                                                 r"above the budget of 1.07 GB$"):
+                channel_propagator(ch, 8, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_default_grid_at_2j_16_is_within_the_budget(self, monkeypatch):
+        # 0.73 GB: the budget check passes and the call goes on to the transform
+        def built(*args):
+            raise RuntimeError("past the budget check")
+
+        monkeypatch.setattr(SpinTransform, "on_grid", built)
+        with pytest.raises(RuntimeError, match="past the budget check"):
+            channel_propagator(KrausChannel([np.eye(17, dtype=complex)]), 8, make_grid(8))
 
     def test_qutrit_unitary_channel(self):
         grid = make_grid(1)

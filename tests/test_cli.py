@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -35,6 +36,67 @@ def workdir(tmp_path):
     paths["bell"].write_text(io.dumps(io.density_to_obj(bell_state())))
     paths["h"].write_text(io.dumps(io.matrix_to_obj(np.diag([0.5, -0.5]).astype(complex))))
     return tmp_path, paths
+
+
+class TestSizePreflight:
+    """Size flags above the byte budget exit 2 from an estimate, before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # the kernels a size flag scales; none may run for a refused size
+        def allocates(*args, **kwargs):
+            raise AssertionError("an oversized request reached an allocating kernel")
+
+        for name in ("haar_unitaries", "make_grid", "image_sample", "min_entropy_over_group", "peres_scan"):
+            monkeypatch.setattr(cli, name, allocates)
+
+    @pytest.mark.parametrize(
+        "state, argv, refused",
+        [
+            ("qubit", ["entropy", "--samples", "1000000000"], "--samples 1000000000 at dimension 2"),
+            ("ladder", ["simplex-image", "--samples", "100000000"], "--samples 100000000 at dimension 4"),
+            ("ladder", ["simplex-image", "--samples", "300000", "--format", "csv"], "--samples 300000 at dimension 4"),
+            ("bell", ["peres", "--samples", "100000000"], "--samples 100000000 at dimension 4"),
+            ("qubit", ["tomogram", "--n-frames", "100000000"], "--n-frames 100000000 at dimension 2"),
+            ("qubit", ["tomogram", "--j", "0.5", "--oversample", "1e6"],
+             "--j 1/2 --oversample 1e+06 (2000000 x 3000000 nodes)"),
+            ("qubit", ["tomogram", "--j", "0.5", "--oversample", "300"], "--j 1/2 --oversample 300 (600 x 900 nodes)"),
+        ],
+    )
+    def test_oversized_flags_exit_2_without_allocating(self, workdir, capsys, no_work, state, argv, refused):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        tracemalloc.start()
+        try:
+            rc = main([argv[0], "--state", str(paths[state]), *argv[1:], "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refused} would allocate about ") and "above the budget of 1.07 GB" in err
+        assert peak < 2**20
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "state, argv, reached",
+        [
+            ("qubit", ["entropy", "--samples", "1000000"], "min_entropy_over_group"),
+            ("ladder", ["simplex-image", "--samples", "50000", "--format", "csv"], "image_sample"),
+            ("bell", ["peres", "--samples", "1000000"], "peres_scan"),
+            ("qubit", ["tomogram", "--n-frames", "300000"], "haar_unitaries"),
+            ("qubit", ["tomogram", "--j", "0.5", "--oversample", "200"], "make_grid"),
+        ],
+    )
+    def test_sizes_within_the_budget_pass_the_preflight(self, workdir, monkeypatch, state, argv, reached):
+        # measured peaks of the same runs stay below their estimates (README)
+        def stop(*args, **kwargs):
+            raise RuntimeError(f"reached {reached}")
+
+        monkeypatch.setattr(cli, reached, stop)
+        tmp, paths = workdir
+        with pytest.raises(RuntimeError, match=f"reached {reached}"):
+            main([argv[0], "--state", str(paths[state]), *argv[1:], "--out", str(tmp / "never.json")])
 
 
 class TestTomogramCommand:
@@ -401,7 +463,7 @@ class TestEntropyCommand:
         assert report["monte_carlo"]["n"] == 50
 
     def test_unallocatable_sample_count_exits_2(self, workdir, capsys):
-        # 10**15 frames need petabytes: the allocation fails before anything is stored
+        # 10**15 frames need petabytes: the size preflight refuses them before any allocation
         tmp, paths = workdir
         rc = main(["entropy", "--state", str(paths["qubit"]), "--samples", str(10**15),
                    "--out", str(tmp / "e.json")])

@@ -135,6 +135,27 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    @pytest.mark.parametrize(
+        "mat, kwargs, message",
+        [
+            (np.ones((2, 3)), {}, "expected a square matrix, got shape (2, 3)"),
+            (np.diag([np.nan, 1.0]), {}, "matrix has non-finite (NaN or infinite) entries"),
+            (np.eye(2) / 2, {"dims": (0,)}, "dims (0,) must each be at least 1"),
+            (np.eye(2) / 2, {"dims": (2, 2)}, "dims (2, 2) do not multiply to dimension 2"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), {}, "density matrix is not Hermitian within 1e-12"),
+            (np.diag([0.6, 0.6]), {}, "density matrix trace differs from 1 beyond 1e-12"),
+            (np.diag([0.5 + 1e-9j, 0.5]), {}, "density matrix is not Hermitian within 1e-12"),
+            (np.eye(2) / 2, {"psd_slack": np.inf}, "psd_slack must be finite and nonnegative, got slack inf"),
+            (np.diag([1.5, -0.5]), {}, "density matrix has a negative eigenvalue beyond the slack 1e-10"),
+            (np.diag([1.5, -0.5]), {"psd_slack": 0.25},
+             "density matrix has a negative eigenvalue beyond the slack 0.25"),
+        ],
+    )
+    def test_refusal_messages(self, mat, kwargs, message):
+        with pytest.raises(ValueError) as refused:
+            DensityMatrix(mat, **kwargs)
+        assert str(refused.value) == message
+
     def test_nan_slack_refused(self):
         with pytest.raises(ValueError, match="slack nan"):
             DensityMatrix(np.diag([1.5, -0.5]), psd_slack=float("nan"))

@@ -86,6 +86,22 @@ class TestGrid:
         with pytest.raises(ValueError, match="oversample"):
             make_grid(0.5, oversample=oversample)
 
+    @pytest.mark.parametrize(
+        "j, oversample, message",
+        [
+            (-0.5, 1.0, "spin j must be nonnegative"),
+            (1, 0.0, "oversample must be finite and positive, got 0.0"),
+            (1, -2.0, "oversample must be finite and positive, got -2.0"),
+            (1, np.nan, "oversample must be finite and positive, got nan"),
+            (0.5, 1e300, "oversample 1e+300 gives a node count beyond any array at j = 1/2"),
+            (3, 1e308, "oversample 1e+308 gives a node count beyond any array at j = 3"),
+        ],
+    )
+    def test_refusal_messages(self, j, oversample, message):
+        with pytest.raises(ValueError) as refused:
+            make_grid(j, oversample=oversample)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("count", [0, -1, 2.5, np.nan])
     def test_grid_counts_must_be_positive_integers(self, count):
         # a grid is its two node counts; its nodes and weights follow from them

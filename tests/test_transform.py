@@ -525,6 +525,40 @@ class TestTransformCache:
             assert not array.flags.writeable
 
 
+class TestGridFramesCache:
+    """The angle arrays of grid frames are made once per grid value and shared."""
+
+    def test_grid_frames_cache_shares_read_only_angles_among_equal_grids(self):
+        grid = make_grid(2)
+        fresh = QuadratureGrid(grid.n_beta, grid.n_gamma)
+        frames, again = grid_frames(2, grid), grid_frames(2, fresh)
+        # each call gives new frames that carry the caller's grid
+        assert frames is not again and frames.grid is grid and again.grid is fresh
+        assert again.grid == frames.grid
+        betas, gammas = grid.node_angles()
+        for made in (frames, again):
+            assert np.array_equal(made.betas, betas) and np.array_equal(made.gammas, gammas)
+            assert np.array_equal(made.alphas, np.zeros(grid.n_nodes))
+            for angles in (made.alphas, made.betas, made.gammas):
+                with pytest.raises(ValueError, match="read-only"):
+                    angles[0] = 1.0
+        assert again.betas is frames.betas and again.gammas is frames.gammas and again.alphas is frames.alphas
+
+    def test_grid_frames_cache_builds_angles_once_per_grid_value(self):
+        symbols._node_frame_angles.cache_clear()
+        grid = make_grid(1.5)
+        for j in (1.5, 1.5, 0.5):
+            frames = grid_frames(j, QuadratureGrid(grid.n_beta, grid.n_gamma))
+            assert frames.j == HalfInt.of(j) and len(frames) == grid.n_nodes
+        assert symbols._node_frame_angles.cache_info()[:2] == (2, 1)  # (hits, misses)
+        grid_frames(1.5, make_grid(1.5, 2.0))
+        assert symbols._node_frame_angles.cache_info().misses == 2
+
+    def test_grid_frames_cache_keeps_the_spin_check(self):
+        with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
+            grid_frames(-1, make_grid(1))
+
+
 class TestGridBackedFrames:
     def test_one_transform_per_grid(self, monkeypatch, empty_cache):
         built = []
