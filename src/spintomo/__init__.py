@@ -7,7 +7,6 @@ with tomographic propagators, and symbol entropies.
 
 from .channels import (
     KrausChannel,
-    SuperoperatorMatrix,
     amplitude_damping,
     apply_kraus,
     build_channel,

@@ -50,17 +50,6 @@ class KrausChannel:
         return KrausChannel([a @ b for a in self.ops for b in inner.ops])
 
 
-@dataclass
-class SuperoperatorMatrix:
-    """d^2 x d^2 matrix acting on row-major vectorized density matrices."""
-
-    mat: np.ndarray
-
-    def apply(self, rho_mat: np.ndarray) -> np.ndarray:
-        d = int(round(np.sqrt(self.mat.shape[0])))
-        return (self.mat @ np.asarray(rho_mat, dtype=complex).reshape(-1)).reshape(d, d)
-
-
 def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if channel.dim != rho.dim:
         raise ValueError("channel and state dimensions differ")
@@ -69,14 +58,15 @@ def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out, rho.dims)
 
 
-def kraus_to_superoperator(channel: KrausChannel) -> SuperoperatorMatrix:
-    """Matrix form sum_s V_s (x) V_s^*; acts on row-major vec(rho).
+def kraus_to_superoperator(channel: KrausChannel) -> np.ndarray:
+    """The d^2 x d^2 matrix S = sum_s V_s (x) V_s^*, which maps the row-major
+    vec(rho) to vec(L(rho)): ``(S @ rho.reshape(-1)).reshape(d, d)``.
 
     One ``kron_all`` over the Kraus stack, summed in Kraus order, so every
     entry is bit for bit that of the sum of ``np.kron`` terms.
     """
     ops = np.array(channel.ops)
-    return SuperoperatorMatrix(kron_all([ops, ops.conj()]).sum(axis=0))
+    return kron_all([ops, ops.conj()]).sum(axis=0)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
@@ -213,7 +203,7 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
     _check_bytes(8.0 * (n * grid.n_nodes) ** 2, "the dense propagator at j = {} on {}", j, grid)
     basis, analysis, synthesis = SpinTransform.on_grid(j, grid).basis_maps()
     vecs = basis.reshape(n * n, -1)
-    coupling = vecs.conj() @ kraus_to_superoperator(channel).mat @ vecs.T
+    coupling = vecs.conj() @ kraus_to_superoperator(channel) @ vecs.T
     if np.abs(coupling.imag).max() > 1e-10:
         raise ValueError("propagator came out non-real; invalid channel?")
     return analysis.T @ (coupling.real @ synthesis)

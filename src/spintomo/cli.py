@@ -39,10 +39,12 @@ from .star import star_compose
 from .symbols import grid_frames, spin_tomogram, unitary_tomogram
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, fmt: bool = False, seed: bool = False) -> None:
     p.add_argument("--out", required=True, help="output file path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+    if fmt:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", help="JSON file with a list of frame objects")
     p.add_argument("--n-frames", type=int, help="number of Haar-random frames")
     p.add_argument("--j", type=float, help="use spin grid frames for this j")
-    p.add_argument("--oversample", type=float, default=DEFAULT_OVERSAMPLE,
-                   help="spin grid size relative to the smallest exact rule "
-                        "(default %(default)s; below 1 aliases)")
-    _add_common(p)
+    p.add_argument("--oversample", type=float,
+                   help="spin grid size relative to the smallest exact rule, with --j "
+                        f"(default {DEFAULT_OVERSAMPLE}; below 1 aliases)")
+    _add_common(p, fmt=True, seed=True)
 
     p = sub.add_parser("reconstruct", help="rebuild an operator or state from a tomogram")
     p.add_argument("--tomogram", required=True)
@@ -74,28 +76,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel", help="closed-form channel tomogram sweep")
     p.add_argument("--kind", choices=CHANNEL_KINDS, required=True)
     p.add_argument("--p", type=float, help="single parameter value (default: 21-point sweep)")
-    _add_common(p)
+    _add_common(p, fmt=True)
 
     p = sub.add_parser("simplex-image", help="sample the unitary-group image of a state")
     p.add_argument("--state", required=True)
     p.add_argument("--dims", help="comma-separated subsystem dimensions, e.g. 2,2")
     p.add_argument("--group", choices=("full", "product"), default="full")
     p.add_argument("--factors", help="comma-separated factor dims for the product group")
-    p.add_argument("--active", help="comma-separated active factor indices")
+    p.add_argument("--active", help="comma-separated active factor indices for the product group")
     p.add_argument("--samples", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, fmt=True, seed=True)
 
     p = sub.add_parser("entropy", help="frame entropies, group minimum, Haar average")
     p.add_argument("--state", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--q", type=float, default=1.0, help="Renyi order (default: 1, Shannon)")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("peres", help="partial-transpose tomographic scan")
     p.add_argument("--state", required=True)
     p.add_argument("--dims", help="comma-separated subsystem dimensions")
     p.add_argument("--samples", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("evolve", help="unitary evolution of a state (and tomogram)")
     p.add_argument("--state", required=True)
@@ -163,13 +165,16 @@ def _cmd_tomogram(args) -> str | dict:
     given = [flag for flag, value in sources.items() if value is not None]
     if len(given) > 1:
         raise ValueError(f"tomogram takes one of --frames, --n-frames and --j, got {' and '.join(given)}")
+    if args.oversample is not None and args.j is None:
+        raise ValueError("--oversample applies to spin grids only (with --j)")
     rho = _load_state(args.state)
     if args.j is not None:
         j = HalfInt.of(args.j)
         if rho.dim != j.twice + 1:
             raise ValueError(f"state dimension {rho.dim} does not match 2j+1")
-        _check_spin_grid(j, args.oversample, args.format)
-        grid = make_grid(j, oversample=args.oversample)
+        oversample = DEFAULT_OVERSAMPLE if args.oversample is None else args.oversample
+        _check_spin_grid(j, oversample, args.format)
+        grid = make_grid(j, oversample=oversample)
         t = spin_tomogram(rho, grid_frames(j, grid))
     else:
         if args.frames is not None:
@@ -191,9 +196,9 @@ def _cmd_tomogram(args) -> str | dict:
 
 def _tomogram_csv(t) -> str:
     if t.kind == "spin":
-        header = ["alpha", "beta", "gamma"] + [f"w_m{m.twice}" for m in t.outcomes]
+        header = ["alpha", "beta", "gamma"] + [f"w_m{m.twice}" for m in t.outcomes]  # alpha 0, as in io
         fr = t.frames
-        rows = np.column_stack([fr.alphas, fr.betas, fr.gammas, t.table.real.T]).tolist()
+        rows = np.column_stack([np.zeros(t.n_frames), fr.betas, fr.gammas, t.table.real.T]).tolist()
     else:
         header = ["frame_index"] + ["w_" + "".join(str(i) for i in o) for o in t.outcomes]
         rows = [[col] + list(t.table[:, col].real) for col in range(t.n_frames)]
@@ -246,11 +251,14 @@ def _cmd_channel(args) -> str | dict:
 
 def _cmd_simplex(args) -> str | dict:
     rho = _load_state(args.state, args.dims)
-    factors = _parse_int_list(args.factors) if args.factors else rho.dims
-    active = _parse_int_list(args.active) if args.active else None
     if args.group == "full":
+        given = [flag for flag, value in (("--factors", args.factors), ("--active", args.active)) if value]
+        if given:
+            raise ValueError(f"{' and '.join(given)} apply to --group product only")
         group = GroupSpec("full")
     else:
+        factors = _parse_int_list(args.factors) if args.factors else rho.dims
+        active = _parse_int_list(args.active) if args.active else None
         group = GroupSpec("product", factors, active=active)
     if args.samples < 1:
         raise ValueError("--samples must be positive")

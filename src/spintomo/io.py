@@ -110,21 +110,24 @@ def frame_from_obj(obj):
 
 def _frames_to_obj(frames) -> list[dict]:
     if isinstance(frames, SpinFrames):
-        angles = zip(frames.alphas.tolist(), frames.betas.tolist(), frames.gammas.tolist())
-        return [{"alpha": a, "beta": b, "gamma": g} for a, b, g in angles]
+        # a spin frame is R(0, beta, gamma), so its alpha is written as 0
+        angles = zip(frames.betas.tolist(), frames.gammas.tolist())
+        return [{"alpha": 0.0, "beta": b, "gamma": g} for b, g in angles]
     if frames.factors is None:
         return [{"unitary": matrix_to_obj(u)} for u in frames.stack]
     return [{"factors": [matrix_to_obj(f) for f in fs]} for fs in zip(*frames.factors)]
 
 
 def _spin_frames_from_obj(j: HalfInt, objs: list) -> SpinFrames:
-    """Spin frames from angle objects, read as alpha, beta and gamma columns."""
+    """Spin frames from angle objects.  An ``"alpha"`` angle is optional; it is
+    checked like beta and gamma, then dropped, as no spin symbol depends on it."""
     if not all(isinstance(f, dict) and "beta" in f and "gamma" in f for f in objs):
         raise ValueError("spin frame entries must be JSON objects with 'beta' and 'gamma' angles")
     angles = ("alpha", "beta", "gamma")
-    rows = [[_field(f, a, float) if a in f else 0.0 for a in angles] for f in objs]
-    alphas, betas, gammas = np.array(rows, dtype=float).reshape(-1, 3).T
-    return SpinFrames(j, betas, gammas, alphas)
+    rows = np.array([[_field(f, a, float) if a in f else 0.0 for a in angles] for f in objs], dtype=float)
+    _require_finite(rows, "frame angles")
+    _, betas, gammas = rows.reshape(-1, 3).T
+    return SpinFrames(j, betas, gammas)
 
 
 def _outcome_labels(t: Tomogram) -> list:

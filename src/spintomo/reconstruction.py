@@ -131,14 +131,14 @@ def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
 def intertwine(values, pair_from: QuantizerPair, pair_to: QuantizerPair) -> np.ndarray:
     """Convert a symbol table between quantizer pairs.
 
-    phi(y) = sum_x weights[x] f(x) Tr[D_from(x) U_to(y)], the discrete form of
-    the invertible transform linking two symbol families on one space: the
-    source pair's synthesis, then the target pair's symbol map.
+    phi(y) = Tr[A U_to(y)] with A = synthesize_from(f), the discrete form of the
+    invertible transform linking two symbol families on one space: the source
+    pair's synthesis, then the target pair's symbol map.
     """
     if pair_from.dim != pair_to.dim:
         raise ValueError("quantizer pairs act on different dimensions")
     values = np.asarray(values)
-    if values.shape != (len(pair_from.labels),):
+    if values.shape != (pair_from.size,):
         raise ValueError("symbol table length does not match the source pair")
     return pair_to.symbol_of(pair_from.synthesize(values))
 

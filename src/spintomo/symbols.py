@@ -64,20 +64,21 @@ def _spin(j) -> HalfInt:
 class SpinFrames:
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
+    A frame is the rotation R(0, beta, gamma): alpha never enters a spin symbol,
+    as the phase exp(-i alpha J_z) of R(alpha, beta, gamma) commutes with |j m><j m|.
     ``grid`` is the quadrature grid whose nodes the frames are, set only by
     ``grid_frames`` (whose angle arrays are read-only) and None otherwise.
     ``spin_tomogram`` runs grid frames on the grid's cached ``SpinTransform``
     and all others through ``frame_diagonals`` at their own angles.
     """
 
-    def __init__(self, j, betas, gammas, alphas=None):
+    def __init__(self, j, betas, gammas):
         self.j = _spin(j)
         self.betas = np.asarray(betas, dtype=float)
         self.gammas = np.asarray(gammas, dtype=float)
-        self.alphas = np.zeros_like(self.betas) if alphas is None else np.asarray(alphas, dtype=float)
-        if not self.betas.ndim == 1 or not self.betas.shape == self.gammas.shape == self.alphas.shape:
+        if not self.betas.ndim == 1 or not self.betas.shape == self.gammas.shape:
             raise ValueError("frame angle arrays must be 1-d and of equal length")
-        if not np.all(np.isfinite([self.alphas, self.betas, self.gammas])):
+        if not np.all(np.isfinite([self.betas, self.gammas])):
             raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
         self._grid: QuadratureGrid | None = None
 
@@ -90,24 +91,23 @@ class SpinFrames:
 
 
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
-    """Spin frames at the grid nodes (alpha = 0), in grid node order.
+    """Spin frames at the grid nodes, in grid node order.
 
-    The angle arrays are read-only and made once per grid value (kept for the
-    32 most recently used), so equal grids share them; the frames carry the
-    caller's ``grid``.
+    The beta and gamma arrays are read-only and made once per grid value (kept
+    for the 32 most recently used), so equal grids share them; the frames carry
+    the caller's ``grid``.
     """
     frames = SpinFrames.__new__(SpinFrames)
     frames.j = _spin(j)
-    frames.alphas, frames.betas, frames.gammas = _node_frame_angles(grid)
+    frames.betas, frames.gammas = _node_frame_angles(grid)
     frames._grid = grid
     return frames
 
 
 @lru_cache(maxsize=32)
-def _node_frame_angles(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (alphas, betas, gammas) of the grid nodes, alpha = 0, in node order."""
-    betas, gammas = grid.node_angles()
-    angles = (np.zeros_like(betas), betas, gammas)
+def _node_frame_angles(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (betas, gammas) of the grid nodes, in node order."""
+    angles = grid.node_angles()
     for array in angles:
         array.setflags(write=False)
     return angles
@@ -574,37 +574,35 @@ def tomogram_marginal(t: Tomogram, keep) -> Tomogram:
 
 @dataclass
 class QuantizerPair:
-    """Dequantizer U(x) and quantizer D(x) on a label set, held as two maps.
+    """Dequantizer U(x) and quantizer D(x) on ``size`` labels x, held as two maps.
 
     The defining identity A = synthesize(symbol_of(A)) holds for every operator A
     on the carrier space (``duality_residual`` measures it).  A spin pair runs
-    both maps on its grid's ``SpinTransform``, never forming U or D; the matrix-unit
-    pair (``transform`` None) works by transposes.
+    both maps on its grid's ``SpinTransform``, never forming U or D, over the
+    labels (m, node), m-major; the matrix-unit pair (``transform`` None) works
+    by transposes over the labels (a, b), row-major.
     """
 
-    labels: list
-    weights: np.ndarray
     dim: int
     transform: SpinTransform | None = None
 
     @classmethod
     def spin(cls, j, grid: QuadratureGrid) -> "QuantizerPair":
-        """Spin-j pair on a rotation-group grid; labels are (m, node) pairs, m-major."""
+        """Spin-j pair on a rotation-group grid."""
         j = HalfInt.of(j)
-        return cls(
-            labels=[(m, node) for m in spin_range(j) for node in range(grid.n_nodes)],
-            weights=np.tile(grid.group_weights(), j.twice + 1),
-            dim=j.twice + 1,
-            transform=SpinTransform.on_grid(j, grid),
-        )
+        return cls(dim=j.twice + 1, transform=SpinTransform.on_grid(j, grid))
 
     @classmethod
     def matrix_units(cls, dim: int) -> "QuantizerPair":
         """Matrix-element symbol family: U(a,b) = |a><b|, D(a,b) = |b><a|; f_A(a,b) = A[b, a]."""
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        labels = [(a, b) for a in range(dim) for b in range(dim)]
-        return cls(labels=labels, weights=np.ones(dim * dim), dim=dim)
+        return cls(dim=dim)
+
+    @property
+    def size(self) -> int:
+        """Number of labels: dim * nodes for a spin pair, dim^2 for matrix units."""
+        return self.dim * (self.dim if self.transform is None else self.transform.weights.size)
 
     def symbol_of(self, a) -> np.ndarray:
         """f_A(x) = Tr[A U(x)] over all labels."""
@@ -614,9 +612,9 @@ class QuantizerPair:
         return mat.T.flatten() if self.transform is None else self.transform.analyze(mat).reshape(-1)
 
     def synthesize(self, values: np.ndarray) -> np.ndarray:
-        """sum_x weights[x] f(x) D(x) - the inverse map applied to a symbol table."""
+        """sum_x W_x f(x) D(x), W_x the weight of the label's node (1 for matrix units)."""
         values = np.asarray(values)
-        if values.shape != (len(self.labels),):
+        if values.shape != (self.size,):
             raise ValueError("symbol table length mismatch")
         if self.transform is None:
             return values.reshape(self.dim, self.dim).T.astype(complex)

@@ -625,3 +625,109 @@ class TestDeterminism:
         main(["tomogram", "--state", str(paths["ladder"]), "--n-frames", "25", "--seed", "4",
               "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestFlagsWhereRead:
+    """``--format`` and ``--seed`` exist only on the subcommands that read them;
+    argparse refuses them elsewhere (exit 2), before any file is written."""
+
+    @pytest.fixture
+    def argvs(self, workdir):
+        tmp, paths = workdir
+        t_out = tmp / "t.json"
+        assert main(["tomogram", "--state", str(paths["qubit"]), "--j", "0.5", "--out", str(t_out)]) == 0
+        return {
+            "reconstruct": ["reconstruct", "--tomogram", str(t_out)],
+            "star": ["star", "--tomogram", str(t_out), "--tomogram", str(t_out)],
+            "channel": ["channel", "--kind", "depolarizing"],
+            "entropy": ["entropy", "--state", str(paths["qubit"]), "--samples", "8"],
+            "peres": ["peres", "--state", str(paths["bell"]), "--samples", "8"],
+            "evolve": ["evolve", "--state", str(paths["qubit"]), "--hamiltonian", str(paths["h"]), "--t", "0.3"],
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("reconstruct", ["--format", "csv"]),
+            ("star", ["--format", "csv"]),
+            ("entropy", ["--format", "csv"]),
+            ("peres", ["--format", "csv"]),
+            ("evolve", ["--format", "csv"]),
+            ("reconstruct", ["--seed", "9"]),
+            ("star", ["--seed", "9"]),
+            ("channel", ["--seed", "9"]),
+            ("evolve", ["--seed", "9"]),
+        ],
+    )
+    def test_flag_not_read_is_refused(self, workdir, argvs, capsys, command, flag):
+        tmp, _ = workdir
+        out = tmp / "never.csv"
+        # the subcommand runs without the flag
+        assert main(argvs[command] + ["--out", str(tmp / "ok.out")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argvs[command] + flag + ["--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--factors", "2,2"], "--factors"),
+            (["--active", "1"], "--active"),
+            (["--factors", "2,2", "--active", "1"], "--factors and --active"),
+        ],
+    )
+    def test_product_group_flags_refused_for_the_full_group(self, workdir, capsys, argv, named):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        rc = main(["simplex-image", "--state", str(paths["ladder"]), "--group", "full", *argv,
+                   "--samples", "8", "--out", str(out)])
+        assert rc == 2
+        assert f"error: {named} apply to --group product only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversample_refused_without_spin_grid(self, workdir, capsys):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--n-frames", "5", "--oversample", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error: --oversample applies to spin grids only (with --j)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversample_defaults_to_the_smallest_exact_grid(self, workdir, capsys):
+        tmp, paths = workdir
+        default, explicit = tmp / "a.json", tmp / "b.json"
+        argv = ["tomogram", "--state", str(paths["qubit"]), "--j", "0.5"]
+        assert main(argv + ["--out", str(default)]) == 0
+        assert main(argv + ["--oversample", "1", "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["tomogram", "--help"])
+        assert "(default 1.0; below 1 aliases)" in " ".join(capsys.readouterr().out.split())
+
+
+class TestAlphaField:
+    def test_alpha_is_read_and_ignored(self, workdir, capsys):
+        # a spin frame is R(0, beta, gamma): a file whose frames carry alpha = 4.5
+        # reconstructs and star-squares as the file with alpha = 0
+        tmp, paths = workdir
+        zero, shifted = tmp / "zero.json", tmp / "shifted.json"
+        assert main(["tomogram", "--state", str(paths["qubit"]), "--j", "0.5", "--out", str(zero)]) == 0
+        obj = json.loads(zero.read_text())
+        assert {f["alpha"] for f in obj["frames"]} == {0.0}
+        for frame in obj["frames"]:
+            frame["alpha"] = 4.5
+        shifted.write_text(io.dumps(obj))
+        outputs = {}
+        for name, path in (("zero", zero), ("shifted", shifted)):
+            capsys.readouterr()
+            r_out, s_out = tmp / f"r_{name}.json", tmp / f"s_{name}.json"
+            assert main(["reconstruct", "--tomogram", str(path), "--out", str(r_out)]) == 0
+            printed = capsys.readouterr().out
+            assert main(["star", "--tomogram", str(path), "--tomogram", str(path), "--out", str(s_out)]) == 0
+            outputs[name] = (printed, r_out.read_bytes(), s_out.read_bytes())
+        assert outputs["shifted"] == outputs["zero"]

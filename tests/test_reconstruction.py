@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from conftest import random_hermitian
 from spintomo import io, symbols
 from spintomo.errors import InformationallyIncompleteError
-from spintomo.halfint import HalfInt
 from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
 from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
 from spintomo.reconstruction import (
@@ -294,8 +295,8 @@ class TestIntertwine:
         pair_spin = QuantizerPair.spin(1, make_grid(1))
         pair_units = QuantizerPair.matrix_units(3)
         phi = intertwine(pair_spin.symbol_of(rho.mat), pair_spin, pair_units)
-        # label (a, b) carries Tr[rho |a><b|] = rho[b, a]
-        for idx, (a, b) in enumerate(pair_units.labels):
+        # label (a, b), row-major, carries Tr[rho |a><b|] = rho[b, a]
+        for idx, (a, b) in enumerate(np.ndindex(3, 3)):
             assert phi[idx] == pytest.approx(rho.mat[b, a], abs=1e-12)
 
     def test_round_trip(self, rng):
@@ -343,8 +344,27 @@ class TestPairMaps:
         table = transform.analyze(a)
         # labels are (m, node), m-major
         assert np.array_equal(pair.symbol_of(a), table.reshape(-1))
-        assert pair.labels[grid.n_nodes] == (HalfInt(1), 0)
+        assert pair.size == table.size == 4 * grid.n_nodes
         assert np.array_equal(pair.synthesize(table.reshape(-1)), transform.synthesize(table))
+
+    def test_pair_is_its_dimension_and_transform(self):
+        grid = make_grid(1)
+        assert [f.name for f in dataclasses.fields(QuantizerPair)] == ["dim", "transform"]
+        assert QuantizerPair.spin(1, grid).size == 3 * grid.n_nodes
+        assert QuantizerPair.matrix_units(3).size == 9
+
+    def test_spin_pair_allocates_nothing_per_label(self):
+        # with the transform cached, a j = 20 pair (41 x 3321 labels) is two references
+        grid = make_grid(20)
+        SpinTransform.on_grid(20, grid)
+        tracemalloc.start()
+        try:
+            pair = QuantizerPair.spin(20, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.transform is SpinTransform.on_grid(20, grid)
+        assert peak < 64 * 2**10
 
     def test_matrix_units_by_transposes(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -361,7 +381,7 @@ class TestPairMaps:
         with pytest.raises(ValueError, match="dimension"):
             pair.symbol_of(np.eye(2))
         with pytest.raises(ValueError, match="length"):
-            pair.synthesize(np.ones(len(pair.labels) - 1))
+            pair.synthesize(np.ones(pair.size - 1))
         with pytest.raises(ValueError, match="length"):
             QuantizerPair.matrix_units(2).synthesize(np.ones(3))
         with pytest.raises(ValueError, match="source pair"):
@@ -383,7 +403,7 @@ class TestPairAtJ8:
         units = QuantizerPair.matrix_units(17)
         f = pair.symbol_of(rho)
         phi = intertwine(f, pair, units)
-        # label (a, b) of the matrix-unit symbol carries rho[b, a]
-        for idx, (a, b) in enumerate(units.labels):
+        # label (a, b) of the matrix-unit symbol, row-major, carries rho[b, a]
+        for idx, (a, b) in enumerate(np.ndindex(17, 17)):
             assert abs(phi[idx] - rho.mat[b, a]) <= 1e-12
         assert np.max(np.abs(intertwine(phi, units, pair) - f)) <= 1e-12

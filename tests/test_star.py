@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import operator_stacks, random_hermitian
-from spintomo.halfint import HalfInt
+from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.star import (
@@ -14,7 +14,7 @@ from spintomo.star import (
     trace_power,
 )
 from spintomo.states import pure_state
-from spintomo.symbols import QuantizerPair, SpinTransform, grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinTransform, grid_frames, spin_tomogram, unitary_tomogram
 
 
 class StarKernel:
@@ -37,14 +37,15 @@ class StarKernel:
         j = HalfInt.of(j)
         if j.twice > 3:
             raise ValueError("kernel tables are materialized only for j <= 3/2")
-        pair = QuantizerPair.spin(j, grid)
-        n = len(pair.labels)
+        # the labels of the spin pair: (m, node), m-major
+        labels = [(m, node) for m in spin_range(j) for node in range(grid.n_nodes)]
+        n = len(labels)
         if n**3 > cls.MAX_ELEMENTS:
             raise ValueError(f"kernel table of {n}^3 entries exceeds the materialization cap")
         us, ds = operator_stacks(j, *grid.node_angles())
         dd = np.einsum("aij,bjk->abik", ds, ds)
         values = np.einsum("abik,cki->abc", dd, us)
-        return cls(j, grid, values, list(pair.labels))
+        return cls(j, grid, values, labels)
 
 
 def random_point(j, rng):
@@ -100,12 +101,12 @@ class TestStarKernelTable:
     def test_explicit_double_quadrature_equals_star_compose(self, rng):
         grid = make_grid(0.5, oversample=1.0)
         table = StarKernel.build(0.5, grid)
-        pair = QuantizerPair.spin(0.5, grid)
+        weights = np.tile(grid.group_weights(), 2)  # per label (m, node), m-major
         frames = grid_frames(0.5, grid)
         a, b = random_hermitian(2, rng), random_hermitian(2, rng)
         fa, fb = spin_tomogram(a, frames), spin_tomogram(b, frames)
-        wa = fa.table.reshape(-1) * pair.weights
-        wb = fb.table.reshape(-1) * pair.weights
+        wa = fa.table.reshape(-1) * weights
+        wb = fb.table.reshape(-1) * weights
         explicit = np.einsum("a,b,abc->c", wa, wb, table.values)
         factored = star_compose(fa, fb, 0.5, grid).table.reshape(-1)
         assert np.max(np.abs(explicit - factored)) < 1e-12

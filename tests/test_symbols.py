@@ -33,7 +33,7 @@ def random_angles(rng) -> EulerAngles:
 def random_frames(j, count: int, rng) -> SpinFrames:
     """``count`` spin-j frames at ``random_angles`` draws, in draw order."""
     angles = [random_angles(rng) for _ in range(count)]
-    return SpinFrames(j, [g.beta for g in angles], [g.gamma for g in angles], [g.alpha for g in angles])
+    return SpinFrames(j, [g.beta for g in angles], [g.gamma for g in angles])
 
 
 class TestDequantizer:
@@ -91,9 +91,9 @@ class TestSpinTomogram:
     def test_spin_up_qubit_cosine_law(self, rng):
         rho = pure_state([1.0, 0.0])
         betas = rng.uniform(0, np.pi, size=20)
-        frames = SpinFrames(HalfInt(1), betas, np.full(20, 1.7), np.full(20, 0.3))
+        frames = SpinFrames(HalfInt(1), betas, np.full(20, 1.7))
         t = spin_tomogram(rho, frames)
-        # oracle: <m|R rho R+|m> with R from the exponential product
+        # oracle: <m|R rho R+|m> with R from the exponential product, at alpha = 0.3
         j3 = np.diag([0.5, -0.5]).astype(complex)
         j2 = np.array([[0, -0.5j], [0.5j, 0]])
         for col, b in enumerate(betas):
@@ -111,10 +111,13 @@ class TestSpinTomogram:
         assert np.max(np.abs(t.values - 1.0 / 3.0)) < 1e-14
 
     def test_alpha_independence(self, rng):
+        # a frame is R(0, beta, gamma): the symbol at any alpha is the same
         a = random_hermitian(4, rng)
-        t1 = spin_tomogram(a, SpinFrames(HalfInt(3), [1.1], [2.3], [0.0]))
-        t2 = spin_tomogram(a, SpinFrames(HalfInt(3), [1.1], [2.3], [4.5]))
-        assert np.max(np.abs(t1.table - t2.table)) < 1e-12
+        t = spin_tomogram(a, SpinFrames(HalfInt(3), [1.1], [2.3]))
+        for alpha in (0.0, 4.5):
+            us = [dequantizer_U(HalfInt(3), m, EulerAngles(alpha, 1.1, 2.3)) for m in spin_range(HalfInt(3))]
+            direct = [np.trace(a @ u) for u in us]
+            assert np.max(np.abs(t.table[:, 0] - direct)) < 1e-12
 
     def test_hermitian_input_real_values(self, rng):
         a = random_hermitian(3, rng)

@@ -417,12 +417,13 @@ class TestRealPropagator:
         j = HalfInt(jt)
         grid = grid_of(j)
         channel = random_kraus_channel(jt + 1, 40 + jt)
-        pair = QuantizerPair.spin(j, grid)
-        labels = len(pair.labels)
+        labels = QuantizerPair.spin(j, grid).size
         us, ds = operator_stacks(j, *grid.node_angles())
         analysis = us.transpose(0, 2, 1).reshape(labels, -1)
         synthesis = ds.reshape(labels, -1).T
-        old = (analysis @ kraus_to_superoperator(channel).mat @ synthesis).real * pair.weights
+        # labels (m, node), m-major: the node weights once per m
+        weights = np.tile(grid.group_weights(), jt + 1)
+        old = (analysis @ kraus_to_superoperator(channel) @ synthesis).real * weights
         pi = channel_propagator(channel, j, grid)
         assert pi.dtype == np.float64
         assert np.max(np.abs(pi - old)) < 1e-13
@@ -538,11 +539,10 @@ class TestGridFramesCache:
         betas, gammas = grid.node_angles()
         for made in (frames, again):
             assert np.array_equal(made.betas, betas) and np.array_equal(made.gammas, gammas)
-            assert np.array_equal(made.alphas, np.zeros(grid.n_nodes))
-            for angles in (made.alphas, made.betas, made.gammas):
+            for angles in (made.betas, made.gammas):
                 with pytest.raises(ValueError, match="read-only"):
                     angles[0] = 1.0
-        assert again.betas is frames.betas and again.gammas is frames.gammas and again.alphas is frames.alphas
+        assert again.betas is frames.betas and again.gammas is frames.gammas
 
     def test_grid_frames_cache_builds_angles_once_per_grid_value(self):
         symbols._node_frame_angles.cache_clear()
@@ -594,7 +594,7 @@ class TestGridBackedFrames:
             with pytest.raises(AttributeError):
                 target.grid = make_grid(1.5, 2.0)
         assert frames.grid is grid and off_grid.grid is None
-        for angles in (frames.alphas, frames.betas, frames.gammas):
+        for angles in (frames.betas, frames.gammas):
             with pytest.raises(ValueError, match="read-only"):
                 angles[:] = angles[::-1]
 
@@ -605,7 +605,7 @@ class TestGridBackedFrames:
         assert isinstance(frames, SpinFrames) and frames.grid is grid
         assert len(frames) == grid.n_nodes
         assert np.array_equal(frames.betas, betas) and np.array_equal(frames.gammas, gammas)
-        assert np.array_equal(frames.alphas, np.zeros(grid.n_nodes))
+        assert not hasattr(frames, "alphas")
 
     def test_frames_take_their_grid_from_its_nodes(self, rng):
         # shuffled nodes handed a grid would run on its transform in node order
