@@ -6,11 +6,11 @@ return CSV text or a JSON object, which ``main`` serializes (refusing NaN and
 infinities) and writes atomically, so failed runs never leave partial files.
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
-Size flags (``--samples``, ``--n-frames``, ``--j`` with ``--oversample``) are
-checked before any work: the bytes of their main arrays and of the output text
-are estimated and refused (exit 2) above the 1 GiB budget of
-``linalg._BYTE_BUDGET``.  numpy overcommits memory, so without the estimate a
-size far beyond the machine would not raise a ``MemoryError`` but be killed.
+Size flags (``--samples``, ``--n-frames``, ``--j`` with ``--oversample``) and
+the length of a ``--frames`` list are checked before any work: the bytes of
+their main arrays and of the output text are estimated and refused (exit 2)
+above the 1 GiB budget of ``linalg._BYTE_BUDGET``.  numpy overcommits memory,
+so without the estimate a size far beyond the machine would be killed.
 """
 
 from __future__ import annotations
@@ -122,10 +122,12 @@ def _load_state(path: str, dims_flag=None):
     return io.density_from_obj(obj, dims=dims)
 
 
-def _load_frames(path: str):
+def _load_frames(path: str, d: int, fmt: str = "json") -> list:
+    """The frames of a JSON list, whose length is checked as ``--n-frames`` before any is decoded."""
     obj = io.read_json(path)
     if not isinstance(obj, list):
         raise ValueError("frames file must contain a JSON list of frame objects")
+    _check_tomogram_frames("--frames", len(obj), d, fmt)
     return [io.frame_from_obj(f) for f in obj]
 
 
@@ -137,7 +139,7 @@ _NUMBER_BYTES = {"json": 320, "csv": 100}
 
 
 def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fmt: str = "json") -> None:
-    """Refuse ``count`` Haar frames of size d above the byte budget.
+    """Refuse ``count`` unitary frames of size d above the byte budget.
 
     Per frame: ``matrices`` complex d x d arrays at the peak (2: the Ginibre draw
     and the unitary; 4 where the unitarity check or a product-group stack adds
@@ -145,6 +147,12 @@ def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fm
     """
     per_frame = 16 * d * d * matrices + 16 * d + _NUMBER_BYTES[fmt] * numbers
     _check_bytes(count * per_frame, "{} {} at dimension {}", flag, count, d)
+
+
+def _check_tomogram_frames(flag: str, count: int, d: int, fmt: str) -> None:
+    """``_check_frames`` for the frames of a unitary tomogram: a JSON frame is
+    written as its matrix (re, im) with its d symbols, a CSV row as d + 1 numbers."""
+    _check_frames(flag, count, d, 4, 2 * d * d + d if fmt == "json" else d + 1, fmt)
 
 
 def _check_spin_grid(j: HalfInt, oversample: float, fmt: str) -> None:
@@ -178,13 +186,11 @@ def _cmd_tomogram(args) -> str | dict:
         t = spin_tomogram(rho, grid_frames(j, grid))
     else:
         if args.frames is not None:
-            frames = _load_frames(args.frames)
+            frames = _load_frames(args.frames, rho.dim, args.format)
         elif args.n_frames is not None:
             if args.n_frames < 1:
                 raise ValueError("--n-frames must be positive")
-            # a JSON frame is written as its matrix (re, im) with its d symbols
-            numbers = 2 * rho.dim**2 + rho.dim if args.format == "json" else rho.dim + 1
-            _check_frames("--n-frames", args.n_frames, rho.dim, 4, numbers, args.format)
+            _check_tomogram_frames("--n-frames", args.n_frames, rho.dim, args.format)
             frames = haar_unitaries(rho.dim, args.n_frames, np.random.default_rng(args.seed))
         else:
             raise ValueError("tomogram needs --frames, --n-frames, or --j")
@@ -210,7 +216,7 @@ def _cmd_reconstruct(args) -> str | dict:
     if t.kind == "spin":
         grid = infer_grid(t)
         op = reconstruct_operator(t, t.j, grid)
-        check = spin_tomogram(op, grid_frames(t.j, grid))
+        check = spin_tomogram(op, t.frames)
         err = float(np.max(np.abs(check.table - t.table)))
         print(f"round-trip max abs error: {io.fmt_float(err)}")
         return io.matrix_to_obj(op)
@@ -324,7 +330,7 @@ def _cmd_evolve(args) -> str | dict:
     evolved = evolve_state(rho, h, args.t)
     obj = {"state": io.density_to_obj(evolved)}
     if args.frames:
-        frames = _load_frames(args.frames)
+        frames = _load_frames(args.frames, rho.dim)
         t0 = unitary_tomogram(rho, frames)
         obj["tomogram"] = io.tomogram_to_obj(evolve_tomogram(t0, h, args.t))
     return obj

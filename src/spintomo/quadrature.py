@@ -31,7 +31,8 @@ class QuadratureGrid:
     A grid is its two node counts: ``n_beta`` Gauss-Legendre nodes in
     x = cos(beta) (``beta_nodes``, ``beta_weights``) and ``n_gamma`` uniform
     nodes on [0, 2pi) with equal weights (``gamma_nodes``), computed from the
-    counts as read-only arrays.  Grids with equal counts are equal.  The total
+    counts as read-only arrays, as are the flattened node angles that
+    ``node_angles`` returns.  Grids with equal counts are equal.  The total
     weight including ``alpha_factor`` equals the group volume 8 pi^2.
     """
 
@@ -40,6 +41,7 @@ class QuadratureGrid:
     beta_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     beta_weights: np.ndarray = field(init=False, repr=False, compare=False)
     gamma_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _node_angles: tuple = field(init=False, repr=False, compare=False)
 
     alpha_factor: ClassVar[float] = 2.0 * np.pi
 
@@ -48,10 +50,13 @@ class QuadratureGrid:
             if not isinstance(count, (int, np.integer)) or count < 1:
                 raise ValueError(f"grid node counts must be positive integers, got {count!r}")
         x, w = np.polynomial.legendre.leggauss(self.n_beta)
-        gamma = 2.0 * np.pi * np.arange(self.n_gamma) / self.n_gamma
-        for name, array in (("beta_nodes", np.arccos(x)), ("beta_weights", w), ("gamma_nodes", gamma)):
+        beta, gamma = np.arccos(x), 2.0 * np.pi * np.arange(self.n_gamma) / self.n_gamma
+        angles = (np.repeat(beta, self.n_gamma), np.tile(gamma, self.n_beta))
+        for array in (beta, w, gamma, *angles):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        values = {"beta_nodes": beta, "beta_weights": w, "gamma_nodes": gamma, "_node_angles": angles}
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @property
     def exactness_degree(self) -> int:
@@ -62,10 +67,8 @@ class QuadratureGrid:
         return self.n_beta * self.n_gamma
 
     def node_angles(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (beta, gamma) node lists, beta-major."""
-        b = np.repeat(self.beta_nodes, self.n_gamma)
-        g = np.tile(self.gamma_nodes, self.n_beta)
-        return b, g
+        """Flattened (beta, gamma) node lists, beta-major, read-only and made once per grid."""
+        return self._node_angles
 
     def node_weights(self) -> np.ndarray:
         """Per-(beta, gamma) weights; sum equals 4 pi (no alpha factor)."""

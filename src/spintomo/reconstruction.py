@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import InformationallyIncompleteError
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
-from .quadrature import QuadratureGrid, _product_grid
-from .symbols import QuantizerPair, Tomogram, UnitaryFrames, _frames_match_grid, _grid_transform
+from .quadrature import QuadratureGrid
+from .symbols import REALITY_TOL, QuantizerPair, Tomogram, UnitaryFrames, _grid_transform
 
 __all__ = [
     "infer_grid",
@@ -27,36 +27,14 @@ __all__ = [
 ]
 
 
-def _product_factors(betas: np.ndarray, gammas: np.ndarray):
-    """(beta nodes, gamma nodes) if the frames are their beta-major product, else None."""
-    rest = np.flatnonzero(betas[1:] != betas[0])
-    n_gamma = int(rest[0]) + 1 if rest.size else betas.size
-    if betas.size % n_gamma:
-        return None
-    b, g = betas.reshape(-1, n_gamma), gammas.reshape(-1, n_gamma)
-    if np.all(b == b[:, :1]) and np.all(g == g[:1]):
-        return b[:, 0], g[0]
-    return None
-
-
 def infer_grid(t: Tomogram) -> QuadratureGrid:
-    """The quadrature grid a spin tomogram's frames were drawn from.
-
-    Grid frames are the beta-major product of their beta and gamma nodes, so
-    the node counts fix the grid; the Gauss-Legendre nodes are then reproduced
-    from the beta count alone, in the one grid object kept for those counts.
-    """
+    """The grid at whose nodes a spin tomogram's frames lie, ``t.frames.grid``, which frames
+    read from a file carry as any ``SpinFrames`` do; frames off every grid are refused."""
     if t.kind != "spin":
         raise ValueError("grid inference needs a spin tomogram")
-    if t.frames.grid is not None:
-        return t.frames.grid
-    factors = _product_factors(t.frames.betas, t.frames.gammas)
-    if factors is None:
-        raise ValueError("tomogram frames do not form a regular grid")
-    grid = _product_grid(*(nodes.size for nodes in factors))
-    if not _frames_match_grid(t.frames, t.j, grid):
-        raise ValueError("tomogram frames do not coincide with any standard grid")
-    return grid
+    if t.frames.grid is None:
+        raise ValueError("tomogram frames do not coincide with the nodes of any standard grid")
+    return t.frames.grid
 
 
 def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
@@ -74,13 +52,11 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     Solves for a Hermitian matrix under the unit-trace constraint; at least
     d+1 generically placed frames are needed for the linear map to have full
     column rank.  Positivity is verified afterwards, not enforced: violations
-    beyond 1e-8 produce a warning, not an error.
+    beyond 1e-8 produce a warning, not an error; a complex table is refused.
     """
-    if t.kind != "unitary":
-        raise ValueError("expected a unitary-frame tomogram")
     d = t.n_outcomes
     a = _design_matrix(t.frames.stack)
-    b = np.append(t.table.real.T.reshape(-1), 1.0)
+    b = np.append(_real_unitary_table(t).T.reshape(-1), 1.0)
 
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < d * d:
@@ -121,11 +97,21 @@ def _design_matrix(us: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
-    """Max abs mismatch between a unitary-frame tomogram and the state's forward symbol."""
+    """Max abs mismatch between a (real) unitary-frame tomogram and the state's forward symbol."""
+    table = _real_unitary_table(t)
+    pred = frame_diagonals(rho.mat, UnitaryFrames.of(t.frames, rho.dim).stack).real
+    return float(np.max(np.abs(pred.T - table)))
+
+
+def _real_unitary_table(t: Tomogram) -> np.ndarray:
+    """A unitary tomogram's table, refused if complex beyond ``REALITY_TOL``; negative entries pass."""
     if t.kind != "unitary":
         raise ValueError("expected a unitary-frame tomogram")
-    pred = frame_diagonals(rho.mat, UnitaryFrames.of(t.frames, rho.dim).stack).real
-    return float(np.max(np.abs(pred.T - t.table.real)))
+    imag = float(np.max(np.abs(t.table.imag)))
+    if imag > REALITY_TOL:
+        raise ValueError(f"unitary tomogram has imaginary entries up to {imag:.3e}; "
+                         "a probability table is real")
+    return t.table.real
 
 
 def intertwine(values, pair_from: QuantizerPair, pair_to: QuantizerPair) -> np.ndarray:

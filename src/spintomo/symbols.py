@@ -40,7 +40,7 @@ from .linalg import (
     partial_trace,
     unitarity_residual,
 )
-from .quadrature import GROUP_VOLUME, QuadratureGrid
+from .quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid
 from .su2 import _check_jm_pair, rotation_matrix, rotation_stack, wigner_d_stack
 
 REALITY_TOL = 1e-10
@@ -66,21 +66,23 @@ class SpinFrames:
 
     A frame is the rotation R(0, beta, gamma): alpha never enters a spin symbol,
     as the phase exp(-i alpha J_z) of R(alpha, beta, gamma) commutes with |j m><j m|.
-    ``grid`` is the quadrature grid whose nodes the frames are, set only by
-    ``grid_frames`` (whose angle arrays are read-only) and None otherwise.
-    ``spin_tomogram`` runs grid frames on the grid's cached ``SpinTransform``
-    and all others through ``frame_diagonals`` at their own angles.
+    The angle arrays are read-only copies.  ``grid`` is the quadrature grid
+    whose nodes the angles are, in node order and to within 1e-12, and None
+    for any other angles (``_grid_of`` decides it).  ``spin_tomogram`` runs
+    grid frames on the grid's cached ``SpinTransform`` and all others through
+    ``frame_diagonals`` at their own angles.
     """
 
     def __init__(self, j, betas, gammas):
         self.j = _spin(j)
-        self.betas = np.asarray(betas, dtype=float)
-        self.gammas = np.asarray(gammas, dtype=float)
+        self.betas, self.gammas = np.array(betas, dtype=float), np.array(gammas, dtype=float)
         if not self.betas.ndim == 1 or not self.betas.shape == self.gammas.shape:
             raise ValueError("frame angle arrays must be 1-d and of equal length")
         if not np.all(np.isfinite([self.betas, self.gammas])):
             raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
-        self._grid: QuadratureGrid | None = None
+        for angles in (self.betas, self.gammas):
+            angles.setflags(write=False)
+        self._grid = _grid_of(self.betas, self.gammas)
 
     def __len__(self) -> int:
         return self.betas.size
@@ -90,40 +92,41 @@ class SpinFrames:
         return self._grid
 
 
+def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
+    """The grid whose nodes the angles are, in node order and to within 1e-12, or None.
+
+    Grid nodes are a beta-major product, so the first beta that moves gives
+    n_gamma, and the count n_beta.  The grid is built only if the k-th smallest
+    of those n_beta betas lies where Szego's bound puts the k-th Gauss-Legendre
+    node, in ((k - 1/2) pi, k pi) / (n_beta + 1/2), so no other angle list
+    pays for an n_beta x n_beta eigenproblem.
+    """
+    if not betas.size:
+        return None
+    moved = np.flatnonzero(np.abs(betas - betas[0]) > 1e-12)
+    n_gamma = int(moved[0]) if moved.size else betas.size
+    n_beta, rest = divmod(betas.size, n_gamma)
+    k = np.arange(1, n_beta + 1)
+    scaled = betas[::-n_gamma] * (n_beta + 0.5) / np.pi
+    if rest or not np.all((k - 0.5 < scaled) & (scaled < k)):
+        return None
+    grid = _product_grid(n_beta, n_gamma)
+    deviation = np.abs(np.stack([betas, gammas]) - np.stack(grid.node_angles()))
+    return grid if np.all(deviation <= 1e-12) else None
+
+
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     """Spin frames at the grid nodes, in grid node order.
 
-    The beta and gamma arrays are read-only and made once per grid value (kept
-    for the 32 most recently used), so equal grids share them; the frames carry
-    the caller's ``grid``.
+    The frames hold the grid's own read-only node angles and the caller's
+    ``grid``, with no copy and no angle comparison; ``SpinFrames`` at the
+    same angles carry an equal grid.
     """
     frames = SpinFrames.__new__(SpinFrames)
     frames.j = _spin(j)
-    frames.betas, frames.gammas = _node_frame_angles(grid)
+    frames.betas, frames.gammas = grid.node_angles()
     frames._grid = grid
     return frames
-
-
-@lru_cache(maxsize=32)
-def _node_frame_angles(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (betas, gammas) of the grid nodes, in node order."""
-    angles = grid.node_angles()
-    for array in angles:
-        array.setflags(write=False)
-    return angles
-
-
-def _frames_match_grid(frames: SpinFrames, j: HalfInt, grid: QuadratureGrid) -> bool:
-    """Whether ``frames`` are spin-j frames at the grid nodes, in node order (to 1e-12).
-
-    Frames made at an equal grid pass without an angle comparison.
-    """
-    if len(frames) != grid.n_nodes or frames.j != j:
-        return False
-    if frames.grid is grid or frames.grid == grid:
-        return True
-    deviation = np.abs(np.stack([frames.betas, frames.gammas]) - np.stack(grid.node_angles()))
-    return bool(np.all(deviation <= 1e-12))
 
 
 class UnitaryFrames(Sequence):
@@ -391,7 +394,7 @@ def _grid_transform(t: Tomogram, j, grid: QuadratureGrid) -> SpinTransform:
     """The grid's spin-j ``SpinTransform``, once ``t`` is checked to be a spin-j tomogram at its nodes."""
     if t.kind != "spin":
         raise ValueError("expected a spin tomogram")
-    if not _frames_match_grid(t.frames, HalfInt.of(j), grid):
+    if not (t.frames.j == HalfInt.of(j) and t.frames.grid == grid):
         raise ValueError("tomogram frames do not coincide with the grid nodes")
     return SpinTransform.on_grid(j, grid)
 

@@ -99,6 +99,31 @@ class TestSizePreflight:
             main([argv[0], "--state", str(paths[state]), *argv[1:], "--out", str(tmp / "never.json")])
 
 
+    @pytest.mark.parametrize("command", ["tomogram", "evolve"])
+    def test_frames_file_length_is_checked_before_decoding(self, workdir, capsys, monkeypatch, command):
+        # 400 000 frames of a qubit state cost what --n-frames 400000 would
+        def decodes(*args, **kwargs):
+            raise AssertionError("an oversized frames file reached the frame decoder")
+
+        tmp, paths = workdir
+        extra = ["--hamiltonian", str(paths["h"]), "--t", "0.5"] if command == "evolve" else []
+        frames = tmp / "frames.json"
+        frames.write_text("[" + ",".join(["{}"] * 400_000) + "]")
+        out = tmp / "never.json"
+        with monkeypatch.context() as patched:
+            patched.setattr(io, "frame_from_obj", decodes)
+            rc = main([command, "--state", str(paths["qubit"]), *extra, "--frames", str(frames), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --frames 400000 at dimension 2 would allocate about ")
+        assert "above the budget of 1.07 GB" in err
+        assert not out.exists()
+        # within the budget the frames are decoded, and these are refused one by one
+        frames.write_text("[" + ",".join(["{}"] * 300_000) + "]")
+        assert main([command, "--state", str(paths["qubit"]), *extra, "--frames", str(frames), "--out", str(out)]) == 2
+        assert "unrecognized frame object" in capsys.readouterr().err
+
+
 class TestTomogramCommand:
     def test_maximally_mixed_is_uniform(self, workdir):
         tmp, paths = workdir
@@ -201,6 +226,18 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--tomogram", str(t_out), "--out", str(tmp_path / "r.json")]) == 0
         reported = float(capsys.readouterr().out.strip().rsplit(" ", 1)[-1])
         assert reported < 1e-8
+
+    def test_complex_unitary_table_exits_2(self, workdir, capsys):
+        tmp, paths = workdir
+        t_out = tmp / "t.json"
+        assert main(["tomogram", "--state", str(paths["qubit"]), "--n-frames", "10", "--out", str(t_out)]) == 0
+        obj = json.loads(t_out.read_text())
+        obj["values_im"] = [[0.3] * len(row) for row in obj["values"]]
+        t_out.write_text(io.dumps(obj))
+        r_out = tmp / "r.json"
+        assert main(["reconstruct", "--tomogram", str(t_out), "--out", str(r_out)]) == 2
+        assert "imaginary entries up to 3.000e-01" in capsys.readouterr().err
+        assert not r_out.exists()
 
     def test_spin_round_trip_reports_error(self, workdir, capsys):
         tmp, paths = workdir

@@ -179,7 +179,7 @@ class TestReconstructOperator:
         order = rng.permutation(grid.n_nodes)
         betas, gammas = grid.node_angles()
         shuffled = spin_tomogram(random_hermitian(4, rng), SpinFrames(1.5, betas[order], gammas[order]))
-        with pytest.raises(ValueError, match="regular grid"):
+        with pytest.raises(ValueError, match="standard grid"):
             infer_grid(shuffled)
         shifted = spin_tomogram(random_hermitian(4, rng), SpinFrames(1.5, betas, gammas + 0.1))
         with pytest.raises(ValueError, match="standard grid"):
@@ -274,6 +274,19 @@ class TestUnitaryFrameReconstruction:
             est = reconstruct_from_unitary_frame(t)
         assert isinstance(est, DensityMatrix)
         assert np.max(np.abs(est.mat - indefinite)) < 1e-12
+
+    def test_complex_table_refused(self):
+        # the imaginary part of a probability table would otherwise be dropped unseen
+        rho = random_density(2, 2, seed=8)
+        t = unitary_tomogram(rho, haar_unitaries(2, 6, 9))
+        complex_table = Tomogram(t.frames, t.table + 0.3j)
+        with pytest.raises(ValueError, match="imaginary entries up to 3.000e-01"):
+            reconstruct_from_unitary_frame(complex_table)
+        with pytest.raises(ValueError, match="imaginary entries up to 3.000e-01"):
+            reconstruction_residual(complex_table, rho)
+        within = Tomogram(t.frames, t.table + 1e-11j)
+        assert np.max(np.abs(reconstruct_from_unitary_frame(within).mat - rho.mat)) < 1e-9
+        assert reconstruction_residual(within, rho) < 1e-12
 
     def test_qutrit_with_haar_frames(self):
         rho = random_density(3, 3, seed=23)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -484,8 +485,7 @@ class TestTransformCache:
         a = random_operator(7, rng)
         got = spin_tomogram(a, grid_frames(j, fresh)).table
         assert np.array_equal(got, spin_tomogram(a, grid_frames(j, grid)).table)
-        off_grid = spin_tomogram(a, SpinFrames(j, *grid.node_angles())).table
-        assert np.max(np.abs(got - off_grid)) <= 1e-12
+        assert np.array_equal(got, spin_tomogram(a, SpinFrames(j, *fresh.node_angles())).table)
 
     def test_cache_stays_within_budget_over_a_sweep(self, empty_cache, monkeypatch):
         # up to 77 MB per transform at 2j = 64, counted and not allocated; the
@@ -527,7 +527,8 @@ class TestTransformCache:
 
 
 class TestGridFramesCache:
-    """The angle arrays of grid frames are made once per grid value and shared."""
+    """Grid frames hold their grid's own node angles, made once per grid object;
+    ``make_grid`` hands out one grid object per pair of node counts."""
 
     def test_grid_frames_cache_shares_read_only_angles_among_equal_grids(self):
         grid = make_grid(2)
@@ -542,17 +543,19 @@ class TestGridFramesCache:
             for angles in (made.betas, made.gammas):
                 with pytest.raises(ValueError, match="read-only"):
                     angles[0] = 1.0
-        assert again.betas is frames.betas and again.gammas is frames.gammas
+        # equal grids from make_grid are one object, with one set of arrays
+        shared = grid_frames(2, make_grid(2))
+        assert shared.betas is frames.betas and shared.gammas is frames.gammas
 
     def test_grid_frames_cache_builds_angles_once_per_grid_value(self):
-        symbols._node_frame_angles.cache_clear()
         grid = make_grid(1.5)
+        angles = grid.node_angles()
+        assert grid.node_angles() is angles
         for j in (1.5, 1.5, 0.5):
-            frames = grid_frames(j, QuadratureGrid(grid.n_beta, grid.n_gamma))
+            frames = grid_frames(j, make_grid(1.5))
             assert frames.j == HalfInt.of(j) and len(frames) == grid.n_nodes
-        assert symbols._node_frame_angles.cache_info()[:2] == (2, 1)  # (hits, misses)
-        grid_frames(1.5, make_grid(1.5, 2.0))
-        assert symbols._node_frame_angles.cache_info().misses == 2
+            assert frames.betas is angles[0] and frames.gammas is angles[1]
+        assert grid_frames(1.5, make_grid(1.5, 2.0)).betas is not angles[0]
 
     def test_grid_frames_cache_keeps_the_spin_check(self):
         with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
@@ -588,15 +591,16 @@ class TestGridBackedFrames:
             setattr(grid, name, other)
 
     def test_frame_grid_cannot_be_assigned(self):
+        # frames at the grid nodes carry the grid, however they were made
         grid = make_grid(1.5)
-        frames, off_grid = grid_frames(1.5, grid), SpinFrames(1.5, *grid.node_angles())
-        for target in (frames, off_grid):
+        frames, at_nodes = grid_frames(1.5, grid), SpinFrames(1.5, *grid.node_angles())
+        for target in (frames, at_nodes):
             with pytest.raises(AttributeError):
                 target.grid = make_grid(1.5, 2.0)
-        assert frames.grid is grid and off_grid.grid is None
-        for angles in (frames.betas, frames.gammas):
-            with pytest.raises(ValueError, match="read-only"):
-                angles[:] = angles[::-1]
+            assert target.grid == grid
+            for angles in (target.betas, target.gammas):
+                with pytest.raises(ValueError, match="read-only"):
+                    angles[:] = angles[::-1]
 
     def test_grid_frames_are_arrays(self):
         grid = make_grid(1)
@@ -614,7 +618,53 @@ class TestGridBackedFrames:
         order = rng.permutation(grid.n_nodes)
         with pytest.raises(TypeError, match="grid"):
             SpinFrames(1.5, betas[order], gammas[order], grid=grid)
-        assert SpinFrames(1.5, betas, gammas).grid is None
+        assert SpinFrames(1.5, betas[order], gammas[order]).grid is None
+        assert SpinFrames(1.5, betas, gammas).grid == grid
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        jt=st.integers(min_value=0, max_value=40),
+        n_beta=st.integers(min_value=1, max_value=30),
+        n_gamma=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_grid_is_a_fact_of_the_angles(self, jt, n_beta, n_gamma, seed):
+        rng = np.random.default_rng(seed)
+        j, grid = HalfInt(jt), QuadratureGrid(n_beta, n_gamma)
+        betas, gammas = (np.array(angles) for angles in grid.node_angles())
+        at_nodes = SpinFrames(j, betas, gammas)
+        a = random_operator(jt + 1, rng)
+        t = spin_tomogram(a, at_nodes)
+        read = io.tomogram_from_obj(json.loads(io.dumps(io.tomogram_to_obj(t)))).frames
+        for frames in (at_nodes, read, grid_frames(j, grid)):
+            assert frames.grid == grid
+            assert np.array_equal(spin_tomogram(a, frames).table, t.table)
+        # the frames keep their own copies of the caller's arrays
+        betas[0], gammas[-1] = 2.0, 1.0
+        assert np.array_equal(at_nodes.betas, grid.node_angles()[0]) and at_nodes.grid == grid
+        assert np.array_equal(at_nodes.gammas, grid.node_angles()[1])
+        betas, gammas = grid.node_angles()
+        order = rng.permutation(grid.n_nodes)
+        if grid.n_nodes > 1 and np.array_equal(order, np.arange(grid.n_nodes)):
+            order = order[::-1]
+        if grid.n_nodes > 1:
+            assert SpinFrames(j, betas[order], gammas[order]).grid is None
+        moved = rng.integers(grid.n_nodes)
+        for shift in (np.arange(grid.n_nodes) == moved) * 1e-9, np.full(grid.n_nodes, 1e-9):
+            assert SpinFrames(j, betas + shift, gammas).grid is None
+            assert SpinFrames(j, betas, gammas + shift).grid is None
+        kept = np.arange(grid.n_nodes) != moved
+        assert SpinFrames(j, betas[kept], gammas[kept]).grid is None
+
+    def test_angle_lists_off_the_gauss_legendre_nodes_build_no_grid(self, monkeypatch):
+        # distinct betas at one gamma read as 3000 beta nodes; building that grid
+        # would solve a 3000 x 3000 eigenproblem for angles that are no grid
+        def builds(*counts):
+            raise AssertionError(f"built a grid of {counts} nodes")
+
+        monkeypatch.setattr(symbols, "_product_grid", builds)
+        for betas in (np.linspace(np.pi, 0.0, 3000), np.linspace(0.0, np.pi, 3000)):
+            assert SpinFrames(2, betas, np.zeros(3000)).grid is None
 
     def test_negative_spin_refused(self):
         with pytest.raises(ValueError, match="spin j must be nonnegative"):
