@@ -54,9 +54,9 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     column rank.  Positivity is verified afterwards, not enforced: violations
     beyond 1e-8 produce a warning, not an error; a complex table is refused.
     """
-    d = t.n_outcomes
+    d, table = t.n_outcomes, _real_unitary_table(t)
     a = _design_matrix(t.frames.stack)
-    b = np.append(_real_unitary_table(t).T.reshape(-1), 1.0)
+    b = np.append(table.T.reshape(-1), 1.0)
 
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < d * d:

@@ -224,6 +224,13 @@ class TestUnitaryFrameReconstruction:
         with pytest.raises(ValueError, match="unitary-frame tomogram"):
             reconstruction_residual(t, rho)
 
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_least_squares_refuses_spin_tomogram(self, on_grid):
+        rho = random_density(2, 2, seed=21)
+        frames = grid_frames(0.5, make_grid(0.5)) if on_grid else SpinFrames(0.5, [0.3], [0.0])
+        with pytest.raises(ValueError, match="^expected a unitary-frame tomogram$"):
+            reconstruct_from_unitary_frame(spin_tomogram(rho, frames))
+
     def test_single_frame_incomplete(self):
         rho = random_density(2, 2, seed=22)
         t = unitary_tomogram(rho, [np.eye(2, dtype=complex)])

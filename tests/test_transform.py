@@ -656,15 +656,30 @@ class TestGridBackedFrames:
         kept = np.arange(grid.n_nodes) != moved
         assert SpinFrames(j, betas[kept], gammas[kept]).grid is None
 
-    def test_angle_lists_off_the_gauss_legendre_nodes_build_no_grid(self, monkeypatch):
-        # distinct betas at one gamma read as 3000 beta nodes; building that grid
-        # would solve a 3000 x 3000 eigenproblem for angles that are no grid
+    @pytest.mark.parametrize("n", [2, 3, 50, 3000])
+    def test_angle_lists_off_the_gauss_legendre_nodes_build_no_grid(self, monkeypatch, n):
+        # distinct betas at one gamma read as n beta nodes; building that grid
+        # would solve an n x n eigenproblem for angles that are no grid.  Interior
+        # equispaced and midpoint betas lie inside Szego's bounds on the nodes.
         def builds(*counts):
             raise AssertionError(f"built a grid of {counts} nodes")
 
         monkeypatch.setattr(symbols, "_product_grid", builds)
-        for betas in (np.linspace(np.pi, 0.0, 3000), np.linspace(0.0, np.pi, 3000)):
-            assert SpinFrames(2, betas, np.zeros(3000)).grid is None
+        samplings = (
+            np.linspace(np.pi, 0.0, n),
+            np.linspace(0.0, np.pi, n),
+            np.linspace(np.pi, 0.0, n + 2)[1:-1],
+            (np.arange(n)[::-1] + 0.5) * np.pi / n,
+        )
+        for betas in samplings:
+            assert SpinFrames(2, betas, np.zeros(n)).grid is None
+
+    def test_grid_nodes_past_the_byte_budget_build_no_grid(self, monkeypatch):
+        # the companion matrix of 30 beta nodes takes 7200 bytes
+        grid = QuadratureGrid(30, 3)
+        monkeypatch.setattr(symbols, "_BYTE_BUDGET", 7199)
+        monkeypatch.setattr(symbols, "_product_grid", None)
+        assert SpinFrames(2, *grid.node_angles()).grid is None
 
     def test_negative_spin_refused(self):
         with pytest.raises(ValueError, match="spin j must be nonnegative"):
