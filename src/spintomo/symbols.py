@@ -69,9 +69,10 @@ class SpinFrames:
     as the phase exp(-i alpha J_z) of R(alpha, beta, gamma) commutes with |j m><j m|.
     The angle arrays are read-only copies.  ``grid`` is the quadrature grid
     whose nodes the angles are, in node order and to within 1e-12, and None
-    for any other angles (``_grid_of`` decides it).  ``spin_tomogram`` runs
-    grid frames on the grid's cached ``SpinTransform`` and all others through
-    ``frame_diagonals`` at their own angles.
+    for any other angles and for the nodes of a grid past the byte budget
+    (``_grid_of`` decides it).  ``spin_tomogram`` runs grid frames on the
+    grid's cached ``SpinTransform`` and all others through ``frame_diagonals``
+    at their own angles.
     """
 
     def __init__(self, j, betas, gammas):
@@ -97,48 +98,32 @@ def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
     """The grid whose nodes the angles are, in node order and to within 1e-12, or None.
 
     Grid nodes are a beta-major product, so the first beta that moves gives
-    n_gamma, and the count n_beta.  The grid is built only if its Gauss-Legendre
-    companion matrix (8 n_beta^2 bytes) fits the byte budget and those n_beta
-    betas are its nodes: the k-th smallest lies where Szego's bound puts the
-    k-th node, in ((k - 1/2) pi, k pi) / (n_beta + 1/2), an interval holding no
-    other node, and is a root of P_n_beta(cos beta) (``_at_legendre_roots``).
-    So no other angle list pays for an n_beta x n_beta eigenproblem.
+    n_gamma, and the count n.  The grid is built only when its n x n
+    Gauss-Legendre companion matrix fits the byte budget and the n betas are
+    its nodes: the k-th smallest lies in Szego's bound on the k-th node alone,
+    ((k - 1/2) pi, k pi) / (n + 1/2), and one Newton step of the three-term
+    recurrence puts it within 1e-8 of a root of P_n(cos beta).
     """
     if not betas.size:
         return None
     moved = np.flatnonzero(np.abs(betas - betas[0]) > 1e-12)
     n_gamma = int(moved[0]) if moved.size else betas.size
-    n_beta, rest = divmod(betas.size, n_gamma)
-    if rest or 8 * n_beta * n_beta > _BYTE_BUDGET:
+    (n, rest), nodes = divmod(betas.size, n_gamma), betas[::-n_gamma]
+    if rest or 8 * n * n > _BYTE_BUDGET:
         return None
-    k = np.arange(1, n_beta + 1)
-    scaled = betas[::-n_gamma] * (n_beta + 0.5) / np.pi
-    if not np.all((k - 0.5 < scaled) & (scaled < k)) or not _at_legendre_roots(betas[::-n_gamma]):
+    if not np.all(np.abs(nodes * (n + 0.5) / np.pi - np.arange(n) - 0.75) < 0.25):
         return None
-    grid = _product_grid(n_beta, n_gamma)
-    deviation = np.abs(np.stack([betas, gammas]) - np.stack(grid.node_angles()))
-    return grid if np.all(deviation <= 1e-12) else None
-
-
-def _at_legendre_roots(betas: np.ndarray) -> bool:
-    """Whether each of n betas in (0, pi) is within 1e-8 of a root of P_n(cos beta).
-
-    One Newton step, P_n / P_n' from the three-term recurrence, measures each
-    distance in O(n) time and memory per beta.  The first beta is tried alone,
-    in scalars, so most angle lists that are no grid are refused in O(n) time.
-    """
-    n = betas.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        for beta in (betas[0], betas):
-            x = np.cos(beta)
-            p_prev, p = 1.0, x
+        for beta in (nodes[0], nodes):  # one beta first refuses most other lists in O(n) time
+            x, p_prev, p = np.cos(beta), 1.0, np.cos(beta)
             for m in range(2, n + 1):
                 p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
-            # P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1), and d beta = -dx / sin(beta)
-            step = p * (x * x - 1) / (n * (x * p - p_prev) * np.sin(beta))
-            if not np.all(np.abs(step) <= 1e-8):
-                return False
-    return True
+            # the step in beta, P_n / P_n' / sin(beta) with P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1)
+            if not np.all(np.abs(p * (x * x - 1) / (n * (x * p - p_prev) * np.sin(beta))) <= 1e-8):
+                return None
+    grid = _product_grid(n, n_gamma)
+    deviation = np.abs(np.stack([betas, gammas]) - np.stack(grid.node_angles()))
+    return grid if np.all(deviation <= 1e-12) else None
 
 
 def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
