@@ -141,9 +141,10 @@ _NUMBER_BYTES = {"json": 320, "csv": 100}
 def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fmt: str = "json") -> None:
     """Refuse ``count`` unitary frames of size d above the byte budget.
 
-    Per frame: ``matrices`` complex d x d arrays at the peak (2: the Ginibre draw
-    and the unitary; 4 where the unitarity check or a product-group stack adds
-    temporaries), the frame's complex diagonal, and ``numbers`` output numbers.
+    Per frame: ``matrices`` complex d x d arrays at the peak (2: the unitary,
+    which holds its own Ginibre draw, and room for temporaries; 4 where the
+    unitarity check adds full-size temporaries, and for ``simplex-image``), the
+    frame's complex diagonal, and ``numbers`` output numbers.
     """
     per_frame = 16 * d * d * matrices + 16 * d + _NUMBER_BYTES[fmt] * numbers
     _check_bytes(count * per_frame, "{} {} at dimension {}", flag, count, d)

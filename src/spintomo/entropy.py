@@ -145,6 +145,8 @@ def min_entropy_over_group(
     bound H_u >= S, and their mean doubles as the integral entropy estimate.
     """
     _check_order(q, "Renyi")
+    if n_verify < 0:
+        raise ValueError(f"n_verify must be nonnegative, got {n_verify}")
     eigs, vecs = np.linalg.eigh(rho.mat)
     per_frame = np.array([])
     monte = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, KrausChannel, build_channel
 from .halfint import HalfInt
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _check_bytes
 from .symbols import SpinFrames, Tomogram
 
 
@@ -193,8 +193,25 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+_PARSE_BYTES = 32  # peak bytes of ``json.load`` per byte of file, see ``read_json``
+
+
 def read_json(path: str):
+    """The JSON value in a file, refused (ValueError) before it is parsed when
+    the file's size times ``_PARSE_BYTES`` exceeds the byte budget, so above 32 MiB.
+
+    ``json.load`` takes this peak per byte of file, the text included
+    (tracemalloc, CPython 3.11, 2e5-entry lists): 25 B for a list of {}, 22 B
+    for a list of [], 31 B for [[]], 5 to 9 B for lists of short numbers and
+    2.7 B for the floats ``dumps`` writes.  Only empty containers nested four
+    or more deep take more, up to about 45 B.  A number that ``dumps`` writes
+    takes 10 to 30 B of indented text, so reading it back is estimated at 320
+    to 960 B, against the 320 B (``cli._NUMBER_BYTES["json"]``) counted when it
+    was written: a JSON output near the byte budget can be too large to read.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        _check_bytes(size * _PARSE_BYTES, "parsing the {}-byte JSON file {}", size, path)
         return json.load(fh)
 
 

@@ -12,7 +12,9 @@ The two frame kernels, ``haar_unitaries`` and ``frame_diagonals``, walk a
 frame stack in fixed blocks of ``_BLOCK`` frames, so their working arrays stay
 in cache and their scratch memory does not grow with the number of frames.
 Blocking leaves every Haar draw bit-identical to the unblocked sampler, and
-``frame_diagonals`` does one BLAS GEMM per block.
+``frame_diagonals`` does one BLAS GEMM per block.  The sampler holds its
+Gaussian draw in the output's own bytes and in one block of scratch, so its
+peak memory is the output and about one block more.
 """
 
 from __future__ import annotations
@@ -139,21 +141,30 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
     The Ginibre draw z = (x + i y) / sqrt(2) takes x and then y from the
     generator, each of shape (count, n, n).  Gram-Schmidt then runs block by
     block of draws, with the same arithmetic per draw as the unblocked
-    sampler, so every unitary is bit-identical to it.
+    sampler, so every unitary is bit-identical to it.  x is drawn into the
+    upper half of the output's own bytes and y one block at a time, so the
+    peak memory is the output and about one block.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"sample count must be a nonnegative integer, got {count!r}")
     rng = np.random.default_rng(rng_or_seed)
-    x = rng.standard_normal((count, n, n))
-    y = rng.standard_normal((count, n, n))
     out = np.empty((count, n, n), dtype=complex)
-    for block in _blocks(count):
+    # Block b's unitaries fill floats [0, 2 stop_b n^2) of the output, and x's
+    # unread blocks start at float count n^2 + stop_b n^2 >= 2 stop_b n^2.
+    x = out.reshape(-1).view(np.float64)[count * n * n :].reshape(count, n, n)
+    rng.standard_normal(out=x)
+    blocks = _blocks(count)
+    scratch = np.empty(n * n * (count - blocks[-1].start), dtype=complex)  # the last block is the largest
+    for block in blocks:
         # Gram-Schmidt on the columns gives the Q whose R has a positive
         # diagonal, the phase-fixed QR of the Ginibre draw.  Batch innermost:
         # q[k] is column k of every draw in the block, shape (n, block).
         # Projecting twice keeps the columns orthogonal to working precision.
-        q = np.empty((n, n, block.stop - block.start), dtype=complex)
-        q.real, q.imag = x[block].T, y[block].T
+        size = block.stop - block.start
+        q = scratch[: n * n * size].reshape(n, n, size)
+        q.real, q.imag = x[block].T, rng.standard_normal(q.shape[::-1]).T
         q /= np.sqrt(2.0)
         for k in range(n):
             v, done = q[k], q[:k]

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
+    _blocks,
     frame_diagonals,
     haar_unitaries,
     hermitian_basis,
@@ -91,12 +92,18 @@ def _draw_elements(
 
 
 def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> SimplexSample:
-    """n points diag(u^dag rho u) with u Haar on the specified (sub)group."""
+    """n points diag(u^dag rho u) with u Haar on the specified (sub)group.
+
+    The joint frames u are formed one ``_blocks`` slice at a time, the blocks
+    of ``frame_diagonals`` itself, so no (n, N, N) product stack is held.
+    """
     if n < 1:
         raise ValueError("sample size must be positive")
     rng = np.random.default_rng(seed)
     elements = _draw_elements(g, rho.dims, n, rng)
-    points = frame_diagonals(rho.mat, kron_all(elements)).real
+    points = np.empty((n, rho.dim))
+    for block in _blocks(n):
+        points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
     sample = SimplexSample(points=points, params=elements, seed=seed, group=g)
     sample.validate()
     return sample

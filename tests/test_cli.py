@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintomo import cli, io
+from spintomo import cli, io, linalg
 from spintomo.cli import main
 from spintomo.linalg import DensityMatrix, random_density
 from spintomo.quadrature import make_grid
@@ -122,6 +125,76 @@ class TestSizePreflight:
         frames.write_text("[" + ",".join(["{}"] * 300_000) + "]")
         assert main([command, "--state", str(paths["qubit"]), *extra, "--frames", str(frames), "--out", str(out)]) == 2
         assert "unrecognized frame object" in capsys.readouterr().err
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        # the names of the files json.load parses
+        names = []
+
+        def load(fh, *args, **kwargs):
+            names.append(fh.name)
+            return parse(fh, *args, **kwargs)
+
+        parse = json.load
+        monkeypatch.setattr(io.json, "load", load)
+        return names
+
+    def test_json_file_size_is_checked_before_parsing(self, workdir, capsys, monkeypatch, parsed):
+        tmp, paths = workdir
+        out = tmp / "never.json"
+        # a 33 MiB file (sparse, so it takes no disk) at 32 B a byte: above the 1 GiB budget
+        big = tmp / "big.json"
+        with big.open("wb") as fh:
+            fh.truncate(33 * 2**20)
+        assert main(["entropy", "--state", str(big), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parsing the {33 * 2**20}-byte JSON file {big} would allocate about 1.1")
+        # the 1.2 MB list of 400 000 {} entries (38 MB at 32 B a byte) under a 32 MiB budget
+        frames = tmp / "frames.json"
+        frames.write_text("[" + ",".join(["{}"] * 400_000) + "]")
+        monkeypatch.setattr(linalg, "_BYTE_BUDGET", 2**25)
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--frames", str(frames), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: parsing the 1200001-byte JSON file ")
+        assert parsed == [str(paths["qubit"])] and not out.exists()
+
+    def test_shipped_files_pass_the_size_check(self, parsed):
+        shipped = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.json"))
+        assert shipped and all(isinstance(io.read_json(str(f)), dict) for f in shipped)
+        assert parsed == [str(f) for f in shipped]
+
+    def test_entropy_estimate_bounds_the_measured_peak(self, tmp_path, monkeypatch):
+        # peak RSS of a child CLI run, less that of a child that only imports the CLI,
+        # must stay within the preflight estimate for the same flags (README)
+        child = (
+            "import resource, sys\n"
+            "from spintomo.cli import main\n"
+            "assert not sys.argv[1:] or main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+        def peak(*argv):
+            run = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True,
+                                 check=True, timeout=120)
+            return int(run.stdout.split()[-1])
+
+        state = Path(__file__).resolve().parent.parent / "data" / "qubit_state.json"
+        argv = ["entropy", "--state", str(state), "--samples", "200000", "--out", str(tmp_path / "e.json")]
+        estimates = []
+
+        def stop(*args, **kwargs):
+            raise RuntimeError("preflight passed")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_check_bytes", lambda nbytes, *args: estimates.append(nbytes))
+            patched.setattr(cli, "min_entropy_over_group", stop)
+            with pytest.raises(RuntimeError, match="preflight passed"):
+                main(argv)
+        assert estimates == [200_000 * 480]
+        assert peak(*argv) - peak() <= estimates[0]
 
 
 class TestTomogramCommand:

@@ -193,6 +193,11 @@ class TestMinOverGroup:
         assert report.min_value == pytest.approx(quantum_renyi(rho, q), abs=1e-12)
         assert np.min(report.per_frame) >= report.min_value - 1e-9
 
+    def test_negative_verification_count_refused(self):
+        with pytest.raises(ValueError, match="n_verify must be nonnegative, got -3"):
+            min_entropy_over_group(DIAG_4321, -3, seed=1)
+        assert min_entropy_over_group(DIAG_4321, 0, seed=1).monte_carlo is None
+
 
 class TestIntegralEntropy:
     def test_maximally_mixed_exact(self):

@@ -372,6 +372,32 @@ class TestBlockedFrameKernels:
         err = np.max(np.abs(got - frame_diagonals_oracle(a, frames)), initial=0.0)
         assert err <= frame_diagonals_bound(a)
 
+    def test_haar_holds_its_draw_in_the_output(self):
+        # x is drawn into the output's own bytes and y one block at a time,
+        # so no full-size draw is held beside the output
+        rng = np.random.default_rng(31)
+        tracemalloc.start()
+        try:
+            out = haar_unitaries(8, 10_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * out.nbytes
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("count", [0, 1, 513, 1025])
+    def test_haar_leaves_the_generator_after_both_full_draws(self, n, count):
+        # the stream is all of x, then all of y, as two (count, n, n) draws take it
+        rng, reference = np.random.default_rng(count), np.random.default_rng(count)
+        haar_unitaries(n, count, rng)
+        reference.standard_normal((2, count, n, n))
+        assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
+
+    @pytest.mark.parametrize("count", [-1, -512, 2.5, 3.0, "4", None])
+    def test_haar_refuses_a_count_that_is_no_nonnegative_integer(self, count):
+        with pytest.raises(ValueError, match=f"sample count must be a nonnegative integer, got {count!r}"):
+            haar_unitaries(2, count, 1)
+
     def test_frame_diagonals_scratch_does_not_grow_with_frames(self):
         frames = haar_unitaries(8, 20_000, 3)
         a = random_density(8, 8, seed=4).mat

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from spintomo import io, symbols
+from spintomo import io, reconstruction, symbols
 from spintomo.errors import InformationallyIncompleteError
 from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
 from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
@@ -301,6 +301,56 @@ class TestUnitaryFrameReconstruction:
         t = unitary_tomogram(rho, frames)
         est = reconstruct_from_unitary_frame(t)
         assert np.max(np.abs(est.mat - rho.mat)) < 1e-8
+
+
+def lstsq_state(us, rho):
+    """Oracle: the unit-trace least-squares state of rho's tomogram by ``lstsq`` on the design matrix."""
+    d = rho.dim
+    table = unitary_tomogram(rho, us).table.real
+    x = np.linalg.lstsq(_design_matrix(us), np.append(table.T.reshape(-1), 1.0), rcond=None)[0]
+    est = np.tensordot(x, hermitian_basis(d), axes=1)
+    est = 0.5 * (est + est.conj().T)
+    return est / np.trace(est).real
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+class TestFrameOperatorSolve:
+    """Unitary frames solve through G = A^T A while eps * cond(G) stays below 1e-12."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("n_frames", ["2d", 100, 1000])
+    def test_gram_solve_agrees_with_lstsq(self, d, n_frames, lstsq_calls):
+        n_frames = 2 * d if n_frames == "2d" else n_frames
+        rho = random_density(d, d, seed=d)
+        us = haar_unitaries(d, n_frames, 100 * d + n_frames)
+        est = reconstruct_from_unitary_frame(unitary_tomogram(rho, us))
+        assert lstsq_calls == []
+        assert np.max(np.abs(est.mat - lstsq_state(us, rho))) <= 1e-13
+
+    @pytest.mark.parametrize("seed, gram", [(286, True), (246, False)])
+    def test_the_cond_limit_picks_the_solver(self, seed, gram, lstsq_calls):
+        # five qutrit frames with cond(G) within 15% of the limit, one on each side
+        us = haar_unitaries(3, 5, seed)
+        a = _design_matrix(us)
+        w = np.linalg.eigvalsh(a.T @ a)
+        assert (w[-1] / w[0] <= reconstruction._GRAM_COND_LIMIT) == gram
+        assert 0.85 < w[-1] / w[0] / reconstruction._GRAM_COND_LIMIT < 1.15
+        rho = random_density(3, 3, seed=seed)
+        est = reconstruct_from_unitary_frame(unitary_tomogram(rho, us))
+        assert len(lstsq_calls) == (0 if gram else 1)
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-12
 
 
 class TestIntertwine:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from conftest import finite_difference_dimension, frame_diagonals_bound, frame_diagonals_oracle
 from spintomo import simplex
 from spintomo.errors import DegeneratePointError
-from spintomo.linalg import DensityMatrix, haar_unitaries, partial_transpose, random_density
+from spintomo.linalg import (
+    DensityMatrix,
+    frame_diagonals,
+    haar_unitaries,
+    kron_all,
+    partial_transpose,
+    random_density,
+)
 from spintomo.simplex import (
     GroupSpec,
     eigenvalue_bounds_check,
@@ -103,6 +111,26 @@ class TestImageSample:
             oracle = frame_diagonals_oracle(rho.mat, joint[None])[0].real
             assert np.max(np.abs(point - oracle)) <= frame_diagonals_bound(rho.mat)
             assert np.max(np.abs(point - loop)) <= 1e-15
+
+
+class TestBlockedProductImage:
+    # the joint frames are formed one block of 512 draws at a time
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 10_000])
+    def test_points_equal_those_of_the_full_product_stack(self, n):
+        rho = random_density(8, 8, seed=n, dims=(2, 2, 2))
+        sample = image_sample(rho, GroupSpec("product"), n, seed=n + 1)
+        assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
+
+    def test_no_full_product_stack_is_held(self):
+        rho = random_density(8, 8, seed=12, dims=(2, 2, 2))
+        tracemalloc.start()
+        try:
+            image_sample(rho, GroupSpec("product"), 10_000, seed=13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000 * 8 * 8 * 16
 
 
 class TestImageDimension:
