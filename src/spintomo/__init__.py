@@ -87,7 +87,6 @@ from .star import (
 )
 from .su2 import (
     clebsch_gordan,
-    irreducible_tensor,
     rotation_matrix,
     wigner_3j,
     wigner_6j,

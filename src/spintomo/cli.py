@@ -141,10 +141,15 @@ _NUMBER_BYTES = {"json": 320, "csv": 100}
 def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fmt: str = "json") -> None:
     """Refuse ``count`` unitary frames of size d above the byte budget.
 
-    Per frame: ``matrices`` complex d x d arrays at the peak (2: the unitary,
-    which holds its own Ginibre draw, and room for temporaries; 4 where the
-    unitarity check adds full-size temporaries, and for ``simplex-image``), the
-    frame's complex diagonal, and ``numbers`` output numbers.
+    Per frame: ``matrices`` complex d x d arrays at the peak, the frame's
+    complex diagonal, and ``numbers`` output numbers.  2 where only sampled
+    unitaries are held: the sampler keeps its Ginibre draw in them, and the
+    rest is room for temporaries.  4 for tomogram frames, which may be read
+    from a file as a list of small arrays (a 2 x 2 array's 128 B header
+    outweighs its 64 B of entries) beside their stacked copy, and for
+    ``simplex-image``, which keeps that margin for its factor stacks and the
+    product blocks formed from them.  The unitarity check adds no full-size
+    temporaries: it walks the stack one block at a time.
     """
     per_frame = 16 * d * d * matrices + 16 * d + _NUMBER_BYTES[fmt] * numbers
     _check_bytes(count * per_frame, "{} {} at dimension {}", flag, count, d)

@@ -73,9 +73,15 @@ def hermiticity_residual(m) -> float:
 
 
 def unitarity_residual(u) -> float:
-    """max |u^dag u - 1| over the entries, and over every frame of an (F, n, n) stack."""
+    """max |u^dag u - 1| over the entries, and over every frame of an (F, n, n) stack.
+
+    A stack is checked one block of frames at a time, so the scratch is a few
+    blocks, not several copies of the stack; a NaN in any block is the result.
+    """
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
+    stack, eye = u.reshape(-1, *u.shape[-2:]), np.eye(u.shape[-1])
+    residuals = [np.abs(stack[b].conj().swapaxes(-1, -2) @ stack[b] - eye).max() for b in _blocks(len(stack))]
+    return float(np.max(residuals))
 
 
 def frame_diagonals(a, frames) -> np.ndarray:

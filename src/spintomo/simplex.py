@@ -47,6 +47,8 @@ class GroupSpec:
         object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
         if self.active is not None:
             object.__setattr__(self, "active", tuple(sorted(set(self.active))))
+            if not self.active:
+                raise ValueError("active factor set must be nonempty")
 
     def resolve(self, dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(factor_dims, active indices) validated against the state dims."""

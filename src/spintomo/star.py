@@ -13,10 +13,11 @@ the group volume.
 The kernel itself is kept for reference, in two independent forms.  The trace
 form is the definition, evaluated on the covariant quantizers and dequantizers
 (one rotation matrix each, and the identity quantizer from one ``eigh``).  The
-closed form expands the same trace through the Clebsch-Gordan, 3j and 6j
-alternating sums, with the d-matrix rows D^L_{0,-M} built once per point and
-L, so agreement of the two checks the coupling coefficients and their phase
-conventions against the operators the transforms use.
+closed form expands the same trace through Clebsch-Gordan, 3j and 6j
+symbols (Racah's sums in exact integers, one rounding each), with the
+d-matrix rows D^L_{0,-M} built once per point and L, so agreement of the two
+checks the coupling coefficients and their phase conventions against the
+operators the transforms use.
 
 Closed-form phases follow the Condon-Shortley coupling order used throughout
 this package: expanding D and U in irreducible tensors and applying the

@@ -1,8 +1,7 @@
 """SU(2) special functions.
 
 Rotation matrix elements (Wigner d and D functions), Clebsch-Gordan
-coefficients, 3j and 6j symbols, and the irreducible tensor operator basis
-for spin-j matrices.
+coefficients, and 3j and 6j symbols.
 
 Conventions
 -----------
@@ -14,33 +13,22 @@ Conventions
 * Matrix bases are ordered m = j, j-1, ..., -j (row index i maps to m = j - i).
 
 d-matrices come from one eigendecomposition of J2 (unitary to rounding at
-any j); the scalar ``wigner_small_d`` is an entry of that matrix.  The
-coupling coefficients evaluate factorial ratios through a shared
-log-factorial table, so their alternating sums stay well scaled up to j of a
-few tens.
+any j); the scalar ``wigner_small_d`` is an entry of that matrix.  Angles
+must be finite.  Racah's alternating sums are evaluated in Python integers
+(Johansson & Forssen, SIAM J. Sci. Comput. 38, A376, 2016), so each
+coupling coefficient is the square root of its exact square rounded once,
+and no digits cancel at any spin.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
-from .halfint import HalfInt, spin_range
-
-_LOG_FACT = np.array([0.0])
-
-
-def _logfact(n_max: int) -> np.ndarray:
-    """Log-factorial table covering 0..n_max; grown (never shrunk) on demand."""
-    global _LOG_FACT
-    table = _LOG_FACT
-    if n_max >= table.size:
-        size = max(n_max + 1, 2 * table.size, 128)
-        table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, size)))))
-        _LOG_FACT = table
-    return table
+from .halfint import HalfInt
 
 
 def _check_spin(j: HalfInt, name: str = "j") -> None:
@@ -54,6 +42,14 @@ def _check_jm_pair(j: HalfInt, m: HalfInt) -> None:
         raise ValueError(f"m={m} is not of the form j-k for j={j}")
     if abs(m.twice) > j.twice:
         raise ValueError(f"|m|={abs(m)} exceeds j={j}")
+
+
+def _check_finite(name: str, angles) -> np.ndarray:
+    """``angles`` as a float array, refused unless every entry is finite."""
+    angles = np.asarray(angles, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError(f"{name} must be finite, got {angles}")
+    return angles
 
 
 def _magnetic_numbers(j: HalfInt) -> np.ndarray:
@@ -72,11 +68,12 @@ def wigner_d_stack(j, betas) -> np.ndarray:
     """
     j = HalfInt.of(j)
     _check_spin(j)
+    betas = _check_finite("beta", betas)
     ms = _magnetic_numbers(j)
     jp = np.diag(np.sqrt(float(j) * (float(j) + 1.0) - ms[1:] * (ms[1:] + 1.0)), k=1)
     _, vecs = np.linalg.eigh((jp - jp.T) / 2j)
     # eigh sorts the eigenvalues ascending; they are exactly -j..j
-    phases = np.expm1(-1j * np.multiply.outer(np.asarray(betas, dtype=float), ms[::-1]))
+    phases = np.expm1(-1j * np.multiply.outer(betas, ms[::-1]))
     return ((vecs * phases[:, None, :]) @ vecs.conj().T).real + np.eye(j.twice + 1)
 
 
@@ -87,7 +84,7 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
     drop out of every spin symbol.  Repeated beta values share one d-matrix.
     """
     j = HalfInt.of(j)
-    betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
+    betas, gammas = np.asarray(betas, dtype=float), _check_finite("gamma", gammas)
     unique, index = np.unique(betas, return_inverse=True)
     phases = np.exp(-1j * np.multiply.outer(gammas, _magnetic_numbers(j)))
     return wigner_d_stack(j, unique)[index] * phases[:, None, :]
@@ -109,12 +106,14 @@ def wigner_small_d(j, m1, m2, beta: float) -> float:
 def wigner_D(j, m1, m2, alpha: float, beta: float, gamma: float) -> complex:
     """D^j_{m1 m2}(alpha, beta, gamma) = e^{-i m1 alpha} d^j_{m1 m2}(beta) e^{-i m2 gamma}."""
     j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
+    _check_finite("alpha and gamma", (alpha, gamma))
     d = wigner_small_d(j, m1, m2, beta)
     return np.exp(-1j * (float(m1) * alpha + float(m2) * gamma)) * d
 
 
 def rotation_matrix(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Matrix of R(alpha, beta, gamma) in the spin-j representation."""
+    _check_finite("alpha", alpha)
     phases = np.exp(-1j * alpha * _magnetic_numbers(HalfInt.of(j)))
     return phases[:, None] * rotation_stack(j, [beta], [gamma])[0]
 
@@ -122,6 +121,36 @@ def rotation_matrix(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
 def _triangle_ok(at: int, bt: int, ct: int) -> bool:
     # twice-valued momenta: integer perimeter and triangle inequality
     return (at + bt + ct) % 2 == 0 and abs(at - bt) <= ct <= at + bt
+
+
+def _twice_pairs(*pairs) -> list[int]:
+    """Twice-values j1, m1, j2, m2, ... of (j, m) pairs; a negative j or an m
+    that does not fit its j (j - m not an integer) is refused."""
+    out = []
+    for j, m in pairs:
+        j, m = HalfInt.of(j), HalfInt.of(m)
+        _check_spin(j)
+        if (j.twice - m.twice) % 2 != 0:
+            raise ValueError(f"m={m} incompatible with j={j}")
+        out += [j.twice, m.twice]
+    return out
+
+
+def _racah_value(num: int, den: int, ratios: list[tuple[int, int]]) -> float:
+    """sqrt(num / den) * sum_k (-1)^k t_k, where t_0 = 1 and t_{k+1} = t_k p_k / q_k
+    for ``ratios`` = [(p_0, q_0), ...], all exact integers.
+
+    The sum is nested as 1 - (p_0/q_0)(1 - (p_1/q_1)(...)) over the common
+    denominator prod q_k, so it is one integer ratio s / L, and the result
+    rounds num s^2 / (den L^2) once (int / int is correctly rounded) before
+    one square root.  No other integer meets a float: s alone passes the
+    float range from 2j of about 100.
+    """
+    s = big_l = 1
+    for p, q in reversed(ratios):
+        s, big_l = big_l * q - p * s, big_l * q
+    root = math.sqrt(num * s * s / (den * big_l * big_l))
+    return -root if s < 0 else root
 
 
 @lru_cache(maxsize=65536)
@@ -132,166 +161,67 @@ def _cg(j1t: int, m1t: int, j2t: int, m2t: int, Jt: int, Mt: int) -> float:
         return 0.0
     if abs(m1t) > j1t or abs(m2t) > j2t or abs(Mt) > Jt:
         return 0.0
-    lf = _logfact((j1t + j2t + Jt) // 2 + 2)
-    a = (j1t + j2t - Jt) // 2
-    b = (j1t - j2t + Jt) // 2
-    c = (-j1t + j2t + Jt) // 2
-    pref = 0.5 * (
-        math.log(Jt + 1.0)
-        + lf[a]
-        + lf[b]
-        + lf[c]
-        - lf[(j1t + j2t + Jt) // 2 + 1]
-        + lf[(Jt + Mt) // 2]
-        + lf[(Jt - Mt) // 2]
-        + lf[(j1t - m1t) // 2]
-        + lf[(j1t + m1t) // 2]
-        + lf[(j2t - m2t) // 2]
-        + lf[(j2t + m2t) // 2]
-    )
-    k_min = max(0, (j2t - Jt - m1t) // 2, (j1t - Jt + m2t) // 2)
-    k_max = min(a, (j1t - m1t) // 2, (j2t + m2t) // 2)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        logden = (
-            lf[k]
-            + lf[a - k]
-            + lf[(j1t - m1t) // 2 - k]
-            + lf[(j2t + m2t) // 2 - k]
-            + lf[(Jt - j2t + m1t) // 2 + k]
-            + lf[(Jt - j1t - m2t) // 2 + k]
-        )
-        total += (-1) ** k * math.exp(pref - logden)
-    return total
+    a, b, c = (j1t + j2t - Jt) // 2, (j1t - j2t + Jt) // 2, (-j1t + j2t + Jt) // 2
+    x, y = (j1t - m1t) // 2, (j2t + m2t) // 2
+    z, w = (Jt - j2t + m1t) // 2, (Jt - j1t - m2t) // 2
+    # the k-th term of Racah's sum is (-1)^k / [k! (a-k)! (x-k)! (y-k)! (z+k)! (w+k)!]
+    k0, k1 = max(0, -z, -w), min(a, x, y)
+    first = factorial(k0) * factorial(a - k0) * factorial(x - k0) * factorial(y - k0)
+    first *= factorial(z + k0) * factorial(w + k0)
+    num = (Jt + 1) * factorial(a) * factorial(b) * factorial(c) * factorial(x) * factorial(y)
+    num *= factorial((Jt + Mt) // 2) * factorial((Jt - Mt) // 2)
+    num *= factorial((j1t + m1t) // 2) * factorial((j2t - m2t) // 2)
+    ratios = [((a - k) * (x - k) * (y - k), (k + 1) * (z + k + 1) * (w + k + 1)) for k in range(k0, k1)]
+    value = _racah_value(num, factorial((j1t + j2t + Jt) // 2 + 1) * first * first, ratios)
+    return -value if k0 % 2 else value
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention.
 
-    Selection-rule failures (M != m1+m2, triangle violations) return 0;
-    malformed spins raise.  The alternating sum cancels digits as spins grow:
-    the orthogonality defect of the M = 0 block <j m; j -m|L 0> is 6.5e-12 at
-    j = 20, 9.6e-11 at 25, 9.8e-10 at 30 and 1.3e-7 at 40 (trusted: 2j <= 40).
+    Selection-rule failures (M != m1+m2, |m| > j, triangle violations)
+    return 0; malformed spins raise.
     """
-    j1, m1 = HalfInt.of(j1), HalfInt.of(m1)
-    j2, m2 = HalfInt.of(j2), HalfInt.of(m2)
-    J, M = HalfInt.of(J), HalfInt.of(M)
-    for jj, mm in ((j1, m1), (j2, m2), (J, M)):
-        _check_spin(jj)
-        if (jj.twice - mm.twice) % 2 != 0:
-            raise ValueError(f"m={mm} incompatible with j={jj}")
-    return _cg(j1.twice, m1.twice, j2.twice, m2.twice, J.twice, M.twice)
+    return _cg(*_twice_pairs((j1, m1), (j2, m2), (J, M)))
 
 
 @lru_cache(maxsize=65536)
-def _w3j(j1t: int, j2t: int, j3t: int, m1t: int, m2t: int, m3t: int) -> float:
-    if m1t + m2t + m3t != 0:
-        return 0.0
-    if not _triangle_ok(j1t, j2t, j3t):
-        return 0.0
-    if abs(m1t) > j1t or abs(m2t) > j2t or abs(m3t) > j3t:
-        return 0.0
-    if (j1t - m1t) % 2 or (j2t - m2t) % 2 or (j3t - m3t) % 2:
-        return 0.0
+def _w3j(j1t: int, m1t: int, j2t: int, m2t: int, j3t: int, m3t: int) -> float:
     cg = _cg(j1t, m1t, j2t, m2t, j3t, -m3t)
     phase = -1.0 if ((j1t - j2t - m3t) // 2) % 2 else 1.0
     return phase * cg / math.sqrt(j3t + 1.0)
 
 
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
-    """3j symbol, a rescaled ``clebsch_gordan`` (1e-11 to spin 20); selection-rule violations yield 0."""
-    js = [HalfInt.of(x) for x in (j1, j2, j3)]
-    ms = [HalfInt.of(x) for x in (m1, m2, m3)]
-    for jj in js:
-        _check_spin(jj)
-    return _w3j(*(jj.twice for jj in js), *(mm.twice for mm in ms))
-
-
-def _log_delta(at: int, bt: int, ct: int, lf: np.ndarray) -> float:
-    return 0.5 * (
-        lf[(at + bt - ct) // 2]
-        + lf[(at - bt + ct) // 2]
-        + lf[(-at + bt + ct) // 2]
-        - lf[(at + bt + ct) // 2 + 1]
-    )
+    """3j symbol, a rescaled ``clebsch_gordan``; selection-rule violations yield 0."""
+    return _w3j(*_twice_pairs((j1, m1), (j2, m2), (j3, m3)))
 
 
 @lru_cache(maxsize=65536)
 def _w6j(j1t: int, j2t: int, j3t: int, j4t: int, j5t: int, j6t: int) -> float:
-    triads = (
-        (j1t, j2t, j3t),
-        (j1t, j5t, j6t),
-        (j4t, j2t, j6t),
-        (j4t, j5t, j3t),
-    )
-    for tri in triads:
-        if not _triangle_ok(*tri):
-            return 0.0
-    lf = _logfact((j1t + j2t + j3t + j4t + j5t + j6t) // 2 + 2)
-    logdelta = sum(_log_delta(*tri, lf) for tri in triads)
-    p = [(sum(tri)) // 2 for tri in triads]
-    q = [
-        (j1t + j2t + j4t + j5t) // 2,
-        (j2t + j3t + j5t + j6t) // 2,
-        (j3t + j1t + j6t + j4t) // 2,
+    triads = ((j1t, j2t, j3t), (j1t, j5t, j6t), (j4t, j2t, j6t), (j4t, j5t, j3t))
+    if not all(_triangle_ok(*tri) for tri in triads):
+        return 0.0
+    # Delta(a b c)^2 = (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)! for each triad
+    num = den = 1
+    for at, bt, ct in triads:
+        num *= factorial((at + bt - ct) // 2) * factorial((at - bt + ct) // 2) * factorial((bt + ct - at) // 2)
+        den *= factorial((at + bt + ct) // 2 + 1)
+    p = [sum(tri) // 2 for tri in triads]
+    q = [(j1t + j2t + j4t + j5t) // 2, (j2t + j3t + j5t + j6t) // 2, (j3t + j1t + j6t + j4t) // 2]
+    # the t-th term of Racah's sum is (-1)^t (t+1)! / [prod_i (t-p_i)! prod_k (q_k-t)!]
+    t0, t1 = max(p), min(q)
+    first = math.prod(factorial(t0 - pi) for pi in p) * math.prod(factorial(qk - t0) for qk in q)
+    ratios = [
+        ((t + 2) * math.prod(qk - t for qk in q), math.prod(t + 1 - pi for pi in p)) for t in range(t0, t1)
     ]
-    total = 0.0
-    for t in range(max(p), min(q) + 1):
-        logden = sum(lf[t - pi] for pi in p) + sum(lf[qi - t] for qi in q)
-        total += (-1) ** t * math.exp(logdelta + lf[t + 1] - logden)
-    return total
+    value = _racah_value(num * factorial(t0 + 1) ** 2, den * first * first, ratios)
+    return -value if t0 % 2 else value
 
 
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
-    """6j symbol {j1 j2 j3; j4 j5 j6}; triangle violations yield 0.
-
-    Digits cancel as spins grow: the orthogonality defect over x, y of
-    sqrt((2x+1)(2y+1)) {j j x; j j y} is 1.3e-12 at j = 20, 2.3e-9 at j = 40."""
+    """6j symbol {j1 j2 j3; j4 j5 j6}; triangle violations yield 0."""
     js = [HalfInt.of(x) for x in (j1, j2, j3, j4, j5, j6)]
     for jj in js:
         _check_spin(jj)
     return _w6j(*(jj.twice for jj in js))
-
-
-@lru_cache(maxsize=8192)
-def _tensor(jt: int, Lt: int, Mt: int) -> np.ndarray:
-    j = HalfInt(jt)
-    ms = spin_range(j)
-    n = jt + 1
-    t = np.zeros((n, n), dtype=complex)
-    for i2, m2 in enumerate(ms):  # row: bra side |j m2>
-        for i1, m1 in enumerate(ms):  # column: ket side <j m1|
-            if m2.twice - m1.twice != Mt:
-                continue
-            phase = -1.0 if ((jt - m1.twice) // 2) % 2 else 1.0
-            t[i2, i1] = phase * _cg(jt, m2.twice, jt, -m1.twice, Lt, Mt)
-    t.setflags(write=False)
-    return t
-
-
-def irreducible_tensor(j, L, M) -> np.ndarray:
-    """Irreducible tensor operator T^(j)_{LM} as a (2j+1)-dimensional matrix.
-
-    T_{LM} = sum_{m1,m2} (-1)^(j-m1) <j m2; j -m1 | L M> |j m2><j m1|,
-    the operator basis that is trace-orthonormal, Tr[T+_{L'M'} T_{LM}] =
-    delta_{LL'} delta_{MM'}.
-    """
-    j, L, M = HalfInt.of(j), HalfInt.of(L), HalfInt.of(M)
-    _check_spin(j)
-    if not L.is_integer or not M.is_integer:
-        raise ValueError(f"(L, M) must be integers, got ({L}, {M})")
-    if L.twice < 0 or L.twice > 2 * j.twice:
-        raise ValueError(f"L={L} outside 0..2j for j={j}")
-    if abs(M.twice) > L.twice:
-        raise ValueError(f"|M|={abs(M)} exceeds L={L}")
-    return _tensor(j.twice, L.twice, M.twice).copy()
-
-
-def tensor_index_pairs(j) -> list[tuple[HalfInt, HalfInt]]:
-    """All admissible (L, M) labels for spin j, L-major, M = L..-L."""
-    j = HalfInt.of(j)
-    pairs = []
-    for Lt in range(0, 2 * j.twice + 1, 2):
-        for Mt in range(Lt, -Lt - 1, -2):
-            pairs.append((HalfInt(Lt), HalfInt(Mt)))
-    return pairs

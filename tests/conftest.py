@@ -1,21 +1,15 @@
 import os
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from spintomo.halfint import HalfInt
+from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import expm_hermitian_times, frame_diagonals, kron_all
 from spintomo.simplex import _draw_elements, _lie_basis
 from spintomo.quadrature import GROUP_VOLUME
-from spintomo.su2 import (
-    clebsch_gordan,
-    irreducible_tensor,
-    rotation_stack,
-    tensor_index_pairs,
-    wigner_d_stack,
-    wigner_small_d,
-)
+from spintomo.su2 import clebsch_gordan, rotation_stack, wigner_d_stack, wigner_small_d
 from spintomo.symbols import _identity_quantizer
 
 # CI sets HYPOTHESIS_PROFILE=ci: fixed example sequences, and a failure
@@ -79,6 +73,35 @@ def operator_stacks(j, betas, gammas) -> tuple[np.ndarray, np.ndarray]:
     q = _identity_quantizer(j.twice)
     ds = (rc.transpose(0, 2, 1)[:, None] * q.T[None, :, None, :]) @ r[:, None]
     return us.reshape(n * f, n, n), ds.transpose(1, 0, 2, 3).reshape(n * f, n, n)
+
+
+@lru_cache(maxsize=None)
+def _tensor(jt: int, Lt: int, Mt: int) -> np.ndarray:
+    ms = spin_range(HalfInt(jt))
+    t = np.zeros((jt + 1, jt + 1), dtype=complex)
+    for i2, m2 in enumerate(ms):  # row: bra side |j m2>
+        for i1, m1 in enumerate(ms):  # column: ket side <j m1|
+            if m2.twice - m1.twice == Mt:
+                phase = -1.0 if ((jt - m1.twice) // 2) % 2 else 1.0
+                t[i2, i1] = phase * clebsch_gordan(HalfInt(jt), m2, HalfInt(jt), -m1, HalfInt(Lt), HalfInt(Mt))
+    t.setflags(write=False)
+    return t
+
+
+def irreducible_tensor(j, L, M) -> np.ndarray:
+    """Irreducible tensor operator T^(j)_{LM} as a read-only (2j+1)-dimensional matrix (oracle).
+
+    T_{LM} = sum_{m1,m2} (-1)^(j-m1) <j m2; j -m1 | L M> |j m2><j m1|,
+    the operator basis that is trace-orthonormal, Tr[T+_{L'M'} T_{LM}] =
+    delta_{LL'} delta_{MM'}.
+    """
+    return _tensor(HalfInt.of(j).twice, HalfInt.of(L).twice, HalfInt.of(M).twice)
+
+
+def tensor_index_pairs(j) -> list[tuple[HalfInt, HalfInt]]:
+    """All admissible (L, M) labels for spin j, L-major, M = L..-L."""
+    jt = HalfInt.of(j).twice
+    return [(HalfInt(Lt), HalfInt(Mt)) for Lt in range(0, 2 * jt + 1, 2) for Mt in range(Lt, -Lt - 1, -2)]
 
 
 def _tensor_series(j, m, omega, weight) -> np.ndarray:

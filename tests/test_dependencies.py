@@ -20,6 +20,9 @@ CHILD = textwrap.dedent(
     import numpy as np
     import spintomo
     import spintomo.cli
+    # the coupling coefficients use plain ints: fractions (and the decimal it
+    # loads) would add about 2 ms to every CLI process's import
+    assert not {"fractions", "decimal"} & set(sys.modules)
     from spintomo import io
     from spintomo.linalg import random_density
 

@@ -313,6 +313,13 @@ class TestFrameStacks:
         frames[7] *= 1.01
         assert unitarity_residual(frames) == pytest.approx(1.01**2 - 1.0)
 
+    @pytest.mark.parametrize("where", [0, 511, 512, 1024])
+    def test_unitarity_residual_is_nan_for_a_nan_in_any_block(self, where):
+        # the stack is checked per block of 512 frames; np.max keeps the NaN
+        frames = haar_unitaries(2, 1025, 5)
+        frames[where, 1, 0] = np.nan
+        assert np.isnan(unitarity_residual(frames))
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_hermitian_basis_is_orthogonal_and_ordered(self, d):
         basis = hermitian_basis(d)

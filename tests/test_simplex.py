@@ -99,6 +99,11 @@ class TestImageSample:
         with pytest.raises(ValueError):
             image_sample(random_density(3, 3, seed=7), PRODUCT_22, 10, seed=8)
 
+    def test_empty_active_set_refused(self):
+        # with no active factor every frame is the identity and every point diag(rho)
+        with pytest.raises(ValueError, match="active factor set must be nonempty"):
+            GroupSpec("product", (2, 2), active=())
+
     def test_params_are_per_factor_stacks(self):
         rho = random_density(4, 4, seed=9, dims=(2, 2))
         sample = image_sample(rho, U2_X_1, 30, seed=10)

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import irreducible_tensor, tensor_index_pairs
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import expm_hermitian_times
 from spintomo.su2 import (
     clebsch_gordan,
-    irreducible_tensor,
     rotation_matrix,
-    tensor_index_pairs,
+    rotation_stack,
     wigner_3j,
     wigner_6j,
     wigner_D,
@@ -120,6 +120,27 @@ class TestSmallD:
         for i, k in zip(rng.integers(0, jt + 1, 25), rng.integers(0, jt + 1, 25)):
             assert wigner_small_d(j, ms[i], ms[k], beta) == d[i, k]
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: wigner_small_d(1, 0, 0, np.nan),
+            lambda: wigner_d_matrix(2, np.inf),
+            lambda: wigner_d_stack(1.5, [0.3, -np.inf]),
+            lambda: rotation_stack(1, [0.3, 0.4], [0.1, np.nan]),
+            lambda: rotation_matrix(0.5, np.inf, 0.1, 0.2),
+            lambda: rotation_matrix(0.5, 0.1, np.inf, 0.2),
+            lambda: rotation_matrix(0.5, 0.1, 0.2, np.nan),
+            lambda: wigner_D(1, 1, 0, np.nan, 0.2, 0.3),
+            lambda: wigner_D(1, 1, 0, 0.1, -np.inf, 0.3),
+            lambda: wigner_D(1, 1, 0, 0.1, 0.2, np.inf),
+        ],
+        ids=["small_d", "d_matrix", "d_stack", "rotation_stack", "rotation_alpha",
+             "rotation_beta", "rotation_gamma", "D_alpha", "D_beta", "D_gamma"],
+    )
+    def test_non_finite_angles_raise(self, call):
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
     def test_stack_matches_scalar_oracle(self, j, rng):
         betas = rng.uniform(-np.pi, np.pi, size=6)
@@ -178,20 +199,31 @@ class TestClebschGordan:
         assert clebsch_gordan(1, 1, 1, 1, 1, 1) == 0.0  # M != m1+m2
         assert clebsch_gordan(1, 0, 1, 0, 3, 0) == 0.0  # triangle violated
 
+    def test_magnetic_number_beyond_spin_returns_zero(self):
+        assert clebsch_gordan(1, 2, 1, -2, 2, 0) == 0.0
+
     def test_bad_spins_raise(self):
         with pytest.raises(ValueError):
             clebsch_gordan(0.3, 0, 0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             clebsch_gordan(-1, 0, 1, 0, 1, 0)
 
-    @settings(max_examples=12, deadline=None)
-    @given(jt=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=3, deadline=None)
+    @given(jt=st.integers(min_value=0, max_value=120))
+    @example(jt=120)
     def test_zero_coupling_block_orthogonal_to_documented_limit(self, jt):
-        # the alternating sums lose digits with j: 6.5e-12 at j = 20, 9.8e-10 at j = 30
+        # the sums are exact integers rounded once, so no digits cancel at any spin
         j = HalfInt(jt)
         block = np.array([[clebsch_gordan(j, m, j, -m, HalfInt(2 * L), 0) for L in range(jt + 1)]
                           for m in spin_range(j)])
-        assert np.max(np.abs(block.T @ block - np.eye(jt + 1))) <= 1e-11
+        assert np.max(np.abs(block.T @ block - np.eye(jt + 1))) <= 1e-13
+
+    def test_completeness_over_coupled_spin_at_large_spin(self):
+        # Racah's integer sum reaches 1700 bits here, beyond any float: only the
+        # final ratio may be converted
+        j, m = HalfInt(200), HalfInt(6)
+        total = sum(clebsch_gordan(j, m, j, -m, HalfInt(Jt), 0) ** 2 for Jt in range(0, 401, 2))
+        assert abs(total - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("j1,j2", [(0.5, 0.5), (1, 0.5), (1, 1), (2, 1.5), (2, 2)])
     def test_completeness_and_orthogonality(self, j1, j2):
@@ -230,8 +262,44 @@ class TestThreeSixJ:
     def test_3j_m_sum_rule(self):
         assert wigner_3j(1, 1, 1, 1, 0, 1) == 0.0
 
+    def test_3j_selection_rules_return_zero(self):
+        assert wigner_3j(1, 1, 3, 0, 0, 0) == 0.0  # triangle violated
+        assert wigner_3j(1, 1, 1, 2, -2, 0) == 0.0  # |m1| > j1
+
+    def test_3j_refuses_m_that_does_not_fit_j(self):
+        # the same message as clebsch_gordan's, not a silent 0
+        with pytest.raises(ValueError, match="m=1/2 incompatible with j=1"):
+            wigner_3j(1, 1, 1, 0.5, -0.5, 0)
+        with pytest.raises(ValueError, match="m=1/2 incompatible with j=1"):
+            clebsch_gordan(1, 0.5, 1, -0.5, 1, 0)
+
     def test_6j_triangle_rule(self):
         assert wigner_6j(1, 1, 3, 0.5, 0.5, 0.5) == 0.0
+
+    def test_6j_exact_value(self):
+        # the exact square 1/36 is rounded once, and its rounded square root is the float 1/6
+        assert wigner_6j(1, 1, 1, 1, 1, 1) == 1 / 6
+
+    @pytest.mark.parametrize("jt", [100, 200])
+    def test_6j_row_normalized_at_large_spin(self, jt):
+        # sum_z (2x+1)(2z+1) {j j x; j j z}^2 = 1 at x = j, where Racah's
+        # integer sum outgrows the float range (1100 bits at 2j = 100)
+        j = HalfInt(jt)
+        zs = [HalfInt(zt) for zt in range(0, 2 * jt + 1, 2)]
+        total = sum((jt + 1) * (z.twice + 1) * wigner_6j(j, j, j, j, j, z) ** 2 for z in zs)
+        assert abs(total - 1.0) <= 1e-13
+
+    @settings(max_examples=3, deadline=None)
+    @given(jt=st.integers(min_value=0, max_value=80))
+    @example(jt=80)
+    def test_6j_orthogonality(self, jt):
+        # sum_z (2x+1)(2z+1) {j j x; j j z}{j j z; j j y} = delta_xy, as B B = 1
+        # with B[x, y] = sqrt((2x+1)(2y+1)) {j j x; j j y} symmetric in x, y
+        j = HalfInt(jt)
+        ls = [HalfInt(2 * x) for x in range(jt + 1)]
+        block = np.array([[math.sqrt((x.twice + 1) * (y.twice + 1)) * wigner_6j(j, j, x, j, j, y)
+                           for y in ls] for x in ls])
+        assert np.max(np.abs(block @ block - np.eye(jt + 1))) <= 1e-13
 
     def test_6j_closed_form_family(self):
         # {a a 0; b b c} = (-1)^(a+b+c)/sqrt((2a+1)(2b+1))
@@ -287,11 +355,3 @@ class TestIrreducibleTensor:
                     phase = (-1.0) ** ((j.twice - mp.twice) // 2)
                     acc += phase * clebsch_gordan(j, m, j, -mp, L, M) * irreducible_tensor(j, L, M)
                 assert np.max(np.abs(acc - target)) < 1e-12
-
-    def test_out_of_range_labels_raise(self):
-        with pytest.raises(ValueError):
-            irreducible_tensor(1, 3, 0)
-        with pytest.raises(ValueError):
-            irreducible_tensor(1, 1, 2)
-        with pytest.raises(ValueError):
-            irreducible_tensor(1, 0.5, 0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,24 @@ class TestFrameStack:
     def test_refuses_non_unitary(self, bad):
         with pytest.raises(ValueError, match="not unitary within 1e-8"):
             UnitaryFrames.of([np.eye(2), bad], 2)
+
+    def test_refuses_nan_in_the_last_block(self):
+        frames = haar_unitaries(2, 1025, 8)
+        frames[-1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="not unitary within 1e-8"):
+            UnitaryFrames.of(frames, 2)
+
+    def test_unitarity_check_scratch_does_not_grow_with_frames(self):
+        # the unitarity check walks the stack one block at a time, so no
+        # full-size temporary (one would take the peak past 1.3x) is formed
+        rho, frames = random_density(8, 8, seed=2), haar_unitaries(8, 10_000, 3)
+        tracemalloc.start()
+        try:
+            unitary_tomogram(rho, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * frames.nbytes
 
     def test_refuses_mixed_and_ragged_product_frames(self):
         with pytest.raises(ValueError, match="all matrices or all tuples"):
