@@ -134,8 +134,10 @@ def _load_frames(path: str, d: int, fmt: str = "json") -> list:
 # Bytes an output number takes while the text is built.  JSON: a Python float and
 # its list slot, its share of the enclosing lists and dicts, and its indented text,
 # held both in the encoder's pieces and in the joined string (unitary-frame
-# tomograms measured 220 to 310 B a number).  CSV rows cost less.
-_NUMBER_BYTES = {"json": 320, "csv": 100}
+# tomograms measured 220 to 310 B a number).  CSV rows cost less.  Both carry about
+# 10% over the measured cost, which from about 5e4 frames on also covers the 8 MB
+# above the import that even a 10-frame run measures.
+_NUMBER_BYTES = {"json": 352, "csv": 110}
 
 
 def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fmt: str = "json") -> None:

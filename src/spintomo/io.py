@@ -206,7 +206,7 @@ def read_json(path: str):
     2.7 B for the floats ``dumps`` writes.  Only empty containers nested four
     or more deep take more, up to about 45 B.  A number that ``dumps`` writes
     takes 10 to 30 B of indented text, so reading it back is estimated at 320
-    to 960 B, against the 320 B (``cli._NUMBER_BYTES["json"]``) counted when it
+    to 960 B, against the 352 B (``cli._NUMBER_BYTES["json"]``) counted when it
     was written: a JSON output near the byte budget can be too large to read.
     """
     with open(path, "r", encoding="utf-8") as fh:

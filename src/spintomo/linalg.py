@@ -15,6 +15,16 @@ Blocking leaves every Haar draw bit-identical to the unblocked sampler, and
 ``frame_diagonals`` does one BLAS GEMM per block.  The sampler holds its
 Gaussian draw in the output's own bytes and in one block of scratch, so its
 peak memory is the output and about one block more.
+
+The sampler's block loop conjugates into a reused buffer and scales in
+place, and each such step rounds as the expression it replaced: numpy
+divides a complex array by a real one by multiplying with the reciprocal,
+so scaling by 1/sqrt(2) or 1/norm gives the quotient's bits; ``einsum``
+sums its unfused complex products in index order whether the conjugate it
+reads is fresh or reused; and the norm is ``np.linalg.norm``'s own product
+and sum, with the product reading two distinct arrays (written in place
+over one of them, numpy takes its loop for overlapping operands, which
+rounds differently).
 """
 
 from __future__ import annotations
@@ -150,6 +160,16 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
     sampler, so every unitary is bit-identical to it.  x is drawn into the
     upper half of the output's own bytes and y one block at a time, so the
     peak memory is the output and about one block.
+
+    Per block, x and y are scaled by 1/sqrt(2) as they are copied in, which
+    is how numpy divides a complex array by sqrt(2).  Column conjugates go
+    into one reused buffer, the block's own output bytes before its
+    unitaries land there, and the projection coefficients are conjugated in
+    place; the two ``einsum`` projections still sum their unfused products
+    in index order.  A column is multiplied by 1/sqrt(sum |v|^2), its
+    reciprocal norm, which rounds as the complex division by the norm; the
+    sum takes the product of ``conj(v)`` and ``v`` as two distinct arrays,
+    as ``np.linalg.norm`` forms it.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -163,6 +183,7 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
     rng.standard_normal(out=x)
     blocks = _blocks(count)
     scratch = np.empty(n * n * (count - blocks[-1].start), dtype=complex)  # the last block is the largest
+    scale = 1.0 / np.sqrt(2.0)
     for block in blocks:
         # Gram-Schmidt on the columns gives the Q whose R has a positive
         # diagonal, the phase-fixed QR of the Ginibre draw.  Batch innermost:
@@ -170,15 +191,20 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
         # Projecting twice keeps the columns orthogonal to working precision.
         size = block.stop - block.start
         q = scratch[: n * n * size].reshape(n, n, size)
-        q.real, q.imag = x[block].T, rng.standard_normal(q.shape[::-1]).T
-        q /= np.sqrt(2.0)
+        # column conjugates go into the block's own output bytes, free until q.T lands there
+        vc = out[block].reshape(-1)[: n * size].reshape(n, size)
+        np.multiply(x[block].T, scale, out=q.real)
+        np.multiply(rng.standard_normal(q.shape[::-1]).T, scale, out=q.imag)
         for k in range(n):
             v, done = q[k], q[:k]
             for _ in range(2 if k else 0):
                 # coefficients <q_j, v> over the columns j < k, then v -= sum_j q_j <q_j, v>
-                coeffs = np.einsum("jib,ib->jb", done, v.conj()).conj()
-                v -= np.einsum("jib,jb->ib", done, coeffs)
-            v /= np.linalg.norm(v, axis=0)
+                coeffs = np.einsum("jib,ib->jb", done, np.conjugate(v, out=vc))
+                v -= np.einsum("jib,jb->ib", done, np.conjugate(coeffs, out=coeffs))
+            # the norm reads v and its conjugate as two arrays: written in place
+            # into vc, the product would take numpy's overlap loop and other bits
+            inv = 1.0 / np.sqrt(np.add.reduce((np.conjugate(v, out=vc) * v).real, axis=0))
+            v *= inv.astype(complex)  # a real operand would take a buffered cast
         out[block] = q.T
     return out
 

@@ -82,9 +82,14 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
 
     This is R(0, beta, gamma); alpha only multiplies rows by phases, which
     drop out of every spin symbol.  Repeated beta values share one d-matrix.
+    The two arrays pair up entry by entry, so they must be 1-d and of equal
+    length, as in ``SpinFrames``.
     """
     j = HalfInt.of(j)
-    betas, gammas = np.asarray(betas, dtype=float), _check_finite("gamma", gammas)
+    betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
+    if betas.ndim != 1 or betas.shape != gammas.shape:
+        raise ValueError("frame angle arrays must be 1-d and of equal length")
+    gammas = _check_finite("gamma", gammas)
     unique, index = np.unique(betas, return_inverse=True)
     phases = np.exp(-1j * np.multiply.outer(gammas, _magnetic_numbers(j)))
     return wigner_d_stack(j, unique)[index] * phases[:, None, :]

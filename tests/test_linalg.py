@@ -349,10 +349,11 @@ def unblocked_haar_unitaries(n, count, seed):
 
 
 class TestBlockedFrameKernels:
-    # the kernels work in blocks of 512 frames; the counts straddle one and two blocks
+    # the kernels work in blocks of 512 frames; the counts straddle one and two
+    # blocks, and 2047 is three blocks, the last of which takes the 511-frame remainder
 
-    @pytest.mark.parametrize("n", [1, 2, 8])
-    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025, 2047])
     def test_haar_is_bit_identical_to_the_unblocked_sampler(self, n, count):
         seed = 1000 * n + count
         assert np.array_equal(haar_unitaries(n, count, seed), unblocked_haar_unitaries(n, count, seed))

@@ -141,6 +141,16 @@ class TestSmallD:
         with pytest.raises(ValueError, match="must be finite"):
             call()
 
+    @pytest.mark.parametrize(
+        "betas, gammas",
+        [([0.1, 0.2], [0.3]), ([0.1], [0.2, 0.3]), ([[0.1, 0.2]], [[0.3, 0.4]]), (0.1, 0.2), ([], [0.3])],
+        ids=["short_gammas", "short_betas", "two_d", "scalars", "empty_betas"],
+    )
+    def test_rotation_stack_refuses_unpaired_angles(self, betas, gammas):
+        # a single gamma would otherwise broadcast over every beta
+        with pytest.raises(ValueError, match="frame angle arrays must be 1-d and of equal length"):
+            rotation_stack(1, betas, gammas)
+
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
     def test_stack_matches_scalar_oracle(self, j, rng):
         betas = rng.uniform(-np.pi, np.pi, size=6)
