@@ -144,9 +144,10 @@ def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fm
     """Refuse ``count`` unitary frames of size d above the byte budget.
 
     Per frame: ``matrices`` complex d x d arrays at the peak, the frame's
-    complex diagonal, and ``numbers`` output numbers.  2 where only sampled
-    unitaries are held: the sampler keeps its Ginibre draw in them, and the
-    rest is room for temporaries.  4 for tomogram frames, which may be read
+    complex diagonal, and ``numbers`` output numbers.  1 for the entropy and
+    Peres scans, which reduce each block of Haar draws as it is drawn and
+    hold only the sampler's Gaussian draw x, half a matrix per frame; the
+    other half is room for the block scratch.  4 for tomogram frames, which may be read
     from a file as a list of small arrays (a 2 x 2 array's 128 B header
     outweighs its 64 B of entries) beside their stacked copy, and for
     ``simplex-image``, which keeps that margin for its factor stacks and the
@@ -296,7 +297,7 @@ def _cmd_entropy(args) -> str | dict:
     rho = _load_state(args.state)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
-    _check_frames("--samples", args.samples, rho.dim, 2, 1)
+    _check_frames("--samples", args.samples, rho.dim, 1, 1)
     report = min_entropy_over_group(rho, args.samples, args.seed, q=args.q)
     mc = report.monte_carlo
     return {
@@ -319,7 +320,7 @@ def _cmd_peres(args) -> str | dict:
         raise ValueError("peres needs a multipartite state (give dims in the file or --dims)")
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    _check_frames("--samples", args.samples, rho.dim, 2, 0)
+    _check_frames("--samples", args.samples, rho.dim, 1, 0)
     result = peres_scan(rho, args.samples, args.seed)
     obj = {
         "max_violation": result.max_violation,

@@ -8,13 +8,19 @@ Randomness uses numpy's PCG64 generator; a fixed seed reproduces the Gaussian
 stream bit for bit on any platform.  Haar unitaries orthonormalise that stream
 by Gram-Schmidt in elementwise numpy arithmetic, with no LAPACK call.
 
-The two frame kernels, ``haar_unitaries`` and ``frame_diagonals``, walk a
-frame stack in fixed blocks of ``_BLOCK`` frames, so their working arrays stay
-in cache and their scratch memory does not grow with the number of frames.
-Blocking leaves every Haar draw bit-identical to the unblocked sampler, and
-``frame_diagonals`` does one BLAS GEMM per block.  The sampler holds its
-Gaussian draw in the output's own bytes and in one block of scratch, so its
-peak memory is the output and about one block more.
+The frame kernels walk frames in fixed blocks of ``_BLOCK`` draws, so their
+working arrays stay in cache and their scratch memory does not grow with the
+number of frames.  ``haar_blocks`` draws Haar unitaries one block at a time
+in column layout, q[k, i, b] = u_b[i, k], bit-identical to the unblocked
+sampler; ``haar_unitaries`` writes its blocks into one stack, whose own bytes
+hold the Gaussian draw meanwhile, so its peak memory is the output and about
+one block more.  ``column_diagonals`` reduces one block in that layout to
+diag(u^dag a u) with one BLAS GEMM per column and a conjugate-product sum
+over rows.  It is the one diagonal kernel: ``frame_diagonals`` transposes
+each block of a frame stack into the column layout and calls it, and the
+Haar scans (entropy, Peres, full-group images) call it on the sampler's
+blocks as they are drawn, so they hold no frame stack and their diagonals
+equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit.
 
 The sampler's block loop conjugates into a reused buffer and scales in
 place, and each such step rounds as the expression it replaced: numpy
@@ -24,7 +30,8 @@ sums its unfused complex products in index order whether the conjugate it
 reads is fresh or reused; and the norm is ``np.linalg.norm``'s own product
 and sum, with the product reading two distinct arrays (written in place
 over one of them, numpy takes its loop for overlapping operands, which
-rounds differently).
+rounds differently).  Drawing y into a reused buffer with
+``standard_normal(out=...)`` takes the same stream as a fresh array.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 PSD_SLACK = 1e-10
 _BLOCK = 512  # frames per block of the frame kernels
+_SLAB = 128  # frames per transposed copy in frame_diagonals: the rows they span stay in cache
 # Bytes that one dense result, or the main arrays of one CLI run, may take (1 GiB).
 # A dense channel propagator is 0.73 GB at 2j = 16 on the default grid and 3.9 GB
 # at oversample 1.5, and numpy overcommits, so an oversized request is refused from
@@ -94,20 +102,41 @@ def unitarity_residual(u) -> float:
     return float(np.max(residuals))
 
 
+def column_diagonals(a, q) -> np.ndarray:
+    """diag(u_b^dag a u_b) for one block of frames in column layout, shape (B, n), complex.
+
+    ``q`` is a C-contiguous (n, n, B) block with q[k, i, b] = u_b[i, k], the
+    Haar sampler's own layout: q[k] holds column k of every frame.  One GEMM
+    per column gives w[k] = a^dag q[k], and then
+    diag(u_b^dag a u_b)[k] = sum_i conj(w[k, i, b]) q[k, i, b], a sum over
+    rows.  Every frame kernel ends here, so equal blocks give equal bits.
+    """
+    w = np.matmul(np.conjugate(a).T, q)
+    np.conjugate(w, out=w)
+    w *= q
+    return np.add.reduce(w, axis=1).T.copy()
+
+
 def frame_diagonals(a, frames) -> np.ndarray:
     """diag(u^dag a u) for every frame u of an (F, n, n) stack, shape (F, n), complex.
 
-    ``a`` is any n x n matrix, Hermitian or not.  Per block of frames, one
-    GEMM gives w[b, f, m] = sum_a a[a, b] conj(u_f[a, m]) for all the block's
-    columns at once, and diag(u_f^dag a u_f)[m] = sum_b u_f[b, m] w[b, f, m].
+    ``a`` is any n x n matrix, Hermitian or not.  Each ``_blocks`` slice of
+    frames is transposed into the column layout of ``column_diagonals``,
+    ``_SLAB`` frames at a time so that the rows it reads stay in cache, and
+    reduced there; the Haar scans reduce the sampler's blocks with the same
+    kernel.
     """
     count, n = frames.shape[0], frames.shape[-1]
-    at = np.asarray(a, dtype=complex).T
+    a = np.asarray(a, dtype=complex)
     out = np.empty((count, n), dtype=complex)
-    for block in _blocks(count):
-        u = frames[block]
-        w = at @ u.conj().transpose(1, 0, 2).reshape(n, -1)
-        out[block] = np.einsum("fam,afm->fm", u, w.reshape(n, -1, n))
+    blocks = _blocks(count)
+    scratch = np.empty(n * n * (count - blocks[-1].start), dtype=complex)  # the last block is the largest
+    for block in blocks:
+        size = block.stop - block.start
+        q, u = scratch[: n * n * size].reshape(n, n, size), frames[block]
+        for start in range(0, size, _SLAB):
+            q[..., start : start + _SLAB] = u[start : start + _SLAB].T
+        out[block] = column_diagonals(a, q)
     return out
 
 
@@ -151,38 +180,56 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
-    """Batch of Haar unitaries, shape (count, n, n), C-contiguous.
-
-    The Ginibre draw z = (x + i y) / sqrt(2) takes x and then y from the
-    generator, each of shape (count, n, n).  Gram-Schmidt then runs block by
-    block of draws, with the same arithmetic per draw as the unblocked
-    sampler, so every unitary is bit-identical to it.  x is drawn into the
-    upper half of the output's own bytes and y one block at a time, so the
-    peak memory is the output and about one block.
-
-    Per block, x and y are scaled by 1/sqrt(2) as they are copied in, which
-    is how numpy divides a complex array by sqrt(2).  Column conjugates go
-    into one reused buffer, the block's own output bytes before its
-    unitaries land there, and the projection coefficients are conjugated in
-    place; the two ``einsum`` projections still sum their unfused products
-    in index order.  A column is multiplied by 1/sqrt(sum |v|^2), its
-    reciprocal norm, which rounds as the complex division by the norm; the
-    sum takes the product of ``conj(v)`` and ``v`` as two distinct arrays,
-    as ``np.linalg.norm`` forms it.
-    """
+def _check_draw(n: int, count: int) -> None:
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError(f"sample count must be a nonnegative integer, got {count!r}")
+
+
+def haar_blocks(n: int, count: int, rng_or_seed, out: np.ndarray | None = None):
+    """Haar unitaries one block of draws at a time: yields (block, q), q[k, i, b] = u_b[i, k].
+
+    ``block`` is a ``_blocks`` slice of the draws and q the (n, n, size)
+    column layout that ``column_diagonals`` reads.  q is scratch that the
+    next block overwrites, so a caller uses or copies it before going on.
+
+    The Ginibre draw z = (x + i y) / sqrt(2) takes x and then y from the
+    generator, each of shape (count, n, n): x all at once, y one block at a
+    time into reused bytes.  Gram-Schmidt then runs per block with the same
+    arithmetic per draw as the unblocked sampler, so every unitary is
+    bit-identical to it.  Without ``out`` the generator holds x, half a
+    stack of unitaries, and one block of scratch.  With ``out``, a
+    C-contiguous (count, n, n) complex array, x is drawn into its upper half,
+    y into each block's own output bytes, and each block's unitaries are
+    written to out[block] before the block is yielded.
+
+    Per block, x and y are scaled by 1/sqrt(2) as they are copied in, which
+    is how numpy divides a complex array by sqrt(2).  Column conjugates go
+    into the bytes y was drawn into, free once y is in q, and the projection
+    coefficients are conjugated in place; the two ``einsum`` projections
+    still sum their unfused products in index order.  A column is
+    multiplied by 1/sqrt(sum |v|^2), its reciprocal norm, which rounds as
+    the complex division by the norm; the sum takes the product of
+    ``conj(v)`` and ``v`` as two distinct arrays, as ``np.linalg.norm``
+    forms it.
+    """
+    _check_draw(n, count)
     rng = np.random.default_rng(rng_or_seed)
-    out = np.empty((count, n, n), dtype=complex)
-    # Block b's unitaries fill floats [0, 2 stop_b n^2) of the output, and x's
-    # unread blocks start at float count n^2 + stop_b n^2 >= 2 stop_b n^2.
-    x = out.reshape(-1).view(np.float64)[count * n * n :].reshape(count, n, n)
+    if out is None:
+        x = np.empty((count, n, n))
+    else:
+        # Block b's unitaries fill floats [0, 2 stop_b n^2) of the output, and x's
+        # unread blocks start at float count n^2 + stop_b n^2 >= 2 stop_b n^2.
+        x = out.reshape(-1).view(np.float64)[count * n * n :].reshape(count, n, n)
     rng.standard_normal(out=x)
     blocks = _blocks(count)
-    scratch = np.empty(n * n * (count - blocks[-1].start), dtype=complex)  # the last block is the largest
+    largest = count - blocks[-1].start
+    scratch = np.empty(n * n * largest, dtype=complex)
+    # a block's y, then its column conjugates (2n floats per draw): with an output in
+    # the block's own output bytes, free from when x[block] is read until q.T lands
+    # there, and otherwise in one reused buffer
+    spare = np.empty(max(n, 2) * n * largest) if out is None else None
     scale = 1.0 / np.sqrt(2.0)
     for block in blocks:
         # Gram-Schmidt on the columns gives the Q whose R has a positive
@@ -191,10 +238,11 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
         # Projecting twice keeps the columns orthogonal to working precision.
         size = block.stop - block.start
         q = scratch[: n * n * size].reshape(n, n, size)
-        # column conjugates go into the block's own output bytes, free until q.T lands there
-        vc = out[block].reshape(-1)[: n * size].reshape(n, size)
         np.multiply(x[block].T, scale, out=q.real)
-        np.multiply(rng.standard_normal(q.shape[::-1]).T, scale, out=q.imag)
+        free = spare if out is None else out[block].reshape(-1).view(np.float64)
+        y = rng.standard_normal(out=free[: n * n * size].reshape(size, n, n))
+        np.multiply(y.T, scale, out=q.imag)
+        vc = free[: 2 * n * size].view(complex).reshape(n, size)
         for k in range(n):
             v, done = q[k], q[:k]
             for _ in range(2 if k else 0):
@@ -205,7 +253,22 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
             # into vc, the product would take numpy's overlap loop and other bits
             inv = 1.0 / np.sqrt(np.add.reduce((np.conjugate(v, out=vc) * v).real, axis=0))
             v *= inv.astype(complex)  # a real operand would take a buffered cast
-        out[block] = q.T
+        if out is not None:
+            out[block] = q.T
+        yield block, q
+
+
+def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
+    """Batch of Haar unitaries, shape (count, n, n), C-contiguous.
+
+    ``haar_blocks`` written into one stack: x is drawn into the upper half of
+    the output's own bytes, so the peak memory is the output and about one
+    block of scratch.
+    """
+    _check_draw(n, count)
+    out = np.empty((count, n, n), dtype=complex)
+    for _ in haar_blocks(n, count, rng_or_seed, out):
+        pass
     return out
 
 

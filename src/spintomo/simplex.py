@@ -17,7 +17,10 @@ from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
     _blocks,
+    _check_draw,
+    column_diagonals,
     frame_diagonals,
+    haar_blocks,
     haar_unitaries,
     hermitian_basis,
     kron_all,
@@ -96,16 +99,26 @@ def _draw_elements(
 def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> SimplexSample:
     """n points diag(u^dag rho u) with u Haar on the specified (sub)group.
 
-    The joint frames u are formed one ``_blocks`` slice at a time, the blocks
-    of ``frame_diagonals`` itself, so no (n, N, N) product stack is held.
+    On the full group each block of Haar draws is reduced to its points while
+    the sampler still holds it, and written to the one stack of ``params``.
+    On a product group the joint frames u are formed one ``_blocks`` slice at
+    a time, the blocks of ``frame_diagonals`` itself, so no (n, N, N) product
+    stack is held.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     rng = np.random.default_rng(seed)
-    elements = _draw_elements(g, rho.dims, n, rng)
     points = np.empty((n, rho.dim))
-    for block in _blocks(n):
-        points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
+    if g.kind == "full":
+        _check_draw(rho.dim, n)
+        stack = np.empty((n, rho.dim, rho.dim), dtype=complex)
+        for block, frames in haar_blocks(rho.dim, n, rng, stack):
+            points[block] = column_diagonals(rho.mat, frames).real
+        elements = (stack,)
+    else:
+        elements = _draw_elements(g, rho.dims, n, rng)
+        for block in _blocks(n):
+            points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
     sample = SimplexSample(points=points, params=elements, seed=seed, group=g)
     sample.validate()
     return sample
@@ -222,23 +235,31 @@ class PeresScan:
     eigenbasis_value: float
 
 
+def _violations(diagonals: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(diagonals.real), axis=1) - 1.0
+
+
 def peres_scan(rho12: DensityMatrix, n: int, seed: int) -> PeresScan:
-    """Search for tomographic detections of a negative partial transpose."""
+    """Search for tomographic detections of a negative partial transpose.
+
+    Each block of n Haar draws is reduced to its violations as it is drawn,
+    and only the best frame so far is copied out, so the scan holds the
+    sampler's Gaussian draw, half a frame stack, and no frames.
+    """
     if len(rho12.dims) < 2:
         raise ValueError("the scan needs a declared bipartition")
     rho_tb = partial_transpose(rho12, subsystem=len(rho12.dims) - 1)
     eigs, vecs = np.linalg.eigh(rho_tb)
-
-    def violations(frames):
-        return np.sum(np.abs(frame_diagonals(rho_tb, frames).real), axis=1) - 1.0
-
-    haar = haar_unitaries(rho12.dim, n, np.random.default_rng(seed))
-    values, eigenbasis_value = violations(haar), float(violations(vecs[None])[0])
+    frame, value = None, -np.inf
+    for _, frames in haar_blocks(rho12.dim, n, np.random.default_rng(seed)):
+        values = _violations(column_diagonals(rho_tb, frames))
+        # strictly larger: the first maximum over all draws wins, as one argmax over them picks it
+        if values.size and values.max() > value:
+            best = int(np.argmax(values))
+            frame, value = frames[:, :, best].T.copy(), float(values[best])
+    eigenbasis_value = float(_violations(frame_diagonals(rho_tb, vecs[None]))[0])
     # the eigenbasis frame is scanned after the Haar frames, so a Haar frame wins a tie
-    if values.size and values.max() >= eigenbasis_value:
-        best = int(np.argmax(values))
-        frame, value = haar[best].copy(), float(values[best])
-    else:
+    if frame is None or value < eigenbasis_value:
         frame, value = vecs, eigenbasis_value
     return PeresScan(
         max_violation=value,

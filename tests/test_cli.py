@@ -166,12 +166,13 @@ class TestSizePreflight:
     @pytest.mark.parametrize(
         "argv, reached, estimate",
         [
-            (["entropy", "qubit_state.json", "--samples", "200000"], "min_entropy_over_group", 200_000 * 512),
+            (["entropy", "qubit_state.json", "--samples", "200000"], "min_entropy_over_group", 200_000 * 448),
+            (["peres", "bell_state.json", "--samples", "200000"], "peres_scan", 200_000 * 320),
             (["tomogram", "qubit_state.json", "--n-frames", "50000"], "haar_unitaries", 50_000 * 3808),
             (["simplex-image", "two_qubit_mixed.json", "--samples", "50000", "--format", "csv"], "image_sample",
              50_000 * 5048),
         ],
-        ids=["entropy", "tomogram_json", "simplex_csv"],
+        ids=["entropy", "peres", "tomogram_json", "simplex_csv"],
     )
     def test_preflight_estimate_bounds_the_measured_peak(self, tmp_path, monkeypatch, argv, reached, estimate):
         # peak RSS of a child CLI run, less that of a child that only imports the CLI,

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintomo.entropy import (
+    _renyi,
     frame_probabilities,
     integral_entropy,
     min_entropy_over_group,
@@ -333,6 +336,25 @@ class TestOneKernel:
         probs = frame_probabilities(rho, haar_unitaries(4, 20, 32))
         rows = [renyi_entropy(row / row.sum(), q) for row in probs]
         assert np.max(np.abs(report.per_frame - rows)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025, 2047])
+    def test_per_frame_values_are_those_of_the_haar_stack(self, n, count):
+        # each block is reduced as it is drawn; the values are the stack's bit for bit
+        rho, q = random_density(n, n, seed=n + count), (1.0, 2.0)[count % 2]
+        report = min_entropy_over_group(rho, count, seed=count, q=q)
+        assert np.array_equal(report.per_frame, _renyi(frame_probabilities(rho, haar_unitaries(n, count, count)), q))
+
+    def test_scan_holds_no_frame_stack(self):
+        rho = random_density(8, 8, seed=35)
+        tracemalloc.start()
+        try:
+            min_entropy_over_group(rho, 10_000, seed=36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sampler's Gaussian draw x alone is half of the 10.24 MB stack
+        assert peak <= 0.8 * 10_000 * 8 * 8 * 16
 
     def test_integral_entropy_is_the_monte_carlo_part(self):
         rho = random_density(3, 2, seed=33)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import frame_diagonals_bound, frame_diagonals_oracle, random_hermitian
 from spintomo.linalg import (
     DensityMatrix,
+    _blocks,
     eig_hermitian,
     expm_hermitian_times,
     frame_diagonals,
+    haar_blocks,
     haar_unitaries,
     haar_unitary,
     hermitian_basis,
@@ -357,6 +359,14 @@ class TestBlockedFrameKernels:
     def test_haar_is_bit_identical_to_the_unblocked_sampler(self, n, count):
         seed = 1000 * n + count
         assert np.array_equal(haar_unitaries(n, count, seed), unblocked_haar_unitaries(n, count, seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025, 2047])
+    def test_block_generator_yields_the_stack_in_column_layout(self, n, count):
+        # q is scratch that the next block overwrites, so each block is copied as it comes
+        blocks = [(block, q.T.copy()) for block, q in haar_blocks(n, count, count)]
+        assert [block for block, _ in blocks] == _blocks(count)
+        assert np.array_equal(np.concatenate([u for _, u in blocks]), haar_unitaries(n, count, count))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
     @pytest.mark.parametrize(

@@ -127,6 +127,25 @@ class TestBlockedProductImage:
         sample = image_sample(rho, GroupSpec("product"), n, seed=n + 1)
         assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
 
+    # full-group points are reduced from the sampler's own blocks as they are drawn
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 2047])
+    def test_full_group_points_and_params_are_those_of_the_haar_stack(self, d, n):
+        rho = random_density(d, d, seed=d + n)
+        sample = image_sample(rho, GroupSpec("full"), n, seed=n)
+        assert np.array_equal(sample.params[0], haar_unitaries(d, n, np.random.default_rng(n)))
+        assert np.array_equal(sample.points, frame_diagonals(rho.mat, sample.params[0]).real)
+
+    def test_full_group_holds_one_stack(self):
+        rho = random_density(8, 8, seed=14)
+        tracemalloc.start()
+        try:
+            image_sample(rho, GroupSpec("full"), 10_000, seed=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 10_000 * 8 * 8 * 16
+
     def test_no_full_product_stack_is_held(self):
         rho = random_density(8, 8, seed=12, dims=(2, 2, 2))
         tracemalloc.start()
@@ -316,10 +335,52 @@ class TestPeresScan:
         # -vecs gives bit-identical diagonals to vecs but is a different frame
         rho = werner_state(1.0)
         vecs = np.linalg.eigh(partial_transpose(rho, 1))[1]
-        monkeypatch.setattr(simplex, "haar_unitaries", lambda n, count, rng: -vecs[None])
+        # the scan's draws arrive as blocks in the sampler's layout, q[k, i, b] = u_b[i, k]
+        block = np.ascontiguousarray((-vecs)[None].T)
+        monkeypatch.setattr(simplex, "haar_blocks", lambda n, count, rng: iter([(slice(0, 1), block)]))
         result = peres_scan(rho, 1, seed=36)
         assert result.max_violation == result.eigenbasis_value
         assert np.array_equal(result.witness, -vecs)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
+    @pytest.mark.parametrize("n", [511, 513, 1025, 2047])
+    def test_block_scan_equals_the_stack_scan(self, dims, n):
+        # the scan before blocking: all n Haar frames as one stack, then one argmax
+        rho = random_density(int(np.prod(dims)), 2, seed=n, dims=dims)
+        rho_tb = partial_transpose(rho, 1)
+        vecs = np.linalg.eigh(rho_tb)[1]
+        haar = haar_unitaries(rho.dim, n, np.random.default_rng(n + 1))
+        values = np.sum(np.abs(frame_diagonals(rho_tb, haar).real), axis=1) - 1.0
+        eigenbasis_value = np.sum(np.abs(frame_diagonals(rho_tb, vecs[None]).real)) - 1.0
+        if values.max() >= eigenbasis_value:
+            frame, value = haar[np.argmax(values)], values.max()
+        else:
+            frame, value = vecs, eigenbasis_value
+        result = peres_scan(rho, n, seed=n + 1)
+        assert result.max_violation == value
+        assert np.array_equal(result.witness, frame) if value > 1e-8 else result.witness is None
+
+    def test_the_first_of_tied_haar_frames_wins_across_blocks(self, monkeypatch):
+        # -vecs and vecs tie with each other and with the eigenbasis frame; a later
+        # block's equal maximum does not displace the earlier one
+        rho = werner_state(1.0)
+        vecs = np.linalg.eigh(partial_transpose(rho, 1))[1]
+        blocks = [(slice(k, k + 1), np.ascontiguousarray(u[None].T)) for k, u in enumerate((-vecs, vecs))]
+        monkeypatch.setattr(simplex, "haar_blocks", lambda n, count, rng: iter(blocks))
+        result = peres_scan(rho, 2, seed=39)
+        assert result.max_violation == result.eigenbasis_value
+        assert np.array_equal(result.witness, -vecs)
+
+    def test_scan_holds_no_frame_stack(self):
+        rho = random_density(8, 8, seed=37, dims=(2, 4))
+        tracemalloc.start()
+        try:
+            peres_scan(rho, 10_000, seed=38)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sampler's Gaussian draw x alone is half of the 10.24 MB stack
+        assert peak <= 0.8 * 10_000 * 8 * 8 * 16
 
     def test_qubit_qutrit_pure_state(self):
         # a random pure 2x3 state is entangled with probability one
