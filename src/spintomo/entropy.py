@@ -130,9 +130,14 @@ class EntropyReport:
     monte_carlo: MonteCarlo | None = None
 
 
+def _probabilities(diagonals: np.ndarray) -> np.ndarray:
+    """Frame diagonals as probabilities, clipped of roundoff negatives."""
+    return np.clip(diagonals.real, 0.0, None)
+
+
 def frame_probabilities(rho: DensityMatrix, frames: np.ndarray) -> np.ndarray:
     """diag(u^dag rho u) for a stack of frames, clipped of roundoff negatives."""
-    return np.clip(frame_diagonals(rho.mat, frames).real, 0.0, None)
+    return _probabilities(frame_diagonals(rho.mat, frames))
 
 
 def min_entropy_over_group(
@@ -155,9 +160,10 @@ def min_entropy_over_group(
     per_frame = np.array([])
     monte = None
     if n_verify > 0:
+        draws = haar_blocks(rho.dim, n_verify, seed)  # checks the count before per_frame exists
         per_frame = np.empty(n_verify)
-        for block, frames in haar_blocks(rho.dim, n_verify, seed):
-            per_frame[block] = _renyi(np.clip(column_diagonals(rho.mat, frames).real, 0.0, None), q)
+        for block, frames in draws:
+            per_frame[block] = _renyi(_probabilities(column_diagonals(rho.mat, frames)), q)
         stderr = (
             float(np.std(per_frame, ddof=1) / math.sqrt(n_verify)) if n_verify > 1 else 0.0
         )

@@ -18,9 +18,9 @@ one block more.  ``column_diagonals`` reduces one block in that layout to
 diag(u^dag a u) with one BLAS GEMM per column and a conjugate-product sum
 over rows.  It is the one diagonal kernel: ``frame_diagonals`` transposes
 each block of a frame stack into the column layout and calls it, and the
-Haar scans (entropy, Peres, full-group images) call it on the sampler's
-blocks as they are drawn, so they hold no frame stack and their diagonals
-equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit.
+entropy and Peres scans call it on the sampler's blocks as they are
+drawn, so they hold no frame stack and their diagonals equal
+``frame_diagonals`` of ``haar_unitaries`` bit for bit.
 
 The sampler's block loop conjugates into a reused buffer and scales in
 place, and each such step rounds as the expression it replaced: numpy
@@ -187,7 +187,7 @@ def _check_draw(n: int, count: int) -> None:
         raise ValueError(f"sample count must be a nonnegative integer, got {count!r}")
 
 
-def haar_blocks(n: int, count: int, rng_or_seed, out: np.ndarray | None = None):
+def haar_blocks(n: int, count: int, rng_or_seed):
     """Haar unitaries one block of draws at a time: yields (block, q), q[k, i, b] = u_b[i, k].
 
     ``block`` is a ``_blocks`` slice of the draws and q the (n, n, size)
@@ -198,11 +198,8 @@ def haar_blocks(n: int, count: int, rng_or_seed, out: np.ndarray | None = None):
     generator, each of shape (count, n, n): x all at once, y one block at a
     time into reused bytes.  Gram-Schmidt then runs per block with the same
     arithmetic per draw as the unblocked sampler, so every unitary is
-    bit-identical to it.  Without ``out`` the generator holds x, half a
-    stack of unitaries, and one block of scratch.  With ``out``, a
-    C-contiguous (count, n, n) complex array, x is drawn into its upper half,
-    y into each block's own output bytes, and each block's unitaries are
-    written to out[block] before the block is yielded.
+    bit-identical to it.  The generator holds x, half a stack of unitaries,
+    and one block of scratch.
 
     Per block, x and y are scaled by 1/sqrt(2) as they are copied in, which
     is how numpy divides a complex array by sqrt(2).  Column conjugates go
@@ -213,9 +210,18 @@ def haar_blocks(n: int, count: int, rng_or_seed, out: np.ndarray | None = None):
     the complex division by the norm; the sum takes the product of
     ``conj(v)`` and ``v`` as two distinct arrays, as ``np.linalg.norm``
     forms it.
+
+    The dimension and count are checked on the call, before a caller
+    allocates for the draws, not on the first block.
     """
     _check_draw(n, count)
-    rng = np.random.default_rng(rng_or_seed)
+    return _haar_blocks(n, count, np.random.default_rng(rng_or_seed))
+
+
+def _haar_blocks(n: int, count: int, rng: np.random.Generator, out: np.ndarray | None = None):
+    # With ``out``, a C-contiguous (count, n, n) complex array, x is drawn into
+    # its upper half, y into each block's own output bytes, and each block's
+    # unitaries are written to out[block] before the block is yielded.
     if out is None:
         x = np.empty((count, n, n))
     else:
@@ -267,7 +273,7 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
     """
     _check_draw(n, count)
     out = np.empty((count, n, n), dtype=complex)
-    for _ in haar_blocks(n, count, rng_or_seed, out):
+    for _ in _haar_blocks(n, count, np.random.default_rng(rng_or_seed), out):
         pass
     return out
 

@@ -17,7 +17,6 @@ from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
     _blocks,
-    _check_draw,
     column_diagonals,
     frame_diagonals,
     haar_blocks,
@@ -99,26 +98,16 @@ def _draw_elements(
 def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> SimplexSample:
     """n points diag(u^dag rho u) with u Haar on the specified (sub)group.
 
-    On the full group each block of Haar draws is reduced to its points while
-    the sampler still holds it, and written to the one stack of ``params``.
-    On a product group the joint frames u are formed one ``_blocks`` slice at
-    a time, the blocks of ``frame_diagonals`` itself, so no (n, N, N) product
-    stack is held.
+    The joint frames u are formed one ``_blocks`` slice at a time, the blocks
+    of ``frame_diagonals`` itself, so no (n, N, N) product stack is held.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     rng = np.random.default_rng(seed)
+    elements = _draw_elements(g, rho.dims, n, rng)
     points = np.empty((n, rho.dim))
-    if g.kind == "full":
-        _check_draw(rho.dim, n)
-        stack = np.empty((n, rho.dim, rho.dim), dtype=complex)
-        for block, frames in haar_blocks(rho.dim, n, rng, stack):
-            points[block] = column_diagonals(rho.mat, frames).real
-        elements = (stack,)
-    else:
-        elements = _draw_elements(g, rho.dims, n, rng)
-        for block in _blocks(n):
-            points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
+    for block in _blocks(n):
+        points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
     sample = SimplexSample(points=points, params=elements, seed=seed, group=g)
     sample.validate()
     return sample

@@ -356,6 +356,11 @@ class TestOneKernel:
         # the sampler's Gaussian draw x alone is half of the 10.24 MB stack
         assert peak <= 0.8 * 10_000 * 8 * 8 * 16
 
+    def test_a_non_integer_count_is_refused_by_the_sampler(self):
+        # refused before the scan allocates for its entropies
+        with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+            min_entropy_over_group(random_density(2, 2, seed=37), 10.0, seed=38)
+
     def test_integral_entropy_is_the_monte_carlo_part(self):
         rho = random_density(3, 2, seed=33)
         mc = min_entropy_over_group(rho, 50, seed=34).monte_carlo

@@ -127,7 +127,6 @@ class TestBlockedProductImage:
         sample = image_sample(rho, GroupSpec("product"), n, seed=n + 1)
         assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
 
-    # full-group points are reduced from the sampler's own blocks as they are drawn
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 2047])
     def test_full_group_points_and_params_are_those_of_the_haar_stack(self, d, n):
@@ -145,6 +144,12 @@ class TestBlockedProductImage:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * 10_000 * 8 * 8 * 16
+
+    @pytest.mark.parametrize("kind", ["full", "product"])
+    def test_a_non_integer_count_is_refused_by_the_sampler(self, kind):
+        rho = random_density(4, 4, seed=16, dims=(2, 2))
+        with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+            image_sample(rho, GroupSpec(kind), 10.0, seed=17)
 
     def test_no_full_product_stack_is_held(self):
         rho = random_density(8, 8, seed=12, dims=(2, 2, 2))
@@ -381,6 +386,10 @@ class TestPeresScan:
             tracemalloc.stop()
         # the sampler's Gaussian draw x alone is half of the 10.24 MB stack
         assert peak <= 0.8 * 10_000 * 8 * 8 * 16
+
+    def test_a_non_integer_count_is_refused_by_the_sampler(self):
+        with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+            peres_scan(werner_state(1.0), 10.0, seed=40)
 
     def test_qubit_qutrit_pure_state(self):
         # a random pure 2x3 state is entangled with probability one
