@@ -12,15 +12,17 @@ The frame kernels walk frames in fixed blocks of ``_BLOCK`` draws, so their
 working arrays stay in cache and their scratch memory does not grow with the
 number of frames.  ``haar_blocks`` draws Haar unitaries one block at a time
 in column layout, q[k, i, b] = u_b[i, k], bit-identical to the unblocked
-sampler; ``haar_unitaries`` writes its blocks into one stack, whose own bytes
-hold the Gaussian draw meanwhile, so its peak memory is the output and about
-one block more.  ``column_diagonals`` reduces one block in that layout to
-diag(u^dag a u) with one BLAS GEMM per column and a conjugate-product sum
-over rows.  It is the one diagonal kernel: ``frame_diagonals`` transposes
-each block of a frame stack into the column layout and calls it, and the
-entropy and Peres scans call it on the sampler's blocks as they are
-drawn, so they hold no frame stack and their diagonals equal
-``frame_diagonals`` of ``haar_unitaries`` bit for bit.
+sampler.  Its one storage path takes the array for the Gaussian draw x from
+its caller and draws y block by block into the bytes of x that the block
+has read: ``haar_blocks`` allocates x, and ``haar_unitaries`` passes the
+upper half of its own output and writes each block below it, so its peak
+memory is the output and about one block more.  ``column_diagonals`` reduces one block
+in that layout to diag(u^dag a u) with one BLAS GEMM per column and a
+conjugate-product sum over rows.  It is the one diagonal kernel:
+``frame_diagonals`` transposes each block of a frame stack into the column
+layout and calls it, and the entropy and Peres scans call it on the
+sampler's blocks as they are drawn, so they hold no frame stack and their
+diagonals equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit.
 
 The sampler's block loop conjugates into a reused buffer and scales in
 place, and each such step rounds as the expression it replaced: numpy
@@ -30,7 +32,7 @@ sums its unfused complex products in index order whether the conjugate it
 reads is fresh or reused; and the norm is ``np.linalg.norm``'s own product
 and sum, with the product reading two distinct arrays (written in place
 over one of them, numpy takes its loop for overlapping operands, which
-rounds differently).  Drawing y into a reused buffer with
+rounds differently).  Drawing y into x's bytes with
 ``standard_normal(out=...)`` takes the same stream as a fresh array.
 """
 
@@ -196,46 +198,36 @@ def haar_blocks(n: int, count: int, rng_or_seed):
 
     The Ginibre draw z = (x + i y) / sqrt(2) takes x and then y from the
     generator, each of shape (count, n, n): x all at once, y one block at a
-    time into reused bytes.  Gram-Schmidt then runs per block with the same
-    arithmetic per draw as the unblocked sampler, so every unitary is
-    bit-identical to it.  The generator holds x, half a stack of unitaries,
-    and one block of scratch.
+    time into the bytes of x[block], free once x[block] is in q.
+    Gram-Schmidt then runs per block with the same arithmetic per draw as
+    the unblocked sampler, so every unitary is bit-identical to it.  The
+    generator holds x, half a stack of unitaries, and one block of scratch.
 
     Per block, x and y are scaled by 1/sqrt(2) as they are copied in, which
     is how numpy divides a complex array by sqrt(2).  Column conjugates go
-    into the bytes y was drawn into, free once y is in q, and the projection
-    coefficients are conjugated in place; the two ``einsum`` projections
-    still sum their unfused products in index order.  A column is
-    multiplied by 1/sqrt(sum |v|^2), its reciprocal norm, which rounds as
-    the complex division by the norm; the sum takes the product of
-    ``conj(v)`` and ``v`` as two distinct arrays, as ``np.linalg.norm``
-    forms it.
+    into one reused (n, block) buffer, and the projection coefficients are
+    conjugated in place; the two ``einsum`` projections still sum their
+    unfused products in index order.  A column is multiplied by
+    1/sqrt(sum |v|^2), its reciprocal norm, which rounds as the complex
+    division by the norm; the sum takes the product of ``conj(v)`` and
+    ``v`` as two distinct arrays, as ``np.linalg.norm`` forms it.
 
     The dimension and count are checked on the call, before a caller
     allocates for the draws, not on the first block.
     """
     _check_draw(n, count)
-    return _haar_blocks(n, count, np.random.default_rng(rng_or_seed))
+    return _haar_blocks(np.empty((count, n, n)), np.random.default_rng(rng_or_seed))
 
 
-def _haar_blocks(n: int, count: int, rng: np.random.Generator, out: np.ndarray | None = None):
-    # With ``out``, a C-contiguous (count, n, n) complex array, x is drawn into
-    # its upper half, y into each block's own output bytes, and each block's
-    # unitaries are written to out[block] before the block is yielded.
-    if out is None:
-        x = np.empty((count, n, n))
-    else:
-        # Block b's unitaries fill floats [0, 2 stop_b n^2) of the output, and x's
-        # unread blocks start at float count n^2 + stop_b n^2 >= 2 stop_b n^2.
-        x = out.reshape(-1).view(np.float64)[count * n * n :].reshape(count, n, n)
+def _haar_blocks(x: np.ndarray, rng: np.random.Generator):
+    # x is a C-contiguous (count, n, n) float array: the draw's x fills it, and
+    # each block's y then reuses the bytes of x[block]
+    count, n = len(x), x.shape[-1]
     rng.standard_normal(out=x)
     blocks = _blocks(count)
     largest = count - blocks[-1].start
     scratch = np.empty(n * n * largest, dtype=complex)
-    # a block's y, then its column conjugates (2n floats per draw): with an output in
-    # the block's own output bytes, free from when x[block] is read until q.T lands
-    # there, and otherwise in one reused buffer
-    spare = np.empty(max(n, 2) * n * largest) if out is None else None
+    conjugates = np.empty(n * largest, dtype=complex)
     scale = 1.0 / np.sqrt(2.0)
     for block in blocks:
         # Gram-Schmidt on the columns gives the Q whose R has a positive
@@ -245,10 +237,9 @@ def _haar_blocks(n: int, count: int, rng: np.random.Generator, out: np.ndarray |
         size = block.stop - block.start
         q = scratch[: n * n * size].reshape(n, n, size)
         np.multiply(x[block].T, scale, out=q.real)
-        free = spare if out is None else out[block].reshape(-1).view(np.float64)
-        y = rng.standard_normal(out=free[: n * n * size].reshape(size, n, n))
+        y = rng.standard_normal(out=x[block])
         np.multiply(y.T, scale, out=q.imag)
-        vc = free[: 2 * n * size].view(complex).reshape(n, size)
+        vc = conjugates[: n * size].reshape(n, size)
         for k in range(n):
             v, done = q[k], q[:k]
             for _ in range(2 if k else 0):
@@ -259,8 +250,6 @@ def _haar_blocks(n: int, count: int, rng: np.random.Generator, out: np.ndarray |
             # into vc, the product would take numpy's overlap loop and other bits
             inv = 1.0 / np.sqrt(np.add.reduce((np.conjugate(v, out=vc) * v).real, axis=0))
             v *= inv.astype(complex)  # a real operand would take a buffered cast
-        if out is not None:
-            out[block] = q.T
         yield block, q
 
 
@@ -273,8 +262,12 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
     """
     _check_draw(n, count)
     out = np.empty((count, n, n), dtype=complex)
-    for _ in _haar_blocks(n, count, np.random.default_rng(rng_or_seed), out):
-        pass
+    # Block b's unitaries fill floats [0, 2 stop_b n^2) of the output, and x's
+    # unread blocks start at float count n^2 + stop_b n^2 >= 2 stop_b n^2; its y,
+    # drawn into x[b] before that, lies past the unitaries written so far.
+    x = out.reshape(-1).view(np.float64)[count * n * n :].reshape(count, n, n)
+    for block, q in _haar_blocks(x, np.random.default_rng(rng_or_seed)):
+        out[block] = q.T
     return out
 
 

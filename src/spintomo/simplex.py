@@ -29,6 +29,15 @@ from .linalg import (
 SIMPLEX_TOL = 1e-10
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a bool or any other non-integer is refused."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Which unitary (sub)group sweeps the frames.
@@ -46,9 +55,9 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in ("full", "product"):
             raise ValueError("group kind must be 'full' or 'product'")
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
+        object.__setattr__(self, "factor_dims", _integers(self.factor_dims, "factor dims"))
         if self.active is not None:
-            object.__setattr__(self, "active", tuple(sorted(set(self.active))))
+            object.__setattr__(self, "active", tuple(sorted(set(_integers(self.active, "active factor indices")))))
             if not self.active:
                 raise ValueError("active factor set must be nonempty")
 

@@ -148,16 +148,22 @@ class UnitaryFrames(Sequence):
     matrix, or a tuple of factor matrices.
     """
 
-    def __init__(self, stack, factors=None):
+    def __init__(self, stack, factors=None, n: int | None = None):
+        """Refuses an empty set, a frame not n x n (n defaults to the frame
+        size) and a unitarity residual above 1e-8 (or NaN)."""
         self.stack, self.factors = np.asarray(stack, dtype=complex), factors
+        n = self.stack.shape[-1] if n is None else n
+        if self.stack.shape[:1] == (0,):
+            raise ValueError("at least one frame is required")
+        if self.stack.ndim != 3 or self.stack.shape[1:] != (n, n):
+            raise ValueError(f"frame shape {self.stack.shape[1:]} does not match state dimension {n}")
         if not unitarity_residual(self.stack) <= 1e-8:
             raise ValueError("frame is not unitary within 1e-8")
 
     @classmethod
     def of(cls, frames, n: int) -> "UnitaryFrames":
         """``frames`` itself if n x n, else an (F, n, n) array, n x n matrices or
-        tuples of per-factor unitaries as one set.  An empty set, a frame not
-        n x n and a unitarity residual above 1e-8 (or NaN) are refused."""
+        tuples of per-factor unitaries as one set, checked as on construction."""
         if isinstance(frames, cls) and frames.stack.shape[1:] == (n, n):
             return frames
         items, factors = frames, None
@@ -168,12 +174,7 @@ class UnitaryFrames(Sequence):
                 items = kron_all(factors)
             elif any(isinstance(fr, tuple) for fr in items):
                 raise ValueError("frames must be all matrices or all tuples of per-factor unitaries")
-        if len(items) == 0:
-            raise ValueError("at least one frame is required")
-        stack = np.asarray(items, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1:] != (n, n):
-            raise ValueError(f"frame shape {stack.shape[1:]} does not match state dimension {n}")
-        return cls(stack, factors)
+        return cls(items, factors, n)
 
     def __len__(self) -> int:
         return len(self.stack)
@@ -280,7 +281,8 @@ class SpinTransform:
         """
         key = (HalfInt.of(j).twice, grid.n_beta, grid.n_gamma)
         if key not in _TRANSFORMS:
-            _TRANSFORMS.add(key, cls(j, grid))
+            _TRANSFORMS[key] = cls(j, grid)
+            _TRANSFORMS.trim()
         _TRANSFORMS.move_to_end(key)
         return _TRANSFORMS[key]
 
@@ -294,7 +296,7 @@ class SpinTransform:
         """Both maps in the coordinates of an orthonormal Hermitian basis H_k, where they are real.
 
         Returns the basis H, shape (n^2, n, n); A[k, (m, x)] = Tr[U(m, x) H_k],
-        the symbols of the basis; and S[k, (m, x)] = (Q^T A)[k, (m, x)] W_x,
+        the symbols of the basis, ``analyze(H)``; and S[k, (m, x)] = (Q^T A)[k, (m, x)] W_x,
         the weighted basis coefficients Tr[H_k D(m, x)] W_x of the quantizers.
         A and S are (n^2, n * nodes).  All three are read-only, built on first use.
         """
@@ -302,21 +304,12 @@ class SpinTransform:
             n = self.j.twice + 1
             basis = hermitian_basis(n)
             basis[n:] /= np.sqrt(2.0)
-            # each H_k has one entry pair a <= b, its first nonzero v = (H_k)_ab, so its
-            # symbol is one table column times that pair's row of analyze, 2 Re v cos +
-            # 2 Im v sin (halved on the diagonal): real, as H_k is Hermitian
-            flat = basis.reshape(n * n, -1)
-            entry = np.argmax(flat != 0, axis=1)
-            v = flat[np.arange(n * n), entry] * np.where(entry % (n + 1), 2.0, 1.0)
-            pair = np.argmax(_entry_pairs(n)[0] == entry[:, None], axis=1)
-            rows = v.real[:, None] * self._cos[pair] + v.imag[:, None] * self._sin[pair]
-            columns = self._table.reshape(-1, n, len(self._cos))[:, :, pair].T.copy()
-            analysis = (columns[..., None] * rows[:, None, None]).reshape(n * n, n, -1)
+            analysis = np.ascontiguousarray(self.analyze(basis).real)  # exactly real: every H_k is Hermitian
             synthesis = _identity_quantizer(self.j.twice).T @ analysis * self.weights
             self._basis_maps = (basis, *(m.reshape(n * n, -1) for m in (analysis, synthesis)))
             for array in self._basis_maps:
                 array.setflags(write=False)
-            _TRANSFORMS.recount()
+            _TRANSFORMS.trim()
         return self._basis_maps
 
     def analyze(self, a) -> np.ndarray:
@@ -370,29 +363,17 @@ class _TransformCache(OrderedDict):
     """Spin transforms by 2j and grid node counts, least recently used first.
 
     ``nbytes`` counts the arrays of the cached transforms.  Past
-    ``_CACHE_BUDGET`` the oldest are dropped, but never the most recently
+    ``_CACHE_BUDGET`` ``trim`` drops the oldest, but never the most recently
     used one, so one large transform is still built once per session.
     """
 
-    nbytes = 0
+    @property
+    def nbytes(self) -> int:
+        return sum(t.nbytes for t in self.values())
 
-    def add(self, key: tuple, transform: SpinTransform) -> None:
-        self[key] = transform
-        self.nbytes += transform.nbytes
-        self._trim()
-
-    def recount(self) -> None:
-        """Count the arrays again, after a transform built its basis maps."""
-        self.nbytes = sum(t.nbytes for t in self.values())
-        self._trim()
-
-    def clear(self) -> None:
-        super().clear()
-        self.nbytes = 0
-
-    def _trim(self) -> None:
+    def trim(self) -> None:
         while self.nbytes > _CACHE_BUDGET and len(self) > 1:
-            self.nbytes -= self.popitem(last=False)[1].nbytes
+            self.popitem(last=False)
 
 
 # Bytes of transforms the cache keeps beside the most recently used one (64 MiB:

@@ -404,10 +404,14 @@ class TestBlockedFrameKernels:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("count", [0, 1, 513, 1025])
-    def test_haar_leaves_the_generator_after_both_full_draws(self, n, count):
-        # the stream is all of x, then all of y, as two (count, n, n) draws take it
+    @pytest.mark.parametrize(
+        "draw", [haar_unitaries, lambda n, count, rng: list(haar_blocks(n, count, rng))], ids=["stack", "blocks"]
+    )
+    def test_haar_leaves_the_generator_after_both_full_draws(self, n, count, draw):
+        # the stream is all of x, then all of y, as two (count, n, n) draws take it,
+        # for the stack and for the scans' block generator run to its end
         rng, reference = np.random.default_rng(count), np.random.default_rng(count)
-        haar_unitaries(n, count, rng)
+        draw(n, count, rng)
         reference.standard_normal((2, count, n, n))
         assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
 

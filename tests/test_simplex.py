@@ -104,6 +104,25 @@ class TestImageSample:
         with pytest.raises(ValueError, match="active factor set must be nonempty"):
             GroupSpec("product", (2, 2), active=())
 
+    @pytest.mark.parametrize(
+        "factors, active, message",
+        [
+            ((2.7, 2), None, "factor dims must be integers, got 2.7"),
+            ((2, 2.0), None, "factor dims must be integers, got 2.0"),
+            ((True, 4), None, "factor dims must be integers, got True"),
+            ((2, 2), (0.5,), "active factor indices must be integers, got 0.5"),
+            ((2, 2), (False, 1), "active factor indices must be integers, got False"),
+        ],
+    )
+    def test_non_integral_factors_and_indices_refused(self, factors, active, message):
+        with pytest.raises(ValueError, match=message):
+            GroupSpec("product", factors, active=active)
+
+    def test_numpy_integers_are_accepted(self):
+        g = GroupSpec("product", np.array([2, 2]), active=np.array([1]))
+        assert g.factor_dims == (2, 2) and g.active == (1,)
+        assert all(type(x) is int for x in g.factor_dims + g.active)
+
     def test_params_are_per_factor_stacks(self):
         rho = random_density(4, 4, seed=9, dims=(2, 2))
         sample = image_sample(rho, U2_X_1, 30, seed=10)

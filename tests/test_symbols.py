@@ -206,6 +206,20 @@ class TestFrameStack:
         with pytest.raises(ValueError, match="not unitary within 1e-8"):
             UnitaryFrames.of([np.eye(2), bad], 2)
 
+    @pytest.mark.parametrize(
+        "stack, message",
+        [
+            (np.eye(2), r"frame shape \(2,\) does not match state dimension 2"),
+            (np.ones((1, 2, 3)), r"frame shape \(2, 3\) does not match state dimension 3"),
+            (np.zeros((0, 2, 2)), "at least one frame is required"),
+            ([], "at least one frame is required"),
+        ],
+    )
+    def test_constructor_checks_the_stack_shape(self, stack, message):
+        # as UnitaryFrames.of does: a 2-d matrix is not taken as a stack of rows
+        with pytest.raises(ValueError, match=message):
+            UnitaryFrames(stack)
+
     def test_refuses_nan_in_the_last_block(self):
         frames = haar_unitaries(2, 1025, 8)
         frames[-1, 0, 0] = np.nan

@@ -429,16 +429,20 @@ class TestRealPropagator:
         assert pi.dtype == np.float64
         assert np.max(np.abs(pi - old)) < 1e-13
 
-    @pytest.mark.parametrize("jt", range(17))
-    def test_basis_maps_equal_the_analysis_of_the_basis(self, jt):
-        # oracle: the table product of analyze over the whole basis stack
-        n = jt + 1
-        transform = SpinTransform(HalfInt(jt), make_grid(HalfInt(jt)))
-        basis, analysis, synthesis = transform.basis_maps()
-        oracle = transform.analyze(basis)
-        assert np.max(np.abs(analysis - oracle.reshape(n * n, -1))) <= 1e-15
-        weighted = _identity_quantizer(jt).T @ oracle.real * transform.weights
-        assert np.max(np.abs(synthesis - weighted.reshape(n * n, -1))) <= 1e-15
+    @pytest.mark.parametrize("jt", range(5))
+    def test_basis_maps_equal_the_reference_operators(self, jt):
+        # oracle: traces against the reference dequantizers and quantizers, one
+        # rotation matrix per node; labels (m, node), m-major
+        j, n = HalfInt(jt), jt + 1
+        grid = make_grid(j)
+        basis, analysis, synthesis = SpinTransform(j, grid).basis_maps()
+        nodes = [EulerAngles(0.0, b, g) for b, g in zip(*grid.node_angles())]
+        us = np.array([[dequantizer_U(j, m, node) for node in nodes] for m in spin_range(j)])
+        ds = np.array([[quantizer_D(j, m, node) for node in nodes] for m in spin_range(j)])
+        want_analysis = np.einsum("mxab,kba->kmx", us, basis).reshape(n * n, -1)
+        want_synthesis = (np.einsum("kab,mxba->kmx", basis, ds) * grid.group_weights()).reshape(n * n, -1)
+        assert np.max(np.abs(analysis - want_analysis)) <= 1e-14
+        assert np.max(np.abs(synthesis - want_synthesis)) <= 1e-14
 
 
 @pytest.fixture
