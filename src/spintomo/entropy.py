@@ -21,11 +21,10 @@ from .linalg import DensityMatrix, column_diagonals, frame_diagonals, haar_block
 from .symbols import UnitaryFrames
 
 NEG_TOL = 1e-10
-# Below this |q - 1| the Renyi and relative q-entropies are sums of expm1((q - 1) ln x)
-# terms of one sign: their closed forms subtract two numbers within O(|q - 1|) of
-# each other and lose as many digits (1.8% of the Shannon value at q = 1 - 1e-14).
-# Above it the closed forms are the more accurate, and the scaled Renyi one keeps
-# large orders from underflowing.
+# Below this |q - 1| the Renyi entropy is a sum of expm1((q - 1) ln p) terms of one
+# sign: its closed form subtracts two numbers within O(|q - 1|) of each other and
+# loses as many digits (1.8% of the Shannon value at q = 1 - 1e-14).  Above it the
+# scaled closed form is the more accurate and keeps large orders from underflowing.
 _NEAR_ONE = 0.25
 
 
@@ -111,8 +110,6 @@ def relative_q_entropy(w1, w2, q: float) -> float:
     if q >= 1.0 and np.any(w2[support] == 0.0):
         return math.inf
     ratios = w2[support] / w1[support]
-    if abs(q - 1.0) >= _NEAR_ONE:
-        return float(-np.sum(w1[support] * (ratios ** (1.0 - q) - 1.0) / (1.0 - q)))
     # ln_q(r) = expm1((1-q) ln r)/(1-q), which does not cancel near q = 1; a
     # vanishing ratio (q < 1 only) takes expm1(-inf) = -1
     logs = np.log(ratios, out=np.full_like(ratios, -np.inf), where=ratios > 0.0)

@@ -152,7 +152,7 @@ class UnitaryFrames(Sequence):
         """Refuses an empty set, a frame not n x n (n defaults to the frame
         size) and a unitarity residual above 1e-8 (or NaN)."""
         self.stack, self.factors = np.asarray(stack, dtype=complex), factors
-        n = self.stack.shape[-1] if n is None else n
+        n = self.stack.shape[-1] if n is None and self.stack.ndim else n
         if self.stack.shape[:1] == (0,):
             raise ValueError("at least one frame is required")
         if self.stack.ndim != 3 or self.stack.shape[1:] != (n, n):
@@ -304,7 +304,9 @@ class SpinTransform:
             n = self.j.twice + 1
             basis = hermitian_basis(n)
             basis[n:] /= np.sqrt(2.0)
-            analysis = np.ascontiguousarray(self.analyze(basis).real)  # exactly real: every H_k is Hermitian
+            # exactly real, as every H_k is Hermitian; copied, because a .real view would keep
+            # the complex table alive while nbytes, which the cache budgets, counts half of it
+            analysis = np.ascontiguousarray(self.analyze(basis).real)
             synthesis = _identity_quantizer(self.j.twice).T @ analysis * self.weights
             self._basis_maps = (basis, *(m.reshape(n * n, -1) for m in (analysis, synthesis)))
             for array in self._basis_maps:

@@ -213,6 +213,7 @@ class TestFrameStack:
             (np.ones((1, 2, 3)), r"frame shape \(2, 3\) does not match state dimension 3"),
             (np.zeros((0, 2, 2)), "at least one frame is required"),
             ([], "at least one frame is required"),
+            (np.array(1.0), r"frame shape \(\) does not match"),
         ],
     )
     def test_constructor_checks_the_stack_shape(self, stack, message):
