@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidChannelError
-from .halfint import HalfInt
+from .halfint import spin
 from .linalg import DensityMatrix, _check_bytes, as_matrix, kron_all
 from .quadrature import QuadratureGrid
 from .states import PAULIS
@@ -196,7 +196,7 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
     ``linalg._BYTE_BUDGET`` (1 GiB; 2j = 16 takes 0.73 GB on the default grid)
     is refused before anything is built.
     """
-    j = HalfInt.of(j)
+    j = spin(j)
     n = j.twice + 1
     if channel.dim != n:
         raise ValueError("channel dimension does not match 2j+1")

@@ -25,7 +25,7 @@ from .channels import CHANNEL_KINDS, channel_tomogram_closed_form
 from .dynamics import evolve_state, evolve_tomogram
 from .entropy import min_entropy_over_group
 from .errors import InformationallyIncompleteError
-from .halfint import HalfInt
+from .halfint import HalfInt, spin
 from .linalg import _check_bytes, haar_unitaries
 from .quadrature import DEFAULT_OVERSAMPLE, make_grid, node_counts
 from .reconstruction import (
@@ -186,7 +186,7 @@ def _cmd_tomogram(args) -> str | dict:
         raise ValueError("--oversample applies to spin grids only (with --j)")
     rho = _load_state(args.state)
     if args.j is not None:
-        j = HalfInt.of(args.j)
+        j = spin(args.j)
         if rho.dim != j.twice + 1:
             raise ValueError(f"state dimension {rho.dim} does not match 2j+1")
         oversample = DEFAULT_OVERSAMPLE if args.oversample is None else args.oversample
@@ -212,12 +212,11 @@ def _cmd_tomogram(args) -> str | dict:
 def _tomogram_csv(t) -> str:
     if t.kind == "spin":
         header = ["alpha", "beta", "gamma"] + [f"w_m{m.twice}" for m in t.outcomes]  # alpha 0, as in io
-        fr = t.frames
-        rows = np.column_stack([np.zeros(t.n_frames), fr.betas, fr.gammas, t.table.real.T]).tolist()
+        labels = [np.zeros(t.n_frames), t.frames.betas, t.frames.gammas]
     else:
         header = ["frame_index"] + ["w_" + "".join(str(i) for i in o) for o in t.outcomes]
-        rows = [[col] + list(t.table[:, col].real) for col in range(t.n_frames)]
-    return io.csv_text(header, rows)
+        labels = [np.arange(t.n_frames)]
+    return io.csv_text(header, np.column_stack([*labels, t.table.real.T]).tolist())
 
 
 def _cmd_reconstruct(args) -> str | dict:
@@ -251,14 +250,8 @@ def _cmd_star(args) -> str | dict:
 
 def _cmd_channel(args) -> str | dict:
     ps = [args.p] if args.p is not None else [k / 20.0 for k in range(21)]
-    for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
     # identity frame: theta = 0, axis z
-    rows = []
-    for p in ps:
-        w_plus, w_minus = channel_tomogram_closed_form(args.kind, p, 0.0, (0.0, 0.0, 1.0))
-        rows.append([p, w_plus, w_minus])
+    rows = [[p, *channel_tomogram_closed_form(args.kind, p, 0.0, (0.0, 0.0, 1.0))] for p in ps]
     if args.format == "csv":
         return io.csv_text(["p", "w_plus", "w_minus"], rows)
     return {"kind": args.kind, "rows": [[float(x) for x in row] for row in rows]}

@@ -19,15 +19,17 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, (int, Integral)):  # int first: no ABC lookup
+        if isinstance(self.twice, bool) or not isinstance(self.twice, (int, Integral)):  # int first: no ABC lookup
             raise ValueError(f"twice-value must be an integer, got {self.twice!r}")
         object.__setattr__(self, "twice", int(self.twice))
 
     @staticmethod
     def of(value) -> "HalfInt":
-        """Coerce an int, an exact multiple of 1/2, or a HalfInt; NaN and infinities are refused."""
+        """Coerce an int, an exact multiple of 1/2, or a HalfInt; a bool, NaN and infinities are refused."""
         if isinstance(value, HalfInt):
             return value
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is a bool, not an integer or half-integer")
         if isinstance(value, Integral):
             return HalfInt(2 * int(value))
         if isinstance(value, Real):
@@ -72,9 +74,15 @@ class HalfInt:
         return f"HalfInt({self})"
 
 
+def spin(j) -> HalfInt:
+    """``HalfInt.of(j)``, refused below 0: the one check of a spin quantum number."""
+    j = HalfInt.of(j)
+    if j.twice < 0:
+        raise ValueError("spin j must be nonnegative")
+    return j
+
+
 def spin_range(j) -> list[HalfInt]:
     """Magnetic numbers m = j, j-1, ..., -j (the basis ordering used throughout)."""
-    jt = HalfInt.of(j).twice
-    if jt < 0:
-        raise ValueError("spin j must be nonnegative")
+    jt = spin(j).twice
     return [HalfInt(t) for t in range(jt, -jt - 1, -2)]

@@ -39,6 +39,7 @@ rounds differently).  Drawing y into x's bytes with
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,27 @@ def _blocks(count: int) -> list[slice]:
     """
     stops = [*range(_BLOCK, count - _BLOCK + 1, _BLOCK), count]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each at least ``least`` when it is given.
+
+    The one integer rule of sizes and indices: a bool or any other non-integer
+    is refused, never truncated.
+    """
+    values = tuple(values)
+    for v in values:
+        if not _is_integer(v):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    values = tuple(map(int, values))
+    if least is not None and min(values, default=least) < least:
+        raise ValueError(f"{what} {values} must each be at least {least}")
+    return values
 
 
 def as_matrix(m) -> np.ndarray:
@@ -183,9 +205,8 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
 
 
 def _check_draw(n: int, count: int) -> None:
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if not isinstance(count, (int, np.integer)) or count < 0:
+    _integers((n,), "dimensions", 1)
+    if not (_is_integer(count) and count >= 0):
         raise ValueError(f"sample count must be a nonnegative integer, got {count!r}")
 
 
@@ -293,10 +314,7 @@ def kron_all(mats) -> np.ndarray:
 
 def _subsystem_dims(dims) -> tuple[int, ...]:
     """Subsystem dimensions as a tuple of ints, each at least 1."""
-    dims = tuple(map(int, dims))
-    if min(dims, default=1) < 1:
-        raise ValueError(f"dims {dims} must each be at least 1")
-    return dims
+    return _integers(dims, "dims", 1)
 
 
 @dataclass
@@ -350,12 +368,12 @@ def random_density(n: int, rank: int, seed: int, dims=None) -> DensityMatrix:
 
 
 def _resolve_keep(dims: tuple[int, ...], keep) -> tuple[int, ...]:
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = tuple(sorted(set(int(k) for k in keep)))
+    """The distinct subsystem indices of ``keep`` (one index or several), sorted, each in range."""
+    indices = keep if isinstance(keep, Iterable) else (keep,)
+    keep = tuple(sorted(set(_integers(indices, "subsystem indices"))))
     if not keep:
         raise ValueError("keep set must be nonempty")
-    if any(k < 0 or k >= len(dims) for k in keep):
+    if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"subsystem index out of range for dims {dims}")
     return keep
 
@@ -381,8 +399,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     dims = rho.dims
     if len(dims) < 2:
         raise ValueError("partial transpose needs at least two declared subsystems")
-    if not 0 <= subsystem < len(dims):
-        raise ValueError(f"subsystem {subsystem} out of range for dims {dims}")
+    (subsystem,) = _resolve_keep(dims, (subsystem,))
     n_sub = len(dims)
     tensor = rho.mat.reshape(dims + dims)
     tensor = np.swapaxes(tensor, subsystem, n_sub + subsystem)

@@ -15,7 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .halfint import HalfInt
+from .halfint import spin
+from .linalg import _is_integer
 
 GROUP_VOLUME = 8.0 * np.pi**2
 
@@ -47,7 +48,7 @@ class QuadratureGrid:
 
     def __post_init__(self):
         for count in (self.n_beta, self.n_gamma):
-            if not isinstance(count, (int, np.integer)) or count < 1:
+            if not (_is_integer(count) and count >= 1):
                 raise ValueError(f"grid node counts must be positive integers, got {count!r}")
         x, w = np.polynomial.legendre.leggauss(self.n_beta)
         beta, gamma = np.arccos(x), 2.0 * np.pi * np.arange(self.n_gamma) / self.n_gamma
@@ -95,9 +96,7 @@ def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
 
 def node_counts(j, oversample: float = DEFAULT_OVERSAMPLE) -> tuple[int, int]:
     """(N_beta, N_gamma) of ``make_grid(j, oversample)``, with its refusals, building no grid."""
-    j = HalfInt.of(j)
-    if j.twice < 0:
-        raise ValueError("spin j must be nonnegative")
+    j = spin(j)
     if not math.isfinite(oversample) or oversample <= 0:
         raise ValueError(f"oversample must be finite and positive, got {oversample}")
     two_j = j.twice

@@ -17,6 +17,8 @@ from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
     _blocks,
+    _integers,
+    _resolve_keep,
     column_diagonals,
     frame_diagonals,
     haar_blocks,
@@ -27,15 +29,6 @@ from .linalg import (
 )
 
 SIMPLEX_TOL = 1e-10
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; a bool or any other non-integer is refused."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{what} must be integers, got {v!r}")
-    return tuple(map(int, values))
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in ("full", "product"):
             raise ValueError("group kind must be 'full' or 'product'")
-        object.__setattr__(self, "factor_dims", _integers(self.factor_dims, "factor dims"))
+        object.__setattr__(self, "factor_dims", _integers(self.factor_dims, "factor dims", 1))
         if self.active is not None:
             object.__setattr__(self, "active", tuple(sorted(set(_integers(self.active, "active factor indices")))))
             if not self.active:
@@ -69,10 +62,7 @@ class GroupSpec:
         factors = self.factor_dims or dims
         if int(np.prod(factors)) != int(np.prod(dims)):
             raise ValueError(f"factor dims {factors} do not match state dimension")
-        active = self.active if self.active is not None else tuple(range(len(factors)))
-        if any(a < 0 or a >= len(factors) for a in active):
-            raise ValueError("active factor index out of range")
-        return factors, active
+        return factors, _resolve_keep(factors, range(len(factors)) if self.active is None else self.active)
 
 
 @dataclass

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .halfint import HalfInt
+from .halfint import HalfInt, spin
 from .quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_d_matrix
 from .symbols import (
@@ -67,7 +67,7 @@ def _point(x):
 
 def kernel_trace_form(j, x2, x1, x) -> complex:
     """K(x2, x1, x) = Tr[D(x2) D(x1) U(x)]; points are (m, beta, gamma)."""
-    j = HalfInt.of(j)
+    j = spin(j)
     m2, b2, g2 = _point(x2)
     m1, b1, g1 = _point(x1)
     m, b, g = _point(x)
@@ -84,7 +84,7 @@ def _d_rows(two_j: int, beta: float, gamma: float) -> list[np.ndarray]:
 
 def kernel_closed_form(j, x2, x1, x) -> complex:
     """Coupling-coefficient expansion of the star kernel (cross-check form)."""
-    j = HalfInt.of(j)
+    j = spin(j)
     m2, b2, g2 = _point(x2)
     m1, b1, g1 = _point(x1)
     m, b, g = _point(x)

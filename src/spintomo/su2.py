@@ -28,16 +28,11 @@ from math import factorial
 
 import numpy as np
 
-from .halfint import HalfInt
-
-
-def _check_spin(j: HalfInt, name: str = "j") -> None:
-    if j.twice < 0:
-        raise ValueError(f"{name} must be a nonnegative (half-)integer, got {j}")
+from .halfint import HalfInt, spin
 
 
 def _check_jm_pair(j: HalfInt, m: HalfInt) -> None:
-    _check_spin(j)
+    spin(j)
     if (j.twice - m.twice) % 2 != 0:
         raise ValueError(f"m={m} is not of the form j-k for j={j}")
     if abs(m.twice) > j.twice:
@@ -66,8 +61,7 @@ def wigner_d_stack(j, betas) -> np.ndarray:
     The product does not depend on the phases of the eigenvectors, and
     d(0) is exactly the identity.
     """
-    j = HalfInt.of(j)
-    _check_spin(j)
+    j = spin(j)
     betas = _check_finite("beta", betas)
     ms = _magnetic_numbers(j)
     jp = np.diag(np.sqrt(float(j) * (float(j) + 1.0) - ms[1:] * (ms[1:] + 1.0)), k=1)
@@ -133,8 +127,7 @@ def _twice_pairs(*pairs) -> list[int]:
     that does not fit its j (j - m not an integer) is refused."""
     out = []
     for j, m in pairs:
-        j, m = HalfInt.of(j), HalfInt.of(m)
-        _check_spin(j)
+        j, m = spin(j), HalfInt.of(m)
         if (j.twice - m.twice) % 2 != 0:
             raise ValueError(f"m={m} incompatible with j={j}")
         out += [j.twice, m.twice]
@@ -226,7 +219,4 @@ def _w6j(j1t: int, j2t: int, j3t: int, j4t: int, j5t: int, j6t: int) -> float:
 
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     """6j symbol {j1 j2 j3; j4 j5 j6}; triangle violations yield 0."""
-    js = [HalfInt.of(x) for x in (j1, j2, j3, j4, j5, j6)]
-    for jj in js:
-        _check_spin(jj)
-    return _w6j(*(jj.twice for jj in js))
+    return _w6j(*(spin(jj).twice for jj in (j1, j2, j3, j4, j5, j6)))

@@ -25,14 +25,14 @@ import math
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .halfint import HalfInt, spin_range
+from .halfint import HalfInt, spin, spin_range
 from .linalg import (
     _BYTE_BUDGET,
     DensityMatrix,
+    _integers,
     _resolve_keep,
     _subsystem_dims,
     frame_diagonals,
@@ -55,13 +55,6 @@ class EulerAngles:
     gamma: float
 
 
-def _spin(j) -> HalfInt:
-    j = HalfInt.of(j)
-    if j.twice < 0:
-        raise ValueError("spin j must be nonnegative")
-    return j
-
-
 class SpinFrames:
     """Spin-j frames held as Euler-angle arrays, in frame order.
 
@@ -76,7 +69,7 @@ class SpinFrames:
     """
 
     def __init__(self, j, betas, gammas):
-        self.j = _spin(j)
+        self.j = spin(j)
         self.betas, self.gammas = np.array(betas, dtype=float), np.array(gammas, dtype=float)
         if not self.betas.ndim == 1 or not self.betas.shape == self.gammas.shape:
             raise ValueError("frame angle arrays must be 1-d and of equal length")
@@ -134,7 +127,7 @@ def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
     same angles carry an equal grid.
     """
     frames = SpinFrames.__new__(SpinFrames)
-    frames.j = _spin(j)
+    frames.j = spin(j)
     frames.betas, frames.gammas = grid.node_angles()
     frames._grid = grid
     return frames
@@ -195,7 +188,6 @@ def _coupled_m0_block(jt: int) -> np.ndarray:
     return np.diag(2 * jj - 2 * ms**2) + np.diag(off, 1) + np.diag(off, -1)
 
 
-@lru_cache(maxsize=64)
 def _identity_quantizer(jt: int) -> np.ndarray:
     """Q[m', m], the diagonal of the quantizer D(m, e) at the identity rotation.
 
@@ -211,7 +203,6 @@ def _identity_quantizer(jt: int) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=128)
 def _entry_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the entries A_ab and A_ba of an n x n operator, over the
     pairs a <= b ordered by k = b - a (the n diagonal pairs first), read-only."""
@@ -270,6 +261,7 @@ class SpinTransform:
         self._cos, self._sin = (np.repeat(f(angles), np.arange(n, 0, -1), axis=0) for f in (np.cos, np.sin))
         for array in (self.weights, self._table, self._cos, self._sin):
             array.setflags(write=False)
+        self._quantizer, self._pairs = _identity_quantizer(self.j.twice), _entry_pairs(n)
         self._basis_maps = None
 
     @classmethod
@@ -307,7 +299,7 @@ class SpinTransform:
             # exactly real, as every H_k is Hermitian; copied, because a .real view would keep
             # the complex table alive while nbytes, which the cache budgets, counts half of it
             analysis = np.ascontiguousarray(self.analyze(basis).real)
-            synthesis = _identity_quantizer(self.j.twice).T @ analysis * self.weights
+            synthesis = self._quantizer.T @ analysis * self.weights
             self._basis_maps = (basis, *(m.reshape(n * n, -1) for m in (analysis, synthesis)))
             for array in self._basis_maps:
                 array.setflags(write=False)
@@ -324,7 +316,7 @@ class SpinTransform:
         if a.shape[-2:] != (n, n):
             raise ValueError(f"operator shape {a.shape} is not (..., {n}, {n}) for spin j={self.j}")
         lead = a.shape[:-2]
-        upper, lower = _entry_pairs(n)
+        upper, lower = self._pairs
         flat = a.reshape(lead + (n * n,))
         above, below = flat.take(upper, axis=-1), flat.take(lower, axis=-1)
         sym, anti = above + below, above - below
@@ -345,7 +337,7 @@ class SpinTransform:
         if w.shape != (n, self.weights.size):
             raise ValueError(f"symbol table shape {w.shape} is not ({n}, {self.weights.size}) outcomes x nodes")
         is_complex = w.dtype.kind == "c" and np.count_nonzero(w.imag) > 0
-        c = (_identity_quantizer(self.j.twice) @ (w if is_complex else w.real)) * self.weights
+        c = (self._quantizer @ (w if is_complex else w.real)) * self.weights
         # rows (beta, m); a complex table enters as (re, im) pairs of columns
         c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1)).reshape(-1, n_gamma)
         s = (self._table.T @ (c.view(float) if is_complex else c)).reshape(len(self._cos), n_gamma, -1)
@@ -354,7 +346,7 @@ class SpinTransform:
         if is_complex:
             u, v = u.view(complex), v.view(complex)
         u, iv = u[:, 0], 1j * v[:, 0]
-        upper, lower = _entry_pairs(n)
+        upper, lower = self._pairs
         out = np.empty(n * n, dtype=complex)
         out[lower] = u - iv
         out[upper] = u + iv
@@ -592,8 +584,7 @@ class QuantizerPair:
     @classmethod
     def matrix_units(cls, dim: int) -> "QuantizerPair":
         """Matrix-element symbol family: U(a,b) = |a><b|, D(a,b) = |b><a|; f_A(a,b) = A[b, a]."""
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
+        (dim,) = _integers((dim,), "dimensions", 1)
         return cls(dim=dim)
 
     @property

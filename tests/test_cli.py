@@ -553,6 +553,13 @@ class TestChannelCommand:
                    "--out", str(tmp / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.25", "nan"])
+    def test_bad_p_is_named_in_the_refusal(self, workdir, capsys, p):
+        tmp, _ = workdir
+        assert main(["channel", "--kind", "depolarizing", f"--p={p}", "--out", str(tmp / "x.json")]) == 2
+        assert f"channel parameter p must lie in [0, 1], got {float(p)}" in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
 
 class TestSimplexCommand:
     def test_werner_product_dimension_one(self, workdir, capsys):

@@ -397,8 +397,9 @@ class TestOneKernel:
 
     def test_a_non_integer_count_is_refused_by_the_sampler(self):
         # refused before the scan allocates for its entropies
-        with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
-            min_entropy_over_group(random_density(2, 2, seed=37), 10.0, seed=38)
+        for count in (10.0, True):
+            with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+                min_entropy_over_group(random_density(2, 2, seed=37), count, seed=38)
 
     def test_integral_entropy_is_the_monte_carlo_part(self):
         rho = random_density(3, 2, seed=33)

@@ -1,6 +1,6 @@
 import pytest
 
-from spintomo.halfint import HalfInt, spin_range
+from spintomo.halfint import HalfInt, spin, spin_range
 
 
 def test_coercion():
@@ -15,6 +15,17 @@ def test_rejects_non_half_integers():
         HalfInt.of(0.3)
     with pytest.raises(TypeError):
         HalfInt.of("1/2")
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_rejects_a_bool(value):
+    # a bool is an Integral, and True once coerced to 1 as a spin or magnetic number
+    with pytest.raises(ValueError, match="bool"):
+        HalfInt.of(value)
+    with pytest.raises(ValueError, match="bool"):
+        spin(value)
+    with pytest.raises(ValueError, match="twice-value must be an integer"):
+        HalfInt(value)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
@@ -44,6 +55,17 @@ def test_spin_range_descending():
     assert spin_range(0) == [HalfInt(0)]
     with pytest.raises(ValueError):
         spin_range(-1)
+
+
+@pytest.mark.parametrize("j, twice", [(0, 0), (1.5, 3), (HalfInt(4), 4)])
+def test_spin_is_the_half_integer_of_j(j, twice):
+    assert spin(j) == HalfInt(twice)
+
+
+@pytest.mark.parametrize("j", [-0.5, -1, HalfInt(-3)])
+def test_spin_refuses_a_negative_spin(j):
+    with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
+        spin(j)
 
 
 def test_str_forms():

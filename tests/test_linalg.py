@@ -143,6 +143,8 @@ class TestDensityMatrix:
             (np.ones((2, 3)), {}, "expected a square matrix, got shape (2, 3)"),
             (np.diag([np.nan, 1.0]), {}, "matrix has non-finite (NaN or infinite) entries"),
             (np.eye(2) / 2, {"dims": (0,)}, "dims (0,) must each be at least 1"),
+            (np.eye(4) / 4, {"dims": (2.9, 2)}, "dims must be integers, got 2.9"),
+            (np.eye(4) / 4, {"dims": (True, 4)}, "dims must be integers, got True"),
             (np.eye(2) / 2, {"dims": (2, 2)}, "dims (2, 2) do not multiply to dimension 2"),
             (np.array([[0.5, 0.5], [0.0, 0.5]]), {}, "density matrix is not Hermitian within 1e-12"),
             (np.diag([0.6, 0.6]), {}, "density matrix trace differs from 1 beyond 1e-12"),
@@ -256,6 +258,19 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, keep=())
 
+    @pytest.mark.parametrize("keep", [(0, 0.9), True, "01", 0.7, (np.float64(1.0),)])
+    def test_an_index_that_is_no_integer_is_refused(self, keep):
+        # none is truncated to an index: (0, 0.9) once kept (0,), True kept 1 and "01" both subsystems
+        with pytest.raises(ValueError, match="^subsystem indices must be integers, got "):
+            partial_trace(bell_state(), keep)
+
+    def test_numpy_integer_indices_are_accepted(self):
+        rho = random_density(8, 5, seed=7, dims=(2, 2, 2))
+        reduced = partial_trace(rho, np.array([2, 0]))
+        assert reduced.dims == (2, 2)
+        assert np.array_equal(reduced.mat, partial_trace(rho, (0, 2)).mat)
+        assert partial_trace(rho, np.int64(1)).dims == (2,)
+
 
 class TestPartialTranspose:
     def test_werner_matches_closed_form(self):
@@ -286,6 +301,19 @@ class TestPartialTranspose:
     def test_requires_bipartition(self):
         with pytest.raises(ValueError):
             partial_transpose(random_density(4, 4, seed=4), subsystem=0)
+
+    @pytest.mark.parametrize(
+        "subsystem, message",
+        [
+            (True, "subsystem indices must be integers, got True"),
+            (0.5, "subsystem indices must be integers, got 0.5"),
+            (2, r"subsystem index out of range for dims \(2, 2\)"),
+            (-1, r"subsystem index out of range for dims \(2, 2\)"),
+        ],
+    )
+    def test_refuses_a_subsystem_that_is_no_index(self, subsystem, message):
+        with pytest.raises(ValueError, match=message):
+            partial_transpose(bell_state(), subsystem)
 
 
 class TestFrameStacks:
@@ -415,10 +443,19 @@ class TestBlockedFrameKernels:
         reference.standard_normal((2, count, n, n))
         assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
 
-    @pytest.mark.parametrize("count", [-1, -512, 2.5, 3.0, "4", None])
+    @pytest.mark.parametrize("count", [-1, -512, 2.5, 3.0, "4", None, True])
     def test_haar_refuses_a_count_that_is_no_nonnegative_integer(self, count):
         with pytest.raises(ValueError, match=f"sample count must be a nonnegative integer, got {count!r}"):
             haar_unitaries(2, count, 1)
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [(2.5, "must be integers, got 2.5"), (True, "must be integers, got True"), (0, r"\(0,\) must each be at least 1")],
+    )
+    def test_haar_refuses_a_dimension_that_is_no_positive_integer(self, n, message):
+        for draw in (haar_unitaries, haar_blocks):
+            with pytest.raises(ValueError, match=message):
+                draw(n, 3, 0)
 
     def test_frame_diagonals_scratch_does_not_grow_with_frames(self):
         frames = haar_unitaries(8, 20_000, 3)

@@ -103,7 +103,7 @@ class TestGrid:
             make_grid(j, oversample=oversample)
         assert str(refused.value) == message
 
-    @pytest.mark.parametrize("count", [0, -1, 2.5, np.nan])
+    @pytest.mark.parametrize("count", [0, -1, 2.5, np.nan, True])
     def test_grid_counts_must_be_positive_integers(self, count):
         # a grid is its two node counts; its nodes and weights follow from them
         for counts in ((count, 3), (3, count)):
@@ -458,6 +458,12 @@ class TestPairMaps:
             intertwine(np.ones(3), QuantizerPair.matrix_units(2), QuantizerPair.matrix_units(2))
         with pytest.raises(ValueError, match="at least 1"):
             QuantizerPair.matrix_units(0)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True])
+    def test_matrix_units_refuse_a_dimension_that_is_no_integer(self, dim):
+        # 2.5 once made a pair of size 6.25
+        with pytest.raises(ValueError, match=f"must be integers, got {dim!r}"):
+            QuantizerPair.matrix_units(dim)
 
 
 class TestPairAtJ8:

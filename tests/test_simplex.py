@@ -112,11 +112,17 @@ class TestImageSample:
             ((True, 4), None, "factor dims must be integers, got True"),
             ((2, 2), (0.5,), "active factor indices must be integers, got 0.5"),
             ((2, 2), (False, 1), "active factor indices must be integers, got False"),
+            ((-2, -2), None, r"factor dims \(-2, -2\) must each be at least 1"),
         ],
     )
     def test_non_integral_factors_and_indices_refused(self, factors, active, message):
         with pytest.raises(ValueError, match=message):
             GroupSpec("product", factors, active=active)
+
+    @pytest.mark.parametrize("active", [(2,), (-1,), (0, 2)])
+    def test_active_indices_out_of_range_refused(self, active):
+        with pytest.raises(ValueError, match=r"subsystem index out of range for dims \(2, 2\)"):
+            GroupSpec("product", (2, 2), active=active).resolve((2, 2))
 
     def test_numpy_integers_are_accepted(self):
         g = GroupSpec("product", np.array([2, 2]), active=np.array([1]))
@@ -167,8 +173,9 @@ class TestBlockedProductImage:
     @pytest.mark.parametrize("kind", ["full", "product"])
     def test_a_non_integer_count_is_refused_by_the_sampler(self, kind):
         rho = random_density(4, 4, seed=16, dims=(2, 2))
-        with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
-            image_sample(rho, GroupSpec(kind), 10.0, seed=17)
+        for count in (10.0, True):
+            with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+                image_sample(rho, GroupSpec(kind), count, seed=17)
 
     def test_no_full_product_stack_is_held(self):
         rho = random_density(8, 8, seed=12, dims=(2, 2, 2))
@@ -407,8 +414,9 @@ class TestPeresScan:
         assert peak <= 0.8 * 10_000 * 8 * 8 * 16
 
     def test_a_non_integer_count_is_refused_by_the_sampler(self):
-        with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
-            peres_scan(werner_state(1.0), 10.0, seed=40)
+        for count in (10.0, True):
+            with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+                peres_scan(werner_state(1.0), count, seed=40)
 
     def test_qubit_qutrit_pure_state(self):
         # a random pure 2x3 state is entangled with probability one

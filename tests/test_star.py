@@ -82,6 +82,13 @@ class TestKernels:
         x = (HalfInt(1), np.pi / 3, 1.0)
         assert abs(kernel_closed_form(0.5, x2, x1, x) - kernel_trace_form(0.5, x2, x1, x)) < 1e-12
 
+    @pytest.mark.parametrize("kernel", [kernel_closed_form, kernel_trace_form], ids=["closed", "trace"])
+    def test_a_negative_spin_is_refused(self, kernel):
+        # the closed form once summed no terms and returned 0
+        point = (HalfInt(0), 0.3, 0.1)
+        with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
+            kernel(-1, point, point, point)
+
 
 class TestStarKernelTable:
     def test_table_matches_lazy_evaluation(self, rng):

@@ -218,6 +218,22 @@ class TestClebschGordan:
         with pytest.raises(ValueError):
             clebsch_gordan(-1, 0, 1, 0, 1, 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: clebsch_gordan(-1, 0, 1, 0, 1, 0),
+            lambda: wigner_3j(1, -1, 1, 0, 0, 0),
+            lambda: wigner_6j(-1, 1, 1, 1, 1, 1),
+            lambda: wigner_6j(1, 1, 1, 1, 1, -0.5),
+            lambda: wigner_d_stack(-0.5, [0.3]),
+            lambda: wigner_small_d(-1, 0, 0, 0.3),
+        ],
+        ids=["cg", "3j", "6j_first", "6j_last", "d_stack", "small_d"],
+    )
+    def test_a_negative_spin_gets_the_spin_message(self, call):
+        with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
+            call()
+
     @settings(max_examples=3, deadline=None)
     @given(jt=st.integers(min_value=0, max_value=120))
     @example(jt=120)

@@ -358,7 +358,7 @@ class TestMarginal:
         with pytest.raises(ValueError, match="factor dims"):
             tomogram_marginal(t, keep=0)
 
-    @pytest.mark.parametrize("keep", [(), 2, (0, -1)])
+    @pytest.mark.parametrize("keep", [(), 2, (0, -1), (0.5,), True])
     def test_refuses_bad_keep(self, keep):
         rho = random_density(4, 2, seed=18, dims=(2, 2))
         frames = [(haar_unitaries(2, 1, 19)[0], haar_unitaries(2, 1, 20)[0])]
@@ -409,6 +409,7 @@ class TestTomogramType:
             ([np.eye(2)], np.full((2, 1), 0.5), (3,), "do not multiply to the frame size 2"),
             ([np.eye(2)], np.full((2, 1), 0.5), (2, 2), "do not multiply to the frame size 2"),
             ([np.eye(4)], np.full((4, 1), 0.25), (-2, -2), "must each be at least 1"),
+            ([np.eye(4)], np.full((4, 1), 0.25), (2.5, 2), "dims must be integers, got 2.5"),
             (grid_frames(0.5, make_grid(0.5)), np.full((2, 15), 0.5), (2,), "unitary tomograms only"),
             ([np.eye(2)], np.full(2, 0.5), None, "must be 2-d"),
         ],
