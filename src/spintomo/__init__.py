@@ -84,6 +84,7 @@ from .star import (
     star_grid,
     symbol_trace,
     trace_power,
+    trace_product,
 )
 from .su2 import (
     clebsch_gordan,

@@ -1,4 +1,4 @@
-"""JSON and CSV serialization for matrices, states, tomograms, and channels.
+"""JSON and CSV serialization for matrices, states and tomograms.
 
 Matrix schema: {"dim": n, "dims": [n1, ...], "re": [...], "im": [...]} with
 row-major flat entry lists.  Tomogram schema carries either "j_twice" with
@@ -16,7 +16,6 @@ import tempfile
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, KrausChannel, build_channel
 from .halfint import HalfInt
 from .linalg import DensityMatrix, _check_bytes
 from .symbols import SpinFrames, Tomogram
@@ -167,24 +166,6 @@ def tomogram_from_obj(obj) -> Tomogram:
         source = "j_twice" if kind == "spin" else "dims"
         raise ValueError(f"tomogram outcomes do not match the labels that its {source} implies")
     return t
-
-
-def channel_from_obj(obj) -> KrausChannel:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a channel must be a JSON object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind == "kraus":
-        ops = _field(obj, "ops", dict, listed=1) if "ops" in obj else []
-        return KrausChannel([matrix_from_obj(o)[0] for o in ops])
-    if kind in CHANNEL_KINDS:
-        if "p" not in obj:
-            raise ValueError(f"channel kind {kind!r} requires a 'p' field")
-        return build_channel(kind, _field(obj, "p", float))
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def channel_to_obj(channel: KrausChannel) -> dict:
-    return {"kind": "kraus", "ops": [matrix_to_obj(v) for v in channel.ops]}
 
 
 def dumps(obj) -> str:

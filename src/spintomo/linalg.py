@@ -357,6 +357,7 @@ class DensityMatrix:
 
 def random_density(n: int, rank: int, seed: int, dims=None) -> DensityMatrix:
     """Random density matrix of the given numerical rank (Ginibre construction)."""
+    (n,), (rank,) = _integers((n,), "n"), _integers((rank,), "rank")
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in 1..{n}, got {rank}")
     rng = np.random.default_rng(seed)

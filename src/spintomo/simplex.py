@@ -38,7 +38,7 @@ class GroupSpec:
     kind "full" uses U(N) on the whole space; kind "product" uses independent
     factors u_1 (x) ... (x) u_k on the declared dims.  ``active`` restricts the
     product action to a subset of factors (identity elsewhere), e.g.
-    U(2) (x) 1 on a two-qubit space.
+    U(2) (x) 1 on a two-qubit space.  A full group takes neither field.
     """
 
     kind: str
@@ -49,6 +49,8 @@ class GroupSpec:
         if self.kind not in ("full", "product"):
             raise ValueError("group kind must be 'full' or 'product'")
         object.__setattr__(self, "factor_dims", _integers(self.factor_dims, "factor dims", 1))
+        if self.kind == "full" and (self.factor_dims or self.active is not None):
+            raise ValueError("factor_dims and active apply to product groups only, not to kind 'full'")
         if self.active is not None:
             object.__setattr__(self, "active", tuple(sorted(set(_integers(self.active, "active factor indices")))))
             if not self.active:

@@ -5,10 +5,13 @@ against the three-point kernel K(x2, x1, x) = Tr[D(x2) D(x1) U(x)].  Because
 the kernel factors through operator space, ``star_compose`` evaluates it as
 analyze(synthesize(f_A) @ synthesize(f_B)) with the grid's ``SpinTransform``:
 two syntheses (one for a square), one (2j+1)-dimensional matrix product and
-one analysis, with no kernel or quantizer stack formed.  ``symbol_trace``
-needs no synthesis: Tr D(m, x) = sum_m' Q[m', m] = 1/(8 pi^2) for every m and
-node, so the trace is the weighted sum of the symbol table's column sums over
-the group volume.
+one analysis, with no kernel or quantizer stack formed.  Traces need no
+synthesis.  ``symbol_trace``: Tr D(m, x) = sum_m' Q[m', m] = 1/(8 pi^2) for
+every m and node, so the trace is the weighted sum of the symbol table's
+column sums over the group volume.  ``trace_product``: the quantizer at a node
+is D(m, x) = R_x^dag diag(Q[:, m]) R_x, so Tr[D(m, x) B] = (Q f_B)[m, x] and
+Tr[A B] = sum_x W_x f_A(., x)^T Q f_B(., x), the pairing of one symbol with
+the other's quantizer image.  ``trace_power`` composes n - 2 times and pairs.
 
 The kernel itself is kept for reference, in two independent forms.  The trace
 form is the definition, evaluated on the covariant quantizers and dequantizers
@@ -39,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .halfint import HalfInt, spin
+from .linalg import _is_integer
 from .quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
 from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_d_matrix
 from .symbols import (
@@ -164,14 +168,29 @@ def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     return complex(transform.weights @ t.table.sum(axis=0) / GROUP_VOLUME)
 
 
+def trace_product(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> complex:
+    """Tr[A B] from the spin symbols of A and B on one grid, by the pairing
+    sum_x W_x f_A(., x)^T Q f_B(., x): no synthesis, product or analysis."""
+    transform = _grid_transform(fa, j, grid)
+    if fb is not fa:
+        _grid_transform(fb, j, grid)
+    # a table with no imaginary part enters as real, so Q f_B is a real product
+    a, b = (f.table if np.count_nonzero(f.table.imag) else f.table.real for f in (fa, fb))
+    return complex(transform.weights @ (a * (transform._quantizer @ b)).sum(axis=0))
+
+
 def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:
-    """Tr[rho^n] from the spin symbol of rho by n - 1 star compositions f * t."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """Tr[rho^n] from the spin symbol of rho: ``symbol_trace`` at n = 1, else
+    n - 2 star compositions f * t and one ``trace_product(f, t)``."""
+    if not _is_integer(n) or n < 1:
         raise ValueError("power must be a positive integer")
-    current = t
-    for _ in range(n - 1):
-        current = star_compose(current, t, t.j, grid)
-    value = symbol_trace(current, t.j, grid)
+    if n == 1:
+        value = symbol_trace(t, t.j, grid)
+    else:
+        current = t
+        for _ in range(n - 2):
+            current = star_compose(current, t, t.j, grid)
+        value = trace_product(current, t, t.j, grid)
     if abs(value.imag) > 1e-8:
         raise ValueError(f"trace came out non-real ({value}); non-Hermitian input?")
     return float(value.real)

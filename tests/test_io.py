@@ -5,8 +5,6 @@ import pytest
 
 from conftest import random_hermitian
 from spintomo import io
-from spintomo.channels import apply_kraus, phase_damping
-from spintomo.errors import InvalidChannelError
 from spintomo.halfint import HalfInt
 from spintomo.linalg import haar_unitaries, random_density
 from spintomo.quadrature import make_grid
@@ -169,44 +167,6 @@ class TestTomogramSchema:
         obj[key][1][3] = bad
         with pytest.raises(ValueError, match="finite"):
             io.tomogram_from_obj(obj)
-
-
-class TestChannelSchema:
-    def test_named_channel(self):
-        ch = io.channel_from_obj({"kind": "phase_damping", "p": 0.25})
-        rho = random_density(2, 2, seed=7)
-        want = apply_kraus(phase_damping(0.25), rho)
-        got = apply_kraus(ch, rho)
-        assert np.max(np.abs(got.mat - want.mat)) < 1e-14
-
-    def test_kraus_list_round_trip(self):
-        ch = phase_damping(0.4)
-        back = io.channel_from_obj(io.channel_to_obj(ch))
-        assert len(back.ops) == 3
-
-    def test_incomplete_kraus_rejected(self):
-        obj = {"kind": "kraus", "ops": [io.matrix_to_obj(np.diag([1.0, 0.5]))]}
-        with pytest.raises(InvalidChannelError):
-            io.channel_from_obj(obj)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            io.channel_from_obj({"kind": "dephasing", "p": 0.1})
-
-    @pytest.mark.parametrize(
-        "obj, message",
-        [
-            ({"kind": "phase_damping", "p": {}}, "field 'p' must be a JSON number, got dict"),
-            ({"kind": "phase_damping", "p": "0.5"}, "field 'p' must be a JSON number, got str"),
-            ({"kind": "phase_damping", "p": True}, "field 'p' must be a JSON number, got bool"),
-            ({"kind": "kraus", "ops": 5}, "field 'ops' must be a JSON list of objects, got int"),
-            ([{"kind": "phase_damping", "p": 0.25}], "a channel must be a JSON object, got list"),
-        ],
-        ids=["p-object", "p-string", "p-bool", "ops-number", "not-an-object"],
-    )
-    def test_malformed_fields_refused(self, obj, message):
-        with pytest.raises(ValueError, match=message):
-            io.channel_from_obj(obj)
 
 
 class TestFormatting:

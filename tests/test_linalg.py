@@ -222,6 +222,25 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             random_density(3, 4, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, rank, message",
+        [
+            (2.5, 1, "n must be integers, got 2.5"),
+            (True, 1, "n must be integers, got True"),
+            (np.True_, 1, "n must be integers, got "),
+            (3, 1.5, "rank must be integers, got 1.5"),
+            (3, False, "rank must be integers, got False"),
+            (3, "2", "rank must be integers, got '2'"),
+        ],
+    )
+    def test_non_integral_sizes_refused(self, n, rank, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            random_density(n, rank, seed=0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        rho = random_density(np.int64(3), np.int32(2), seed=4)
+        assert np.array_equal(rho.mat, random_density(3, 2, seed=4).mat)
+
 
 class TestPartialTrace:
     def test_product_state_recovers_factor(self):

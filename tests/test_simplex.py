@@ -119,6 +119,15 @@ class TestImageSample:
         with pytest.raises(ValueError, match=message):
             GroupSpec("product", factors, active=active)
 
+    @pytest.mark.parametrize(
+        "factors, active",
+        [((2, 2), (5,)), ((2, 2), None), ((), (0,)), ((), ())],
+        ids=["both", "factor-dims", "active", "empty-active"],
+    )
+    def test_full_group_refuses_product_fields(self, factors, active):
+        with pytest.raises(ValueError, match="apply to product groups only"):
+            GroupSpec("full", factors, active=active)
+
     @pytest.mark.parametrize("active", [(2,), (-1,), (0, 2)])
     def test_active_indices_out_of_range_refused(self, active):
         with pytest.raises(ValueError, match=r"subsystem index out of range for dims \(2, 2\)"):

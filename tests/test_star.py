@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import operator_stacks, random_hermitian
+from spintomo import star
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
@@ -12,6 +13,7 @@ from spintomo.star import (
     star_grid,
     symbol_trace,
     trace_power,
+    trace_product,
 )
 from spintomo.states import pure_state
 from spintomo.symbols import SpinTransform, grid_frames, spin_tomogram, unitary_tomogram
@@ -232,12 +234,81 @@ class TestTracePower:
         with pytest.raises(ValueError):
             trace_power(f, 0, grid)
 
-    @pytest.mark.parametrize("n", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", True, np.True_])
     def test_power_must_be_an_integer(self, n):
         grid = star_grid(0.5)
         f = spin_tomogram(random_density(2, 2, seed=32), grid_frames(0.5, grid))
         with pytest.raises(ValueError, match="power must be a positive integer"):
             trace_power(f, n, grid)
+
+
+class TestTraceProduct:
+    @pytest.mark.parametrize("jt", [*range(17), 40])
+    def test_equals_trace_of_product(self, jt, rng):
+        j = HalfInt(jt)
+        grid = star_grid(j)
+        frames = grid_frames(j, grid)
+        n = jt + 1
+        a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+        h = random_hermitian(n, rng)
+        fa, fb, fh = (spin_tomogram(x, frames) for x in (a, b, h))
+        # both tables complex, one complex and one real, both real
+        for (x, fx), (y, fy) in [((a, fa), (b, fb)), ((a, fa), (h, fh)), ((h, fh), (a, fa)), ((h, fh), (h, fh))]:
+            bound = 1e-13 * np.linalg.norm(x) * np.linalg.norm(y)
+            assert abs(trace_product(fx, fy, j, grid) - np.trace(x @ y)) <= bound
+
+    @pytest.mark.parametrize("jt", range(17))
+    def test_trace_power_is_power_sum(self, jt):
+        j = HalfInt(jt)
+        grid = star_grid(j)
+        rho = random_density(jt + 1, jt + 1, seed=100 + jt)
+        t = spin_tomogram(rho, grid_frames(j, grid))
+        eigenvalues = np.linalg.eigvalsh(rho.mat)
+        for n in range(1, 6):
+            assert abs(trace_power(t, n, grid) - np.sum(eigenvalues**n)) <= 1e-13
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_unitary_tomogram_refused(self, first):
+        grid = star_grid(0.5)
+        f = spin_tomogram(random_density(2, 2, seed=34), grid_frames(0.5, grid))
+        u = unitary_tomogram(random_density(2, 2, seed=35), [np.eye(2)])
+        pair = (u, f) if first else (f, u)
+        with pytest.raises(ValueError, match="expected a spin tomogram"):
+            trace_product(*pair, 0.5, grid)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_frames_off_the_grid_refused(self, first, rng):
+        grid, other = star_grid(1), make_grid(1, oversample=1.5)
+        f = spin_tomogram(random_hermitian(3, rng), grid_frames(1, grid))
+        g = spin_tomogram(random_hermitian(3, rng), grid_frames(1, other))
+        pair = (g, f) if first else (f, g)
+        with pytest.raises(ValueError, match="do not coincide with the grid nodes"):
+            trace_product(*pair, 1, grid)
+        with pytest.raises(ValueError, match="do not coincide with the grid nodes"):
+            trace_product(f, f, 1.5, grid)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_trace_power_composes_n_minus_2_times(self, n, monkeypatch):
+        grid = star_grid(1.5)
+        t = spin_tomogram(random_density(4, 4, seed=36), grid_frames(1.5, grid))
+        calls = {"synthesize": 0, "analyze": 0, "star_compose": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(SpinTransform, "synthesize")
+        counted(SpinTransform, "analyze")
+        counted(star, "star_compose")
+        trace_power(t, n, grid)
+        assert calls["star_compose"] == max(n - 2, 0)
+        if n <= 2:
+            assert calls["synthesize"] == calls["analyze"] == 0
 
 
 class TestSymbolTrace:

@@ -19,7 +19,7 @@ from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
 from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid, make_grid
 from spintomo.reconstruction import reconstruct_operator
-from spintomo.star import star_compose, star_grid, symbol_trace, trace_power
+from spintomo.star import star_compose, star_grid, symbol_trace, trace_power, trace_product
 from spintomo.su2 import clebsch_gordan, rotation_matrix
 from spintomo.symbols import (
     EulerAngles,
@@ -399,12 +399,18 @@ class TestHalfTable:
         t = spin_tomogram(random_density(jt + 1, jt + 1, seed=jt), grid_frames(j, grid))
         square = transform.analyze(transform.synthesize(t.table) @ transform.synthesize(t.table))
         assert np.array_equal(star_compose(t, t, j, grid).table, square)
-        current = t
+        # current is the symbol of rho^power, previous that of rho^(power - 1)
+        previous, current = None, t
         for power in range(1, 5):
-            want = symbol_trace(current, j, grid).real
-            assert trace_power(t, power, grid) == want
+            got = trace_power(t, power, grid)
+            if previous is None:
+                assert got == symbol_trace(t, j, grid).real
+            else:
+                assert got == trace_product(previous, t, j, grid).real
+            # the composed route: trace of the (power - 1)-fold star product
+            assert abs(got - symbol_trace(current, j, grid).real) <= 1e-13
             product = transform.synthesize(current.table) @ transform.synthesize(t.table)
-            current = Tomogram(t.frames, transform.analyze(product))
+            previous, current = current, Tomogram(t.frames, transform.analyze(product))
 
 
 class TestRealPropagator:
