@@ -16,6 +16,7 @@ so without the estimate a size far beyond the machine would be killed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -292,18 +293,12 @@ def _cmd_entropy(args) -> str | dict:
         raise ValueError("--samples must be at least 2")
     _check_frames("--samples", args.samples, rho.dim, 1, 1)
     report = min_entropy_over_group(rho, args.samples, args.seed, q=args.q)
-    mc = report.monte_carlo
     return {
         "q": args.q,
         "min_value": report.min_value,
         "argmin_frame": io.matrix_to_obj(report.argmin_frame),
         "per_frame": [float(x) for x in report.per_frame],
-        "monte_carlo": {
-            "mean": mc.mean,
-            "stderr": mc.stderr,
-            "n": mc.n,
-            "seed": mc.seed,
-        },
+        "monte_carlo": dataclasses.asdict(report.monte_carlo),
     }
 
 
@@ -320,6 +315,7 @@ def _cmd_peres(args) -> str | dict:
         "min_eigenvalue": result.min_eigenvalue,
         "trace_norm_minus_one": result.trace_norm_minus_one,
         "entangled": result.witness is not None,
+        "detection": dataclasses.asdict(result.detection),
     }
     if result.witness is not None:
         obj["witness"] = io.matrix_to_obj(result.witness)

@@ -121,4 +121,6 @@ def povm_validate(p: Povm) -> PovmReport:
 
 def measurement_probabilities(rho: DensityMatrix, p: Povm) -> np.ndarray:
     """Tr[E_k rho] for every effect; sums to 1 for a complete POVM."""
+    if p.effects[0].shape != rho.mat.shape:
+        raise ValueError("POVM effect and state dimensions differ")
     return np.array([float(np.trace(e @ rho.mat).real) for e in p.effects])

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, column_diagonals, frame_diagonals, haar_blocks
+from .linalg import DensityMatrix, _haar_scan, frame_diagonals
 from .symbols import UnitaryFrames
 
 NEG_TOL = 1e-10
@@ -131,10 +131,21 @@ def quantum_renyi(rho: DensityMatrix, q: float) -> float:
 
 @dataclass
 class MonteCarlo:
+    """Sample mean of n Haar draws' values and its standard error, ddof 1."""
+
     mean: float
     stderr: float
     n: int
     seed: int
+
+    @classmethod
+    def of(cls, values: np.ndarray, seed) -> MonteCarlo | None:
+        """The record of ``values`` drawn with ``seed``: None for no draws, stderr 0 for one."""
+        n = values.size
+        if n == 0:
+            return None
+        stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return cls(mean=float(np.mean(values)), stderr=stderr, n=n, seed=seed)
 
 
 @dataclass
@@ -165,33 +176,21 @@ def min_entropy_over_group(
     The minimizer is the eigenvector frame of rho (no search involved); the
     report carries n_verify Haar frame entropies so callers can confirm the
     bound H_u >= S, and their mean doubles as the integral entropy estimate.
-    Each block of Haar draws is reduced to its entropies as it is drawn, so
-    the scan holds the sampler's Gaussian draw, half a frame stack, and no
-    frames; the values are those of ``frame_probabilities`` on
-    ``haar_unitaries(rho.dim, n_verify, seed)``, bit for bit.
+    The entropies come from ``linalg._haar_scan``, which reduces each block of
+    draws as it is drawn and holds no frames; they are those of
+    ``frame_probabilities`` on ``haar_unitaries(rho.dim, n_verify, seed)``,
+    bit for bit.
     """
     _check_order(q, "Renyi")
     if n_verify < 0:
         raise ValueError(f"n_verify must be nonnegative, got {n_verify}")
     eigs, vecs = np.linalg.eigh(rho.mat)
-    per_frame = np.array([])
-    monte = None
-    if n_verify > 0:
-        draws = haar_blocks(rho.dim, n_verify, seed)  # checks the count before per_frame exists
-        per_frame = np.empty(n_verify)
-        for block, frames in draws:
-            per_frame[block] = _renyi(_probabilities(column_diagonals(rho.mat, frames)), q)
-        stderr = (
-            float(np.std(per_frame, ddof=1) / math.sqrt(n_verify)) if n_verify > 1 else 0.0
-        )
-        monte = MonteCarlo(
-            mean=float(np.mean(per_frame)), stderr=stderr, n=n_verify, seed=seed
-        )
+    per_frame = _haar_scan(rho.mat, n_verify, seed, lambda d: _renyi(_probabilities(d), q))
     return EntropyReport(
         per_frame=per_frame,
         min_value=float(_renyi(_spectrum(eigs), q)),
         argmin_frame=vecs,
-        monte_carlo=monte,
+        monte_carlo=MonteCarlo.of(per_frame, seed),
     )
 
 

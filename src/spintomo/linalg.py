@@ -20,9 +20,10 @@ memory is the output and about one block more.  ``column_diagonals`` reduces one
 in that layout to diag(u^dag a u) with one BLAS GEMM per column and a
 conjugate-product sum over rows.  It is the one diagonal kernel:
 ``frame_diagonals`` transposes each block of a frame stack into the column
-layout and calls it, and the entropy and Peres scans call it on the
-sampler's blocks as they are drawn, so they hold no frame stack and their
-diagonals equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit.
+layout and calls it, and ``_haar_scan``, the one reduction of the entropy
+and Peres scans, calls it on the sampler's blocks as they are drawn, so the
+scans hold no frame stack and their diagonals equal ``frame_diagonals`` of
+``haar_unitaries`` bit for bit.
 
 The sampler's block loop conjugates into a reused buffer and scales in
 place, and each such step rounds as the expression it replaced: numpy
@@ -88,9 +89,12 @@ def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
     """``values`` as a tuple of ints, each at least ``least`` when it is given.
 
     The one integer rule of sizes and indices: a bool or any other non-integer
-    is refused, never truncated.
+    is refused, never truncated, and so is a ``values`` that is not a sequence.
     """
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence of integers, got {values!r}") from None
     for v in values:
         if not _is_integer(v):
             raise ValueError(f"{what} must be integers, got {v!r}")
@@ -292,6 +296,22 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
     return out
 
 
+def _haar_scan(a, count: int, rng_or_seed, reduce) -> np.ndarray:
+    """``reduce(diagonals)`` per Haar frame u of ``haar_unitaries(len(a), count, rng_or_seed)``, shape (count,).
+
+    The one reduction of the entropy and Peres scans: each ``haar_blocks``
+    block goes through ``column_diagonals`` while it is in cache, and
+    ``reduce`` maps its (B, n) complex diagonals diag(u^dag a u) to B values.
+    No frame stack is held, and the diagonals are those of ``frame_diagonals``
+    on ``haar_unitaries`` bit for bit.
+    """
+    draws = haar_blocks(len(a), count, rng_or_seed)  # checks the count before out exists
+    out = np.empty(count)
+    for block, q in draws:
+        out[block] = reduce(column_diagonals(a, q))
+    return out
+
+
 def haar_unitary(n: int, seed: int) -> np.ndarray:
     """One Haar-distributed n x n unitary (phase-fixed QR of a Ginibre matrix)."""
     return haar_unitaries(n, 1, seed)[0]
@@ -322,15 +342,15 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with subsystem dims."""
 
     mat: np.ndarray
-    dims: tuple[int, ...] = ()
+    dims: tuple[int, ...] | None = ()
     psd_slack: float = field(default=PSD_SLACK, repr=False)
 
     def __post_init__(self):
         self.mat = as_matrix(self.mat)
         n = self.mat.shape[0]
-        if not self.dims:
-            self.dims = (n,)
-        self.dims = _subsystem_dims(self.dims)
+        # only None and () declare one system: dims=0 or False is refused, not read as "none"
+        one_system = self.dims is None or (isinstance(self.dims, tuple) and not self.dims)
+        self.dims = (n,) if one_system else _subsystem_dims(self.dims)
         if math.prod(self.dims) != n:
             raise ValueError(f"dims {self.dims} do not multiply to dimension {n}")
         if hermiticity_residual(self.mat) > 1e-12:
@@ -365,7 +385,7 @@ def random_density(n: int, rank: int, seed: int, dims=None) -> DensityMatrix:
     m = g @ g.conj().T
     m /= np.trace(m).real
     m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m, tuple(dims) if dims else (n,))
+    return DensityMatrix(m, dims)
 
 
 def _resolve_keep(dims: tuple[int, ...], keep) -> tuple[int, ...]:

@@ -5,6 +5,12 @@ Sweeping u over the full group or a product subgroup traces out a subset of
 the simplex whose dimension and shape characterize the state: spectra bound
 the image by hyperplanes, factorized states give additive dimensions, and
 certain entangled or symmetric states collapse it further.
+
+The same map applied to the partial transpose rho^TB reads Peres' criterion
+off the simplex: a frame whose diagonal has absolute values summing above 1
+witnesses a negative partial transpose.  The largest such sum is the trace
+norm of rho^TB, reached at its eigenbasis, so ``peres_scan`` takes it in
+closed form and its Haar draws measure the share of frames that detect.
 """
 
 from __future__ import annotations
@@ -13,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import MonteCarlo
 from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
     _blocks,
+    _haar_scan,
     _integers,
     _resolve_keep,
-    column_diagonals,
     frame_diagonals,
-    haar_blocks,
     haar_unitaries,
     hermitian_basis,
     kron_all,
@@ -29,6 +35,7 @@ from .linalg import (
 )
 
 SIMPLEX_TOL = 1e-10
+WITNESS_LIMIT = 1e-8  # a frame whose Peres violation exceeds this witnesses the state
 
 
 @dataclass(frozen=True)
@@ -213,9 +220,13 @@ def eigenvalue_bounds_check(sample: SimplexSample, rho: DensityMatrix) -> bool:
 class PeresScan:
     """Result of a partial-transpose tomographic scan.
 
-    ``max_violation`` is the largest sum_m |<m|u^dag rho^TB u|m>| - 1 over the
-    scanned frames (the eigenbasis frame of rho^TB is always included, where
-    the value equals the trace norm minus one exactly).
+    A frame's violation is sum_m |<m|u^dag rho^TB u|m>| - 1.  Its maximum over
+    all unitaries is the trace norm of rho^TB minus one, attained by the
+    eigenbasis frame of rho^TB, so ``max_violation`` is that frame's value
+    ``eigenbasis_value``, and ``witness`` is that frame when the value exceeds
+    ``WITNESS_LIMIT`` (None otherwise).  ``detection`` is the share of Haar
+    frames whose violation exceeds the limit, with its binomial standard
+    error; None when no frame was drawn.
     """
 
     max_violation: float
@@ -223,6 +234,7 @@ class PeresScan:
     min_eigenvalue: float
     trace_norm_minus_one: float
     eigenbasis_value: float
+    detection: MonteCarlo | None
 
 
 def _violations(diagonals: np.ndarray) -> np.ndarray:
@@ -230,31 +242,26 @@ def _violations(diagonals: np.ndarray) -> np.ndarray:
 
 
 def peres_scan(rho12: DensityMatrix, n: int, seed: int) -> PeresScan:
-    """Search for tomographic detections of a negative partial transpose.
+    """Tomographic detection of a negative partial transpose.
 
-    Each block of n Haar draws is reduced to its violations as it is drawn,
-    and only the best frame so far is copied out, so the scan holds the
-    sampler's Gaussian draw, half a frame stack, and no frames.
+    For Hermitian X and any unitary u, sum_m |(u^dag X u)_mm| <= ||X||_1, with
+    equality at the eigenbasis of X, so the largest violation is read off
+    that one frame and no frame is searched.  The n Haar draws measure how
+    often a random frame of the joint space detects the state: each block is
+    reduced to its detections as it is drawn (``linalg._haar_scan``), so the
+    scan holds the sampler's Gaussian draw, half a frame stack, and no frames.
     """
     if len(rho12.dims) < 2:
         raise ValueError("the scan needs a declared bipartition")
     rho_tb = partial_transpose(rho12, subsystem=len(rho12.dims) - 1)
     eigs, vecs = np.linalg.eigh(rho_tb)
-    frame, value = None, -np.inf
-    for _, frames in haar_blocks(rho12.dim, n, np.random.default_rng(seed)):
-        values = _violations(column_diagonals(rho_tb, frames))
-        # strictly larger: the first maximum over all draws wins, as one argmax over them picks it
-        if values.size and values.max() > value:
-            best = int(np.argmax(values))
-            frame, value = frames[:, :, best].T.copy(), float(values[best])
-    eigenbasis_value = float(_violations(frame_diagonals(rho_tb, vecs[None]))[0])
-    # the eigenbasis frame is scanned after the Haar frames, so a Haar frame wins a tie
-    if frame is None or value < eigenbasis_value:
-        frame, value = vecs, eigenbasis_value
+    hits = _haar_scan(rho_tb, n, seed, lambda d: _violations(d) > WITNESS_LIMIT)
+    value = float(_violations(frame_diagonals(rho_tb, vecs[None]))[0])
     return PeresScan(
         max_violation=value,
-        witness=frame if value > 1e-8 else None,
+        witness=vecs if value > WITNESS_LIMIT else None,
         min_eigenvalue=float(eigs[0]),
         trace_norm_minus_one=float(np.sum(np.abs(eigs)) - 1.0),
-        eigenbasis_value=eigenbasis_value,
+        eigenbasis_value=value,
+        detection=MonteCarlo.of(hits, seed),
     )

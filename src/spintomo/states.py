@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron_all
+from .linalg import DensityMatrix, _integers, kron_all
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -19,11 +19,11 @@ def pure_state(vec, dims=None) -> DensityMatrix:
     if norm == 0:
         raise ValueError("state vector must be nonzero")
     v = v / norm
-    return DensityMatrix(np.outer(v, v.conj()), dims or (v.size,))
+    return DensityMatrix(np.outer(v, v.conj()), dims)
 
 
 def maximally_mixed(dims) -> DensityMatrix:
-    dims = tuple(dims)
+    dims = _integers(dims, "dims", 1)
     n = int(np.prod(dims))
     return DensityMatrix(np.eye(n, dtype=complex) / n, dims)
 
@@ -45,12 +45,16 @@ def entangled_ray_state(c0: complex, c1: complex) -> DensityMatrix:
 
 
 def ghz_state(n_qubits: int = 3) -> DensityMatrix:
+    """(|0...0> + |1...1>)/sqrt(2) on n_qubits >= 1 qubits."""
+    (n_qubits,) = _integers((n_qubits,), "n_qubits", 1)
     v = np.zeros(2**n_qubits, dtype=complex)
     v[0] = v[-1] = 1.0
     return pure_state(v, dims=(2,) * n_qubits)
 
 
 def product_state(*factors: DensityMatrix) -> DensityMatrix:
+    if not factors:
+        raise ValueError("a product state needs at least one factor")
     mats = [f.mat for f in factors]
     dims = sum((f.dims for f in factors), ())
     return DensityMatrix(kron_all(mats), dims)

@@ -312,7 +312,8 @@ def test_criterion_09_peres_scan():
     assert abs(bell.eigenbasis_value - bell.trace_norm_minus_one) < 1e-10
     report(
         "9 Peres scan",
-        f"q=0.2 clean, q=1 violation {entangled.max_violation:.6f}, Bell witnessed",
+        f"q=0.2 clean, q=1 violation {entangled.max_violation:.6f}, Bell witnessed: violation "
+        f"{bell.max_violation:.6f}, Haar detection {bell.detection.mean:.3f} +- {bell.detection.stderr:.3f}",
     )
 
 

@@ -671,6 +671,17 @@ class TestPeresCommand:
         assert report["entangled"] is True
         assert "witness" in report
 
+    def test_detection_reports_the_draws(self, workdir):
+        tmp, paths = workdir
+        out = tmp / "p.json"
+        rc = main(["peres", "--state", str(paths["werner"]), "--samples", "64",
+                   "--seed", "8", "--out", str(out)])
+        assert rc == 0
+        detection = json.load(out.open())["detection"]
+        assert sorted(detection) == ["mean", "n", "seed", "stderr"]
+        assert (detection["n"], detection["seed"]) == (64, 8)
+        assert 0.0 <= detection["mean"] <= 1.0
+
     def test_needs_bipartition(self, workdir):
         tmp, paths = workdir
         rc = main(["peres", "--state", str(paths["qubit"]), "--samples", "10",

@@ -16,7 +16,7 @@ from spintomo.linalg import haar_unitaries, random_density
 from spintomo.reconstruction import reconstruct_from_unitary_frame, reconstruction_residual
 from spintomo.halfint import HalfInt
 from spintomo.star import star_compose, star_grid
-from spintomo.states import SIGMA_Z, plus_state, pure_state
+from spintomo.states import SIGMA_Z, bell_state, plus_state, pure_state
 from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
 
 
@@ -197,6 +197,10 @@ class TestPovm:
         report = povm_validate(Povm(effects))
         assert not report.ok
         assert report.completeness_residual == pytest.approx(1.0, abs=1e-14)
+
+    def test_probabilities_refuse_a_povm_of_another_dimension(self):
+        with pytest.raises(ValueError, match="POVM effect and state dimensions differ"):
+            measurement_probabilities(bell_state(), Povm([np.eye(2)]))
 
     def test_probabilities_sum_to_one(self, rng):
         effects = [0.25 * np.eye(2), 0.75 * np.eye(2)]

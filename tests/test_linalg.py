@@ -22,7 +22,7 @@ from spintomo.linalg import (
     random_density,
     unitarity_residual,
 )
-from spintomo.states import SIGMA_Z, bell_state, product_state, werner_state
+from spintomo.states import SIGMA_Z, bell_state, ghz_state, maximally_mixed, product_state, werner_state
 
 
 class TestEigHermitian:
@@ -145,6 +145,9 @@ class TestDensityMatrix:
             (np.eye(2) / 2, {"dims": (0,)}, "dims (0,) must each be at least 1"),
             (np.eye(4) / 4, {"dims": (2.9, 2)}, "dims must be integers, got 2.9"),
             (np.eye(4) / 4, {"dims": (True, 4)}, "dims must be integers, got True"),
+            (np.eye(4) / 4, {"dims": 4}, "dims must be a sequence of integers, got 4"),
+            (np.eye(4) / 4, {"dims": 0}, "dims must be a sequence of integers, got 0"),
+            (np.eye(4) / 4, {"dims": False}, "dims must be a sequence of integers, got False"),
             (np.eye(2) / 2, {"dims": (2, 2)}, "dims (2, 2) do not multiply to dimension 2"),
             (np.array([[0.5, 0.5], [0.0, 0.5]]), {}, "density matrix is not Hermitian within 1e-12"),
             (np.diag([0.6, 0.6]), {}, "density matrix trace differs from 1 beyond 1e-12"),
@@ -223,23 +226,52 @@ class TestDensityMatrix:
             random_density(3, 4, seed=0)
 
     @pytest.mark.parametrize(
-        "n, rank, message",
+        "n, rank, dims, message",
         [
-            (2.5, 1, "n must be integers, got 2.5"),
-            (True, 1, "n must be integers, got True"),
-            (np.True_, 1, "n must be integers, got "),
-            (3, 1.5, "rank must be integers, got 1.5"),
-            (3, False, "rank must be integers, got False"),
-            (3, "2", "rank must be integers, got '2'"),
+            (2.5, 1, None, "n must be integers, got 2.5"),
+            (True, 1, None, "n must be integers, got True"),
+            (np.True_, 1, None, "n must be integers, got "),
+            (3, 1.5, None, "rank must be integers, got 1.5"),
+            (3, False, None, "rank must be integers, got False"),
+            (3, "2", None, "rank must be integers, got '2'"),
+            (4, 1, 4, "dims must be a sequence of integers, got 4"),
+            (4, 1, 0, "dims must be a sequence of integers, got 0"),
         ],
     )
-    def test_non_integral_sizes_refused(self, n, rank, message):
+    def test_non_integral_sizes_refused(self, n, rank, dims, message):
         with pytest.raises(ValueError, match=f"^{message}"):
-            random_density(n, rank, seed=0)
+            random_density(n, rank, seed=0, dims=dims)
+
+    @pytest.mark.parametrize("dims", [None, ()])
+    def test_none_and_empty_dims_declare_one_system(self, dims):
+        assert random_density(4, 2, seed=5, dims=dims).dims == (4,)
+        assert DensityMatrix(np.eye(4) / 4, dims=dims).dims == (4,)
 
     def test_numpy_integer_sizes_accepted(self):
         rho = random_density(np.int64(3), np.int32(2), seed=4)
         assert np.array_equal(rho.mat, random_density(3, 2, seed=4).mat)
+
+
+class TestReferenceStates:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ghz_state(True), "n_qubits must be integers, got True"),
+            (lambda: ghz_state(2.5), "n_qubits must be integers, got 2.5"),
+            (lambda: ghz_state(-1), r"n_qubits \(-1,\) must each be at least 1"),
+            (lambda: ghz_state(0), r"n_qubits \(0,\) must each be at least 1"),
+            (lambda: product_state(), "a product state needs at least one factor"),
+            (lambda: maximally_mixed(4), "dims must be a sequence of integers, got 4"),
+        ],
+        ids=["ghz-bool", "ghz-float", "ghz-negative", "ghz-zero", "product-empty", "mixed-int"],
+    )
+    def test_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
+
+    def test_ghz_state_takes_numpy_integers(self):
+        assert np.array_equal(ghz_state(np.int64(2)).mat, ghz_state(2).mat)
+        assert ghz_state(1).dims == (2,)
 
 
 class TestPartialTrace:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_dimension, frame_diagonals_bound, frame_diagonals_oracle
-from spintomo import simplex
 from spintomo.errors import DegeneratePointError
 from spintomo.linalg import (
     DensityMatrix,
@@ -16,6 +15,7 @@ from spintomo.linalg import (
     random_density,
 )
 from spintomo.simplex import (
+    WITNESS_LIMIT,
     GroupSpec,
     eigenvalue_bounds_check,
     entangled_ray_check,
@@ -113,6 +113,8 @@ class TestImageSample:
             ((2, 2), (0.5,), "active factor indices must be integers, got 0.5"),
             ((2, 2), (False, 1), "active factor indices must be integers, got False"),
             ((-2, -2), None, r"factor dims \(-2, -2\) must each be at least 1"),
+            (4, None, "factor dims must be a sequence of integers, got 4"),
+            ((2, 2), 0, "active factor indices must be a sequence of integers, got 0"),
         ],
     )
     def test_non_integral_factors_and_indices_refused(self, factors, active, message):
@@ -370,46 +372,47 @@ class TestPeresScan:
         vecs = np.linalg.eigh(partial_transpose(werner_state(1.0), 1))[1]
         assert result.max_violation == result.eigenbasis_value
         assert np.array_equal(result.witness, vecs)
-
-    def test_a_haar_frame_wins_a_tie_with_the_eigenbasis(self, monkeypatch):
-        # -vecs gives bit-identical diagonals to vecs but is a different frame
-        rho = werner_state(1.0)
-        vecs = np.linalg.eigh(partial_transpose(rho, 1))[1]
-        # the scan's draws arrive as blocks in the sampler's layout, q[k, i, b] = u_b[i, k]
-        block = np.ascontiguousarray((-vecs)[None].T)
-        monkeypatch.setattr(simplex, "haar_blocks", lambda n, count, rng: iter([(slice(0, 1), block)]))
-        result = peres_scan(rho, 1, seed=36)
-        assert result.max_violation == result.eigenbasis_value
-        assert np.array_equal(result.witness, -vecs)
+        assert result.detection is None
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
     @pytest.mark.parametrize("n", [511, 513, 1025, 2047])
     def test_block_scan_equals_the_stack_scan(self, dims, n):
-        # the scan before blocking: all n Haar frames as one stack, then one argmax
+        # the detections of all n Haar frames as one stack, against the blocks reduced as drawn
         rho = random_density(int(np.prod(dims)), 2, seed=n, dims=dims)
         rho_tb = partial_transpose(rho, 1)
-        vecs = np.linalg.eigh(rho_tb)[1]
         haar = haar_unitaries(rho.dim, n, np.random.default_rng(n + 1))
-        values = np.sum(np.abs(frame_diagonals(rho_tb, haar).real), axis=1) - 1.0
-        eigenbasis_value = np.sum(np.abs(frame_diagonals(rho_tb, vecs[None]).real)) - 1.0
-        if values.max() >= eigenbasis_value:
-            frame, value = haar[np.argmax(values)], values.max()
-        else:
-            frame, value = vecs, eigenbasis_value
+        p = np.mean(np.sum(np.abs(frame_diagonals(rho_tb, haar).real), axis=1) - 1.0 > WITNESS_LIMIT)
         result = peres_scan(rho, n, seed=n + 1)
-        assert result.max_violation == value
-        assert np.array_equal(result.witness, frame) if value > 1e-8 else result.witness is None
+        assert result.detection.mean == p
+        assert (result.detection.n, result.detection.seed) == (n, n + 1)
+        assert result.detection.stderr == pytest.approx(np.sqrt(p * (1 - p) / (n - 1)), rel=1e-12)
 
-    def test_the_first_of_tied_haar_frames_wins_across_blocks(self, monkeypatch):
-        # -vecs and vecs tie with each other and with the eigenbasis frame; a later
-        # block's equal maximum does not displace the earlier one
-        rho = werner_state(1.0)
-        vecs = np.linalg.eigh(partial_transpose(rho, 1))[1]
-        blocks = [(slice(k, k + 1), np.ascontiguousarray(u[None].T)) for k, u in enumerate((-vecs, vecs))]
-        monkeypatch.setattr(simplex, "haar_blocks", lambda n, count, rng: iter(blocks))
-        result = peres_scan(rho, 2, seed=39)
-        assert result.max_violation == result.eigenbasis_value
-        assert np.array_equal(result.witness, -vecs)
+    def test_one_frame_has_no_spread(self):
+        assert peres_scan(bell_state(), 1, seed=43).detection.stderr == 0.0
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_no_haar_frame_beats_the_eigenbasis(self, dims):
+        # sum_m |(u^dag X u)_mm| <= ||X||_1 for every unitary u, with equality at X's eigenbasis
+        d = int(np.prod(dims))
+        haar = haar_unitaries(d, 2000, np.random.default_rng(d))
+        for rank in range(1, d + 1):
+            for seed in (44, 45):
+                rho = random_density(d, rank, seed=100 * seed + rank, dims=dims)
+                values = np.sum(np.abs(frame_diagonals(partial_transpose(rho, 1), haar).real), axis=1) - 1.0
+                assert values.max() <= peres_scan(rho, 10, seed=seed).max_violation + 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_no_haar_frame_detects_a_product_state(self, dims):
+        for ra in range(1, dims[0] + 1):
+            for rb in range(1, dims[1] + 1):
+                rho = product_state(random_density(dims[0], ra, seed=46 + ra), random_density(dims[1], rb, seed=47 + rb))
+                result = peres_scan(rho, 2000, seed=48)
+                assert result.detection.mean == 0.0 and result.witness is None
+
+    @pytest.mark.parametrize("q", [0.0, 0.2, 1 / 3])
+    def test_no_haar_frame_detects_a_separable_werner_state(self, q):
+        result = peres_scan(werner_state(q), 2000, seed=49)
+        assert result.detection.mean == 0.0 and result.witness is None
 
     def test_scan_holds_no_frame_stack(self):
         rho = random_density(8, 8, seed=37, dims=(2, 4))
@@ -432,5 +435,7 @@ class TestPeresScan:
         rho = random_density(6, 1, seed=33, dims=(2, 3))
         result = peres_scan(rho, 300, seed=34)
         assert result.min_eigenvalue < -1e-6
-        assert result.witness is not None
         assert abs(result.eigenbasis_value - result.trace_norm_minus_one) < 1e-10
+        # the maximum and the witness are the eigenbasis frame's, whatever the draws
+        assert result.max_violation == result.eigenbasis_value
+        assert np.array_equal(result.witness, np.linalg.eigh(partial_transpose(rho, 1))[1])

@@ -410,6 +410,7 @@ class TestTomogramType:
             ([np.eye(2)], np.full((2, 1), 0.5), (2, 2), "do not multiply to the frame size 2"),
             ([np.eye(4)], np.full((4, 1), 0.25), (-2, -2), "must each be at least 1"),
             ([np.eye(4)], np.full((4, 1), 0.25), (2.5, 2), "dims must be integers, got 2.5"),
+            ([np.eye(2)], np.full((2, 1), 0.5), 2, "dims must be a sequence of integers, got 2"),
             (grid_frames(0.5, make_grid(0.5)), np.full((2, 15), 0.5), (2,), "unitary tomograms only"),
             ([np.eye(2)], np.full(2, 0.5), None, "must be 2-d"),
         ],
