@@ -151,9 +151,11 @@ def _check_frames(flag: str, count: int, d: int, matrices: int, numbers: int, fm
     other half is room for the block scratch.  4 for tomogram frames, which may be read
     from a file as a list of small arrays (a 2 x 2 array's 128 B header
     outweighs its 64 B of entries) beside their stacked copy, and for
-    ``simplex-image``, which keeps that margin for its factor stacks and the
-    product blocks formed from them.  The unitarity check adds no full-size
-    temporaries: it walks the stack one block at a time.
+    ``simplex-image``: its full group reduces the draws as the scans do, but
+    a CSV run draws the factor stacks again for its rows, and a product
+    group holds its factor stacks beside the product blocks formed from
+    them.  The unitarity check adds no full-size temporaries: it walks the
+    stack one block at a time.
     """
     per_frame = 16 * d * d * matrices + 16 * d + _NUMBER_BYTES[fmt] * numbers
     _check_bytes(count * per_frame, "{} {} at dimension {}", flag, count, d)

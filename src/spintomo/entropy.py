@@ -182,8 +182,6 @@ def min_entropy_over_group(
     bit for bit.
     """
     _check_order(q, "Renyi")
-    if n_verify < 0:
-        raise ValueError(f"n_verify must be nonnegative, got {n_verify}")
     eigs, vecs = np.linalg.eigh(rho.mat)
     per_frame = _haar_scan(rho.mat, n_verify, seed, lambda d: _renyi(_probabilities(d), q))
     return EntropyReport(

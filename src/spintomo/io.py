@@ -223,8 +223,9 @@ def csv_text(header: list[str], rows) -> str:
 
 def simplex_sample_csv(sample) -> str:
     """One row per sampled point: flattened group parameters, then probabilities."""
+    params = sample.params  # drawn again from the sample's generator: read once
     header = []
-    for f_idx, factor in enumerate(sample.params):
+    for f_idx, factor in enumerate(params):
         d = factor.shape[-1]
         for r in range(d):
             for c in range(d):
@@ -232,5 +233,5 @@ def simplex_sample_csv(sample) -> str:
                 header.append(f"u{f_idx}_{r}{c}_im")
     header.extend(f"p_{k}" for k in range(sample.points.shape[1]))
     n = sample.points.shape[0]
-    columns = [np.stack([f.real, f.imag], axis=-1).reshape(n, -1) for f in sample.params]
+    columns = [np.stack([f.real, f.imag], axis=-1).reshape(n, -1) for f in params]
     return csv_text(header, np.hstack(columns + [sample.points]).tolist())

@@ -21,9 +21,9 @@ in that layout to diag(u^dag a u) with one BLAS GEMM per column and a
 conjugate-product sum over rows.  It is the one diagonal kernel:
 ``frame_diagonals`` transposes each block of a frame stack into the column
 layout and calls it, and ``_haar_scan``, the one reduction of the entropy
-and Peres scans, calls it on the sampler's blocks as they are drawn, so the
-scans hold no frame stack and their diagonals equal ``frame_diagonals`` of
-``haar_unitaries`` bit for bit.
+and Peres scans and of the full group's simplex image, calls it on the
+sampler's blocks as they are drawn, so none of them holds a frame stack and
+their diagonals equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit.
 
 The sampler's block loop conjugates into a reused buffer and scales in
 place, and each such step rounds as the expression it replaced: numpy
@@ -296,17 +296,18 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
     return out
 
 
-def _haar_scan(a, count: int, rng_or_seed, reduce) -> np.ndarray:
-    """``reduce(diagonals)`` per Haar frame u of ``haar_unitaries(len(a), count, rng_or_seed)``, shape (count,).
+def _haar_scan(a, count: int, rng_or_seed, reduce, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """``reduce(diagonals)`` per Haar frame u of ``haar_unitaries(len(a), count, rng_or_seed)``, shape (count, *shape).
 
-    The one reduction of the entropy and Peres scans: each ``haar_blocks``
-    block goes through ``column_diagonals`` while it is in cache, and
-    ``reduce`` maps its (B, n) complex diagonals diag(u^dag a u) to B values.
-    No frame stack is held, and the diagonals are those of ``frame_diagonals``
-    on ``haar_unitaries`` bit for bit.
+    The one reduction of the entropy and Peres scans and of the full group's
+    simplex image: each ``haar_blocks`` block goes through
+    ``column_diagonals`` while it is in cache, and ``reduce`` maps its (B, n)
+    complex diagonals diag(u^dag a u) to B values of the given ``shape``
+    (B rows of n points for the image).  No frame stack is held, and the
+    diagonals are those of ``frame_diagonals`` on ``haar_unitaries`` bit for bit.
     """
     draws = haar_blocks(len(a), count, rng_or_seed)  # checks the count before out exists
-    out = np.empty(count)
+    out = np.empty((count, *shape))
     for block, q in draws:
         out[block] = reduce(column_diagonals(a, q))
     return out
@@ -332,9 +333,19 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def _subsystem_dims(dims) -> tuple[int, ...]:
-    """Subsystem dimensions as a tuple of ints, each at least 1."""
-    return _integers(dims, "dims", 1)
+def _subsystem_dims(dims, n: int) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of ints, each at least 1, of a space of dimension n.
+
+    Only None and () declare one system, (n,): dims=0 or False is refused,
+    not read as "none", and so is any other empty sequence ([] or an empty
+    array), which would declare no subsystem at all.
+    """
+    if dims is None or (isinstance(dims, tuple) and not dims):
+        return (n,)
+    values = _integers(dims, "dims", 1)
+    if not values:
+        raise ValueError(f"dims must list at least one subsystem size, got {dims!r}; None or () declare one system")
+    return values
 
 
 @dataclass
@@ -348,9 +359,7 @@ class DensityMatrix:
     def __post_init__(self):
         self.mat = as_matrix(self.mat)
         n = self.mat.shape[0]
-        # only None and () declare one system: dims=0 or False is refused, not read as "none"
-        one_system = self.dims is None or (isinstance(self.dims, tuple) and not self.dims)
-        self.dims = (n,) if one_system else _subsystem_dims(self.dims)
+        self.dims = _subsystem_dims(self.dims, n)
         if math.prod(self.dims) != n:
             raise ValueError(f"dims {self.dims} do not multiply to dimension {n}")
         if hermiticity_residual(self.mat) > 1e-12:

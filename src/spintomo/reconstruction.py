@@ -55,9 +55,7 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     beyond 1e-8 produce a warning, not an error; a complex table is refused.
     """
     d, table = t.n_outcomes, _real_unitary_table(t)
-    a = _design_matrix(t.frames.stack)
-    b = np.append(table.T.reshape(-1), 1.0)
-    rho = np.tensordot(_solve(a, b, d * d), hermitian_basis(d), axes=1)
+    rho = np.tensordot(_solve(t.frames.stack, table), hermitian_basis(d), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
 
@@ -75,48 +73,94 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
 # equations lose about eps * cond(G), which stays below 1e-12 up to this limit
 # (about 4.5e3).  On Haar frame sets cond(G) is 3 to 36 at F = 100 for d <= 16,
 # and at F = 2 d its median is 15 to 171 (worst 5.8e3, at d = 2).  Minimal sets
-# of d + 1 frames reach 2.5e6 at d = 2, 4.9e7 at d = 8 and 1.8e10 at d = 16 and
-# mostly take the ``lstsq`` path.
+# of d + 1 frames reach 2.5e6 at d = 2, 4.9e7 at d = 8 and 1.8e10 at d = 16; of
+# 50 such Haar sets, 3 take the ``lstsq`` path at d = 2, 23 at d = 4 and all at d = 8.
 _GRAM_COND_LIMIT = 1e-12 / np.finfo(float).eps
 
 
-def _solve(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
-    """Least-squares solution of a x = b for a design matrix of full column ``rank``.
+# Bytes of design-matrix rows formed at a time by ``_normal_equations``: a
+# frame's d rows take 8 d^3 bytes, so a chunk is 256 frames at d = 8 and 2048
+# at d = 4, and the sums' scratch is 1 MiB whatever the number of frames.
+_CHUNK_BYTES = 2**20
 
-    Solved through the frame operator G = A^T A (d^2 x d^2) with one ``eigh``
-    when cond(G) <= ``_GRAM_COND_LIMIT``; otherwise by ``lstsq`` on A, whose
-    rank below ``rank`` raises ``InformationallyIncompleteError``.
+
+def _chunk_frames(d: int) -> int:
+    """Frames per chunk of ``_normal_equations`` at dimension d."""
+    return max(1, _CHUNK_BYTES // (8 * d**3))
+
+
+def _normal_equations(us: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = A^T A and A^T b for the design matrix A of the (F, d, d) frames ``us``
+    and b, the real (d, F) ``table`` read frame by frame with the unit trace last.
+
+    Both are summed over chunks of ``_chunk_frames(d)`` frames, starting from
+    the unit-trace row's terms, so A is never formed whole.
     """
-    w, v = np.linalg.eigh(a.T @ a)
+    d = us.shape[-1]
+    g, h = np.zeros((d * d, d * d)), np.zeros(d * d)
+    g[:d, :d] = h[:d] = 1.0  # the unit-trace row, whose right-hand side is 1
+    step = _chunk_frames(d)
+    scratch = np.empty((d * d, d * min(len(us), step)))
+    for start in range(0, len(us), step):
+        chunk = us[start : start + step]
+        at = _design_columns(chunk, scratch[:, : d * len(chunk)])
+        g += at @ at.T
+        h += at @ table[:, start : start + step].T.reshape(-1)
+    return g, h
+
+
+def _solve(us: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Unit-trace least-squares solution for the (F, d, d) frames ``us`` and their real (d, F) ``table``.
+
+    Solved through the frame operator G = A^T A (d^2 x d^2) of the design
+    matrix A with one ``eigh`` when cond(G) <= ``_GRAM_COND_LIMIT``; G and
+    A^T b come from ``_normal_equations`` without A.  Otherwise ``lstsq``
+    runs on the full A, and a rank below d^2 raises
+    ``InformationallyIncompleteError``.
+    """
+    d = us.shape[-1]
+    g, h = _normal_equations(us, table)
+    w, v = np.linalg.eigh(g)
     if w[0] * _GRAM_COND_LIMIT >= w[-1]:
-        return v @ ((v.T @ (a.T @ b)) / w)
-    x, _, found, _ = np.linalg.lstsq(a, b, rcond=None)
-    if found < rank:
-        raise InformationallyIncompleteError(rank=int(found), needed=rank)
+        return v @ ((v.T @ h) / w)
+    b = np.append(table.T.reshape(-1), 1.0)
+    x, _, found, _ = np.linalg.lstsq(_design_matrix(us), b, rcond=None)
+    if found < d * d:
+        raise InformationallyIncompleteError(rank=int(found), needed=d * d)
     return x
+
+
+def _design_columns(us: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The transposed design rows of an (F, d, d) frame stack, written into ``at`` (d^2, F*d) and returned.
+
+    Column (frame, m), row k: diag(u^dag B_k u)[m] for the ``hermitian_basis``
+    element B_k.  With c = u[:, m] that is |c_a|^2 for the diagonal units, then
+    2 Re and 2 Im of conj(c_a) c_b for each pair a < b.  The pair rows of one
+    a are written straight into ``at`` from one product of row c_a with the
+    rows b > a.
+    """
+    d = us.shape[-1]
+    c = us.transpose(1, 0, 2).reshape(d, -1)  # c[a, (frame, m)] = u[a, m]
+    at[:d] = c.real**2 + c.imag**2
+    row = d
+    for a in range(d - 1):
+        pairs, stop = c[a].conj() * c[a + 1 :], row + 2 * (d - 1 - a)
+        np.multiply(pairs.real, 2.0, out=at[row:stop:2])
+        np.multiply(pairs.imag, 2.0, out=at[row + 1 : stop : 2])
+        row = stop
+    return at
 
 
 def _design_matrix(us: np.ndarray) -> np.ndarray:
     """Real least-squares matrix of an (F, d, d) frame stack, shape (F*d + 1, d^2).
 
-    Row (frame, m), column k: diag(u^dag B_k u)[m] for the ``hermitian_basis``
-    element B_k.  With c = u[:, m] that is |c_a|^2 for the diagonal units, then
-    2 Re and 2 Im of conj(c_a) c_b for each pair a < b.  The pair rows of one
-    a are written straight into the matrix from one product of row c_a with
-    the rows b > a.  The last row is the unit-trace constraint as an extra
-    (well-scaled) equation.  The matrix is built column-major, the layout
-    LAPACK's least-squares solver reads.
+    The rows of ``_design_columns``, then the unit-trace constraint as an
+    extra (well-scaled) equation.  The matrix is built column-major, the
+    layout LAPACK's least-squares solver reads.
     """
     d = us.shape[-1]
-    c = us.transpose(1, 0, 2).reshape(d, -1)  # c[a, (frame, m)] = u[a, m]
-    at = np.empty((d * d, c.shape[1] + 1))
-    at[:d, :-1] = c.real**2 + c.imag**2
-    row = d
-    for a in range(d - 1):
-        pairs, stop = c[a].conj() * c[a + 1 :], row + 2 * (d - 1 - a)
-        np.multiply(pairs.real, 2.0, out=at[row:stop:2, :-1])
-        np.multiply(pairs.imag, 2.0, out=at[row + 1 : stop : 2, :-1])
-        row = stop
+    at = np.empty((d * d, len(us) * d + 1))
+    _design_columns(us, at[:, :-1])
     at[:d, -1], at[d:, -1] = 1.0, 0.0
     return at.T
 

@@ -15,7 +15,9 @@ closed form and its Haar draws measure the share of frames that detect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
     _blocks,
+    _check_draw,
     _haar_scan,
     _integers,
     _resolve_keep,
@@ -76,18 +79,28 @@ class GroupSpec:
 
 @dataclass
 class SimplexSample:
-    """Sampled simplex points with the group elements that produced them."""
+    """Sampled simplex points, with the generator state that draws their group elements again."""
 
     points: np.ndarray  # (n, N) rows summing to 1
-    params: tuple  # per factor: (n, d_k, d_k) stack of the sampled factor unitaries
     seed: int
     group: GroupSpec
+    dims: tuple[int, ...]  # the state's, which resolve the group's factors
+    rng: np.random.Generator = field(repr=False)  # a copy of the sampler's generator, taken before its draws
 
     def validate(self) -> None:
         if np.min(self.points) < -SIMPLEX_TOL:
             raise ValueError("sample contains a negative probability")
         if np.max(np.abs(self.points.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
             raise ValueError("sample rows do not sum to 1")
+
+    @cached_property
+    def params(self) -> tuple[np.ndarray, ...]:
+        """Per factor, the (n, d_k, d_k) stack of the sampled factor unitaries.
+
+        Drawn on first access from a copy of ``rng``, so they are the draws
+        that produced the points, bit for bit, and ``rng`` stays as it was.
+        """
+        return _draw_elements(self.group, self.dims, len(self.points), copy.deepcopy(self.rng))
 
 
 def _draw_elements(
@@ -106,17 +119,27 @@ def _draw_elements(
 def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> SimplexSample:
     """n points diag(u^dag rho u) with u Haar on the specified (sub)group.
 
-    The joint frames u are formed one ``_blocks`` slice at a time, the blocks
-    of ``frame_diagonals`` itself, so no (n, N, N) product stack is held.
+    The sample keeps no group elements: ``params`` draws them again from a
+    copy of the generator taken before the draws.  The full group's points
+    come from ``linalg._haar_scan``, which reduces each block of draws as it
+    is drawn, so no frame stack is held.  A product group's joint frames are
+    formed one ``_blocks`` slice at a time, the blocks of ``frame_diagonals``
+    itself, from factor stacks that are dropped on return, so no (n, N, N)
+    product stack is held either.
     """
+    _check_draw(rho.dim, n)  # before anything is allocated for the draws
     if n < 1:
         raise ValueError("sample size must be positive")
     rng = np.random.default_rng(seed)
-    elements = _draw_elements(g, rho.dims, n, rng)
-    points = np.empty((n, rho.dim))
-    for block in _blocks(n):
-        points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
-    sample = SimplexSample(points=points, params=elements, seed=seed, group=g)
+    before = copy.deepcopy(rng)
+    if g.kind == "full":
+        points = _haar_scan(rho.mat, n, rng, np.real, (rho.dim,))
+    else:
+        elements = _draw_elements(g, rho.dims, n, rng)
+        points = np.empty((n, rho.dim))
+        for block in _blocks(n):
+            points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
+    sample = SimplexSample(points=points, seed=seed, group=g, dims=rho.dims, rng=before)
     sample.validate()
     return sample
 

@@ -168,6 +168,11 @@ def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     return complex(transform.weights @ t.table.sum(axis=0) / GROUP_VOLUME)
 
 
+def _real_if_real(table: np.ndarray) -> np.ndarray:
+    """``table`` itself when an entry has a nonzero imaginary part, else its real view."""
+    return table if np.count_nonzero(table.imag) else table.real
+
+
 def trace_product(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> complex:
     """Tr[A B] from the spin symbols of A and B on one grid, by the pairing
     sum_x W_x f_A(., x)^T Q f_B(., x): no synthesis, product or analysis."""
@@ -175,7 +180,8 @@ def trace_product(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> comple
     if fb is not fa:
         _grid_transform(fb, j, grid)
     # a table with no imaginary part enters as real, so Q f_B is a real product
-    a, b = (f.table if np.count_nonzero(f.table.imag) else f.table.real for f in (fa, fb))
+    a = _real_if_real(fa.table)
+    b = a if fb is fa else _real_if_real(fb.table)
     return complex(transform.weights @ (a * (transform._quantizer @ b)).sum(axis=0))
 
 

@@ -420,7 +420,7 @@ class Tomogram:
             n = self.frames.j.twice + 1
         else:
             n = self.frames.stack.shape[1]
-            self.dims = (n,) if self.dims is None else _subsystem_dims(self.dims)
+            self.dims = _subsystem_dims(self.dims, n)
             if math.prod(self.dims) != n:
                 raise ValueError(f"dims {self.dims} do not multiply to the frame size {n}")
         if self.table.shape != (n, len(self.frames)):

@@ -197,9 +197,15 @@ class TestMinOverGroup:
         assert np.min(report.per_frame) >= report.min_value - 1e-9
 
     def test_negative_verification_count_refused(self):
-        with pytest.raises(ValueError, match="n_verify must be nonnegative, got -3"):
+        with pytest.raises(ValueError, match="sample count must be a nonnegative integer, got -3"):
             min_entropy_over_group(DIAG_4321, -3, seed=1)
         assert min_entropy_over_group(DIAG_4321, 0, seed=1).monte_carlo is None
+
+    @pytest.mark.parametrize("count", [-1, 2.5, "4", True])
+    def test_every_count_goes_through_the_sampler_check(self, count):
+        # one rule for every count: a string or a bool is refused as a negative number is
+        with pytest.raises(ValueError, match=f"sample count must be a nonnegative integer, got {count!r}"):
+            min_entropy_over_group(DIAG_4321, count, 0)
 
 
 class TestIntegralEntropy:
@@ -384,6 +390,7 @@ class TestOneKernel:
         report = min_entropy_over_group(rho, count, seed=count, q=q)
         assert np.array_equal(report.per_frame, _renyi(frame_probabilities(rho, haar_unitaries(n, count, count)), q))
 
+    @pytest.mark.memory
     def test_scan_holds_no_frame_stack(self):
         rho = random_density(8, 8, seed=35)
         tracemalloc.start()

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from conftest import random_hermitian
 from spintomo import io
 from spintomo.halfint import HalfInt
-from spintomo.linalg import haar_unitaries, random_density
+from spintomo.linalg import frame_diagonals, haar_unitaries, kron_all, random_density
 from spintomo.quadrature import make_grid
+from spintomo.simplex import GroupSpec, image_sample
 from spintomo.states import werner_state
 from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
 
@@ -188,3 +190,32 @@ class TestFormatting:
         assert target.read_text() == "hello\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
+
+
+class TestSimplexSampleCsv:
+    @pytest.mark.parametrize("group", [GroupSpec("full"), GroupSpec("product", active=(0,))], ids=["full", "product0"])
+    def test_text_is_that_of_the_stacks_drawn_up_front(self, group):
+        # the reference is a sample that holds its factor stacks, drawn from a fresh generator
+        rho = random_density(4, 4, seed=3, dims=(2, 2))
+        rng = np.random.default_rng(4)
+        if group.kind == "full":
+            stacks = (haar_unitaries(4, 600, rng),)
+        else:
+            stacks = (haar_unitaries(2, 600, rng), np.broadcast_to(np.eye(2, dtype=complex), (600, 2, 2)))
+        held = SimpleNamespace(points=frame_diagonals(rho.mat, kron_all(stacks)).real, params=stacks)
+        assert io.simplex_sample_csv(image_sample(rho, group, 600, seed=4)) == io.simplex_sample_csv(held)
+
+    def test_params_are_read_once(self):
+        sample = image_sample(random_density(4, 4, seed=5), GroupSpec("full"), 3, seed=6)
+        reads = []
+
+        class Counted:
+            points = sample.points
+
+            @property
+            def params(self):
+                reads.append(1)
+                return sample.params
+
+        assert io.simplex_sample_csv(Counted()) == io.simplex_sample_csv(sample)
+        assert len(reads) == 1

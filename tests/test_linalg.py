@@ -23,6 +23,7 @@ from spintomo.linalg import (
     unitarity_residual,
 )
 from spintomo.states import SIGMA_Z, bell_state, ghz_state, maximally_mixed, product_state, werner_state
+from spintomo.symbols import Tomogram
 
 
 class TestEigHermitian:
@@ -246,6 +247,18 @@ class TestDensityMatrix:
     def test_none_and_empty_dims_declare_one_system(self, dims):
         assert random_density(4, 2, seed=5, dims=dims).dims == (4,)
         assert DensityMatrix(np.eye(4) / 4, dims=dims).dims == (4,)
+        assert Tomogram(frames=[np.eye(4)], table=np.full((4, 1), 0.25), dims=dims).dims == (4,)
+
+    @pytest.mark.parametrize("dims", [[], np.array([], dtype=int)], ids=["list", "array"])
+    def test_an_empty_dims_sequence_is_refused(self, dims):
+        # it would declare a state with no subsystem, on which partial_trace fails later
+        message = r"dims must list at least one subsystem size, got (\[\]|array)"
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.eye(1), dims=dims)
+        with pytest.raises(ValueError, match=message):
+            random_density(1, 1, seed=0, dims=dims)
+        with pytest.raises(ValueError, match=message):
+            Tomogram(frames=[np.eye(1)], table=np.ones((1, 1)), dims=dims)
 
     def test_numpy_integer_sizes_accepted(self):
         rho = random_density(np.int64(3), np.int32(2), seed=4)
@@ -469,6 +482,7 @@ class TestBlockedFrameKernels:
         err = np.max(np.abs(got - frame_diagonals_oracle(a, frames)), initial=0.0)
         assert err <= frame_diagonals_bound(a)
 
+    @pytest.mark.memory
     def test_haar_holds_its_draw_in_the_output(self):
         # x is drawn into the output's own bytes and y one block at a time,
         # so no full-size draw is held beside the output
@@ -508,6 +522,7 @@ class TestBlockedFrameKernels:
             with pytest.raises(ValueError, match=message):
                 draw(n, 3, 0)
 
+    @pytest.mark.memory
     def test_frame_diagonals_scratch_does_not_grow_with_frames(self):
         frames = haar_unitaries(8, 20_000, 3)
         a = random_density(8, 8, seed=4).mat

@@ -11,7 +11,9 @@ from spintomo.errors import InformationallyIncompleteError
 from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
 from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
 from spintomo.reconstruction import (
+    _chunk_frames,
     _design_matrix,
+    _normal_equations,
     duality_residual,
     infer_grid,
     intertwine,
@@ -353,6 +355,54 @@ class TestFrameOperatorSolve:
         assert np.max(np.abs(est.mat - rho.mat)) <= 1e-12
 
 
+class TestChunkedNormalEquations:
+    """G = A^T A and A^T b are summed over chunks of frames; A is formed only for ``lstsq``."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("edge", ["one", "below", "at", "above"])
+    def test_sums_are_those_of_the_design_matrix(self, d, edge):
+        n_frames = {"one": 1, "below": _chunk_frames(d) - 1, "at": _chunk_frames(d), "above": _chunk_frames(d) + 1}[edge]
+        us = haar_unitaries(d, n_frames, d + n_frames)
+        table = unitary_tomogram(random_density(d, d, seed=d), us).table.real
+        a = _design_matrix(us)
+        g, h = _normal_equations(us, table)
+        for got, want in ((g, a.T @ a), (h, a.T @ np.append(table.T.reshape(-1), 1.0))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_gram_solve_agrees_with_lstsq_at_a_chunk_edge(self, d, offset, lstsq_calls):
+        us = haar_unitaries(d, _chunk_frames(d) + offset, d + offset)
+        rho = random_density(d, d, seed=d + 1)
+        est = reconstruct_from_unitary_frame(unitary_tomogram(rho, us))
+        assert lstsq_calls == []
+        assert np.max(np.abs(est.mat - lstsq_state(us, rho))) <= 1e-13
+
+    def test_minimal_sets_take_lstsq_and_fewer_frames_are_incomplete(self, lstsq_calls):
+        # at d = 8, cond(G) of a minimal set of d + 1 Haar frames lies above the limit
+        d = 8
+        for seed in range(5):
+            rho = random_density(d, d, seed=seed)
+            est = reconstruct_from_unitary_frame(unitary_tomogram(rho, haar_unitaries(d, d + 1, 1000 + seed)))
+            assert np.max(np.abs(est.mat - rho.mat)) <= 1e-11
+        assert lstsq_calls == [(d * (d + 1) + 1, d * d)] * 5
+        with pytest.raises(InformationallyIncompleteError) as err:
+            reconstruct_from_unitary_frame(unitary_tomogram(random_density(d, d, seed=9), haar_unitaries(d, d, 9)))
+        assert (err.value.rank, err.value.needed) == (d * (d - 1) + 1, d * d)
+
+    @pytest.mark.memory
+    def test_no_design_matrix_is_held(self):
+        # the design matrix of 1e4 frames at d = 8 alone is 41 MB
+        t = unitary_tomogram(random_density(8, 8, seed=3), haar_unitaries(8, 10_000, 4))
+        tracemalloc.start()
+        try:
+            reconstruct_from_unitary_frame(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+
 class TestIntertwine:
     def test_identity_when_pairs_coincide(self, rng):
         grid = make_grid(1)
@@ -423,6 +473,7 @@ class TestPairMaps:
         assert QuantizerPair.spin(1, grid).size == 3 * grid.n_nodes
         assert QuantizerPair.matrix_units(3).size == 9
 
+    @pytest.mark.memory
     def test_spin_pair_allocates_nothing_per_label(self):
         # with the transform cached, a j = 20 pair (41 x 3321 labels) is two references
         grid = make_grid(20)

@@ -171,7 +171,10 @@ class TestBlockedProductImage:
         assert np.array_equal(sample.params[0], haar_unitaries(d, n, np.random.default_rng(n)))
         assert np.array_equal(sample.points, frame_diagonals(rho.mat, sample.params[0]).real)
 
+    @pytest.mark.memory
     def test_full_group_holds_one_stack(self):
+        # the points come from the scans' reduction, which holds the sampler's
+        # Gaussian draw x, half a stack, and no frames; params are not drawn
         rho = random_density(8, 8, seed=14)
         tracemalloc.start()
         try:
@@ -179,7 +182,7 @@ class TestBlockedProductImage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * 10_000 * 8 * 8 * 16
+        assert peak <= 0.8 * 10_000 * 8 * 8 * 16
 
     @pytest.mark.parametrize("kind", ["full", "product"])
     def test_a_non_integer_count_is_refused_by_the_sampler(self, kind):
@@ -188,6 +191,7 @@ class TestBlockedProductImage:
             with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
                 image_sample(rho, GroupSpec(kind), count, seed=17)
 
+    @pytest.mark.memory
     def test_no_full_product_stack_is_held(self):
         rho = random_density(8, 8, seed=12, dims=(2, 2, 2))
         tracemalloc.start()
@@ -197,6 +201,55 @@ class TestBlockedProductImage:
         finally:
             tracemalloc.stop()
         assert peak < 10_000 * 8 * 8 * 16
+
+
+SEED_KINDS = {
+    "int": lambda seed: seed,
+    "seedsequence": np.random.SeedSequence,
+    "generator": np.random.default_rng,
+}
+
+
+class TestParamsDrawnAgain:
+    # the sample keeps a copy of the generator taken before its draws, and
+    # params draws the factor stacks again from it
+
+    @pytest.mark.parametrize("kind", SEED_KINDS)
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("group", [FULL, GroupSpec("product"), GroupSpec("product", active=(1,))],
+                             ids=["full", "product", "product1"])
+    def test_points_and_params_are_those_of_the_stacks_drawn_up_front(self, group, n, kind):
+        rho = random_density(8, 8, seed=n, dims=(2, 4))
+        sample = image_sample(rho, group, n, SEED_KINDS[kind](n))
+        reference = np.random.default_rng(SEED_KINDS[kind](n))
+        factors, active = group.resolve(rho.dims)
+        draws = {a: haar_unitaries(factors[a], n, reference) for a in active}
+        assert len(sample.params) == len(factors)
+        for k, (stack, d) in enumerate(zip(sample.params, factors)):
+            assert np.array_equal(stack, draws[k] if k in draws else np.broadcast_to(np.eye(d), (n, d, d)))
+        assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
+
+    @pytest.mark.parametrize("group", [FULL, GroupSpec("product")], ids=["full", "product"])
+    @pytest.mark.parametrize("count", [1, 513])
+    def test_a_caller_generator_ends_after_the_draws_and_params_leave_it(self, group, count):
+        # the full group draws x and then y of one (count, 4, 4) stack; the
+        # product group does so per factor, in factor order
+        rng, reference = np.random.default_rng(count), np.random.default_rng(count)
+        sample = image_sample(random_density(4, 4, seed=count, dims=(2, 2)), group, count, rng)
+        for d in (4,) if group.kind == "full" else (2, 2):
+            reference.standard_normal((2, count, d, d))
+        sample.params
+        assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
+
+    def test_params_are_drawn_once(self):
+        sample = image_sample(random_density(4, 4, seed=1, dims=(2, 2)), FULL, 20, seed=2)
+        assert sample.params is sample.params
+        assert np.array_equal(sample.rng.standard_normal(3), np.random.default_rng(2).standard_normal(3))
+
+    @pytest.mark.parametrize("count", [-1, 2.5, "4", None])
+    def test_a_count_is_checked_before_the_draws(self, count):
+        with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+            image_sample(LADDER_STATE, FULL, count, seed=0)
 
 
 class TestImageDimension:
@@ -414,6 +467,7 @@ class TestPeresScan:
         result = peres_scan(werner_state(q), 2000, seed=49)
         assert result.detection.mean == 0.0 and result.witness is None
 
+    @pytest.mark.memory
     def test_scan_holds_no_frame_stack(self):
         rho = random_density(8, 8, seed=37, dims=(2, 4))
         tracemalloc.start()

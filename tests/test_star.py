@@ -16,7 +16,7 @@ from spintomo.star import (
     trace_product,
 )
 from spintomo.states import pure_state
-from spintomo.symbols import SpinTransform, grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinTransform, Tomogram, grid_frames, spin_tomogram, unitary_tomogram
 
 
 class StarKernel:
@@ -256,6 +256,28 @@ class TestTraceProduct:
         for (x, fx), (y, fy) in [((a, fa), (b, fb)), ((a, fa), (h, fh)), ((h, fh), (a, fa)), ((h, fh), (h, fh))]:
             bound = 1e-13 * np.linalg.norm(x) * np.linalg.norm(y)
             assert abs(trace_product(fx, fy, j, grid) - np.trace(x @ y)) <= bound
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_one_table_is_read_once(self, kind, rng, monkeypatch):
+        # trace_product(t, t), as trace_power(t, 2) calls it, inspects the table once
+        # and gives the bits of the call on two equal tables
+        grid = star_grid(2)
+        x = random_hermitian(5, rng)
+        if kind == "complex":
+            x = x + 1j * random_hermitian(5, rng)
+        t = spin_tomogram(x, grid_frames(2, grid))
+        twin = Tomogram(t.frames, t.table.copy())
+        counts = []
+        count_nonzero = np.count_nonzero
+
+        def counted(*args, **kwargs):
+            counts.append(1)
+            return count_nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counted)
+        same, equal = trace_product(t, t, 2, grid), trace_product(t, twin, 2, grid)
+        assert len(counts) == 3
+        assert same == equal
 
     @pytest.mark.parametrize("jt", range(17))
     def test_trace_power_is_power_sum(self, jt):
