@@ -208,47 +208,31 @@ def _cmd_tomogram(args) -> str | dict:
             raise ValueError("tomogram needs --frames, --n-frames, or --j")
         t = unitary_tomogram(rho, frames)
     if args.format == "csv":
-        return _tomogram_csv(t)
+        return io.tomogram_csv(t)
     return io.tomogram_to_obj(t)
 
 
-def _tomogram_csv(t) -> str:
-    if t.kind == "spin":
-        header = ["alpha", "beta", "gamma"] + [f"w_m{m.twice}" for m in t.outcomes]  # alpha 0, as in io
-        labels = [np.zeros(t.n_frames), t.frames.betas, t.frames.gammas]
-    else:
-        header = ["frame_index"] + ["w_" + "".join(str(i) for i in o) for o in t.outcomes]
-        labels = [np.arange(t.n_frames)]
-    return io.csv_text(header, np.column_stack([*labels, t.table.real.T]).tolist())
-
-
 def _cmd_reconstruct(args) -> str | dict:
+    """Grid frames synthesize; any other frame set is solved by least squares."""
     t = io.tomogram_from_obj(io.read_json(args.tomogram))
-    if t.kind == "spin":
-        grid = infer_grid(t)
-        op = reconstruct_operator(t, t.j, grid)
-        check = spin_tomogram(op, t.frames)
-        err = float(np.max(np.abs(check.table - t.table)))
-        print(f"round-trip max abs error: {io.fmt_float(err)}")
-        return io.matrix_to_obj(op)
-    rho = reconstruct_from_unitary_frame(t)
-    err = reconstruction_residual(t, rho)
+    if t.frames.grid is not None:
+        op = reconstruct_operator(t, t.j, t.frames.grid)
+        err = float(np.max(np.abs(spin_tomogram(op, t.frames).table - t.table)))
+        obj = io.matrix_to_obj(op)
+    else:
+        rho = reconstruct_from_unitary_frame(t)
+        err, obj = reconstruction_residual(t, rho), io.density_to_obj(rho)
     print(f"round-trip max abs error: {io.fmt_float(err)}")
-    return io.density_to_obj(rho)
+    return obj
 
 
 def _cmd_star(args) -> str | dict:
+    """Both files must be spin-j symbols on the first one's grid, which ``infer_grid``
+    and ``star_compose`` check."""
     if len(args.tomogram) != 2:
         raise ValueError("star needs exactly two --tomogram files")
-    fa = io.tomogram_from_obj(io.read_json(args.tomogram[0]))
-    fb = io.tomogram_from_obj(io.read_json(args.tomogram[1]))
-    if fa.kind != "spin" or fb.kind != "spin":
-        raise ValueError("star composition is defined for spin symbols")
-    if fa.j != fb.j:
-        raise ValueError("symbols have different spins")
-    grid = infer_grid(fa)
-    out = star_compose(fa, fb, fa.j, grid)
-    return io.tomogram_to_obj(out)
+    fa, fb = (io.tomogram_from_obj(io.read_json(path)) for path in args.tomogram)
+    return io.tomogram_to_obj(star_compose(fa, fb, fa.j, infer_grid(fa)))
 
 
 def _cmd_channel(args) -> str | dict:

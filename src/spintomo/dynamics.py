@@ -46,8 +46,10 @@ def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
             "tomogram lacks its generating state; build it with unitary_tomogram"
         )
     h = as_matrix(h)
+    if h.shape != t0.source_state.mat.shape:
+        raise ValueError("Hamiltonian and state dimensions differ")
     u_t = expm_hermitian_times(h, t)
-    shifted = u_t.conj().T @ t0.frames.stack
+    shifted = u_t.conj().T @ t0.frames.unitaries()
     evolved = Tomogram(
         t0.frames,
         frame_diagonals(t0.source_state.mat, shifted).T,

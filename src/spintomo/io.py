@@ -43,12 +43,19 @@ def matrix_to_obj(m, dims=None) -> dict:
 _KINDS = {int: ("integer", {int}), float: ("number", {int, float}), dict: ("object", {dict})}
 
 
+def _present(obj: dict, key: str):
+    """``obj[key]``, or a ValueError naming the missing field."""
+    if key not in obj:
+        raise ValueError(f"field '{key}' is missing")
+    return obj[key]
+
+
 def _field(obj: dict, key: str, of: type = int, listed: int = 0):
     """``obj[key]`` checked to hold a JSON ``of`` (integer, number or object),
     or lists of them nested ``listed`` deep; any other JSON type is a
     ValueError naming the field, and so is an integer beyond the double range.
     Numbers come back as a float, lists of them as a float array."""
-    value = obj[key]
+    value = _present(obj, key)
     kind, types = _KINDS[of]
     items, depth = [value], 0
     while depth < listed and all(type(v) is list for v in items):
@@ -108,7 +115,7 @@ def frame_from_obj(obj):
 
 
 def _frames_to_obj(frames) -> list[dict]:
-    if isinstance(frames, SpinFrames):
+    if frames.kind == "spin":
         # a spin frame is R(0, beta, gamma), so its alpha is written as 0
         angles = zip(frames.betas.tolist(), frames.gammas.tolist())
         return [{"alpha": 0.0, "beta": b, "gamma": g} for b, g in angles]
@@ -155,7 +162,7 @@ def tomogram_from_obj(obj) -> Tomogram:
     if "values_im" in obj:
         values = values.astype(complex)
         values.imag = _field(obj, "values_im", float, listed=2)
-    frames = obj["frames"]
+    frames = _present(obj, "frames")
     if not isinstance(frames, list):
         raise ValueError(f"tomogram frames must be a JSON list of frame objects, got {type(frames).__name__}")
     if kind == "spin":
@@ -219,6 +226,18 @@ def csv_text(header: list[str], rows) -> str:
     for row in rows:
         lines.append(",".join(fmt_float(x) if isinstance(x, (int, float, np.floating)) else str(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def tomogram_csv(t: Tomogram) -> str:
+    """One row per frame: its angles (alpha 0, as in ``_frames_to_obj``) or its
+    index, then the real symbols over the outcomes."""
+    if t.kind == "spin":
+        header = ["alpha", "beta", "gamma"] + [f"w_m{m.twice}" for m in t.outcomes]
+        labels = [np.zeros(t.n_frames), t.frames.betas, t.frames.gammas]
+    else:
+        header = ["frame_index"] + ["w_" + "".join(str(i) for i in o) for o in t.outcomes]
+        labels = [np.arange(t.n_frames)]
+    return csv_text(header, np.column_stack([*labels, t.table.real.T]).tolist())
 
 
 def simplex_sample_csv(sample) -> str:

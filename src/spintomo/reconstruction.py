@@ -55,7 +55,7 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     beyond 1e-8 produce a warning, not an error; a complex table is refused.
     """
     d, table = t.n_outcomes, _real_unitary_table(t)
-    rho = np.tensordot(_solve(t.frames.stack, table), hermitian_basis(d), axes=1)
+    rho = np.tensordot(_solve(t.frames.unitaries(), table), hermitian_basis(d), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
 

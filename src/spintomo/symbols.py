@@ -65,8 +65,13 @@ class SpinFrames:
     for any other angles and for the nodes of a grid past the byte budget
     (``_grid_of`` decides it).  ``spin_tomogram`` runs grid frames on the
     grid's cached ``SpinTransform`` and all others through ``frame_diagonals``
-    at their own angles.
+    on ``unitaries()``.
+
+    The frame-set interface, shared with ``UnitaryFrames``: ``kind``, ``j``,
+    ``grid``, ``dim`` and ``unitaries()``.
     """
+
+    kind = "spin"
 
     def __init__(self, j, betas, gammas):
         self.j = spin(j)
@@ -85,6 +90,14 @@ class SpinFrames:
     @property
     def grid(self) -> QuadratureGrid | None:
         return self._grid
+
+    @property
+    def dim(self) -> int:
+        return self.j.twice + 1
+
+    def unitaries(self) -> np.ndarray:
+        """The (F, 2j+1, 2j+1) frame stack u = R(0, beta, gamma)^dag."""
+        return rotation_stack(self.j, self.betas, self.gammas).conj().swapaxes(-1, -2)
 
 
 def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
@@ -138,8 +151,11 @@ class UnitaryFrames(Sequence):
 
     Tuple frames also keep ``factors``, their per-factor (F, d_k, d_k) stacks
     (None for matrix frames).  Indexing yields each frame as it was given: a
-    matrix, or a tuple of factor matrices.
+    matrix, or a tuple of factor matrices.  The set belongs to no spin and no
+    grid (``j`` and ``grid`` are None), and ``unitaries()`` is the stack.
     """
+
+    kind, j, grid = "unitary", None, None
 
     def __init__(self, stack, factors=None, n: int | None = None):
         """Refuses an empty set, a frame not n x n (n defaults to the frame
@@ -171,6 +187,14 @@ class UnitaryFrames(Sequence):
 
     def __len__(self) -> int:
         return len(self.stack)
+
+    @property
+    def dim(self) -> int:
+        return self.stack.shape[1]
+
+    def unitaries(self) -> np.ndarray:
+        """The (F, n, n) ``stack`` itself, not a copy."""
+        return self.stack
 
     def __getitem__(self, i: int):
         return self.stack[i] if self.factors is None else tuple(f[i] for f in self.factors)
@@ -414,12 +438,10 @@ class Tomogram:
             self.frames = UnitaryFrames.of(self.frames, self.table.shape[0])
         if not len(self.frames):
             raise ValueError("at least one frame is required")
-        if isinstance(self.frames, SpinFrames):
-            if self.dims is not None:
-                raise ValueError("dims apply to unitary tomograms only")
-            n = self.frames.j.twice + 1
-        else:
-            n = self.frames.stack.shape[1]
+        n = self.frames.dim
+        if self.kind == "spin" and self.dims is not None:
+            raise ValueError("dims apply to unitary tomograms only")
+        elif self.kind == "unitary":
             self.dims = _subsystem_dims(self.dims, n)
             if math.prod(self.dims) != n:
                 raise ValueError(f"dims {self.dims} do not multiply to the frame size {n}")
@@ -430,11 +452,11 @@ class Tomogram:
 
     @property
     def kind(self) -> str:
-        return "spin" if isinstance(self.frames, SpinFrames) else "unitary"
+        return self.frames.kind
 
     @property
     def j(self) -> HalfInt | None:
-        return self.frames.j if self.kind == "spin" else None
+        return self.frames.j
 
     @property
     def outcomes(self) -> list:
@@ -510,14 +532,13 @@ def spin_tomogram(a, frames) -> Tomogram:
         raise ValueError("operator entries must be finite numbers (found NaN or infinity)")
     if not isinstance(frames, SpinFrames):
         raise ValueError(f"spin frames must be a SpinFrames set of angle arrays, got {type(frames).__name__}")
-    n = frames.j.twice + 1
+    n = frames.dim
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
     if frames.grid is not None:
         table = SpinTransform.on_grid(frames.j, frames.grid).analyze(mat)
     else:
-        rotations = rotation_stack(frames.j, frames.betas, frames.gammas)
-        table = frame_diagonals(mat, rotations.conj().swapaxes(-1, -2)).T
+        table = frame_diagonals(mat, frames.unitaries()).T
     t = Tomogram(frames, table, source_state=a if is_state else None)
     if is_state:
         t.check_normalized()

@@ -17,7 +17,7 @@ from spintomo.cli import main
 from spintomo.linalg import DensityMatrix, random_density
 from spintomo.quadrature import make_grid
 from spintomo.states import bell_state, maximally_mixed, werner_state
-from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinFrames, grid_frames, spin_tomogram, unitary_tomogram
 
 
 @pytest.fixture
@@ -458,6 +458,17 @@ class TestReconstructCommand:
         assert field in capsys.readouterr().err
         assert not (tmp / "x.json").exists()
 
+    def test_missing_field_exits_2(self, workdir, capsys):
+        tmp, _ = workdir
+        obj = io.tomogram_to_obj(unitary_tomogram(random_density(2, 2, seed=9), [np.eye(2)]))
+        del obj["dims"]
+        t_path = tmp / "no_dims.json"
+        t_path.write_text(io.dumps(obj))
+        rc = main(["reconstruct", "--tomogram", str(t_path), "--out", str(tmp / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: field 'dims' is missing\n"
+        assert not (tmp / "x.json").exists()
+
     def test_object_valued_frame_angle_exits_2(self, workdir, capsys):
         tmp, _ = workdir
         obj = io.tomogram_to_obj(spin_tomogram(random_density(2, 2, seed=9), grid_frames(0.5, make_grid(0.5))))
@@ -503,6 +514,54 @@ class TestStarCommand:
 
         direct = spin_tomogram(rho @ rho, composed.frames)
         assert np.max(np.abs(composed.table - direct.table)) < 1e-10
+
+    @pytest.fixture
+    def symbol_files(self, workdir):
+        """A qubit on the smallest and a finer grid, a spin-1 state, and a unitary tomogram."""
+        tmp, paths = workdir
+        spin1 = tmp / "spin1.json"
+        spin1.write_text(io.dumps(io.density_to_obj(random_density(3, 3, seed=2))))
+        runs = {
+            "half": ["--state", str(paths["qubit"]), "--j", "0.5"],
+            "half_fine": ["--state", str(paths["qubit"]), "--j", "0.5", "--oversample", "2"],
+            "one": ["--state", str(spin1), "--j", "1"],
+            "unitary": ["--state", str(paths["qubit"]), "--n-frames", "5"],
+        }
+        files = {name: tmp / f"{name}.json" for name in runs}
+        for name, argv in runs.items():
+            assert main(["tomogram", *argv, "--out", str(files[name])]) == 0
+        return tmp, files
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("unitary", "half", "grid inference needs a spin tomogram"),
+            ("half", "unitary", "expected a spin tomogram"),
+            ("half", "one", "tomogram frames do not coincide with the grid nodes"),
+            ("one", "half", "tomogram frames do not coincide with the grid nodes"),
+            ("half", "half_fine", "tomogram frames do not coincide with the grid nodes"),
+        ],
+        ids=["unitary_first", "unitary_second", "other_spin", "other_spin_first", "other_grid"],
+    )
+    def test_refusals_exit_2(self, symbol_files, capsys, first, second, message):
+        tmp, files = symbol_files
+        capsys.readouterr()
+        out = tmp / "s.json"
+        assert main(["star", "--tomogram", str(files[first]), "--tomogram", str(files[second]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestOffGridSpinFiles:
+    def test_reconstruct_refuses_an_off_grid_spin_file(self, tmp_path, capsys):
+        # off-grid spin frames go the least-squares route, which takes unitary frames only
+        rng = np.random.default_rng(3)
+        frames = SpinFrames(0.5, rng.uniform(0, np.pi, 9), rng.uniform(0, 2 * np.pi, 9))
+        t_path, out = tmp_path / "off.json", tmp_path / "r.json"
+        t_path.write_text(io.dumps(io.tomogram_to_obj(spin_tomogram(random_density(2, 2, seed=1), frames))))
+        assert main(["reconstruct", "--tomogram", str(t_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: expected a unitary-frame tomogram\n"
+        assert not out.exists()
 
 
 class TestFilesAtOtherGrids:

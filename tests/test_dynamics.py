@@ -91,6 +91,11 @@ class TestEvolveTomogram:
         with pytest.raises(ValueError):
             evolve_tomogram(t0, np.zeros((2, 2)), 1.0)
 
+    def test_hamiltonian_of_another_dimension_refused_before_the_frame_shift(self):
+        t0 = unitary_tomogram(random_density(2, 2, seed=9), list(haar_unitaries(2, 3, 4)))
+        with pytest.raises(ValueError, match="^Hamiltonian and state dimensions differ$"):
+            evolve_tomogram(t0, np.eye(3), 1.0)
+
     def test_frames_validated_once(self, monkeypatch):
         import spintomo.symbols as symbols
 

@@ -7,11 +7,11 @@ import pytest
 from conftest import random_hermitian
 from spintomo import io
 from spintomo.halfint import HalfInt
-from spintomo.linalg import frame_diagonals, haar_unitaries, kron_all, random_density
+from spintomo.linalg import DensityMatrix, frame_diagonals, haar_unitaries, kron_all, random_density
 from spintomo.quadrature import make_grid
 from spintomo.simplex import GroupSpec, image_sample
 from spintomo.states import werner_state
-from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinFrames, grid_frames, spin_tomogram, unitary_tomogram
 
 
 class TestMatrixSchema:
@@ -156,6 +156,17 @@ class TestTomogramSchema:
         with pytest.raises(ValueError, match="do not multiply to the frame size 2"):
             io.tomogram_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "kind, key", [("spin", "values"), ("spin", "j_twice"), ("unitary", "dims"), ("unitary", "frames")]
+    )
+    def test_missing_field_is_named(self, kind, key):
+        rho = random_density(2, 2, seed=2)
+        t = spin_tomogram(rho, grid_frames(0.5, make_grid(0.5))) if kind == "spin" else unitary_tomogram(rho, [np.eye(2)])
+        obj = io.tomogram_to_obj(t)
+        del obj[key]
+        with pytest.raises(ValueError, match=f"^field '{key}' is missing$"):
+            io.tomogram_from_obj(obj)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             io.tomogram_from_obj({"kind": "weyl", "values": [[1.0]]})
@@ -169,6 +180,26 @@ class TestTomogramSchema:
         obj[key][1][3] = bad
         with pytest.raises(ValueError, match="finite"):
             io.tomogram_from_obj(obj)
+
+
+class TestTomogramCsv:
+    """One row per frame, with the layout the CLI has always written."""
+
+    def test_spin_rows_write_alpha_as_zero(self):
+        t = spin_tomogram(np.diag([0.75, 0.25]), SpinFrames(0.5, [0.0], [0.0]))
+        assert io.tomogram_csv(t) == "alpha,beta,gamma,w_m1,w_m-1\n0,0,0,0.75,0.25\n"
+
+    def test_spin_grid_rows_hold_the_node_angles(self):
+        grid = make_grid(1)
+        t = spin_tomogram(random_density(3, 3, seed=1), grid_frames(1, grid))
+        rows = [",".join(io.fmt_float(x) for x in (0.0, b, g, *w)) for b, g, w in zip(*grid.node_angles(), t.table.real.T)]
+        assert io.tomogram_csv(t) == "\n".join(["alpha,beta,gamma,w_m2,w_m0,w_m-2", *rows]) + "\n"
+
+    def test_unitary_rows_are_indexed(self):
+        t = unitary_tomogram(DensityMatrix(np.diag([0.75, 0.25])), [np.eye(2), np.array([[0, 1], [1, 0]])])
+        assert io.tomogram_csv(t) == "frame_index,w_0,w_1\n0,0.75,0.25\n1,0.25,0.75\n"
+        product = unitary_tomogram(DensityMatrix(np.diag([0.5, 0.25, 0.125, 0.125]), (2, 2)), [np.eye(4)])
+        assert io.tomogram_csv(product) == "frame_index,w_00,w_01,w_10,w_11\n0,0.5,0.25,0.125,0.125\n"
 
 
 class TestFormatting:

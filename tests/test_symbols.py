@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import dequantizer_series, random_hermitian
+from spintomo import io
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import (
     expm_hermitian_times,
+    frame_diagonals,
     haar_unitaries,
     partial_trace,
     random_density,
 )
 from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.states import bell_state, maximally_mixed, product_state, pure_state
+from spintomo.su2 import rotation_matrix
 from spintomo.symbols import (
     EulerAngles,
     QuantizerPair,
@@ -267,6 +270,46 @@ class TestUnitaryFrames:
     def test_tomogram_refuses_non_unitary_frame(self):
         with pytest.raises(ValueError, match="not unitary within 1e-8"):
             Tomogram(frames=[2.0 * np.eye(2)], table=np.ones((2, 1)))
+
+
+class TestFrameSetInterface:
+    """Both frame sets answer ``kind``, ``j``, ``grid``, ``dim`` and ``unitaries()``."""
+
+    @pytest.mark.parametrize("jt", range(17))
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
+    def test_spin_unitaries_are_the_adjoint_rotations(self, jt, on_grid, rng):
+        j = HalfInt(jt)
+        frames = grid_frames(j, make_grid(j)) if on_grid else random_frames(j, 12, rng)
+        assert (frames.grid is not None) == on_grid
+        us = frames.unitaries()
+        assert us.shape == (len(frames), jt + 1, jt + 1)
+        for u, beta, gamma in zip(us, frames.betas, frames.gammas):
+            assert np.max(np.abs(u - rotation_matrix(j, 0.0, beta, gamma).conj().T)) <= 1e-15
+
+    def test_unitary_frames_hand_out_their_stack(self):
+        frames = UnitaryFrames.of(list(zip(haar_unitaries(2, 4, 1), haar_unitaries(3, 4, 2))), 6)
+        assert frames.unitaries() is frames.stack
+
+    def test_interface_values(self, rng, tmp_path):
+        grid = make_grid(1.5)
+        spin_sets = [grid_frames(1.5, grid), SpinFrames(1.5, *grid.node_angles()), random_frames(1.5, 5, rng)]
+        for frames, want_grid in zip(spin_sets, [grid, grid, None]):
+            assert (frames.kind, frames.j, frames.grid, frames.dim) == ("spin", HalfInt(3), want_grid, 4)
+        unitary = UnitaryFrames.of(haar_unitaries(4, 3, 4), 4)
+        assert (unitary.kind, unitary.j, unitary.grid, unitary.dim) == ("unitary", None, None, 4)
+        rho = random_density(4, 4, seed=3)
+        for t in (spin_tomogram(rho, spin_sets[0]), spin_tomogram(rho, spin_sets[2]), unitary_tomogram(rho, unitary)):
+            path = tmp_path / "t.json"
+            path.write_text(io.dumps(io.tomogram_to_obj(t)))
+            read = io.tomogram_from_obj(io.read_json(str(path))).frames
+            assert (read.kind, read.j, read.grid, read.dim) == (t.kind, t.j, t.frames.grid, t.frames.dim)
+
+    @pytest.mark.parametrize("jt", [1, 3, 6, 16])
+    def test_off_grid_spin_table_is_the_frame_diagonals_of_the_unitaries(self, jt, rng):
+        frames = random_frames(HalfInt(jt), 30, rng)
+        a = random_hermitian(jt + 1, rng) + 1j * random_hermitian(jt + 1, rng)
+        assert frames.grid is None
+        assert np.array_equal(spin_tomogram(a, frames).table, frame_diagonals(a, frames.unitaries()).T)
 
 
 class TestMarginal:
