@@ -1,9 +1,10 @@
 """Unitary evolution and measurement maps, in matrix and symbol form.
 
 Closed-system evolution: rho(t) = e^{-itH} rho e^{itH}.  The same evolution
-acts on unitary tomograms purely through the frame argument,
-w(m, u, t) = w(m, U(t)^dag u, 0), so a tomogram evolves by re-evaluation at
-shifted frames without ever forming rho(t).
+acts on any tomogram purely through the frame argument,
+w(m, u, t) = w(m, U(t)^dag u, 0) on the frame set's ``unitaries()`` u, so a
+unitary or spin tomogram evolves by re-evaluation at shifted frames without
+ever forming rho(t).
 
 Projective/POVM updates: the unnormalized map rho -> P rho P is returned as a
 normalized state plus its probability; its symbol-side form is the triple
@@ -34,16 +35,15 @@ def evolve_state(rho: DensityMatrix, h, t: float) -> DensityMatrix:
 
 
 def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
-    """Evolve a unitary tomogram by the frame shift u -> U(t)^dag u.
+    """Evolve a tomogram by the frame shift u -> U(t)^dag u of its frames' ``unitaries()``.
 
-    Requires the tomogram to have been built in-process from a state (the
-    shifted frames need fresh evaluations of the time-zero symbol).
+    The evolved tomogram keeps ``t0.frames``, spin or unitary, on a grid or
+    off one.  Requires the tomogram to have been built in-process from a
+    state (the shifted frames need fresh evaluations of the time-zero symbol).
     """
-    if t0.kind != "unitary":
-        raise ValueError("frame-shift evolution applies to unitary tomograms")
     if t0.source_state is None:
         raise ValueError(
-            "tomogram lacks its generating state; build it with unitary_tomogram"
+            "tomogram lacks its generating state; build it with unitary_tomogram or spin_tomogram"
         )
     h = as_matrix(h)
     if h.shape != t0.source_state.mat.shape:

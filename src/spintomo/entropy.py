@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, _haar_scan, frame_diagonals
+from .linalg import DensityMatrix, _check_draw, _haar_scan, frame_diagonals
 from .symbols import UnitaryFrames
 
 NEG_TOL = 1e-10
@@ -194,6 +194,7 @@ def min_entropy_over_group(
 
 def integral_entropy(rho: DensityMatrix, n: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the Haar average of the frame entropy."""
+    _check_draw(rho.dim, n)  # the sampler's count rule first, so a non-integer n is refused as such
     if n < 2:
         raise ValueError("at least two samples are needed for a standard error")
     mc = min_entropy_over_group(rho, n, seed).monte_carlo

@@ -1,9 +1,10 @@
 """Inverse maps: from tomograms back to operators.
 
 Spin tomograms on a quadrature grid invert through the covariant synthesis of
-``SpinTransform``; unitary-frame tomograms invert through a constrained
-least-squares solve on the frame operator; a symbol table moves between
-quantizer pairs by one pair's synthesis followed by the other's symbol map.
+``SpinTransform``; every other tomogram, unitary or spin off a grid, inverts
+through a constrained least-squares solve on the frame operator of its frame
+set's ``unitaries()``; a symbol table moves between quantizer pairs by one
+pair's synthesis followed by the other's symbol map.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import InformationallyIncompleteError
 from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid
-from .symbols import REALITY_TOL, QuantizerPair, Tomogram, UnitaryFrames, _grid_transform
+from .symbols import REALITY_TOL, QuantizerPair, Tomogram, _grid_transform
 
 __all__ = [
     "infer_grid",
@@ -30,7 +31,7 @@ __all__ = [
 def infer_grid(t: Tomogram) -> QuadratureGrid:
     """The grid at whose nodes a spin tomogram's frames lie, ``t.frames.grid``, which frames
     read from a file carry as any ``SpinFrames`` do; frames off every grid are refused."""
-    if t.kind != "spin":
+    if t.j is None:
         raise ValueError("grid inference needs a spin tomogram")
     if t.frames.grid is None:
         raise ValueError("tomogram frames do not coincide with the nodes of any standard grid")
@@ -47,14 +48,16 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
 
 
 def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
-    """Least-squares state estimate from a unitary-frame tomogram.
+    """Least-squares state estimate from a tomogram on the frames ``t.frames.unitaries()``.
 
     Solves for a Hermitian matrix under the unit-trace constraint; at least
     d+1 generically placed frames are needed for the linear map to have full
     column rank.  Positivity is verified afterwards, not enforced: violations
-    beyond 1e-8 produce a warning, not an error; a complex table is refused.
+    beyond 1e-8 produce a warning, not an error.  A complex table is refused,
+    and so is a table not normalized per frame, which is no state's.
     """
-    d, table = t.n_outcomes, _real_unitary_table(t)
+    d, table = t.n_outcomes, _real_table(t)
+    t.check_normalized()
     rho = np.tensordot(_solve(t.frames.unitaries(), table), hermitian_basis(d), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
@@ -166,19 +169,19 @@ def _design_matrix(us: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
-    """Max abs mismatch between a (real) unitary-frame tomogram and the state's forward symbol."""
-    table = _real_unitary_table(t)
-    pred = frame_diagonals(rho.mat, UnitaryFrames.of(t.frames, rho.dim).stack).real
+    """Max abs mismatch between a (real) tomogram and the state's forward symbol on ``t.frames.unitaries()``."""
+    table, n = _real_table(t), t.frames.dim
+    if n != rho.dim:
+        raise ValueError(f"frame shape {(n, n)} does not match state dimension {rho.dim}")
+    pred = frame_diagonals(rho.mat, t.frames.unitaries()).real
     return float(np.max(np.abs(pred.T - table)))
 
 
-def _real_unitary_table(t: Tomogram) -> np.ndarray:
-    """A unitary tomogram's table, refused if complex beyond ``REALITY_TOL``; negative entries pass."""
-    if t.kind != "unitary":
-        raise ValueError("expected a unitary-frame tomogram")
+def _real_table(t: Tomogram) -> np.ndarray:
+    """A tomogram's table, refused if complex beyond ``REALITY_TOL``; negative entries pass."""
     imag = float(np.max(np.abs(t.table.imag)))
     if imag > REALITY_TOL:
-        raise ValueError(f"unitary tomogram has imaginary entries up to {imag:.3e}; "
+        raise ValueError(f"tomogram has imaginary entries up to {imag:.3e}; "
                          "a probability table is real")
     return t.table.real
 

@@ -171,11 +171,13 @@ class UnitaryFrames(Sequence):
 
     @classmethod
     def of(cls, frames, n: int) -> "UnitaryFrames":
-        """``frames`` itself if n x n, else an (F, n, n) array, n x n matrices or
-        tuples of per-factor unitaries as one set, checked as on construction."""
+        """``frames`` itself if n x n, else the ``unitaries()`` of a frame set, an
+        (F, n, n) array, n x n matrices or tuples of per-factor unitaries as one
+        set, checked as on construction."""
         if isinstance(frames, cls) and frames.stack.shape[1:] == (n, n):
             return frames
-        items, factors = frames, None
+        factors = None
+        items = frames.unitaries() if isinstance(frames, (cls, SpinFrames)) else frames
         if not isinstance(items, np.ndarray):
             items = list(items)
             if items and all(isinstance(fr, tuple) for fr in items):

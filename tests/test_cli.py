@@ -553,14 +553,32 @@ class TestStarCommand:
 
 
 class TestOffGridSpinFiles:
-    def test_reconstruct_refuses_an_off_grid_spin_file(self, tmp_path, capsys):
-        # off-grid spin frames go the least-squares route, which takes unitary frames only
+    @staticmethod
+    def write_off_grid(tmp_path, rho, count: int):
         rng = np.random.default_rng(3)
-        frames = SpinFrames(0.5, rng.uniform(0, np.pi, 9), rng.uniform(0, 2 * np.pi, 9))
-        t_path, out = tmp_path / "off.json", tmp_path / "r.json"
-        t_path.write_text(io.dumps(io.tomogram_to_obj(spin_tomogram(random_density(2, 2, seed=1), frames))))
-        assert main(["reconstruct", "--tomogram", str(t_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: expected a unitary-frame tomogram\n"
+        frames = SpinFrames((rho.dim - 1) / 2, rng.uniform(0, np.pi, count), rng.uniform(0, 2 * np.pi, count))
+        t_path = tmp_path / "off.json"
+        t_path.write_text(io.dumps(io.tomogram_to_obj(spin_tomogram(rho, frames))))
+        return t_path
+
+    @pytest.mark.parametrize("jt", [1, 2, 4])
+    def test_reconstruct_round_trips_an_off_grid_spin_file(self, tmp_path, capsys, jt):
+        # off-grid spin frames go the least-squares route on their unitaries R(g)^dag;
+        # 4j + 1 directions determine the state
+        rho = random_density(jt + 1, jt + 1, seed=jt)
+        t_path, out = self.write_off_grid(tmp_path, rho, 2 * jt + 1), tmp_path / "r.json"
+        assert main(["reconstruct", "--tomogram", str(t_path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("round-trip max abs error: ")
+        assert float(printed.rsplit(" ", 1)[-1]) <= 1e-12
+        est = io.density_from_obj(json.loads(out.read_text()))
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-12
+
+    def test_too_few_off_grid_directions_exit_3(self, tmp_path, capsys):
+        rho = random_density(3, 3, seed=2)
+        t_path, out = self.write_off_grid(tmp_path, rho, 4), tmp_path / "r.json"
+        assert main(["reconstruct", "--tomogram", str(t_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: informationally incomplete frame set: rank 8 < 9\n"
         assert not out.exists()
 
 

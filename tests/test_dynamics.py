@@ -13,11 +13,12 @@ from spintomo.dynamics import (
 )
 from spintomo.errors import ZeroProbabilityError
 from spintomo.linalg import haar_unitaries, random_density
+from spintomo.quadrature import make_grid
 from spintomo.reconstruction import reconstruct_from_unitary_frame, reconstruction_residual
 from spintomo.halfint import HalfInt
 from spintomo.star import star_compose, star_grid
 from spintomo.states import SIGMA_Z, bell_state, plus_state, pure_state
-from spintomo.symbols import grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinFrames, grid_frames, spin_tomogram, unitary_tomogram
 
 
 class TestEvolveState:
@@ -83,6 +84,20 @@ class TestEvolveTomogram:
         shifted = evolve_tomogram(unitary_tomogram(rho, frames), h, 0.8)
         direct = unitary_tomogram(evolve_state(rho, h, 0.8), frames)
         assert np.max(np.abs(shifted.table - direct.table)) < 1e-10
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_spin_frames_shift_on_their_own_frames(self, rng, on_grid):
+        # a spin frame is the unitary frame R(g)^dag, so the frame shift needs no grid
+        rho = random_density(4, 4, seed=60)
+        if on_grid:
+            frames = grid_frames(1.5, make_grid(1.5))
+        else:
+            frames = SpinFrames(1.5, rng.uniform(0, np.pi, 7), rng.uniform(0, 2 * np.pi, 7))
+        h = random_hermitian(4, rng)
+        shifted = evolve_tomogram(spin_tomogram(rho, frames), h, 0.8)
+        direct = spin_tomogram(evolve_state(rho, h, 0.8), frames)
+        assert shifted.frames is frames
+        assert np.max(np.abs(shifted.table - direct.table)) <= 1e-13
 
     def test_requires_source_state(self):
         rho = random_density(2, 2, seed=9)

@@ -404,9 +404,11 @@ class TestOneKernel:
 
     def test_a_non_integer_count_is_refused_by_the_sampler(self):
         # refused before the scan allocates for its entropies
-        for count in (10.0, True):
+        for count in (10.0, True, "4"):
             with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
                 min_entropy_over_group(random_density(2, 2, seed=37), count, seed=38)
+            with pytest.raises(ValueError, match="sample count must be a nonnegative integer"):
+                integral_entropy(random_density(2, 2, seed=37), count, seed=38)
 
     def test_integral_entropy_is_the_monte_carlo_part(self):
         rho = random_density(3, 2, seed=33)

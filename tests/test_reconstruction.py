@@ -220,18 +220,40 @@ class TestUnitaryFrameReconstruction:
         assert np.max(np.abs(est.mat - rho.mat)) < 1e-9
         assert reconstruction_residual(t, est) < 1e-9
 
-    def test_residual_refuses_spin_tomogram(self):
+    def test_residual_reads_a_grid_spin_tomogram(self):
+        # grid frames are the unitaries R(g)^dag of their nodes, like any spin frames
         rho = random_density(2, 2, seed=21)
         t = spin_tomogram(rho, grid_frames(0.5, make_grid(0.5)))
-        with pytest.raises(ValueError, match="unitary-frame tomogram"):
-            reconstruction_residual(t, rho)
+        assert reconstruction_residual(t, rho) <= 1e-14
 
     @pytest.mark.parametrize("on_grid", [True, False])
-    def test_least_squares_refuses_spin_tomogram(self, on_grid):
+    def test_least_squares_reads_a_spin_tomogram(self, on_grid):
         rho = random_density(2, 2, seed=21)
-        frames = grid_frames(0.5, make_grid(0.5)) if on_grid else SpinFrames(0.5, [0.3], [0.0])
-        with pytest.raises(ValueError, match="^expected a unitary-frame tomogram$"):
-            reconstruct_from_unitary_frame(spin_tomogram(rho, frames))
+        frames = grid_frames(0.5, make_grid(0.5)) if on_grid else SpinFrames(0.5, [0.3, 1.2, 2.5], [0.0, 2.0, 4.0])
+        est = reconstruct_from_unitary_frame(spin_tomogram(rho, frames))
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-12
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_residual_on_spin_frames(self, on_grid):
+        rho, other = random_density(3, 3, seed=24), random_density(3, 3, seed=25)
+        frames = grid_frames(1, make_grid(1)) if on_grid else SpinFrames(1, [0.3, 1.2, 2.5], [0.0, 2.0, 4.0])
+        t = spin_tomogram(rho, frames)
+        mismatch = np.max(np.abs(spin_tomogram(other, frames).table - t.table))
+        assert mismatch > 1e-3
+        assert reconstruction_residual(t, other) == pytest.approx(mismatch, abs=1e-14)
+        if not on_grid:
+            # off a grid the spin table is the unitary one on the same unitaries, bit for bit
+            same = unitary_tomogram(rho, frames.unitaries())
+            assert reconstruction_residual(t, other) == reconstruction_residual(same, other)
+        with pytest.raises(ValueError, match=r"^frame shape \(3, 3\) does not match state dimension 2$"):
+            reconstruction_residual(t, random_density(2, 2, seed=26))
+
+    def test_unnormalized_spin_table_is_refused(self):
+        # the unit-trace row assumes a state: an observable's table would be solved as one
+        frames = SpinFrames(0.5, [0.3, 1.2, 2.5, 0.7, 1.9, 2.2], [0.0, 2.0, 4.0, 1.0, 3.0, 5.0])
+        t = spin_tomogram(np.diag([2.0, 0.5]), frames)
+        with pytest.raises(ValueError, match=r"^tomogram not normalized per frame \(residual 1.500e\+00\)$"):
+            reconstruct_from_unitary_frame(t)
 
     def test_single_frame_incomplete(self):
         rho = random_density(2, 2, seed=22)
@@ -303,6 +325,24 @@ class TestUnitaryFrameReconstruction:
         t = unitary_tomogram(rho, frames)
         est = reconstruct_from_unitary_frame(t)
         assert np.max(np.abs(est.mat - rho.mat)) < 1e-8
+
+
+class TestSpinDirections:
+    """Random spin directions determine a spin-j state from 4j + 1 of them on
+    (Newton & Young 1968; Amiet & Weigert 1999); 4j leave one of the n^2 real
+    parameters of an n x n Hermitian matrix undetermined."""
+
+    @pytest.mark.parametrize("jt", range(1, 17))
+    def test_four_j_plus_one_directions_determine_the_state(self, jt):
+        n, rng = jt + 1, np.random.default_rng(jt)
+        rho = random_density(n, n, seed=jt)
+        frames = SpinFrames(jt / 2, np.arccos(rng.uniform(-1, 1, 2 * jt + 1)), rng.uniform(0, 2 * np.pi, 2 * jt + 1))
+        est = reconstruct_from_unitary_frame(spin_tomogram(rho, frames))
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-12
+        fewer = SpinFrames(jt / 2, frames.betas[:-1], frames.gammas[:-1])
+        with pytest.raises(InformationallyIncompleteError) as err:
+            reconstruct_from_unitary_frame(spin_tomogram(rho, fewer))
+        assert (err.value.rank, err.value.needed) == (n * n - 1, n * n)
 
 
 def lstsq_state(us, rho):

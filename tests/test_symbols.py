@@ -311,6 +311,17 @@ class TestFrameSetInterface:
         assert frames.grid is None
         assert np.array_equal(spin_tomogram(a, frames).table, frame_diagonals(a, frames.unitaries()).T)
 
+    @pytest.mark.parametrize("jt", [1, 3, 6])
+    def test_unitary_tomogram_takes_a_spin_frame_set(self, jt, rng):
+        # ``UnitaryFrames.of`` reads a frame set through its unitaries()
+        frames = random_frames(HalfInt(jt), 9, rng)
+        rho = random_density(jt + 1, jt + 1, seed=jt)
+        t = unitary_tomogram(rho, frames)
+        assert (t.kind, t.n_frames) == ("unitary", 9)
+        assert np.array_equal(t.table, spin_tomogram(rho, frames).table)
+        with pytest.raises(ValueError, match=rf"^frame shape \({jt + 1}, {jt + 1}\) does not match state dimension {jt + 2}$"):
+            unitary_tomogram(random_density(jt + 2, 2, seed=1), frames)
+
 
 class TestMarginal:
     def test_product_state_product_frames(self, rng):
