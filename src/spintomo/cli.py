@@ -260,8 +260,8 @@ def _cmd_simplex(args) -> str | dict:
     # a CSV row holds the factor unitaries (re, im) and the point
     numbers = rho.dim + (2 * rho.dim**2 if args.format == "csv" else 0)
     _check_frames("--samples", args.samples, rho.dim, 4, numbers, args.format)
+    report = image_dimension_report(rho, group, seed=args.seed)  # checks the Jacobian's bytes first
     sample = image_sample(rho, group, args.samples, args.seed)
-    report = image_dimension_report(rho, group, seed=args.seed)
     print(f"image dimension: {report.rank} (rel_tol {report.rel_tol:g})")
     if args.format == "csv":
         return io.simplex_sample_csv(sample)

@@ -168,20 +168,27 @@ def frame_diagonals(a, frames) -> np.ndarray:
     return out
 
 
+def _hermitian_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of ``hermitian_basis(d)`` as arrays (k, row, col, value).
+
+    Each column of a basis matrix holds at most one of them.
+    """
+    a, b = np.triu_indices(d, 1)
+    diag, sym = np.arange(d), d + 2 * np.arange(a.size)
+    # (k, row, col) of the diagonal units, then of the symmetric and the antisymmetric pairs
+    k, row, col = np.concatenate([(diag, diag, diag), (sym, a, b), (sym, b, a), (sym + 1, a, b), (sym + 1, b, a)], 1)
+    return k, row, col, np.repeat([1.0, -1.0j, 1.0j], [d + 2 * a.size, a.size, a.size])
+
+
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthogonal basis of the d x d Hermitian matrices, shape (d^2, d, d).
 
     Order: the d diagonal units |k><k|, then for each pair a < b (row-major)
     |a><b| + |b><a| followed by -i|a><b| + i|b><a|.
     """
+    k, row, col, value = _hermitian_entries(d)
     basis = np.zeros((d * d, d, d), dtype=complex)
-    k = np.arange(d)
-    basis[k, k, k] = 1.0
-    a, b = np.triu_indices(d, 1)
-    sym = d + 2 * np.arange(a.size)
-    basis[sym, a, b] = basis[sym, b, a] = 1.0
-    basis[sym + 1, a, b] = -1.0j
-    basis[sym + 1, b, a] = 1.0j
+    basis[k, row, col] = value
     return basis
 
 

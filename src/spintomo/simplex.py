@@ -26,13 +26,14 @@ from .errors import DegeneratePointError
 from .linalg import (
     DensityMatrix,
     _blocks,
+    _check_bytes,
     _check_draw,
     _haar_scan,
+    _hermitian_entries,
     _integers,
     _resolve_keep,
     frame_diagonals,
     haar_unitaries,
-    hermitian_basis,
     kron_all,
     partial_transpose,
 )
@@ -144,17 +145,35 @@ def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> Simplex
     return sample
 
 
-def _lie_basis(factors: tuple[int, ...], active: tuple[int, ...]) -> np.ndarray:
-    """Hermitian generators of the subgroup, embedded into the joint space, (K, N, N)."""
-    return np.concatenate([
-        kron_all([hermitian_basis(d) if k == a else np.eye(d) for k, d in enumerate(factors)])
-        for a in active
-    ])
-
-
 # random base points; the rank can drop only on a measure-zero set, so the
 # largest rank found among them is the generic one
 _BASE_POINTS = 5
+
+
+def _jacobian(sigma: np.ndarray, factors: tuple[int, ...], active: tuple[int, ...]) -> np.ndarray:
+    """The image Jacobian at each base point, (P, N, K), from its sigma = u0^dag rho u0.
+
+    Entry (m, k) is -2 Im (sigma G_k)_mm, for the generator G_k = 1 (x) g_k (x) 1
+    of an active factor.  Where g_k has the entry (row, col, value), G_k has it
+    in column m = (l, col, r) at row (l, row, r), and nowhere else in that
+    column, so the entry is -2 Im(sigma[(l, col, r), (l, row, r)] value); every
+    other entry is zero.  One einsum diagonal of sigma, reshaped by the
+    factors, gives these d x d blocks whose indices agree outside the factor.
+    The one nonzero product of the dense einsum against the embedded
+    generators is this one, and the zeros take its signs (LAPACK's
+    reflections read the sign of a zero), so the Jacobian and its singular
+    values equal that einsum's bit for bit.
+    """
+    p, n = sigma.shape[:2]
+    sizes = [factors[a] ** 2 for a in active]
+    jac = np.full((sum(sizes), p, n), -0.0)
+    for a, part in zip(active, np.split(jac, np.cumsum(sizes)[:-1])):
+        d, left, right = factors[a], int(np.prod(factors[:a])), int(np.prod(factors[a + 1 :]))
+        blocks = np.einsum("plxrlyr->plrxy", sigma.reshape(p, left, d, right, left, d, right))
+        k, row, col, value = _hermitian_entries(d)
+        part = part.reshape(d * d, p, left, d, right)
+        part[k, :, :, col] = np.moveaxis(-2.0 * ((blocks[..., col, row] * value).imag + 0.0), -1, 0)
+    return jac.transpose(1, 2, 0)
 
 
 @dataclass
@@ -169,22 +188,30 @@ def image_dimension_report(
 ) -> DimensionReport:
     """Numerical rank of the map u -> diag(u^dag rho u) restricted to the subgroup.
 
-    Along the curve u0 exp(i s G_k), for a Lie-algebra basis {G_k}, the exact
-    derivative at s = 0 is diag(i [sigma, G_k]) = -2 Im diag(sigma G_k) with
-    sigma = u0^dag rho u0.  The Jacobians at all random base points come from
-    one batched product; the rank is the count of singular values above
-    rel_tol * sigma_max, maximized over base points; rel_tol lies in (0, 1).
+    Along the curve u0 exp(i s G_k), for the subgroup's generators G_k (the
+    ``hermitian_basis`` of each active factor), the exact derivative at s = 0
+    is diag(i [sigma, G_k]) = -2 Im diag(sigma G_k) with sigma = u0^dag rho u0,
+    read off sigma's entries (``_jacobian``).  The rank is the count of
+    singular values above max(rel_tol * sigma_max, 4 N eps ||rho||_2),
+    maximized over random base points; the second bound is the roundoff of
+    sigma, so rho proportional to the identity, whose image is one point,
+    has rank 0.  On the full group the image is the permutohedron of the
+    spectrum (Schur-Horn), of dimension N - 1 for every other state.
+    rel_tol lies in (0, 1).  The Jacobian's P N K doubles, with the SVD's
+    copy of one base point's, are checked against the byte budget before the
+    base points are drawn.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     factors, active = g.resolve(rho.dims)
+    k = sum(factors[a] ** 2 for a in active)
+    _check_bytes(8.0 * (_BASE_POINTS + 1) * rho.dim * k, "the image Jacobian of {} generators at dimension {}", k, rho.dim)
     u0 = kron_all(_draw_elements(g, rho.dims, _BASE_POINTS, np.random.default_rng(seed)))
     sigma = u0.conj().swapaxes(-1, -2) @ rho.mat @ u0
-    jac = -2.0 * np.einsum("pab,kba->pak", sigma, _lie_basis(factors, active)).imag
-    sv = np.linalg.svd(jac, compute_uv=False)
-    ranks = np.where(sv[:, 0] > 0.0, np.sum(sv > rel_tol * sv[:, :1], axis=1), 0)
-    best = int(np.argmax(ranks))
-    return DimensionReport(rank=int(ranks[best]), singular_values=sv[best], rel_tol=rel_tol)
+    sv = np.linalg.svd(_jacobian(sigma, factors, active), compute_uv=False)
+    floor = 4 * rho.dim * np.finfo(float).eps * np.linalg.norm(rho.mat, 2)
+    ranks = np.sum(sv > np.maximum(rel_tol * sv[:, :1], floor), axis=1)
+    return DimensionReport(rank=int(ranks.max()), singular_values=sv[np.argmax(ranks)], rel_tol=rel_tol)
 
 
 def image_dimension(rho: DensityMatrix, g: GroupSpec, **kwargs) -> int:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import settings
 
 from spintomo.halfint import HalfInt, spin_range
-from spintomo.linalg import expm_hermitian_times, frame_diagonals, kron_all
-from spintomo.simplex import _draw_elements, _lie_basis
+from spintomo.linalg import expm_hermitian_times, frame_diagonals, hermitian_basis, kron_all
+from spintomo.simplex import _BASE_POINTS, _draw_elements
 from spintomo.quadrature import GROUP_VOLUME
 from spintomo.su2 import clebsch_gordan, rotation_stack, wigner_d_stack, wigner_small_d
 from spintomo.symbols import _identity_quantizer
@@ -35,26 +35,49 @@ def frame_diagonals_bound(a) -> float:
     return 2 * a.shape[-1] * np.finfo(float).eps * float(np.max(np.abs(a)))
 
 
-def finite_difference_dimension(rho, g, base_points=5, rel_tol=1e-8, seed=0):
+def embedded_generators(factors, active) -> np.ndarray:
+    """Hermitian generators of the subgroup, Kronecker-embedded in the joint space, (K, N, N) (oracle)."""
+    return np.concatenate([
+        kron_all([hermitian_basis(d) if k == a else np.eye(d) for k, d in enumerate(factors)])
+        for a in active
+    ])
+
+
+def _base_points(rho, g, seed):
+    """sigma = u0^dag rho u0 at the random base points of simplex.image_dimension_report."""
+    u0 = kron_all(_draw_elements(g, rho.dims, _BASE_POINTS, np.random.default_rng(seed)))
+    return u0.conj().swapaxes(-1, -2) @ rho.mat @ u0
+
+
+def _best_rank(rho, sv, rel_tol):
+    """(rank, singular values) at the base point of largest rank, by the rank rule of
+    simplex.image_dimension_report."""
+    floor = 4 * rho.dim * np.finfo(float).eps * np.linalg.norm(rho.mat, 2)
+    ranks = np.sum(sv > np.maximum(rel_tol * sv[:, :1], floor), axis=1)
+    return int(ranks.max()), sv[np.argmax(ranks)]
+
+
+def einsum_dimension(rho, g, rel_tol=1e-8, seed=0):
+    """(rank, singular values) of the simplex-image Jacobian by one dense einsum of
+    the base points' sigma against the embedded generators (oracle)."""
+    jac = -2.0 * np.einsum("pab,kba->pak", _base_points(rho, g, seed), embedded_generators(*g.resolve(rho.dims))).imag
+    return _best_rank(rho, np.linalg.svd(jac, compute_uv=False), rel_tol)
+
+
+def finite_difference_dimension(rho, g, rel_tol=1e-8, seed=0):
     """(rank, singular values) of the simplex-image Jacobian by central finite
     differences (step 1e-5) along u0 exp(i s G_k), with the base points,
-    Lie basis and rank rule of simplex.image_dimension_report."""
-    factors, active = g.resolve(rho.dims)
-    basis = _lie_basis(factors, active)
+    generators and rank rule of simplex.image_dimension_report."""
+    basis = embedded_generators(*g.resolve(rho.dims))
     step = 1e-5
     e_plus = np.stack([expm_hermitian_times(gen, -step) for gen in basis])  # exp(+i step G)
     e_minus = np.stack([expm_hermitian_times(gen, step) for gen in basis])
-    rng = np.random.default_rng(seed)
     jac = []
-    for u0 in kron_all(_draw_elements(g, rho.dims, base_points, rng)):
-        sigma = u0.conj().T @ rho.mat @ u0
+    for sigma in _base_points(rho, g, seed):
         forward = frame_diagonals(sigma, e_plus).real
         backward = frame_diagonals(sigma, e_minus).real
         jac.append(((forward - backward) / (2.0 * step)).T)
-    sv = np.linalg.svd(np.stack(jac), compute_uv=False)
-    ranks = np.where(sv[:, 0] > 0.0, np.sum(sv > rel_tol * sv[:, :1], axis=1), 0)
-    best = int(np.argmax(ranks))
-    return int(ranks[best]), sv[best]
+    return _best_rank(rho, np.linalg.svd(np.stack(jac), compute_uv=False), rel_tol)
 
 
 @pytest.fixture

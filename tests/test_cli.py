@@ -81,6 +81,17 @@ class TestSizePreflight:
         assert peak < 2**20
         assert not out.exists()
 
+    def test_an_image_jacobian_above_the_budget_exits_2_before_sampling(self, workdir, capsys, no_work):
+        # one sample passes the --samples preflight; the Jacobian of U(300) is 1.3 GB
+        tmp, _ = workdir
+        state, out = tmp / "mixed300.json", tmp / "never.json"
+        state.write_text(io.dumps(io.density_to_obj(maximally_mixed((300,)))))
+        assert main(["simplex-image", "--state", str(state), "--samples", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the image Jacobian of 90000 generators at dimension 300 would allocate about ")
+        assert "above the budget of 1.07 GB" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "state, argv, reached",
         [

@@ -3,8 +3,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import finite_difference_dimension, frame_diagonals_bound, frame_diagonals_oracle
+from conftest import (
+    einsum_dimension,
+    finite_difference_dimension,
+    frame_diagonals_bound,
+    frame_diagonals_oracle,
+    random_hermitian,
+)
+from spintomo import simplex
 from spintomo.errors import DegeneratePointError
 from spintomo.linalg import (
     DensityMatrix,
@@ -53,6 +62,13 @@ ORACLE_CASES = [
     pytest.param(dims, group, id="x".join(map(str, dims)) + "-" + name)
     for dims in [(3,), (2, 2), (2, 4), (2, 2, 2)]
     for name, group in _groups(dims)
+]
+
+# the full group up to N = 16, and the product groups on every active set
+EINSUM_CASES = [pytest.param((n,), FULL, id=f"{n}-full") for n in range(1, 17)] + [
+    pytest.param(dims, group, id="x".join(map(str, dims)) + "-" + name)
+    for dims in [(2, 2), (2, 3), (2, 2, 2)]
+    for name, group in _groups(dims)[1:]
 ]
 
 ACCEPTANCE_CASES = [
@@ -309,6 +325,86 @@ class TestClosedFormJacobian:
         null = report.singular_values[report.rank:]
         assert null.size > 0  # the coordinates sum to 1, so one direction is always null
         assert np.max(null) <= 1e-14 * report.singular_values[0]
+
+    @pytest.mark.parametrize("dims, group", EINSUM_CASES)
+    def test_singular_values_equal_the_dense_einsum(self, dims, group):
+        # read off sigma's entries, the Jacobian is the dense einsum's bit for bit
+        n = int(np.prod(dims))
+        states = [random_density(n, rank, seed=60 + rank, dims=dims) for rank in range(1, n + 1)]
+        for seed, rho in enumerate([*states, maximally_mixed(dims)]):
+            report = image_dimension_report(rho, group, seed=seed)
+            rank, sv = einsum_dimension(rho, group, seed=seed)
+            assert report.rank == rank
+            assert np.array_equal(report.singular_values, sv)
+
+    def test_a_jacobian_above_the_byte_budget_is_refused_before_the_draws(self, monkeypatch):
+        # 6 x 300 x 300^2 doubles: the Jacobian at 5 base points and the SVD's copy of one
+        def draws(*args):
+            raise AssertionError("base points drawn for a refused Jacobian")
+
+        monkeypatch.setattr(simplex, "_draw_elements", draws)
+        with pytest.raises(ValueError, match=r"^the image Jacobian of 90000 generators at dimension 300 would "
+                                             r"allocate about 1.3 GB, above the budget of 1.07 GB$"):
+            image_dimension_report(maximally_mixed((300,)), FULL)
+
+    def test_a_jacobian_within_the_byte_budget_goes_on_to_the_draws(self, monkeypatch):
+        # 0.81 GB at N = 256
+        def draws(*args):
+            raise RuntimeError("past the budget check")
+
+        monkeypatch.setattr(simplex, "_draw_elements", draws)
+        with pytest.raises(RuntimeError, match="past the budget check"):
+            image_dimension_report(maximally_mixed((256,)), FULL)
+
+    @pytest.mark.memory
+    def test_full_group_jacobian_holds_no_generator_stack(self):
+        # the embedded generators at N = 32 take 16.8 MB; the Jacobian read off
+        # sigma, 5 x 32 x 32^2 doubles, takes 1.3 MB
+        rho = random_density(32, 32, seed=21)
+        tracemalloc.start()
+        try:
+            image_dimension_report(rho, FULL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+class TestRankRule:
+    """Singular values at sigma's roundoff, up to 4 N eps ||rho||_2, are not rank."""
+
+    @pytest.mark.parametrize(
+        "dims", [(1,), (2,), (3,), (8,), (2, 2), (3, 4), (2, 2, 2)], ids=lambda dims: "x".join(map(str, dims))
+    )
+    def test_a_multiple_of_the_identity_is_a_point(self, dims):
+        for name, group in _groups(dims):
+            assert image_dimension(maximally_mixed(dims), group) == 0, name
+
+    def test_a_mixed_factor_adds_no_dimension(self):
+        # I/2 (x) |0><0|: the first factor's image is a point, the second's a segment
+        rho = product_state(maximally_mixed((2,)), pure_state([1.0, 0.0]))
+        assert image_dimension(rho, PRODUCT_22) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_a_state_near_the_identity_spans_the_simplex(self, n):
+        h = random_hermitian(n, np.random.default_rng(n))
+        rho = DensityMatrix(np.eye(n) / n + 1e-10 * (h - np.trace(h).real / n * np.eye(n)))
+        assert image_dimension(rho, FULL) == n - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(spectrum=st.lists(st.integers(0, 3), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+    def test_the_full_group_image_is_the_permutohedron(self, spectrum, seed):
+        # Schur-Horn: diag(u^dag rho u) over U(N) fills the permutohedron of the
+        # spectrum, of dimension N - 1 for every rank and degeneracy, and a
+        # point for rho proportional to the identity
+        assume(any(spectrum))
+        n = len(spectrum)
+        if len(set(spectrum)) == 1:
+            assert image_dimension(maximally_mixed((n,)), FULL, seed=seed) == 0
+            return
+        u = haar_unitaries(n, 1, np.random.default_rng(seed))[0]
+        m = (u * (np.array(spectrum) / sum(spectrum))) @ u.conj().T
+        assert image_dimension(DensityMatrix((m + m.conj().T) / 2), FULL, seed=seed) == n - 1
 
 
 class TestFactorizedSurface:
