@@ -37,7 +37,7 @@ from .reconstruction import (
 )
 from .simplex import GroupSpec, image_dimension_report, image_sample, peres_scan
 from .star import star_compose
-from .symbols import grid_frames, spin_tomogram, unitary_tomogram
+from .symbols import Tomogram, grid_frames, spin_tomogram, unitary_tomogram
 
 
 def _add_common(p: argparse.ArgumentParser, fmt: bool = False, seed: bool = False) -> None:
@@ -123,13 +123,21 @@ def _load_state(path: str, dims_flag=None):
     return io.density_from_obj(obj, dims=dims)
 
 
-def _load_frames(path: str, d: int, fmt: str = "json") -> list:
-    """The frames of a JSON list, whose length is checked as ``--n-frames`` before any is decoded."""
+def _frames_tomogram(rho, path: str, fmt: str = "json") -> Tomogram:
+    """The tomogram of rho on the frames of a JSON list, whose length is checked
+    as ``--n-frames`` before any is decoded.
+
+    A list that opens with a spin angle object (``"beta"``, as ``tomogram --j``
+    writes them) is read as spin frames of j = (d - 1)/2, and every other list
+    as unitary frames; either reader refuses an entry of the other kind.
+    """
     obj = io.read_json(path)
     if not isinstance(obj, list):
         raise ValueError("frames file must contain a JSON list of frame objects")
-    _check_tomogram_frames("--frames", len(obj), d, fmt)
-    return [io.frame_from_obj(f) for f in obj]
+    _check_tomogram_frames("--frames", len(obj), rho.dim, fmt)
+    if obj and isinstance(obj[0], dict) and "beta" in obj[0]:
+        return spin_tomogram(rho, io._spin_frames_from_obj(HalfInt(rho.dim - 1), obj))
+    return unitary_tomogram(rho, [io.frame_from_obj(f) for f in obj])
 
 
 # Bytes an output number takes while the text is built.  JSON: a Python float and
@@ -196,24 +204,28 @@ def _cmd_tomogram(args) -> str | dict:
         _check_spin_grid(j, oversample, args.format)
         grid = make_grid(j, oversample=oversample)
         t = spin_tomogram(rho, grid_frames(j, grid))
+    elif args.frames is not None:
+        t = _frames_tomogram(rho, args.frames, args.format)
+    elif args.n_frames is not None:
+        if args.n_frames < 1:
+            raise ValueError("--n-frames must be positive")
+        _check_tomogram_frames("--n-frames", args.n_frames, rho.dim, args.format)
+        t = unitary_tomogram(rho, haar_unitaries(rho.dim, args.n_frames, np.random.default_rng(args.seed)))
     else:
-        if args.frames is not None:
-            frames = _load_frames(args.frames, rho.dim, args.format)
-        elif args.n_frames is not None:
-            if args.n_frames < 1:
-                raise ValueError("--n-frames must be positive")
-            _check_tomogram_frames("--n-frames", args.n_frames, rho.dim, args.format)
-            frames = haar_unitaries(rho.dim, args.n_frames, np.random.default_rng(args.seed))
-        else:
-            raise ValueError("tomogram needs --frames, --n-frames, or --j")
-        t = unitary_tomogram(rho, frames)
+        raise ValueError("tomogram needs --frames, --n-frames, or --j")
     if args.format == "csv":
         return io.tomogram_csv(t)
     return io.tomogram_to_obj(t)
 
 
 def _cmd_reconstruct(args) -> str | dict:
-    """Grid frames synthesize; any other frame set is solved by least squares."""
+    """Grid frames synthesize; any other frame set is solved by least squares.
+
+    A grid table may be an observable's symbol, so its synthesis is written as
+    the operator it is, with no positivity step: a noisy grid table can give
+    a matrix that ``--state`` refuses for its negative eigenvalue.  Off a grid
+    the table is a state's, and the estimate written is a density matrix.
+    """
     t = io.tomogram_from_obj(io.read_json(args.tomogram))
     if t.frames.grid is not None:
         op = reconstruct_operator(t, t.j, t.frames.grid)
@@ -314,9 +326,7 @@ def _cmd_evolve(args) -> str | dict:
     evolved = evolve_state(rho, h, args.t)
     obj = {"state": io.density_to_obj(evolved)}
     if args.frames:
-        frames = _load_frames(args.frames, rho.dim)
-        t0 = unitary_tomogram(rho, frames)
-        obj["tomogram"] = io.tomogram_to_obj(evolve_tomogram(t0, h, args.t))
+        obj["tomogram"] = io.tomogram_to_obj(evolve_tomogram(_frames_tomogram(rho, args.frames), h, args.t))
     return obj
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,7 +361,6 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: tuple[int, ...] | None = ()
-    psd_slack: float = field(default=PSD_SLACK, repr=False)
 
     def __post_init__(self):
         self.mat = as_matrix(self.mat)
@@ -374,10 +373,8 @@ class DensityMatrix:
         trace = self.mat.trace()
         if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
             raise ValueError("density matrix trace differs from 1 beyond 1e-12")
-        if not 0.0 <= self.psd_slack < math.inf:
-            raise ValueError(f"psd_slack must be finite and nonnegative, got slack {self.psd_slack}")
-        if not np.linalg.eigvalsh(self.mat).min() >= -self.psd_slack:
-            raise ValueError(f"density matrix has a negative eigenvalue beyond the slack {self.psd_slack}")
+        if not np.linalg.eigvalsh(self.mat).min() >= -PSD_SLACK:
+            raise ValueError(f"density matrix has a negative eigenvalue beyond the slack {PSD_SLACK}")
 
     @property
     def dim(self) -> int:

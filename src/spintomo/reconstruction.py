@@ -1,20 +1,21 @@
 """Inverse maps: from tomograms back to operators.
 
 Spin tomograms on a quadrature grid invert through the covariant synthesis of
-``SpinTransform``; every other tomogram, unitary or spin off a grid, inverts
-through a constrained least-squares solve on the frame operator of its frame
-set's ``unitaries()``; a symbol table moves between quantizer pairs by one
-pair's synthesis followed by the other's symbol map.
+``SpinTransform``, a linear map that returns whatever operator the table is
+the symbol of, an observable's included.  Every other tomogram, unitary or
+spin off a grid, is read as a state's: a unit-trace least-squares solve on the
+frame operator of its frame set's ``unitaries()``, moved to the nearest
+density matrix when noise leaves it with a negative eigenvalue.  A symbol
+table moves between quantizer pairs by one pair's synthesis followed by the
+other's symbol map.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import InformationallyIncompleteError
-from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
+from .linalg import PSD_SLACK, DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid
 from .symbols import REALITY_TOL, QuantizerPair, Tomogram, _grid_transform
 
@@ -48,28 +49,41 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
 
 
 def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
-    """Least-squares state estimate from a tomogram on the frames ``t.frames.unitaries()``.
+    """Projected least-squares state estimate from a tomogram on the frames ``t.frames.unitaries()``.
 
     Solves for a Hermitian matrix under the unit-trace constraint; at least
     d+1 generically placed frames are needed for the linear map to have full
-    column rank.  Positivity is verified afterwards, not enforced: violations
-    beyond 1e-8 produce a warning, not an error.  A complex table is refused,
-    and so is a table not normalized per frame, which is no state's.
+    column rank.  A consistent table's solution is returned as solved.  When
+    noise leaves an eigenvalue below -``PSD_SLACK``, the estimate is the
+    density matrix nearest the solution in the Frobenius norm
+    (``_nearest_state``), which is never further from the true state in
+    that norm.  A
+    complex table is refused, and so is a table not normalized per frame,
+    which is no state's.
     """
     d, table = t.n_outcomes, _real_table(t)
     t.check_normalized()
     rho = np.tensordot(_solve(t.frames.unitaries(), table), hermitian_basis(d), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
+    if np.linalg.eigvalsh(rho)[0] < -PSD_SLACK:
+        rho = _nearest_state(rho)
+    return DensityMatrix(rho, t.dims)
 
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-    if min_eig < -1e-8:
-        warnings.warn(
-            f"least-squares state has negative eigenvalue {min_eig:.3e}; "
-            "input tomogram may be inconsistent",
-            stacklevel=2,
-        )
-    return DensityMatrix(rho, t.dims, psd_slack=max(1e-10, 2.0 * abs(min_eig)))
+
+def _nearest_state(rho: np.ndarray) -> np.ndarray:
+    """The unit-trace PSD matrix nearest the unit-trace Hermitian ``rho`` in the Frobenius norm.
+
+    rho's eigenvectors keep their places and its eigenvalues are projected
+    onto the probability simplex: sorted, shifted by the one constant that
+    restores the unit trace once the shifted values below 0 are clipped to 0
+    (Smolin, Gambetta & Smith, Phys. Rev. Lett. 108, 070502, 2012).
+    """
+    w, v = np.linalg.eigh(rho)
+    desc = w[::-1]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, w.size + 1)
+    shift = shifts[np.flatnonzero(desc > shifts)[-1]]
+    return (v * np.maximum(w - shift, 0.0)) @ v.conj().T
 
 
 # Largest cond(G) of the frame operator G = A^T A solved by ``eigh``: the normal

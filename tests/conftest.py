@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from spintomo import reconstruction
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import expm_hermitian_times, frame_diagonals, hermitian_basis, kron_all
 from spintomo.simplex import _BASE_POINTS, _draw_elements
@@ -22,6 +23,23 @@ if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (g + g.conj().T)
+
+
+def shot_frequencies(table, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """The (d, F) frequencies of ``shots`` multinomial draws per frame from a real
+    (d, F) probability table, its roundoff negatives clipped to 0."""
+    p = np.clip(np.asarray(table, dtype=float), 0.0, None)
+    return rng.multinomial(shots, (p / p.sum(axis=0)).T).T / shots
+
+
+def least_squares_solution(t) -> np.ndarray:
+    """The hermitized, trace-normalised unit-trace least-squares solution of a
+    tomogram, as ``reconstruct_from_unitary_frame`` forms it before any projection."""
+    rho = np.tensordot(reconstruction._solve(t.frames.unitaries(), t.table.real),
+                       hermitian_basis(t.n_outcomes), axes=1)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    return rho
 
 
 def frame_diagonals_oracle(a, frames) -> np.ndarray:

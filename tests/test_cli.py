@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import least_squares_solution, shot_frequencies
 from spintomo import cli, io, linalg
 from spintomo.cli import main
+from spintomo.dynamics import evolve_tomogram
+from spintomo.halfint import HalfInt
 from spintomo.linalg import DensityMatrix, random_density
 from spintomo.quadrature import make_grid
 from spintomo.states import bell_state, maximally_mixed, werner_state
@@ -245,6 +248,17 @@ class TestTomogramCommand:
         assert values.min() >= 0.1 - 1e-10
         assert values.max() <= 0.4 + 1e-10
 
+    @pytest.mark.parametrize("j", ["0.5", "1.5"])
+    def test_spin_frames_read_back_give_the_same_file(self, workdir, j):
+        # the frames that tomogram --j writes are spin frames again under --frames
+        tmp, paths = workdir
+        state = paths["qubit" if j == "0.5" else "ladder"]
+        spin_path, frames_path, again = tmp / "spin.json", tmp / "frames.json", tmp / "again.json"
+        assert main(["tomogram", "--state", str(state), "--j", j, "--out", str(spin_path)]) == 0
+        frames_path.write_text(io.dumps(json.loads(spin_path.read_text())["frames"]))
+        assert main(["tomogram", "--state", str(state), "--frames", str(frames_path), "--out", str(again)]) == 0
+        assert again.read_bytes() == spin_path.read_bytes()
+
     def test_bad_json_exits_2(self, workdir):
         tmp, paths = workdir
         bad = tmp / "bad.json"
@@ -327,6 +341,39 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--tomogram", str(t_out), "--out", str(tmp_path / "r.json")]) == 0
         reported = float(capsys.readouterr().out.strip().rsplit(" ", 1)[-1])
         assert reported < 1e-8
+
+    def test_a_noisy_estimate_is_read_back_as_a_state(self, tmp_path, capsys):
+        # 40 Haar frames of the Bell state, 100 shots per frame: the least-squares
+        # solution has an eigenvalue of -0.0203, and the file written is its nearest
+        # state, which --state reads
+        shipped = Path(__file__).resolve().parent.parent / "data" / "bell_state.json"
+        exact, noisy, est = tmp_path / "exact.json", tmp_path / "noisy.json", tmp_path / "est.json"
+        assert main(["tomogram", "--state", str(shipped), "--n-frames", "40", "--seed", "5", "--out", str(exact)]) == 0
+        obj = json.loads(exact.read_text())
+        obj["values"] = shot_frequencies(obj["values"], 100, np.random.default_rng(1)).tolist()
+        noisy.write_text(io.dumps(obj))
+        solved = least_squares_solution(io.tomogram_from_obj(obj))
+        assert np.linalg.eigvalsh(solved)[0] == pytest.approx(-2.03e-2, abs=5e-5)
+        assert main(["reconstruct", "--tomogram", str(noisy), "--out", str(est)]) == 0
+        assert capsys.readouterr().out.startswith("round-trip max abs error: ")
+        assert main(["tomogram", "--state", str(est), "--n-frames", "3", "--out", str(tmp_path / "again.json")]) == 0
+        assert np.linalg.eigvalsh(io.density_from_obj(json.loads(est.read_text())).mat)[0] >= -1e-10
+
+    def test_a_noisy_grid_table_is_synthesized_as_it_is(self, tmp_path, capsys):
+        # a grid table may be an observable's symbol, so the grid route stays linear:
+        # the synthesized operator of a noisy table keeps its negative eigenvalue,
+        # and --state refuses it
+        pure = tmp_path / "pure.json"
+        pure.write_text(io.dumps(io.density_to_obj(DensityMatrix(np.diag([1.0, 0.0])))))
+        exact, noisy, op = tmp_path / "exact.json", tmp_path / "noisy.json", tmp_path / "op.json"
+        assert main(["tomogram", "--state", str(pure), "--j", "0.5", "--out", str(exact)]) == 0
+        obj = json.loads(exact.read_text())
+        obj["values"] = shot_frequencies(obj["values"], 100, np.random.default_rng(0)).tolist()
+        noisy.write_text(io.dumps(obj))
+        assert main(["reconstruct", "--tomogram", str(noisy), "--out", str(op)]) == 0
+        capsys.readouterr()
+        assert main(["tomogram", "--state", str(op), "--j", "0.5", "--out", str(tmp_path / "never.json")]) == 2
+        assert capsys.readouterr().err == "error: density matrix has a negative eigenvalue beyond the slack 1e-10\n"
 
     def test_complex_unitary_table_exits_2(self, workdir, capsys):
         tmp, paths = workdir
@@ -815,6 +862,51 @@ class TestEvolveCommand:
         direct = unitary_tomogram(evolved, t.frames)
         assert np.max(np.abs(t.table - direct.table)) < 1e-10
 
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_spin_frames_evolve_a_spin_tomogram(self, tmp_path, on_grid):
+        # the frame objects that tomogram --j writes, or spin angles off a grid,
+        # are spin frames of j = (d - 1)/2
+        data = Path(__file__).resolve().parent.parent / "data"
+        state, h = data / "qubit_state.json", data / "hamiltonian_z.json"
+        if on_grid:
+            assert main(["tomogram", "--state", str(state), "--j", "0.5", "--out", str(tmp_path / "spin.json")]) == 0
+            frame_objs = json.loads((tmp_path / "spin.json").read_text())["frames"]
+        else:
+            frame_objs = [{"beta": 0.3, "gamma": 1.0}, {"alpha": 2.0, "beta": 1.9, "gamma": 4.0}]
+        frames_path, out = tmp_path / "frames.json", tmp_path / "ev.json"
+        frames_path.write_text(io.dumps(frame_objs))
+        rc = main(["evolve", "--state", str(state), "--hamiltonian", str(h), "--t", "0.7",
+                   "--frames", str(frames_path), "--out", str(out)])
+        assert rc == 0
+        rho = io.density_from_obj(json.loads(state.read_text()))
+        h_mat, _ = io.matrix_from_obj(json.loads(h.read_text()))
+        frames = io._spin_frames_from_obj(HalfInt(1), frame_objs)
+        assert (frames.grid is not None) == on_grid
+        expected = evolve_tomogram(spin_tomogram(rho, frames), h_mat, 0.7)
+        assert json.loads(out.read_text())["tomogram"] == json.loads(io.dumps(io.tomogram_to_obj(expected)))
+
+    @pytest.mark.parametrize(
+        "frame_objs, message",
+        [
+            ([{"beta": 0.3, "gamma": 1.0}, {"unitary": io.matrix_to_obj(np.eye(2))}],
+             "spin frame entries must be JSON objects with 'beta' and 'gamma' angles"),
+            ([{"unitary": io.matrix_to_obj(np.eye(2))}, {"alpha": 0.0, "beta": 0.3, "gamma": 1.0}],
+             "unrecognized frame object: ['alpha', 'beta', 'gamma']"),
+            ([{"beta": 0.3}], "spin frame entries must be JSON objects with 'beta' and 'gamma' angles"),
+            ([{"beta": "0.3", "gamma": 1.0}], "field 'beta' must be a JSON number, got str '0.3'"),
+            ([{"beta": 0.3, "gamma": 1.0}, 5], "spin frame entries must be JSON objects with 'beta' and 'gamma' angles"),
+        ],
+    )
+    def test_mixed_or_malformed_frame_lists_exit_2(self, workdir, capsys, frame_objs, message):
+        tmp, paths = workdir
+        frames_path, out = tmp / "frames.json", tmp / "ev.json"
+        frames_path.write_text(io.dumps(frame_objs))
+        rc = main(["evolve", "--state", str(paths["qubit"]), "--hamiltonian", str(paths["h"]),
+                   "--t", "0.7", "--frames", str(frames_path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_non_object_frame_entry_exits_2(self, workdir, capsys):
         tmp, paths = workdir

@@ -153,34 +153,14 @@ class TestDensityMatrix:
             (np.array([[0.5, 0.5], [0.0, 0.5]]), {}, "density matrix is not Hermitian within 1e-12"),
             (np.diag([0.6, 0.6]), {}, "density matrix trace differs from 1 beyond 1e-12"),
             (np.diag([0.5 + 1e-9j, 0.5]), {}, "density matrix is not Hermitian within 1e-12"),
-            (np.eye(2) / 2, {"psd_slack": np.inf}, "psd_slack must be finite and nonnegative, got slack inf"),
+            (np.diag([1.0 + 1e-9, -1e-9]), {}, "density matrix has a negative eigenvalue beyond the slack 1e-10"),
             (np.diag([1.5, -0.5]), {}, "density matrix has a negative eigenvalue beyond the slack 1e-10"),
-            (np.diag([1.5, -0.5]), {"psd_slack": 0.25},
-             "density matrix has a negative eigenvalue beyond the slack 0.25"),
         ],
     )
     def test_refusal_messages(self, mat, kwargs, message):
         with pytest.raises(ValueError) as refused:
             DensityMatrix(mat, **kwargs)
         assert str(refused.value) == message
-
-    def test_nan_slack_refused(self):
-        with pytest.raises(ValueError, match="slack nan"):
-            DensityMatrix(np.diag([1.5, -0.5]), psd_slack=float("nan"))
-        with pytest.raises(ValueError, match="slack nan"):
-            DensityMatrix(np.eye(2) / 2, psd_slack=float("nan"))
-
-    @pytest.mark.parametrize("slack", [float("inf"), -1e-3, float("nan")])
-    def test_slack_outside_its_range_refused(self, slack):
-        with pytest.raises(ValueError, match="psd_slack"):
-            DensityMatrix(np.diag([1.5, -0.5]), psd_slack=slack)
-        with pytest.raises(ValueError, match="psd_slack"):
-            DensityMatrix(np.eye(2) / 2, psd_slack=slack)
-
-    def test_zero_and_least_squares_slacks_accept_states(self):
-        assert DensityMatrix(np.eye(2) / 2, psd_slack=0.0).dim == 2
-        # reconstruct_from_unitary_frame's slack, max(1e-10, 2 |lambda_min|)
-        assert DensityMatrix(np.diag([1.0 + 1e-9, -1e-9]), psd_slack=2e-9).dim == 2
 
     def test_dims_product_checked(self):
         with pytest.raises(ValueError):
@@ -356,11 +336,12 @@ class TestPartialTranspose:
         assert np.min(np.linalg.eigvalsh(pt)) > -1e-12
 
     def test_involution(self):
-        rho = random_density(4, 4, seed=3, dims=(2, 2))
-        twice = partial_transpose(
-            DensityMatrix(partial_transpose(rho, 0), (2, 2), psd_slack=1.0), 0
-        )
-        assert np.max(np.abs(twice - rho.mat)) < 1e-14
+        # a product state and Werner states with q <= 1/3 are separable, so their
+        # partial transposes are states
+        product = product_state(random_density(2, 2, seed=3), random_density(2, 2, seed=4))
+        for rho in (product, werner_state(0.2), werner_state(1 / 3)):
+            once = DensityMatrix(partial_transpose(rho, 0), (2, 2))
+            assert np.max(np.abs(partial_transpose(once, 0) - rho.mat)) < 1e-14
 
     def test_requires_bipartition(self):
         with pytest.raises(ValueError):

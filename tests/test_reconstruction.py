@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import least_squares_solution, random_hermitian, shot_frequencies
 from spintomo import io, reconstruction, symbols
 from spintomo.errors import InformationallyIncompleteError
 from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
@@ -296,15 +299,18 @@ class TestUnitaryFrameReconstruction:
             worst = max(worst, np.max(np.abs(est.mat - rho.mat)))
         assert worst <= 1e-11
 
-    def test_inconsistent_tomogram_warns(self):
-        # the table of a Hermitian, unit-trace but indefinite matrix: no state has it
+    def test_inconsistent_tomogram_is_projected_to_the_nearest_state(self):
+        # the table of diag(1.2, -0.2), Hermitian and unit-trace but indefinite: no
+        # state has it, and the nearest state is diag(1, 0); nothing is warned
         frames = haar_unitaries(2, 6, 7)
         indefinite = np.diag([1.2, -0.2])
         t = Tomogram(frames, np.einsum("fam,ab,fbm->mf", frames.conj(), indefinite, frames))
-        with pytest.warns(UserWarning, match="negative eigenvalue -2.000e-01"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             est = reconstruct_from_unitary_frame(t)
+        assert caught == []
         assert isinstance(est, DensityMatrix)
-        assert np.max(np.abs(est.mat - indefinite)) < 1e-12
+        assert np.max(np.abs(est.mat - np.diag([1.0, 0.0]))) <= 1e-12
 
     def test_complex_table_refused(self):
         # the imaginary part of a probability table would otherwise be dropped unseen
@@ -325,6 +331,56 @@ class TestUnitaryFrameReconstruction:
         t = unitary_tomogram(rho, frames)
         est = reconstruct_from_unitary_frame(t)
         assert np.max(np.abs(est.mat - rho.mat)) < 1e-8
+
+
+class TestProjectedEstimate:
+    """A least-squares solution with an eigenvalue below -PSD_SLACK becomes the nearest state."""
+
+    @pytest.mark.parametrize("d, n_frames", [(1, 3), (2, 3), (2, 20), (3, 4), (4, 50), (8, 9), (8, 100)])
+    @pytest.mark.parametrize("rank", ["pure", "full"])
+    def test_a_consistent_table_takes_the_unprojected_path(self, d, n_frames, rank):
+        rho = random_density(d, 1 if rank == "pure" else d, seed=d + n_frames)
+        t = unitary_tomogram(rho, haar_unitaries(d, n_frames, 7 * d + n_frames))
+        assert np.array_equal(reconstruct_from_unitary_frame(t).mat, least_squares_solution(t))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        rank=st.integers(1, 8),
+        frames_per_dim=st.integers(1, 6),
+        shots=st.sampled_from([1, 10, 100, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_estimate_is_a_state_no_further_from_the_truth(self, d, rank, frames_per_dim, shots, seed):
+        # a metric projection onto the convex set of states, which holds rho, moves
+        # the least-squares solution no further from rho in the Frobenius norm
+        rank = min(rank, d)
+        rng = np.random.default_rng(seed)
+        rho = random_density(d, rank, seed=seed)
+        exact = unitary_tomogram(rho, haar_unitaries(d, d * frames_per_dim + 1, rng))
+        t = Tomogram(exact.frames, shot_frequencies(exact.table.real, shots, rng))
+        est = reconstruct_from_unitary_frame(t)
+        assert isinstance(est, DensityMatrix)
+        assert abs(np.trace(est.mat) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(est.mat)[0] >= -1e-10
+        solved = least_squares_solution(t)
+        assert np.linalg.norm(est.mat - rho.mat) <= np.linalg.norm(solved - rho.mat) + 1e-12
+
+    @pytest.mark.parametrize(
+        "spectrum, nearest",
+        [
+            ([1.3, -0.3], [1.0, 0.0]),
+            ([0.7, 0.5, -0.2], [0.6, 0.4, 0.0]),
+            ([0.7, 0.5, -0.2, 0, 0, 0, 0, 0], [0.6, 0.4, 0, 0, 0, 0, 0, 0]),
+            ([0.4, 0.35, 0.3, -0.05], [0.4 - 0.05 / 3, 0.35 - 0.05 / 3, 0.3 - 0.05 / 3, 0.0]),
+        ],
+    )
+    def test_the_nearest_state_of_a_known_spectrum(self, spectrum, nearest):
+        # the eigenvalues shift by one constant and clip at 0, in the eigenbasis kept
+        u = haar_unitaries(len(spectrum), 1, 3)[0]
+        rho = u @ np.diag(spectrum) @ u.conj().T
+        expected = u @ np.diag(nearest) @ u.conj().T
+        assert np.max(np.abs(reconstruction._nearest_state(rho) - expected)) <= 1e-14
 
 
 class TestSpinDirections:
