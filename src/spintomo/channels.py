@@ -3,7 +3,10 @@
 Includes the three standard qubit channels (depolarizing, phase damping,
 amplitude damping) together with their closed-form unitary-frame tomograms
 for the channels' fixed initial states, and the propagator that carries
-tomogram samples directly, Pi(x, x') = Tr[U(x) L(D(x'))].
+tomogram samples directly, Pi(x, x') = Tr[U(x) L(D(x'))].  One table maps
+each kind to its builder and initial state; ``CHANNEL_KINDS`` lists its
+keys, and an unknown kind has one refusal.  Completeness, the rotation axis
+and the propagator's imaginary part are checked against ``errors.LIMITS``.
 """
 
 from __future__ import annotations
@@ -12,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidChannelError
+from .errors import InvalidChannelError, check
 from .halfint import spin
 from .linalg import DensityMatrix, _check_bytes, as_matrix, kron_all
 from .quadrature import QuadratureGrid
 from .states import PAULIS
 from .symbols import SpinTransform
-
-COMPLETENESS_TOL = 1e-10
 
 
 @dataclass
@@ -35,9 +36,8 @@ class KrausChannel:
         d = self.ops[0].shape[0]
         if any(v.shape != (d, d) for v in self.ops):
             raise InvalidChannelError("Kraus operators must share one dimension")
-        total = sum(v.conj().T @ v for v in self.ops)
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
-            raise InvalidChannelError("Kraus operators violate completeness")
+        defect = sum(v.conj().T @ v for v in self.ops) - np.eye(d)
+        check("completeness", np.max(np.abs(defect)), "Kraus operators violate completeness", error=InvalidChannelError)
 
     @property
     def dim(self) -> int:
@@ -106,32 +106,29 @@ def amplitude_damping(p: float) -> KrausChannel:
     return KrausChannel([k0, k1])
 
 
-CHANNEL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
-
-_BUILDERS = {
-    "depolarizing": depolarizing,
-    "phase_damping": phase_damping,
-    "amplitude_damping": amplitude_damping,
+# each kind's builder and the fixed initial state its closed-form tomogram refers to
+_KINDS = {
+    "depolarizing": (depolarizing, np.diag([1.0, 0.0])),
+    "phase_damping": (phase_damping, 0.5 * np.ones((2, 2))),
+    "amplitude_damping": (amplitude_damping, np.diag([0.0, 1.0])),
 }
+CHANNEL_KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str) -> tuple:
+    """The builder and initial state of a channel kind; the one refusal of an unknown kind."""
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+    return _KINDS[kind]
 
 
 def build_channel(kind: str, p: float) -> KrausChannel:
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
-    return builder(p)
+    return _kind(kind)[0](p)
 
 
 def channel_initial_state(kind: str) -> DensityMatrix:
     """The fixed input state each closed-form tomogram refers to."""
-    if kind == "depolarizing":
-        return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    if kind == "phase_damping":
-        return DensityMatrix(0.5 * np.ones((2, 2), dtype=complex))
-    if kind == "amplitude_damping":
-        return DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-    raise ValueError(f"unknown channel kind {kind!r}")
+    return DensityMatrix(_kind(kind)[1].astype(complex))
 
 
 def _check_rotation(theta: float, n) -> np.ndarray:
@@ -139,8 +136,7 @@ def _check_rotation(theta: float, n) -> np.ndarray:
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle theta must be a finite number, got {theta}")
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-10:
-        raise ValueError("n must be a unit 3-vector")
+    check("unit_axis", abs(np.linalg.norm(n) - 1.0) if n.shape == (3,) else np.inf, "n must be a unit 3-vector")
     return n
 
 
@@ -159,6 +155,7 @@ def channel_tomogram_closed_form(kind: str, p: float, theta: float, n) -> tuple[
     """
     p = _check_p(p)
     n = _check_rotation(theta, n)
+    _kind(kind)
     c2 = np.cos(theta / 2.0) ** 2
     s2 = np.sin(theta / 2.0) ** 2
     n1, n2, n3 = n
@@ -170,10 +167,8 @@ def channel_tomogram_closed_form(kind: str, p: float, theta: float, n) -> tuple[
             1.0
             + 2.0 * (1.0 - p) * np.sin(half) * (n2 * np.cos(half) + n1 * n3 * np.sin(half))
         )
-    elif kind == "amplitude_damping":
+    else:  # amplitude damping
         w_plus = p * c2 + (p * n3**2 + (1.0 - p) * (1.0 - n3**2)) * s2
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
     return float(w_plus), float(1.0 - w_plus)
 
 
@@ -193,7 +188,7 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
     (``SpinTransform.basis_maps``); each call forms L and the product.
 
     Pi has (n * nodes)^2 float entries, so one above the byte budget of
-    ``linalg._BYTE_BUDGET`` (1 GiB; 2j = 16 takes 0.73 GB on the default grid)
+    ``errors.LIMITS["bytes"]`` (1 GiB; 2j = 16 takes 0.73 GB on the default grid)
     is refused before anything is built.
     """
     j = spin(j)
@@ -204,6 +199,5 @@ def channel_propagator(channel: KrausChannel, j, grid: QuadratureGrid) -> np.nda
     basis, analysis, synthesis = SpinTransform.on_grid(j, grid).basis_maps()
     vecs = basis.reshape(n * n, -1)
     coupling = vecs.conj() @ kraus_to_superoperator(channel) @ vecs.T
-    if np.abs(coupling.imag).max() > 1e-10:
-        raise ValueError("propagator came out non-real; invalid channel?")
+    check("propagator_real", np.abs(coupling.imag).max(), "propagator came out non-real; invalid channel?")
     return analysis.T @ (coupling.real @ synthesis)

@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 Size flags (``--samples``, ``--n-frames``, ``--j`` with ``--oversample``) and
 the length of a ``--frames`` list are checked before any work: the bytes of
 their main arrays and of the output text are estimated and refused (exit 2)
-above the 1 GiB budget of ``linalg._BYTE_BUDGET``.  numpy overcommits memory,
+above the 1 GiB budget of ``errors.LIMITS["bytes"]``.  numpy overcommits memory,
 so without the estimate a size far beyond the machine would be killed.
 """
 
@@ -37,7 +37,7 @@ from .reconstruction import (
 )
 from .simplex import GroupSpec, image_dimension_report, image_sample, peres_scan
 from .star import star_compose
-from .symbols import Tomogram, grid_frames, spin_tomogram, unitary_tomogram
+from .symbols import Tomogram, _transform_bytes, grid_frames, spin_tomogram, unitary_tomogram
 
 
 def _add_common(p: argparse.ArgumentParser, fmt: bool = False, seed: bool = False) -> None:
@@ -182,9 +182,8 @@ def _check_spin_grid(j: HalfInt, oversample: float, fmt: str) -> None:
     (a JSON frame object counts as three more numbers)."""
     n = j.twice + 1
     n_beta, n_gamma = node_counts(j, oversample)
-    pairs, nodes = n * (n + 1) // 2, n_beta * n_gamma
-    nbytes = 8 * (n_beta * n_beta + n_beta * n * pairs + 2 * pairs * n_gamma)
-    nbytes += nodes * (16 * n + _NUMBER_BYTES[fmt] * (n + (6 if fmt == "json" else 3)))
+    nbytes = 8 * n_beta * n_beta + _transform_bytes(n, n_beta, n_gamma)
+    nbytes += n_beta * n_gamma * (16 * n + _NUMBER_BYTES[fmt] * (n + (6 if fmt == "json" else 3)))
     _check_bytes(nbytes, "--j {} --oversample {:g} ({} x {} nodes)", j, oversample, n_beta, n_gamma)
 
 

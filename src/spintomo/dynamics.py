@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbabilityError
+from .errors import LIMITS, ZeroProbabilityError, check
 from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, frame_diagonals, hermiticity_residual
 from .quadrature import QuadratureGrid
 from .symbols import Tomogram, _grid_transform
@@ -69,11 +69,10 @@ def measure_update(rho: DensityMatrix, effect) -> tuple[DensityMatrix, float]:
     p = as_matrix(effect)
     if p.shape != rho.mat.shape:
         raise ValueError("effect and state dimensions differ")
-    if hermiticity_residual(p) > 1e-10 or np.min(np.linalg.eigvalsh(p)) < -1e-10:
-        raise ValueError("effect must be positive semidefinite")
+    check("effect", max(hermiticity_residual(p), -np.linalg.eigvalsh(p).min()), "effect must be positive semidefinite")
     updated = p @ rho.mat @ p.conj().T
     prob = float(np.trace(updated).real)
-    if prob < 1e-14:
+    if prob < LIMITS["zero_probability"]:
         raise ZeroProbabilityError(f"outcome probability {prob:.3e} is numerically zero")
     updated = 0.5 * (updated + updated.conj().T) / prob
     return DensityMatrix(updated, rho.dims), prob
@@ -117,7 +116,7 @@ def povm_validate(p: Povm) -> PovmReport:
         float(np.min(np.linalg.eigvalsh(0.5 * (e + e.conj().T)))) for e in p.effects
     )
     herm = max(hermiticity_residual(e) for e in p.effects)
-    ok = completeness <= 1e-10 and min_eig >= -1e-10 and herm <= 1e-10
+    ok = completeness <= LIMITS["completeness"] and min_eig >= -LIMITS["effect"] and herm <= LIMITS["effect"]
     return PovmReport(ok=ok, completeness_residual=completeness, min_effect_eigenvalue=min_eig)
 
 

@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import LIMITS, check
 from .linalg import DensityMatrix, _check_draw, _haar_scan, frame_diagonals
 from .symbols import UnitaryFrames
 
-NEG_TOL = 1e-10
 # Below this |q - 1| the Renyi entropy is a sum of expm1((q - 1) ln p) terms of one
 # sign: its closed form subtracts two numbers within O(|q - 1|) of each other and
 # loses as many digits (1.8% of the Shannon value at q = 1 - 1e-14).  Above it the
@@ -34,11 +34,10 @@ def _clean_probs(w, name: str = "w") -> np.ndarray:
         raise ValueError(f"{name} must be nonempty")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{name} has non-finite (NaN or infinite) entries")
-    if np.min(w) < -NEG_TOL:
-        raise ValueError(f"{name} has negative entries beyond tolerance")
+    check("distribution_negative", -np.min(w), "{} has negative entries beyond tolerance", name)
     w = np.clip(w, 0.0, None)
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise ValueError(f"{name} does not sum to 1 (got {w.sum()})")
+    total = w.sum()
+    check("distribution_sum", abs(total - 1.0), "{} does not sum to 1 (got {})", name, total)
     return w
 
 
@@ -231,7 +230,7 @@ def subadditivity_check(rho12: DensityMatrix, u) -> SubadditivityResult:
     w = _joint_probabilities(rho12, u)
     h12, h1, h2 = (float(_renyi(p.ravel(), 1.0)) for p in (w, w.sum(axis=1), w.sum(axis=0)))
     slack = h1 + h2 - h12
-    return SubadditivityResult(h12, h1, h2, slack >= -1e-10, slack)
+    return SubadditivityResult(h12, h1, h2, slack >= -LIMITS["subadditivity"], slack)
 
 
 def strong_subadditivity_check(rho123: DensityMatrix, u) -> StrongSubadditivityResult:
@@ -248,4 +247,4 @@ def strong_subadditivity_check(rho123: DensityMatrix, u) -> StrongSubadditivityR
     lhs = h123 + h2
     rhs = h12 + h23
     slack = rhs - lhs
-    return StrongSubadditivityResult(lhs, rhs, slack >= -1e-10, slack)
+    return StrongSubadditivityResult(lhs, rhs, slack >= -LIMITS["subadditivity"], slack)

@@ -45,27 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-PSD_SLACK = 1e-10
+from .errors import LIMITS, check
+
 _BLOCK = 512  # frames per block of the frame kernels
 _SLAB = 128  # frames per transposed copy in frame_diagonals: the rows they span stay in cache
-# Bytes that one dense result, or the main arrays of one CLI run, may take (1 GiB).
-# A dense channel propagator is 0.73 GB at 2j = 16 on the default grid and 3.9 GB
-# at oversample 1.5, and numpy overcommits, so an oversized request is refused from
-# its estimate before any allocation rather than left to the kernel's OOM killer.
-_BYTE_BUDGET = 2**30
 
 
 def _check_bytes(nbytes: float, what: str, *args) -> None:
-    """Refuse ``what.format(*args)`` when its estimated ``nbytes`` exceed ``_BYTE_BUDGET`` (NaN refused).
+    """Refuse ``what.format(*args)`` when its estimated ``nbytes`` exceed ``LIMITS["bytes"]`` (NaN refused).
 
     The message is formatted only on refusal.
     """
-    if not nbytes <= _BYTE_BUDGET:
-        raise ValueError(
-            f"{what.format(*args)} would allocate about {nbytes / 1e9:.3g} GB, "
-            f"above the budget of {_BYTE_BUDGET / 1e9:.3g} GB"
-        )
+    message = what + " would allocate about {:.3g} GB, above the budget of {:.3g} GB"
+    check("bytes", nbytes, message, *args, nbytes / 1e9, LIMITS["bytes"] / 1e9)
 
 
 def _blocks(count: int) -> list[slice]:
@@ -198,8 +190,7 @@ def eig_hermitian(m):
     Returns (w, v) with m = v @ diag(w) @ v^dagger.
     """
     m = as_matrix(m)
-    if hermiticity_residual(m) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    check("hermitian", hermiticity_residual(m), "matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
 
@@ -209,8 +200,7 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
     if not np.isfinite(t):
         raise ValueError(f"evolution time t must be a finite number, got {t}")
     h = as_matrix(h)
-    if hermiticity_residual(h) > HERMITICITY_TOL:
-        raise ValueError("generator is not Hermitian within tolerance")
+    check("hermitian", hermiticity_residual(h), "generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
@@ -368,13 +358,11 @@ class DensityMatrix:
         self.dims = _subsystem_dims(self.dims, n)
         if math.prod(self.dims) != n:
             raise ValueError(f"dims {self.dims} do not multiply to dimension {n}")
-        if hermiticity_residual(self.mat) > 1e-12:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        trace = self.mat.trace()
-        if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-12")
-        if not np.linalg.eigvalsh(self.mat).min() >= -PSD_SLACK:
-            raise ValueError(f"density matrix has a negative eigenvalue beyond the slack {PSD_SLACK}")
+        check("state_hermitian", hermiticity_residual(self.mat), "density matrix is not Hermitian within 1e-12")
+        tr = self.mat.trace()
+        check("state_trace", max(abs(tr.real - 1.0), abs(tr.imag)), "density matrix trace differs from 1 beyond 1e-12")
+        check("state_psd", -np.linalg.eigvalsh(self.mat).min(),
+              "density matrix has a negative eigenvalue beyond the slack {}", LIMITS["state_psd"])
 
     @property
     def dim(self) -> int:

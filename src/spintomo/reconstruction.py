@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InformationallyIncompleteError
-from .linalg import PSD_SLACK, DensityMatrix, frame_diagonals, hermitian_basis
+from .errors import LIMITS, InformationallyIncompleteError, check
+from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
 from .quadrature import QuadratureGrid
-from .symbols import REALITY_TOL, QuantizerPair, Tomogram, _grid_transform
+from .symbols import QuantizerPair, Tomogram, _grid_transform
 
 __all__ = [
     "infer_grid",
@@ -54,7 +54,7 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     Solves for a Hermitian matrix under the unit-trace constraint; at least
     d+1 generically placed frames are needed for the linear map to have full
     column rank.  A consistent table's solution is returned as solved.  When
-    noise leaves an eigenvalue below -``PSD_SLACK``, the estimate is the
+    noise leaves an eigenvalue below -``LIMITS["state_psd"]``, the estimate is the
     density matrix nearest the solution in the Frobenius norm
     (``_nearest_state``), which is never further from the true state in
     that norm.  A
@@ -66,7 +66,7 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     rho = np.tensordot(_solve(t.frames.unitaries(), table), hermitian_basis(d), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    if np.linalg.eigvalsh(rho)[0] < -PSD_SLACK:
+    if np.linalg.eigvalsh(rho)[0] < -LIMITS["state_psd"]:
         rho = _nearest_state(rho)
     return DensityMatrix(rho, t.dims)
 
@@ -192,11 +192,9 @@ def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
 
 
 def _real_table(t: Tomogram) -> np.ndarray:
-    """A tomogram's table, refused if complex beyond ``REALITY_TOL``; negative entries pass."""
+    """A tomogram's table, refused if complex beyond ``LIMITS["tomogram_real"]``; negative entries pass."""
     imag = float(np.max(np.abs(t.table.imag)))
-    if imag > REALITY_TOL:
-        raise ValueError(f"tomogram has imaginary entries up to {imag:.3e}; "
-                         "a probability table is real")
+    check("tomogram_real", imag, "tomogram has imaginary entries up to {:.3e}; a probability table is real", imag)
     return t.table.real
 
 

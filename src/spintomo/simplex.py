@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import MonteCarlo
-from .errors import DegeneratePointError
+from .errors import LIMITS, DegeneratePointError, check
 from .linalg import (
     DensityMatrix,
     _blocks,
@@ -37,9 +37,6 @@ from .linalg import (
     kron_all,
     partial_transpose,
 )
-
-SIMPLEX_TOL = 1e-10
-WITNESS_LIMIT = 1e-8  # a frame whose Peres violation exceeds this witnesses the state
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,8 @@ class SimplexSample:
     rng: np.random.Generator = field(repr=False)  # a copy of the sampler's generator, taken before its draws
 
     def validate(self) -> None:
-        if np.min(self.points) < -SIMPLEX_TOL:
-            raise ValueError("sample contains a negative probability")
-        if np.max(np.abs(self.points.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
-            raise ValueError("sample rows do not sum to 1")
+        check("simplex", -np.min(self.points), "sample contains a negative probability")
+        check("simplex", np.max(np.abs(self.points.sum(axis=1) - 1.0)), "sample rows do not sum to 1")
 
     @cached_property
     def params(self) -> tuple[np.ndarray, ...]:
@@ -250,9 +245,8 @@ def entangled_ray_check(point, c0: complex, c1: complex) -> float:
     """
     w = _two_qubit_point(point)
     a0, a1 = abs(c0) ** 2, abs(c1) ** 2
-    if not abs(a0 + a1 - 1.0) <= 1e-10:
-        raise ValueError("coefficients must satisfy |c0|^2 + |c1|^2 = 1")
-    if a0 < 1e-12 or a1 < 1e-12:
+    check("ray_norm", abs(a0 + a1 - 1.0), "coefficients must satisfy |c0|^2 + |c1|^2 = 1")
+    if min(a0, a1) < LIMITS["ray_degenerate"]:
         raise DegeneratePointError("a vanishing coefficient degenerates the ray identities")
     return float(max(abs(w[0] / a0 - w[3] / a1), abs(w[2] - w[1])))
 
@@ -260,10 +254,8 @@ def entangled_ray_check(point, c0: complex, c1: complex) -> float:
 def eigenvalue_bounds_check(sample: SimplexSample, rho: DensityMatrix) -> bool:
     """True iff every sampled coordinate lies in [lambda_min, lambda_max]."""
     eigs = np.linalg.eigvalsh(rho.mat)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    return bool(
-        np.all(sample.points >= lo - SIMPLEX_TOL) and np.all(sample.points <= hi + SIMPLEX_TOL)
-    )
+    lo, hi = float(eigs[0]) - LIMITS["simplex"], float(eigs[-1]) + LIMITS["simplex"]
+    return bool(np.all(sample.points >= lo) and np.all(sample.points <= hi))
 
 
 @dataclass
@@ -274,7 +266,7 @@ class PeresScan:
     all unitaries is the trace norm of rho^TB minus one, attained by the
     eigenbasis frame of rho^TB, so ``max_violation`` is that frame's value
     ``eigenbasis_value``, and ``witness`` is that frame when the value exceeds
-    ``WITNESS_LIMIT`` (None otherwise).  ``detection`` is the share of Haar
+    ``LIMITS["witness"]`` (None otherwise).  ``detection`` is the share of Haar
     frames whose violation exceeds the limit, with its binomial standard
     error; None when no frame was drawn.
     """
@@ -305,11 +297,11 @@ def peres_scan(rho12: DensityMatrix, n: int, seed: int) -> PeresScan:
         raise ValueError("the scan needs a declared bipartition")
     rho_tb = partial_transpose(rho12, subsystem=len(rho12.dims) - 1)
     eigs, vecs = np.linalg.eigh(rho_tb)
-    hits = _haar_scan(rho_tb, n, seed, lambda d: _violations(d) > WITNESS_LIMIT)
+    hits = _haar_scan(rho_tb, n, seed, lambda d: _violations(d) > LIMITS["witness"])
     value = float(_violations(frame_diagonals(rho_tb, vecs[None]))[0])
     return PeresScan(
         max_violation=value,
-        witness=vecs if value > WITNESS_LIMIT else None,
+        witness=vecs if value > LIMITS["witness"] else None,
         min_eigenvalue=float(eigs[0]),
         trace_norm_minus_one=float(np.sum(np.abs(eigs)) - 1.0),
         eigenbasis_value=value,

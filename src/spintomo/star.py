@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check
 from .halfint import HalfInt, spin
 from .linalg import _is_integer
 from .quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
@@ -197,6 +198,5 @@ def trace_power(t: Tomogram, n: int, grid: QuadratureGrid) -> float:
         for _ in range(n - 2):
             current = star_compose(current, t, t.j, grid)
         value = trace_product(current, t, t.j, grid)
-    if abs(value.imag) > 1e-8:
-        raise ValueError(f"trace came out non-real ({value}); non-Hermitian input?")
+    check("trace_real", abs(value.imag), "trace came out non-real ({}); non-Hermitian input?", value)
     return float(value.real)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check
 from .linalg import DensityMatrix, _integers, kron_all
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -39,8 +40,7 @@ def bell_state() -> DensityMatrix:
 
 def entangled_ray_state(c0: complex, c1: complex) -> DensityMatrix:
     """c0|00> + c1|11>; coefficients must satisfy |c0|^2 + |c1|^2 = 1."""
-    if not abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= 1e-10:
-        raise ValueError("coefficients must be normalized")
+    check("ray_norm", abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0), "coefficients must be normalized")
     return pure_state([c0, 0.0, 0.0, c1], dims=(2, 2))
 
 

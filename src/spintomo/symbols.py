@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import LIMITS, check
 from .halfint import HalfInt, spin, spin_range
 from .linalg import (
-    _BYTE_BUDGET,
     DensityMatrix,
+    _check_bytes,
     _integers,
     _resolve_keep,
     _subsystem_dims,
@@ -43,9 +44,6 @@ from .linalg import (
 )
 from .quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid
 from .su2 import _check_jm_pair, rotation_matrix, rotation_stack, wigner_d_stack
-
-REALITY_TOL = 1e-10
-CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
     moved = np.flatnonzero(np.abs(betas - betas[0]) > 1e-12)
     n_gamma = int(moved[0]) if moved.size else betas.size
     (n, rest), nodes = divmod(betas.size, n_gamma), betas[::-n_gamma]
-    if rest or 8 * n * n > _BYTE_BUDGET:
+    if rest or 8 * n * n > LIMITS["bytes"]:
         return None
     if not np.all(np.abs(nodes * (n + 0.5) / np.pi - np.arange(n) - 0.75) < 0.25):
         return None
@@ -166,8 +164,7 @@ class UnitaryFrames(Sequence):
             raise ValueError("at least one frame is required")
         if self.stack.ndim != 3 or self.stack.shape[1:] != (n, n):
             raise ValueError(f"frame shape {self.stack.shape[1:]} does not match state dimension {n}")
-        if not unitarity_residual(self.stack) <= 1e-8:
-            raise ValueError("frame is not unitary within 1e-8")
+        check("unitary", unitarity_residual(self.stack), "frame is not unitary within 1e-8")
 
     @classmethod
     def of(cls, frames, n: int) -> "UnitaryFrames":
@@ -240,6 +237,12 @@ def _entry_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _transform_bytes(n: int, n_beta: int, n_gamma: int) -> int:
+    """Bytes of a ``SpinTransform``'s real table and cos/sin tables for 2j + 1 = n on an
+    n_beta x n_gamma grid: (n_beta n) x n(n+1)/2 and two n(n+1)/2 x n_gamma floats."""
+    return 8 * (n * (n + 1) // 2) * (n_beta * n + 2 * n_gamma)
+
+
 class SpinTransform:
     """The spin symbol map and its inverse on a quadrature grid, factored through its beta nodes.
 
@@ -266,13 +269,16 @@ class SpinTransform:
     U = sum_y s cos and V = sum_y s sin, so a real table gives an exactly
     Hermitian operator.  Tables run over the grid nodes in node order;
     ``on_grid`` shares one transform among equal grids.
-    Its arrays are read-only.
+    Its arrays are read-only, and a transform whose tables exceed the byte
+    budget is refused before any is built.
     """
 
     def __init__(self, j, grid: QuadratureGrid):
         self.j = HalfInt.of(j)
-        self.weights = grid.group_weights()
         n = self.j.twice + 1
+        _check_bytes(_transform_bytes(n, grid.n_beta, grid.n_gamma),
+                     "the spin transform at j = {} on {}", self.j, grid)
+        self.weights = grid.group_weights()
         d = wigner_d_stack(self.j, grid.beta_nodes)
         # row (beta, m), column (a, b) with a <= b in the order of _entry_pairs:
         # d_ma(beta) d_mb(beta), one block of n - k columns per k = b - a
@@ -476,11 +482,11 @@ class Tomogram:
     @property
     def values(self) -> np.ndarray:
         """Real probability table; clamps roundoff negatives within -1e-12 to 0."""
-        if np.max(np.abs(self.table.imag), initial=0.0) > REALITY_TOL:
-            raise ValueError("tomogram has significantly complex entries; use observable_values")
+        check("tomogram_real", np.max(np.abs(self.table.imag), initial=0.0),
+              "tomogram has significantly complex entries; use observable_values")
         re = self.table.real.copy()
-        if np.min(re, initial=0.0) < -CLAMP_TOL:
-            raise ValueError("tomogram has negative entries beyond -1e-12 (non-PSD input?)")
+        check("tomogram_negative", -np.min(re, initial=0.0),
+              "tomogram has negative entries beyond -1e-12 (non-PSD input?)")
         re[re < 0.0] = 0.0
         return re
 
@@ -496,8 +502,7 @@ class Tomogram:
 
     def check_normalized(self) -> None:
         res = self.normalization_residual()
-        if res > 1e-10:
-            raise ValueError(f"tomogram not normalized per frame (residual {res:.3e})")
+        check("tomogram_sum", res, "tomogram not normalized per frame (residual {:.3e})", res)
 
 
 def dequantizer_U(j, m, omega: EulerAngles) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintomo.channels import (
+    CHANNEL_KINDS,
     KrausChannel,
     amplitude_damping,
     apply_kraus,
@@ -149,6 +150,28 @@ class TestBuilders:
         rho = random_density(2, 2, seed=7)
         out = apply_kraus(build_channel(kind, p), rho)
         assert abs(np.trace(out.mat) - 1.0) < 1e-12
+
+    def test_kinds_are_one_table(self):
+        assert CHANNEL_KINDS == ALL_KINDS
+        for kind in ALL_KINDS:
+            assert build_channel(kind, 0.2).ops[0].shape == (2, 2)
+            assert channel_initial_state(kind).dim == 2
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda kind: build_channel(kind, 0.2),
+            channel_initial_state,
+            lambda kind: channel_tomogram_closed_form(kind, 0.2, 0.3, (0.0, 0.0, 1.0)),
+        ],
+        ids=["build_channel", "channel_initial_state", "channel_tomogram_closed_form"],
+    )
+    def test_unknown_kind_has_one_refusal(self, call):
+        message = ("unknown channel kind 'bit_flip'; choose from "
+                   "('depolarizing', 'phase_damping', 'amplitude_damping')")
+        with pytest.raises(ValueError) as info:
+            call("bit_flip")
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_choi_matrix_psd(self, kind):

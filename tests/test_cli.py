@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import least_squares_solution, shot_frequencies
-from spintomo import cli, io, linalg
+from spintomo import cli, io
 from spintomo.cli import main
 from spintomo.dynamics import evolve_tomogram
+from spintomo.errors import LIMITS
 from spintomo.halfint import HalfInt
 from spintomo.linalg import DensityMatrix, random_density
 from spintomo.quadrature import make_grid
@@ -166,7 +167,7 @@ class TestSizePreflight:
         # the 1.2 MB list of 400 000 {} entries (38 MB at 32 B a byte) under a 32 MiB budget
         frames = tmp / "frames.json"
         frames.write_text("[" + ",".join(["{}"] * 400_000) + "]")
-        monkeypatch.setattr(linalg, "_BYTE_BUDGET", 2**25)
+        monkeypatch.setitem(LIMITS, "bytes", 2**25)
         rc = main(["tomogram", "--state", str(paths["qubit"]), "--frames", str(frames), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: parsing the 1200001-byte JSON file ")

@@ -334,7 +334,7 @@ class TestUnitaryFrameReconstruction:
 
 
 class TestProjectedEstimate:
-    """A least-squares solution with an eigenvalue below -PSD_SLACK becomes the nearest state."""
+    """A least-squares solution with an eigenvalue below -LIMITS["state_psd"] becomes the nearest state."""
 
     @pytest.mark.parametrize("d, n_frames", [(1, 3), (2, 3), (2, 20), (3, 4), (4, 50), (8, 9), (8, 100)])
     @pytest.mark.parametrize("rank", ["pure", "full"])

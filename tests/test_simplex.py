@@ -14,7 +14,7 @@ from conftest import (
     random_hermitian,
 )
 from spintomo import simplex
-from spintomo.errors import DegeneratePointError
+from spintomo.errors import LIMITS, DegeneratePointError
 from spintomo.linalg import (
     DensityMatrix,
     frame_diagonals,
@@ -24,7 +24,6 @@ from spintomo.linalg import (
     random_density,
 )
 from spintomo.simplex import (
-    WITNESS_LIMIT,
     GroupSpec,
     eigenvalue_bounds_check,
     entangled_ray_check,
@@ -530,7 +529,7 @@ class TestPeresScan:
         rho = random_density(int(np.prod(dims)), 2, seed=n, dims=dims)
         rho_tb = partial_transpose(rho, 1)
         haar = haar_unitaries(rho.dim, n, np.random.default_rng(n + 1))
-        p = np.mean(np.sum(np.abs(frame_diagonals(rho_tb, haar).real), axis=1) - 1.0 > WITNESS_LIMIT)
+        p = np.mean(np.sum(np.abs(frame_diagonals(rho_tb, haar).real), axis=1) - 1.0 > LIMITS["witness"])
         result = peres_scan(rho, n, seed=n + 1)
         assert result.detection.mean == p
         assert (result.detection.n, result.detection.seed) == (n, n + 1)

@@ -15,6 +15,7 @@ from conftest import (
 )
 from spintomo import io, symbols
 from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kraus_to_superoperator
+from spintomo.errors import LIMITS
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
 from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid, make_grid
@@ -29,6 +30,7 @@ from spintomo.symbols import (
     Tomogram,
     _coupled_m0_block,
     _identity_quantizer,
+    _transform_bytes,
     dequantizer_U,
     grid_frames,
     quantizer_D,
@@ -340,6 +342,32 @@ class TestHalfTable:
         # no (n^2, n_gamma) array is kept
         arrays = [array for array in vars(transform).values() if isinstance(array, np.ndarray)]
         assert not any(array.shape == (17 * 17, 33) for array in arrays)
+
+    @pytest.mark.parametrize("jt", [1, 4, 16])
+    @pytest.mark.parametrize("oversample", [1.0, 1.5])
+    def test_transform_bytes_are_those_of_the_built_tables(self, jt, oversample):
+        grid = make_grid(HalfInt(jt), oversample)
+        transform = SpinTransform(HalfInt(jt), grid)
+        built = transform._table.nbytes + transform._cos.nbytes + transform._sin.nbytes
+        assert _transform_bytes(jt + 1, grid.n_beta, grid.n_gamma) == built
+
+    def test_transform_past_the_byte_budget_is_refused_before_its_d_stack(self, monkeypatch):
+        # at 2j = 130 on the default grid the tables take 1.22 GB
+        def builds(*args):
+            raise AssertionError("built the d-matrix stack of a transform past the byte budget")
+
+        monkeypatch.setattr(symbols, "wigner_d_stack", builds)
+        j = HalfInt(130)
+        grid = make_grid(j)
+        message = (
+            r"^the spin transform at j = 65 on QuadratureGrid\(n_beta=131, n_gamma=261\) "
+            r"would allocate about 1.22 GB, above the budget of 1.07 GB$"
+        )
+        with pytest.raises(ValueError, match=message):
+            SpinTransform.on_grid(j, grid)
+        with pytest.raises(ValueError, match=message):
+            spin_tomogram(np.eye(131) / 131, grid_frames(j, grid))
+        assert (130, 131, 261) not in symbols._TRANSFORMS
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -664,7 +692,9 @@ class TestGridBackedFrames:
             assert SpinFrames(j, betas + shift, gammas).grid is None
             assert SpinFrames(j, betas, gammas + shift).grid is None
         kept = np.arange(grid.n_nodes) != moved
-        assert SpinFrames(j, betas[kept], gammas[kept]).grid is None
+        # dropping gamma = pi from the 1 x 2 grid leaves the 1 x 1 grid's one node (pi/2, 0)
+        remainder = QuadratureGrid(1, 1) if (n_beta, n_gamma, moved) == (1, 2, 1) else None
+        assert SpinFrames(j, betas[kept], gammas[kept]).grid == remainder
 
     @pytest.mark.parametrize("n", [2, 3, 50, 3000])
     def test_angle_lists_off_the_gauss_legendre_nodes_build_no_grid(self, monkeypatch, n):
@@ -687,7 +717,7 @@ class TestGridBackedFrames:
     def test_grid_nodes_past_the_byte_budget_build_no_grid(self, monkeypatch):
         # the companion matrix of 30 beta nodes takes 7200 bytes
         grid = QuadratureGrid(30, 3)
-        monkeypatch.setattr(symbols, "_BYTE_BUDGET", 7199)
+        monkeypatch.setitem(LIMITS, "bytes", 7199)
         monkeypatch.setattr(symbols, "_product_grid", None)
         assert SpinFrames(2, *grid.node_angles()).grid is None
 
