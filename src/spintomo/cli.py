@@ -228,7 +228,7 @@ def _cmd_reconstruct(args) -> str | dict:
     t = io.tomogram_from_obj(io.read_json(args.tomogram))
     if t.frames.grid is not None:
         op = reconstruct_operator(t, t.j, t.frames.grid)
-        err = float(np.max(np.abs(spin_tomogram(op, t.frames).table - t.table)))
+        err = float(np.max(np.abs(t.frames.symbols(op) - t.table)))
         obj = io.matrix_to_obj(op)
     else:
         rho = reconstruct_from_unitary_frame(t)

@@ -1,10 +1,12 @@
 """Unitary evolution and measurement maps, in matrix and symbol form.
 
-Closed-system evolution: rho(t) = e^{-itH} rho e^{itH}.  The same evolution
-acts on any tomogram purely through the frame argument,
-w(m, u, t) = w(m, U(t)^dag u, 0) on the frame set's ``unitaries()`` u, so a
-unitary or spin tomogram evolves by re-evaluation at shifted frames without
-ever forming rho(t).
+Closed-system evolution: rho(t) = e^{-itH} rho e^{itH}.  On a tomogram it
+acts through the frame argument alone: w(m, u, t) = w(m, U(t)^dag u, 0) for
+every frame u of the set's ``unitaries()``, as
+diag(u^dag rho(t) u) = diag((U(t)^dag u)^dag rho (U(t)^dag u)).  So
+``evolve_tomogram`` forms rho(t) once, keeps it as the evolved tomogram's
+state, and takes its table through the frame set's forward map ``symbols``:
+no shifted frame stack, and on a grid no rotation at all.
 
 Projective/POVM updates: the unnormalized map rho -> P rho P is returned as a
 normalized state plus its probability; its symbol-side form is the triple
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LIMITS, ZeroProbabilityError, check
-from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, frame_diagonals, hermiticity_residual
+from .linalg import DensityMatrix, as_matrix, expm_hermitian_times, hermiticity_residual
 from .quadrature import QuadratureGrid
 from .symbols import Tomogram, _grid_transform
 
@@ -35,27 +37,18 @@ def evolve_state(rho: DensityMatrix, h, t: float) -> DensityMatrix:
 
 
 def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
-    """Evolve a tomogram by the frame shift u -> U(t)^dag u of its frames' ``unitaries()``.
+    """The tomogram of rho(t) = ``evolve_state(t0.source_state, h, t)`` on ``t0.frames``.
 
-    The evolved tomogram keeps ``t0.frames``, spin or unitary, on a grid or
-    off one.  Requires the tomogram to have been built in-process from a
-    state (the shifted frames need fresh evaluations of the time-zero symbol).
+    It equals the frame-shift table w(m, U(t)^dag u, 0), spin or unitary, on a
+    grid or off one.  Requires the tomogram to have been built in-process
+    from a state.
     """
     if t0.source_state is None:
         raise ValueError(
             "tomogram lacks its generating state; build it with unitary_tomogram or spin_tomogram"
         )
-    h = as_matrix(h)
-    if h.shape != t0.source_state.mat.shape:
-        raise ValueError("Hamiltonian and state dimensions differ")
-    u_t = expm_hermitian_times(h, t)
-    shifted = u_t.conj().T @ t0.frames.unitaries()
-    evolved = Tomogram(
-        t0.frames,
-        frame_diagonals(t0.source_state.mat, shifted).T,
-        dims=t0.dims,
-        source_state=evolve_state(t0.source_state, h, t),
-    )
+    state = evolve_state(t0.source_state, h, t)
+    evolved = Tomogram(t0.frames, t0.frames.symbols(state.mat), dims=t0.dims, source_state=state)
     evolved.check_normalized()
     return evolved
 
@@ -82,7 +75,7 @@ def measurement_star_map(w: Tomogram, w_effect: Tomogram, j, grid: QuadratureGri
     """Symbol-side measurement update w_P * w * w_P (unnormalized): one synthesis each of P and rho."""
     transform = _grid_transform(w_effect, j, grid)
     p, rho = transform.synthesize(w_effect.table), _grid_transform(w, j, grid).synthesize(w.table)
-    return Tomogram(w_effect.frames, transform.analyze(p @ rho @ p))
+    return Tomogram(w_effect.frames, w_effect.frames.symbols(p @ rho @ p))
 
 
 @dataclass

@@ -68,13 +68,17 @@ def check(name: str, residual, message: str, *args, error: type = ValueError) ->
 
 
 class InformationallyIncompleteError(ValueError):
-    """Frame set does not determine the state; carries the numerical rank."""
+    """Frame set does not determine the state; carries the numerical rank.
 
-    def __init__(self, rank: int, needed: int):
+    The message also names ``complete``, the smallest generic set of frames of
+    the same kind that does determine it.
+    """
+
+    def __init__(self, rank: int, needed: int, complete: str):
         self.rank = rank
         self.needed = needed
         super().__init__(
-            f"informationally incomplete frame set: rank {rank} < {needed}"
+            f"informationally incomplete frame set: rank {rank} < {needed}; a generic set of {complete} is complete"
         )
 
 

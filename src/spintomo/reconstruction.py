@@ -12,10 +12,12 @@ other's symbol map.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import LIMITS, InformationallyIncompleteError, check
-from .linalg import DensityMatrix, frame_diagonals, hermitian_basis
+from .linalg import DensityMatrix, hermitian_basis
 from .quadrature import QuadratureGrid
 from .symbols import QuantizerPair, Tomogram, _grid_transform
 
@@ -51,9 +53,10 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
 def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     """Projected least-squares state estimate from a tomogram on the frames ``t.frames.unitaries()``.
 
-    Solves for a Hermitian matrix under the unit-trace constraint; at least
-    d+1 generically placed frames are needed for the linear map to have full
-    column rank.  A consistent table's solution is returned as solved.  When
+    Solves for a Hermitian matrix under the unit-trace constraint; the linear
+    map has full column rank from the generic sets of ``_complete_set`` on
+    (d + 1 unitary frames), and a lower rank is refused with that set named.
+    A consistent table's solution is returned as solved.  When
     noise leaves an eigenvalue below -``LIMITS["state_psd"]``, the estimate is the
     density matrix nearest the solution in the Frobenius norm
     (``_nearest_state``), which is never further from the true state in
@@ -63,12 +66,27 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
     """
     d, table = t.n_outcomes, _real_table(t)
     t.check_normalized()
-    rho = np.tensordot(_solve(t.frames.unitaries(), table), hermitian_basis(d), axes=1)
+    rho = np.tensordot(_solve(t.frames.unitaries(), table, _complete_set(t.frames)), hermitian_basis(d), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     if np.linalg.eigvalsh(rho)[0] < -LIMITS["state_psd"]:
         rho = _nearest_state(rho)
     return DensityMatrix(rho, t.dims)
+
+
+def _complete_set(frames) -> str:
+    """The smallest generic informationally complete set of frames of the kind of ``frames``.
+
+    A generic frame adds d - 1 independent rows to the unit-trace row, so
+    unitary frames need d + 1; a spin direction reads the multipoles of rank
+    L <= 2j along one axis, and rank 2j needs 4j + 1 axes; a product frame
+    measures each factor in one basis, and every factor needs d_k + 1 of them.
+    """
+    if frames.kind == "spin":
+        return f"4j + 1 = {2 * frames.j.twice + 1} directions"
+    if frames.factors is None:
+        return f"d + 1 = {frames.dim + 1} frames"
+    return f"prod(d_k + 1) = {math.prod(f.shape[-1] + 1 for f in frames.factors)} product frames"
 
 
 def _nearest_state(rho: np.ndarray) -> np.ndarray:
@@ -126,14 +144,14 @@ def _normal_equations(us: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np
     return g, h
 
 
-def _solve(us: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _solve(us: np.ndarray, table: np.ndarray, complete: str) -> np.ndarray:
     """Unit-trace least-squares solution for the (F, d, d) frames ``us`` and their real (d, F) ``table``.
 
     Solved through the frame operator G = A^T A (d^2 x d^2) of the design
     matrix A with one ``eigh`` when cond(G) <= ``_GRAM_COND_LIMIT``; G and
     A^T b come from ``_normal_equations`` without A.  Otherwise ``lstsq``
     runs on the full A, and a rank below d^2 raises
-    ``InformationallyIncompleteError``.
+    ``InformationallyIncompleteError``, which names the ``complete`` set.
     """
     d = us.shape[-1]
     g, h = _normal_equations(us, table)
@@ -143,7 +161,7 @@ def _solve(us: np.ndarray, table: np.ndarray) -> np.ndarray:
     b = np.append(table.T.reshape(-1), 1.0)
     x, _, found, _ = np.linalg.lstsq(_design_matrix(us), b, rcond=None)
     if found < d * d:
-        raise InformationallyIncompleteError(rank=int(found), needed=d * d)
+        raise InformationallyIncompleteError(rank=int(found), needed=d * d, complete=complete)
     return x
 
 
@@ -183,12 +201,11 @@ def _design_matrix(us: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
-    """Max abs mismatch between a (real) tomogram and the state's forward symbol on ``t.frames.unitaries()``."""
+    """Max abs mismatch between a (real) tomogram and the state's table ``t.frames.symbols``."""
     table, n = _real_table(t), t.frames.dim
     if n != rho.dim:
         raise ValueError(f"frame shape {(n, n)} does not match state dimension {rho.dim}")
-    pred = frame_diagonals(rho.mat, t.frames.unitaries()).real
-    return float(np.max(np.abs(pred.T - table)))
+    return float(np.max(np.abs(t.frames.symbols(rho.mat).real - table)))
 
 
 def _real_table(t: Tomogram) -> np.ndarray:

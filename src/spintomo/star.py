@@ -152,14 +152,14 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
 
     Evaluates the double quadrature sum against K = Tr[D D U] in the factored
     order: synthesize both operators (once when ``fb`` is ``fa``), multiply,
-    analyze the product.
+    and take the product's ``symbols`` on the grid frames of ``fa``.
     """
     transform = _grid_transform(fa, j, grid)
     if fb is not fa:
         _grid_transform(fb, j, grid)
     a = transform.synthesize(fa.table)
     b = a if fb is fa else transform.synthesize(fb.table)
-    return Tomogram(fa.frames, transform.analyze(a @ b))
+    return Tomogram(fa.frames, fa.frames.symbols(a @ b))
 
 
 def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:

@@ -29,6 +29,7 @@ from math import factorial
 import numpy as np
 
 from .halfint import HalfInt, spin
+from .linalg import _check_bytes
 
 
 def _check_jm_pair(j: HalfInt, m: HalfInt) -> None:
@@ -77,12 +78,14 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
     This is R(0, beta, gamma); alpha only multiplies rows by phases, which
     drop out of every spin symbol.  Repeated beta values share one d-matrix.
     The two arrays pair up entry by entry, so they must be 1-d and of equal
-    length, as in ``SpinFrames``.
+    length, as in ``SpinFrames``.  A stack past the byte budget is refused
+    before any d-matrix is built.
     """
     j = HalfInt.of(j)
     betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
     if betas.ndim != 1 or betas.shape != gammas.shape:
         raise ValueError("frame angle arrays must be 1-d and of equal length")
+    _check_bytes(16 * betas.size * (j.twice + 1) ** 2, "the rotation stack of {} frames at j = {}", betas.size, j)
     gammas = _check_finite("gamma", gammas)
     unique, index = np.unique(betas, return_inverse=True)
     phases = np.exp(-1j * np.multiply.outer(gammas, _magnetic_numbers(j)))

@@ -10,8 +10,10 @@ symbol map: A = sum_x w(x) f_A(x) D(x) over a quadrature grid.  Both families
 are rotation covariant, U(m, g) = R(g)^dag |j m><j m| R(g) and
 D(m, g) = R(g)^dag D(m, e) R(g), so a grid's ``SpinTransform`` runs the spin
 symbol map and its inverse from the d-matrices at its beta nodes and a gamma
-phase table, without forming either family or a rotation per node; frames off
-a grid are the unitary frames R(g)^dag of ``frame_diagonals``.
+phase table, without forming either family or a rotation per node.  Every
+table on a frame set comes from the set's ``symbols(a)``: the grid's
+transform for grid frames, and ``frame_diagonals`` on the unitary frames
+R(g)^dag off a grid and on the stack of a ``UnitaryFrames`` set.
 
 A set of spin frames is one ``SpinFrames`` object of Euler-angle arrays, from
 file to kernel; ``EulerAngles`` is the single rotation that the reference
@@ -61,12 +63,11 @@ class SpinFrames:
     The angle arrays are read-only copies.  ``grid`` is the quadrature grid
     whose nodes the angles are, in node order and to within 1e-12, and None
     for any other angles and for the nodes of a grid past the byte budget
-    (``_grid_of`` decides it).  ``spin_tomogram`` runs grid frames on the
-    grid's cached ``SpinTransform`` and all others through ``frame_diagonals``
-    on ``unitaries()``.
+    (``_grid_of`` decides it).
 
     The frame-set interface, shared with ``UnitaryFrames``: ``kind``, ``j``,
-    ``grid``, ``dim`` and ``unitaries()``.
+    ``grid``, ``dim``, ``unitaries()`` and ``symbols(a)``, the forward map
+    that every table on a frame set comes from.
     """
 
     kind = "spin"
@@ -94,8 +95,17 @@ class SpinFrames:
         return self.j.twice + 1
 
     def unitaries(self) -> np.ndarray:
-        """The (F, 2j+1, 2j+1) frame stack u = R(0, beta, gamma)^dag."""
-        return rotation_stack(self.j, self.betas, self.gammas).conj().swapaxes(-1, -2)
+        """The (F, 2j+1, 2j+1) frame stack u = R(0, beta, gamma)^dag, conjugated in place."""
+        stack = rotation_stack(self.j, self.betas, self.gammas)
+        return np.conjugate(stack, out=stack).swapaxes(-1, -2)
+
+    def symbols(self, a) -> np.ndarray:
+        """The (2j+1, F) table Tr[a U(m, frame)] of the n x n operator ``a``: on the
+        grid's cached ``SpinTransform`` for grid frames, with no rotation formed,
+        and through ``frame_diagonals`` on ``unitaries()`` for all others."""
+        if self._grid is not None:
+            return SpinTransform.on_grid(self.j, self._grid).analyze(a)
+        return frame_diagonals(a, self.unitaries()).T
 
 
 def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
@@ -194,6 +204,10 @@ class UnitaryFrames(Sequence):
     def unitaries(self) -> np.ndarray:
         """The (F, n, n) ``stack`` itself, not a copy."""
         return self.stack
+
+    def symbols(self, a) -> np.ndarray:
+        """The (n, F) table diag(u^dag a u) of the n x n operator ``a`` over the frames u."""
+        return frame_diagonals(a, self.stack).T
 
     def __getitem__(self, i: int):
         return self.stack[i] if self.factors is None else tuple(f[i] for f in self.factors)
@@ -527,11 +541,9 @@ def quantizer_D(j, m, omega: EulerAngles) -> np.ndarray:
 def spin_tomogram(a, frames) -> Tomogram:
     """Spin symbol w(m, frame) = Tr[A U(m, frame)] for every m and frame.
 
-    ``frames`` is a ``SpinFrames`` set.  Grid frames run on the grid's
-    ``SpinTransform``; other frames are unitary frames u = R(g)^dag, run on ``frame_diagonals``
-    like every unitary tomogram.  ``a`` may be a plain
-    finite matrix (observable) or a DensityMatrix, in which case per-frame
-    normalization is verified.
+    ``frames`` is a ``SpinFrames`` set, and the table is its ``symbols(a)``.
+    ``a`` may be a plain finite matrix (observable) or a DensityMatrix, in
+    which case per-frame normalization is verified.
     """
     is_state = isinstance(a, DensityMatrix)
     mat = a.mat if is_state else np.asarray(a, dtype=complex)
@@ -542,11 +554,7 @@ def spin_tomogram(a, frames) -> Tomogram:
     n = frames.dim
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
-    if frames.grid is not None:
-        table = SpinTransform.on_grid(frames.j, frames.grid).analyze(mat)
-    else:
-        table = frame_diagonals(mat, frames.unitaries()).T
-    t = Tomogram(frames, table, source_state=a if is_state else None)
+    t = Tomogram(frames, frames.symbols(mat), source_state=a if is_state else None)
     if is_state:
         t.check_normalized()
     return t
@@ -562,7 +570,7 @@ def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
     if not isinstance(rho, DensityMatrix):
         raise ValueError("unitary_tomogram expects a DensityMatrix")
     frames = UnitaryFrames.of(frames, rho.dim)
-    t = Tomogram(frames, frame_diagonals(rho.mat, frames.stack).T, dims=rho.dims, source_state=rho)
+    t = Tomogram(frames, frames.symbols(rho.mat), dims=rho.dims, source_state=rho)
     t.check_normalized()
     return t
 

@@ -7,11 +7,11 @@ from hypothesis import settings
 
 from spintomo import reconstruction
 from spintomo.halfint import HalfInt, spin_range
-from spintomo.linalg import expm_hermitian_times, frame_diagonals, hermitian_basis, kron_all
+from spintomo.linalg import expm_hermitian_times, frame_diagonals, haar_unitaries, hermitian_basis, kron_all
 from spintomo.simplex import _BASE_POINTS, _draw_elements
-from spintomo.quadrature import GROUP_VOLUME
+from spintomo.quadrature import GROUP_VOLUME, make_grid
 from spintomo.su2 import clebsch_gordan, rotation_stack, wigner_d_stack, wigner_small_d
-from spintomo.symbols import _identity_quantizer
+from spintomo.symbols import SpinFrames, UnitaryFrames, _identity_quantizer, grid_frames
 
 # CI sets HYPOTHESIS_PROFILE=ci: fixed example sequences, and a failure
 # prints the blob that replays it locally (@reproduce_failure)
@@ -35,11 +35,28 @@ def shot_frequencies(table, shots: int, rng: np.random.Generator) -> np.ndarray:
 def least_squares_solution(t) -> np.ndarray:
     """The hermitized, trace-normalised unit-trace least-squares solution of a
     tomogram, as ``reconstruct_from_unitary_frame`` forms it before any projection."""
-    rho = np.tensordot(reconstruction._solve(t.frames.unitaries(), t.table.real),
+    rho = np.tensordot(reconstruction._solve(t.frames.unitaries(), t.table.real, reconstruction._complete_set(t.frames)),
                        hermitian_basis(t.n_outcomes), axes=1)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return rho
+
+
+FRAME_KINDS = ["grid", "off_grid", "unitary", "product"]
+
+
+def frame_set(kind: str, n: int, rng: np.random.Generator):
+    """A set of n x n frames of one of ``FRAME_KINDS``: spin frames on the default
+    grid, 12 spin frames off a grid, 12 Haar unitaries, or 12 Haar products over
+    the factors (2, n / 2)."""
+    j = HalfInt(n - 1)
+    if kind == "grid":
+        return grid_frames(j, make_grid(j))
+    if kind == "off_grid":
+        return SpinFrames(j, rng.uniform(0, np.pi, 12), rng.uniform(0, 2 * np.pi, 12))
+    if kind == "unitary":
+        return UnitaryFrames.of(haar_unitaries(n, 12, rng), n)
+    return UnitaryFrames.of(list(zip(haar_unitaries(2, 12, rng), haar_unitaries(n // 2, 12, rng))), n)
 
 
 def frame_diagonals_oracle(a, frames) -> np.ndarray:

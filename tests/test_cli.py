@@ -637,7 +637,10 @@ class TestOffGridSpinFiles:
         rho = random_density(3, 3, seed=2)
         t_path, out = self.write_off_grid(tmp_path, rho, 4), tmp_path / "r.json"
         assert main(["reconstruct", "--tomogram", str(t_path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "numerical failure: informationally incomplete frame set: rank 8 < 9\n"
+        assert capsys.readouterr().err == (
+            "numerical failure: informationally incomplete frame set: rank 8 < 9;"
+            " a generic set of 4j + 1 = 5 directions is complete\n"
+        )
         assert not out.exists()
 
 

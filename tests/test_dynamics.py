@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import FRAME_KINDS, frame_set, random_hermitian
 from spintomo.dynamics import (
     Povm,
     evolve_state,
@@ -12,7 +14,7 @@ from spintomo.dynamics import (
     povm_validate,
 )
 from spintomo.errors import ZeroProbabilityError
-from spintomo.linalg import haar_unitaries, random_density
+from spintomo.linalg import expm_hermitian_times, frame_diagonals, haar_unitaries, random_density
 from spintomo.quadrature import make_grid
 from spintomo.reconstruction import reconstruct_from_unitary_frame, reconstruction_residual
 from spintomo.halfint import HalfInt
@@ -98,6 +100,64 @@ class TestEvolveTomogram:
         direct = spin_tomogram(evolve_state(rho, h, 0.8), frames)
         assert shifted.frames is frames
         assert np.max(np.abs(shifted.table - direct.table)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_equals_the_frame_shift_table(self, rng, kind):
+        # w(m, u, t) = w(m, U(t)^dag u, 0): the time-zero state on the shifted frames
+        rho, h, frames = random_density(4, 4, seed=61), random_hermitian(4, rng), frame_set(kind, 4, rng)
+        t0 = (spin_tomogram if frames.kind == "spin" else unitary_tomogram)(rho, frames)
+        shifted = expm_hermitian_times(h, 0.9).conj().T @ t0.frames.unitaries()
+        evolved = evolve_tomogram(t0, h, 0.9)
+        assert evolved.frames is t0.frames
+        assert np.max(np.abs(evolved.table - frame_diagonals(rho.mat, shifted).T)) <= 1e-13
+
+    def test_evolution_exponentiates_once(self, monkeypatch, rng):
+        import spintomo.dynamics as dynamics
+
+        calls = []
+        expm = dynamics.expm_hermitian_times
+
+        def counting_expm(h, t):
+            calls.append(t)
+            return expm(h, t)
+
+        monkeypatch.setattr(dynamics, "expm_hermitian_times", counting_expm)
+        t0 = unitary_tomogram(random_density(3, 3, seed=2), haar_unitaries(3, 5, 3))
+        h = random_hermitian(3, rng)
+        evolved = evolve_tomogram(t0, h, 0.4)
+        assert calls == [0.4]
+        # the one exponential is evolve_state's, whose state the tomogram keeps
+        assert np.array_equal(evolved.source_state.mat, evolve_state(t0.source_state, h, 0.4).mat)
+
+    def test_grid_evolution_and_residual_form_no_rotation(self, monkeypatch, rng):
+        # grid tables come from the cached transform, never from the rotation stack
+        frames = grid_frames(2, make_grid(2))
+        rho, h = random_density(5, 5, seed=65), random_hermitian(5, rng)
+
+        def no_stack(self):
+            raise AssertionError("formed the rotation stack of grid frames")
+
+        monkeypatch.setattr(SpinFrames, "unitaries", no_stack)
+        t0 = spin_tomogram(rho, frames)
+        evolved = evolve_tomogram(t0, h, 1.3)
+        assert reconstruction_residual(t0, rho) <= 1e-14
+        assert reconstruction_residual(evolved, evolve_state(rho, h, 1.3)) <= 1e-14
+
+    @pytest.mark.memory
+    def test_grid_evolution_memory_at_j20(self, rng):
+        # the rotation stack of the 3321 default-grid frames at 2j = 40 is 89 MB, and a
+        # shifted copy of it as much again; the transform, 12 MB of tables, is built first
+        frames = grid_frames(20, make_grid(20))
+        rho, h = random_density(41, 41, seed=66), random_hermitian(41, rng)
+        t0 = spin_tomogram(rho, frames)  # builds the transform
+        tracemalloc.start()
+        try:
+            evolved = evolve_tomogram(t0, h, 0.5)
+            reconstruction_residual(evolved, evolved.source_state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_requires_source_state(self):
         rho = random_density(2, 2, seed=9)

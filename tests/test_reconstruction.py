@@ -265,6 +265,34 @@ class TestUnitaryFrameReconstruction:
             reconstruct_from_unitary_frame(t)
         assert (err.value.rank, err.value.needed) == (2, 4)
 
+    @pytest.mark.parametrize(
+        "kind, frames, rank, needed, complete",
+        [
+            ("spin", lambda: SpinFrames(1.5, [0.3, 1.1, 1.9, 2.6, 0.8, 2.2], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+             15, 16, "4j + 1 = 7 directions"),
+            ("unitary", lambda: list(haar_unitaries(4, 4, 6)), 13, 16, "d + 1 = 5 frames"),
+            ("product", lambda: list(zip(haar_unitaries(2, 8, 7), haar_unitaries(2, 8, 8))),
+             15, 16, "prod(d_k + 1) = 9 product frames"),
+        ],
+        ids=["spin", "unitary", "product"],
+    )
+    def test_the_refusal_names_the_smallest_complete_set(self, kind, frames, rank, needed, complete):
+        rho = random_density(4, 4, seed=11)
+        frames = frames()
+        t = spin_tomogram(rho, frames) if kind == "spin" else unitary_tomogram(rho, frames)
+        with pytest.raises(InformationallyIncompleteError) as err:
+            reconstruct_from_unitary_frame(t)
+        assert (err.value.rank, err.value.needed) == (rank, needed)
+        assert str(err.value) == (
+            f"informationally incomplete frame set: rank {rank} < {needed}; a generic set of {complete} is complete"
+        )
+
+    def test_product_frames_need_the_product_of_the_factor_counts(self):
+        # 3 x 3 local bases of two qubits determine the state; 8 leave rank 15 (above)
+        rho = random_density(4, 4, seed=12)
+        frames = list(zip(haar_unitaries(2, 9, 7), haar_unitaries(2, 9, 8)))
+        assert np.max(np.abs(reconstruct_from_unitary_frame(unitary_tomogram(rho, frames)).mat - rho.mat)) <= 1e-12
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_too_few_haar_frames_incomplete(self, d):
         # each generic frame adds d - 1 independent rows to the shared trace row

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import irreducible_tensor, tensor_index_pairs
+from spintomo import su2
+from spintomo.errors import LIMITS
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import expm_hermitian_times
 from spintomo.su2 import (
@@ -19,6 +21,7 @@ from spintomo.su2 import (
     wigner_d_stack,
     wigner_small_d,
 )
+from spintomo.symbols import SpinFrames
 
 HALF_SPINS = [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4]
 
@@ -150,6 +153,27 @@ class TestSmallD:
         # a single gamma would otherwise broadcast over every beta
         with pytest.raises(ValueError, match="frame angle arrays must be 1-d and of equal length"):
             rotation_stack(1, betas, gammas)
+
+    def test_rotation_stack_past_the_byte_budget_is_refused_before_any_d_matrix(self, monkeypatch):
+        # 100 frames at j = 2: a (100, 5, 5) complex stack of 40000 bytes
+        betas, gammas = np.linspace(0.1, 3.0, 100), np.linspace(0.0, 6.0, 100)
+        built = rotation_stack(2, betas, gammas)
+
+        def builds(*args):
+            raise AssertionError("built the d-matrices of a refused stack")
+
+        monkeypatch.setattr(su2, "wigner_d_stack", builds)
+        monkeypatch.setitem(LIMITS, "bytes", 39_999)
+        message = "^the rotation stack of 100 frames at j = 2 would allocate about 4e-05 GB, above the budget of 4e-05 GB$"
+        with pytest.raises(ValueError, match=message):
+            rotation_stack(2, betas, gammas)
+        with pytest.raises(ValueError, match=message):
+            SpinFrames(2, betas, gammas).unitaries()
+        # at the budget the stack is built as before
+        monkeypatch.setattr(su2, "wigner_d_stack", wigner_d_stack)
+        monkeypatch.setitem(LIMITS, "bytes", 40_000)
+        assert built.nbytes == 40_000
+        assert np.array_equal(SpinFrames(2, betas, gammas).unitaries(), built.conj().swapaxes(1, 2))
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
     def test_stack_matches_scalar_oracle(self, j, rng):

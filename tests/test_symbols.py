@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dequantizer_series, random_hermitian
+from conftest import FRAME_KINDS, dequantizer_series, frame_set, random_hermitian
 from spintomo import io
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import (
@@ -273,7 +273,17 @@ class TestUnitaryFrames:
 
 
 class TestFrameSetInterface:
-    """Both frame sets answer ``kind``, ``j``, ``grid``, ``dim`` and ``unitaries()``."""
+    """Both frame sets answer ``kind``, ``j``, ``grid``, ``dim``, ``unitaries()`` and ``symbols(a)``."""
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    def test_symbols_are_the_frame_diagonals_of_the_unitaries(self, kind, n, hermitian, rng):
+        frames = frame_set(kind, n, rng)
+        a = random_hermitian(n, rng) + (0.0 if hermitian else 1j * random_hermitian(n, rng))
+        table = frames.symbols(a)
+        assert table.shape == (n, len(frames)) and table.dtype == complex
+        assert np.max(np.abs(table - frame_diagonals(a, frames.unitaries()).T)) <= 1e-13
 
     @pytest.mark.parametrize("jt", range(17))
     @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
