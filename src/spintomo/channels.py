@@ -23,7 +23,7 @@ from .states import PAULIS
 from .symbols import SpinTransform
 
 
-@dataclass
+@dataclass(eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map rho -> sum_s V_s rho V_s^dag."""
 

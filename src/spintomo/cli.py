@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io
 from .channels import CHANNEL_KINDS, channel_tomogram_closed_form
-from .dynamics import evolve_state, evolve_tomogram
+from .dynamics import evolve_state
 from .entropy import min_entropy_over_group
 from .errors import InformationallyIncompleteError
 from .halfint import HalfInt, spin
@@ -325,7 +325,7 @@ def _cmd_evolve(args) -> str | dict:
     evolved = evolve_state(rho, h, args.t)
     obj = {"state": io.density_to_obj(evolved)}
     if args.frames:
-        obj["tomogram"] = io.tomogram_to_obj(evolve_tomogram(_frames_tomogram(rho, args.frames), h, args.t))
+        obj["tomogram"] = io.tomogram_to_obj(_frames_tomogram(evolved, args.frames))
     return obj
 
 

@@ -73,12 +73,12 @@ def measure_update(rho: DensityMatrix, effect) -> tuple[DensityMatrix, float]:
 
 def measurement_star_map(w: Tomogram, w_effect: Tomogram, j, grid: QuadratureGrid) -> Tomogram:
     """Symbol-side measurement update w_P * w * w_P (unnormalized): one synthesis each of P and rho."""
-    transform = _grid_transform(w_effect, j, grid)
-    p, rho = transform.synthesize(w_effect.table), _grid_transform(w, j, grid).synthesize(w.table)
+    transform = _grid_transform(j, grid, w_effect, w)
+    p, rho = transform.synthesize(w_effect.table), transform.synthesize(w.table)
     return Tomogram(w_effect.frames, w_effect.frames.symbols(p @ rho @ p))
 
 
-@dataclass
+@dataclass(eq=False)
 class Povm:
     """Positive operator-valued measure: PSD effects summing to the identity."""
 

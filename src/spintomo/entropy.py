@@ -147,7 +147,7 @@ class MonteCarlo:
         return cls(mean=float(np.mean(values)), stderr=stderr, n=n, seed=seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class EntropyReport:
     """Frame entropies, their exact minimizer, and optional group average."""
 

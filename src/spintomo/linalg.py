@@ -345,7 +345,7 @@ def _subsystem_dims(dims, n: int) -> tuple[int, ...]:
     return values
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with subsystem dims."""
 

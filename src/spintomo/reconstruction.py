@@ -2,10 +2,12 @@
 
 Spin tomograms on a quadrature grid invert through the covariant synthesis of
 ``SpinTransform``, a linear map that returns whatever operator the table is
-the symbol of, an observable's included.  Every other tomogram, unitary or
-spin off a grid, is read as a state's: a unit-trace least-squares solve on the
-frame operator of its frame set's ``unitaries()``, moved to the nearest
-density matrix when noise leaves it with a negative eigenvalue.  A symbol
+the symbol of, an observable's included; its operand is checked in the same
+``_grid_transform`` call as the star maps'.  Every other tomogram, unitary or
+spin off a grid, is read as a state's: ``_solve`` takes the frame set itself,
+solves on the frame operator of its ``unitaries()`` and returns the unit-trace
+Hermitian matrix, which is moved to the nearest density matrix when noise
+leaves it with a negative eigenvalue.  A symbol
 table moves between quantizer pairs by one pair's synthesis followed by the
 other's symbol map.
 """
@@ -47,28 +49,24 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
     A = sum_x W_x R_x^dag diag(Q w[:, x]) R_x, the quadrature of the quantizer
     family over the grid nodes (see ``SpinTransform.synthesize``).
     """
-    return _grid_transform(t, j, grid).synthesize(t.table)
+    return _grid_transform(j, grid, t).synthesize(t.table)
 
 
 def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
-    """Projected least-squares state estimate from a tomogram on the frames ``t.frames.unitaries()``.
+    """Projected least-squares state estimate from a tomogram on any frame set ``t.frames``.
 
-    Solves for a Hermitian matrix under the unit-trace constraint; the linear
-    map has full column rank from the generic sets of ``_complete_set`` on
-    (d + 1 unitary frames), and a lower rank is refused with that set named.
-    A consistent table's solution is returned as solved.  When
-    noise leaves an eigenvalue below -``LIMITS["state_psd"]``, the estimate is the
-    density matrix nearest the solution in the Frobenius norm
-    (``_nearest_state``), which is never further from the true state in
-    that norm.  A
-    complex table is refused, and so is a table not normalized per frame,
-    which is no state's.
+    A complex table is refused, and so is a table not normalized per frame,
+    which is no state's.  ``_solve`` gives the unit-trace Hermitian matrix on
+    the frame set, and refuses a rank below d^2 with the generic complete set
+    of ``_complete_set`` named (d + 1 unitary frames).  A consistent table's
+    solution is returned as solved.  When noise leaves an eigenvalue below
+    -``LIMITS["state_psd"]``, the estimate is the density matrix nearest the
+    solution in the Frobenius norm (``_nearest_state``), which is never
+    further from the true state in that norm.
     """
-    d, table = t.n_outcomes, _real_table(t)
+    table = _real_table(t)
     t.check_normalized()
-    rho = np.tensordot(_solve(t.frames.unitaries(), table, _complete_set(t.frames)), hermitian_basis(d), axes=1)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
+    rho = _solve(t.frames, table)
     if np.linalg.eigvalsh(rho)[0] < -LIMITS["state_psd"]:
         rho = _nearest_state(rho)
     return DensityMatrix(rho, t.dims)
@@ -144,25 +142,29 @@ def _normal_equations(us: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np
     return g, h
 
 
-def _solve(us: np.ndarray, table: np.ndarray, complete: str) -> np.ndarray:
-    """Unit-trace least-squares solution for the (F, d, d) frames ``us`` and their real (d, F) ``table``.
+def _solve(frames, table: np.ndarray) -> np.ndarray:
+    """The unit-trace Hermitian least-squares matrix for a frame set and its real (d, F) ``table``.
 
-    Solved through the frame operator G = A^T A (d^2 x d^2) of the design
-    matrix A with one ``eigh`` when cond(G) <= ``_GRAM_COND_LIMIT``; G and
-    A^T b come from ``_normal_equations`` without A.  Otherwise ``lstsq``
-    runs on the full A, and a rank below d^2 raises
-    ``InformationallyIncompleteError``, which names the ``complete`` set.
+    The coefficients over ``hermitian_basis(d)`` are solved on the frames
+    ``frames.unitaries()`` through the frame operator G = A^T A (d^2 x d^2)
+    of the design matrix A, with one ``eigh`` when cond(G) <=
+    ``_GRAM_COND_LIMIT``; G and A^T b come from ``_normal_equations`` without
+    A.  Otherwise ``lstsq`` runs on the full A, and a rank below d^2 raises
+    ``InformationallyIncompleteError``, which names the ``_complete_set`` of
+    the frames.  The matrix returned is the solution's Hermitian part over
+    its trace.
     """
-    d = us.shape[-1]
+    us, d = frames.unitaries(), frames.dim
     g, h = _normal_equations(us, table)
     w, v = np.linalg.eigh(g)
     if w[0] * _GRAM_COND_LIMIT >= w[-1]:
-        return v @ ((v.T @ h) / w)
-    b = np.append(table.T.reshape(-1), 1.0)
-    x, _, found, _ = np.linalg.lstsq(_design_matrix(us), b, rcond=None)
-    if found < d * d:
-        raise InformationallyIncompleteError(rank=int(found), needed=d * d, complete=complete)
-    return x
+        x = v @ ((v.T @ h) / w)
+    else:
+        x, _, found, _ = np.linalg.lstsq(_design_matrix(us), np.append(table.T.reshape(-1), 1.0), rcond=None)
+        if found < d * d:
+            raise InformationallyIncompleteError(rank=int(found), needed=d * d, complete=_complete_set(frames))
+    rho = np.tensordot(x, hermitian_basis(d), axes=1)
+    return (rho + rho.conj().T) / (2 * np.trace(rho).real)
 
 
 def _design_columns(us: np.ndarray, at: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ class GroupSpec:
         return factors, _resolve_keep(factors, range(len(factors)) if self.active is None else self.active)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimplexSample:
     """Sampled simplex points, with the generator state that draws their group elements again."""
 
@@ -171,7 +171,7 @@ def _jacobian(sigma: np.ndarray, factors: tuple[int, ...], active: tuple[int, ..
     return jac.transpose(1, 2, 0)
 
 
-@dataclass
+@dataclass(eq=False)
 class DimensionReport:
     rank: int
     singular_values: np.ndarray
@@ -258,7 +258,7 @@ def eigenvalue_bounds_check(sample: SimplexSample, rho: DensityMatrix) -> bool:
     return bool(np.all(sample.points >= lo) and np.all(sample.points <= hi))
 
 
-@dataclass
+@dataclass(eq=False)
 class PeresScan:
     """Result of a partial-transpose tomographic scan.
 

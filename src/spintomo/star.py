@@ -12,6 +12,8 @@ column sums over the group volume.  ``trace_product``: the quantizer at a node
 is D(m, x) = R_x^dag diag(Q[:, m]) R_x, so Tr[D(m, x) B] = (Q f_B)[m, x] and
 Tr[A B] = sum_x W_x f_A(., x)^T Q f_B(., x), the pairing of one symbol with
 the other's quantizer image.  ``trace_power`` composes n - 2 times and pairs.
+Each map checks all of its operands in one ``_grid_transform(j, grid, *tomograms)``
+call, in argument order, and runs on the cached transform that it returns.
 
 The kernel itself is kept for reference, in two independent forms.  The trace
 form is the definition, evaluated on the covariant quantizers and dequantizers
@@ -154,9 +156,7 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
     order: synthesize both operators (once when ``fb`` is ``fa``), multiply,
     and take the product's ``symbols`` on the grid frames of ``fa``.
     """
-    transform = _grid_transform(fa, j, grid)
-    if fb is not fa:
-        _grid_transform(fb, j, grid)
+    transform = _grid_transform(j, grid, fa, fb)
     a = transform.synthesize(fa.table)
     b = a if fb is fa else transform.synthesize(fb.table)
     return Tomogram(fa.frames, fa.frames.symbols(a @ b))
@@ -164,7 +164,7 @@ def star_compose(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> Tomogra
 
 def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     """Trace functional sum_x w_x f(x) Tr[D(x)] applied to a spin symbol."""
-    transform = _grid_transform(t, j, grid)
+    transform = _grid_transform(j, grid, t)
     # Tr D(m, x) = sum_m' Q[m', m] = 1/(8 pi^2): of the couplings L, only L = 0 has a trace
     return complex(transform.weights @ t.table.sum(axis=0) / GROUP_VOLUME)
 
@@ -177,9 +177,7 @@ def _real_if_real(table: np.ndarray) -> np.ndarray:
 def trace_product(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> complex:
     """Tr[A B] from the spin symbols of A and B on one grid, by the pairing
     sum_x W_x f_A(., x)^T Q f_B(., x): no synthesis, product or analysis."""
-    transform = _grid_transform(fa, j, grid)
-    if fb is not fa:
-        _grid_transform(fb, j, grid)
+    transform = _grid_transform(j, grid, fa, fb)
     # a table with no imaginary part enters as real, so Q f_B is a real product
     a = _real_if_real(fa.table)
     b = a if fb is fa else _real_if_real(fb.table)

@@ -76,20 +76,31 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
     """Matrices d(beta_x) diag(exp(-i gamma_x m)) for paired angle arrays.
 
     This is R(0, beta, gamma); alpha only multiplies rows by phases, which
-    drop out of every spin symbol.  Repeated beta values share one d-matrix.
-    The two arrays pair up entry by entry, so they must be 1-d and of equal
-    length, as in ``SpinFrames``.  A stack past the byte budget is refused
-    before any d-matrix is built.
+    drop out of every spin symbol.  The two arrays pair up entry by entry, so
+    they must be 1-d and of equal length, as in ``SpinFrames``.  The stack is
+    filled one chunk of frames at a time, and repeated beta values in a chunk
+    share one d-matrix, so only one chunk's d-matrices, their complex
+    temporaries and its phases are held beside the stack.  The byte budget
+    check counts the stack and that scratch, before any d-matrix is built.
     """
     j = HalfInt.of(j)
     betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
     if betas.ndim != 1 or betas.shape != gammas.shape:
         raise ValueError("frame angle arrays must be 1-d and of equal length")
-    _check_bytes(16 * betas.size * (j.twice + 1) ** 2, "the rotation stack of {} frames at j = {}", betas.size, j)
+    # a chunk is 1 MiB of the stack, and at least 64 frames, since each chunk repeats
+    # the eigendecomposition of J2 (about five frames' work); its scratch stays within
+    # 4 * 16 n (n + 1) bytes a frame
+    n = j.twice + 1
+    step = max(64, 2**20 // (16 * n * n))
+    _check_bytes(16 * n * (n * betas.size + 4 * (n + 1) * min(betas.size, step)),
+                 "the rotation stack of {} frames at j = {}", betas.size, j)
     gammas = _check_finite("gamma", gammas)
-    unique, index = np.unique(betas, return_inverse=True)
-    phases = np.exp(-1j * np.multiply.outer(gammas, _magnetic_numbers(j)))
-    return wigner_d_stack(j, unique)[index] * phases[:, None, :]
+    stack = np.empty((betas.size, n, n), dtype=complex)
+    for rows in (slice(start, start + step) for start in range(0, betas.size, step)):
+        unique, index = np.unique(betas[rows], return_inverse=True)
+        phases = np.exp(-1j * np.multiply.outer(gammas[rows], _magnetic_numbers(j)))
+        np.multiply(wigner_d_stack(j, unique)[index], phases[:, None, :], out=stack[rows])
+    return stack
 
 
 def wigner_d_matrix(j, beta: float) -> np.ndarray:

@@ -16,9 +16,11 @@ transform for grid frames, and ``frame_diagonals`` on the unitary frames
 R(g)^dag off a grid and on the stack of a ``UnitaryFrames`` set.
 
 A set of spin frames is one ``SpinFrames`` object of Euler-angle arrays, from
-file to kernel; ``EulerAngles`` is the single rotation that the reference
-operators ``dequantizer_U`` and ``quantizer_D`` take, each one rotation
-matrix applied by covariance to its operator at the identity.
+file to kernel, and, like a ``UnitaryFrames`` set, never empty.  Every map on
+grid symbols checks all of its tomograms in one ``_grid_transform`` call.
+``EulerAngles`` is the single rotation that the reference operators
+``dequantizer_U`` and ``quantizer_D`` take, each one rotation matrix applied
+by covariance to its operator at the identity.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class SpinFrames:
 
     A frame is the rotation R(0, beta, gamma): alpha never enters a spin symbol,
     as the phase exp(-i alpha J_z) of R(alpha, beta, gamma) commutes with |j m><j m|.
-    The angle arrays are read-only copies.  ``grid`` is the quadrature grid
+    The angle arrays are read-only copies, and an empty set is refused, as
+    ``UnitaryFrames`` refuses one.  ``grid`` is the quadrature grid
     whose nodes the angles are, in node order and to within 1e-12, and None
     for any other angles and for the nodes of a grid past the byte budget
     (``_grid_of`` decides it).
@@ -79,6 +82,8 @@ class SpinFrames:
             raise ValueError("frame angle arrays must be 1-d and of equal length")
         if not np.all(np.isfinite([self.betas, self.gammas])):
             raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
+        if not self.betas.size:
+            raise ValueError("at least one frame is required")
         for angles in (self.betas, self.gammas):
             angles.setflags(write=False)
         self._grid = _grid_of(self.betas, self.gammas)
@@ -109,7 +114,7 @@ class SpinFrames:
 
 
 def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
-    """The grid whose nodes the angles are, in node order and to within 1e-12, or None.
+    """The grid whose nodes the nonempty angle arrays are, in node order and to within 1e-12, or None.
 
     Grid nodes are a beta-major product, so the first beta that moves gives
     n_gamma, and the count n.  The grid is built only when its n x n
@@ -118,8 +123,6 @@ def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
     ((k - 1/2) pi, k pi) / (n + 1/2), and one Newton step of the three-term
     recurrence puts it within 1e-8 of a root of P_n(cos beta).
     """
-    if not betas.size:
-        return None
     moved = np.flatnonzero(np.abs(betas - betas[0]) > 1e-12)
     n_gamma = int(moved[0]) if moved.size else betas.size
     (n, rest), nodes = divmod(betas.size, n_gamma), betas[::-n_gamma]
@@ -422,16 +425,18 @@ _CACHE_BUDGET = 64 * 2**20
 _TRANSFORMS = _TransformCache()
 
 
-def _grid_transform(t: Tomogram, j, grid: QuadratureGrid) -> SpinTransform:
-    """The grid's spin-j ``SpinTransform``, once ``t`` is checked to be a spin-j tomogram at its nodes."""
-    if t.kind != "spin":
-        raise ValueError("expected a spin tomogram")
-    if not (t.frames.j == HalfInt.of(j) and t.frames.grid == grid):
-        raise ValueError("tomogram frames do not coincide with the grid nodes")
+def _grid_transform(j, grid: QuadratureGrid, *tomograms: Tomogram) -> SpinTransform:
+    """The grid's spin-j ``SpinTransform``, once every tomogram, in argument order,
+    is checked to be a spin-j tomogram at its nodes."""
+    for t in tomograms:
+        if t.kind != "spin":
+            raise ValueError("expected a spin tomogram")
+        if not (t.frames.j == HalfInt.of(j) and t.frames.grid == grid):
+            raise ValueError("tomogram frames do not coincide with the grid nodes")
     return SpinTransform.on_grid(j, grid)
 
 
-@dataclass
+@dataclass(eq=False)
 class Tomogram:
     """Symbol table over outcomes x frames; its labels are read off the frames.
 
@@ -458,8 +463,6 @@ class Tomogram:
             raise ValueError("tomogram table entries must be finite numbers (found NaN or infinity)")
         if not isinstance(self.frames, (SpinFrames, UnitaryFrames)):
             self.frames = UnitaryFrames.of(self.frames, self.table.shape[0])
-        if not len(self.frames):
-            raise ValueError("at least one frame is required")
         n = self.frames.dim
         if self.kind == "spin" and self.dims is not None:
             raise ValueError("dims apply to unitary tomograms only")

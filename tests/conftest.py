@@ -35,11 +35,7 @@ def shot_frequencies(table, shots: int, rng: np.random.Generator) -> np.ndarray:
 def least_squares_solution(t) -> np.ndarray:
     """The hermitized, trace-normalised unit-trace least-squares solution of a
     tomogram, as ``reconstruct_from_unitary_frame`` forms it before any projection."""
-    rho = np.tensordot(reconstruction._solve(t.frames.unitaries(), t.table.real, reconstruction._complete_set(t.frames)),
-                       hermitian_basis(t.n_outcomes), axes=1)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return rho
+    return reconstruction._solve(t.frames, t.table.real)
 
 
 FRAME_KINDS = ["grid", "off_grid", "unitary", "product"]

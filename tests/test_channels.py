@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -315,3 +316,20 @@ class TestPropagator:
         w_in = spin_tomogram(rho, frames).table.reshape(-1).real
         w_out = spin_tomogram(apply_kraus(ch, rho), frames).table.reshape(-1).real
         assert np.max(np.abs(pi @ w_in - w_out)) < 1e-10
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: KrausChannel([]), "a channel needs at least one Kraus operator"),
+            (lambda: KrausChannel([np.eye(2), np.eye(3)]), "Kraus operators must share one dimension"),
+            (lambda: depolarizing(0.1).compose(KrausChannel([np.eye(3)])), "channel dimensions differ"),
+        ],
+        ids=["empty", "mixed_dims", "compose_across_dims"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import least_squares_solution, shot_frequencies
-from spintomo import cli, io
+from spintomo import cli, dynamics, io
 from spintomo.cli import main
 from spintomo.dynamics import evolve_tomogram
 from spintomo.errors import LIMITS
 from spintomo.halfint import HalfInt
-from spintomo.linalg import DensityMatrix, random_density
+from spintomo.linalg import DensityMatrix, haar_unitaries, random_density
 from spintomo.quadrature import make_grid
 from spintomo.states import bell_state, maximally_mixed, werner_state
-from spintomo.symbols import SpinFrames, grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinFrames, UnitaryFrames, grid_frames, spin_tomogram, unitary_tomogram
 
 
 @pytest.fixture
@@ -890,6 +890,38 @@ class TestEvolveCommand:
         expected = evolve_tomogram(spin_tomogram(rho, frames), h_mat, 0.7)
         assert json.loads(out.read_text())["tomogram"] == json.loads(io.dumps(io.tomogram_to_obj(expected)))
 
+    @pytest.mark.parametrize("kind", ["grid", "off_grid", "unitary"])
+    def test_frames_evolve_the_state_once_and_map_it_once(self, tmp_path, monkeypatch, kind):
+        # the evolved state's tomogram is the output: one matrix exponential and one
+        # forward map, whatever the kind of the frames
+        data = Path(__file__).resolve().parent.parent / "data"
+        state, h = data / "qubit_state.json", data / "hamiltonian_z.json"
+        frame_objs = {
+            "grid": [{"alpha": 0.0, "beta": float(b), "gamma": float(g)}
+                     for b, g in zip(*make_grid(0.5).node_angles())],
+            "off_grid": [{"beta": 0.3, "gamma": 1.0}, {"beta": 1.9, "gamma": 4.0}],
+            "unitary": [{"unitary": io.matrix_to_obj(u)} for u in haar_unitaries(2, 3, np.random.default_rng(4))],
+        }[kind]
+        frames_path, out = tmp_path / "frames.json", tmp_path / "ev.json"
+        frames_path.write_text(io.dumps(frame_objs))
+        calls = []
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(dynamics, "expm_hermitian_times", counted("expm", dynamics.expm_hermitian_times))
+        for frame_set in (SpinFrames, UnitaryFrames):
+            monkeypatch.setattr(frame_set, "symbols", counted("symbols", frame_set.symbols))
+        rc = main(["evolve", "--state", str(state), "--hamiltonian", str(h), "--t", "0.7",
+                   "--frames", str(frames_path), "--out", str(out)])
+        assert rc == 0
+        assert sorted(calls) == ["expm", "symbols"]
+        assert not hasattr(cli, "evolve_tomogram")
+        assert (io.tomogram_from_obj(json.loads(out.read_text())["tomogram"]).frames.grid is not None) == (kind == "grid")
+
     @pytest.mark.parametrize(
         "frame_objs, message",
         [
@@ -1060,3 +1092,34 @@ class TestAlphaField:
             assert main(["star", "--tomogram", str(path), "--tomogram", str(path), "--out", str(s_out)]) == 0
             outputs[name] = (printed, r_out.read_bytes(), s_out.read_bytes())
         assert outputs["shifted"] == outputs["zero"]
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, through ``main``: exit code 2, the message
+    alone on stderr, and no output file."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["peres", "--state", "{bell}", "--dims", "2,x"], "expected comma-separated integers, got '2,x'"),
+            (["tomogram", "--state", "{qubit}", "--frames", "{not_a_list}"],
+             "frames file must contain a JSON list of frame objects"),
+            (["tomogram", "--state", "{bell}", "--j", "0.5"], "state dimension 4 does not match 2j+1"),
+            (["tomogram", "--state", "{qubit}"], "tomogram needs --frames, --n-frames, or --j"),
+            (["star", "--tomogram", "{qubit}"], "star needs exactly two --tomogram files"),
+            (["simplex-image", "--state", "{qubit}", "--samples", "0"], "--samples must be positive"),
+            (["peres", "--state", "{bell}", "--samples", "0"], "--samples must be positive"),
+            (["entropy", "--state", "{qubit}", "--samples", "1"], "--samples must be at least 2"),
+        ],
+        ids=["bad_dims", "frames_not_a_list", "j_of_other_dim", "no_source", "one_star_file",
+             "simplex_no_samples", "peres_no_samples", "entropy_one_sample"],
+    )
+    def test_refusal_exits_2(self, workdir, capsys, argv, message):
+        tmp, paths = workdir
+        paths["not_a_list"] = tmp / "not_a_list.json"
+        paths["not_a_list"].write_text(io.dumps({"unitary": io.matrix_to_obj(np.eye(2))}))
+        out = tmp / "never.json"
+        rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

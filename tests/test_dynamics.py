@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -295,3 +296,20 @@ class TestPovm:
             probs = measurement_probabilities(rho, povm)
             assert probs.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(probs >= -1e-12)
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: measure_update(plus_state(), np.eye(3)), "effect and state dimensions differ"),
+            (lambda: Povm([]), "a POVM needs at least one effect"),
+            (lambda: Povm([np.eye(2), np.eye(3)]), "effects must share one dimension"),
+        ],
+        ids=["effect_dim", "empty_povm", "mixed_effect_dims"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -419,3 +420,19 @@ class TestOneKernel:
         for value in (renyi_entropy([1.0, 0.0], 1.0), renyi_entropy([1.0, 0.0], 3.0),
                       quantum_renyi(pure_state([1.0, 0.0]), 5.0)):
             assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: symbol_entropy([]), "w must be nonempty"),
+            (lambda: relative_q_entropy([0.5, 0.5], [0.2, 0.3, 0.5], 1.0), "distributions must have equal length"),
+        ],
+        ids=["empty", "unequal_lengths"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

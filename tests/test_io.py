@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -250,3 +251,28 @@ class TestSimplexSampleCsv:
 
         assert io.simplex_sample_csv(Counted()) == io.simplex_sample_csv(sample)
         assert len(reads) == 1
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: io.matrix_to_obj(np.ones((2, 3))), "only square matrices are serialized"),
+            (lambda: io.matrix_from_obj([[1.0, 0.0], [0.0, 1.0]]), "matrix object must be a dict with a 'dim' field"),
+        ],
+        ids=["non_square", "not_a_dict"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(io.os, "replace", refuse)
+        with pytest.raises(OSError, match="^replace refused$"):
+            io.write_text_atomic(str(tmp_path / "out.json"), "{}")
+        assert list(tmp_path.iterdir()) == []

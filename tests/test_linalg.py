@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_diagonals_bound, frame_diagonals_oracle, random_hermitian
+from spintomo.channels import depolarizing
+from spintomo.dynamics import Povm, PovmReport
+from spintomo.entropy import MonteCarlo, min_entropy_over_group
+from spintomo.halfint import HalfInt
 from spintomo.linalg import (
     DensityMatrix,
     _blocks,
@@ -22,8 +27,10 @@ from spintomo.linalg import (
     random_density,
     unitarity_residual,
 )
+from spintomo.quadrature import QuadratureGrid
+from spintomo.simplex import GroupSpec, image_dimension_report, image_sample, peres_scan
 from spintomo.states import SIGMA_Z, bell_state, ghz_state, maximally_mixed, product_state, werner_state
-from spintomo.symbols import Tomogram
+from spintomo.symbols import EulerAngles, Tomogram, unitary_tomogram
 
 
 class TestEigHermitian:
@@ -529,3 +536,34 @@ class TestInvariants:
         reduced = np.einsum("akbk->ab", block)
         rhs = np.trace(a @ reduced)
         assert abs(lhs - rhs) < 1e-10
+
+
+class TestArrayRecordsCompareByIdentity:
+    """Records that hold arrays compare and hash by identity; value types keep value equality."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_density(2, 2, seed=3),
+            lambda: unitary_tomogram(random_density(2, 2, seed=3), haar_unitaries(2, 3, np.random.default_rng(3))),
+            lambda: depolarizing(0.2),
+            lambda: Povm([np.eye(2)]),
+            lambda: image_sample(bell_state(), GroupSpec("full"), 3, 3),
+            lambda: image_dimension_report(bell_state(), GroupSpec("full"), seed=3),
+            lambda: min_entropy_over_group(random_density(2, 2, seed=3), 3, 3),
+            lambda: peres_scan(bell_state(), 3, 3),
+        ],
+        ids=["DensityMatrix", "Tomogram", "KrausChannel", "Povm", "SimplexSample", "DimensionReport",
+             "EntropyReport", "PeresScan"],
+    )
+    def test_equality_is_identity(self, make):
+        x = make()
+        assert x == x
+        assert x != copy.copy(x)
+        assert hash(x) == hash(x) and x in {x}
+
+    def test_value_types_compare_by_value(self):
+        assert HalfInt(3) == HalfInt(3) and QuadratureGrid(2, 3) == QuadratureGrid(2, 3)
+        assert GroupSpec("full") == GroupSpec("full") and EulerAngles(0.1, 0.2, 0.3) == EulerAngles(0.1, 0.2, 0.3)
+        assert MonteCarlo(1.0, 0.5, 3, 7) == MonteCarlo(1.0, 0.5, 3, 7)
+        assert PovmReport(True, 0.0, 1.0) == PovmReport(True, 0.0, 1.0)

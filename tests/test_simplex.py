@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -588,3 +589,20 @@ class TestPeresScan:
         # the maximum and the witness are the eigenbasis frame's, whatever the draws
         assert result.max_violation == result.eigenbasis_value
         assert np.array_equal(result.witness, np.linalg.eigh(partial_transpose(rho, 1))[1])
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: GroupSpec("half"), "group kind must be 'full' or 'product'"),
+            (lambda: image_sample(bell_state(), GroupSpec("full"), 0, 0), "sample size must be positive"),
+            (lambda: factorized_surface_residual([0.2, 0.3, 0.5]), "expected a 4-outcome simplex point"),
+        ],
+        ids=["group_kind", "no_samples", "three_outcomes"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import operator_stacks, random_hermitian
-from spintomo import star
+from spintomo import dynamics, reconstruction, star, symbols
+from spintomo.dynamics import measurement_star_map
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import random_density
 from spintomo.quadrature import GROUP_VOLUME, make_grid
@@ -195,6 +196,45 @@ class TestStarCompose:
         fb = spin_tomogram(random_hermitian(3, rng), grid_frames(1, other))
         with pytest.raises(ValueError):
             star_compose(fa, fb, 1, grid)
+
+
+class TestOneOperandCheck:
+    """Each grid map checks all of its operands in one ``_grid_transform`` call, in argument order."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(star, "star_compose"), (star, "symbol_trace"), (star, "trace_product"),
+         (dynamics, "measurement_star_map"), (reconstruction, "reconstruct_operator")],
+    )
+    def test_one_call_per_map(self, module, name, rng, monkeypatch):
+        grid = star_grid(1)
+        fa, fb = (spin_tomogram(random_hermitian(3, rng), grid_frames(1, grid)) for _ in range(2))
+        operands = (fa,) if name in ("symbol_trace", "reconstruct_operator") else (fa, fb)
+        calls = []
+
+        def counted(j, at, *tomograms):
+            calls.append(tomograms)
+            return symbols._grid_transform(j, at, *tomograms)
+
+        monkeypatch.setattr(module, "_grid_transform", counted)
+        getattr(module, name)(*operands, 1, grid)
+        # measurement_star_map(w, w_effect) checks the effect first
+        checked = operands[::-1] if name == "measurement_star_map" else operands
+        assert len(calls) == 1 and len(calls[0]) == len(checked)
+        assert all(got is want for got, want in zip(calls[0], checked))
+
+    def test_refusals_keep_their_order(self, rng):
+        grid = star_grid(1)
+        off = spin_tomogram(random_hermitian(3, rng), grid_frames(1, make_grid(1, oversample=1.5)))
+        unit = unitary_tomogram(random_density(3, 3, seed=2), np.eye(3)[None])
+        with pytest.raises(ValueError, match="^tomogram frames do not coincide with the grid nodes$"):
+            star_compose(off, unit, 1, grid)
+        with pytest.raises(ValueError, match="^expected a spin tomogram$"):
+            star_compose(unit, off, 1, grid)
+        with pytest.raises(ValueError, match="^tomogram frames do not coincide with the grid nodes$"):
+            measurement_star_map(unit, off, 1, grid)
+        with pytest.raises(ValueError, match="^expected a spin tomogram$"):
+            measurement_star_map(off, unit, 1, grid)
 
 
 class TestTracePower:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,7 +156,8 @@ class TestSmallD:
             rotation_stack(1, betas, gammas)
 
     def test_rotation_stack_past_the_byte_budget_is_refused_before_any_d_matrix(self, monkeypatch):
-        # 100 frames at j = 2: a (100, 5, 5) complex stack of 40000 bytes
+        # 100 frames at j = 2: a (100, 5, 5) complex stack of 40000 bytes, counted with its
+        # one chunk's scratch of 4 * 16 * 5 * 6 bytes a frame, 232000 bytes in all
         betas, gammas = np.linspace(0.1, 3.0, 100), np.linspace(0.0, 6.0, 100)
         built = rotation_stack(2, betas, gammas)
 
@@ -163,17 +165,41 @@ class TestSmallD:
             raise AssertionError("built the d-matrices of a refused stack")
 
         monkeypatch.setattr(su2, "wigner_d_stack", builds)
-        monkeypatch.setitem(LIMITS, "bytes", 39_999)
-        message = "^the rotation stack of 100 frames at j = 2 would allocate about 4e-05 GB, above the budget of 4e-05 GB$"
+        monkeypatch.setitem(LIMITS, "bytes", 231_999)
+        message = "^the rotation stack of 100 frames at j = 2 would allocate about 0.000232 GB, above the budget of 0.000232 GB$"
         with pytest.raises(ValueError, match=message):
             rotation_stack(2, betas, gammas)
         with pytest.raises(ValueError, match=message):
             SpinFrames(2, betas, gammas).unitaries()
         # at the budget the stack is built as before
         monkeypatch.setattr(su2, "wigner_d_stack", wigner_d_stack)
-        monkeypatch.setitem(LIMITS, "bytes", 40_000)
+        monkeypatch.setitem(LIMITS, "bytes", 232_000)
         assert built.nbytes == 40_000
         assert np.array_equal(SpinFrames(2, betas, gammas).unitaries(), built.conj().swapaxes(1, 2))
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize(
+        "jt, frames, distinct", [(16, 1000, 1000), (16, 1000, 10), (40, 200, 200)],
+        ids=["distinct_j8", "repeated_j8", "distinct_j20"],
+    )
+    def test_rotation_stack_peak_is_within_its_count(self, jt, frames, distinct, monkeypatch):
+        # the traced peak, d-matrices and phases included, stays within the bytes that
+        # the budget check counts, and the stack itself is 16 F n^2 bytes
+        rng = np.random.default_rng(jt + distinct)
+        values = rng.uniform(0.0, np.pi, distinct)
+        betas = values if distinct == frames else rng.choice(values, frames)
+        gammas = rng.uniform(0.0, 2 * np.pi, frames)
+        counted = []
+        monkeypatch.setattr(su2, "_check_bytes", lambda nbytes, *args: counted.append(nbytes))
+        rotation_stack(HalfInt(jt), betas[:1], gammas[:1])  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            stack = rotation_stack(HalfInt(jt), betas, gammas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.nbytes == 16 * frames * (jt + 1) ** 2
+        assert peak <= counted[-1]
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
     def test_stack_matches_scalar_oracle(self, j, rng):

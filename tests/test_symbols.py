@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -482,3 +483,24 @@ class TestTomogramType:
     def test_labels_cannot_disagree_with_the_frames(self, frames, table, dims, message):
         with pytest.raises(ValueError, match=message):
             Tomogram(frames=frames, table=table, dims=dims)
+
+
+class TestRefusals:
+    """Refusals that no other test reaches, each through its public entry point."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SpinFrames(1, [0.1, 0.2], [0.3]), "frame angle arrays must be 1-d and of equal length"),
+            (lambda: SpinFrames(1, [0.1, np.nan], [0.3, 0.4]),
+             "frame angles must be finite numbers (found NaN or infinity)"),
+            (lambda: SpinFrames(1, [], []), "at least one frame is required"),
+            (lambda: unitary_tomogram(np.eye(2) / 2, [np.eye(2)]), "unitary_tomogram expects a DensityMatrix"),
+            (lambda: tomogram_marginal(spin_tomogram(maximally_mixed((2,)), grid_frames(0.5, make_grid(0.5))), [0]),
+             "marginals are defined for unitary tomograms"),
+        ],
+        ids=["unpaired_angles", "non_finite_angles", "no_frames", "not_a_state", "spin_marginal"],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -692,6 +692,11 @@ class TestGridBackedFrames:
             assert SpinFrames(j, betas + shift, gammas).grid is None
             assert SpinFrames(j, betas, gammas + shift).grid is None
         kept = np.arange(grid.n_nodes) != moved
+        if grid.n_nodes == 1:
+            # dropping the 1 x 1 grid's only node leaves no frame
+            with pytest.raises(ValueError, match="^at least one frame is required$"):
+                SpinFrames(j, betas[kept], gammas[kept])
+            return
         # dropping gamma = pi from the 1 x 2 grid leaves the 1 x 1 grid's one node (pi/2, 0)
         remainder = QuadratureGrid(1, 1) if (n_beta, n_gamma, moved) == (1, 2, 1) else None
         assert SpinFrames(j, betas[kept], gammas[kept]).grid == remainder
