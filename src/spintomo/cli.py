@@ -4,7 +4,8 @@ Subcommands: tomogram, reconstruct, star, channel, simplex-image, entropy,
 peres, evolve.  Inputs are validated before any computation runs; handlers
 return CSV text or a JSON object, which ``main`` serializes (refusing NaN and
 infinities) and writes atomically, so failed runs never leave partial files.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error or an ``--out`` that cannot be
+written (the message names that path), 3 numerical failure.
 
 Size flags (``--samples``, ``--n-frames``, ``--j`` with ``--oversample``) and
 the length of a ``--frames`` list are checked before any work: the bytes of
@@ -349,6 +350,7 @@ def main(argv=None) -> int:
         out = handler(args)
         # JSON has no NaN or infinity, so io.dumps refuses them (exit 2)
         text = out if isinstance(out, str) else io.dumps(out)
+        io.write_text_atomic(args.out, text)
     except InformationallyIncompleteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -357,7 +359,6 @@ def main(argv=None) -> int:
         # a MemoryError is a size flag too large for this machine (its text may be empty)
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    io.write_text_atomic(args.out, text)
     return 0
 
 

@@ -48,9 +48,7 @@ def evolve_tomogram(t0: Tomogram, h, t: float) -> Tomogram:
             "tomogram lacks its generating state; build it with unitary_tomogram or spin_tomogram"
         )
     state = evolve_state(t0.source_state, h, t)
-    evolved = Tomogram(t0.frames, t0.frames.symbols(state.mat), dims=t0.dims, source_state=state)
-    evolved.check_normalized()
-    return evolved
+    return Tomogram(t0.frames, t0.frames.symbols(state.mat), dims=t0.dims, source_state=state)
 
 
 def measure_update(rho: DensityMatrix, effect) -> tuple[DensityMatrix, float]:

@@ -35,10 +35,11 @@ class HalfInt:
         if isinstance(value, Real):
             if not math.isfinite(value):
                 raise ValueError(f"{value!r} is not a finite number")
-            doubled = 2.0 * float(value)
-            if doubled != round(doubled):
+            # read exactly, so that no doubling or rounding of a large float overflows
+            numerator, denominator = float(value).as_integer_ratio()
+            if denominator > 2:
                 raise ValueError(f"{value!r} is not an integer or half-integer")
-            return HalfInt(int(round(doubled)))
+            return HalfInt(2 * numerator // denominator)
         raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
     @property

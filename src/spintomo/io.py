@@ -17,8 +17,8 @@ import tempfile
 import numpy as np
 
 from .halfint import HalfInt
-from .linalg import DensityMatrix, _check_bytes
-from .symbols import SpinFrames, Tomogram
+from .linalg import DensityMatrix, _check_bytes, _require_finite
+from .symbols import SpinFrames, Tomogram, _real_table
 
 
 def fmt_float(x: float) -> str:
@@ -69,11 +69,6 @@ def _field(obj: dict, key: str, of: type = int, listed: int = 0):
         return np.asarray(value, dtype=float) if listed else float(value)
     except OverflowError:
         raise ValueError(f"field '{key}' holds an integer beyond the double range") from None
-
-
-def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} must be finite numbers (found NaN or infinity)")
 
 
 def matrix_from_obj(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -204,10 +199,14 @@ def read_json(path: str):
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write the fully rendered output, or nothing at all."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spintomo-")
+    """Write the fully rendered output, or nothing at all.
+
+    An OSError with a system reason is raised again, of its class, naming
+    ``path`` and not the temporary file: "cannot write {path}: {reason}".
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".spintomo-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         # mkstemp files are 0600; give the output ordinary umask-derived bits
@@ -215,9 +214,11 @@ def write_text_atomic(path: str, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise type(exc)(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 
@@ -230,14 +231,14 @@ def csv_text(header: list[str], rows) -> str:
 
 def tomogram_csv(t: Tomogram) -> str:
     """One row per frame: its angles (alpha 0, as in ``_frames_to_obj``) or its
-    index, then the real symbols over the outcomes."""
+    index, then the real symbols over the outcomes; a complex table is refused."""
     if t.kind == "spin":
         header = ["alpha", "beta", "gamma"] + [f"w_m{m.twice}" for m in t.outcomes]
         labels = [np.zeros(t.n_frames), t.frames.betas, t.frames.gammas]
     else:
         header = ["frame_index"] + ["w_" + "".join(str(i) for i in o) for o in t.outcomes]
         labels = [np.arange(t.n_frames)]
-    return csv_text(header, np.column_stack([*labels, t.table.real.T]).tolist())
+    return csv_text(header, np.column_stack([*labels, _real_table(t).T]).tolist())
 
 
 def simplex_sample_csv(sample) -> str:

@@ -35,6 +35,11 @@ and sum, with the product reading two distinct arrays (written in place
 over one of them, numpy takes its loop for overlapping operands, which
 rounds differently).  Drawing y into x's bytes with
 ``standard_normal(out=...)`` takes the same stream as a fresh array.
+
+The input rules that several modules share each have one home here:
+``_integers`` for integer sizes and indices, ``_subsystem_dims`` for
+subsystem dims and their product, ``_require_finite`` for finite entries
+and ``_check_bytes`` for the byte budget.
 """
 
 from __future__ import annotations
@@ -49,15 +54,17 @@ from .errors import LIMITS, check
 
 _BLOCK = 512  # frames per block of the frame kernels
 _SLAB = 128  # frames per transposed copy in frame_diagonals: the rows they span stay in cache
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_bytes(nbytes: float, what: str, *args) -> None:
     """Refuse ``what.format(*args)`` when its estimated ``nbytes`` exceed ``LIMITS["bytes"]`` (NaN refused).
 
-    The message is formatted only on refusal.
+    The message is formatted only on refusal; a count past the double range reads as inf GB.
     """
     message = what + " would allocate about {:.3g} GB, above the budget of {:.3g} GB"
-    check("bytes", nbytes, message, *args, nbytes / 1e9, LIMITS["bytes"] / 1e9)
+    gigabytes = math.inf if nbytes > _FLOAT_MAX else nbytes / 1e9
+    check("bytes", nbytes, message, *args, gigabytes, LIMITS["bytes"] / 1e9)
 
 
 def _blocks(count: int) -> list[slice]:
@@ -94,6 +101,12 @@ def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
     if least is not None and min(values, default=least) < least:
         raise ValueError(f"{what} {values} must each be at least {least}")
     return values
+
+
+def _require_finite(values, what: str) -> None:
+    """Refuse ``values`` unless every entry is finite: the one finiteness rule of inputs and tables."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite numbers (found NaN or infinity)")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -330,18 +343,21 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def _subsystem_dims(dims, n: int) -> tuple[int, ...]:
-    """Subsystem dimensions as a tuple of ints, each at least 1, of a space of dimension n.
+def _subsystem_dims(dims, n: int, what: str) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of ints, each at least 1, of the space ``what`` of dimension n.
 
-    Only None and () declare one system, (n,): dims=0 or False is refused,
-    not read as "none", and so is any other empty sequence ([] or an empty
-    array), which would declare no subsystem at all.
+    The one dims check: a product other than n is refused ("dims ... do not
+    multiply to {what} {n}").  Only None and () declare one system, (n,):
+    dims=0 or False is refused, not read as "none", and so is any other empty
+    sequence ([] or an empty array), which would declare no subsystem at all.
     """
     if dims is None or (isinstance(dims, tuple) and not dims):
         return (n,)
     values = _integers(dims, "dims", 1)
     if not values:
         raise ValueError(f"dims must list at least one subsystem size, got {dims!r}; None or () declare one system")
+    if math.prod(values) != n:
+        raise ValueError(f"dims {values} do not multiply to {what} {n}")
     return values
 
 
@@ -355,9 +371,7 @@ class DensityMatrix:
     def __post_init__(self):
         self.mat = as_matrix(self.mat)
         n = self.mat.shape[0]
-        self.dims = _subsystem_dims(self.dims, n)
-        if math.prod(self.dims) != n:
-            raise ValueError(f"dims {self.dims} do not multiply to dimension {n}")
+        self.dims = _subsystem_dims(self.dims, n, "dimension")
         check("state_hermitian", hermiticity_residual(self.mat), "density matrix is not Hermitian within 1e-12")
         tr = self.mat.trace()
         check("state_trace", max(abs(tr.real - 1.0), abs(tr.imag)), "density matrix trace differs from 1 beyond 1e-12")

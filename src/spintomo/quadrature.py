@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .halfint import spin
-from .linalg import _is_integer
+from .linalg import _FLOAT_MAX, _is_integer
 
 GROUP_VOLUME = 8.0 * np.pi**2
 
@@ -97,11 +97,12 @@ def make_grid(j, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
 def node_counts(j, oversample: float = DEFAULT_OVERSAMPLE) -> tuple[int, int]:
     """(N_beta, N_gamma) of ``make_grid(j, oversample)``, with its refusals, building no grid."""
     j = spin(j)
-    if not math.isfinite(oversample) or oversample <= 0:
+    if not 0 < oversample < math.inf:  # compared exactly: an integer oversample never overflows
         raise ValueError(f"oversample must be finite and positive, got {oversample}")
     two_j = j.twice
-    counts = (oversample * (two_j + 1), oversample * (2 * two_j + 1))
-    # an infinite count, or one past the largest array index, is no grid
+    # an infinite count, or one past the largest array index, is no grid; so is
+    # a 2j past the double range, whose float product would overflow
+    counts = (oversample * (two_j + 1), oversample * (2 * two_j + 1)) if two_j < _FLOAT_MAX / 2 else (math.inf,) * 2
     if not (counts[0] < _INDEX_MAX and counts[1] < _INDEX_MAX):
         raise ValueError(f"oversample {oversample} gives a node count beyond any array at j = {j}")
     return max(1, math.ceil(counts[0])), max(1, math.ceil(counts[1]))

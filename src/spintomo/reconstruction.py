@@ -18,10 +18,10 @@ import math
 
 import numpy as np
 
-from .errors import LIMITS, InformationallyIncompleteError, check
+from .errors import LIMITS, InformationallyIncompleteError
 from .linalg import DensityMatrix, hermitian_basis
 from .quadrature import QuadratureGrid
-from .symbols import QuantizerPair, Tomogram, _grid_transform
+from .symbols import QuantizerPair, Tomogram, _grid_transform, _real_table
 
 __all__ = [
     "infer_grid",
@@ -208,13 +208,6 @@ def reconstruction_residual(t: Tomogram, rho: DensityMatrix) -> float:
     if n != rho.dim:
         raise ValueError(f"frame shape {(n, n)} does not match state dimension {rho.dim}")
     return float(np.max(np.abs(t.frames.symbols(rho.mat).real - table)))
-
-
-def _real_table(t: Tomogram) -> np.ndarray:
-    """A tomogram's table, refused if complex beyond ``LIMITS["tomogram_real"]``; negative entries pass."""
-    imag = float(np.max(np.abs(t.table.imag)))
-    check("tomogram_real", imag, "tomogram has imaginary entries up to {:.3e}; a probability table is real", imag)
-    return t.table.real
 
 
 def intertwine(values, pair_from: QuantizerPair, pair_to: QuantizerPair) -> np.ndarray:

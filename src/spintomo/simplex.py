@@ -31,6 +31,7 @@ from .linalg import (
     _haar_scan,
     _hermitian_entries,
     _integers,
+    _require_finite,
     _resolve_keep,
     frame_diagonals,
     haar_unitaries,
@@ -218,8 +219,7 @@ def _two_qubit_point(point) -> np.ndarray:
     w = np.asarray(point, dtype=float)
     if w.shape != (4,):
         raise ValueError("expected a 4-outcome simplex point")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("simplex point entries must be finite numbers (found NaN or infinity)")
+    _require_finite(w, "simplex point entries")
     return w
 
 

@@ -52,6 +52,7 @@ from .symbols import (
     EulerAngles,
     Tomogram,
     _grid_transform,
+    _real_if_real,
     dequantizer_U,
     quantizer_D,
 )
@@ -167,11 +168,6 @@ def symbol_trace(t: Tomogram, j, grid: QuadratureGrid) -> complex:
     transform = _grid_transform(j, grid, t)
     # Tr D(m, x) = sum_m' Q[m', m] = 1/(8 pi^2): of the couplings L, only L = 0 has a trace
     return complex(transform.weights @ t.table.sum(axis=0) / GROUP_VOLUME)
-
-
-def _real_if_real(table: np.ndarray) -> np.ndarray:
-    """``table`` itself when an entry has a nonzero imaginary part, else its real view."""
-    return table if np.count_nonzero(table.imag) else table.real
 
 
 def trace_product(fa: Tomogram, fb: Tomogram, j, grid: QuadratureGrid) -> complex:

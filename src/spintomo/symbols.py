@@ -21,11 +21,16 @@ grid symbols checks all of its tomograms in one ``_grid_transform`` call.
 ``EulerAngles`` is the single rotation that the reference operators
 ``dequantizer_U`` and ``quantizer_D`` take, each one rotation matrix applied
 by covariance to its operator at the identity.
+
+A ``Tomogram`` built from a state (``source_state`` set) checks its frame
+sums on construction, so every builder from a state ends in ``Tomogram``.
+Beside it sit the two readers of real tables: ``_real_if_real`` takes a
+table with no imaginary part as real, and ``_real_table`` refuses a complex
+one.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -38,6 +43,7 @@ from .linalg import (
     DensityMatrix,
     _check_bytes,
     _integers,
+    _require_finite,
     _resolve_keep,
     _subsystem_dims,
     frame_diagonals,
@@ -80,8 +86,7 @@ class SpinFrames:
         self.betas, self.gammas = np.array(betas, dtype=float), np.array(gammas, dtype=float)
         if not self.betas.ndim == 1 or not self.betas.shape == self.gammas.shape:
             raise ValueError("frame angle arrays must be 1-d and of equal length")
-        if not np.all(np.isfinite([self.betas, self.gammas])):
-            raise ValueError("frame angles must be finite numbers (found NaN or infinity)")
+        _require_finite([self.betas, self.gammas], "frame angles")
         if not self.betas.size:
             raise ValueError("at least one frame is required")
         for angles in (self.betas, self.gammas):
@@ -385,8 +390,9 @@ class SpinTransform:
         w = np.asarray(w)
         if w.shape != (n, self.weights.size):
             raise ValueError(f"symbol table shape {w.shape} is not ({n}, {self.weights.size}) outcomes x nodes")
-        is_complex = w.dtype.kind == "c" and np.count_nonzero(w.imag) > 0
-        c = (self._quantizer @ (w if is_complex else w.real)) * self.weights
+        w = _real_if_real(w)
+        is_complex = w.dtype.kind == "c"
+        c = (self._quantizer @ w) * self.weights
         # rows (beta, m); a complex table enters as (re, im) pairs of columns
         c = np.ascontiguousarray(c.reshape(n, -1, n_gamma).swapaxes(0, 1)).reshape(-1, n_gamma)
         s = (self._table.T @ (c.view(float) if is_complex else c)).reshape(len(self._cos), n_gamma, -1)
@@ -444,7 +450,8 @@ class Tomogram:
     ``UnitaryFrames`` a "unitary" one over the index tuples of ``dims``, which
     default to the frame size and must multiply to it.  Any other ``frames``
     are read as unitary frames by ``UnitaryFrames.of``, once on construction.
-    The table must be finite; it is stored complex so symbols of arbitrary
+    The table must be finite, and must sum to 1 per frame when a
+    ``source_state`` is given; it is stored complex so symbols of arbitrary
     observables are representable.  ``values`` exposes the probability view
     and raises if the data is not a clean probability table, while
     ``observable_values`` returns the raw complex table.
@@ -459,21 +466,20 @@ class Tomogram:
         self.table = np.asarray(self.table, dtype=complex)
         if self.table.ndim != 2:
             raise ValueError(f"tomogram table must be 2-d (outcomes x frames), got shape {self.table.shape}")
-        if not np.isfinite(self.table).all():
-            raise ValueError("tomogram table entries must be finite numbers (found NaN or infinity)")
+        _require_finite(self.table, "tomogram table entries")
         if not isinstance(self.frames, (SpinFrames, UnitaryFrames)):
             self.frames = UnitaryFrames.of(self.frames, self.table.shape[0])
         n = self.frames.dim
         if self.kind == "spin" and self.dims is not None:
             raise ValueError("dims apply to unitary tomograms only")
         elif self.kind == "unitary":
-            self.dims = _subsystem_dims(self.dims, n)
-            if math.prod(self.dims) != n:
-                raise ValueError(f"dims {self.dims} do not multiply to the frame size {n}")
+            self.dims = _subsystem_dims(self.dims, n, "the frame size")
         if self.table.shape != (n, len(self.frames)):
             raise ValueError(
                 f"table shape {self.table.shape} does not match {n} outcomes x {len(self.frames)} frames"
             )
+        if self.source_state is not None:
+            self.check_normalized()
 
     @property
     def kind(self) -> str:
@@ -522,6 +528,18 @@ class Tomogram:
         check("tomogram_sum", res, "tomogram not normalized per frame (residual {:.3e})", res)
 
 
+def _real_if_real(table: np.ndarray) -> np.ndarray:
+    """``table`` itself when an entry has a nonzero imaginary part, else its real view."""
+    return table if np.count_nonzero(table.imag) else table.real
+
+
+def _real_table(t: Tomogram) -> np.ndarray:
+    """A tomogram's table, refused if complex beyond ``LIMITS["tomogram_real"]``; negative entries pass."""
+    imag = float(np.max(np.abs(t.table.imag)))
+    check("tomogram_real", imag, "tomogram has imaginary entries up to {:.3e}; a probability table is real", imag)
+    return t.table.real
+
+
 def dequantizer_U(j, m, omega: EulerAngles) -> np.ndarray:
     """Rotated projector R(g)^dag |j m><j m| R(g); rank one, unit trace."""
     j, m = HalfInt.of(j), HalfInt.of(m)
@@ -546,21 +564,17 @@ def spin_tomogram(a, frames) -> Tomogram:
 
     ``frames`` is a ``SpinFrames`` set, and the table is its ``symbols(a)``.
     ``a`` may be a plain finite matrix (observable) or a DensityMatrix, in
-    which case per-frame normalization is verified.
+    which case the ``Tomogram`` verifies per-frame normalization.
     """
     is_state = isinstance(a, DensityMatrix)
     mat = a.mat if is_state else np.asarray(a, dtype=complex)
-    if not np.isfinite(mat).all():
-        raise ValueError("operator entries must be finite numbers (found NaN or infinity)")
+    _require_finite(mat, "operator entries")
     if not isinstance(frames, SpinFrames):
         raise ValueError(f"spin frames must be a SpinFrames set of angle arrays, got {type(frames).__name__}")
     n = frames.dim
     if mat.shape != (n, n):
         raise ValueError(f"operator shape {mat.shape} does not match 2j+1={n}")
-    t = Tomogram(frames, frames.symbols(mat), source_state=a if is_state else None)
-    if is_state:
-        t.check_normalized()
-    return t
+    return Tomogram(frames, frames.symbols(mat), source_state=a if is_state else None)
 
 
 def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
@@ -573,9 +587,7 @@ def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
     if not isinstance(rho, DensityMatrix):
         raise ValueError("unitary_tomogram expects a DensityMatrix")
     frames = UnitaryFrames.of(frames, rho.dim)
-    t = Tomogram(frames, frames.symbols(rho.mat), dims=rho.dims, source_state=rho)
-    t.check_normalized()
-    return t
+    return Tomogram(frames, frames.symbols(rho.mat), dims=rho.dims, source_state=rho)
 
 
 def tomogram_marginal(t: Tomogram, keep) -> Tomogram:

@@ -1105,13 +1105,15 @@ class TestRefusals:
             (["tomogram", "--state", "{qubit}", "--frames", "{not_a_list}"],
              "frames file must contain a JSON list of frame objects"),
             (["tomogram", "--state", "{bell}", "--j", "0.5"], "state dimension 4 does not match 2j+1"),
+            # read exactly, not doubled in float: a spin past the double range is an ordinary spin
+            (["tomogram", "--state", "{qubit}", "--j", "1e308"], "state dimension 2 does not match 2j+1"),
             (["tomogram", "--state", "{qubit}"], "tomogram needs --frames, --n-frames, or --j"),
             (["star", "--tomogram", "{qubit}"], "star needs exactly two --tomogram files"),
             (["simplex-image", "--state", "{qubit}", "--samples", "0"], "--samples must be positive"),
             (["peres", "--state", "{bell}", "--samples", "0"], "--samples must be positive"),
             (["entropy", "--state", "{qubit}", "--samples", "1"], "--samples must be at least 2"),
         ],
-        ids=["bad_dims", "frames_not_a_list", "j_of_other_dim", "no_source", "one_star_file",
+        ids=["bad_dims", "frames_not_a_list", "j_of_other_dim", "j_past_the_double_range", "no_source", "one_star_file",
              "simplex_no_samples", "peres_no_samples", "entropy_one_sample"],
     )
     def test_refusal_exits_2(self, workdir, capsys, argv, message):
@@ -1123,3 +1125,26 @@ class TestRefusals:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An ``--out`` that cannot be written: exit code 2, one error line that names it,
+    and neither an output nor a temporary file left behind."""
+
+    def test_missing_directory(self, workdir, capsys):
+        tmp, paths = workdir
+        before, out = sorted(tmp.iterdir()), tmp / "missing" / "x.json"
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--n-frames", "3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+        assert sorted(tmp.iterdir()) == before
+
+    def test_a_directory(self, workdir, capsys):
+        tmp, paths = workdir
+        out = tmp / "dir"
+        out.mkdir()
+        before = sorted(tmp.iterdir())
+        rc = main(["tomogram", "--state", str(paths["qubit"]), "--n-frames", "3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+        assert sorted(tmp.iterdir()) == before and not any(out.iterdir())

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from spintomo.halfint import HalfInt, spin, spin_range
@@ -32,6 +34,16 @@ def test_rejects_a_bool(value):
 def test_rejects_non_finite_reals(value):
     with pytest.raises(ValueError, match=f"{value!r} is not a finite number"):
         HalfInt.of(value)
+
+
+@pytest.mark.parametrize(
+    "value, twice",
+    [(1e308, 2 * int(1e308)), (-1e308, -2 * int(1e308)), (sys.float_info.max, 2 * int(sys.float_info.max)),
+     (2.0**51 + 0.5, 2**52 + 1)],
+)
+def test_a_float_is_read_exactly(value, twice):
+    # 2.0 * 1e308 overflows a float, and 2**51 + 1/2 keeps its half in the float's last bit
+    assert HalfInt.of(value).twice == twice
 
 
 def test_arithmetic_is_exact():

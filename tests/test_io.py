@@ -12,7 +12,7 @@ from spintomo.linalg import DensityMatrix, frame_diagonals, haar_unitaries, kron
 from spintomo.quadrature import make_grid
 from spintomo.simplex import GroupSpec, image_sample
 from spintomo.states import werner_state
-from spintomo.symbols import SpinFrames, grid_frames, spin_tomogram, unitary_tomogram
+from spintomo.symbols import SpinFrames, Tomogram, UnitaryFrames, grid_frames, spin_tomogram, unitary_tomogram
 
 
 class TestMatrixSchema:
@@ -202,6 +202,14 @@ class TestTomogramCsv:
         product = unitary_tomogram(DensityMatrix(np.diag([0.5, 0.25, 0.125, 0.125]), (2, 2)), [np.eye(4)])
         assert io.tomogram_csv(product) == "frame_index,w_00,w_01,w_10,w_11\n0,0.5,0.25,0.125,0.125\n"
 
+    def test_a_complex_table_is_refused(self):
+        # CSV has no column for imaginary parts, so they are refused, not dropped; JSON keeps them
+        t = Tomogram(UnitaryFrames(np.eye(2)[None]), [[0.5 + 0.3j], [0.5 - 0.3j]])
+        message = r"^tomogram has imaginary entries up to 3\.000e-01; a probability table is real$"
+        with pytest.raises(ValueError, match=message):
+            io.tomogram_csv(t)
+        assert io.tomogram_to_obj(t)["values_im"] == [[0.3], [-0.3]]
+
 
 class TestFormatting:
     def test_seventeen_significant_digits(self):
@@ -275,4 +283,11 @@ class TestRefusals:
         monkeypatch.setattr(io.os, "replace", refuse)
         with pytest.raises(OSError, match="^replace refused$"):
             io.write_text_atomic(str(tmp_path / "out.json"), "{}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_system_error_names_the_output_path(self, tmp_path):
+        # the error keeps its class and names the path asked for, not the temporary file
+        out = tmp_path / "missing" / "out.json"
+        with pytest.raises(FileNotFoundError, match=f"^cannot write {re.escape(str(out))}: No such file or directory$"):
+            io.write_text_atomic(str(out), "{}")
         assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,111 @@
+"""Each input rule has one home in ``src/``, and a state's table is checked where it is made.
+
+Every table and input is finite, its subsystem dims multiply to the space, a
+state's table sums to 1 per frame, and a probability table is real.  An AST
+scan of ``src/`` finds each rule's refusal text raised, its check called, or
+its helper defined in one place only; a behaviour test drives the frame-sum
+check through ``Tomogram`` itself.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spintomo.linalg import DensityMatrix
+from spintomo.symbols import SpinFrames, Tomogram, UnitaryFrames
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spintomo"
+
+
+def _nodes():
+    """(file name, enclosing function as Class.function or None, node) for every AST node of ``src/``."""
+    found = []
+
+    def visit(node, name, where, classes):
+        for child in ast.iter_child_nodes(node):
+            found.append((name, where, child))
+            if isinstance(child, ast.ClassDef):
+                visit(child, name, where, classes + (child.name,))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, name, ".".join(classes + (child.name,)), classes)
+            else:
+                visit(child, name, where, classes)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None, ())
+    return found
+
+
+NODES = _nodes()
+
+
+def _raised_with(text: str) -> set:
+    """Where a ``raise`` holds a string literal containing ``text``."""
+    return {
+        (name, where)
+        for name, where, node in NODES
+        if isinstance(node, ast.Raise)
+        and any(isinstance(c, ast.Constant) and text in str(c.value) for c in ast.walk(node))
+    }
+
+
+def _calls(attr: str) -> set:
+    """Where a call of ``attr``, by name or as an attribute, is made."""
+    return {
+        (name, where)
+        for name, where, node in NODES
+        if isinstance(node, ast.Call) and attr in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_one_finiteness_check():
+    assert _raised_with("(found NaN or infinity)") == {("linalg.py", "_require_finite")}
+    assert _calls("_require_finite") == {
+        ("symbols.py", "SpinFrames.__init__"),
+        ("symbols.py", "Tomogram.__post_init__"),
+        ("symbols.py", "spin_tomogram"),
+        ("simplex.py", "_two_qubit_point"),
+        ("io.py", "matrix_from_obj"),
+        ("io.py", "_spin_frames_from_obj"),
+    }
+
+
+def test_one_dims_check():
+    # io reads a file's dims before any state exists, so its refusal names the file's field
+    assert _raised_with("do not multiply to") == {("linalg.py", "_subsystem_dims"), ("io.py", "matrix_from_obj")}
+    assert _calls("_subsystem_dims") == {
+        ("linalg.py", "DensityMatrix.__post_init__"),
+        ("symbols.py", "Tomogram.__post_init__"),
+    }
+
+
+def test_frame_sums_checked_where_a_state_table_is_made():
+    # a file's table has no state, so the least-squares estimate checks it itself
+    assert _calls("check_normalized") == {
+        ("symbols.py", "Tomogram.__post_init__"),
+        ("reconstruction.py", "reconstruct_from_unitary_frame"),
+    }
+
+
+@pytest.mark.parametrize("helper", ["_real_if_real", "_real_table"])
+def test_one_home_for_real_tables(helper):
+    # defined once, at the top level of symbols.py, beside Tomogram
+    defined = [(name, where) for name, where, node in NODES
+               if isinstance(node, ast.FunctionDef) and node.name == helper]
+    assert defined == [("symbols.py", None)]
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [UnitaryFrames(np.eye(2)[None]), SpinFrames(0.5, [0.0], [0.0])],
+    ids=["unitary", "spin"],
+)
+def test_a_state_table_off_its_frame_sums_is_refused_at_construction(frames):
+    rho = DensityMatrix(np.diag([0.75, 0.25]))
+    table = [[0.751], [0.25]]
+    with pytest.raises(ValueError, match=r"^tomogram not normalized per frame \(residual 1\.000e-03\)$"):
+        Tomogram(frames, table, source_state=rho)
+    # with no state the table may be an observable's, and is kept as given
+    assert np.array_equal(Tomogram(frames, table).table, np.array(table, dtype=complex))

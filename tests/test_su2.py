@@ -177,6 +177,12 @@ class TestSmallD:
         assert built.nbytes == 40_000
         assert np.array_equal(SpinFrames(2, betas, gammas).unitaries(), built.conj().swapaxes(1, 2))
 
+    def test_rotation_stack_past_the_double_range_is_refused(self):
+        # 16 F (2j+1)^2 bytes at 2j = 10^200 has no float, so the estimate reads as inf GB
+        message = r" would allocate about inf GB, above the budget of 1\.07 GB$"
+        with pytest.raises(ValueError, match=message):
+            SpinFrames(HalfInt(10**200), [0.1], [0.2]).unitaries()
+
     @pytest.mark.memory
     @pytest.mark.parametrize(
         "jt, frames, distinct", [(16, 1000, 1000), (16, 1000, 10), (40, 200, 200)],

@@ -18,7 +18,7 @@ from spintomo.channels import KrausChannel, apply_kraus, channel_propagator, kra
 from spintomo.errors import LIMITS
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import haar_unitaries, random_density
-from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid, make_grid
+from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid, make_grid, node_counts
 from spintomo.reconstruction import reconstruct_operator
 from spintomo.star import star_compose, star_grid, symbol_trace, trace_power, trace_product
 from spintomo.su2 import clebsch_gordan, rotation_matrix
@@ -135,6 +135,16 @@ class TestMinimalGrid:
         for jt in range(121):
             grid = make_grid(HalfInt(jt))
             assert (grid.n_beta, grid.n_gamma, grid.exactness_degree) == (jt + 1, 2 * jt + 1, jt)
+
+    @pytest.mark.parametrize("j", [10**400, HalfInt(10**400), 1e308], ids=["int", "halfint", "float"])
+    def test_a_spin_past_the_double_range_is_refused(self, j):
+        # 2j + 1 has no float, so its count is infinite: a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match="^oversample 1.0 gives a node count beyond any array at j = "):
+            node_counts(j)
+
+    def test_an_integer_oversample_past_the_double_range_is_refused(self):
+        with pytest.raises(ValueError, match=f"^oversample {10**400} gives a node count beyond any array at j = 1$"):
+            node_counts(1, 10**400)
 
     @settings(max_examples=25, deadline=None)
     @given(jt=st.integers(min_value=0, max_value=40), seed=st.integers(min_value=0, max_value=2**31))
