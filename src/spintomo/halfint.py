@@ -2,14 +2,18 @@
 
 Spins and magnetic numbers are stored as twice their value in an ``int``, so
 index arithmetic like ``j - m`` or ``2*j + 1`` is exact and never touches
-floating point.
+floating point.  ``HalfInt.of`` reads an integer or a ``Fraction`` from its
+own numerator and denominator and a float from its exact ratio, so no value
+overflows on the way in.  ``spin`` is the one reader of a spin quantum number
+in the package: every function that takes a spin j calls it, and only this
+module calls ``HalfInt.of(j)`` itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral, Rational, Real
 
 
 @dataclass(frozen=True, order=True)
@@ -25,22 +29,27 @@ class HalfInt:
 
     @staticmethod
     def of(value) -> "HalfInt":
-        """Coerce an int, an exact multiple of 1/2, or a HalfInt; a bool, NaN and infinities are refused."""
+        """Coerce a HalfInt, or an int, Rational or float that is an exact multiple of 1/2.
+
+        A bool, NaN and infinities are refused.
+        """
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, bool):
             raise ValueError(f"{value!r} is a bool, not an integer or half-integer")
-        if isinstance(value, Integral):
-            return HalfInt(2 * int(value))
-        if isinstance(value, Real):
+        if isinstance(value, Rational):
+            # an integer or a fraction is read from its own terms, with no float to overflow
+            numerator, denominator = int(value.numerator), int(value.denominator)
+        elif isinstance(value, Real):
             if not math.isfinite(value):
                 raise ValueError(f"{value!r} is not a finite number")
             # read exactly, so that no doubling or rounding of a large float overflows
             numerator, denominator = float(value).as_integer_ratio()
-            if denominator > 2:
-                raise ValueError(f"{value!r} is not an integer or half-integer")
-            return HalfInt(2 * numerator // denominator)
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
+        else:
+            raise TypeError(f"cannot interpret {value!r} as a half-integer")
+        if denominator > 2:
+            raise ValueError(f"{value!r} is not an integer or half-integer")
+        return HalfInt(2 * numerator // denominator)
 
     @property
     def is_integer(self) -> bool:

@@ -1,9 +1,10 @@
 """JSON and CSV serialization for matrices, states and tomograms.
 
 Matrix schema: {"dim": n, "dims": [n1, ...], "re": [...], "im": [...]} with
-row-major flat entry lists.  Tomogram schema carries either "j_twice" with
-Euler-angle frames or "dims" with unitary/product frames, and "outcomes" that
-must be the labels these imply.  All writers are
+row-major flat entry lists; "dims" is read by ``linalg._subsystem_dims``, so
+its product is exact and each size at least 1.  Tomogram schema carries
+either "j_twice" with Euler-angle frames or "dims" with unitary/product
+frames, and "outcomes" that must be the labels these imply.  All writers are
 deterministic: fixed key order, repr-based floats, 17 significant digits in
 CSV.
 """
@@ -17,7 +18,7 @@ import tempfile
 import numpy as np
 
 from .halfint import HalfInt
-from .linalg import DensityMatrix, _check_bytes, _require_finite
+from .linalg import DensityMatrix, _check_bytes, _require_finite, _subsystem_dims
 from .symbols import SpinFrames, Tomogram, _real_table
 
 
@@ -83,9 +84,7 @@ def matrix_from_obj(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
         raise ValueError(f"matrix entry lists must have length dim^2 = {n * n}")
     _require_finite(np.stack([re, im]), "matrix entries")
     mat = (re + 1j * im).reshape(n, n)
-    dims = tuple(_field(obj, "dims", listed=1)) if "dims" in obj else None
-    if dims is not None and int(np.prod(dims)) != n:
-        raise ValueError(f"dims {dims} do not multiply to dim {n}")
+    dims = _subsystem_dims(_field(obj, "dims", listed=1), n, "dim") if "dims" in obj else None
     return mat, dims
 
 
@@ -95,7 +94,7 @@ def density_to_obj(rho: DensityMatrix) -> dict:
 
 def density_from_obj(obj, dims=None) -> DensityMatrix:
     mat, file_dims = matrix_from_obj(obj)
-    return DensityMatrix(mat, dims or file_dims or (mat.shape[0],))
+    return DensityMatrix(mat, dims or file_dims)
 
 
 def frame_from_obj(obj):

@@ -424,7 +424,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     ket = [k if k not in keep else n_sub + k for k in range(n_sub)]
     out = [k for k in keep] + [n_sub + k for k in keep]
     reduced = np.einsum(tensor, bra + ket, out)
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod(dims[k] for k in keep)
     return DensityMatrix(
         reduced.reshape(d_keep, d_keep), tuple(dims[k] for k in keep)
     )

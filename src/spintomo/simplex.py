@@ -16,6 +16,7 @@ closed form and its Haar draws measure the share of frames that detect.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -68,10 +69,10 @@ class GroupSpec:
     def resolve(self, dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(factor_dims, active indices) validated against the state dims."""
         if self.kind == "full":
-            n = int(np.prod(dims))
+            n = math.prod(dims)
             return (n,), (0,)
         factors = self.factor_dims or dims
-        if int(np.prod(factors)) != int(np.prod(dims)):
+        if math.prod(factors) != math.prod(dims):
             raise ValueError(f"factor dims {factors} do not match state dimension")
         return factors, _resolve_keep(factors, range(len(factors)) if self.active is None else self.active)
 
@@ -164,7 +165,7 @@ def _jacobian(sigma: np.ndarray, factors: tuple[int, ...], active: tuple[int, ..
     sizes = [factors[a] ** 2 for a in active]
     jac = np.full((sum(sizes), p, n), -0.0)
     for a, part in zip(active, np.split(jac, np.cumsum(sizes)[:-1])):
-        d, left, right = factors[a], int(np.prod(factors[:a])), int(np.prod(factors[a + 1 :]))
+        d, left, right = factors[a], math.prod(factors[:a]), math.prod(factors[a + 1 :])
         blocks = np.einsum("plxrlyr->plrxy", sigma.reshape(p, left, d, right, left, d, right))
         k, row, col, value = _hermitian_entries(d)
         part = part.reshape(d * d, p, left, d, right)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import check
-from .linalg import DensityMatrix, _integers, kron_all
+from .linalg import DensityMatrix, _check_bytes, _integers, kron_all
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -25,7 +27,8 @@ def pure_state(vec, dims=None) -> DensityMatrix:
 
 def maximally_mixed(dims) -> DensityMatrix:
     dims = _integers(dims, "dims", 1)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
+    _check_bytes(16 * n * n, "the maximally mixed state of dimension {}", n)
     return DensityMatrix(np.eye(n, dtype=complex) / n, dims)
 
 

@@ -13,11 +13,14 @@ Conventions
 * Matrix bases are ordered m = j, j-1, ..., -j (row index i maps to m = j - i).
 
 d-matrices come from one eigendecomposition of J2 (unitary to rounding at
-any j); the scalar ``wigner_small_d`` is an entry of that matrix.  Angles
-must be finite.  Racah's alternating sums are evaluated in Python integers
-(Johansson & Forssen, SIAM J. Sci. Comput. 38, A376, 2016), so each
-coupling coefficient is the square root of its exact square rounded once,
-and no digits cancel at any spin.
+any j); the scalar ``wigner_small_d`` is an entry of that matrix.  Every
+kernel reads its spin through ``halfint.spin``, so a negative j is refused
+before any array is sized, and its angles through ``linalg._require_finite``
+("beta angles must be finite numbers (found NaN or infinity)").  Racah's
+alternating sums are evaluated in Python integers (Johansson & Forssen,
+SIAM J. Sci. Comput. 38, A376, 2016), so each coupling coefficient is the
+square root of its exact square rounded once, and no digits cancel at any
+spin.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import factorial
 import numpy as np
 
 from .halfint import HalfInt, spin
-from .linalg import _check_bytes
+from .linalg import _check_bytes, _require_finite
 
 
 def _check_jm_pair(j: HalfInt, m: HalfInt) -> None:
@@ -38,14 +41,6 @@ def _check_jm_pair(j: HalfInt, m: HalfInt) -> None:
         raise ValueError(f"m={m} is not of the form j-k for j={j}")
     if abs(m.twice) > j.twice:
         raise ValueError(f"|m|={abs(m)} exceeds j={j}")
-
-
-def _check_finite(name: str, angles) -> np.ndarray:
-    """``angles`` as a float array, refused unless every entry is finite."""
-    angles = np.asarray(angles, dtype=float)
-    if not np.isfinite(angles).all():
-        raise ValueError(f"{name} must be finite, got {angles}")
-    return angles
 
 
 def _magnetic_numbers(j: HalfInt) -> np.ndarray:
@@ -63,7 +58,7 @@ def wigner_d_stack(j, betas) -> np.ndarray:
     d(0) is exactly the identity.
     """
     j = spin(j)
-    betas = _check_finite("beta", betas)
+    _require_finite(betas, "beta angles")
     ms = _magnetic_numbers(j)
     jp = np.diag(np.sqrt(float(j) * (float(j) + 1.0) - ms[1:] * (ms[1:] + 1.0)), k=1)
     _, vecs = np.linalg.eigh((jp - jp.T) / 2j)
@@ -83,7 +78,7 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
     temporaries and its phases are held beside the stack.  The byte budget
     check counts the stack and that scratch, before any d-matrix is built.
     """
-    j = HalfInt.of(j)
+    j = spin(j)
     betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
     if betas.ndim != 1 or betas.shape != gammas.shape:
         raise ValueError("frame angle arrays must be 1-d and of equal length")
@@ -94,7 +89,7 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
     step = max(64, 2**20 // (16 * n * n))
     _check_bytes(16 * n * (n * betas.size + 4 * (n + 1) * min(betas.size, step)),
                  "the rotation stack of {} frames at j = {}", betas.size, j)
-    gammas = _check_finite("gamma", gammas)
+    _require_finite(gammas, "gamma angles")
     stack = np.empty((betas.size, n, n), dtype=complex)
     for rows in (slice(start, start + step) for start in range(0, betas.size, step)):
         unique, index = np.unique(betas[rows], return_inverse=True)
@@ -110,7 +105,7 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
 
 def wigner_small_d(j, m1, m2, beta: float) -> float:
     """Rotation matrix element d^j_{m1 m2}(beta) about the y axis, an entry of ``wigner_d_matrix``."""
-    j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
+    j, m1, m2 = spin(j), HalfInt.of(m1), HalfInt.of(m2)
     _check_jm_pair(j, m1)
     _check_jm_pair(j, m2)
     return float(wigner_d_matrix(j, beta)[(j.twice - m1.twice) // 2, (j.twice - m2.twice) // 2])
@@ -118,16 +113,16 @@ def wigner_small_d(j, m1, m2, beta: float) -> float:
 
 def wigner_D(j, m1, m2, alpha: float, beta: float, gamma: float) -> complex:
     """D^j_{m1 m2}(alpha, beta, gamma) = e^{-i m1 alpha} d^j_{m1 m2}(beta) e^{-i m2 gamma}."""
-    j, m1, m2 = HalfInt.of(j), HalfInt.of(m1), HalfInt.of(m2)
-    _check_finite("alpha and gamma", (alpha, gamma))
+    j, m1, m2 = spin(j), HalfInt.of(m1), HalfInt.of(m2)
+    _require_finite((alpha, gamma), "alpha and gamma angles")
     d = wigner_small_d(j, m1, m2, beta)
     return np.exp(-1j * (float(m1) * alpha + float(m2) * gamma)) * d
 
 
 def rotation_matrix(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Matrix of R(alpha, beta, gamma) in the spin-j representation."""
-    _check_finite("alpha", alpha)
-    phases = np.exp(-1j * alpha * _magnetic_numbers(HalfInt.of(j)))
+    _require_finite(alpha, "alpha angles")
+    phases = np.exp(-1j * alpha * _magnetic_numbers(spin(j)))
     return phases[:, None] * rotation_stack(j, [beta], [gamma])[0]
 
 

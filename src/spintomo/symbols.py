@@ -296,7 +296,7 @@ class SpinTransform:
     """
 
     def __init__(self, j, grid: QuadratureGrid):
-        self.j = HalfInt.of(j)
+        self.j = spin(j)
         n = self.j.twice + 1
         _check_bytes(_transform_bytes(n, grid.n_beta, grid.n_gamma),
                      "the spin transform at j = {} on {}", self.j, grid)
@@ -325,7 +325,7 @@ class SpinTransform:
         The cache is keyed on 2j and the grid's node counts, so equal grids
         share one transform.
         """
-        key = (HalfInt.of(j).twice, grid.n_beta, grid.n_gamma)
+        key = (spin(j).twice, grid.n_beta, grid.n_gamma)
         if key not in _TRANSFORMS:
             _TRANSFORMS[key] = cls(j, grid)
             _TRANSFORMS.trim()
@@ -437,7 +437,7 @@ def _grid_transform(j, grid: QuadratureGrid, *tomograms: Tomogram) -> SpinTransf
     for t in tomograms:
         if t.kind != "spin":
             raise ValueError("expected a spin tomogram")
-        if not (t.frames.j == HalfInt.of(j) and t.frames.grid == grid):
+        if not (t.frames.j == spin(j) and t.frames.grid == grid):
             raise ValueError("tomogram frames do not coincide with the grid nodes")
     return SpinTransform.on_grid(j, grid)
 
@@ -542,7 +542,7 @@ def _real_table(t: Tomogram) -> np.ndarray:
 
 def dequantizer_U(j, m, omega: EulerAngles) -> np.ndarray:
     """Rotated projector R(g)^dag |j m><j m| R(g); rank one, unit trace."""
-    j, m = HalfInt.of(j), HalfInt.of(m)
+    j, m = spin(j), HalfInt.of(m)
     _check_jm_pair(j, m)
     r = rotation_matrix(j, omega.alpha, omega.beta, omega.gamma)
     k = (j.twice - m.twice) // 2
@@ -552,7 +552,7 @@ def dequantizer_U(j, m, omega: EulerAngles) -> np.ndarray:
 
 def quantizer_D(j, m, omega: EulerAngles) -> np.ndarray:
     """Quantizer R(g)^dag diag(Q[:, m]) R(g), the covariant image of D(m, e)."""
-    j, m = HalfInt.of(j), HalfInt.of(m)
+    j, m = spin(j), HalfInt.of(m)
     _check_jm_pair(j, m)
     r = rotation_matrix(j, omega.alpha, omega.beta, omega.gamma)
     k = (j.twice - m.twice) // 2
@@ -629,7 +629,7 @@ class QuantizerPair:
     @classmethod
     def spin(cls, j, grid: QuadratureGrid) -> "QuantizerPair":
         """Spin-j pair on a rotation-group grid."""
-        j = HalfInt.of(j)
+        j = spin(j)
         return cls(dim=j.twice + 1, transform=SpinTransform.on_grid(j, grid))
 
     @classmethod

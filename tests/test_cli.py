@@ -1126,6 +1126,28 @@ class TestRefusals:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tomogram", "--state", "{wrapping}", "--n-frames", "3"],
+             "dims (3, 6148914691236517206) do not multiply to dim 2"),
+            (["simplex-image", "--state", "{qubit}", "--group", "product", "--factors", "3,6148914691236517206"],
+             "factor dims (3, 6148914691236517206) do not match state dimension"),
+        ],
+        ids=["state_dims", "group_factors"],
+    )
+    def test_a_dims_product_past_int64_exits_2(self, workdir, capsys, argv, message):
+        # 3 * 6148914691236517206 = 2**64 + 2, which int64 arithmetic wraps to 2
+        tmp, paths = workdir
+        paths["wrapping"] = tmp / "wrapping.json"
+        state = dict(json.loads(paths["qubit"].read_text()), dims=[3, 6148914691236517206])
+        paths["wrapping"].write_text(json.dumps(state))
+        out = tmp / "never.json"
+        rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestUnwritableOutput:
     """An ``--out`` that cannot be written: exit code 2, one error line that names it,

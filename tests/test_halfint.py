@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,16 @@ def test_rejects_non_finite_reals(value):
 def test_a_float_is_read_exactly(value, twice):
     # 2.0 * 1e308 overflows a float, and 2**51 + 1/2 keeps its half in the float's last bit
     assert HalfInt.of(value).twice == twice
+
+
+def test_a_rational_is_read_exactly():
+    # a Fraction past the double range has no float, so none is taken
+    assert HalfInt.of(Fraction(10**400, 2)).twice == 10**400
+    assert HalfInt.of(Fraction(-3, 2)).twice == -3
+    with pytest.raises(ValueError, match=r"^Fraction\(1, 3\) is not an integer or half-integer$"):
+        HalfInt.of(Fraction(1, 3))
+    with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
+        spin(Fraction(-1, 2))
 
 
 def test_arithmetic_is_exact():

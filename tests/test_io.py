@@ -36,6 +36,24 @@ class TestMatrixSchema:
         with pytest.raises(ValueError):
             io.matrix_from_obj({"dim": 4, "re": [0.0] * 16, "im": [0.0] * 16, "dims": [3, 2]})
 
+    @pytest.mark.parametrize("read", [io.matrix_from_obj, io.density_from_obj])
+    def test_a_dims_product_past_int64_is_refused(self, read):
+        # 3 * 6148914691236517206 = 2**64 + 2, which int64 arithmetic wraps to 2
+        obj = dict(io.matrix_to_obj(np.eye(2) / 2), dims=[3, 6148914691236517206])
+        with pytest.raises(ValueError, match=r"^dims \(3, 6148914691236517206\) do not multiply to dim 2$"):
+            read(obj)
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [([], r"^dims must list at least one subsystem size"),
+         ([-1, -2], r"^dims \(-1, -2\) must each be at least 1$")],
+        ids=["empty", "negative"],
+    )
+    def test_file_dims_follow_the_integer_rule(self, dims, message):
+        obj = dict(io.matrix_to_obj(np.eye(2) / 2), dims=dims)
+        with pytest.raises(ValueError, match=message):
+            io.matrix_from_obj(obj)
+
     @pytest.mark.parametrize("dim", [-1, 0])
     def test_dim_below_1_refused(self, dim):
         with pytest.raises(ValueError, match=f"field 'dim' must be at least 1, got {dim}"):

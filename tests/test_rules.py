@@ -1,10 +1,11 @@
 """Each input rule has one home in ``src/``, and a state's table is checked where it is made.
 
 Every table and input is finite, its subsystem dims multiply to the space, a
-state's table sums to 1 per frame, and a probability table is real.  An AST
-scan of ``src/`` finds each rule's refusal text raised, its check called, or
-its helper defined in one place only; a behaviour test drives the frame-sum
-check through ``Tomogram`` itself.
+state's table sums to 1 per frame, a probability table is real, and a spin is
+a nonnegative half-integer.  An AST scan of ``src/`` finds each rule's refusal
+text raised, its check called, or its helper defined in one place only, and
+finds no ``np.prod`` (which wraps in int64) and no spin read past ``spin``; a
+behaviour test drives the frame-sum check through ``Tomogram`` itself.
 """
 
 import ast
@@ -69,16 +70,40 @@ def test_one_finiteness_check():
         ("simplex.py", "_two_qubit_point"),
         ("io.py", "matrix_from_obj"),
         ("io.py", "_spin_frames_from_obj"),
+        ("su2.py", "wigner_d_stack"),
+        ("su2.py", "rotation_stack"),
+        ("su2.py", "wigner_D"),
+        ("su2.py", "rotation_matrix"),
     }
+
+
+def test_the_rotation_kernels_keep_no_finiteness_test_of_their_own():
+    assert not {(name, where) for name, where in _calls("isfinite") if name == "su2.py"}
 
 
 def test_one_dims_check():
-    # io reads a file's dims before any state exists, so its refusal names the file's field
-    assert _raised_with("do not multiply to") == {("linalg.py", "_subsystem_dims"), ("io.py", "matrix_from_obj")}
+    # io reads a file's dims before any state exists, so its refusal names the file's field "dim"
+    assert _raised_with("do not multiply to") == {("linalg.py", "_subsystem_dims")}
     assert _calls("_subsystem_dims") == {
         ("linalg.py", "DensityMatrix.__post_init__"),
         ("symbols.py", "Tomogram.__post_init__"),
+        ("io.py", "matrix_from_obj"),
     }
+
+
+def test_no_product_of_sizes_in_numpy():
+    # np.prod wraps in int64 past 2**63; math.prod over Python ints is exact
+    assert not {(name, where) for name, where, node in NODES
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "prod" and getattr(node.func.value, "id", None) == "np"}
+
+
+def test_every_spin_is_read_by_spin():
+    # HalfInt.of takes a negative spin; spin refuses it, so only halfint.py reads j with HalfInt.of
+    assert {name for name, where, node in NODES
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "of"
+            and getattr(node.func.value, "id", None) == "HalfInt"
+            and [getattr(a, "id", None) for a in node.args] == ["j"]} <= {"halfint.py"}
 
 
 def test_frame_sums_checked_where_a_state_table_is_made():

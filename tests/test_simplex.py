@@ -115,6 +115,15 @@ class TestImageSample:
         with pytest.raises(ValueError):
             image_sample(random_density(3, 3, seed=7), PRODUCT_22, 10, seed=8)
 
+    def test_a_factor_product_past_int64_is_compared_exactly(self):
+        # 3 * 6148914691236517206 = 2**64 + 2, which int64 arithmetic wraps to 2
+        group = GroupSpec("product", (3, 6148914691236517206))
+        message = r"^factor dims \(3, 6148914691236517206\) do not match state dimension$"
+        with pytest.raises(ValueError, match=message):
+            group.resolve((2,))
+        with pytest.raises(ValueError, match=message):
+            image_sample(random_density(2, 2, seed=7), group, 10, seed=8)
+
     def test_empty_active_set_refused(self):
         # with no active factor every frame is the identity and every point diag(rho)
         with pytest.raises(ValueError, match="active factor set must be nonempty"):

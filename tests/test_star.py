@@ -236,6 +236,19 @@ class TestOneOperandCheck:
         with pytest.raises(ValueError, match="^expected a spin tomogram$"):
             measurement_star_map(off, unit, 1, grid)
 
+    @pytest.mark.parametrize(
+        "module, name",
+        [(star, "star_compose"), (star, "symbol_trace"), (star, "trace_product"),
+         (dynamics, "measurement_star_map"), (reconstruction, "reconstruct_operator")],
+    )
+    def test_a_negative_spin_is_refused(self, module, name, rng):
+        # the spin is checked before the tomograms' frames are compared with it
+        grid = star_grid(1)
+        t = spin_tomogram(random_hermitian(3, rng), grid_frames(1, grid))
+        operands = (t,) if name in ("symbol_trace", "reconstruct_operator") else (t, t)
+        with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
+            getattr(module, name)(*operands, -1, grid)
+
 
 class TestTracePower:
     def test_unit_trace(self):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from spintomo.states import pure_state, werner_state
+from spintomo.states import maximally_mixed, pure_state, werner_state
 
 
 class TestRefusals:
@@ -20,3 +20,9 @@ class TestRefusals:
     def test_refusal_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_maximally_mixed_checks_its_bytes_before_allocating(self):
+        # a dimension of 2**64, with its product taken exactly
+        message = r"^the maximally mixed state of dimension 18446744073709551616 would allocate"
+        with pytest.raises(ValueError, match=message):
+            maximally_mixed((2**32, 2**32))

@@ -146,6 +146,20 @@ class TestSmallD:
             call()
 
     @pytest.mark.parametrize(
+        "call, angles",
+        [
+            (lambda: wigner_d_stack(1.5, [0.3, -np.inf]), "beta angles"),
+            (lambda: rotation_stack(1, [0.3, 0.4], [0.1, np.nan]), "gamma angles"),
+            (lambda: rotation_matrix(0.5, np.inf, 0.1, 0.2), "alpha angles"),
+            (lambda: wigner_D(1, 1, 0, 0.1, 0.2, np.inf), "alpha and gamma angles"),
+        ],
+        ids=["d_stack", "rotation_stack", "rotation_matrix", "D"],
+    )
+    def test_non_finite_angles_get_the_finiteness_message(self, call, angles):
+        with pytest.raises(ValueError, match=rf"^{angles} must be finite numbers \(found NaN or infinity\)$"):
+            call()
+
+    @pytest.mark.parametrize(
         "betas, gammas",
         [([0.1, 0.2], [0.3]), ([0.1], [0.2, 0.3]), ([[0.1, 0.2]], [[0.3, 0.4]]), (0.1, 0.2), ([], [0.3])],
         ids=["short_gammas", "short_betas", "two_d", "scalars", "empty_betas"],
@@ -287,6 +301,16 @@ class TestClebschGordan:
         ids=["cg", "3j", "6j_first", "6j_last", "d_stack", "small_d"],
     )
     def test_a_negative_spin_gets_the_spin_message(self, call):
+        with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: rotation_stack(-1, [0.1], [0.2]), lambda: rotation_matrix(-1, 0.1, 0.2, 0.3)],
+        ids=["rotation_stack", "rotation_matrix"],
+    )
+    def test_a_rotation_kernel_refuses_a_negative_spin(self, call):
+        # the spin is checked before 2j + 1 sizes any array
         with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
             call()
 
