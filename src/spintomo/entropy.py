@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LIMITS, check
-from .linalg import DensityMatrix, _check_draw, _haar_scan, frame_diagonals
+from .linalg import DensityMatrix, _check_draw, _haar_scan, _require_finite, frame_diagonals
 from .symbols import UnitaryFrames
 
 # Below this |q - 1| the Renyi entropy is a sum of expm1((q - 1) ln p) terms of one
@@ -32,8 +32,7 @@ def _clean_probs(w, name: str = "w") -> np.ndarray:
     w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{name} has non-finite (NaN or infinite) entries")
+    _require_finite(w, name)
     check("distribution_negative", -np.min(w), "{} has negative entries beyond tolerance", name)
     w = np.clip(w, 0.0, None)
     total = w.sum()

@@ -6,7 +6,9 @@ floating point.  ``HalfInt.of`` reads an integer or a ``Fraction`` from its
 own numerator and denominator and a float from its exact ratio, so no value
 overflows on the way in.  ``spin`` is the one reader of a spin quantum number
 in the package: every function that takes a spin j calls it, and only this
-module calls ``HalfInt.of(j)`` itself.
+module calls ``HalfInt.of(j)`` itself.  ``magnetic`` is the one reader of a
+magnetic number m of a spin j: it refuses an m that is not j - k for a whole
+k, and ``su2._row`` adds the range |m| <= j of a basis row.
 """
 
 from __future__ import annotations
@@ -90,6 +92,17 @@ def spin(j) -> HalfInt:
     if j.twice < 0:
         raise ValueError("spin j must be nonnegative")
     return j
+
+
+def magnetic(j, m) -> HalfInt:
+    """``HalfInt.of(m)``, refused unless j - m is a whole number: the one check of a magnetic number.
+
+    j is read by ``spin``, so a negative spin is refused first.
+    """
+    j, m = spin(j), HalfInt.of(m)
+    if (j.twice - m.twice) % 2 != 0:
+        raise ValueError(f"m={m} is not of the form j-k for j={j}")
+    return m
 
 
 def spin_range(j) -> list[HalfInt]:

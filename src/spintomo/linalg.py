@@ -113,8 +113,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite (NaN or infinite) entries")
+    _require_finite(a, "matrix entries")
     return a
 
 
@@ -395,6 +394,7 @@ def random_density(n: int, rank: int, seed: int, dims=None) -> DensityMatrix:
     (n,), (rank,) = _integers((n,), "n"), _integers((rank,), "rank")
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in 1..{n}, got {rank}")
+    _check_bytes(16 * n * n, "the random density matrix of dimension {}", n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = g @ g.conj().T

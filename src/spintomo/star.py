@@ -22,7 +22,9 @@ closed form expands the same trace through Clebsch-Gordan, 3j and 6j
 symbols (Racah's sums in exact integers, one rounding each), with the
 d-matrix rows D^L_{0,-M} built once per point and L, so agreement of the two
 checks the coupling coefficients and their phase conventions against the
-operators the transforms use.
+operators the transforms use.  Both forms read their three points through
+``_point`` before any other work, so they refuse an m that is not a basis row
+of j, or a NaN or infinite angle, with one text.
 
 Closed-form phases follow the Condon-Shortley coupling order used throughout
 this package: expanding D and U in irreducible tensors and applying the
@@ -45,9 +47,9 @@ import numpy as np
 
 from .errors import check
 from .halfint import HalfInt, spin
-from .linalg import _is_integer
+from .linalg import _is_integer, _require_finite
 from .quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
-from .su2 import clebsch_gordan, wigner_3j, wigner_6j, wigner_d_matrix
+from .su2 import _row, clebsch_gordan, wigner_3j, wigner_6j, wigner_d_matrix
 from .symbols import (
     EulerAngles,
     Tomogram,
@@ -68,17 +70,19 @@ def star_grid(j) -> QuadratureGrid:
     return make_grid(j)
 
 
-def _point(x):
+def _point(j: HalfInt, x) -> tuple[HalfInt, float, float]:
+    """A kernel point (m, beta, gamma) of spin j, refused unless m is a basis row (``su2._row``)
+    and beta and gamma are finite; both kernel forms read their three points here first."""
     m, beta, gamma = x
-    return HalfInt.of(m), float(beta), float(gamma)
+    m, beta, gamma = HalfInt(j.twice - 2 * _row(j, m)), float(beta), float(gamma)
+    _require_finite((beta, gamma), "point angles")
+    return m, beta, gamma
 
 
 def kernel_trace_form(j, x2, x1, x) -> complex:
     """K(x2, x1, x) = Tr[D(x2) D(x1) U(x)]; points are (m, beta, gamma)."""
     j = spin(j)
-    m2, b2, g2 = _point(x2)
-    m1, b1, g1 = _point(x1)
-    m, b, g = _point(x)
+    (m2, b2, g2), (m1, b1, g1), (m, b, g) = (_point(j, p) for p in (x2, x1, x))
     d2 = quantizer_D(j, m2, EulerAngles(0.0, b2, g2))
     d1 = quantizer_D(j, m1, EulerAngles(0.0, b1, g1))
     u = dequantizer_U(j, m, EulerAngles(0.0, b, g))
@@ -93,9 +97,7 @@ def _d_rows(two_j: int, beta: float, gamma: float) -> list[np.ndarray]:
 def kernel_closed_form(j, x2, x1, x) -> complex:
     """Coupling-coefficient expansion of the star kernel (cross-check form)."""
     j = spin(j)
-    m2, b2, g2 = _point(x2)
-    m1, b1, g1 = _point(x1)
-    m, b, g = _point(x)
+    (m2, b2, g2), (m1, b1, g1), (m, b, g) = (_point(j, p) for p in (x2, x1, x))
     two_j = j.twice
     rows, rows1, rows2 = _d_rows(two_j, b, g), _d_rows(two_j, b1, g1), _d_rows(two_j, b2, g2)
     pref_exp = (two_j - m.twice - m1.twice - m2.twice) // 2

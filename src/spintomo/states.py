@@ -50,6 +50,7 @@ def entangled_ray_state(c0: complex, c1: complex) -> DensityMatrix:
 def ghz_state(n_qubits: int = 3) -> DensityMatrix:
     """(|0...0> + |1...1>)/sqrt(2) on n_qubits >= 1 qubits."""
     (n_qubits,) = _integers((n_qubits,), "n_qubits", 1)
+    _check_bytes(16 * 4**n_qubits, "the GHZ state of {} qubits", n_qubits)
     v = np.zeros(2**n_qubits, dtype=complex)
     v[0] = v[-1] = 1.0
     return pure_state(v, dims=(2,) * n_qubits)

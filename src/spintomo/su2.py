@@ -16,7 +16,10 @@ d-matrices come from one eigendecomposition of J2 (unitary to rounding at
 any j); the scalar ``wigner_small_d`` is an entry of that matrix.  Every
 kernel reads its spin through ``halfint.spin``, so a negative j is refused
 before any array is sized, and its angles through ``linalg._require_finite``
-("beta angles must be finite numbers (found NaN or infinity)").  Racah's
+("beta angles must be finite numbers (found NaN or infinity)").  A magnetic
+number is read by ``halfint.magnetic``, and one that indexes a basis row by
+``_row``, which adds the range |m| <= j; the coupling coefficients take an
+|m| > j as a selection rule and return 0.  Racah's
 alternating sums are evaluated in Python integers (Johansson & Forssen,
 SIAM J. Sci. Comput. 38, A376, 2016), so each coupling coefficient is the
 square root of its exact square rounded once, and no digits cancel at any
@@ -31,16 +34,16 @@ from math import factorial
 
 import numpy as np
 
-from .halfint import HalfInt, spin
+from .halfint import HalfInt, magnetic, spin
 from .linalg import _check_bytes, _require_finite
 
 
-def _check_jm_pair(j: HalfInt, m: HalfInt) -> None:
-    spin(j)
-    if (j.twice - m.twice) % 2 != 0:
-        raise ValueError(f"m={m} is not of the form j-k for j={j}")
+def _row(j: HalfInt, m) -> int:
+    """The basis row (2j - 2m)/2 of m = j, j-1, ..., -j, once ``magnetic`` reads m and |m| <= j."""
+    m = magnetic(j, m)
     if abs(m.twice) > j.twice:
         raise ValueError(f"|m|={abs(m)} exceeds j={j}")
+    return (j.twice - m.twice) // 2
 
 
 def _magnetic_numbers(j: HalfInt) -> np.ndarray:
@@ -105,15 +108,14 @@ def wigner_d_matrix(j, beta: float) -> np.ndarray:
 
 def wigner_small_d(j, m1, m2, beta: float) -> float:
     """Rotation matrix element d^j_{m1 m2}(beta) about the y axis, an entry of ``wigner_d_matrix``."""
-    j, m1, m2 = spin(j), HalfInt.of(m1), HalfInt.of(m2)
-    _check_jm_pair(j, m1)
-    _check_jm_pair(j, m2)
-    return float(wigner_d_matrix(j, beta)[(j.twice - m1.twice) // 2, (j.twice - m2.twice) // 2])
+    j = spin(j)
+    rows = _row(j, m1), _row(j, m2)
+    return float(wigner_d_matrix(j, beta)[rows])
 
 
 def wigner_D(j, m1, m2, alpha: float, beta: float, gamma: float) -> complex:
     """D^j_{m1 m2}(alpha, beta, gamma) = e^{-i m1 alpha} d^j_{m1 m2}(beta) e^{-i m2 gamma}."""
-    j, m1, m2 = spin(j), HalfInt.of(m1), HalfInt.of(m2)
+    m1, m2 = magnetic(j, m1), magnetic(j, m2)
     _require_finite((alpha, gamma), "alpha and gamma angles")
     d = wigner_small_d(j, m1, m2, beta)
     return np.exp(-1j * (float(m1) * alpha + float(m2) * gamma)) * d
@@ -132,14 +134,11 @@ def _triangle_ok(at: int, bt: int, ct: int) -> bool:
 
 
 def _twice_pairs(*pairs) -> list[int]:
-    """Twice-values j1, m1, j2, m2, ... of (j, m) pairs; a negative j or an m
-    that does not fit its j (j - m not an integer) is refused."""
+    """Twice-values j1, m1, j2, m2, ... of (j, m) pairs, each j read by ``spin`` and its m by
+    ``magnetic``; an |m| > j passes, for the selection rules to return 0."""
     out = []
     for j, m in pairs:
-        j, m = spin(j), HalfInt.of(m)
-        if (j.twice - m.twice) % 2 != 0:
-            raise ValueError(f"m={m} incompatible with j={j}")
-        out += [j.twice, m.twice]
+        out += [spin(j).twice, magnetic(j, m).twice]
     return out
 
 

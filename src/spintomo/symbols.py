@@ -53,7 +53,7 @@ from .linalg import (
     unitarity_residual,
 )
 from .quadrature import GROUP_VOLUME, QuadratureGrid, _product_grid
-from .su2 import _check_jm_pair, rotation_matrix, rotation_stack, wigner_d_stack
+from .su2 import _row, rotation_matrix, rotation_stack, wigner_d_stack
 
 
 @dataclass(frozen=True)
@@ -505,9 +505,7 @@ class Tomogram:
     @property
     def values(self) -> np.ndarray:
         """Real probability table; clamps roundoff negatives within -1e-12 to 0."""
-        check("tomogram_real", np.max(np.abs(self.table.imag), initial=0.0),
-              "tomogram has significantly complex entries; use observable_values")
-        re = self.table.real.copy()
+        re = _real_table(self).copy()
         check("tomogram_negative", -np.min(re, initial=0.0),
               "tomogram has negative entries beyond -1e-12 (non-PSD input?)")
         re[re < 0.0] = 0.0
@@ -542,20 +540,16 @@ def _real_table(t: Tomogram) -> np.ndarray:
 
 def dequantizer_U(j, m, omega: EulerAngles) -> np.ndarray:
     """Rotated projector R(g)^dag |j m><j m| R(g); rank one, unit trace."""
-    j, m = spin(j), HalfInt.of(m)
-    _check_jm_pair(j, m)
+    k = _row(spin(j), m)
     r = rotation_matrix(j, omega.alpha, omega.beta, omega.gamma)
-    k = (j.twice - m.twice) // 2
-    row = r[k, :]
-    return np.outer(row.conj(), row)
+    return np.outer(r[k].conj(), r[k])
 
 
 def quantizer_D(j, m, omega: EulerAngles) -> np.ndarray:
     """Quantizer R(g)^dag diag(Q[:, m]) R(g), the covariant image of D(m, e)."""
-    j, m = spin(j), HalfInt.of(m)
-    _check_jm_pair(j, m)
+    j = spin(j)
+    k = _row(j, m)
     r = rotation_matrix(j, omega.alpha, omega.beta, omega.gamma)
-    k = (j.twice - m.twice) // 2
     return r.conj().T @ (_identity_quantizer(j.twice)[:, k, None] * r)
 
 

@@ -45,7 +45,7 @@ class TestKrausValidation:
     def test_non_finite_kraus_operator_rejected(self, bad, op, entry):
         ops = [v.copy() for v in depolarizing(0.2).ops]
         ops[op].reshape(-1)[entry] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
             KrausChannel(ops)
 
 

@@ -56,6 +56,10 @@ class TestRenyiTsallis:
         assert abs(renyi_entropy(w, 1.0 - 1e-6) - h) < 1e-5
         assert abs(tsallis_entropy(w, 1.0 + 1e-6) - h) < 1e-5
 
+    def test_tsallis_at_order_one_is_shannon(self):
+        w = [0.5, 0.2, 0.3]
+        assert tsallis_entropy(w, 1.0) == symbol_entropy(w)
+
     def test_renyi_tsallis_relation(self, rng):
         # R = ln(1 + (1-q) T)/(1-q)
         for _ in range(50):
@@ -151,20 +155,20 @@ class TestOrderValidation:
 class TestNonFiniteDistributions:
     # NaN fails every comparison, so the sign and sum checks alone let it through
     def test_symbol_entropy_refuses_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="w must be finite numbers"):
             symbol_entropy([0.5, np.nan, 0.5])
 
     def test_renyi_entropy_refuses_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="w must be finite numbers"):
             renyi_entropy([np.nan, 1.0], 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_tsallis_entropy_refuses_non_finite(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="w must be finite numbers"):
             tsallis_entropy([bad, 1.0], 2.0)
 
     def test_relative_q_entropy_refuses_nan(self):
-        with pytest.raises(ValueError, match="w2 has non-finite"):
+        with pytest.raises(ValueError, match="w2 must be finite numbers"):
             relative_q_entropy([0.5, 0.5], [np.nan, 1.0], 1.0)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spintomo.halfint import HalfInt, spin, spin_range
+from spintomo.halfint import HalfInt, magnetic, spin, spin_range
 
 
 def test_coercion():
@@ -94,3 +94,22 @@ def test_spin_refuses_a_negative_spin(j):
 def test_str_forms():
     assert str(HalfInt.of(2)) == "2"
     assert str(HalfInt.of(-0.5)) == "-1/2"
+
+
+def test_reflected_subtraction_and_repr():
+    assert 1 - HalfInt(1) == HalfInt(1)
+    assert repr(HalfInt(3)) == "HalfInt(3/2)"
+
+
+@pytest.mark.parametrize("j, m, twice", [(HalfInt(2), -1, -2), (HalfInt(3), 0.5, 1), (HalfInt(1), 3.5, 7)])
+def test_magnetic_reads_an_m_of_the_form_j_minus_k(j, m, twice):
+    # the range |m| <= j is the basis row's rule (su2._row), not the number's
+    assert magnetic(j, m) == HalfInt(twice)
+
+
+@pytest.mark.parametrize("j, m, text", [(HalfInt(2), 0.5, "m=1/2 is not of the form j-k for j=1"),
+                                        (HalfInt(1), -1, "m=-1 is not of the form j-k for j=1/2")])
+def test_magnetic_refuses_an_m_off_the_parity_of_j(j, m, text):
+    with pytest.raises(ValueError) as refused:
+        magnetic(j, m)
+    assert str(refused.value) == text

@@ -99,7 +99,7 @@ REFUSALS = [
     ("hermitian", "expm_hermitian_times", lambda x: expm_hermitian_times([[1.0, x], [0.0, 1.0]], 1.0),
      ValueError, "generator is not Hermitian within tolerance"),
     ("tomogram_real", "Tomogram.values", lambda x: _one_frame([0.5 + 1j * x, 0.5]).values,
-     ValueError, "tomogram has significantly complex entries; use observable_values"),
+     ValueError, lambda x: f"tomogram has imaginary entries up to {x:.3e}; a probability table is real"),
     ("tomogram_real", "_real_table",
      lambda x: reconstruction_residual(_one_frame([0.5 + 1j * x, 0.5]), maximally_mixed((2,))),
      ValueError, lambda x: f"tomogram has imaginary entries up to {x:.3e}; a probability table is real"),

@@ -149,7 +149,7 @@ class TestDensityMatrix:
         "mat, kwargs, message",
         [
             (np.ones((2, 3)), {}, "expected a square matrix, got shape (2, 3)"),
-            (np.diag([np.nan, 1.0]), {}, "matrix has non-finite (NaN or infinite) entries"),
+            (np.diag([np.nan, 1.0]), {}, "matrix entries must be finite numbers (found NaN or infinity)"),
             (np.eye(2) / 2, {"dims": (0,)}, "dims (0,) must each be at least 1"),
             (np.eye(4) / 4, {"dims": (2.9, 2)}, "dims must be integers, got 2.9"),
             (np.eye(4) / 4, {"dims": (True, 4)}, "dims must be integers, got True"),
@@ -191,7 +191,7 @@ class TestDensityMatrix:
         a = data.draw(st.integers(min_value=0, max_value=n - 1))
         b = data.draw(st.integers(min_value=0, max_value=n - 1))
         mat[a, b] += data.draw(st.sampled_from([1.0, 1j])) * bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
             DensityMatrix(mat)
 
     def test_random_density_rank_one_is_pure(self):

@@ -1,11 +1,13 @@
 """Each input rule has one home in ``src/``, and a state's table is checked where it is made.
 
 Every table and input is finite, its subsystem dims multiply to the space, a
-state's table sums to 1 per frame, a probability table is real, and a spin is
-a nonnegative half-integer.  An AST scan of ``src/`` finds each rule's refusal
-text raised, its check called, or its helper defined in one place only, and
-finds no ``np.prod`` (which wraps in int64) and no spin read past ``spin``; a
-behaviour test drives the frame-sum check through ``Tomogram`` itself.
+state's table sums to 1 per frame, a probability table is real, a spin is a
+nonnegative half-integer, and a magnetic number is j - k for a whole k.  An
+AST scan of ``src/`` finds each rule's refusal text raised, its check called,
+or its helper defined in one place only, and finds no ``np.prod`` (which wraps
+in int64), no array tested by ``np.isfinite`` past ``_require_finite``, and no
+spin or magnetic number read past ``spin`` or ``magnetic``; a behaviour test
+drives the frame-sum check through ``Tomogram`` itself.
 """
 
 import ast
@@ -74,6 +76,20 @@ def test_one_finiteness_check():
         ("su2.py", "rotation_stack"),
         ("su2.py", "wigner_D"),
         ("su2.py", "rotation_matrix"),
+        ("linalg.py", "as_matrix"),
+        ("entropy.py", "_clean_probs"),
+        ("star.py", "_point"),
+    }
+
+
+def test_arrays_are_tested_for_finiteness_only_by_require_finite():
+    # the other two are scalar checks that name their value: an evolution time and a rotation angle
+    assert {(name, where) for name, where, node in NODES
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "isfinite"
+            and getattr(node.func.value, "id", None) == "np"} == {
+        ("linalg.py", "_require_finite"),
+        ("linalg.py", "expm_hermitian_times"),
+        ("channels.py", "_check_rotation"),
     }
 
 
@@ -106,6 +122,19 @@ def test_every_spin_is_read_by_spin():
             and [getattr(a, "id", None) for a in node.args] == ["j"]} <= {"halfint.py"}
 
 
+def test_one_magnetic_number_check():
+    # magnetic reads m and its parity against j; _row adds the range of a basis row
+    assert _raised_with("is not of the form j-k for j=") == {("halfint.py", "magnetic")}
+    assert _raised_with("exceeds j=") == {("su2.py", "_row")}
+
+
+def test_every_magnetic_number_is_read_by_magnetic():
+    assert {name for name, where, node in NODES
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "of"
+            and getattr(node.func.value, "id", None) == "HalfInt"
+            and any(getattr(a, "id", "").startswith("m") for a in node.args)} <= {"halfint.py"}
+
+
 def test_frame_sums_checked_where_a_state_table_is_made():
     # a file's table has no state, so the least-squares estimate checks it itself
     assert _calls("check_normalized") == {
@@ -120,6 +149,14 @@ def test_one_home_for_real_tables(helper):
     defined = [(name, where) for name, where, node in NODES
                if isinstance(node, ast.FunctionDef) and node.name == helper]
     assert defined == [("symbols.py", None)]
+
+
+def test_one_realness_check():
+    # Tomogram.values reads its table through _real_table, the one check against LIMITS["tomogram_real"]
+    assert {(name, where) for name, where, node in NODES
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check"
+            and getattr(node.args[0], "value", None) == "tomogram_real"} == {("symbols.py", "_real_table")}
+    assert ("symbols.py", "Tomogram.values") in _calls("_real_table")
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,26 @@ class TestKernels:
         with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
             kernel(-1, point, point, point)
 
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["x2", "x1", "x"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((2, 0.3, 0.1), "|m|=2 exceeds j=1"),
+            ((0.5, 0.3, 0.1), "m=1/2 is not of the form j-k for j=1"),
+            ((0, 0.3, np.nan), "point angles must be finite numbers (found NaN or infinity)"),
+            ((0, 0.3, np.inf), "point angles must be finite numbers (found NaN or infinity)"),
+        ],
+        ids=["m-out-of-range", "m-off-parity", "gamma-nan", "gamma-inf"],
+    )
+    def test_both_forms_refuse_a_bad_point_alike(self, bad, message, at):
+        # the closed form once returned 0 for |m| > j and nan+nanj for a NaN angle
+        points = [(HalfInt(0), 0.3, 0.1)] * 3
+        points[at] = bad
+        for kernel in (kernel_closed_form, kernel_trace_form):
+            with pytest.raises(ValueError) as refused:
+                kernel(1, *points)
+            assert str(refused.value) == message
+
 
 class TestStarKernelTable:
     def test_table_matches_lazy_evaluation(self, rng):

@@ -374,9 +374,9 @@ class TestThreeSixJ:
 
     def test_3j_refuses_m_that_does_not_fit_j(self):
         # the same message as clebsch_gordan's, not a silent 0
-        with pytest.raises(ValueError, match="m=1/2 incompatible with j=1"):
+        with pytest.raises(ValueError, match="m=1/2 is not of the form j-k for j=1"):
             wigner_3j(1, 1, 1, 0.5, -0.5, 0)
-        with pytest.raises(ValueError, match="m=1/2 incompatible with j=1"):
+        with pytest.raises(ValueError, match="m=1/2 is not of the form j-k for j=1"):
             clebsch_gordan(1, 0.5, 1, -0.5, 1, 0)
 
     def test_6j_triangle_rule(self):
