@@ -12,6 +12,14 @@ the length of a ``--frames`` list are checked before any work: the bytes of
 their main arrays and of the output text are estimated and refused (exit 2)
 above the 1 GiB budget of ``errors.LIMITS["bytes"]``.  numpy overcommits memory,
 so without the estimate a size far beyond the machine would be killed.
+
+A process loads only the modules its subcommand runs.  The top of this module
+imports what every subcommand uses (``io``, ``symbols``, ``linalg``,
+``quadrature``, ``halfint``, ``errors``) and ``channels``, whose kinds are the
+``--kind`` choices; each handler imports its own kernels from
+``reconstruction``, ``star``, ``simplex``, ``entropy`` or ``dynamics``.  So
+``tomogram`` and ``channel`` compile none of those five, and ``reconstruct``
+only ``reconstruction``.
 """
 
 from __future__ import annotations
@@ -24,20 +32,10 @@ import numpy as np
 
 from . import io
 from .channels import CHANNEL_KINDS, channel_tomogram_closed_form
-from .dynamics import evolve_state
-from .entropy import min_entropy_over_group
 from .errors import InformationallyIncompleteError
 from .halfint import HalfInt, spin
 from .linalg import _check_bytes, haar_unitaries
 from .quadrature import DEFAULT_OVERSAMPLE, make_grid, node_counts
-from .reconstruction import (
-    infer_grid,
-    reconstruct_from_unitary_frame,
-    reconstruct_operator,
-    reconstruction_residual,
-)
-from .simplex import GroupSpec, image_dimension_report, image_sample, peres_scan
-from .star import star_compose
 from .symbols import Tomogram, _transform_bytes, grid_frames, spin_tomogram, unitary_tomogram
 
 
@@ -226,6 +224,12 @@ def _cmd_reconstruct(args) -> str | dict:
     a matrix that ``--state`` refuses for its negative eigenvalue.  Off a grid
     the table is a state's, and the estimate written is a density matrix.
     """
+    from .reconstruction import (
+        reconstruct_from_unitary_frame,
+        reconstruct_operator,
+        reconstruction_residual,
+    )
+
     t = io.tomogram_from_obj(io.read_json(args.tomogram))
     if t.frames.grid is not None:
         op = reconstruct_operator(t, t.j, t.frames.grid)
@@ -241,6 +245,9 @@ def _cmd_reconstruct(args) -> str | dict:
 def _cmd_star(args) -> str | dict:
     """Both files must be spin-j symbols on the first one's grid, which ``infer_grid``
     and ``star_compose`` check."""
+    from .reconstruction import infer_grid
+    from .star import star_compose
+
     if len(args.tomogram) != 2:
         raise ValueError("star needs exactly two --tomogram files")
     fa, fb = (io.tomogram_from_obj(io.read_json(path)) for path in args.tomogram)
@@ -257,6 +264,8 @@ def _cmd_channel(args) -> str | dict:
 
 
 def _cmd_simplex(args) -> str | dict:
+    from .simplex import GroupSpec, image_dimension_report, image_sample
+
     rho = _load_state(args.state, args.dims)
     if args.group == "full":
         given = [flag for flag, value in (("--factors", args.factors), ("--active", args.active)) if value]
@@ -286,6 +295,8 @@ def _cmd_simplex(args) -> str | dict:
 
 
 def _cmd_entropy(args) -> str | dict:
+    from .entropy import min_entropy_over_group
+
     rho = _load_state(args.state)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
@@ -301,6 +312,8 @@ def _cmd_entropy(args) -> str | dict:
 
 
 def _cmd_peres(args) -> str | dict:
+    from .simplex import peres_scan
+
     rho = _load_state(args.state, args.dims)
     if len(rho.dims) < 2:
         raise ValueError("peres needs a multipartite state (give dims in the file or --dims)")
@@ -321,6 +334,8 @@ def _cmd_peres(args) -> str | dict:
 
 
 def _cmd_evolve(args) -> str | dict:
+    from .dynamics import evolve_state
+
     rho = _load_state(args.state)
     h, _ = io.matrix_from_obj(io.read_json(args.hamiltonian))
     evolved = evolve_state(rho, h, args.t)

@@ -58,16 +58,22 @@ def wigner_d_stack(j, betas) -> np.ndarray:
     J2 = V Lambda V^dag, which stays unitary to rounding at any j (exact
     diagonalization; Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015).
     The product does not depend on the phases of the eigenvectors, and
-    d(0) is exactly the identity.
+    d(0) is exactly the identity.  The byte budget check counts, before any
+    array of size 2j+1 is built, four complex n x n matrices for J2, its
+    eigenvectors and their conjugate transpose, and two per angle (the scaled
+    eigenvectors and their product) with the angle's row of phases.
     """
     j = spin(j)
     _require_finite(betas, "beta angles")
+    n = j.twice + 1
+    _check_bytes(16 * n * (2 * np.size(betas) * (n + 1) + 4 * n), "the d-matrix stack of {} angles at j = {}",
+                 np.size(betas), j)
     ms = _magnetic_numbers(j)
     jp = np.diag(np.sqrt(float(j) * (float(j) + 1.0) - ms[1:] * (ms[1:] + 1.0)), k=1)
     _, vecs = np.linalg.eigh((jp - jp.T) / 2j)
     # eigh sorts the eigenvalues ascending; they are exactly -j..j
     phases = np.expm1(-1j * np.multiply.outer(betas, ms[::-1]))
-    return ((vecs * phases[:, None, :]) @ vecs.conj().T).real + np.eye(j.twice + 1)
+    return ((vecs * phases[:, None, :]) @ vecs.conj().T).real + np.eye(n)
 
 
 def rotation_stack(j, betas, gammas) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import least_squares_solution, shot_frequencies
-from spintomo import cli, dynamics, io
+from spintomo import cli, dynamics, entropy, io, simplex
 from spintomo.cli import main
 from spintomo.dynamics import evolve_tomogram
 from spintomo.errors import LIMITS
@@ -45,6 +45,17 @@ def workdir(tmp_path):
     return tmp_path, paths
 
 
+# the kernels a size flag scales, each in the module the CLI handler resolves it from:
+# the tomogram kernels are imported at the top of cli, the others inside their handlers
+KERNEL_HOMES = {
+    "haar_unitaries": cli,
+    "make_grid": cli,
+    "image_sample": simplex,
+    "min_entropy_over_group": entropy,
+    "peres_scan": simplex,
+}
+
+
 class TestSizePreflight:
     """Size flags above the byte budget exit 2 from an estimate, before any work."""
 
@@ -54,8 +65,8 @@ class TestSizePreflight:
         def allocates(*args, **kwargs):
             raise AssertionError("an oversized request reached an allocating kernel")
 
-        for name in ("haar_unitaries", "make_grid", "image_sample", "min_entropy_over_group", "peres_scan"):
-            monkeypatch.setattr(cli, name, allocates)
+        for name, home in KERNEL_HOMES.items():
+            monkeypatch.setattr(home, name, allocates)
 
     @pytest.mark.parametrize(
         "state, argv, refused",
@@ -111,7 +122,7 @@ class TestSizePreflight:
         def stop(*args, **kwargs):
             raise RuntimeError(f"reached {reached}")
 
-        monkeypatch.setattr(cli, reached, stop)
+        monkeypatch.setattr(KERNEL_HOMES[reached], reached, stop)
         tmp, paths = workdir
         with pytest.raises(RuntimeError, match=f"reached {reached}"):
             main([argv[0], "--state", str(paths[state]), *argv[1:], "--out", str(tmp / "never.json")])
@@ -222,7 +233,7 @@ class TestSizePreflight:
 
         with monkeypatch.context() as patched:
             patched.setattr(cli, "_check_bytes", lambda nbytes, *args: estimates.append(nbytes))
-            patched.setattr(cli, reached, stop)
+            patched.setattr(KERNEL_HOMES[reached], reached, stop)
             with pytest.raises(RuntimeError, match="preflight passed"):
                 main(argv)
         assert estimates == [estimate]

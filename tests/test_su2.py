@@ -212,6 +212,7 @@ class TestSmallD:
         counted = []
         monkeypatch.setattr(su2, "_check_bytes", lambda nbytes, *args: counted.append(nbytes))
         rotation_stack(HalfInt(jt), betas[:1], gammas[:1])  # imports and first-call caches
+        counted.clear()
         tracemalloc.start()
         try:
             stack = rotation_stack(HalfInt(jt), betas, gammas)
@@ -219,6 +220,39 @@ class TestSmallD:
         finally:
             tracemalloc.stop()
         assert stack.nbytes == 16 * frames * (jt + 1) ** 2
+        # the first count is the whole stack's; each chunk's d-matrix stack counts its own after it
+        assert peak <= counted[0]
+
+    @pytest.mark.parametrize(
+        "kernel, args", [(wigner_small_d, (10**7, 0, 0, 0.1)), (wigner_d_stack, (10**7, [0.1, 0.2]))],
+        ids=["wigner_small_d", "wigner_d_stack"],
+    )
+    def test_d_matrices_past_the_byte_budget_are_refused_before_any_is_built(self, kernel, args):
+        # at 2j + 1 = 2e7 the dense J2 matrix alone is 3.2 PB; refused from the estimate
+        angles = len(args[1]) if kernel is wigner_d_stack else 1
+        message = rf"^the d-matrix stack of {angles} angles at j = 10000000 would allocate about .* GB, above the budget"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize("jt, angles", [(9, 1000), (99, 100), (199, 1)])
+    def test_d_stack_peak_is_within_its_count(self, jt, angles, monkeypatch):
+        betas = np.linspace(0.1, 3.0, angles)
+        counted = []
+        monkeypatch.setattr(su2, "_check_bytes", lambda nbytes, *args: counted.append(nbytes))
+        wigner_d_stack(HalfInt(jt), betas[:1])  # first-call caches
+        tracemalloc.start()
+        try:
+            wigner_d_stack(HalfInt(jt), betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= counted[-1]
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
