@@ -153,9 +153,9 @@ def channel_tomogram_closed_form(kind: str, p: float, theta: float, n) -> tuple[
     Each channel acts on its fixed initial state (see channel_initial_state);
     w_plus + w_minus = 1 holds exactly by construction.
     """
+    _kind(kind)
     p = _check_p(p)
     n = _check_rotation(theta, n)
-    _kind(kind)
     c2 = np.cos(theta / 2.0) ** 2
     s2 = np.sin(theta / 2.0) ** 2
     n1, n2, n3 = n

@@ -15,11 +15,11 @@ so without the estimate a size far beyond the machine would be killed.
 
 A process loads only the modules its subcommand runs.  The top of this module
 imports what every subcommand uses (``io``, ``symbols``, ``linalg``,
-``quadrature``, ``halfint``, ``errors``) and ``channels``, whose kinds are the
-``--kind`` choices; each handler imports its own kernels from
-``reconstruction``, ``star``, ``simplex``, ``entropy`` or ``dynamics``.  So
-``tomogram`` and ``channel`` compile none of those five, and ``reconstruct``
-only ``reconstruction``.
+``quadrature``, ``halfint``, ``errors``); each handler imports its own kernels
+from ``reconstruction``, ``star``, ``simplex``, ``entropy``, ``dynamics`` or
+``channels``.  So ``tomogram`` compiles none of those six, and ``reconstruct``
+only ``reconstruction``.  ``--kind`` has one reader, the ``channels`` table of
+kinds: an unknown kind is refused there (exit 2) with the list of kinds.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import sys
 import numpy as np
 
 from . import io
-from .channels import CHANNEL_KINDS, channel_tomogram_closed_form
 from .errors import InformationallyIncompleteError
 from .halfint import HalfInt, spin
 from .linalg import _check_bytes, haar_unitaries
@@ -74,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("channel", help="closed-form channel tomogram sweep")
-    p.add_argument("--kind", choices=CHANNEL_KINDS, required=True)
+    p.add_argument("--kind", required=True,
+                   help="channel kind; an unknown kind is refused (exit 2) with the list of kinds")
     p.add_argument("--p", type=float, help="single parameter value (default: 21-point sweep)")
     _add_common(p, fmt=True)
 
@@ -255,12 +255,14 @@ def _cmd_star(args) -> str | dict:
 
 
 def _cmd_channel(args) -> str | dict:
+    from .channels import channel_tomogram_closed_form
+
     ps = [args.p] if args.p is not None else [k / 20.0 for k in range(21)]
     # identity frame: theta = 0, axis z
     rows = [[p, *channel_tomogram_closed_form(args.kind, p, 0.0, (0.0, 0.0, 1.0))] for p in ps]
     if args.format == "csv":
         return io.csv_text(["p", "w_plus", "w_minus"], rows)
-    return {"kind": args.kind, "rows": [[float(x) for x in row] for row in rows]}
+    return {"kind": args.kind, "rows": rows}
 
 
 def _cmd_simplex(args) -> str | dict:
@@ -289,8 +291,8 @@ def _cmd_simplex(args) -> str | dict:
     return {
         "dimension": report.rank,
         "rel_tol": report.rel_tol,
-        "singular_values": [float(s) for s in report.singular_values],
-        "points": [[float(x) for x in row] for row in sample.points],
+        "singular_values": report.singular_values.tolist(),
+        "points": sample.points.tolist(),
     }
 
 
@@ -306,7 +308,7 @@ def _cmd_entropy(args) -> str | dict:
         "q": args.q,
         "min_value": report.min_value,
         "argmin_frame": io.matrix_to_obj(report.argmin_frame),
-        "per_frame": [float(x) for x in report.per_frame],
+        "per_frame": report.per_frame.tolist(),
         "monte_carlo": dataclasses.asdict(report.monte_carlo),
     }
 

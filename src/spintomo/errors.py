@@ -6,7 +6,8 @@ failure mode programmatically, e.g. for CLI exit codes.
 
 ``LIMITS`` is the one table of the roundoff limits up to which the package
 accepts a state, a tomogram, a channel or a measurement as meeting its
-axioms, and of the byte budget.  Every refusal against a limit goes through
+axioms, of the imaginary part that a tomogram file leaves out, and of the
+byte budget.  Every refusal against a limit goes through
 ``check``, and every verdict or floor reads its limit from the table.  Two
 sites share an entry only when they check the same invariant.  This module
 imports nothing, so every module can import it.
@@ -42,6 +43,9 @@ LIMITS = {
     # | |c0|^2 + |c1|^2 - 1 | of an entangled ray, and the smallest |c|^2 its identities divide by
     "ray_norm": 1e-10,
     "ray_degenerate": 1e-12,
+    # the largest imaginary part of a tomogram table that its JSON object leaves out;
+    # above it the object carries the imaginary parts as "values_im"
+    "values_im": 1e-12,
     # imaginary part of Tr[rho^n] from a spin symbol
     "trace_real": 1e-8,
     # max |u^dag u - 1| over a set of unitary frames

@@ -17,6 +17,7 @@ import tempfile
 
 import numpy as np
 
+from .errors import LIMITS
 from .halfint import HalfInt
 from .linalg import DensityMatrix, _check_bytes, _require_finite, _subsystem_dims
 from .symbols import SpinFrames, Tomogram, _real_table
@@ -33,8 +34,8 @@ def matrix_to_obj(m, dims=None) -> dict:
         raise ValueError("only square matrices are serialized")
     obj = {
         "dim": int(m.shape[0]),
-        "re": [float(x) for x in m.real.reshape(-1)],
-        "im": [float(x) for x in m.imag.reshape(-1)],
+        "re": m.real.reshape(-1).tolist(),
+        "im": m.imag.reshape(-1).tolist(),
     }
     if dims is not None:
         obj["dims"] = [int(d) for d in dims]
@@ -139,7 +140,7 @@ def tomogram_to_obj(t: Tomogram) -> dict:
     labels = {"j_twice": t.j.twice} if t.kind == "spin" else {"dims": list(t.dims)}
     obj = {"kind": t.kind, **labels, "outcomes": _outcome_labels(t), "frames": _frames_to_obj(t.frames)}
     obj["values"] = t.table.real.tolist()
-    if np.max(np.abs(t.table.imag)) > 1e-12:
+    if np.max(np.abs(t.table.imag)) > LIMITS["values_im"]:
         obj["values_im"] = t.table.imag.tolist()
     return obj
 
@@ -222,10 +223,9 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(x) if isinstance(x, (int, float, np.floating)) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """The header line, then each row of numbers in one 17-significant-digit template."""
+    template = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header), *(template % tuple(row) for row in rows)]) + "\n"
 
 
 def tomogram_csv(t: Tomogram) -> str:

@@ -51,6 +51,13 @@ def _magnetic_numbers(j: HalfInt) -> np.ndarray:
     return (j.twice - 2.0 * np.arange(j.twice + 1)) / 2.0
 
 
+def _d_stack_bytes(n: int, angles: int) -> int:
+    """Bytes of the d-matrix stack of ``angles`` angles at 2j + 1 = n: four complex n x n
+    matrices for J2, its eigenvectors and their conjugate transpose, and two per angle
+    (the scaled eigenvectors and their product) with the angle's row of phases."""
+    return 16 * n * (2 * angles * (n + 1) + 4 * n)
+
+
 def wigner_d_stack(j, betas) -> np.ndarray:
     """d-matrices for every beta at once, shape (len(betas), 2j+1, 2j+1).
 
@@ -58,16 +65,13 @@ def wigner_d_stack(j, betas) -> np.ndarray:
     J2 = V Lambda V^dag, which stays unitary to rounding at any j (exact
     diagonalization; Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307, 2015).
     The product does not depend on the phases of the eigenvectors, and
-    d(0) is exactly the identity.  The byte budget check counts, before any
-    array of size 2j+1 is built, four complex n x n matrices for J2, its
-    eigenvectors and their conjugate transpose, and two per angle (the scaled
-    eigenvectors and their product) with the angle's row of phases.
+    d(0) is exactly the identity.  The byte budget check counts ``_d_stack_bytes``
+    before any array of size 2j+1 is built.
     """
     j = spin(j)
     _require_finite(betas, "beta angles")
     n = j.twice + 1
-    _check_bytes(16 * n * (2 * np.size(betas) * (n + 1) + 4 * n), "the d-matrix stack of {} angles at j = {}",
-                 np.size(betas), j)
+    _check_bytes(_d_stack_bytes(n, np.size(betas)), "the d-matrix stack of {} angles at j = {}", np.size(betas), j)
     ms = _magnetic_numbers(j)
     jp = np.diag(np.sqrt(float(j) * (float(j) + 1.0) - ms[1:] * (ms[1:] + 1.0)), k=1)
     _, vecs = np.linalg.eigh((jp - jp.T) / 2j)
@@ -85,18 +89,21 @@ def rotation_stack(j, betas, gammas) -> np.ndarray:
     filled one chunk of frames at a time, and repeated beta values in a chunk
     share one d-matrix, so only one chunk's d-matrices, their complex
     temporaries and its phases are held beside the stack.  The byte budget
-    check counts the stack and that scratch, before any d-matrix is built.
+    check counts the stack, the d-matrix stack of a whole chunk and as much
+    again a frame for the chunk's real d-matrices, their gathered copy and its
+    phases, before any d-matrix is built, so it refuses first whatever the
+    chunk's own d-matrix check would.
     """
     j = spin(j)
     betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
     if betas.ndim != 1 or betas.shape != gammas.shape:
         raise ValueError("frame angle arrays must be 1-d and of equal length")
     # a chunk is 1 MiB of the stack, and at least 64 frames, since each chunk repeats
-    # the eigendecomposition of J2 (about five frames' work); its scratch stays within
-    # 4 * 16 n (n + 1) bytes a frame
+    # the eigendecomposition of J2 (about five frames' work)
     n = j.twice + 1
     step = max(64, 2**20 // (16 * n * n))
-    _check_bytes(16 * n * (n * betas.size + 4 * (n + 1) * min(betas.size, step)),
+    chunk = min(betas.size, step)
+    _check_bytes(16 * n * (n * betas.size + 2 * (n + 1) * chunk) + _d_stack_bytes(n, chunk),
                  "the rotation stack of {} frames at j = {}", betas.size, j)
     _require_finite(gammas, "gamma angles")
     stack = np.empty((betas.size, n, n), dtype=complex)

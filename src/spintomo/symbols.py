@@ -345,33 +345,15 @@ class SpinTransform:
         the symbols of the basis, ``analyze(H)``; and S[k, (m, x)] = (Q^T A)[k, (m, x)] W_x,
         the weighted basis coefficients Tr[H_k D(m, x)] W_x of the quantizers.
         A and S are (n^2, n * nodes).  All three are read-only, built on first use.
-
-        Each H_k has one entry pair (a, b), so its symbols are the table column of
-        that pair times one trig row of k = b - a: 1 for a diagonal unit, sqrt(2) cos
-        for a symmetric pair and -sqrt(2) sin for an antisymmetric one.  The sqrt(2)
-        is twice the basis entry 1/sqrt(2), so A equals ``analyze(H)`` bit for bit.
         """
         if self._basis_maps is None:
-            n, (n_pairs, n_gamma) = self.j.twice + 1, self._cos.shape
+            n = self.j.twice + 1
             basis = hermitian_basis(n)
             basis[n:] /= np.sqrt(2.0)
-            # the pair of each basis element, and its trig row, in the order of hermitian_basis
-            pair_of = np.empty(n * n, dtype=np.intp)
-            pair_of[self._pairs[0]] = np.arange(n_pairs)
-            a, b = np.triu_indices(n, 1)
-            off = pair_of[a * n + b]
-            scale = 2 * (1.0 / np.sqrt(2.0))
-            trig = np.empty((n * n, n_gamma))
-            trig[:n] = self._cos[:n]
-            trig[n::2] = scale * self._cos[off]
-            trig[n + 1 :: 2] = -scale * self._sin[off]
-            # table rows are (beta, m): column k of the pair taken to k's (m, beta) block
-            columns = self._table[:, np.concatenate([np.arange(n), np.repeat(off, 2)])]
-            analysis = np.empty((n * n, n, len(self._table) // n, n_gamma))
-            np.multiply(columns.reshape(-1, n, n * n).T[..., None], trig[:, None, None, :], out=analysis)
-            synthesis = self._quantizer.T @ analysis.reshape(n * n, n, -1)
-            synthesis *= self.weights
-            self._basis_maps = (basis, *(m.reshape(n * n, -1) for m in (analysis, synthesis)))
+            # the real parts copied out, so that the cache holds the bytes it counts
+            analysis = self.analyze(basis).real.reshape(n * n, -1).copy()
+            synthesis = self._quantizer.T @ analysis.reshape(n * n, n, -1) * self.weights
+            self._basis_maps = (basis, analysis, synthesis.reshape(n * n, -1))
             for array in self._basis_maps:
                 array.setflags(write=False)
             _TRANSFORMS.trim()

@@ -703,6 +703,15 @@ class TestChannelCommand:
                    "--out", str(tmp / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("p", [[], ["--p", "1.5"]], ids=["sweep", "bad_p"])
+    def test_unknown_kind_is_refused_with_the_kinds(self, workdir, capsys, p):
+        # the kinds table in channels is the one reader of --kind, ahead of p
+        tmp, _ = workdir
+        assert main(["channel", "--kind", "bogus", *p, "--out", str(tmp / "x.json")]) == 2
+        kinds = "('depolarizing', 'phase_damping', 'amplitude_damping')"
+        assert capsys.readouterr().err == f"error: unknown channel kind 'bogus'; choose from {kinds}\n"
+        assert not (tmp / "x.json").exists()
+
     @pytest.mark.parametrize("p", ["1.5", "-0.25", "nan"])
     def test_bad_p_is_named_in_the_refusal(self, workdir, capsys, p):
         tmp, _ = workdir

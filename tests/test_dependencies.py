@@ -71,7 +71,7 @@ def test_runs_on_numpy_alone(tmp_path):
 
 
 # the modules every CLI process loads: those at the top of cli.py and what they import
-CLI_MODULES = {"cli", "io", "channels", "errors", "halfint", "linalg", "quadrature", "states", "su2", "symbols"}
+CLI_MODULES = {"cli", "io", "errors", "halfint", "linalg", "quadrature", "su2", "symbols"}
 
 
 class TestImportSets:
@@ -103,7 +103,7 @@ class TestImportSets:
             (["tomogram", "--state", "{state}", "--j", "0.5"], set()),
             (["tomogram", "--state", "{state}", "--n-frames", "4"], set()),
             (["reconstruct", "--tomogram", "{tomogram}"], {"reconstruction"}),
-            (["channel", "--kind", "depolarizing"], set()),
+            (["channel", "--kind", "depolarizing"], {"channels", "states"}),
         ],
         ids=["tomogram_spin", "tomogram_unitary", "reconstruct", "channel"],
     )

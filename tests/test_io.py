@@ -242,6 +242,13 @@ class TestFormatting:
         text = io.csv_text(["a", "b"], [[1.0, 0.25]])
         assert text == "a,b\n1,0.25\n"
 
+    def test_csv_numbers_are_fmt_float(self, rng):
+        # the row template writes each number as fmt_float does, edge values included
+        values = [-0.0, 5e-324, 1e16, 1 / 3, -2.0**60, *rng.standard_normal(95) * 10.0 ** rng.integers(-300, 300, 95)]
+        rows = np.reshape(values, (-1, 4)).tolist()
+        lines = io.csv_text(["a", "b", "c", "d"], rows).splitlines()
+        assert lines[1:] == [",".join(io.fmt_float(x) for x in row) for row in rows]
+
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.json"
         io.write_text_atomic(str(target), "hello\n")

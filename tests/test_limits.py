@@ -4,7 +4,7 @@ Each entry of ``errors.LIMITS`` is driven just past its limit (refused, with
 its exact message and exception class, or a verdict that turns) and just
 inside it (accepted), so that neither a limit nor a message can move
 unnoticed.  An AST scan of ``src/`` finds no small float literal outside
-the table but four tolerances that refuse nothing.
+the table but three tolerances that refuse nothing.
 """
 
 import ast
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintomo import channels, entropy
+from spintomo import channels, entropy, io
 from spintomo.channels import KrausChannel, channel_frame, channel_propagator, depolarizing
 from spintomo.dynamics import Povm, measure_update, povm_validate
 from spintomo.entropy import strong_subadditivity_check, subadditivity_check, symbol_entropy
@@ -53,6 +53,7 @@ EXPECTED = {
     "propagator_real": 1e-10,
     "ray_norm": 1e-10,
     "ray_degenerate": 1e-12,
+    "values_im": 1e-12,
     "trace_real": 1e-8,
     "unitary": 1e-8,
     "witness": 1e-8,
@@ -203,11 +204,18 @@ class TestEdges:
             assert subadditivity_check(rho2, np.eye(4)).holds == holds
             assert strong_subadditivity_check(rho3, np.eye(8)).holds == holds
 
+    def test_values_im(self):
+        # a table's imaginary part at half and at twice the limit: the JSON object
+        # leaves it out, then carries it as "values_im"
+        for x, written in ((0.5, False), (2.0, True)):
+            obj = io.tomogram_to_obj(_one_frame([0.5 + 1j * x * EXPECTED["values_im"], 0.5]))
+            assert ("values_im" in obj) == written
+
     def test_the_table_holds_the_limits(self):
         assert LIMITS == EXPECTED
 
     def test_every_entry_is_driven(self):
-        special = {"propagator_real", "witness", "simplex", "completeness", "effect", "subadditivity"}
+        special = {"propagator_real", "witness", "simplex", "completeness", "effect", "subadditivity", "values_im"}
         assert {case[0] for case in REFUSALS + FLOORS} | special == set(LIMITS)
 
 
@@ -234,7 +242,6 @@ class TestCheck:
 _STAYS = {
     ("reconstruction.py", "_GRAM_COND_LIMIT"): 1,  # the switch between the two solvers
     ("symbols.py", "_grid_of"): 3,  # grid recognition: a grid's transform or frame_diagonals
-    ("io.py", "tomogram_to_obj"): 1,  # whether a file gets "values_im"
     ("simplex.py", "image_dimension_report"): 1,  # the rel_tol default
 }
 

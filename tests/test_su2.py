@@ -171,7 +171,8 @@ class TestSmallD:
 
     def test_rotation_stack_past_the_byte_budget_is_refused_before_any_d_matrix(self, monkeypatch):
         # 100 frames at j = 2: a (100, 5, 5) complex stack of 40000 bytes, counted with its
-        # one chunk's scratch of 4 * 16 * 5 * 6 bytes a frame, 232000 bytes in all
+        # one chunk's d-matrix stack, 16 * 5 * (2 * 100 * 6 + 4 * 5) bytes, and as much
+        # again a frame for the chunk's other scratch, 233600 bytes in all
         betas, gammas = np.linspace(0.1, 3.0, 100), np.linspace(0.0, 6.0, 100)
         built = rotation_stack(2, betas, gammas)
 
@@ -179,17 +180,32 @@ class TestSmallD:
             raise AssertionError("built the d-matrices of a refused stack")
 
         monkeypatch.setattr(su2, "wigner_d_stack", builds)
-        monkeypatch.setitem(LIMITS, "bytes", 231_999)
-        message = "^the rotation stack of 100 frames at j = 2 would allocate about 0.000232 GB, above the budget of 0.000232 GB$"
+        monkeypatch.setitem(LIMITS, "bytes", 233_599)
+        message = "^the rotation stack of 100 frames at j = 2 would allocate about 0.000234 GB, above the budget of 0.000234 GB$"
         with pytest.raises(ValueError, match=message):
             rotation_stack(2, betas, gammas)
         with pytest.raises(ValueError, match=message):
             SpinFrames(2, betas, gammas).unitaries()
         # at the budget the stack is built as before
         monkeypatch.setattr(su2, "wigner_d_stack", wigner_d_stack)
-        monkeypatch.setitem(LIMITS, "bytes", 232_000)
+        monkeypatch.setitem(LIMITS, "bytes", 233_600)
         assert built.nbytes == 40_000
         assert np.array_equal(SpinFrames(2, betas, gammas).unitaries(), built.conj().swapaxes(1, 2))
+
+    def test_rotation_stack_counts_its_chunk_d_matrices(self, monkeypatch):
+        # one frame at 2j = 499: the stack is 16 * 500^2 bytes (4 MB) and its one d-matrix
+        # stack counts 24.0 MB, so a budget of 22 MB refuses the rotation stack before
+        # the stack exists, with its own text, not the d-matrix stack's after it
+        monkeypatch.setitem(LIMITS, "bytes", 22_000_000)
+        message = r"^the rotation stack of 1 frames at j = 499/2 would allocate about .* GB, above the budget"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                rotation_matrix(249.5, 0.1, 0.2, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 500**2 / 16
 
     def test_rotation_stack_past_the_double_range_is_refused(self):
         # 16 F (2j+1)^2 bytes at 2j = 10^200 has no float, so the estimate reads as inf GB

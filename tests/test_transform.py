@@ -488,6 +488,21 @@ class TestRealPropagator:
         assert np.max(np.abs(analysis - want_analysis)) <= 1e-14
         assert np.max(np.abs(synthesis - want_synthesis)) <= 1e-14
 
+    @pytest.mark.parametrize("jt", range(7))
+    def test_basis_maps_are_the_transform_of_the_basis(self, jt):
+        # bit for bit: A is the exactly real analyze(H) of the orthonormal basis,
+        # and S its quantizer image Q^T A with the node weights
+        j, n = HalfInt(jt), jt + 1
+        grid = make_grid(j)
+        transform = SpinTransform(j, grid)
+        basis, analysis, synthesis = transform.basis_maps()
+        assert np.allclose(np.einsum("kab,lba->kl", basis, basis), np.eye(n * n), rtol=0, atol=1e-15)
+        symbols_of_basis = transform.analyze(basis)
+        assert not np.count_nonzero(symbols_of_basis.imag)
+        assert np.array_equal(analysis, symbols_of_basis.real.reshape(n * n, -1))
+        image = (_identity_quantizer(jt).T @ analysis.reshape(n * n, n, -1)) * grid.group_weights()
+        assert np.array_equal(synthesis, image.reshape(n * n, -1))
+
 
 @pytest.fixture
 def empty_cache():
