@@ -217,24 +217,20 @@ def _cmd_tomogram(args) -> str | dict:
 
 
 def _cmd_reconstruct(args) -> str | dict:
-    """Grid frames synthesize; any other frame set is solved by least squares.
+    """Grid frames write the frame set's ``inverse``; any other set's table is read as a state's.
 
     A grid table may be an observable's symbol, so its synthesis is written as
     the operator it is, with no positivity step: a noisy grid table can give
     a matrix that ``--state`` refuses for its negative eigenvalue.  Off a grid
-    the table is a state's, and the estimate written is a density matrix.
+    the estimate written is ``reconstruct_from_unitary_frame``'s density
+    matrix, the state step on top of the same ``inverse``.
     """
-    from .reconstruction import (
-        reconstruct_from_unitary_frame,
-        reconstruct_operator,
-        reconstruction_residual,
-    )
+    from .reconstruction import reconstruct_from_unitary_frame, reconstruction_residual
 
     t = io.tomogram_from_obj(io.read_json(args.tomogram))
     if t.frames.grid is not None:
-        op = reconstruct_operator(t, t.j, t.frames.grid)
-        err = float(np.max(np.abs(t.frames.symbols(op) - t.table)))
-        obj = io.matrix_to_obj(op)
+        op = t.frames.inverse(t.table)
+        err, obj = float(np.max(np.abs(t.frames.symbols(op) - t.table))), io.matrix_to_obj(op)
     else:
         rho = reconstruct_from_unitary_frame(t)
         err, obj = reconstruction_residual(t, rho), io.density_to_obj(rho)

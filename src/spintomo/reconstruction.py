@@ -1,15 +1,18 @@
 """Inverse maps: from tomograms back to operators.
 
-Spin tomograms on a quadrature grid invert through the covariant synthesis of
-``SpinTransform``, a linear map that returns whatever operator the table is
-the symbol of, an observable's included; its operand is checked in the same
-``_grid_transform`` call as the star maps'.  Every other tomogram, unitary or
-spin off a grid, is read as a state's: ``_solve`` takes the frame set itself,
-solves on the frame operator of its ``unitaries()`` and returns the unit-trace
-Hermitian matrix, which is moved to the nearest density matrix when noise
-leaves it with a negative eigenvalue.  A symbol
-table moves between quantizer pairs by one pair's synthesis followed by the
-other's symbol map.
+Every frame set has one inverse beside its forward map ``symbols(a)``:
+``frames.inverse(table)``, a linear map that returns whatever operator the
+table is the symbols of, an observable's included.  On a quadrature grid
+exact to degree 2j it is the covariant synthesis of ``SpinTransform``; on
+every other set, unitary or spin, it is ``_solve``, least squares on the
+frame operator of the set's ``unitaries()``, the canonical dual frame of an
+informationally complete set.  ``reconstruct_operator`` is the grid
+synthesis with its operand checked in the same ``_grid_transform`` call as
+the star maps'.  The state estimate ``reconstruct_from_unitary_frame`` reads
+the table as a state's: the inverse, its Hermitian part over its trace,
+moved to the nearest density matrix when noise leaves it with a negative
+eigenvalue.  A symbol table moves between quantizer pairs by one pair's
+synthesis followed by the other's symbol map.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import LIMITS, InformationallyIncompleteError
 from .linalg import DensityMatrix, hermitian_basis
 from .quadrature import QuadratureGrid
-from .symbols import QuantizerPair, Tomogram, _grid_transform, _real_table
+from .symbols import QuantizerPair, Tomogram, _grid_transform, _real_if_real, _real_table
 
 __all__ = [
     "infer_grid",
@@ -53,20 +56,22 @@ def reconstruct_operator(t: Tomogram, j, grid: QuadratureGrid) -> np.ndarray:
 
 
 def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
-    """Projected least-squares state estimate from a tomogram on any frame set ``t.frames``.
+    """Projected state estimate from a tomogram on any frame set ``t.frames``.
 
     A complex table is refused, and so is a table not normalized per frame,
-    which is no state's.  ``_solve`` gives the unit-trace Hermitian matrix on
-    the frame set, and refuses a rank below d^2 with the generic complete set
-    of ``_complete_set`` named (d + 1 unitary frames).  A consistent table's
-    solution is returned as solved.  When noise leaves an eigenvalue below
+    which is no state's.  ``t.frames.inverse`` gives the operator, whose
+    Hermitian part over its trace is the estimate; off a grid the inverse
+    refuses a rank below d^2 with the generic complete set of
+    ``_complete_set`` named (d + 1 unitary frames).  A consistent table's
+    estimate is returned as solved.  When noise leaves an eigenvalue below
     -``LIMITS["state_psd"]``, the estimate is the density matrix nearest the
     solution in the Frobenius norm (``_nearest_state``), which is never
     further from the true state in that norm.
     """
     table = _real_table(t)
     t.check_normalized()
-    rho = _solve(t.frames, table)
+    rho = t.frames.inverse(table)
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
     if np.linalg.eigvalsh(rho)[0] < -LIMITS["state_psd"]:
         rho = _nearest_state(rho)
     return DensityMatrix(rho, t.dims)
@@ -75,7 +80,7 @@ def reconstruct_from_unitary_frame(t: Tomogram) -> DensityMatrix:
 def _complete_set(frames) -> str:
     """The smallest generic informationally complete set of frames of the kind of ``frames``.
 
-    A generic frame adds d - 1 independent rows to the unit-trace row, so
+    A generic frame adds d - 1 independent rows to the trace row, so
     unitary frames need d + 1; a spin direction reads the multipoles of rank
     L <= 2j along one axis, and rank 2j needs 4j + 1 axes; a product frame
     measures each factor in one basis, and every factor needs d_k + 1 of them.
@@ -124,26 +129,28 @@ def _chunk_frames(d: int) -> int:
 
 def _normal_equations(us: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G = A^T A and A^T b for the design matrix A of the (F, d, d) frames ``us``
-    and b, the real (d, F) ``table`` read frame by frame with the unit trace last.
+    and b, the real (d, F) ``table`` (or a (d, F, k) stack of k tables) read
+    frame by frame, then the trace row's right-hand side, the table's mean
+    frame sum, which is Tr a for the table of any operator a.
 
     Both are summed over chunks of ``_chunk_frames(d)`` frames, starting from
-    the unit-trace row's terms, so A is never formed whole.
+    the trace row's terms, so A is never formed whole.
     """
     d = us.shape[-1]
-    g, h = np.zeros((d * d, d * d)), np.zeros(d * d)
-    g[:d, :d] = h[:d] = 1.0  # the unit-trace row, whose right-hand side is 1
+    g, h = np.zeros((d * d, d * d)), np.zeros((d * d,) + table.shape[2:])
+    g[:d, :d], h[:d] = 1.0, table.sum(0).mean(0)
     step = _chunk_frames(d)
     scratch = np.empty((d * d, d * min(len(us), step)))
     for start in range(0, len(us), step):
         chunk = us[start : start + step]
         at = _design_columns(chunk, scratch[:, : d * len(chunk)])
         g += at @ at.T
-        h += at @ table[:, start : start + step].T.reshape(-1)
+        h += at @ table[:, start : start + step].swapaxes(0, 1).reshape((-1,) + table.shape[2:])
     return g, h
 
 
-def _solve(frames, table: np.ndarray) -> np.ndarray:
-    """The unit-trace Hermitian least-squares matrix for a frame set and its real (d, F) ``table``.
+def _solve(frames, table) -> np.ndarray:
+    """The least-squares operator whose ``frames.symbols`` are the (d, F) ``table``, a linear map.
 
     The coefficients over ``hermitian_basis(d)`` are solved on the frames
     ``frames.unitaries()`` through the frame operator G = A^T A (d^2 x d^2)
@@ -151,20 +158,27 @@ def _solve(frames, table: np.ndarray) -> np.ndarray:
     ``_GRAM_COND_LIMIT``; G and A^T b come from ``_normal_equations`` without
     A.  Otherwise ``lstsq`` runs on the full A, and a rank below d^2 raises
     ``InformationallyIncompleteError``, which names the ``_complete_set`` of
-    the frames.  The matrix returned is the solution's Hermitian part over
-    its trace.
+    the frames.  A's last row is the trace, whose right-hand side is the
+    table's mean frame sum, so the constraint holds for every operator's
+    table, a state's or not.  The real and imaginary parts of a complex
+    table are solved on the one G, so a real table gives a Hermitian
+    operator.  A table of any other shape is refused.
     """
+    table = _real_if_real(np.asarray(table))
+    if table.shape != (frames.dim, len(frames)):
+        raise ValueError(f"table shape {table.shape} does not match {frames.dim} outcomes x {len(frames)} frames")
+    table = np.stack([table.real, table.imag], axis=-1) if table.dtype.kind == "c" else table
     us, d = frames.unitaries(), frames.dim
     g, h = _normal_equations(us, table)
     w, v = np.linalg.eigh(g)
     if w[0] * _GRAM_COND_LIMIT >= w[-1]:
-        x = v @ ((v.T @ h) / w)
+        x = v @ ((v.T @ h).T / w).T
     else:
-        x, _, found, _ = np.linalg.lstsq(_design_matrix(us), np.append(table.T.reshape(-1), 1.0), rcond=None)
+        b = table.swapaxes(0, 1).reshape((-1,) + table.shape[2:])
+        x, _, found, _ = np.linalg.lstsq(_design_matrix(us), np.concatenate([b, [table.sum(0).mean(0)]]), rcond=None)
         if found < d * d:
             raise InformationallyIncompleteError(rank=int(found), needed=d * d, complete=_complete_set(frames))
-    rho = np.tensordot(x, hermitian_basis(d), axes=1)
-    return (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    return np.tensordot(x if x.ndim == 1 else x @ (1, 1j), hermitian_basis(d), axes=1)
 
 
 def _design_columns(us: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -191,8 +205,8 @@ def _design_columns(us: np.ndarray, at: np.ndarray) -> np.ndarray:
 def _design_matrix(us: np.ndarray) -> np.ndarray:
     """Real least-squares matrix of an (F, d, d) frame stack, shape (F*d + 1, d^2).
 
-    The rows of ``_design_columns``, then the unit-trace constraint as an
-    extra (well-scaled) equation.  The matrix is built column-major, the
+    The rows of ``_design_columns``, then the trace row as an extra
+    (well-scaled) equation.  The matrix is built column-major, the
     layout LAPACK's least-squares solver reads.
     """
     d = us.shape[-1]

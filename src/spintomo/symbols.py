@@ -10,10 +10,13 @@ symbol map: A = sum_x w(x) f_A(x) D(x) over a quadrature grid.  Both families
 are rotation covariant, U(m, g) = R(g)^dag |j m><j m| R(g) and
 D(m, g) = R(g)^dag D(m, e) R(g), so a grid's ``SpinTransform`` runs the spin
 symbol map and its inverse from the d-matrices at its beta nodes and a gamma
-phase table, without forming either family or a rotation per node.  Every
-table on a frame set comes from the set's ``symbols(a)``: the grid's
-transform for grid frames, and ``frame_diagonals`` on the unitary frames
-R(g)^dag off a grid and on the stack of a ``UnitaryFrames`` set.
+phase table, without forming either family or a rotation per node.  A frame
+set has one forward and one inverse map.  Every table on it comes from its
+``symbols(a)``: the grid's transform for grid frames, and ``frame_diagonals``
+on the unitary frames R(g)^dag off a grid and on the stack of a
+``UnitaryFrames`` set.  Every operator back from a table comes from its
+``inverse(table)``: the synthesis of a grid exact to degree 2j, or the
+least-squares solve of ``reconstruction._solve`` on every other set.
 
 A set of spin frames is one ``SpinFrames`` object of Euler-angle arrays, from
 file to kernel, and, like a ``UnitaryFrames`` set, never empty.  Every map on
@@ -31,6 +34,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -75,8 +79,9 @@ class SpinFrames:
     (``_grid_of`` decides it).
 
     The frame-set interface, shared with ``UnitaryFrames``: ``kind``, ``j``,
-    ``grid``, ``dim``, ``unitaries()`` and ``symbols(a)``, the forward map
-    that every table on a frame set comes from.
+    ``grid``, ``dim``, ``unitaries()``, ``symbols(a)``, the forward map that
+    every table on a frame set comes from, and ``inverse(table)``, the linear
+    map back from a table to its operator.
     """
 
     kind = "spin"
@@ -116,6 +121,16 @@ class SpinFrames:
         if self._grid is not None:
             return SpinTransform.on_grid(self.j, self._grid).analyze(a)
         return frame_diagonals(a, self.unitaries()).T
+
+    def inverse(self, table) -> np.ndarray:
+        """The n x n operator whose ``symbols`` are the (2j+1, F) ``table``: the grid's cached
+        ``SpinTransform.synthesize`` for the frames of a grid exact to degree 2j, and
+        ``reconstruction._solve`` for all others, where a coarser grid's synthesis would alias."""
+        if self._grid is not None and self._grid.exactness_degree >= self.j.twice:
+            return SpinTransform.on_grid(self.j, self._grid).synthesize(table)
+        from .reconstruction import _solve
+
+        return _solve(self, table)
 
 
 def _grid_of(betas: np.ndarray, gammas: np.ndarray) -> QuadratureGrid | None:
@@ -188,7 +203,8 @@ class UnitaryFrames(Sequence):
     def of(cls, frames, n: int) -> "UnitaryFrames":
         """``frames`` itself if n x n, else the ``unitaries()`` of a frame set, an
         (F, n, n) array, n x n matrices or tuples of per-factor unitaries as one
-        set, checked as on construction."""
+        set, checked as on construction.  The product stack of tuples, 16 F d^2
+        bytes, is counted against the byte budget before ``kron_all`` forms it."""
         if isinstance(frames, cls) and frames.stack.shape[1:] == (n, n):
             return frames
         factors = None
@@ -197,6 +213,8 @@ class UnitaryFrames(Sequence):
             items = list(items)
             if items and all(isinstance(fr, tuple) for fr in items):
                 factors = [np.stack(factor) for factor in zip(*items, strict=True)]
+                d = math.prod(f.shape[-1] for f in factors)
+                _check_bytes(16 * len(items) * d * d, "the stack of {} product frames at dimension {}", len(items), d)
                 items = kron_all(factors)
             elif any(isinstance(fr, tuple) for fr in items):
                 raise ValueError("frames must be all matrices or all tuples of per-factor unitaries")
@@ -216,6 +234,12 @@ class UnitaryFrames(Sequence):
     def symbols(self, a) -> np.ndarray:
         """The (n, F) table diag(u^dag a u) of the n x n operator ``a`` over the frames u."""
         return frame_diagonals(a, self.stack).T
+
+    def inverse(self, table) -> np.ndarray:
+        """The n x n operator whose ``symbols`` are the (n, F) ``table``, by ``reconstruction._solve``."""
+        from .reconstruction import _solve
+
+        return _solve(self, table)
 
     def __getitem__(self, i: int):
         return self.stack[i] if self.factors is None else tuple(f[i] for f in self.factors)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from spintomo import reconstruction
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import expm_hermitian_times, frame_diagonals, haar_unitaries, hermitian_basis, kron_all
 from spintomo.simplex import _BASE_POINTS, _draw_elements
@@ -33,9 +32,10 @@ def shot_frequencies(table, shots: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def least_squares_solution(t) -> np.ndarray:
-    """The hermitized, trace-normalised unit-trace least-squares solution of a
-    tomogram, as ``reconstruct_from_unitary_frame`` forms it before any projection."""
-    return reconstruction._solve(t.frames, t.table.real)
+    """The frame set's inverse of a tomogram's real table, hermitized and trace-normalised,
+    as ``reconstruct_from_unitary_frame`` forms it before any projection."""
+    rho = t.frames.inverse(t.table.real)
+    return (rho + rho.conj().T) / (2 * np.trace(rho).real)
 
 
 FRAME_KINDS = ["grid", "off_grid", "unitary", "product"]

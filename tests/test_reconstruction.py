@@ -429,6 +429,35 @@ class TestSpinDirections:
         assert (err.value.rank, err.value.needed) == (n * n - 1, n * n)
 
 
+class TestObservablesOffAGrid:
+    """Off a grid an observable's table comes back through ``frames.inverse``; the state estimate
+    still reads a table as a state's and refuses one not normalized per frame."""
+
+    @pytest.mark.parametrize("jt", [2, 4, 8])
+    def test_a_traceless_observable_on_random_directions_comes_back(self, jt, rng):
+        n = jt + 1
+        a = random_hermitian(n, rng)
+        a -= np.trace(a).real / n * np.eye(n)
+        frames = SpinFrames(jt / 2, np.arccos(rng.uniform(-1, 1, 2 * jt + 3)), rng.uniform(0, 2 * np.pi, 2 * jt + 3))
+        t = spin_tomogram(a, frames)
+        assert frames.grid is None
+        assert np.max(np.abs(t.frames.inverse(t.table) - a)) <= 1e-12 * np.linalg.norm(a, 2)
+        with pytest.raises(ValueError, match=r"^tomogram not normalized per frame \(residual 1\.000e\+00\)$"):
+            reconstruct_from_unitary_frame(t)
+
+    @pytest.mark.parametrize("jt", [1, 4, 16])
+    def test_a_grid_state_estimate_is_synthesized_with_no_rotation_stack(self, jt, monkeypatch):
+        rho = random_density(jt + 1, jt + 1, seed=jt)
+        t = spin_tomogram(rho, grid_frames(jt / 2, make_grid(jt / 2)))
+
+        def stacked(self):
+            raise AssertionError("formed the rotation stack of grid frames")
+
+        monkeypatch.setattr(SpinFrames, "unitaries", stacked)
+        est = reconstruct_from_unitary_frame(t)
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-13
+
+
 def lstsq_state(us, rho):
     """Oracle: the unit-trace least-squares state of rho's tomogram by ``lstsq`` on the design matrix."""
     d = rho.dim

@@ -6,8 +6,9 @@ nonnegative half-integer, and a magnetic number is j - k for a whole k.  An
 AST scan of ``src/`` finds each rule's refusal text raised, its check called,
 or its helper defined in one place only, and finds no ``np.prod`` (which wraps
 in int64), no array tested by ``np.isfinite`` past ``_require_finite``, and no
-spin or magnetic number read past ``spin`` or ``magnetic``; a behaviour test
-drives the frame-sum check through ``Tomogram`` itself.
+spin or magnetic number read past ``spin`` or ``magnetic``, and no call of
+the least-squares solve past the two frame sets' ``inverse``; a behaviour
+test drives the frame-sum check through ``Tomogram`` itself.
 """
 
 import ast
@@ -141,6 +142,11 @@ def test_frame_sums_checked_where_a_state_table_is_made():
         ("symbols.py", "Tomogram.__post_init__"),
         ("reconstruction.py", "reconstruct_from_unitary_frame"),
     }
+
+
+def test_one_route_to_the_least_squares_solve():
+    # every inverse off a grid is its frame set's inverse(table); the state estimate calls that
+    assert _calls("_solve") == {("symbols.py", "SpinFrames.inverse"), ("symbols.py", "UnitaryFrames.inverse")}
 
 
 @pytest.mark.parametrize("helper", ["_real_if_real", "_real_table"])

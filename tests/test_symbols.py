@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FRAME_KINDS, dequantizer_series, frame_set, random_hermitian
 from spintomo import io
+from spintomo.errors import LIMITS, InformationallyIncompleteError
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import (
     expm_hermitian_times,
@@ -15,7 +18,8 @@ from spintomo.linalg import (
     random_density,
 )
 from spintomo.quadrature import GROUP_VOLUME, make_grid
-from spintomo.states import bell_state, maximally_mixed, product_state, pure_state
+from spintomo.reconstruction import reconstruct_from_unitary_frame
+from spintomo.states import bell_state, ghz_state, maximally_mixed, product_state, pure_state
 from spintomo.su2 import rotation_matrix
 from spintomo.symbols import (
     EulerAngles,
@@ -225,6 +229,29 @@ class TestFrameStack:
         with pytest.raises(ValueError, match=message):
             UnitaryFrames(stack)
 
+    def test_product_stack_past_the_byte_budget_is_refused_before_it_is_formed(self, monkeypatch):
+        # 20 product frames of 8 qubits: the (20, 256, 256) stack is 16 * 20 * 256^2 bytes (21 MB),
+        # refused at a 4 MiB budget with its own text while only the factor stacks exist
+        rho, rng = ghz_state(8), np.random.default_rng(8)
+        frames = list(zip(*(haar_unitaries(2, 20, rng) for _ in range(8))))
+        stack_bytes = 16 * 20 * 256**2
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        message = r"^the stack of 20 product frames at dimension 256 would allocate about 0\.021 GB, above the budget"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                unitary_tomogram(rho, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 100
+        # one byte short of the stack it is refused, and at its bytes it is formed as before
+        monkeypatch.setitem(LIMITS, "bytes", stack_bytes - 1)
+        with pytest.raises(ValueError, match=message):
+            UnitaryFrames.of(frames, 256)
+        monkeypatch.setitem(LIMITS, "bytes", stack_bytes)
+        assert UnitaryFrames.of(frames, 256).stack.shape == (20, 256, 256)
+
     def test_refuses_nan_in_the_last_block(self):
         frames = haar_unitaries(2, 1025, 8)
         frames[-1, 0, 0] = np.nan
@@ -332,6 +359,78 @@ class TestFrameSetInterface:
         assert np.array_equal(t.table, spin_tomogram(rho, frames).table)
         with pytest.raises(ValueError, match=rf"^frame shape \({jt + 1}, {jt + 1}\) does not match state dimension {jt + 2}$"):
             unitary_tomogram(random_density(jt + 2, 2, seed=1), frames)
+
+
+def complete_frame_set(kind: str, n: int, times: int, rng) -> SpinFrames | UnitaryFrames:
+    """A random n x n frame set of one of ``FRAME_KINDS`` with ``times`` the frames of the
+    smallest generic complete set: 4j + 1 directions, d + 1 unitaries, or 3 (n/2 + 1)
+    products over the factors (2, n/2); a grid is ``frame_set``'s default grid."""
+    if kind == "grid":
+        return frame_set(kind, n, rng)
+    if kind == "off_grid":
+        count = times * (2 * n - 1)
+        return SpinFrames(HalfInt(n - 1), np.arccos(rng.uniform(-1, 1, count)), rng.uniform(0, 2 * np.pi, count))
+    if kind == "unitary":
+        return UnitaryFrames(haar_unitaries(n, times * (n + 1), rng))
+    count = times * 3 * (n // 2 + 1)
+    return UnitaryFrames.of(list(zip(haar_unitaries(2, count, rng), haar_unitaries(n // 2, count, rng))), n)
+
+
+class TestFrameSetInverse:
+    """Both frame sets answer ``inverse(table)``, the linear map back from ``symbols(a)`` to a."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(FRAME_KINDS),
+        size=st.integers(1, 17),
+        times=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inverse_returns_the_operator_of_its_symbols(self, kind, size, times, seed):
+        # 2j <= 16 on spin sets, d <= 8 on unitary sets and n = 2 .. 8 on products over (2, n/2);
+        # minimal sets lose up to eps cond(A), so they get 1e-11 and every other set 1e-12
+        n = {"grid": size, "off_grid": size, "unitary": (size - 1) % 8 + 1, "product": 2 * ((size - 1) % 4 + 1)}[kind]
+        rng = np.random.default_rng(seed)
+        frames = complete_frame_set(kind, n, times, rng)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        back = frames.inverse(frames.symbols(a))
+        bound = 1e-12 if kind == "grid" or times == 2 else 1e-11
+        assert np.linalg.norm(back - a, 2) <= bound * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_a_real_table_gives_a_hermitian_operator(self, kind, rng):
+        frames = frame_set(kind, 4, rng)
+        a = random_hermitian(4, rng)
+        back = frames.inverse(frames.symbols(a).real)
+        assert np.array_equal(back, back.conj().T)
+        assert np.max(np.abs(back - a)) <= 1e-12
+
+    @pytest.mark.parametrize("jt", [2, 4, 8])
+    def test_an_aliasing_grid_is_refused_as_incomplete_not_synthesized(self, jt, rng):
+        # below oversample 1 the grid is exact to a degree below 2j: its synthesis aliases, and its
+        # nodes resolve too few multipoles, so the inverse refuses as the state estimate does
+        grid = make_grid(jt / 2, oversample=0.7)
+        frames = grid_frames(jt / 2, grid)
+        assert frames.grid == grid and grid.exactness_degree < jt
+        t = spin_tomogram(random_density(jt + 1, jt + 1, seed=jt), frames)
+        with pytest.raises(InformationallyIncompleteError, match=rf"; a generic set of 4j \+ 1 = {2 * jt + 1} directions"):
+            frames.inverse(t.table)
+        with pytest.raises(InformationallyIncompleteError):
+            reconstruct_from_unitary_frame(t)
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    @pytest.mark.parametrize("shape", ["more_frames", "more_outcomes", "flat", "stacked"])
+    def test_a_table_of_another_shape_is_refused(self, kind, shape, rng):
+        frames = frame_set(kind, 4, rng)
+        table = frames.symbols(random_hermitian(4, rng))
+        table = {
+            "more_frames": np.concatenate([table, table[:, :1]], axis=1),
+            "more_outcomes": np.concatenate([table, table[:1]]),
+            "flat": table.reshape(-1),
+            "stacked": table[..., None],
+        }[shape]
+        with pytest.raises(ValueError, match=r"table shape \("):
+            frames.inverse(table)
 
 
 class TestMarginal:
