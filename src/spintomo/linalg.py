@@ -8,11 +8,14 @@ Randomness uses numpy's PCG64 generator; a fixed seed reproduces the Gaussian
 stream bit for bit on any platform.  Haar unitaries orthonormalise that stream
 by Gram-Schmidt in elementwise numpy arithmetic, with no LAPACK call.
 
-The frame kernels walk frames in fixed blocks of ``_BLOCK`` draws, so their
-working arrays stay in cache and their scratch memory does not grow with the
-number of frames.  ``haar_blocks`` draws Haar unitaries one block at a time
-in column layout, q[k, i, b] = u_b[i, k], bit-identical to the unblocked
-sampler.  Its one storage path takes the array for the Gaussian draw x from
+The frame kernels walk frames in blocks of ``_BLOCK_BYTES`` (512 KiB) of
+complex n x n frames, a multiple of 8 frames and at least 8: 512 frames at
+n = 8, 8192 at n = 2, 128 at n = 16 and 8 at n = 64.  So their working
+arrays stay in cache, a small n pays numpy's call overhead on few blocks,
+and their scratch memory grows with neither the number of frames nor their
+size.  ``haar_blocks`` draws Haar unitaries one block at a time in column
+layout, q[k, i, b] = u_b[i, k], bit-identical to the unblocked sampler.
+Its one storage path takes the array for the Gaussian draw x from
 its caller and draws y block by block into the bytes of x that the block
 has read: ``haar_blocks`` allocates x, and ``haar_unitaries`` passes the
 upper half of its own output and writes each block below it, so its peak
@@ -52,8 +55,9 @@ import numpy as np
 
 from .errors import LIMITS, check
 
-_BLOCK = 512  # frames per block of the frame kernels
-_SLAB = 128  # frames per transposed copy in frame_diagonals: the rows they span stay in cache
+_BLOCK_BYTES = 2**19  # bytes of frames per block of the frame kernels: 512 frames at n = 8
+_SLAB_BYTES = 2**17  # bytes of frames per transposed copy in frame_diagonals: the rows they span stay in cache
+_TILE = 8  # every block is a whole number of tiles of 8 frames
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -67,15 +71,25 @@ def _check_bytes(nbytes: float, what: str, *args) -> None:
     check("bytes", nbytes, message, *args, gigabytes, LIMITS["bytes"] / 1e9)
 
 
-def _blocks(count: int) -> list[slice]:
-    """Consecutive slices of range(count) of ``_BLOCK`` frames each.
+def _frames_in(nbytes: int, n: int) -> int:
+    """How many complex n x n frames fill ``nbytes``, in whole ``_TILE``s, and never less than one tile."""
+    return _TILE * max(1, nbytes // (16 * _TILE * max(n, 1) ** 2))
 
-    The remainder joins the last slice, so no slice is shorter than
-    ``_BLOCK`` unless ``count`` is.  A one-frame block would change the
-    summation path of the sampler's ``einsum`` and ``norm``, and with it the
-    last bits of that draw.
+
+def _blocks(count: int, n: int) -> list[slice]:
+    """Consecutive slices of range(count), each of ``_BLOCK_BYTES`` of complex n x n frames.
+
+    The remainder joins the last slice, so no slice is shorter than a block
+    unless ``count`` is.  A one-frame block would change the summation path
+    of the sampler's ``einsum`` and ``norm``, and with it the last bits of
+    that draw.  A block is a whole number of 8-frame tiles because BLAS
+    tiles ``column_diagonals``' GEMM a few frames at a time, and frames in a
+    block's last, partial tile take another kernel and other last bits; so
+    every frame but the last ``count % 8`` lies in a full tile, whatever the
+    block.
     """
-    stops = [*range(_BLOCK, count - _BLOCK + 1, _BLOCK), count]
+    size = _frames_in(_BLOCK_BYTES, n)
+    stops = [*range(size, count - size + 1, size), count]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
@@ -130,7 +144,8 @@ def unitarity_residual(u) -> float:
     """
     u = np.asarray(u)
     stack, eye = u.reshape(-1, *u.shape[-2:]), np.eye(u.shape[-1])
-    residuals = [np.abs(stack[b].conj().swapaxes(-1, -2) @ stack[b] - eye).max() for b in _blocks(len(stack))]
+    blocks = _blocks(len(stack), u.shape[-1])
+    residuals = [np.abs(stack[b].conj().swapaxes(-1, -2) @ stack[b] - eye).max() for b in blocks]
     return float(np.max(residuals))
 
 
@@ -153,21 +168,22 @@ def frame_diagonals(a, frames) -> np.ndarray:
     """diag(u^dag a u) for every frame u of an (F, n, n) stack, shape (F, n), complex.
 
     ``a`` is any n x n matrix, Hermitian or not.  Each ``_blocks`` slice of
-    frames is transposed into the column layout of ``column_diagonals``,
-    ``_SLAB`` frames at a time so that the rows it reads stay in cache, and
-    reduced there; the Haar scans reduce the sampler's blocks with the same
-    kernel.
+    frames, 512 KiB of them, is transposed into the column layout of
+    ``column_diagonals``, ``_SLAB_BYTES`` (128 KiB) of frames at a time so
+    that the rows it reads stay in cache, and reduced there; the Haar scans
+    reduce the sampler's blocks with the same kernel.  Beside the stack and
+    the output it holds about two blocks, whatever the frames' number and size.
     """
     count, n = frames.shape[0], frames.shape[-1]
     a = np.asarray(a, dtype=complex)
     out = np.empty((count, n), dtype=complex)
-    blocks = _blocks(count)
+    blocks, slab = _blocks(count, n), _frames_in(_SLAB_BYTES, n)
     scratch = np.empty(n * n * (count - blocks[-1].start), dtype=complex)  # the last block is the largest
     for block in blocks:
         size = block.stop - block.start
         q, u = scratch[: n * n * size].reshape(n, n, size), frames[block]
-        for start in range(0, size, _SLAB):
-            q[..., start : start + _SLAB] = u[start : start + _SLAB].T
+        for start in range(0, size, slab):
+            q[..., start : start + slab] = u[start : start + slab].T
         out[block] = column_diagonals(a, q)
     return out
 
@@ -217,18 +233,21 @@ def expm_hermitian_times(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _check_draw(n: int, count: int) -> None:
-    _integers((n,), "dimensions", 1)
+def _check_draw(n: int, count: int) -> tuple[int, int]:
+    """The dimension and count of a Haar draw as ints, refused unless n >= 1 and count >= 0."""
+    (n,) = _integers((n,), "dimensions", 1)
     if not (_is_integer(count) and count >= 0):
         raise ValueError(f"sample count must be a nonnegative integer, got {count!r}")
+    return n, int(count)
 
 
 def haar_blocks(n: int, count: int, rng_or_seed):
     """Haar unitaries one block of draws at a time: yields (block, q), q[k, i, b] = u_b[i, k].
 
-    ``block`` is a ``_blocks`` slice of the draws and q the (n, n, size)
-    column layout that ``column_diagonals`` reads.  q is scratch that the
-    next block overwrites, so a caller uses or copies it before going on.
+    ``block`` is a ``_blocks`` slice of the draws, 512 KiB of unitaries,
+    and q the (n, n, size) column layout that ``column_diagonals`` reads.
+    q is scratch that the next block overwrites, so a caller uses or copies
+    it before going on.
 
     The Ginibre draw z = (x + i y) / sqrt(2) takes x and then y from the
     generator, each of shape (count, n, n): x all at once, y one block at a
@@ -246,10 +265,11 @@ def haar_blocks(n: int, count: int, rng_or_seed):
     division by the norm; the sum takes the product of ``conj(v)`` and
     ``v`` as two distinct arrays, as ``np.linalg.norm`` forms it.
 
-    The dimension and count are checked on the call, before a caller
-    allocates for the draws, not on the first block.
+    The dimension, the count and the bytes of x are checked on the call,
+    before x is allocated, not on the first block.
     """
-    _check_draw(n, count)
+    n, count = _check_draw(n, count)
+    _check_bytes(8 * count * n * n, "the Gaussian draw of {} Haar unitaries at dimension {}", count, n)
     return _haar_blocks(np.empty((count, n, n)), np.random.default_rng(rng_or_seed))
 
 
@@ -258,7 +278,7 @@ def _haar_blocks(x: np.ndarray, rng: np.random.Generator):
     # each block's y then reuses the bytes of x[block]
     count, n = len(x), x.shape[-1]
     rng.standard_normal(out=x)
-    blocks = _blocks(count)
+    blocks = _blocks(count, n)
     largest = count - blocks[-1].start
     scratch = np.empty(n * n * largest, dtype=complex)
     conjugates = np.empty(n * largest, dtype=complex)
@@ -292,9 +312,10 @@ def haar_unitaries(n: int, count: int, rng_or_seed) -> np.ndarray:
 
     ``haar_blocks`` written into one stack: x is drawn into the upper half of
     the output's own bytes, so the peak memory is the output and about one
-    block of scratch.
+    block of scratch.  The output's bytes are checked before it exists.
     """
-    _check_draw(n, count)
+    n, count = _check_draw(n, count)
+    _check_bytes(16 * count * n * n, "{} Haar unitaries at dimension {}", count, n)
     out = np.empty((count, n, n), dtype=complex)
     # Block b's unitaries fill floats [0, 2 stop_b n^2) of the output, and x's
     # unread blocks start at float count n^2 + stop_b n^2 >= 2 stop_b n^2; its y,
@@ -309,15 +330,18 @@ def _haar_scan(a, count: int, rng_or_seed, reduce, shape: tuple[int, ...] = ()) 
     """``reduce(diagonals)`` per Haar frame u of ``haar_unitaries(len(a), count, rng_or_seed)``, shape (count, *shape).
 
     The one reduction of the entropy and Peres scans and of the full group's
-    simplex image: each ``haar_blocks`` block goes through
+    simplex image: each block of the sampler, 512 KiB of frames, goes through
     ``column_diagonals`` while it is in cache, and ``reduce`` maps its (B, n)
     complex diagonals diag(u^dag a u) to B values of the given ``shape``
     (B rows of n points for the image).  No frame stack is held, and the
     diagonals are those of ``frame_diagonals`` on ``haar_unitaries`` bit for bit.
+    The sampler's x and the output are checked against the byte budget
+    before either exists.
     """
-    draws = haar_blocks(len(a), count, rng_or_seed)  # checks the count before out exists
+    n, count = _check_draw(len(a), count)
+    _check_bytes(8 * count * (n * n + math.prod(shape)), "a scan of {} Haar frames at dimension {}", count, n)
     out = np.empty((count, *shape))
-    for block, q in draws:
+    for block, q in haar_blocks(n, count, rng_or_seed):
         out[block] = reduce(column_diagonals(a, q))
     return out
 

@@ -121,13 +121,18 @@ def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> Simplex
     copy of the generator taken before the draws.  The full group's points
     come from ``linalg._haar_scan``, which reduces each block of draws as it
     is drawn, so no frame stack is held.  A product group's joint frames are
-    formed one ``_blocks`` slice at a time, the blocks of ``frame_diagonals``
-    itself, from factor stacks that are dropped on return, so no (n, N, N)
-    product stack is held either.
+    formed one ``_blocks`` slice (512 KiB of N x N frames) at a time, the
+    blocks of ``frame_diagonals`` itself, from factor stacks that are dropped
+    on return, so no (n, N, N) product stack is held either.  The points and
+    the sampler's x, or the active factor stacks, are checked against the
+    byte budget before any of them exists.
     """
-    _check_draw(rho.dim, n)  # before anything is allocated for the draws
+    _, n = _check_draw(rho.dim, n)  # before anything is allocated for the draws
     if n < 1:
         raise ValueError("sample size must be positive")
+    factors, active = g.resolve(rho.dims)
+    held = 8 * rho.dim**2 if g.kind == "full" else sum(16 * factors[a] ** 2 for a in active)  # x or factor stacks
+    _check_bytes(n * (held + 8 * rho.dim), "the {} group's image of {} points at dimension {}", g.kind, n, rho.dim)
     rng = np.random.default_rng(seed)
     before = copy.deepcopy(rng)
     if g.kind == "full":
@@ -135,7 +140,7 @@ def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> Simplex
     else:
         elements = _draw_elements(g, rho.dims, n, rng)
         points = np.empty((n, rho.dim))
-        for block in _blocks(n):
+        for block in _blocks(n, rho.dim):
             points[block] = frame_diagonals(rho.mat, kron_all([e[block] for e in elements])).real
     sample = SimplexSample(points=points, seed=seed, group=g, dims=rho.dims, rng=before)
     sample.validate()

@@ -55,6 +55,22 @@ def frame_set(kind: str, n: int, rng: np.random.Generator):
     return UnitaryFrames.of(list(zip(haar_unitaries(2, 12, rng), haar_unitaries(n // 2, 12, rng))), n)
 
 
+# frames per block of the frame kernels at dimension n: 512 KiB of complex n x n
+# frames, in whole tiles of 8 frames (5 takes the tile rounding: 1310 -> 1304)
+BLOCK_EDGES = {1: 32768, 2: 8192, 4: 2048, 5: 1304, 8: 512, 16: 128}
+
+
+def straddling_counts(n: int) -> list[int]:
+    """Frame counts about dimension n's block edge E: none, one, E - 1, E, E + 1
+    (whose remainder joins the one block), 2E + 1 and 3E - 1 (three blocks)."""
+    e = BLOCK_EDGES[n]
+    return [0, 1, e - 1, e, e + 1, 2 * e + 1, 3 * e - 1]
+
+
+# (n, count) pairs that straddle every listed dimension's block edge
+STRADDLING = [(n, count) for n in BLOCK_EDGES for count in straddling_counts(n)]
+
+
 def frame_diagonals_oracle(a, frames) -> np.ndarray:
     """diag(u^dag a u) for every frame of an (F, n, n) stack, in extended precision."""
     a, u = np.asarray(a, dtype=np.clongdouble), np.asarray(frames, dtype=np.clongdouble)

@@ -284,6 +284,7 @@ class TestPropagator:
         with pytest.raises(ValueError, match="^spin j must be nonnegative$"):
             channel_propagator(depolarizing(0.1), -0.5, make_grid(0.5))
 
+    @pytest.mark.memory
     def test_refused_above_the_byte_budget_without_allocating(self):
         # (17 * 26 * 50)^2 * 8 B = 3.9 GB at 2j = 16, oversample 1.5
         grid = make_grid(8, oversample=1.5)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import STRADDLING
 from spintomo.entropy import (
     _renyi,
     frame_probabilities,
@@ -20,6 +21,7 @@ from spintomo.entropy import (
     tsallis_entropy,
     von_neumann,
 )
+from spintomo.errors import LIMITS
 from spintomo.linalg import DensityMatrix, haar_unitaries, haar_unitary, partial_trace, random_density
 from spintomo.states import bell_state, ghz_state, maximally_mixed, product_state, pure_state
 
@@ -387,8 +389,7 @@ class TestOneKernel:
         rows = [renyi_entropy(row / row.sum(), q) for row in probs]
         assert np.max(np.abs(report.per_frame - rows)) < 1e-14
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
-    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025, 2047])
+    @pytest.mark.parametrize("n, count", STRADDLING)
     def test_per_frame_values_are_those_of_the_haar_stack(self, n, count):
         # each block is reduced as it is drawn; the values are the stack's bit for bit
         rho, q = random_density(n, n, seed=n + count), (1.0, 2.0)[count % 2]
@@ -406,6 +407,21 @@ class TestOneKernel:
             tracemalloc.stop()
         # the sampler's Gaussian draw x alone is half of the 10.24 MB stack
         assert peak <= 0.8 * 10_000 * 8 * 8 * 16
+
+    @pytest.mark.memory
+    def test_scan_past_the_byte_budget_is_refused_before_the_draw(self, monkeypatch):
+        # the draw x and the entropies of 16384 frames at n = 8, 8.5 MB, at a 4 MiB budget
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        message = "^a scan of 16384 Haar frames at dimension 8 would allocate about 0.00852 GB, above the budget"
+        rho = random_density(8, 8, seed=39)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                min_entropy_over_group(rho, 16384, seed=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16384 * 65 / 100
 
     def test_a_non_integer_count_is_refused_by_the_sampler(self):
         # refused before the scan allocates for its entropies

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_diagonals_bound, frame_diagonals_oracle, random_hermitian
+from conftest import BLOCK_EDGES, STRADDLING, frame_diagonals_bound, frame_diagonals_oracle, random_hermitian
 from spintomo.channels import depolarizing
 from spintomo.dynamics import Povm, PovmReport
 from spintomo.entropy import MonteCarlo, min_entropy_over_group
+from spintomo.errors import LIMITS
 from spintomo.halfint import HalfInt
 from spintomo.linalg import (
     DensityMatrix,
@@ -395,10 +396,10 @@ class TestFrameStacks:
         frames[7] *= 1.01
         assert unitarity_residual(frames) == pytest.approx(1.01**2 - 1.0)
 
-    @pytest.mark.parametrize("where", [0, 511, 512, 1024])
+    @pytest.mark.parametrize("where", [0, 8191, 8192, 16384])
     def test_unitarity_residual_is_nan_for_a_nan_in_any_block(self, where):
-        # the stack is checked per block of 512 frames; np.max keeps the NaN
-        frames = haar_unitaries(2, 1025, 5)
+        # at n = 2 the stack is checked per block of 8192 frames; np.max keeps the NaN
+        frames = haar_unitaries(2, 16385, 5)
         frames[where, 1, 0] = np.nan
         assert np.isnan(unitarity_residual(frames))
 
@@ -431,24 +432,41 @@ def unblocked_haar_unitaries(n, count, seed):
 
 
 class TestBlockedFrameKernels:
-    # the kernels work in blocks of 512 frames; the counts straddle one and two
-    # blocks, and 2047 is three blocks, the last of which takes the 511-frame remainder
+    # the kernels work in blocks of 512 KiB of frames, BLOCK_EDGES[n] frames at
+    # dimension n; the counts straddle one, two and three blocks, the last of
+    # which takes the remainder
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
-    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025, 2047])
+    @pytest.mark.parametrize(
+        "n, edge", [*BLOCK_EDGES.items(), (3, 3640), (12, 224), (23, 56), (64, 8), (65, 8), (200, 8)]
+    )
+    def test_a_block_is_512_kib_of_frames_in_whole_tiles_of_8(self, n, edge):
+        assert _blocks(edge - 1, n) == [slice(0, edge - 1)]
+        assert _blocks(2 * edge - 1, n) == [slice(0, 2 * edge - 1)]
+        assert _blocks(3 * edge + 7, n) == [slice(0, edge), slice(edge, 2 * edge), slice(2 * edge, 3 * edge + 7)]
+
+    @pytest.mark.parametrize("n, count", STRADDLING)
     def test_haar_is_bit_identical_to_the_unblocked_sampler(self, n, count):
         seed = 1000 * n + count
         assert np.array_equal(haar_unitaries(n, count, seed), unblocked_haar_unitaries(n, count, seed))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
-    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025, 2047])
+    @pytest.mark.parametrize("n, count", STRADDLING)
     def test_block_generator_yields_the_stack_in_column_layout(self, n, count):
         # q is scratch that the next block overwrites, so each block is copied as it comes
         blocks = [(block, q.T.copy()) for block, q in haar_blocks(n, count, count)]
-        assert [block for block, _ in blocks] == _blocks(count)
+        assert [block for block, _ in blocks] == _blocks(count, n)
         assert np.array_equal(np.concatenate([u for _, u in blocks]), haar_unitaries(n, count, count))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("n", list(BLOCK_EDGES))
+    def test_frame_diagonals_depend_on_a_frame_s_tile_not_its_block(self, n):
+        # BLAS tiles the GEMM a few frames at a time, and a block is whole tiles of
+        # 8 frames, so a stack cut at a tile edge gives its frames' bits whatever its blocks
+        edge, a = BLOCK_EDGES[n], random_density(n, n, seed=n).mat
+        frames = haar_unitaries(n, 2 * edge + 5, n)
+        whole = frame_diagonals(a, frames)
+        for stop in (8, edge - 8, edge + 8, 2 * edge):
+            assert np.array_equal(frame_diagonals(a, frames[:stop]), whole[:stop])
+
+    @pytest.mark.parametrize("n", list(BLOCK_EDGES))
     @pytest.mark.parametrize(
         "case", ["non_hermitian", "real", "non_contiguous", "broadcast", "empty", "partial_block"]
     )
@@ -464,7 +482,7 @@ class TestBlockedFrameKernels:
         elif case == "empty":
             frames = frames[:0]
         elif case == "partial_block":
-            frames = haar_unitaries(n, 1100, rng)
+            frames = haar_unitaries(n, 2 * BLOCK_EDGES[n] + 3, rng)
         got = frame_diagonals(a, frames)
         assert got.shape == (len(frames), n) and got.dtype == complex
         err = np.max(np.abs(got - frame_diagonals_oracle(a, frames)), initial=0.0)
@@ -522,6 +540,45 @@ class TestBlockedFrameKernels:
             tracemalloc.stop()
         # the frame stack alone is 20 MB; the scratch is a few blocks of 512 frames
         assert peak <= out.nbytes + 4 * 2**20
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize("kernel", ["frame_diagonals", "unitary_tomogram"])
+    def test_scratch_does_not_grow_with_the_dimension(self, kernel):
+        # at n = 64 a block is 8 frames (512 KiB), where a block of 512 frames would
+        # hold all 600 and copy the 39 MB stack; the tomogram adds its unitarity check
+        frames, rho = haar_unitaries(64, 600, 43), random_density(64, 64, seed=44)
+        tracemalloc.start()
+        try:
+            if kernel == "frame_diagonals":
+                frame_diagonals(rho.mat, frames)
+            else:
+                unitary_tomogram(rho, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 600 * 64 + 4 * 2**20
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize(
+        "draw, count, what",
+        [(haar_unitaries, 8192, "8192 Haar unitaries"), (haar_blocks, 16384, "the Gaussian draw of 16384 Haar unitaries")],
+        ids=["stack", "blocks"],
+    )
+    def test_haar_draw_past_the_byte_budget_is_refused_before_it_is_allocated(self, monkeypatch, draw, count, what):
+        # 8 MiB: the stack of 8192 unitaries, or the Gaussian draw x of 16384, at a 4 MiB budget
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        message = f"^{what} at dimension 8 would allocate about 0.00839 GB, above the budget of 0.00419 GB$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                draw(8, count, 45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**23 / 100
+        # at its bytes the draw is made
+        monkeypatch.setitem(LIMITS, "bytes", 2**23)
+        draw(8, count, 45)
 
 
 class TestInvariants:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from itertools import combinations
@@ -8,11 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    STRADDLING,
     einsum_dimension,
     finite_difference_dimension,
     frame_diagonals_bound,
     frame_diagonals_oracle,
     random_hermitian,
+    straddling_counts,
 )
 from spintomo import simplex
 from spintomo.errors import LIMITS, DegeneratePointError
@@ -179,17 +182,20 @@ class TestImageSample:
             assert np.max(np.abs(point - loop)) <= 1e-15
 
 
-class TestBlockedProductImage:
-    # the joint frames are formed one block of 512 draws at a time
+# product dims of each joint dimension whose block edge the counts straddle
+PRODUCT_DIMS = {1: (1,), 2: (2,), 4: (2, 2), 5: (5,), 8: (2, 2, 2), 16: (2, 2, 2, 2)}
 
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 10_000])
-    def test_points_equal_those_of_the_full_product_stack(self, n):
-        rho = random_density(8, 8, seed=n, dims=(2, 2, 2))
+
+class TestBlockedProductImage:
+    # the joint frames are formed one block of 512 KiB of N x N frames at a time
+
+    @pytest.mark.parametrize("d, n", [(d, n) for d, n in STRADDLING if n] + [(8, 10_000)])
+    def test_points_equal_those_of_the_full_product_stack(self, d, n):
+        rho = random_density(d, d, seed=n, dims=PRODUCT_DIMS[d])
         sample = image_sample(rho, GroupSpec("product"), n, seed=n + 1)
         assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 2047])
+    @pytest.mark.parametrize("d, n", [(d, n) for d, n in STRADDLING if n])
     def test_full_group_points_and_params_are_those_of_the_haar_stack(self, d, n):
         rho = random_density(d, d, seed=d + n)
         sample = image_sample(rho, GroupSpec("full"), n, seed=n)
@@ -227,6 +233,36 @@ class TestBlockedProductImage:
             tracemalloc.stop()
         assert peak < 10_000 * 8 * 8 * 16
 
+    @pytest.mark.memory
+    @pytest.mark.parametrize(
+        "group, dims, count, nbytes",
+        [
+            # the points and the sampler's draw x, 8 (8 + 64) bytes a point
+            (FULL, (2, 2, 2), 16384, 16384 * 8 * 72),
+            # the points and three 2 x 2 factor stacks, 8 * 8 + 3 * 16 * 4 bytes a point
+            (GroupSpec("product"), (2, 2, 2), 32768, 32768 * 256),
+            # the points and the one active 4 x 4 factor stack
+            (GroupSpec("product", active=(1,)), (2, 4), 32768, 32768 * 320),
+        ],
+        ids=["full", "product", "product1"],
+    )
+    def test_image_past_the_byte_budget_is_refused_before_the_draws(self, monkeypatch, group, dims, count, nbytes):
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        message = (f"^the {group.kind} group's image of {count} points at dimension 8 would allocate about "
+                   f"{nbytes / 1e9:.3g} GB, above the budget of 0.00419 GB$")
+        rho = random_density(8, 8, seed=18, dims=dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                image_sample(rho, group, count, seed=19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 100
+        # at its bytes the image is drawn as before
+        monkeypatch.setitem(LIMITS, "bytes", nbytes)
+        image_sample(rho, group, count, seed=19)
+
 
 SEED_KINDS = {
     "int": lambda seed: seed,
@@ -240,7 +276,7 @@ class TestParamsDrawnAgain:
     # params draws the factor stacks again from it
 
     @pytest.mark.parametrize("kind", SEED_KINDS)
-    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025, 2049, 8193])
     @pytest.mark.parametrize("group", [FULL, GroupSpec("product"), GroupSpec("product", active=(1,))],
                              ids=["full", "product", "product1"])
     def test_points_and_params_are_those_of_the_stacks_drawn_up_front(self, group, n, kind):
@@ -532,8 +568,9 @@ class TestPeresScan:
         assert np.array_equal(result.witness, vecs)
         assert result.detection is None
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
-    @pytest.mark.parametrize("n", [511, 513, 1025, 2047])
+    @pytest.mark.parametrize(
+        "dims, n", [(dims, n) for dims in ((2, 2), (2, 4), (2, 8)) for n in straddling_counts(math.prod(dims)) if n > 1]
+    )
     def test_block_scan_equals_the_stack_scan(self, dims, n):
         # the detections of all n Haar frames as one stack, against the blocks reduced as drawn
         rho = random_density(int(np.prod(dims)), 2, seed=n, dims=dims)
@@ -583,6 +620,21 @@ class TestPeresScan:
             tracemalloc.stop()
         # the sampler's Gaussian draw x alone is half of the 10.24 MB stack
         assert peak <= 0.8 * 10_000 * 8 * 8 * 16
+
+    @pytest.mark.memory
+    def test_scan_past_the_byte_budget_is_refused_before_the_draw(self, monkeypatch):
+        # the draw x and the detections of 16384 frames at n = 8, 8.5 MB, at a 4 MiB budget
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        message = "^a scan of 16384 Haar frames at dimension 8 would allocate about 0.00852 GB, above the budget"
+        rho = random_density(8, 8, seed=41, dims=(2, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                peres_scan(rho, 16384, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16384 * 65 / 100
 
     def test_a_non_integer_count_is_refused_by_the_sampler(self):
         for count in (10.0, True):

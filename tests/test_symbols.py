@@ -229,6 +229,7 @@ class TestFrameStack:
         with pytest.raises(ValueError, match=message):
             UnitaryFrames(stack)
 
+    @pytest.mark.memory
     def test_product_stack_past_the_byte_budget_is_refused_before_it_is_formed(self, monkeypatch):
         # 20 product frames of 8 qubits: the (20, 256, 256) stack is 16 * 20 * 256^2 bytes (21 MB),
         # refused at a 4 MiB budget with its own text while only the factor stacks exist
@@ -253,11 +254,13 @@ class TestFrameStack:
         assert UnitaryFrames.of(frames, 256).stack.shape == (20, 256, 256)
 
     def test_refuses_nan_in_the_last_block(self):
-        frames = haar_unitaries(2, 1025, 8)
+        # at n = 2 a block is 8192 frames, so the last block starts at frame 8192
+        frames = haar_unitaries(2, 16385, 8)
         frames[-1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="not unitary within 1e-8"):
             UnitaryFrames.of(frames, 2)
 
+    @pytest.mark.memory
     def test_unitarity_check_scratch_does_not_grow_with_frames(self):
         # the unitarity check walks the stack one block at a time, so no
         # full-size temporary (one would take the peak past 1.3x) is formed

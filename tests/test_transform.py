@@ -295,6 +295,7 @@ class TestBetaFactoredTransform:
         listed = spin_tomogram(a, SpinFrames(j, betas[order], gammas[order])).table
         assert np.max(np.abs(on_grid[:, order] - listed)) <= 1e-13
 
+    @pytest.mark.memory
     def test_off_grid_tomogram_memory(self):
         # one (2j+1)^2 rotation per frame: about 19 MB traced; a d_ma d_mb table
         # per distinct beta, F n^3 doubles, would take 58 MB
@@ -309,6 +310,7 @@ class TestBetaFactoredTransform:
             tracemalloc.stop()
         assert peak < 30e6
 
+    @pytest.mark.memory
     def test_build_memory_at_j20(self):
         # the 12 MB table is filled in place: no gathered d-stack copies of its size
         tracemalloc.start()
@@ -319,6 +321,7 @@ class TestBetaFactoredTransform:
             tracemalloc.stop()
         assert peak < 1.2 * transform.nbytes
 
+    @pytest.mark.memory
     def test_synthesis_memory_at_j20(self, rng):
         # beside the 12 MB table: (n(n+1)/2, n_gamma) sums, about 2 MB traced;
         # a (n_beta n, n^2) gather of the diagonal sums would take 50 MB
