@@ -23,10 +23,13 @@ memory is the output and about one block more.  ``column_diagonals`` reduces one
 in that layout to diag(u^dag a u) with one BLAS GEMM per column and a
 conjugate-product sum over rows.  It is the one diagonal kernel:
 ``frame_diagonals`` transposes each block of a frame stack into the column
-layout and calls it, and ``_haar_scan``, the one reduction of the entropy
+layout and calls it; ``_haar_scan``, the one reduction of the entropy
 and Peres scans and of the full group's simplex image, calls it on the
 sampler's blocks as they are drawn, so none of them holds a frame stack and
-their diagonals equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit.
+their diagonals equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit;
+and the product group's simplex image calls it on the blocks that
+``_kron_columns`` forms in that layout from its factor stacks, equal to
+``frame_diagonals`` of ``kron_all`` bit for bit.
 
 The sampler's block loop conjugates into a reused buffer and scales in
 place, and each such step rounds as the expression it replaced: numpy
@@ -364,6 +367,24 @@ def kron_all(mats) -> np.ndarray:
         rows, cols = out.shape[-2] * m.shape[-2], out.shape[-1] * m.shape[-1]
         out = prod.reshape(prod.shape[:-4] + (rows, cols))
     return out
+
+
+def _kron_columns(mats) -> np.ndarray:
+    """``kron_all`` of one block of (B, d_k, d_k) factor stacks, in ``column_diagonals``' layout.
+
+    Returns the C-contiguous (N, N, B) block q[k, i, b] = u_b[i, k] of the
+    products u_b = m_1[b] (x) ... (x) m_K[b].  Each factor is copied once into
+    its own column layout (d_k, d_k, B), and each entry is the product that
+    ``kron_all`` takes, in the same factor order; numpy's complex multiply
+    rounds alike for contiguous, strided and broadcast operands, so the
+    block holds ``kron_all``'s bits with no transposed copy of the frames.
+    """
+    q = np.ascontiguousarray(mats[0].T)
+    for m in mats[1:]:
+        m = np.ascontiguousarray(m.T)
+        prod = q[:, None, :, None] * m[None, :, None, :]
+        q = prod.reshape(q.shape[0] * m.shape[0], q.shape[1] * m.shape[1], q.shape[-1])
+    return q
 
 
 def _subsystem_dims(dims, n: int, what: str) -> tuple[int, ...]:

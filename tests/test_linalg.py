@@ -15,6 +15,7 @@ from spintomo.halfint import HalfInt
 from spintomo.linalg import (
     DensityMatrix,
     _blocks,
+    _kron_columns,
     eig_hermitian,
     expm_hermitian_times,
     frame_diagonals,
@@ -455,6 +456,31 @@ class TestBlockedFrameKernels:
         blocks = [(block, q.T.copy()) for block, q in haar_blocks(n, count, count)]
         assert [block for block, _ in blocks] == _blocks(count, n)
         assert np.array_equal(np.concatenate([u for _, u in blocks]), haar_unitaries(n, count, count))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_complex_products_round_alike_for_contiguous_strided_and_broadcast_operands(self, d):
+        # the product image forms its blocks in column layout from copied factor
+        # blocks, where kron_all multiplies strided frame-layout views; both hold
+        # the same bits only while numpy's complex multiply rounds alike whatever
+        # its operands' strides
+        rng = np.random.default_rng(49 + d)
+        count = 10**5 // (d * d)  # 10^5 entries an operand
+        x, y = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d)) for _ in range(2))
+        y[::3, 0] = [1.0, 0.0, -0.0][:d]  # entries of an identity factor, signed zeros included
+        x_cols, y_cols = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)  # (d, d, B)
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        product = bits(x_cols * y_cols)
+        assert np.array_equal(bits(x.T * y.T), product)
+        assert np.array_equal(bits(x_cols * y.T), product)
+        left, right = x_cols[:, None, :, None], y_cols[None, :, None, :]
+        shape = np.broadcast_shapes(left.shape, right.shape)  # (d, d, d, d, B)
+        spread = bits(np.broadcast_to(left, shape).copy() * np.broadcast_to(right, shape).copy())
+        assert np.array_equal(bits(left * right), spread)
+        # and so the column-layout product block holds kron_all's bits
+        assert np.array_equal(bits(_kron_columns([x, y])), bits(kron_all([x, y]).T))
 
     @pytest.mark.parametrize("n", list(BLOCK_EDGES))
     def test_frame_diagonals_depend_on_a_frame_s_tile_not_its_block(self, n):

@@ -20,7 +20,9 @@ from conftest import (
 from spintomo import simplex
 from spintomo.errors import LIMITS, DegeneratePointError
 from spintomo.linalg import (
+    _BLOCK_BYTES,
     DensityMatrix,
+    _frames_in,
     frame_diagonals,
     haar_unitaries,
     kron_all,
@@ -187,12 +189,34 @@ PRODUCT_DIMS = {1: (1,), 2: (2,), 4: (2, 2), 5: (5,), 8: (2, 2, 2), 16: (2, 2, 2
 
 
 class TestBlockedProductImage:
-    # the joint frames are formed one block of 512 KiB of N x N frames at a time
+    # the joint frames are formed one block of 512 KiB of N x N frames at a
+    # time, in the column layout that column_diagonals reads
 
     @pytest.mark.parametrize("d, n", [(d, n) for d, n in STRADDLING if n] + [(8, 10_000)])
     def test_points_equal_those_of_the_full_product_stack(self, d, n):
         rho = random_density(d, d, seed=n, dims=PRODUCT_DIMS[d])
         sample = image_sample(rho, GroupSpec("product"), n, seed=n + 1)
+        assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 1), (2, 1)], ids=["E-1", "E+1", "2E+1"])
+    @pytest.mark.parametrize(
+        "group",
+        [
+            GroupSpec("product", (2, 3)),
+            GroupSpec("product", (3, 2)),
+            GroupSpec("product", (2, 2, 3)),
+            # an identity factor between the two drawn ones
+            GroupSpec("product", (2, 3, 2), active=(0, 2)),
+        ],
+        ids=["2x3", "3x2", "2x2x3", "2x3x2-active02"],
+    )
+    def test_unequal_factors_give_the_points_of_the_full_product_stack(self, group, blocks, extra):
+        # unequal factor dims tell a transposed axis of the column-layout block
+        # from a correct one, which equal dims would not
+        dim = math.prod(group.factor_dims)
+        n = blocks * _frames_in(_BLOCK_BYTES, dim) + extra
+        rho = random_density(dim, dim, seed=n, dims=group.factor_dims)
+        sample = image_sample(rho, group, n, seed=n + 2)
         assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
 
     @pytest.mark.parametrize("d, n", [(d, n) for d, n in STRADDLING if n])
