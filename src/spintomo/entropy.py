@@ -161,9 +161,15 @@ def _probabilities(diagonals: np.ndarray) -> np.ndarray:
     return np.clip(diagonals.real, 0.0, None)
 
 
-def frame_probabilities(rho: DensityMatrix, frames: np.ndarray) -> np.ndarray:
-    """diag(u^dag rho u) for a stack of frames, clipped of roundoff negatives."""
-    return _probabilities(frame_diagonals(rho.mat, frames))
+def frame_probabilities(rho: DensityMatrix, frames) -> np.ndarray:
+    """diag(u^dag rho u) for a set of frames, clipped of roundoff negatives, shape (F, n).
+
+    The frames are read as ``UnitaryFrames.of(frames, rho.dim)`` reads them,
+    so a frame set, an (F, n, n) array, n x n matrices or tuples of
+    per-factor unitaries are taken, and a frame that is not n x n or not
+    unitary is refused.
+    """
+    return _probabilities(frame_diagonals(rho.mat, UnitaryFrames.of(frames, rho.dim).stack))
 
 
 def min_entropy_over_group(
@@ -215,7 +221,7 @@ class StrongSubadditivityResult(NamedTuple):
 
 
 def _joint_probabilities(rho: DensityMatrix, u) -> np.ndarray:
-    return frame_probabilities(rho, UnitaryFrames.of([u], rho.dim).stack)[0].reshape(rho.dims)
+    return frame_probabilities(rho, [u])[0].reshape(rho.dims)
 
 
 def subadditivity_check(rho12: DensityMatrix, u) -> SubadditivityResult:

@@ -21,15 +21,16 @@ has read: ``haar_blocks`` allocates x, and ``haar_unitaries`` passes the
 upper half of its own output and writes each block below it, so its peak
 memory is the output and about one block more.  ``column_diagonals`` reduces one block
 in that layout to diag(u^dag a u) with one BLAS GEMM per column and a
-conjugate-product sum over rows.  It is the one diagonal kernel:
-``frame_diagonals`` transposes each block of a frame stack into the column
-layout and calls it; ``_haar_scan``, the one reduction of the entropy
-and Peres scans and of the full group's simplex image, calls it on the
-sampler's blocks as they are drawn, so none of them holds a frame stack and
-their diagonals equal ``frame_diagonals`` of ``haar_unitaries`` bit for bit;
-and the product group's simplex image calls it on the blocks that
-``_kron_columns`` forms in that layout from its factor stacks, equal to
-``frame_diagonals`` of ``kron_all`` bit for bit.
+conjugate-product sum over rows.  It is the one diagonal kernel, with two
+callers.  ``frame_diagonals`` is the one loop over stored frames: it takes
+a frame stack, or the factor stacks of product frames, and ``_kron_columns``
+forms each block in the column layout (for one stack, the block's
+transposed copy), so the product group's simplex image holds no product
+stack and its points equal ``frame_diagonals`` of ``kron_all`` bit for bit.
+``_haar_scan``, the one reduction of the entropy and Peres scans and of the
+full group's simplex image, calls it on the sampler's blocks as they are
+drawn, so none of them holds a frame stack and their diagonals equal
+``frame_diagonals`` of ``haar_unitaries`` bit for bit.
 
 The sampler's block loop conjugates into a reused buffer and scales in
 place, and each such step rounds as the expression it replaced: numpy
@@ -59,7 +60,6 @@ import numpy as np
 from .errors import LIMITS, check
 
 _BLOCK_BYTES = 2**19  # bytes of frames per block of the frame kernels: 512 frames at n = 8
-_SLAB_BYTES = 2**17  # bytes of frames per transposed copy in frame_diagonals: the rows they span stay in cache
 _TILE = 8  # every block is a whole number of tiles of 8 frames
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -167,27 +167,24 @@ def column_diagonals(a, q) -> np.ndarray:
     return np.add.reduce(w, axis=1).T.copy()
 
 
-def frame_diagonals(a, frames) -> np.ndarray:
-    """diag(u^dag a u) for every frame u of an (F, n, n) stack, shape (F, n), complex.
+def frame_diagonals(a, *stacks) -> np.ndarray:
+    """diag(u_b^dag a u_b) for the frames u_b = s_1[b] (x) ... (x) s_K[b] of (F, d_k, d_k) stacks, shape (F, n), complex.
 
-    ``a`` is any n x n matrix, Hermitian or not.  Each ``_blocks`` slice of
-    frames, 512 KiB of them, is transposed into the column layout of
-    ``column_diagonals``, ``_SLAB_BYTES`` (128 KiB) of frames at a time so
-    that the rows it reads stay in cache, and reduced there; the Haar scans
-    reduce the sampler's blocks with the same kernel.  Beside the stack and
-    the output it holds about two blocks, whatever the frames' number and size.
+    One (F, n, n) stack is the frames themselves; several are the factor
+    stacks of product frames, whose (F, n, n) product stack is never formed.
+    ``a`` is any n x n matrix, Hermitian or not.  This is the one loop that
+    feeds stored frames to ``column_diagonals``: each ``_blocks`` slice,
+    512 KiB of n x n frames, goes into its column layout through
+    ``_kron_columns`` and is reduced there, so every diagonal equals that of
+    ``kron_all(stacks)`` bit for bit; the Haar scans reduce the sampler's
+    blocks with the same kernel.  Beside the stacks and the output it holds
+    about two blocks, whatever the frames' number and size.
     """
-    count, n = frames.shape[0], frames.shape[-1]
+    count, n = len(stacks[0]), math.prod(s.shape[-1] for s in stacks)
     a = np.asarray(a, dtype=complex)
     out = np.empty((count, n), dtype=complex)
-    blocks, slab = _blocks(count, n), _frames_in(_SLAB_BYTES, n)
-    scratch = np.empty(n * n * (count - blocks[-1].start), dtype=complex)  # the last block is the largest
-    for block in blocks:
-        size = block.stop - block.start
-        q, u = scratch[: n * n * size].reshape(n, n, size), frames[block]
-        for start in range(0, size, slab):
-            q[..., start : start + slab] = u[start : start + slab].T
-        out[block] = column_diagonals(a, q)
+    for block in _blocks(count, n):
+        out[block] = column_diagonals(a, _kron_columns([s[block] for s in stacks]))
     return out
 
 
@@ -373,13 +370,14 @@ def _kron_columns(mats) -> np.ndarray:
     """``kron_all`` of one block of (B, d_k, d_k) factor stacks, in ``column_diagonals``' layout.
 
     Returns the C-contiguous (N, N, B) block q[k, i, b] = u_b[i, k] of the
-    products u_b = m_1[b] (x) ... (x) m_K[b].  Each factor is copied once into
-    its own column layout (d_k, d_k, B), and each entry is the product that
-    ``kron_all`` takes, in the same factor order; numpy's complex multiply
-    rounds alike for contiguous, strided and broadcast operands, so the
-    block holds ``kron_all``'s bits with no transposed copy of the frames.
+    products u_b = m_1[b] (x) ... (x) m_K[b]; for one stack it is the block's
+    transposed copy.  Each factor is copied once into its own column layout
+    (d_k, d_k, B), and each entry is the product that ``kron_all`` takes, in
+    the same factor order; numpy's complex multiply rounds alike for
+    contiguous, strided and broadcast operands, so the block holds
+    ``kron_all``'s bits with no transposed copy of the product frames.
     """
-    q = np.ascontiguousarray(mats[0].T)
+    q = np.ascontiguousarray(mats[0].T, dtype=complex)
     for m in mats[1:]:
         m = np.ascontiguousarray(m.T)
         prod = q[:, None, :, None] * m[None, :, None, :]

@@ -8,9 +8,9 @@ certain entangled or symmetric states collapse it further.
 
 Both images reduce blocks of frames in the column layout q[k, i, b] = u_b[i, k]
 of ``linalg.column_diagonals``: the full group's as the Haar sampler draws
-them, and a product group's as ``linalg._kron_columns`` forms their products
-from per-block copies of the factor stacks, with no frame-layout stack to
-transpose.
+them, and a product group's through ``linalg.frame_diagonals`` of its factor
+stacks, which forms each block's products in that layout, with no product
+stack to hold.
 
 The same map applied to the partial transpose rho^TB reads Peres' criterion
 off the simplex: a frame whose diagonal has absolute values summing above 1
@@ -32,16 +32,13 @@ from .entropy import MonteCarlo
 from .errors import LIMITS, DegeneratePointError, check
 from .linalg import (
     DensityMatrix,
-    _blocks,
     _check_bytes,
     _check_draw,
     _haar_scan,
     _hermitian_entries,
     _integers,
-    _kron_columns,
     _require_finite,
     _resolve_keep,
-    column_diagonals,
     frame_diagonals,
     haar_unitaries,
     kron_all,
@@ -128,16 +125,14 @@ def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> Simplex
     The sample keeps no group elements: ``params`` draws them again from a
     copy of the generator taken before the draws.  The full group's points
     come from ``linalg._haar_scan``, which reduces each block of draws as it
-    is drawn, so no frame stack is held.  A product group's joint frames are
-    formed one ``_blocks`` slice (512 KiB of N x N frames) at a time, the
-    blocks of ``frame_diagonals`` itself, straight in the column layout that
-    ``column_diagonals`` reads: ``_kron_columns`` copies each factor stack's
-    block to (d_k, d_k, B) and takes ``kron_all``'s products in its factor
-    order, so every point equals ``frame_diagonals`` of ``kron_all(params)``
-    bit for bit.  The factor stacks are dropped on return, so no (n, N, N)
-    product stack is held either.  The points and the sampler's x, or the
-    active factor stacks, are checked against the byte budget before any of
-    them exists; the block copies are scratch beside them.
+    is drawn, so no frame stack is held.  A product group's points are
+    ``frame_diagonals`` of its factor stacks, which forms the joint frames one
+    block at a time in the column layout, so every point equals
+    ``frame_diagonals`` of ``kron_all(params)`` bit for bit and no (n, N, N)
+    product stack is held; the factor stacks are dropped on return.  The
+    points and the sampler's x, or the active factor stacks, are checked
+    against the byte budget before any of them exists; the block copies are
+    scratch beside them.
     """
     _, n = _check_draw(rho.dim, n)  # before anything is allocated for the draws
     if n < 1:
@@ -150,10 +145,7 @@ def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> Simplex
     if g.kind == "full":
         points = _haar_scan(rho.mat, n, rng, np.real, (rho.dim,))
     else:
-        elements = _draw_elements(g, rho.dims, n, rng)
-        points = np.empty((n, rho.dim))
-        for block in _blocks(n, rho.dim):
-            points[block] = column_diagonals(rho.mat, _kron_columns([e[block] for e in elements])).real
+        points = frame_diagonals(rho.mat, *_draw_elements(g, rho.dims, n, rng)).real
     sample = SimplexSample(points=points, seed=seed, group=g, dims=rho.dims, rng=before)
     sample.validate()
     return sample

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import STRADDLING
 from spintomo.entropy import (
+    _probabilities,
     _renyi,
     frame_probabilities,
     integral_entropy,
@@ -22,7 +23,15 @@ from spintomo.entropy import (
     von_neumann,
 )
 from spintomo.errors import LIMITS
-from spintomo.linalg import DensityMatrix, haar_unitaries, haar_unitary, partial_trace, random_density
+from spintomo.linalg import (
+    DensityMatrix,
+    frame_diagonals,
+    haar_unitaries,
+    haar_unitary,
+    kron_all,
+    partial_trace,
+    random_density,
+)
 from spintomo.states import bell_state, ghz_state, maximally_mixed, product_state, pure_state
 
 DIAG_4321 = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
@@ -172,6 +181,29 @@ class TestNonFiniteDistributions:
     def test_relative_q_entropy_refuses_nan(self):
         with pytest.raises(ValueError, match="w2 must be finite numbers"):
             relative_q_entropy([0.5, 0.5], [np.nan, 1.0], 1.0)
+
+
+class TestFrameProbabilities:
+    # the frames are read as UnitaryFrames reads them, and refused with its texts
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            (np.eye(4), r"^frame shape \(4,\) does not match state dimension 4$"),
+            (2 * np.eye(4)[None], "^frame is not unitary within 1e-8$"),
+            (np.eye(4)[:0], "^at least one frame is required$"),
+        ],
+        ids=["unstacked", "non_unitary", "empty"],
+    )
+    def test_refuses_frames_that_are_no_unitary_frames_of_the_state(self, frames, message):
+        with pytest.raises(ValueError, match=message):
+            frame_probabilities(random_density(4, 4, seed=40), frames)
+
+    def test_tuple_frames_are_those_of_their_product_stack(self):
+        rho, rng = random_density(4, 4, seed=41, dims=(2, 2)), np.random.default_rng(42)
+        factors = [haar_unitaries(2, 5, rng) for _ in range(2)]
+        probs = frame_probabilities(rho, list(zip(*factors)))
+        assert np.array_equal(probs, frame_probabilities(rho, kron_all(factors)))
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-14)
 
 
 class TestMinOverGroup:
@@ -394,7 +426,8 @@ class TestOneKernel:
         # each block is reduced as it is drawn; the values are the stack's bit for bit
         rho, q = random_density(n, n, seed=n + count), (1.0, 2.0)[count % 2]
         report = min_entropy_over_group(rho, count, seed=count, q=q)
-        assert np.array_equal(report.per_frame, _renyi(frame_probabilities(rho, haar_unitaries(n, count, count)), q))
+        stack = haar_unitaries(n, count, count)  # frame_probabilities refuses the empty set that count 0 draws
+        assert np.array_equal(report.per_frame, _renyi(_probabilities(frame_diagonals(rho.mat, stack)), q))
 
     @pytest.mark.memory
     def test_scan_holds_no_frame_stack(self):

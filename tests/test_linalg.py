@@ -485,12 +485,18 @@ class TestBlockedFrameKernels:
     @pytest.mark.parametrize("n", list(BLOCK_EDGES))
     def test_frame_diagonals_depend_on_a_frame_s_tile_not_its_block(self, n):
         # BLAS tiles the GEMM a few frames at a time, and a block is whole tiles of
-        # 8 frames, so a stack cut at a tile edge gives its frames' bits whatever its blocks
+        # 8 frames, so a stack cut at a tile edge gives its frames' bits whatever its
+        # blocks; factor stacks, a pair (2, n/2) or (1, n) at odd n, give those of
+        # their product stack
         edge, a = BLOCK_EDGES[n], random_density(n, n, seed=n).mat
         frames = haar_unitaries(n, 2 * edge + 5, n)
-        whole = frame_diagonals(a, frames)
+        d = 2 - n % 2
+        factors = [haar_unitaries(d, 2 * edge + 5, n + 1), haar_unitaries(n // d, 2 * edge + 5, n + 2)]
+        whole, product = frame_diagonals(a, frames), frame_diagonals(a, *factors)
+        assert np.array_equal(product, frame_diagonals(a, kron_all(factors)))
         for stop in (8, edge - 8, edge + 8, 2 * edge):
             assert np.array_equal(frame_diagonals(a, frames[:stop]), whole[:stop])
+            assert np.array_equal(frame_diagonals(a, *(f[:stop] for f in factors)), product[:stop])
 
     @pytest.mark.parametrize("n", list(BLOCK_EDGES))
     @pytest.mark.parametrize(
@@ -568,15 +574,20 @@ class TestBlockedFrameKernels:
         assert peak <= out.nbytes + 4 * 2**20
 
     @pytest.mark.memory
-    @pytest.mark.parametrize("kernel", ["frame_diagonals", "unitary_tomogram"])
+    @pytest.mark.parametrize("kernel", ["frame_diagonals", "unitary_tomogram", "factor_stacks"])
     def test_scratch_does_not_grow_with_the_dimension(self, kernel):
         # at n = 64 a block is 8 frames (512 KiB), where a block of 512 frames would
-        # hold all 600 and copy the 39 MB stack; the tomogram adds its unitarity check
+        # hold all 600 and copy the 39 MB stack; the tomogram adds its unitarity check,
+        # and two 8 x 8 factor stacks form their products a block at a time, never
+        # the 39 MB product stack
         frames, rho = haar_unitaries(64, 600, 43), random_density(64, 64, seed=44)
+        factors = [haar_unitaries(8, 600, 45), haar_unitaries(8, 600, 46)]
         tracemalloc.start()
         try:
             if kernel == "frame_diagonals":
                 frame_diagonals(rho.mat, frames)
+            elif kernel == "factor_stacks":
+                frame_diagonals(rho.mat, *factors)
             else:
                 unitary_tomogram(rho, frames)
             peak = tracemalloc.get_traced_memory()[1]

@@ -6,8 +6,9 @@ nonnegative half-integer, and a magnetic number is j - k for a whole k.  An
 AST scan of ``src/`` finds each rule's refusal text raised, its check called,
 or its helper defined in one place only, and finds no ``np.prod`` (which wraps
 in int64), no array tested by ``np.isfinite`` past ``_require_finite``, and no
-spin or magnetic number read past ``spin`` or ``magnetic``, and no call of
-the least-squares solve past the two frame sets' ``inverse``; a behaviour
+spin or magnetic number read past ``spin`` or ``magnetic``, no call of
+the least-squares solve past the two frame sets' ``inverse``, and no call of
+the diagonal kernel past ``frame_diagonals`` and ``_haar_scan``; a behaviour
 test drives the frame-sum check through ``Tomogram`` itself.
 """
 
@@ -147,6 +148,13 @@ def test_frame_sums_checked_where_a_state_table_is_made():
 def test_one_route_to_the_least_squares_solve():
     # every inverse off a grid is its frame set's inverse(table); the state estimate calls that
     assert _calls("_solve") == {("symbols.py", "SpinFrames.inverse"), ("symbols.py", "UnitaryFrames.inverse")}
+
+
+def test_one_block_loop_over_stored_frames():
+    # frame_diagonals feeds stored frames, a stack or factor stacks, to the diagonal
+    # kernel and _haar_scan feeds it the sampler's blocks; a second loop fails here
+    assert _calls("column_diagonals") == {("linalg.py", "frame_diagonals"), ("linalg.py", "_haar_scan")}
+    assert _calls("_kron_columns") == {("linalg.py", "frame_diagonals")}
 
 
 @pytest.mark.parametrize("helper", ["_real_if_real", "_real_table"])
