@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LIMITS, check
-from .linalg import DensityMatrix, _check_draw, _haar_scan, _require_finite, frame_diagonals
+from .linalg import DensityMatrix, _check_draw, _haar_scan, _require_finite
 from .symbols import UnitaryFrames
 
 # Below this |q - 1| the Renyi entropy is a sum of expm1((q - 1) ln p) terms of one
@@ -167,9 +167,10 @@ def frame_probabilities(rho: DensityMatrix, frames) -> np.ndarray:
     The frames are read as ``UnitaryFrames.of(frames, rho.dim)`` reads them,
     so a frame set, an (F, n, n) array, n x n matrices or tuples of
     per-factor unitaries are taken, and a frame that is not n x n or not
-    unitary is refused.
+    unitary is refused.  The diagonals are the set's ``symbols``, so tuple
+    frames are read through their factor stacks.
     """
-    return _probabilities(frame_diagonals(rho.mat, UnitaryFrames.of(frames, rho.dim).stack))
+    return _probabilities(UnitaryFrames.of(frames, rho.dim).symbols(rho.mat).T)
 
 
 def min_entropy_over_group(

@@ -12,9 +12,12 @@ The frame kernels walk frames in blocks of ``_BLOCK_BYTES`` (512 KiB) of
 complex n x n frames, a multiple of 8 frames and at least 8: 512 frames at
 n = 8, 8192 at n = 2, 128 at n = 16 and 8 at n = 64.  So their working
 arrays stay in cache, a small n pays numpy's call overhead on few blocks,
-and their scratch memory grows with neither the number of frames nor their
-size.  ``haar_blocks`` draws Haar unitaries one block at a time in column
-layout, q[k, i, b] = u_b[i, k], bit-identical to the unblocked sampler.
+and their scratch memory does not grow with the number of frames.  Above
+n = 64 a block is one tile, whose scratch grows as n^2, so
+``frame_diagonals`` and ``_haar_scan`` count it (``_check_block_scratch``)
+against the byte budget before the first block.  ``haar_blocks`` draws Haar
+unitaries one block at a time in column layout, q[k, i, b] = u_b[i, k],
+bit-identical to the unblocked sampler.
 Its one storage path takes the array for the Gaussian draw x from
 its caller and draws y block by block into the bytes of x that the block
 has read: ``haar_blocks`` allocates x, and ``haar_unitaries`` passes the
@@ -94,6 +97,17 @@ def _blocks(count: int, n: int) -> list[slice]:
     size = _frames_in(_BLOCK_BYTES, n)
     stops = [*range(size, count - size + 1, size), count]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+def _check_block_scratch(count: int, n: int) -> None:
+    """Refuse a frame kernel's scratch for the largest ``_blocks`` block of ``count`` n x n frames past the budget.
+
+    The scratch is about three complex arrays of the block's size: its column
+    layout q, the product before the last factor (or the sampler's draw), and
+    ``column_diagonals``' w.
+    """
+    last = _blocks(count, n)[-1]
+    _check_bytes(48 * (last.stop - last.start) * n * n, "the scratch of one block of frames at dimension {}", n)
 
 
 def _is_integer(value) -> bool:
@@ -178,9 +192,12 @@ def frame_diagonals(a, *stacks) -> np.ndarray:
     ``_kron_columns`` and is reduced there, so every diagonal equals that of
     ``kron_all(stacks)`` bit for bit; the Haar scans reduce the sampler's
     blocks with the same kernel.  Beside the stacks and the output it holds
-    about two blocks, whatever the frames' number and size.
+    about three blocks, whatever the frames' number; a block's scratch, which
+    grows as n^2 above n = 64, is counted against the byte budget before the
+    first block.
     """
     count, n = len(stacks[0]), math.prod(s.shape[-1] for s in stacks)
+    _check_block_scratch(count, n)
     a = np.asarray(a, dtype=complex)
     out = np.empty((count, n), dtype=complex)
     for block in _blocks(count, n):
@@ -335,11 +352,12 @@ def _haar_scan(a, count: int, rng_or_seed, reduce, shape: tuple[int, ...] = ()) 
     complex diagonals diag(u^dag a u) to B values of the given ``shape``
     (B rows of n points for the image).  No frame stack is held, and the
     diagonals are those of ``frame_diagonals`` on ``haar_unitaries`` bit for bit.
-    The sampler's x and the output are checked against the byte budget
-    before either exists.
+    The sampler's x and the output, and then one block's scratch, are
+    checked against the byte budget before any of them exists.
     """
     n, count = _check_draw(len(a), count)
     _check_bytes(8 * count * (n * n + math.prod(shape)), "a scan of {} Haar frames at dimension {}", count, n)
+    _check_block_scratch(count, n)
     out = np.empty((count, *shape))
     for block, q in haar_blocks(n, count, rng_or_seed):
         out[block] = reduce(column_diagonals(a, q))

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import LIMITS, InformationallyIncompleteError
-from .linalg import DensityMatrix, hermitian_basis
+from .linalg import DensityMatrix, _check_bytes, hermitian_basis
 from .quadrature import QuadratureGrid
 from .symbols import QuantizerPair, Tomogram, _grid_transform, _real_if_real, _real_table
 
@@ -162,18 +162,22 @@ def _solve(frames, table) -> np.ndarray:
     table's mean frame sum, so the constraint holds for every operator's
     table, a state's or not.  The real and imaginary parts of a complex
     table are solved on the one G, so a real table gives a Hermitian
-    operator.  A table of any other shape is refused.
+    operator.  A table of any other shape is refused.  G with ``eigh``'s copy
+    of it, 16 d^4 bytes, and the full A, 8 (F d + 1) d^2 bytes, are each
+    counted against the byte budget before they are formed.
     """
-    table = _real_if_real(np.asarray(table))
-    if table.shape != (frames.dim, len(frames)):
-        raise ValueError(f"table shape {table.shape} does not match {frames.dim} outcomes x {len(frames)} frames")
+    table, d = _real_if_real(np.asarray(table)), frames.dim
+    if table.shape != (d, len(frames)):
+        raise ValueError(f"table shape {table.shape} does not match {d} outcomes x {len(frames)} frames")
+    _check_bytes(16 * d**4, "the frame operator of the least-squares solve at dimension {}", d)
     table = np.stack([table.real, table.imag], axis=-1) if table.dtype.kind == "c" else table
-    us, d = frames.unitaries(), frames.dim
+    us = frames.unitaries()
     g, h = _normal_equations(us, table)
     w, v = np.linalg.eigh(g)
     if w[0] * _GRAM_COND_LIMIT >= w[-1]:
         x = v @ ((v.T @ h).T / w).T
     else:
+        _check_bytes(8 * (len(us) * d + 1) * d * d, "the least-squares design matrix of {} frames at dimension {}", len(us), d)
         b = table.swapaxes(0, 1).reshape((-1,) + table.shape[2:])
         x, _, found, _ = np.linalg.lstsq(_design_matrix(us), np.concatenate([b, [table.sum(0).mean(0)]]), rcond=None)
         if found < d * d:

@@ -129,23 +129,25 @@ def image_sample(rho: DensityMatrix, g: GroupSpec, n: int, seed: int) -> Simplex
     ``frame_diagonals`` of its factor stacks, which forms the joint frames one
     block at a time in the column layout, so every point equals
     ``frame_diagonals`` of ``kron_all(params)`` bit for bit and no (n, N, N)
-    product stack is held; the factor stacks are dropped on return.  The
-    points and the sampler's x, or the active factor stacks, are checked
-    against the byte budget before any of them exists; the block copies are
-    scratch beside them.
+    product stack is held; the factor stacks and the complex diagonals are
+    dropped on return, and the points are an owned real array.  The points
+    and the sampler's x, or the active factor stacks and the complex
+    diagonals, are checked against the byte budget before any of them
+    exists; the block copies are scratch beside them.
     """
     _, n = _check_draw(rho.dim, n)  # before anything is allocated for the draws
     if n < 1:
         raise ValueError("sample size must be positive")
     factors, active = g.resolve(rho.dims)
-    held = 8 * rho.dim**2 if g.kind == "full" else sum(16 * factors[a] ** 2 for a in active)  # x or factor stacks
+    # per point: x, or the factor stacks and the complex diagonals
+    held = 8 * rho.dim**2 if g.kind == "full" else sum(16 * factors[a] ** 2 for a in active) + 16 * rho.dim
     _check_bytes(n * (held + 8 * rho.dim), "the {} group's image of {} points at dimension {}", g.kind, n, rho.dim)
     rng = np.random.default_rng(seed)
     before = copy.deepcopy(rng)
     if g.kind == "full":
         points = _haar_scan(rho.mat, n, rng, np.real, (rho.dim,))
     else:
-        points = frame_diagonals(rho.mat, *_draw_elements(g, rho.dims, n, rng)).real
+        points = frame_diagonals(rho.mat, *_draw_elements(g, rho.dims, n, rng)).real.copy()
     sample = SimplexSample(points=points, seed=seed, group=g, dims=rho.dims, rng=before)
     sample.validate()
     return sample

@@ -13,10 +13,11 @@ symbol map and its inverse from the d-matrices at its beta nodes and a gamma
 phase table, without forming either family or a rotation per node.  A frame
 set has one forward and one inverse map.  Every table on it comes from its
 ``symbols(a)``: the grid's transform for grid frames, and ``frame_diagonals``
-on the unitary frames R(g)^dag off a grid and on the stack of a
-``UnitaryFrames`` set.  Every operator back from a table comes from its
-``inverse(table)``: the synthesis of a grid exact to degree 2j, or the
-least-squares solve of ``reconstruction._solve`` on every other set.
+on the unitary frames R(g)^dag off a grid and on the stacks of a
+``UnitaryFrames`` set, whose product frames are held as their factor
+stacks.  Every operator back from a table comes from its ``inverse(table)``:
+the synthesis of a grid exact to degree 2j, or the least-squares solve of
+``reconstruction._solve`` on every other set.
 
 A set of spin frames is one ``SpinFrames`` object of Euler-angle arrays, from
 file to kernel, and, like a ``UnitaryFrames`` set, never empty.  Every map on
@@ -178,62 +179,69 @@ def grid_frames(j, grid: QuadratureGrid) -> SpinFrames:
 
 
 class UnitaryFrames(Sequence):
-    """Unitary frames as one validated (F, n, n) complex ``stack``, in frame order.
+    """Unitary frames as their validated ``stacks``, in frame order.
 
-    Tuple frames also keep ``factors``, their per-factor (F, d_k, d_k) stacks
-    (None for matrix frames).  Indexing yields each frame as it was given: a
-    matrix, or a tuple of factor matrices.  The set belongs to no spin and no
-    grid (``j`` and ``grid`` are None), and ``unitaries()`` is the stack.
+    Matrix frames are one (F, n, n) stack.  Product frames, given as tuples of
+    per-factor unitaries, are their (F, d_k, d_k) factor stacks, which
+    ``factors`` names too (None for matrix frames); their (F, n, n) product
+    stack is formed only by ``unitaries()``.  ``symbols(a)`` reads the stacks
+    through ``frame_diagonals``, so no tomogram, marginal or residual holds a
+    product stack.  Indexing yields each frame as it was given: a matrix, or a
+    tuple of factor matrices; a one-factor tuple is its matrix.  The set
+    belongs to no spin and no grid (``j`` and ``grid`` are None).
     """
 
     kind, j, grid = "unitary", None, None
 
-    def __init__(self, stack, factors=None, n: int | None = None):
-        """Refuses an empty set, a frame not n x n (n defaults to the frame
-        size) and a unitarity residual above 1e-8 (or NaN)."""
-        self.stack, self.factors = np.asarray(stack, dtype=complex), factors
-        n = self.stack.shape[-1] if n is None and self.stack.ndim else n
-        if self.stack.shape[:1] == (0,):
+    def __init__(self, *stacks, n: int | None = None):
+        """One stack of matrix frames, or the factor stacks of product frames, whose frame
+        shape is the product of the factor shapes.  Refuses an empty set, a frame not
+        n x n (n defaults to the frame size) and a unitarity residual above 1e-8 (or
+        NaN), which is measured on each stack, factor by factor."""
+        self.stacks = tuple(np.asarray(s, dtype=complex) for s in stacks)
+        self.factors = self.stacks if len(self.stacks) > 1 else None
+        shape = tuple(map(math.prod, zip(*(s.shape[1:] for s in self.stacks))))
+        n = shape[-1] if n is None and shape else n
+        if not self.stacks or self.stacks[0].shape[:1] == (0,):
             raise ValueError("at least one frame is required")
-        if self.stack.ndim != 3 or self.stack.shape[1:] != (n, n):
-            raise ValueError(f"frame shape {self.stack.shape[1:]} does not match state dimension {n}")
-        check("unitary", unitarity_residual(self.stack), "frame is not unitary within 1e-8")
+        if shape != (n, n) or {s.ndim for s in self.stacks} != {3}:
+            raise ValueError(f"frame shape {shape} does not match state dimension {n}")
+        if len({len(s) for s in self.stacks}) > 1:
+            raise ValueError(f"factor stacks hold unequal frame counts {[len(s) for s in self.stacks]}")
+        check("unitary", np.max([unitarity_residual(s) for s in self.stacks]), "frame is not unitary within 1e-8")
+        self.dim = n
 
     @classmethod
     def of(cls, frames, n: int) -> "UnitaryFrames":
-        """``frames`` itself if n x n, else the ``unitaries()`` of a frame set, an
+        """``frames`` itself if n x n, else the ``unitaries()`` of a spin frame set, an
         (F, n, n) array, n x n matrices or tuples of per-factor unitaries as one
-        set, checked as on construction.  The product stack of tuples, 16 F d^2
-        bytes, is counted against the byte budget before ``kron_all`` forms it."""
-        if isinstance(frames, cls) and frames.stack.shape[1:] == (n, n):
-            return frames
-        factors = None
-        items = frames.unitaries() if isinstance(frames, (cls, SpinFrames)) else frames
+        set, checked as on construction; tuples give their factor stacks."""
+        if isinstance(frames, cls):
+            return frames if frames.dim == n else cls(*frames.stacks, n=n)
+        items = frames.unitaries() if isinstance(frames, SpinFrames) else frames
         if not isinstance(items, np.ndarray):
             items = list(items)
             if items and all(isinstance(fr, tuple) for fr in items):
-                factors = [np.stack(factor) for factor in zip(*items, strict=True)]
-                d = math.prod(f.shape[-1] for f in factors)
-                _check_bytes(16 * len(items) * d * d, "the stack of {} product frames at dimension {}", len(items), d)
-                items = kron_all(factors)
-            elif any(isinstance(fr, tuple) for fr in items):
+                return cls(*(np.stack(factor) for factor in zip(*items, strict=True)), n=n)
+            if any(isinstance(fr, tuple) for fr in items):
                 raise ValueError("frames must be all matrices or all tuples of per-factor unitaries")
-        return cls(items, factors, n)
+        return cls(items, n=n)
 
     def __len__(self) -> int:
-        return len(self.stack)
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[1]
+        return len(self.stacks[0])
 
     def unitaries(self) -> np.ndarray:
-        """The (F, n, n) ``stack`` itself, not a copy."""
-        return self.stack
+        """The (F, n, n) frame stack: the one stack of matrix frames itself, not a copy, or
+        the ``kron_all`` of the factor stacks, whose 16 F n^2 bytes are counted against
+        the byte budget before it is formed, on every call."""
+        if self.factors is None:
+            return self.stacks[0]
+        _check_bytes(16 * len(self) * self.dim**2, "the stack of {} product frames at dimension {}", len(self), self.dim)
+        return kron_all(self.factors)
 
     def symbols(self, a) -> np.ndarray:
-        """The (n, F) table diag(u^dag a u) of the n x n operator ``a`` over the frames u."""
-        return frame_diagonals(a, self.stack).T
+        """The (n, F) table diag(u^dag a u) of the n x n operator ``a`` over the frames u, read off the stacks."""
+        return frame_diagonals(a, *self.stacks).T
 
     def inverse(self, table) -> np.ndarray:
         """The n x n operator whose ``symbols`` are the (n, F) ``table``, by ``reconstruction._solve``."""
@@ -242,7 +250,7 @@ class UnitaryFrames(Sequence):
         return _solve(self, table)
 
     def __getitem__(self, i: int):
-        return self.stack[i] if self.factors is None else tuple(f[i] for f in self.factors)
+        return self.stacks[0][i] if self.factors is None else tuple(f[i] for f in self.factors)
 
 
 def _coupled_m0_block(jt: int) -> np.ndarray:
@@ -598,8 +606,9 @@ def unitary_tomogram(rho: DensityMatrix, frames) -> Tomogram:
     """Unitary symbol w(mvec, u) = <mvec| u^dag rho u |mvec|>.
 
     ``frames`` is any input of ``UnitaryFrames.of``, checked once here and kept
-    as that set; tuple frames (Kronecker products of per-factor unitaries) keep
-    their ``factors``, which marginals over subsystems need.
+    as that set; tuple frames (Kronecker products of per-factor unitaries) are
+    held as their ``factors``, which marginals over subsystems need, and the
+    table is read off them with no product stack.
     """
     if not isinstance(rho, DensityMatrix):
         raise ValueError("unitary_tomogram expects a DensityMatrix")
@@ -623,8 +632,7 @@ def tomogram_marginal(t: Tomogram, keep) -> Tomogram:
         raise ValueError(f"marginal requires product (tuple) frames with factor dims {t.dims}")
     drop_axes = tuple(k for k in range(len(t.dims)) if k not in keep)
     reduced = t.table.reshape(t.dims + (-1,)).sum(axis=drop_axes).reshape(-1, t.n_frames)
-    kept = [factors[k] for k in keep]
-    new_frames = UnitaryFrames(kept[0]) if len(keep) == 1 else UnitaryFrames(kron_all(kept), kept)
+    new_frames = UnitaryFrames(*(factors[k] for k in keep))
     source = partial_trace(t.source_state, keep) if t.source_state is not None else None
     return Tomogram(new_frames, reduced, dims=tuple(t.dims[k] for k in keep), source_state=source)
 

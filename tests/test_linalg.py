@@ -617,6 +617,23 @@ class TestBlockedFrameKernels:
         monkeypatch.setitem(LIMITS, "bytes", 2**23)
         draw(8, count, 45)
 
+    @pytest.mark.memory
+    def test_haar_scan_block_scratch_past_the_byte_budget_is_refused_before_the_draw(self, monkeypatch):
+        # at n = 256 a block is one 8-frame tile: the full group's image of 8 points holds the
+        # draw x and the points, 8 * 8 * (256^2 + 256) bytes (4.2 MB), and the block's scratch,
+        # 48 * 8 * 256^2 bytes (25 MB), which alone passes a 16 MiB budget
+        rho = ghz_state(8)
+        monkeypatch.setitem(LIMITS, "bytes", 2**24)
+        message = r"^the scratch of one block of frames at dimension 256 would allocate about 0\.0252 GB, above the budget"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                image_sample(rho, GroupSpec("full"), 8, seed=47)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24 / 100
+
 
 class TestInvariants:
     def test_kron_partial_trace_adjointness(self, rng):

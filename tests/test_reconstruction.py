@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import least_squares_solution, random_hermitian, shot_frequencies
 from spintomo import io, reconstruction, symbols
-from spintomo.errors import InformationallyIncompleteError
+from spintomo.errors import LIMITS, InformationallyIncompleteError
 from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
 from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
 from spintomo.reconstruction import (
@@ -554,6 +554,42 @@ class TestChunkedNormalEquations:
         finally:
             tracemalloc.stop()
         assert peak <= 4e6
+
+    @pytest.mark.memory
+    def test_frame_operator_past_the_byte_budget_is_refused_before_it_is_formed(self, monkeypatch):
+        # 64 Haar frames at d = 32: G and eigh's copy of it, 16 * 32^4 bytes (17 MB), pass a
+        # 4 MiB budget, and are refused with their own text while only the table exists
+        t = unitary_tomogram(random_density(32, 32, seed=32), haar_unitaries(32, 64, 33))
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        message = (r"^the frame operator of the least-squares solve at dimension 32 would allocate about "
+                   r"0\.0168 GB, above the budget of 0\.00419 GB$")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                reconstruct_from_unitary_frame(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22 / 100
+        # at its bytes the estimate is solved as before
+        monkeypatch.setitem(LIMITS, "bytes", 16 * 32**4)
+        assert np.max(np.abs(reconstruct_from_unitary_frame(t).mat - t.source_state.mat)) <= 1e-12
+
+    def test_design_matrix_past_the_byte_budget_is_refused_before_lstsq(self, monkeypatch, lstsq_calls):
+        # 40 copies of one frame at d = 8 leave G singular, so the solve takes the lstsq path; its
+        # design matrix, 8 * (40 * 8 + 1) * 8^2 bytes (164 kB), passes a 100 kB budget that G with
+        # eigh's copy, 16 * 8^4 bytes (66 kB), is within
+        t = unitary_tomogram(random_density(8, 8, seed=5), np.repeat(haar_unitaries(8, 1, 5), 40, axis=0))
+        monkeypatch.setitem(LIMITS, "bytes", 100_000)
+        message = r"^the least-squares design matrix of 40 frames at dimension 8 would allocate about 0\.000164 GB"
+        with pytest.raises(ValueError, match=message):
+            reconstruct_from_unitary_frame(t)
+        assert lstsq_calls == []
+        # at its bytes lstsq runs, and finds the set incomplete
+        monkeypatch.setitem(LIMITS, "bytes", 8 * 321 * 64)
+        with pytest.raises(InformationallyIncompleteError):
+            reconstruct_from_unitary_frame(t)
+        assert len(lstsq_calls) == 1
 
 
 class TestIntertwine:

@@ -7,8 +7,9 @@ AST scan of ``src/`` finds each rule's refusal text raised, its check called,
 or its helper defined in one place only, and finds no ``np.prod`` (which wraps
 in int64), no array tested by ``np.isfinite`` past ``_require_finite``, and no
 spin or magnetic number read past ``spin`` or ``magnetic``, no call of
-the least-squares solve past the two frame sets' ``inverse``, and no call of
-the diagonal kernel past ``frame_diagonals`` and ``_haar_scan``; a behaviour
+the least-squares solve past the two frame sets' ``inverse``, no call of
+the diagonal kernel past ``frame_diagonals`` and ``_haar_scan``, and no
+product stack formed in ``symbols`` past ``UnitaryFrames.unitaries``; a behaviour
 test drives the frame-sum check through ``Tomogram`` itself.
 """
 
@@ -155,6 +156,11 @@ def test_one_block_loop_over_stored_frames():
     # kernel and _haar_scan feeds it the sampler's blocks; a second loop fails here
     assert _calls("column_diagonals") == {("linalg.py", "frame_diagonals"), ("linalg.py", "_haar_scan")}
     assert _calls("_kron_columns") == {("linalg.py", "frame_diagonals")}
+
+
+def test_product_frames_form_their_stack_only_on_request():
+    # product frames are their factor stacks; only unitaries() multiplies them out
+    assert {where for name, where in _calls("kron_all") if name == "symbols.py"} == {"UnitaryFrames.unitaries"}
 
 
 @pytest.mark.parametrize("helper", ["_real_if_real", "_real_table"])

@@ -197,6 +197,8 @@ class TestBlockedProductImage:
         rho = random_density(d, d, seed=n, dims=PRODUCT_DIMS[d])
         sample = image_sample(rho, GroupSpec("product"), n, seed=n + 1)
         assert np.array_equal(sample.points, frame_diagonals(rho.mat, kron_all(sample.params)).real)
+        # the points own their 8 bytes an entry, not a view of the complex diagonals
+        assert sample.points.base is None and sample.points.flags.c_contiguous
 
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 1), (2, 1)], ids=["E-1", "E+1", "2E+1"])
     @pytest.mark.parametrize(
@@ -263,10 +265,11 @@ class TestBlockedProductImage:
         [
             # the points and the sampler's draw x, 8 (8 + 64) bytes a point
             (FULL, (2, 2, 2), 16384, 16384 * 8 * 72),
-            # the points and three 2 x 2 factor stacks, 8 * 8 + 3 * 16 * 4 bytes a point
-            (GroupSpec("product"), (2, 2, 2), 32768, 32768 * 256),
-            # the points and the one active 4 x 4 factor stack
-            (GroupSpec("product", active=(1,)), (2, 4), 32768, 32768 * 320),
+            # the points, three 2 x 2 factor stacks and the complex diagonals,
+            # 8 * 8 + 3 * 16 * 4 + 16 * 8 bytes a point
+            (GroupSpec("product"), (2, 2, 2), 32768, 32768 * 384),
+            # the points, the one active 4 x 4 factor stack and the complex diagonals
+            (GroupSpec("product", active=(1,)), (2, 4), 32768, 32768 * 448),
         ],
         ids=["full", "product", "product1"],
     )

@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 
 from conftest import FRAME_KINDS, dequantizer_series, frame_set, random_hermitian
 from spintomo import io
+from spintomo.dynamics import evolve_tomogram
+from spintomo.entropy import frame_probabilities
 from spintomo.errors import LIMITS, InformationallyIncompleteError
 from spintomo.halfint import HalfInt, spin_range
 from spintomo.linalg import (
     expm_hermitian_times,
     frame_diagonals,
     haar_unitaries,
+    kron_all,
     partial_trace,
     random_density,
 )
 from spintomo.quadrature import GROUP_VOLUME, make_grid
-from spintomo.reconstruction import reconstruct_from_unitary_frame
+from spintomo.reconstruction import reconstruct_from_unitary_frame, reconstruction_residual
 from spintomo.states import bell_state, ghz_state, maximally_mixed, product_state, pure_state
 from spintomo.su2 import rotation_matrix
 from spintomo.symbols import (
@@ -195,9 +198,9 @@ class TestFrameStack:
     def test_accepts_arrays_matrix_lists_and_product_tuples(self):
         a, b = haar_unitaries(2, 5, 1), haar_unitaries(2, 5, 2)
         joint = np.stack([np.kron(x, y) for x, y in zip(a, b)])
-        assert np.array_equal(UnitaryFrames.of(joint, 4).stack, joint)
-        assert np.array_equal(UnitaryFrames.of(list(joint), 4).stack, joint)
-        assert np.array_equal(UnitaryFrames.of(list(zip(a, b)), 4).stack, joint)
+        assert np.array_equal(UnitaryFrames.of(joint, 4).unitaries(), joint)
+        assert np.array_equal(UnitaryFrames.of(list(joint), 4).unitaries(), joint)
+        assert np.array_equal(UnitaryFrames.of(list(zip(a, b)), 4).unitaries(), joint)
 
     @pytest.mark.parametrize("frames", [[], np.zeros((0, 2, 2))])
     def test_refuses_empty(self, frames):
@@ -231,13 +234,47 @@ class TestFrameStack:
 
     @pytest.mark.memory
     def test_product_stack_past_the_byte_budget_is_refused_before_it_is_formed(self, monkeypatch):
-        # 20 product frames of 8 qubits: the (20, 256, 256) stack is 16 * 20 * 256^2 bytes (21 MB),
-        # refused at a 4 MiB budget with its own text while only the factor stacks exist
+        # product frames hold their factor stacks alone: the tomogram of 400 product frames of
+        # 6 qubits runs at a 4 MiB budget that their (400, 64, 64) stack, 16 * 400 * 64^2 bytes
+        # (26 MB), passes six times, and traces less than a tenth of that stack
+        rho, rng = ghz_state(6), np.random.default_rng(6)
+        frames = list(zip(*(haar_unitaries(2, 400, rng) for _ in range(6))))
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        tracemalloc.start()
+        try:
+            unitary_tomogram(rho, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 400 * 64**2 / 10
+        # unitaries() forms the stack of 20 product frames of 8 qubits, 16 * 20 * 256^2 bytes
+        # (21 MB): one byte short of them it is refused with its own text while only the factor
+        # stacks exist, and at its bytes it is formed
+        frames = UnitaryFrames.of(list(zip(*(haar_unitaries(2, 20, rng) for _ in range(8)))), 256)
+        stack_bytes = 16 * 20 * 256**2
+        monkeypatch.setitem(LIMITS, "bytes", stack_bytes - 1)
+        message = r"^the stack of 20 product frames at dimension 256 would allocate about 0\.021 GB, above the budget"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                frames.unitaries()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 100
+        monkeypatch.setitem(LIMITS, "bytes", stack_bytes)
+        assert frames.unitaries().shape == (20, 256, 256)
+
+    @pytest.mark.memory
+    def test_block_scratch_past_the_byte_budget_is_refused_before_the_first_block(self, monkeypatch):
+        # at n = 256 a block is one 8-frame tile, and 20 frames end in a block of 12, whose three
+        # (256, 256, 12) complex arrays, 48 * 12 * 256^2 bytes (38 MB), pass a 16 MiB budget that
+        # the factor stacks and the table (0.1 MB) are far below
         rho, rng = ghz_state(8), np.random.default_rng(8)
         frames = list(zip(*(haar_unitaries(2, 20, rng) for _ in range(8))))
-        stack_bytes = 16 * 20 * 256**2
-        monkeypatch.setitem(LIMITS, "bytes", 2**22)
-        message = r"^the stack of 20 product frames at dimension 256 would allocate about 0\.021 GB, above the budget"
+        scratch = 48 * 12 * 256**2
+        monkeypatch.setitem(LIMITS, "bytes", 2**24)
+        message = r"^the scratch of one block of frames at dimension 256 would allocate about 0\.0377 GB, above the budget"
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=message):
@@ -245,13 +282,26 @@ class TestFrameStack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < stack_bytes / 100
-        # one byte short of the stack it is refused, and at its bytes it is formed as before
-        monkeypatch.setitem(LIMITS, "bytes", stack_bytes - 1)
+        assert peak < 2**24 / 100
+        # one byte short of the scratch it is refused, and at its bytes the table is read
+        monkeypatch.setitem(LIMITS, "bytes", scratch - 1)
         with pytest.raises(ValueError, match=message):
-            UnitaryFrames.of(frames, 256)
-        monkeypatch.setitem(LIMITS, "bytes", stack_bytes)
-        assert UnitaryFrames.of(frames, 256).stack.shape == (20, 256, 256)
+            unitary_tomogram(rho, frames)
+        monkeypatch.setitem(LIMITS, "bytes", scratch)
+        assert unitary_tomogram(rho, frames).table.shape == (256, 20)
+
+    @pytest.mark.memory
+    def test_ghz_8_on_100_product_frames_holds_no_product_stack(self):
+        # the (100, 256, 256) product stack alone is 105 MB; the factor route holds one block's scratch
+        rho, rng = ghz_state(8), np.random.default_rng(80)
+        frames = list(zip(*(haar_unitaries(2, 100, rng) for _ in range(8))))
+        tracemalloc.start()
+        try:
+            unitary_tomogram(rho, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
     def test_refuses_nan_in_the_last_block(self):
         # at n = 2 a block is 8192 frames, so the last block starts at frame 8192
@@ -292,6 +342,54 @@ class TestUnitaryFrames:
         assert UnitaryFrames.of(matrices, 2) is matrices
         with pytest.raises(ValueError, match="frame shape"):
             UnitaryFrames.of(matrices, 3)
+        with pytest.raises(ValueError, match=r"^frame shape \(6, 6\) does not match state dimension 4$"):
+            UnitaryFrames.of(product, 4)
+
+    def test_product_frames_are_their_factor_stacks(self):
+        a, b = haar_unitaries(2, 3, 1), haar_unitaries(3, 3, 2)
+        product = UnitaryFrames(a, b)
+        assert product.factors is product.stacks and product.stacks[0] is a and product.stacks[1] is b
+        assert (len(product), product.dim) == (3, 6) and not hasattr(product, "stack")
+        assert np.array_equal(product[2][1], b[2])
+        matrices = UnitaryFrames(a)
+        assert matrices.stacks[0] is a and matrices.factors is None and matrices.dim == 2
+
+    @pytest.mark.parametrize(
+        "stacks, message",
+        [
+            # the frame shape reported is the product of the factor shapes
+            ((np.ones((1, 2, 2)), np.ones((1, 2, 3))), r"^frame shape \(4, 6\) does not match state dimension 6$"),
+            ((np.ones((1, 2, 2)), np.ones((2, 2))), r"^frame shape \(4,\) does not match state dimension 4$"),
+            ((np.zeros((0, 2, 2)), np.zeros((0, 2, 2))), "^at least one frame is required$"),
+            ((), "^at least one frame is required$"),
+            ((haar_unitaries(2, 2, 1), haar_unitaries(2, 3, 2)), r"^factor stacks hold unequal frame counts \[2, 3\]$"),
+        ],
+    )
+    def test_constructor_checks_the_factor_shapes(self, stacks, message):
+        with pytest.raises(ValueError, match=message):
+            UnitaryFrames(*stacks)
+
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_unitarity_is_measured_factor_by_factor(self, factor):
+        # a NaN in either factor is refused, and so are factors 2u and u/2, whose product is unitary
+        a, b = haar_unitaries(2, 3, 1), haar_unitaries(2, 3, 2)
+        stacks = [a.copy(), b.copy()]
+        stacks[factor][-1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="not unitary within 1e-8"):
+            UnitaryFrames(*stacks)
+        scaled = [(2.0 * x, 0.5 * y) for x, y in zip(a, b)]
+        assert max(np.abs(np.kron(x, y) - np.kron(u, v)).max() for (x, y), u, v in zip(scaled, a, b)) <= 1e-15
+        with pytest.raises(ValueError, match="not unitary within 1e-8"):
+            UnitaryFrames.of(scaled, 4)
+
+    def test_one_factor_tuples_are_matrix_frames(self, tmp_path):
+        # a one-factor tuple is its matrix: the set indexes as matrices and is written as unitary objects
+        a, rho = haar_unitaries(3, 4, 1), random_density(3, 3, seed=1)
+        frames = UnitaryFrames.of([(u,) for u in a], 3)
+        assert frames.factors is None and np.array_equal(frames[1], a[1])
+        t = unitary_tomogram(rho, [(u,) for u in a])
+        assert np.array_equal(t.table, unitary_tomogram(rho, a).table)
+        assert all("unitary" in f for f in io.tomogram_to_obj(t)["frames"])
 
     def test_both_tomogram_kinds_hold_array_sets(self):
         rho = random_density(2, 2, seed=4)
@@ -328,8 +426,11 @@ class TestFrameSetInterface:
             assert np.max(np.abs(u - rotation_matrix(j, 0.0, beta, gamma).conj().T)) <= 1e-15
 
     def test_unitary_frames_hand_out_their_stack(self):
+        # matrix frames hand out their one stack; product frames form the product of their factors
+        a = haar_unitaries(6, 4, 3)
+        assert UnitaryFrames.of(a, 6).unitaries() is a
         frames = UnitaryFrames.of(list(zip(haar_unitaries(2, 4, 1), haar_unitaries(3, 4, 2))), 6)
-        assert frames.unitaries() is frames.stack
+        assert np.array_equal(frames.unitaries(), kron_all(frames.factors))
 
     def test_interface_values(self, rng, tmp_path):
         grid = make_grid(1.5)
@@ -456,9 +557,9 @@ class TestMarginal:
         t = unitary_tomogram(rho, frames)
         pair = tomogram_marginal(t, keep=(0, 2)).frames
         assert pair.factors[0] is t.frames.factors[0] and pair.factors[1] is t.frames.factors[2]
-        assert isinstance(pair[0], tuple) and pair.stack.shape == (4, 4, 4)
+        assert isinstance(pair[0], tuple) and pair.unitaries().shape == (4, 4, 4)
         single = tomogram_marginal(t, keep=1).frames
-        assert single.factors is None and np.array_equal(single.stack, t.frames.factors[1])
+        assert single.factors is None and np.array_equal(single.unitaries(), t.frames.factors[1])
 
     def test_bell_state_marginal_uniform(self):
         frames = [
@@ -531,6 +632,28 @@ class TestMarginal:
         frames = [(haar_unitaries(2, 1, 19)[0], haar_unitaries(2, 1, 20)[0])]
         with pytest.raises(ValueError):
             tomogram_marginal(unitary_tomogram(rho, frames), keep=keep)
+
+
+class TestProductFramesMatchTheirStack:
+    """Product frames read through their factor stacks give the bits of their product stack."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)], ids=lambda dims: "x".join(map(str, dims)))
+    def test_tables_marginals_and_estimates_equal_those_of_the_product_stack(self, dims):
+        n, rng = int(np.prod(dims)), np.random.default_rng(len(dims) * 10 + dims[0])
+        rho = random_density(n, n, seed=n, dims=dims)
+        factors = [haar_unitaries(d, 37, rng) for d in dims]
+        tuples, stack = list(zip(*factors)), kron_all(factors)
+        t, dense = unitary_tomogram(rho, tuples), unitary_tomogram(rho, stack)
+        assert t.frames.factors is not None and np.array_equal(t.table, dense.table)
+        assert np.array_equal(frame_probabilities(rho, tuples), frame_probabilities(rho, stack))
+        est = reconstruct_from_unitary_frame(t)
+        assert np.array_equal(est.mat, reconstruct_from_unitary_frame(dense).mat)
+        assert reconstruction_residual(t, est) == reconstruction_residual(dense, est)
+        h = random_hermitian(n, rng)
+        assert np.array_equal(evolve_tomogram(t, h, 0.7).table, evolve_tomogram(dense, h, 0.7).table)
+        for keep in [(0,), (len(dims) - 1,), (0, len(dims) - 1)]:
+            marginal, reduced = tomogram_marginal(t, keep), partial_trace(rho, keep).mat
+            assert np.array_equal(marginal.frames.symbols(reduced), frame_diagonals(reduced, kron_all([factors[k] for k in keep])).T)
 
 
 class TestTomogramType:
