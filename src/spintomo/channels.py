@@ -7,6 +7,13 @@ tomogram samples directly, Pi(x, x') = Tr[U(x) L(D(x'))].  One table maps
 each kind to its builder and initial state; ``CHANNEL_KINDS`` lists its
 keys, and an unknown kind has one refusal.  Completeness, the rotation axis
 and the propagator's imaginary part are checked against ``errors.LIMITS``.
+
+A channel holds its Kraus operators as one read-only (K, d, d) stack, and
+every map of it (completeness, composition, action on a state, the
+superoperator and the Choi matrix) is an array expression over that stack,
+with no Python loop over the operators.  The Choi matrix is the
+superoperator with its indices reshuffled, and the superoperator's bytes
+are counted against the byte budget before it is formed.
 """
 
 from __future__ import annotations
@@ -25,35 +32,41 @@ from .symbols import SpinTransform
 
 @dataclass(eq=False)
 class KrausChannel:
-    """Completely positive trace-preserving map rho -> sum_s V_s rho V_s^dag."""
+    """Completely positive trace-preserving map rho -> sum_s V_s rho V_s^dag.
 
-    ops: list
+    ``ops`` is one read-only complex (K, d, d) stack of the Kraus operators
+    V_s, taken from a list, a tuple or an array; each is read as a finite
+    square matrix before stacking.
+    """
+
+    ops: np.ndarray
 
     def __post_init__(self):
-        self.ops = [as_matrix(v) for v in self.ops]
-        if not self.ops:
+        ops = [as_matrix(v) for v in self.ops]
+        if not ops:
             raise InvalidChannelError("a channel needs at least one Kraus operator")
-        d = self.ops[0].shape[0]
-        if any(v.shape != (d, d) for v in self.ops):
+        if any(v.shape != ops[0].shape for v in ops):
             raise InvalidChannelError("Kraus operators must share one dimension")
-        defect = sum(v.conj().T @ v for v in self.ops) - np.eye(d)
+        self.ops = np.array(ops)
+        self.ops.setflags(write=False)
+        defect = (self.ops.conj().swapaxes(1, 2) @ self.ops).sum(axis=0) - np.eye(self.dim)
         check("completeness", np.max(np.abs(defect)), "Kraus operators violate completeness", error=InvalidChannelError)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[-1]
 
     def compose(self, inner: "KrausChannel") -> "KrausChannel":
-        """self after inner: Kraus set {V_a W_b}."""
+        """self after inner: Kraus set {V_a W_b}, a-major."""
         if inner.dim != self.dim:
             raise ValueError("channel dimensions differ")
-        return KrausChannel([a @ b for a in self.ops for b in inner.ops])
+        return KrausChannel((self.ops[:, None] @ inner.ops).reshape(-1, self.dim, self.dim))
 
 
 def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if channel.dim != rho.dim:
         raise ValueError("channel and state dimensions differ")
-    out = sum(v @ rho.mat @ v.conj().T for v in channel.ops)
+    out = (channel.ops @ rho.mat @ channel.ops.conj().swapaxes(1, 2)).sum(axis=0)
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out, rho.dims)
 
@@ -63,16 +76,23 @@ def kraus_to_superoperator(channel: KrausChannel) -> np.ndarray:
     vec(rho) to vec(L(rho)): ``(S @ rho.reshape(-1)).reshape(d, d)``.
 
     One ``kron_all`` over the Kraus stack, summed in Kraus order, so every
-    entry is bit for bit that of the sum of ``np.kron`` terms.
+    entry is bit for bit that of the sum of ``np.kron`` terms.  The K products
+    and the sum take 16 (K + 1) d^4 bytes, counted against the byte budget
+    before they are formed.
     """
-    ops = np.array(channel.ops)
+    ops, d = channel.ops, channel.dim
+    _check_bytes(16.0 * (len(ops) + 1) * d**4, "the superoperator of {} Kraus operators at dimension {}", len(ops), d)
     return kron_all([ops, ops.conj()]).sum(axis=0)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """sum_s vec(V_s) vec(V_s)^dag with row-major vec; PSD for any Kraus set."""
-    vecs = [v.reshape(-1) for v in channel.ops]
-    return sum(np.outer(v, v.conj()) for v in vecs)
+    """sum_s vec(V_s) vec(V_s)^dag with row-major vec; PSD for any Kraus set.
+
+    Entry C[(i,k),(j,l)] = sum_s V_ik conj(V_jl) is S[(i,j),(k,l)] of the
+    superoperator, so C is S with its indices reshuffled.
+    """
+    d = channel.dim
+    return kraus_to_superoperator(channel).reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
 
 
 def _check_p(p: float) -> float:
@@ -86,17 +106,13 @@ def depolarizing(p: float) -> KrausChannel:
     """(1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)."""
     p = _check_p(p)
     eye = np.eye(2, dtype=complex)
-    return KrausChannel(
-        [np.sqrt(1.0 - p) * eye] + [np.sqrt(p / 3.0) * s for s in PAULIS]
-    )
+    return KrausChannel(np.concatenate([np.sqrt(1.0 - p) * eye[None], np.sqrt(p / 3.0) * PAULIS]))
 
 
 def phase_damping(p: float) -> KrausChannel:
     p = _check_p(p)
-    eye = np.eye(2, dtype=complex)
-    k1 = np.sqrt(p) * np.diag([1.0, 0.0]).astype(complex)
-    k2 = np.sqrt(p) * np.diag([0.0, 1.0]).astype(complex)
-    return KrausChannel([np.sqrt(1.0 - p) * eye, k1, k2])
+    s = np.sqrt(p)
+    return KrausChannel([np.sqrt(1.0 - p) * np.eye(2), s * np.diag([1.0, 0.0]), s * np.diag([0.0, 1.0])])
 
 
 def amplitude_damping(p: float) -> KrausChannel:
@@ -143,7 +159,7 @@ def _check_rotation(theta: float, n) -> np.ndarray:
 def channel_frame(theta: float, n) -> np.ndarray:
     """u = cos(theta/2) - i (sigma . n) sin(theta/2) for a unit 3-vector n."""
     n = _check_rotation(theta, n)
-    sigma_n = sum(ni * si for ni, si in zip(n, PAULIS))
+    sigma_n = np.tensordot(n, PAULIS, 1)
     return np.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2.0) * sigma_n
 
 

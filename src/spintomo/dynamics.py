@@ -10,7 +10,9 @@ no shifted frame stack, and on a grid no rotation at all.
 
 Projective/POVM updates: the unnormalized map rho -> P rho P is returned as a
 normalized state plus its probability; its symbol-side form is the triple
-star composition w_P * w * w_P.
+star composition w_P * w * w_P.  A ``Povm`` holds its effects as one
+read-only (K, d, d) stack; its checks and outcome probabilities are array
+reductions over the stack, with one batched ``eigvalsh`` for positivity.
 """
 
 from __future__ import annotations
@@ -78,17 +80,23 @@ def measurement_star_map(w: Tomogram, w_effect: Tomogram, j, grid: QuadratureGri
 
 @dataclass(eq=False)
 class Povm:
-    """Positive operator-valued measure: PSD effects summing to the identity."""
+    """Positive operator-valued measure: PSD effects summing to the identity.
 
-    effects: list
+    ``effects`` is one read-only complex (K, d, d) stack, taken from a list, a
+    tuple or an array; each effect is read as a finite square matrix before
+    stacking.
+    """
+
+    effects: np.ndarray
 
     def __post_init__(self):
-        self.effects = [as_matrix(e) for e in self.effects]
-        if not self.effects:
+        effects = [as_matrix(e) for e in self.effects]
+        if not effects:
             raise ValueError("a POVM needs at least one effect")
-        d = self.effects[0].shape[0]
-        if any(e.shape != (d, d) for e in self.effects):
+        if any(e.shape != effects[0].shape for e in effects):
             raise ValueError("effects must share one dimension")
+        self.effects = np.array(effects)
+        self.effects.setflags(write=False)
 
 
 @dataclass
@@ -99,20 +107,17 @@ class PovmReport:
 
 
 def povm_validate(p: Povm) -> PovmReport:
-    """Completeness and positivity verdict with residuals."""
-    d = p.effects[0].shape[0]
-    total = sum(p.effects)
-    completeness = float(np.max(np.abs(total - np.eye(d))))
-    min_eig = min(
-        float(np.min(np.linalg.eigvalsh(0.5 * (e + e.conj().T)))) for e in p.effects
-    )
-    herm = max(hermiticity_residual(e) for e in p.effects)
+    """Completeness and positivity verdict with residuals, each one reduction over the effect stack."""
+    e, e_dag = p.effects, p.effects.conj().swapaxes(1, 2)
+    completeness = float(np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[-1]))))
+    min_eig = float(np.linalg.eigvalsh(0.5 * (e + e_dag)).min())
+    herm = float(np.abs(e - e_dag).max())
     ok = completeness <= LIMITS["completeness"] and min_eig >= -LIMITS["effect"] and herm <= LIMITS["effect"]
     return PovmReport(ok=ok, completeness_residual=completeness, min_effect_eigenvalue=min_eig)
 
 
 def measurement_probabilities(rho: DensityMatrix, p: Povm) -> np.ndarray:
-    """Tr[E_k rho] for every effect; sums to 1 for a complete POVM."""
-    if p.effects[0].shape != rho.mat.shape:
+    """Tr[E_k rho] for every effect, as an owned float64 array; sums to 1 for a complete POVM."""
+    if p.effects.shape[1:] != rho.mat.shape:
         raise ValueError("POVM effect and state dimensions differ")
-    return np.array([float(np.trace(e @ rho.mat).real) for e in p.effects])
+    return np.trace(p.effects @ rho.mat, axis1=1, axis2=2).real.copy()

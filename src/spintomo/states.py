@@ -1,4 +1,8 @@
-"""Reference states and operators used by tests, examples, and the CLI."""
+"""Reference states and operators used by tests, examples, and the CLI.
+
+The Pauli matrices are one read-only (3, 2, 2) stack, ``PAULIS``, and
+``SIGMA_X``, ``SIGMA_Y``, ``SIGMA_Z`` are views of it.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +13,9 @@ import numpy as np
 from .errors import check
 from .linalg import DensityMatrix, _check_bytes, _integers, kron_all
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
+PAULIS.setflags(write=False)
+SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
 
 
 def pure_state(vec, dims=None) -> DensityMatrix:

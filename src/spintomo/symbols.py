@@ -558,13 +558,19 @@ class Tomogram:
 
 
 def _real_if_real(table: np.ndarray) -> np.ndarray:
-    """``table`` itself when an entry has a nonzero imaginary part, else its real view."""
-    return table if np.count_nonzero(table.imag) else table.real
+    """``table`` itself when it is not complex or an entry has a nonzero imaginary part, else its real view.
+
+    A real table is returned as it is: its ``.imag`` would be a new array of zeros.
+    """
+    return table if table.dtype.kind != "c" or np.count_nonzero(table.imag) else table.real
 
 
 def _real_table(t: Tomogram) -> np.ndarray:
-    """A tomogram's table, refused if complex beyond ``LIMITS["tomogram_real"]``; negative entries pass."""
-    imag = float(np.max(np.abs(t.table.imag)))
+    """A tomogram's table, refused if complex beyond ``LIMITS["tomogram_real"]``; negative entries pass.
+
+    The largest |imaginary part| is read from its max and min, with no array of absolute values.
+    """
+    imag = float(max(t.table.imag.max(), -t.table.imag.min()))
     check("tomogram_real", imag, "tomogram has imaginary entries up to {:.3e}; a probability table is real", imag)
     return t.table.real
 

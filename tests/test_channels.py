@@ -21,10 +21,11 @@ from spintomo.channels import (
     kraus_to_superoperator,
     phase_damping,
 )
-from spintomo.errors import InvalidChannelError
+from spintomo.dynamics import Povm, measurement_probabilities, povm_validate
+from spintomo.errors import LIMITS, InvalidChannelError
 from spintomo.linalg import DensityMatrix, haar_unitary, random_density
 from spintomo.quadrature import make_grid
-from spintomo.states import PAULIS
+from spintomo.states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from spintomo.symbols import SpinTransform, grid_frames, spin_tomogram, unitary_tomogram
 
 ALL_KINDS = ("depolarizing", "phase_damping", "amplitude_damping")
@@ -334,3 +335,134 @@ class TestRefusals:
     def test_refusal_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+
+def _isometry_channel(d: int, k: int) -> KrausChannel:
+    """The K Kraus operators of the first d columns of a Haar unitary of size K d."""
+    return KrausChannel(list(haar_unitary(k * d, 500 + 10 * k + d)[:, :d].reshape(k, d, d)))
+
+
+STACK_SIZES = [(d, k) for d in (2, 3, 4, 7) for k in (1, 2, 3, 5)]
+
+
+class TestOperatorStacks:
+    """Kraus sets and POVMs are (K, d, d) stacks, and each array expression over a stack
+    equals, bit for bit, the list form it replaced, written out here as the oracle."""
+
+    @pytest.mark.parametrize("d, k", STACK_SIZES)
+    def test_apply_kraus_equals_the_sum_over_the_list(self, d, k):
+        ch, rho = _isometry_channel(d, k), random_density(d, d, seed=d + k)
+        want = sum(v @ rho.mat @ v.conj().T for v in list(ch.ops))
+        want = 0.5 * (want + want.conj().T)
+        assert np.array_equal(apply_kraus(ch, rho).mat, want)
+
+    @pytest.mark.parametrize("d, k", STACK_SIZES)
+    def test_choi_matrix_equals_the_sum_of_outer_products(self, d, k):
+        ch = _isometry_channel(d, k)
+        vecs = [v.reshape(-1) for v in list(ch.ops)]
+        assert np.array_equal(choi_matrix(ch), sum(np.outer(v, v.conj()) for v in vecs))
+
+    @pytest.mark.parametrize("d, k", STACK_SIZES)
+    def test_superoperator_equals_the_sum_of_kron_terms(self, d, k):
+        ch = _isometry_channel(d, k)
+        assert np.array_equal(kraus_to_superoperator(ch), sum(np.kron(v, v.conj()) for v in list(ch.ops)))
+
+    @pytest.mark.parametrize("d, k", STACK_SIZES)
+    def test_compose_is_the_a_major_product_list(self, d, k):
+        outer, inner = _isometry_channel(d, k), _isometry_channel(d, 2)
+        composed = outer.compose(inner)
+        want = KrausChannel([a @ b for a in list(outer.ops) for b in list(inner.ops)])
+        assert np.array_equal(composed.ops, want.ops)
+        assert np.array_equal(kraus_to_superoperator(composed), kraus_to_superoperator(want))
+
+    @pytest.mark.parametrize("d, k", STACK_SIZES)
+    def test_povm_checks_equal_the_per_effect_checks(self, d, k):
+        # the effects V^dag V of an isometry channel, and the same set with its last effect dropped
+        effects = [v.conj().T @ v for v in list(_isometry_channel(d, k).ops)]
+        rho = random_density(d, d, seed=30 + d + k)
+        for given in (effects, effects[:-1] or [-effects[0]]):
+            report = povm_validate(Povm(given))
+            completeness = float(np.max(np.abs(sum(given) - np.eye(d))))
+            min_eig = min(float(np.min(np.linalg.eigvalsh(0.5 * (e + e.conj().T)))) for e in given)
+            herm = max(float(np.abs(e - e.conj().T).max()) for e in given)
+            ok = completeness <= LIMITS["completeness"] and min_eig >= -LIMITS["effect"] and herm <= LIMITS["effect"]
+            assert (report.ok, report.completeness_residual, report.min_effect_eigenvalue) == (ok, completeness, min_eig)
+            want = np.array([float(np.trace(e @ rho.mat).real) for e in given])
+            assert np.array_equal(measurement_probabilities(rho, Povm(given)), want)
+
+    @pytest.mark.parametrize("twice_j", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_propagator_equals_the_one_formed_from_the_kron_list(self, twice_j, k):
+        n = twice_j + 1
+        ch, grid = _isometry_channel(n, k), make_grid(twice_j / 2)
+        basis, analysis, synthesis = SpinTransform.on_grid(twice_j / 2, grid).basis_maps()
+        vecs = basis.reshape(n * n, -1)
+        coupling = vecs.conj() @ sum(np.kron(v, v.conj()) for v in list(ch.ops)) @ vecs.T
+        assert np.array_equal(channel_propagator(ch, twice_j / 2, grid), analysis.T @ (coupling.real @ synthesis))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_built_in_channels_hold_their_list_forms(self, kind, p):
+        eye, s = np.eye(2, dtype=complex), np.sqrt(p)
+        want = {
+            "depolarizing": [np.sqrt(1.0 - p) * eye] + [np.sqrt(p / 3.0) * m for m in PAULIS],
+            "phase_damping": [np.sqrt(1.0 - p) * eye, s * np.diag([1.0, 0.0]), s * np.diag([0.0, 1.0])],
+            "amplitude_damping": [np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]]), np.array([[0.0, s], [0.0, 0.0]])],
+        }[kind]
+        assert np.array_equal(build_channel(kind, p).ops, np.array(want, dtype=complex))
+
+    def test_channel_frame_equals_the_sum_over_the_paulis(self, rng):
+        for _ in range(20):
+            theta, n = rng.uniform(-7.0, 7.0), random_axis(rng)
+            sigma_n = sum(ni * si for ni, si in zip(n, PAULIS))
+            want = np.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2.0) * sigma_n
+            assert np.array_equal(channel_frame(theta, n), want)
+
+    @pytest.mark.parametrize("make", [Povm, KrausChannel], ids=["effects", "ops"])
+    def test_stacks_are_read_only_complex_arrays_from_lists_tuples_and_arrays(self, make):
+        mats = [v.copy() for v in _isometry_channel(3, 2).ops]
+        stacks = [make(given) for given in (mats, tuple(mats), np.array(mats))]
+        for built in stacks:
+            stack = built.ops if make is KrausChannel else built.effects
+            assert stack.shape == (2, 3, 3) and stack.dtype == complex and not stack.flags.writeable
+            assert np.array_equal(stack, np.array(mats, dtype=complex))
+        # the stack is a copy: the given array stays the caller's, and writable
+        given = np.array(mats, dtype=complex)
+        make(given)
+        assert given.flags.writeable
+
+    def test_paulis_are_one_read_only_stack_with_the_sigmas_as_views(self):
+        assert PAULIS.shape == (3, 2, 2) and PAULIS.dtype == complex and not PAULIS.flags.writeable
+        for sigma, m in zip((SIGMA_X, SIGMA_Y, SIGMA_Z), PAULIS):
+            assert sigma.base is PAULIS and np.array_equal(sigma, m) and not sigma.flags.writeable
+        assert np.array_equal(PAULIS, [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+    def test_probabilities_own_their_float64_data(self):
+        probs = measurement_probabilities(random_density(3, 3, seed=4), Povm([0.25 * np.eye(3), 0.75 * np.eye(3)]))
+        assert probs.dtype == np.float64 and probs.flags.owndata and probs.flags.c_contiguous
+
+    def test_superoperator_bytes_are_counted_exactly(self, monkeypatch):
+        # two Kraus operators at d = 4: K products and the sum, 16 * 3 * 4^4 = 12288 bytes
+        ch = _isometry_channel(4, 2)
+        monkeypatch.setitem(LIMITS, "bytes", 16 * 3 * 4**4)
+        assert np.array_equal(choi_matrix(ch), sum(np.outer(v.reshape(-1), v.reshape(-1).conj()) for v in list(ch.ops)))
+        monkeypatch.setitem(LIMITS, "bytes", 16 * 3 * 4**4 - 1)
+        with pytest.raises(ValueError, match=r"^the superoperator of 2 Kraus operators at dimension 4 would allocate"):
+            kraus_to_superoperator(ch)
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize("form", [kraus_to_superoperator, choi_matrix], ids=["superoperator", "choi"])
+    def test_superoperator_past_the_byte_budget_is_refused_before_it_is_formed(self, form, monkeypatch):
+        # two Kraus operators at d = 32: 16 * 3 * 32^4 bytes (50 MB) against a 16 MiB budget
+        ch = _isometry_channel(32, 2)
+        monkeypatch.setitem(LIMITS, "bytes", 2**24)
+        message = (r"^the superoperator of 2 Kraus operators at dimension 32 would allocate about 0\.0503 GB, "
+                   r"above the budget of 0\.0168 GB$")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                form(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24 / 100

@@ -8,9 +8,11 @@ or its helper defined in one place only, and finds no ``np.prod`` (which wraps
 in int64), no array tested by ``np.isfinite`` past ``_require_finite``, and no
 spin or magnetic number read past ``spin`` or ``magnetic``, no call of
 the least-squares solve past the two frame sets' ``inverse``, no call of
-the diagonal kernel past ``frame_diagonals`` and ``_haar_scan``, and no
-product stack formed in ``symbols`` past ``UnitaryFrames.unitaries``; a behaviour
-test drives the frame-sum check through ``Tomogram`` itself.
+the diagonal kernel past ``frame_diagonals`` and ``_haar_scan``, no
+product stack formed in ``symbols`` past ``UnitaryFrames.unitaries``, and no
+Python loop over a Kraus, effect or Pauli stack past the two constructors'
+input reads; a behaviour test drives the frame-sum check through ``Tomogram``
+itself.
 """
 
 import ast
@@ -161,6 +163,22 @@ def test_one_block_loop_over_stored_frames():
 def test_product_frames_form_their_stack_only_on_request():
     # product frames are their factor stacks; only unitaries() multiplies them out
     assert {where for name, where in _calls("kron_all") if name == "symbols.py"} == {"UnitaryFrames.unitaries"}
+
+
+def _walks_an_operator_stack(it) -> bool:
+    """Whether a loop's iterable reads a Kraus stack (``.ops``), an effect stack (``.effects``) or ``PAULIS``."""
+    return any((isinstance(n, ast.Attribute) and n.attr in ("ops", "effects"))
+               or (isinstance(n, ast.Name) and n.id == "PAULIS") for n in ast.walk(it))
+
+
+def test_no_python_loop_over_an_operator_stack():
+    # Kraus sets, POVM effects and the Paulis are (K, d, d) stacks read by array expressions;
+    # only the two constructors walk their input, checking each given matrix before stacking
+    assert {(name, where) for name, where, node in NODES
+            if isinstance(node, (ast.For, ast.comprehension)) and _walks_an_operator_stack(node.iter)} == {
+        ("channels.py", "KrausChannel.__post_init__"),
+        ("dynamics.py", "Povm.__post_init__"),
+    }
 
 
 @pytest.mark.parametrize("helper", ["_real_if_real", "_real_table"])

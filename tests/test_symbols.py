@@ -30,6 +30,8 @@ from spintomo.symbols import (
     SpinFrames,
     Tomogram,
     UnitaryFrames,
+    _real_if_real,
+    _real_table,
     dequantizer_U,
     grid_frames,
     quantizer_D,
@@ -679,6 +681,24 @@ class TestTomogramType:
             Tomogram(frames=grid_frames(0.5, grid), table=table)
         with pytest.raises(ValueError, match="finite"):
             Tomogram(frames=[np.eye(2)], table=table[:, 3:4])
+
+    @pytest.mark.memory
+    def test_real_tables_are_read_without_a_copy_of_their_imaginary_part(self):
+        # a real table is returned as itself, with no zero .imag array (16 kB here); a complex
+        # table's realness check reduces its imaginary part in place, with no |imag| array
+        table = np.random.default_rng(7).random((32, 64))
+        t = Tomogram(frames=haar_unitaries(32, 64, 7), table=table + 0j)
+        tracemalloc.start()
+        try:
+            same = _real_if_real(table)
+            peak_real = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            read = _real_table(t)
+            peak_complex = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same is table and peak_real < 1000
+        assert np.array_equal(read, table) and peak_complex < 4000
 
     def test_labels_come_from_the_frames(self):
         grid = make_grid(0.5)
