@@ -2,7 +2,7 @@
 
 Closed-system evolution: rho(t) = e^{-itH} rho e^{itH}.  On a tomogram it
 acts through the frame argument alone: w(m, u, t) = w(m, U(t)^dag u, 0) for
-every frame u of the set's ``unitaries()``, as
+every frame u of the set, as
 diag(u^dag rho(t) u) = diag((U(t)^dag u)^dag rho (U(t)^dag u)).  So
 ``evolve_tomogram`` forms rho(t) once, keeps it as the evolved tomogram's
 state, and takes its table through the frame set's forward map ``symbols``:

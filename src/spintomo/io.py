@@ -115,7 +115,7 @@ def _frames_to_obj(frames) -> list[dict]:
         angles = zip(frames.betas.tolist(), frames.gammas.tolist())
         return [{"alpha": 0.0, "beta": b, "gamma": g} for b, g in angles]
     if frames.factors is None:
-        return [{"unitary": matrix_to_obj(u)} for u in frames.unitaries()]
+        return [{"unitary": matrix_to_obj(u)} for u in frames.stacks[0]]
     return [{"factors": [matrix_to_obj(f) for f in fs]} for fs in zip(*frames.factors)]
 
 

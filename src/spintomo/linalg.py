@@ -135,8 +135,16 @@ def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
 
 
 def _require_finite(values, what: str) -> None:
-    """Refuse ``values`` unless every entry is finite: the one finiteness rule of inputs and tables."""
-    if not np.isfinite(values).all():
+    """Refuse ``values`` unless every entry is finite: the one finiteness rule of inputs and tables.
+
+    A NaN or an infinity makes the sum of the entries NaN or infinite, so a
+    finite sum admits the values with no array of their size allocated; only
+    a sum that is not finite is read again entry by entry.
+    """
+    values = np.asarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not np.isfinite(total) and not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite numbers (found NaN or infinity)")
 
 
@@ -157,11 +165,13 @@ def unitarity_residual(u) -> float:
     """max |u^dag u - 1| over the entries, and over every frame of an (F, n, n) stack.
 
     A stack is checked one block of frames at a time, so the scratch is a few
-    blocks, not several copies of the stack; a NaN in any block is the result.
+    blocks, not several copies of the stack, and is counted against the byte
+    budget before the first block; a NaN in any block is the result.
     """
     u = np.asarray(u)
-    stack, eye = u.reshape(-1, *u.shape[-2:]), np.eye(u.shape[-1])
-    blocks = _blocks(len(stack), u.shape[-1])
+    stack, n = u.reshape(-1, *u.shape[-2:]), u.shape[-1]
+    _check_block_scratch(len(stack), n)
+    blocks, eye = _blocks(len(stack), n), np.eye(n)
     residuals = [np.abs(stack[b].conj().swapaxes(-1, -2) @ stack[b] - eye).max() for b in blocks]
     return float(np.max(residuals))
 
@@ -192,11 +202,13 @@ def frame_diagonals(a, *stacks) -> np.ndarray:
     ``_kron_columns`` and is reduced there, so every diagonal equals that of
     ``kron_all(stacks)`` bit for bit; the Haar scans reduce the sampler's
     blocks with the same kernel.  Beside the stacks and the output it holds
-    about three blocks, whatever the frames' number; a block's scratch, which
-    grows as n^2 above n = 64, is counted against the byte budget before the
-    first block.
+    about three blocks, whatever the frames' number.  The output, which for
+    product frames can outgrow their factor stacks many times, and a block's
+    scratch, which grows as n^2 above n = 64, are each counted against the
+    byte budget before the first block.
     """
     count, n = len(stacks[0]), math.prod(s.shape[-1] for s in stacks)
+    _check_bytes(16 * count * n, "the diagonals of {} frames at dimension {}", count, n)
     _check_block_scratch(count, n)
     a = np.asarray(a, dtype=complex)
     out = np.empty((count, n), dtype=complex)

@@ -5,8 +5,12 @@ Every frame set has one inverse beside its forward map ``symbols(a)``:
 table is the symbols of, an observable's included.  On a quadrature grid
 exact to degree 2j it is the covariant synthesis of ``SpinTransform``; on
 every other set, unitary or spin, it is ``_solve``, least squares on the
-frame operator of the set's ``unitaries()``, the canonical dual frame of an
-informationally complete set.  ``reconstruct_operator`` is the grid
+frame operator of the set's frames, the canonical dual frame of an
+informationally complete set.  It reads a unitary set's own ``stacks``
+(off a grid, a spin set's ``unitaries()``) and multiplies product frames
+out one chunk of frames at a time, so no product stack is held; only the
+``lstsq`` path of an ill-conditioned set forms it, beside the design
+matrix that is larger still.  ``reconstruct_operator`` is the grid
 synthesis with its operand checked in the same ``_grid_transform`` call as
 the star maps'.  The state estimate ``reconstruct_from_unitary_frame`` reads
 the table as a state's: the inverse, its Hermitian part over its trace,
@@ -22,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import LIMITS, InformationallyIncompleteError
-from .linalg import DensityMatrix, _check_bytes, hermitian_basis
+from .linalg import DensityMatrix, _check_bytes, hermitian_basis, kron_all
 from .quadrature import QuadratureGrid
 from .symbols import QuantizerPair, Tomogram, _grid_transform, _real_if_real, _real_table
 
@@ -127,22 +131,25 @@ def _chunk_frames(d: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * d**3))
 
 
-def _normal_equations(us: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = A^T A and A^T b for the design matrix A of the (F, d, d) frames ``us``
-    and b, the real (d, F) ``table`` (or a (d, F, k) stack of k tables) read
-    frame by frame, then the trace row's right-hand side, the table's mean
+def _normal_equations(stacks, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = A^T A and A^T b for the design matrix A of the frames whose stacks are
+    ``stacks`` (one (F, d, d) stack, or the (F, d_k, d_k) factor stacks of product
+    frames) and b, the real (d, F) ``table`` (or a (d, F, k) stack of k tables)
+    read frame by frame, then the trace row's right-hand side, the table's mean
     frame sum, which is Tr a for the table of any operator a.
 
     Both are summed over chunks of ``_chunk_frames(d)`` frames, starting from
-    the trace row's terms, so A is never formed whole.
+    the trace row's terms, so A is never formed whole.  A chunk's frames are
+    the ``kron_all`` of the stacks' slices: a matrix stack's own slice, and
+    the products of one chunk of product frames, never their whole stack.
     """
-    d = us.shape[-1]
+    d, n = math.prod(s.shape[-1] for s in stacks), len(stacks[0])
     g, h = np.zeros((d * d, d * d)), np.zeros((d * d,) + table.shape[2:])
     g[:d, :d], h[:d] = 1.0, table.sum(0).mean(0)
     step = _chunk_frames(d)
-    scratch = np.empty((d * d, d * min(len(us), step)))
-    for start in range(0, len(us), step):
-        chunk = us[start : start + step]
+    scratch = np.empty((d * d, d * min(n, step)))
+    for start in range(0, n, step):
+        chunk = kron_all([s[start : start + step] for s in stacks])
         at = _design_columns(chunk, scratch[:, : d * len(chunk)])
         g += at @ at.T
         h += at @ table[:, start : start + step].swapaxes(0, 1).reshape((-1,) + table.shape[2:])
@@ -152,11 +159,14 @@ def _normal_equations(us: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np
 def _solve(frames, table) -> np.ndarray:
     """The least-squares operator whose ``frames.symbols`` are the (d, F) ``table``, a linear map.
 
-    The coefficients over ``hermitian_basis(d)`` are solved on the frames
-    ``frames.unitaries()`` through the frame operator G = A^T A (d^2 x d^2)
-    of the design matrix A, with one ``eigh`` when cond(G) <=
-    ``_GRAM_COND_LIMIT``; G and A^T b come from ``_normal_equations`` without
-    A.  Otherwise ``lstsq`` runs on the full A, and a rank below d^2 raises
+    The coefficients over ``hermitian_basis(d)`` are solved on the frame
+    set's stacks, ``frames.stacks`` for unitary frames and the rotation stack
+    ``frames.unitaries()`` for spin frames, formed only once G's bytes pass
+    the budget, through the frame operator G = A^T A (d^2 x d^2) of the
+    design matrix A, with one ``eigh`` when cond(G) <= ``_GRAM_COND_LIMIT``;
+    G and A^T b come from ``_normal_equations`` without A or a product
+    stack.  Otherwise ``lstsq`` runs on the full A, built from the
+    ``kron_all`` of the stacks, and a rank below d^2 raises
     ``InformationallyIncompleteError``, which names the ``_complete_set`` of
     the frames.  A's last row is the trace, whose right-hand side is the
     table's mean frame sum, so the constraint holds for every operator's
@@ -164,24 +174,27 @@ def _solve(frames, table) -> np.ndarray:
     table are solved on the one G, so a real table gives a Hermitian
     operator.  A table of any other shape is refused.  G with ``eigh``'s copy
     of it, 16 d^4 bytes, and the full A, 8 (F d + 1) d^2 bytes, are each
-    counted against the byte budget before they are formed.
+    counted against the byte budget before they are formed; the complex
+    Hermitian basis, 16 d^4 bytes too, is formed once G and its
+    eigenvectors are dropped.
     """
-    table, d = _real_if_real(np.asarray(table)), frames.dim
-    if table.shape != (d, len(frames)):
-        raise ValueError(f"table shape {table.shape} does not match {d} outcomes x {len(frames)} frames")
+    table, d, n = _real_if_real(np.asarray(table)), frames.dim, len(frames)
+    if table.shape != (d, n):
+        raise ValueError(f"table shape {table.shape} does not match {d} outcomes x {n} frames")
     _check_bytes(16 * d**4, "the frame operator of the least-squares solve at dimension {}", d)
     table = np.stack([table.real, table.imag], axis=-1) if table.dtype.kind == "c" else table
-    us = frames.unitaries()
-    g, h = _normal_equations(us, table)
+    stacks = frames.stacks if frames.kind == "unitary" else (frames.unitaries(),)
+    g, h = _normal_equations(stacks, table)
     w, v = np.linalg.eigh(g)
     if w[0] * _GRAM_COND_LIMIT >= w[-1]:
         x = v @ ((v.T @ h).T / w).T
     else:
-        _check_bytes(8 * (len(us) * d + 1) * d * d, "the least-squares design matrix of {} frames at dimension {}", len(us), d)
-        b = table.swapaxes(0, 1).reshape((-1,) + table.shape[2:])
-        x, _, found, _ = np.linalg.lstsq(_design_matrix(us), np.concatenate([b, [table.sum(0).mean(0)]]), rcond=None)
+        _check_bytes(8 * (n * d + 1) * d * d, "the least-squares design matrix of {} frames at dimension {}", n, d)
+        b = np.concatenate([table.swapaxes(0, 1).reshape((-1,) + table.shape[2:]), [table.sum(0).mean(0)]])
+        x, _, found, _ = np.linalg.lstsq(_design_matrix(kron_all(stacks)), b, rcond=None)
         if found < d * d:
             raise InformationallyIncompleteError(rank=int(found), needed=d * d, complete=_complete_set(frames))
+    del g, v  # so the basis, 16 d^4 bytes, is formed in their place
     return np.tensordot(x if x.ndim == 1 else x @ (1, 1j), hermitian_basis(d), axes=1)
 
 

@@ -11,13 +11,16 @@ are rotation covariant, U(m, g) = R(g)^dag |j m><j m| R(g) and
 D(m, g) = R(g)^dag D(m, e) R(g), so a grid's ``SpinTransform`` runs the spin
 symbol map and its inverse from the d-matrices at its beta nodes and a gamma
 phase table, without forming either family or a rotation per node.  A frame
-set has one forward and one inverse map.  Every table on it comes from its
-``symbols(a)``: the grid's transform for grid frames, and ``frame_diagonals``
-on the unitary frames R(g)^dag off a grid and on the stacks of a
-``UnitaryFrames`` set, whose product frames are held as their factor
-stacks.  Every operator back from a table comes from its ``inverse(table)``:
-the synthesis of a grid exact to degree 2j, or the least-squares solve of
-``reconstruction._solve`` on every other set.
+set has one forward and one inverse map, each over the set's own arrays,
+and each refuses a NaN or an infinity in what it is given before its route
+runs.  Every table on it comes from its ``symbols(a)``: the grid's transform
+for grid frames, and ``frame_diagonals`` on the unitary frames R(g)^dag off
+a grid and on the stacks of a ``UnitaryFrames`` set, whose product frames
+are held as their factor stacks and never multiplied out here; only spin
+frames form their frame stack, ``unitaries()``.  Every operator back from a
+table comes from its ``inverse(table)``: the synthesis of a grid exact to
+degree 2j, or the least-squares solve of ``reconstruction._solve`` on every
+other set.
 
 A set of spin frames is one ``SpinFrames`` object of Euler-angle arrays, from
 file to kernel, and, like a ``UnitaryFrames`` set, never empty.  Every map on
@@ -53,7 +56,6 @@ from .linalg import (
     _subsystem_dims,
     frame_diagonals,
     hermitian_basis,
-    kron_all,
     partial_trace,
     unitarity_residual,
 )
@@ -80,9 +82,10 @@ class SpinFrames:
     (``_grid_of`` decides it).
 
     The frame-set interface, shared with ``UnitaryFrames``: ``kind``, ``j``,
-    ``grid``, ``dim``, ``unitaries()``, ``symbols(a)``, the forward map that
-    every table on a frame set comes from, and ``inverse(table)``, the linear
-    map back from a table to its operator.
+    ``grid``, ``dim``, ``symbols(a)``, the forward map that every table on a
+    frame set comes from, and ``inverse(table)``, the linear map back from a
+    table to its operator.  Spin frames also form their rotation stack,
+    ``unitaries()``, which their off-grid maps and ``UnitaryFrames.of`` read.
     """
 
     kind = "spin"
@@ -118,7 +121,9 @@ class SpinFrames:
     def symbols(self, a) -> np.ndarray:
         """The (2j+1, F) table Tr[a U(m, frame)] of the n x n operator ``a``: on the
         grid's cached ``SpinTransform`` for grid frames, with no rotation formed,
-        and through ``frame_diagonals`` on ``unitaries()`` for all others."""
+        and through ``frame_diagonals`` on ``unitaries()`` for all others.  A NaN or
+        an infinite entry of ``a`` is refused first."""
+        _require_finite(a, "operator entries")
         if self._grid is not None:
             return SpinTransform.on_grid(self.j, self._grid).analyze(a)
         return frame_diagonals(a, self.unitaries()).T
@@ -126,7 +131,9 @@ class SpinFrames:
     def inverse(self, table) -> np.ndarray:
         """The n x n operator whose ``symbols`` are the (2j+1, F) ``table``: the grid's cached
         ``SpinTransform.synthesize`` for the frames of a grid exact to degree 2j, and
-        ``reconstruction._solve`` for all others, where a coarser grid's synthesis would alias."""
+        ``reconstruction._solve`` for all others, where a coarser grid's synthesis would alias.
+        A NaN or an infinite entry of ``table`` is refused first."""
+        _require_finite(table, "symbol table entries")
         if self._grid is not None and self._grid.exactness_degree >= self.j.twice:
             return SpinTransform.on_grid(self.j, self._grid).synthesize(table)
         from .reconstruction import _solve
@@ -184,11 +191,12 @@ class UnitaryFrames(Sequence):
     Matrix frames are one (F, n, n) stack.  Product frames, given as tuples of
     per-factor unitaries, are their (F, d_k, d_k) factor stacks, which
     ``factors`` names too (None for matrix frames); their (F, n, n) product
-    stack is formed only by ``unitaries()``.  ``symbols(a)`` reads the stacks
-    through ``frame_diagonals``, so no tomogram, marginal or residual holds a
-    product stack.  Indexing yields each frame as it was given: a matrix, or a
-    tuple of factor matrices; a one-factor tuple is its matrix.  The set
-    belongs to no spin and no grid (``j`` and ``grid`` are None).
+    stack is never formed whole.  ``symbols(a)`` reads the stacks through
+    ``frame_diagonals``, so no tomogram, marginal or residual holds a product
+    stack, and ``inverse(table)`` solves on them one chunk of frames at a
+    time.  Indexing yields each frame as it was given: a matrix, or a tuple
+    of factor matrices; a one-factor tuple is its matrix.  The set belongs to
+    no spin and no grid (``j`` and ``grid`` are None).
     """
 
     kind, j, grid = "unitary", None, None
@@ -230,21 +238,16 @@ class UnitaryFrames(Sequence):
     def __len__(self) -> int:
         return len(self.stacks[0])
 
-    def unitaries(self) -> np.ndarray:
-        """The (F, n, n) frame stack: the one stack of matrix frames itself, not a copy, or
-        the ``kron_all`` of the factor stacks, whose 16 F n^2 bytes are counted against
-        the byte budget before it is formed, on every call."""
-        if self.factors is None:
-            return self.stacks[0]
-        _check_bytes(16 * len(self) * self.dim**2, "the stack of {} product frames at dimension {}", len(self), self.dim)
-        return kron_all(self.factors)
-
     def symbols(self, a) -> np.ndarray:
-        """The (n, F) table diag(u^dag a u) of the n x n operator ``a`` over the frames u, read off the stacks."""
+        """The (n, F) table diag(u^dag a u) of the n x n operator ``a`` over the frames u, read off
+        the stacks once a NaN or an infinite entry of ``a`` is refused."""
+        _require_finite(a, "operator entries")
         return frame_diagonals(a, *self.stacks).T
 
     def inverse(self, table) -> np.ndarray:
-        """The n x n operator whose ``symbols`` are the (n, F) ``table``, by ``reconstruction._solve``."""
+        """The n x n operator whose ``symbols`` are the (n, F) ``table``, by ``reconstruction._solve``
+        once a NaN or an infinite entry of ``table`` is refused."""
+        _require_finite(table, "symbol table entries")
         from .reconstruction import _solve
 
         return _solve(self, table)
@@ -593,13 +596,13 @@ def quantizer_D(j, m, omega: EulerAngles) -> np.ndarray:
 def spin_tomogram(a, frames) -> Tomogram:
     """Spin symbol w(m, frame) = Tr[A U(m, frame)] for every m and frame.
 
-    ``frames`` is a ``SpinFrames`` set, and the table is its ``symbols(a)``.
-    ``a`` may be a plain finite matrix (observable) or a DensityMatrix, in
-    which case the ``Tomogram`` verifies per-frame normalization.
+    ``frames`` is a ``SpinFrames`` set, and the table is its ``symbols(a)``,
+    which refuses an ``a`` with a NaN or an infinite entry.  ``a`` may be a
+    plain matrix (observable) or a DensityMatrix, in which case the
+    ``Tomogram`` verifies per-frame normalization.
     """
     is_state = isinstance(a, DensityMatrix)
     mat = a.mat if is_state else np.asarray(a, dtype=complex)
-    _require_finite(mat, "operator entries")
     if not isinstance(frames, SpinFrames):
         raise ValueError(f"spin frames must be a SpinFrames set of angle arrays, got {type(frames).__name__}")
     n = frames.dim

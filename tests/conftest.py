@@ -55,6 +55,12 @@ def frame_set(kind: str, n: int, rng: np.random.Generator):
     return UnitaryFrames.of(list(zip(haar_unitaries(2, 12, rng), haar_unitaries(n // 2, 12, rng))), n)
 
 
+def frame_stack(frames) -> np.ndarray:
+    """The (F, n, n) stack of a frame set's unitaries: a spin set's ``unitaries()``, and
+    the ``kron_all`` of a unitary set's stacks, its one matrix stack or its product stack."""
+    return frames.unitaries() if frames.kind == "spin" else kron_all(frames.stacks)
+
+
 # frames per block of the frame kernels at dimension n: 512 KiB of complex n x n
 # frames, in whole tiles of 8 frames (5 takes the tile rounding: 1310 -> 1304)
 BLOCK_EDGES = {1: 32768, 2: 8192, 4: 2048, 5: 1304, 8: 512, 16: 128}

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import FRAME_KINDS, frame_set, random_hermitian
+from conftest import FRAME_KINDS, frame_set, frame_stack, random_hermitian
 from spintomo.dynamics import (
     Povm,
     evolve_state,
@@ -107,7 +107,7 @@ class TestEvolveTomogram:
         # w(m, u, t) = w(m, U(t)^dag u, 0): the time-zero state on the shifted frames
         rho, h, frames = random_density(4, 4, seed=61), random_hermitian(4, rng), frame_set(kind, 4, rng)
         t0 = (spin_tomogram if frames.kind == "spin" else unitary_tomogram)(rho, frames)
-        shifted = expm_hermitian_times(h, 0.9).conj().T @ t0.frames.unitaries()
+        shifted = expm_hermitian_times(h, 0.9).conj().T @ frame_stack(t0.frames)
         evolved = evolve_tomogram(t0, h, 0.9)
         assert evolved.frames is t0.frames
         assert np.max(np.abs(evolved.table - frame_diagonals(rho.mat, shifted).T)) <= 1e-13

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from conftest import least_squares_solution, random_hermitian, shot_frequencies
 from spintomo import io, reconstruction, symbols
 from spintomo.errors import LIMITS, InformationallyIncompleteError
-from spintomo.linalg import DensityMatrix, expm_hermitian_times, haar_unitaries, hermitian_basis, random_density
+from spintomo.linalg import (
+    DensityMatrix,
+    expm_hermitian_times,
+    haar_unitaries,
+    hermitian_basis,
+    kron_all,
+    random_density,
+)
 from spintomo.quadrature import GROUP_VOLUME, QuadratureGrid, make_grid
 from spintomo.reconstruction import (
     _chunk_frames,
@@ -31,6 +39,7 @@ from spintomo.symbols import (
     SpinFrames,
     SpinTransform,
     Tomogram,
+    UnitaryFrames,
     grid_frames,
     spin_tomogram,
     unitary_tomogram,
@@ -518,7 +527,7 @@ class TestChunkedNormalEquations:
         us = haar_unitaries(d, n_frames, d + n_frames)
         table = unitary_tomogram(random_density(d, d, seed=d), us).table.real
         a = _design_matrix(us)
-        g, h = _normal_equations(us, table)
+        g, h = _normal_equations((us,), table)
         for got, want in ((g, a.T @ a), (h, a.T @ np.append(table.T.reshape(-1), 1.0))):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -590,6 +599,91 @@ class TestChunkedNormalEquations:
         with pytest.raises(InformationallyIncompleteError):
             reconstruct_from_unitary_frame(t)
         assert len(lstsq_calls) == 1
+
+
+PRODUCT_DIMS = [(2, 2), (2, 3), (2, 2, 2), (3, 2, 2)]
+
+
+def product_factors(dims, count: int, seed: int) -> list[np.ndarray]:
+    """The (count, d_k, d_k) Haar factor stacks of ``count`` product frames over ``dims``."""
+    return [haar_unitaries(k, count, 10 * seed + i) for i, k in enumerate(dims)]
+
+
+class TestProductFrameSolve:
+    """The solve on product frames multiplies out one chunk at a time, with the bits of the solve
+    on their product stack: every inverse, estimate and residual is ``np.array_equal``."""
+
+    @staticmethod
+    def assert_solved_alike(factors, dims, seed):
+        d, rng = math.prod(dims), np.random.default_rng(seed)
+        frames = UnitaryFrames(*factors)
+        stacked = UnitaryFrames(kron_all(factors))  # the oracle: the product stack, formed whole
+        rho = random_density(d, d, seed=seed, dims=dims)
+        a = random_hermitian(d, rng) + 1j * random_hermitian(d, rng)
+        for table in (frames.symbols(rho.mat).real, frames.symbols(a)):
+            assert np.array_equal(frames.inverse(table), stacked.inverse(table))
+        table = frames.symbols(rho.mat).real
+        t, same = Tomogram(frames, table, dims=dims), Tomogram(stacked, table, dims=dims)
+        est = reconstruct_from_unitary_frame(t)
+        assert np.array_equal(est.mat, reconstruct_from_unitary_frame(same).mat)
+        assert reconstruction_residual(t, est) == reconstruction_residual(same, est)
+        return est, rho
+
+    @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_gram_solve_at_a_chunk_edge(self, dims, offset, lstsq_calls):
+        factors = product_factors(dims, _chunk_frames(math.prod(dims)) + offset, 5 + offset)
+        est, rho = self.assert_solved_alike(factors, dims, 7)
+        assert lstsq_calls == []
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-12
+
+    @pytest.mark.parametrize("dims, seed", [((2, 2), 1), ((2, 3), 0), ((2, 2, 2), 0), ((3, 2, 2), 0)], ids=str)
+    def test_lstsq_solve_on_a_minimal_set(self, dims, seed, lstsq_calls):
+        # prod(d_k + 1) Haar product frames whose cond(G) lies above the limit
+        count, d = math.prod(k + 1 for k in dims), math.prod(dims)
+        est, rho = self.assert_solved_alike(product_factors(dims, count, seed), dims, 8)
+        assert lstsq_calls == [(count * d + 1, d * d)] * 6
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-10
+
+    @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
+    def test_repeated_frames_are_found_incomplete_alike(self, dims):
+        factors = [np.repeat(f, 40, axis=0) for f in product_factors(dims, 1, 9)]
+        d = math.prod(dims)
+        table = UnitaryFrames(*factors).symbols(random_density(d, d, seed=9).mat).real
+        found = []
+        for frames in (UnitaryFrames(*factors), UnitaryFrames(kron_all(factors))):
+            with pytest.raises(InformationallyIncompleteError) as err:
+                frames.inverse(table)
+            found.append((err.value.rank, err.value.needed))
+        assert found[0] == found[1] == (d, d * d)
+
+    @pytest.mark.parametrize("dims", PRODUCT_DIMS, ids=str)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_normal_equations_of_factor_stacks_are_those_of_their_product(self, dims, offset):
+        d = math.prod(dims)
+        factors = product_factors(dims, _chunk_frames(d) + offset, 11)
+        table = UnitaryFrames(*factors).symbols(random_density(d, d, seed=11).mat).real
+        for got, want in zip(_normal_equations(factors, table), _normal_equations((kron_all(factors),), table)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.memory
+    def test_no_product_stack_is_held(self, monkeypatch):
+        # the product stack of 1e4 frames of 4 qubits is 16 * 1e4 * 16^2 bytes (41 MB); the
+        # solve holds one 1 MiB chunk of it, and traces below a tenth of the stack
+        rho, rng = random_density(16, 16, seed=16, dims=(2,) * 4), np.random.default_rng(16)
+        t = unitary_tomogram(rho, list(zip(*(haar_unitaries(2, 10_000, rng) for _ in range(4)))))
+        tracemalloc.start()
+        try:
+            est = reconstruct_from_unitary_frame(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10_000 * 16**2 / 10
+        assert np.max(np.abs(est.mat - rho.mat)) <= 1e-12
+        # at a 4 MiB budget that the stack of 2000 such frames (8.2 MB) passes twice, they are solved
+        t = unitary_tomogram(rho, list(zip(*(haar_unitaries(2, 2000, rng) for _ in range(4)))))
+        monkeypatch.setitem(LIMITS, "bytes", 2**22)
+        assert np.max(np.abs(reconstruct_from_unitary_frame(t).mat - rho.mat)) <= 1e-12
 
 
 class TestIntertwine:

@@ -9,7 +9,8 @@ in int64), no array tested by ``np.isfinite`` past ``_require_finite``, and no
 spin or magnetic number read past ``spin`` or ``magnetic``, no call of
 the least-squares solve past the two frame sets' ``inverse``, no call of
 the diagonal kernel past ``frame_diagonals`` and ``_haar_scan``, no
-product stack formed in ``symbols`` past ``UnitaryFrames.unitaries``, and no
+product stack formed in ``symbols`` and none in ``reconstruction`` past one
+chunk of the normal equations and the ``lstsq`` branch of the solve, and no
 Python loop over a Kraus, effect or Pauli stack past the two constructors'
 input reads; a behaviour test drives the frame-sum check through ``Tomogram``
 itself.
@@ -72,8 +73,11 @@ def test_one_finiteness_check():
     assert _raised_with("(found NaN or infinity)") == {("linalg.py", "_require_finite")}
     assert _calls("_require_finite") == {
         ("symbols.py", "SpinFrames.__init__"),
+        ("symbols.py", "SpinFrames.symbols"),
+        ("symbols.py", "SpinFrames.inverse"),
+        ("symbols.py", "UnitaryFrames.symbols"),
+        ("symbols.py", "UnitaryFrames.inverse"),
         ("symbols.py", "Tomogram.__post_init__"),
-        ("symbols.py", "spin_tomogram"),
         ("simplex.py", "_two_qubit_point"),
         ("io.py", "matrix_from_obj"),
         ("io.py", "_spin_frames_from_obj"),
@@ -160,9 +164,17 @@ def test_one_block_loop_over_stored_frames():
     assert _calls("_kron_columns") == {("linalg.py", "frame_diagonals")}
 
 
-def test_product_frames_form_their_stack_only_on_request():
-    # product frames are their factor stacks; only unitaries() multiplies them out
-    assert {where for name, where in _calls("kron_all") if name == "symbols.py"} == {"UnitaryFrames.unitaries"}
+def test_product_frames_are_multiplied_out_only_by_the_solve():
+    # product frames are their factor stacks, which symbols.py never multiplies out; the solve
+    # forms one chunk's products in _normal_equations, and the whole stack only for lstsq
+    assert {where for name, where in _calls("kron_all") if name == "symbols.py"} == set()
+    assert {where for name, where in _calls("kron_all") if name == "reconstruction.py"} == {"_normal_equations", "_solve"}
+    solve = next(node for name, where, node in NODES
+                 if name == "reconstruction.py" and isinstance(node, ast.FunctionDef) and node.name == "_solve")
+    in_lstsq_branch = {id(call) for branch in ast.walk(solve) if isinstance(branch, ast.If)
+                       for stmt in branch.orelse if "lstsq" in ast.unparse(stmt) for call in ast.walk(stmt)}
+    assert all(id(call) in in_lstsq_branch for call in ast.walk(solve)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "kron_all")
 
 
 def _walks_an_operator_stack(it) -> bool:

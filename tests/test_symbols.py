@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FRAME_KINDS, dequantizer_series, frame_set, random_hermitian
+from conftest import FRAME_KINDS, dequantizer_series, frame_set, frame_stack, random_hermitian
 from spintomo import io
 from spintomo.dynamics import evolve_tomogram
 from spintomo.entropy import frame_probabilities
@@ -200,9 +200,9 @@ class TestFrameStack:
     def test_accepts_arrays_matrix_lists_and_product_tuples(self):
         a, b = haar_unitaries(2, 5, 1), haar_unitaries(2, 5, 2)
         joint = np.stack([np.kron(x, y) for x, y in zip(a, b)])
-        assert np.array_equal(UnitaryFrames.of(joint, 4).unitaries(), joint)
-        assert np.array_equal(UnitaryFrames.of(list(joint), 4).unitaries(), joint)
-        assert np.array_equal(UnitaryFrames.of(list(zip(a, b)), 4).unitaries(), joint)
+        assert np.array_equal(frame_stack(UnitaryFrames.of(joint, 4)), joint)
+        assert np.array_equal(frame_stack(UnitaryFrames.of(list(joint), 4)), joint)
+        assert np.array_equal(frame_stack(UnitaryFrames.of(list(zip(a, b)), 4)), joint)
 
     @pytest.mark.parametrize("frames", [[], np.zeros((0, 2, 2))])
     def test_refuses_empty(self, frames):
@@ -235,7 +235,7 @@ class TestFrameStack:
             UnitaryFrames(stack)
 
     @pytest.mark.memory
-    def test_product_stack_past_the_byte_budget_is_refused_before_it_is_formed(self, monkeypatch):
+    def test_tomogram_on_product_frames_holds_no_product_stack(self, monkeypatch):
         # product frames hold their factor stacks alone: the tomogram of 400 product frames of
         # 6 qubits runs at a 4 MiB budget that their (400, 64, 64) stack, 16 * 400 * 64^2 bytes
         # (26 MB), passes six times, and traces less than a tenth of that stack
@@ -249,23 +249,6 @@ class TestFrameStack:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 400 * 64**2 / 10
-        # unitaries() forms the stack of 20 product frames of 8 qubits, 16 * 20 * 256^2 bytes
-        # (21 MB): one byte short of them it is refused with its own text while only the factor
-        # stacks exist, and at its bytes it is formed
-        frames = UnitaryFrames.of(list(zip(*(haar_unitaries(2, 20, rng) for _ in range(8)))), 256)
-        stack_bytes = 16 * 20 * 256**2
-        monkeypatch.setitem(LIMITS, "bytes", stack_bytes - 1)
-        message = r"^the stack of 20 product frames at dimension 256 would allocate about 0\.021 GB, above the budget"
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=message):
-                frames.unitaries()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < stack_bytes / 100
-        monkeypatch.setitem(LIMITS, "bytes", stack_bytes)
-        assert frames.unitaries().shape == (20, 256, 256)
 
     @pytest.mark.memory
     def test_block_scratch_past_the_byte_budget_is_refused_before_the_first_block(self, monkeypatch):
@@ -404,7 +387,8 @@ class TestUnitaryFrames:
 
 
 class TestFrameSetInterface:
-    """Both frame sets answer ``kind``, ``j``, ``grid``, ``dim``, ``unitaries()`` and ``symbols(a)``."""
+    """Both frame sets answer ``kind``, ``j``, ``grid``, ``dim`` and ``symbols(a)``; spin frames
+    also form their unitaries, and unitary frames hand out their ``stacks``."""
 
     @pytest.mark.parametrize("kind", FRAME_KINDS)
     @pytest.mark.parametrize("n", [4, 6])
@@ -414,7 +398,7 @@ class TestFrameSetInterface:
         a = random_hermitian(n, rng) + (0.0 if hermitian else 1j * random_hermitian(n, rng))
         table = frames.symbols(a)
         assert table.shape == (n, len(frames)) and table.dtype == complex
-        assert np.max(np.abs(table - frame_diagonals(a, frames.unitaries()).T)) <= 1e-13
+        assert np.max(np.abs(table - frame_diagonals(a, frame_stack(frames)).T)) <= 1e-13
 
     @pytest.mark.parametrize("jt", range(17))
     @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "off_grid"])
@@ -427,12 +411,28 @@ class TestFrameSetInterface:
         for u, beta, gamma in zip(us, frames.betas, frames.gammas):
             assert np.max(np.abs(u - rotation_matrix(j, 0.0, beta, gamma).conj().T)) <= 1e-15
 
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("side", ["symbols", "inverse"])
+    def test_both_maps_refuse_non_finite_input(self, kind, bad, side, rng):
+        # one entry of the operator or of its table, refused before any route runs, with no warning
+        frames = frame_set(kind, 4, rng)
+        a = random_density(4, 4, seed=4).mat.copy()
+        value = a if side == "symbols" else frames.symbols(a)
+        value[1, 0] = bad
+        what = "operator" if side == "symbols" else "symbol table"
+        with pytest.raises(ValueError, match=rf"^{what} entries must be finite numbers \(found NaN or infinity\)$"):
+            getattr(frames, side)(value)
+
     def test_unitary_frames_hand_out_their_stack(self):
-        # matrix frames hand out their one stack; product frames form the product of their factors
+        # matrix frames hand out their one stack; product frames hand out their factor stacks
         a = haar_unitaries(6, 4, 3)
-        assert UnitaryFrames.of(a, 6).unitaries() is a
-        frames = UnitaryFrames.of(list(zip(haar_unitaries(2, 4, 1), haar_unitaries(3, 4, 2))), 6)
-        assert np.array_equal(frames.unitaries(), kron_all(frames.factors))
+        assert UnitaryFrames.of(a, 6).stacks[0] is a
+        b, c = haar_unitaries(2, 4, 1), haar_unitaries(3, 4, 2)
+        frames = UnitaryFrames.of(list(zip(b, c)), 6)
+        assert frames.stacks is frames.factors and all(map(np.array_equal, frames.stacks, (b, c)))
+        # only spin frames form their unitaries: product frames are never multiplied out whole
+        assert not hasattr(UnitaryFrames, "unitaries") and hasattr(SpinFrames, "unitaries")
 
     def test_interface_values(self, rng, tmp_path):
         grid = make_grid(1.5)
@@ -559,9 +559,9 @@ class TestMarginal:
         t = unitary_tomogram(rho, frames)
         pair = tomogram_marginal(t, keep=(0, 2)).frames
         assert pair.factors[0] is t.frames.factors[0] and pair.factors[1] is t.frames.factors[2]
-        assert isinstance(pair[0], tuple) and pair.unitaries().shape == (4, 4, 4)
+        assert isinstance(pair[0], tuple) and frame_stack(pair).shape == (4, 4, 4)
         single = tomogram_marginal(t, keep=1).frames
-        assert single.factors is None and np.array_equal(single.unitaries(), t.frames.factors[1])
+        assert single.factors is None and np.array_equal(frame_stack(single), t.frames.factors[1])
 
     def test_bell_state_marginal_uniform(self):
         frames = [
